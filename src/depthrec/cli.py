@@ -38,7 +38,7 @@ from .taylor import CriticalIC, branches_at
 CONFIG_KEYS = {
     "domain_lo": float, "domain_hi": float, "u": str, "u_csv": str, "rho": str,
     "rtol": float, "atol": float, "tol_contact": float, "tol_floor": float,
-    "tol_bvp": float, "series_radius": float, "taylor_order": int,
+    "series_radius": float, "taylor_order": int,
     "max_switches": int, "samples": int, "seed": int, "fan_size": int,
 }
 

@@ -86,6 +86,29 @@ def _classify(u: ModulusModel, theta: float, tol_class: float) -> CriticalKind:
     return CriticalKind.INFLECTION
 
 
+def _scan(dvals: np.ndarray, tol_flat: float, touch_screen: float):
+    """Classify the cells of a U' scan on a grid.
+
+    Returns the flat mask (``|U'| <= tol_flat``), the flat runs as inclusive
+    ``(start, end)`` index pairs, the cells ``i`` where U' changes sign from
+    grid point ``i`` to ``i + 1`` with neither end flat, and the interior
+    local minima of ``|U'|`` at or below ``touch_screen`` across which U'
+    does not change sign (sign changes are brackets already).
+    """
+    flat = np.abs(dvals) <= tol_flat
+    padded = np.concatenate(([False], flat, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    runs = [(start, stop - 1) for start, stop in zip(edges[::2], edges[1::2])]
+    absd = np.abs(dvals)
+    inner = slice(1, len(dvals) - 1)
+    with np.errstate(invalid="ignore"):   # inf * 0 is nan, and nan compares false
+        sign_changes = np.flatnonzero(~flat[:-1] & ~flat[1:] & (dvals[:-1] * dvals[1:] < 0.0))
+        touches = np.flatnonzero(~flat[inner] & (absd[inner] <= touch_screen)
+                                 & (absd[inner] <= absd[:-2]) & (absd[inner] <= absd[2:])
+                                 & (dvals[:-2] * dvals[2:] >= 0.0)) + 1
+    return flat, runs, sign_changes.tolist(), touches.tolist()
+
+
 def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
                          tol_class: float | None = None) -> CriticalSet:
     """Locate and classify every critical point of the depth bound.
@@ -105,24 +128,14 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
         tol_class = 1e-9 * u.scale
 
     thetas = np.linspace(lo, hi, grid + 1)
-    dvals = np.array([u.derivative(float(t)) for t in thetas])
-    flat = np.abs(dvals) <= tol_flat
+    dvals = u.derivative_grid(thetas)
+    flat, runs, sign_changes, touches = _scan(dvals, tol_flat, 1e-5 * scale_d)
 
     # flat runs: long ones are dense stretches, short ones are root candidates
     # (an exact zero of U' landing on a grid point shows up as a 1-point run)
-    dense_intervals: list[tuple[float, float]] = []
-    short_runs: list[tuple[int, int]] = []
-    run_start = None
-    for i in range(len(flat) + 1):
-        f = flat[i] if i < len(flat) else False
-        if f and run_start is None:
-            run_start = i
-        elif not f and run_start is not None:
-            if i - run_start >= 4:
-                dense_intervals.append((float(thetas[run_start]), float(thetas[i - 1])))
-            else:
-                short_runs.append((run_start, i - 1))
-            run_start = None
+    dense_intervals = [(float(thetas[start]), float(thetas[end]))
+                       for start, end in runs if end - start >= 3]
+    short_runs = [(start, end) for start, end in runs if end - start < 3]
 
     def in_dense(th: float) -> bool:
         return any(a - 1e-12 <= th <= b + 1e-12 for a, b in dense_intervals)
@@ -130,13 +143,9 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
     roots: list[float] = []
 
     # simple roots: sign changes between non-flat neighbours
-    for i in range(grid):
-        a, b = dvals[i], dvals[i + 1]
-        if flat[i] or flat[i + 1]:
-            continue
-        if a * b < 0.0:
-            root = brentq(u.derivative, float(thetas[i]), float(thetas[i + 1]), xtol=tol)
-            roots.append(float(root))
+    for i in sign_changes:
+        root = brentq(u.derivative, float(thetas[i]), float(thetas[i + 1]), xtol=tol)
+        roots.append(float(root))
 
     # short flat runs: polish against the nearest non-flat bracket if U'
     # changes sign across the run, otherwise keep the run midpoint
@@ -150,16 +159,8 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
             roots.append(float(thetas[(start + end) // 2]))
 
     # touch roots: local minima of |U'| that polish to a zero of U''
-    absd = np.abs(dvals)
-    touch_screen = 1e-5 * scale_d
-    for i in range(1, grid):
-        if flat[i] or absd[i] > touch_screen:
-            continue
-        if not (absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1]):
-            continue
-        if dvals[i - 1] * dvals[i + 1] < 0.0:
-            continue  # already found by the sign-change scan
-        second = lambda th: u.jet(th, 2)[2]
+    second = lambda th: u.jet(th, 2)[2]
+    for i in touches:
         a, b = float(thetas[i - 1]), float(thetas[i + 1])
         try:
             if second(a) * second(b) < 0.0:

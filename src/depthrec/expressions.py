@@ -11,15 +11,23 @@ right-associative; ``*``/``/`` and ``+``/``-`` are left-associative)::
 
 Variables are ``theta`` or ``t``; functions are sin, cos, tan, sqrt, exp,
 log.  Parsing, printing and re-parsing is a fixed point.  Expressions can
-be evaluated as floats, compiled to fast callables, differentiated
-symbolically (the result stays inside the grammar), or evaluated with
-:class:`~depthrec.series.PowerSeries` arguments for high-order derivatives.
+be differentiated symbolically (the result stays inside the grammar),
+evaluated with :class:`~depthrec.series.PowerSeries` arguments for
+high-order derivatives, or compiled into kernels for plain evaluation.
+
+An :class:`ExpressionKernel` generates one Python function from the AST,
+one parenthesized operation per node, with the constants as globals, and
+compiles it on first use.  Run on ``math`` it evaluates one angle and
+performs the same floating-point operations in the same order as a
+node-by-node walk, so its values are bit-identical to that walk's; run on
+``numpy`` the same code evaluates a whole array of angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +36,8 @@ from .series import PowerSeries
 
 __all__ = [
     "Expression", "Num", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "parse_expression", "to_text", "differentiate", "to_callable", "series_coefficients",
-    "derivatives_at", "FUNCTIONS", "VARIABLES",
+    "parse_expression", "to_text", "differentiate", "ExpressionKernel", "to_callable",
+    "series_coefficients", "derivatives_at", "FUNCTIONS", "VARIABLES",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sqrt", "exp", "log")
@@ -467,45 +475,152 @@ def differentiate(node: Expression) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: compiled float callables and power-series arguments
+# Evaluation: generated kernels and power-series arguments
 # ---------------------------------------------------------------------------
 
 _MATH_FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
 }
+_NUMPY_FUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+}
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# what math-domain failures raise in Python float arithmetic and ``math``
+_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+# parenthesis depth at which the generated code moves a subexpression into a
+# local, well inside the depth CPython's parser and compiler accept
+_MAX_NESTING = 50
 
 
-def _build(node: Expression):
-    if isinstance(node, Num):
-        v = node.value
-        return lambda th: v
-    if isinstance(node, Pi):
-        return lambda th: math.pi
-    if isinstance(node, Var):
-        return lambda th: th
-    if isinstance(node, Neg):
-        f = _build(node.arg)
-        return lambda th: -f(th)
-    if isinstance(node, Add):
-        a, b = _build(node.left), _build(node.right)
-        return lambda th: a(th) + b(th)
-    if isinstance(node, Sub):
-        a, b = _build(node.left), _build(node.right)
-        return lambda th: a(th) - b(th)
-    if isinstance(node, Mul):
-        a, b = _build(node.left), _build(node.right)
-        return lambda th: a(th) * b(th)
-    if isinstance(node, Div):
-        a, b = _build(node.left), _build(node.right)
-        return lambda th: a(th) / b(th)
-    if isinstance(node, Pow):
-        a, n = _build(node.base), node.exponent
-        return lambda th: a(th) ** n
-    if isinstance(node, Call):
-        fn, a = _MATH_FUNCS[node.func], _build(node.arg)
-        return lambda th: fn(a(th))
-    raise TypeError(f"unknown node {node!r}")
+def _kernel_source(node: Expression) -> tuple[str, list]:
+    """Generated source of a function ``kernel(th)`` evaluating ``node``.
+
+    Every operation becomes one parenthesized Python operation, so Python
+    evaluates them in the order a recursive walk of the tree does (left
+    operand first) and the kernel performs the same floating-point
+    operations in the same order.  Subexpressions nested deeper than
+    ``_MAX_NESTING`` go into locals first; a left operand whose right
+    sibling went into a local goes into one before it, which keeps that
+    order.  The constants and exponents are the globals ``c0, c1, ...``,
+    and the six functions are looked up as globals too: the one compiled
+    source runs on ``math`` for scalars or on ``numpy`` for arrays.
+    Returns the source and the constants ``c0, c1, ...`` in order.
+    """
+    consts: list = []
+    temps: list[tuple[str, str]] = []   # (local, source), in evaluation order
+
+    def const(value) -> tuple[str, int]:
+        consts.append(value)
+        return f"c{len(consts) - 1}", 0
+
+    def emit(node: Expression) -> tuple[str, int]:
+        """Source text of ``node`` and its parenthesis depth."""
+        if isinstance(node, Num):
+            return const(node.value)
+        if isinstance(node, Pi):
+            return const(math.pi)
+        if isinstance(node, Var):
+            return "th", 0
+        if isinstance(node, Neg):
+            arg, depth = emit(node.arg)
+            text = f"(-{arg})"
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            left, left_depth = emit(node.left)
+            mark = len(temps)
+            right, right_depth = emit(node.right)
+            if len(temps) > mark and left_depth > 0:
+                left, left_depth = local(left, mark), 0
+            text = f"({left} {_BINARY_OPS[type(node)]} {right})"
+            depth = max(left_depth, right_depth)
+        elif isinstance(node, Pow):
+            base, depth = emit(node.base)
+            exponent, _ = const(node.exponent)
+            text = f"({base} ** {exponent})"
+        elif isinstance(node, Call):
+            arg, depth = emit(node.arg)
+            text = f"{node.func}({arg})"
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        if depth + 1 < _MAX_NESTING:
+            return text, depth + 1
+        return local(text, len(temps)), 0
+
+    def local(text: str, position: int) -> str:
+        name = f"v{len(temps)}"
+        temps.insert(position, (name, text))
+        return name
+
+    result, _ = emit(node)
+    source = "\n".join([
+        "def kernel(th):",
+        "    try:",
+        *(f"        {name} = {text}" for name, text in temps),
+        f"        return {result}",
+        "    except _MATH_ERRORS as exc:",
+        "        raise _fail(exc, th) from exc",
+        "",
+    ])
+    return source, consts
+
+
+def _fail(exc: Exception, theta) -> EvalError:
+    return EvalError(f"cannot evaluate expression: {exc}", theta)
+
+
+class ExpressionKernel:
+    """Generated kernels of one expression, compiled on first use.
+
+    ``scalar`` evaluates at one float angle on ``math`` and is bit-identical
+    to evaluating the tree node by node.  :meth:`grid` evaluates a whole
+    array of angles with the same compiled code run on ``numpy``.  Both
+    raise :class:`EvalError` carrying the offending angle for a math-domain
+    failure (sqrt/log of a negative, division by zero, overflow).  Compiling
+    costs as much as a few hundred evaluations, so nothing is compiled until
+    a kernel is first used.
+    """
+
+    def __init__(self, node: Expression):
+        self.node = node
+
+    @cached_property
+    def _code(self):
+        source, consts = _kernel_source(self.node)
+        names = {f"c{i}": value for i, value in enumerate(consts)}
+        return compile(source, "<depthrec expression>", "exec"), names
+
+    def _bind(self, funcs: dict):
+        code, names = self._code
+        namespace = {**names, **funcs, "_MATH_ERRORS": _MATH_ERRORS, "_fail": _fail}
+        exec(code, namespace)
+        return namespace["kernel"]
+
+    @cached_property
+    def scalar(self):
+        return self._bind(_MATH_FUNCS)
+
+    @cached_property
+    def _array(self):
+        return self._bind(_NUMPY_FUNCS)
+
+    def grid(self, thetas: np.ndarray) -> np.ndarray:
+        """Values at every angle of a 1-d float array.
+
+        numpy's elementwise functions may round differently from ``math``
+        in the last place.  Where numpy meets a failure (a non-finite entry,
+        or an error among the constant terms) the angles are evaluated one
+        by one with ``scalar``, so errors and their angles are exactly those
+        of a scalar loop.
+        """
+        with np.errstate(all="ignore"):
+            try:
+                values = np.broadcast_to(self._array(thetas), thetas.shape)
+            except EvalError:
+                values = None
+        if values is not None and np.all(np.isfinite(values)):
+            return values
+        return np.array([self.scalar(th) for th in thetas.tolist()])
 
 
 def to_callable(node: Expression):
@@ -515,15 +630,7 @@ def to_callable(node: Expression):
     overflow) are reported as :class:`EvalError` carrying the offending
     argument.
     """
-    raw = _build(node)
-
-    def call(theta: float) -> float:
-        try:
-            return raw(theta)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalError(f"cannot evaluate expression: {exc}", theta) from exc
-
-    return call
+    return ExpressionKernel(node).scalar
 
 
 def _eval_series(node: Expression, var: PowerSeries):
@@ -558,7 +665,7 @@ def series_coefficients(node: Expression, center: float, order: int) -> np.ndarr
     var = PowerSeries.variable(center, order)
     try:
         result = _eval_series(node, var)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _MATH_ERRORS as exc:
         raise EvalError(f"cannot expand expression: {exc}", center) from exc
     if isinstance(result, PowerSeries):
         return result.c.copy()

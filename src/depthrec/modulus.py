@@ -6,19 +6,31 @@ derivatives of any order through truncated power-series arithmetic; a
 :class:`SampledModulus` wraps a grid with a cubic spline and serves at most
 two exact derivative orders.  Values within roundoff of zero are clamped to
 zero; anything more negative raises :class:`InvalidModulus`.
+
+Every layer above reads U and U' many times, so both representations
+evaluate them without per-call overhead.  A closed form evaluates U and U'
+with generated kernels (:class:`~depthrec.expressions.ExpressionKernel`),
+U' compiled on first use, and scans U' over a whole grid with the numpy
+binding of the same kernel.  A sampled profile evaluates its spline with a
+scalar kernel on the spline's breakpoints and coefficients: ``bisect``
+finds the piece (half-open ``[x_i, x_{i+1})``, the last one closed, angles
+in the domain slack clamped to the end pieces) and the terms are summed in
+scipy's order, so every value equals ``CubicSpline.__call__``'s bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, InvalidModulus, OrderUnavailable
+from .errors import DomainError, EvalError, InvalidModulus, OrderUnavailable
 from .expressions import (
-    Add, Expression, Pow, differentiate, derivatives_at, parse_expression, to_callable,
+    Add, Expression, ExpressionKernel, Pow, differentiate, derivatives_at, parse_expression,
 )
 from .parametrization import DepthFunction
 
@@ -77,6 +89,16 @@ class ModulusModel:
         self._check_domain(theta)
         return self._raw_derivative(theta)
 
+    def derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
+        """U' at every angle of a 1-d float array inside the domain.
+
+        Agrees with :meth:`derivative` up to roundoff (exactly, for sampled
+        profiles) and raises the error a loop of those calls would raise.
+        """
+        self._check_domain(float(np.min(thetas)))
+        self._check_domain(float(np.max(thetas)))
+        return self._raw_derivative_grid(thetas)
+
     def jet(self, theta: float, order: int) -> Jet:
         """Derivative values up to ``order``; exact for closed forms."""
         self._check_domain(theta)
@@ -102,6 +124,9 @@ class ModulusModel:
     def _raw_derivative(self, theta: float) -> float:
         raise NotImplementedError
 
+    def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -118,13 +143,13 @@ class ClosedFormModulus(ModulusModel):
         self.expr = expr
         self.domain = (lo, hi)
         self.max_order = None
-        self._fn = to_callable(expr)
-        self._dfn = to_callable(differentiate(expr))
+        self._u = ExpressionKernel(expr)
+        self._du = ExpressionKernel(differentiate(expr))
         sample = []
         for t in np.linspace(lo, hi, 129):
             try:
-                v = self._fn(float(t))
-            except Exception:
+                v = self._u.scalar(float(t))
+            except EvalError:
                 continue
             if math.isfinite(v):
                 sample.append(abs(v))
@@ -135,13 +160,20 @@ class ClosedFormModulus(ModulusModel):
         return self._scale
 
     def _raw_value(self, theta: float) -> float:
-        return self._fn(theta)
+        return self._u.scalar(theta)
 
     def _raw_derivative(self, theta: float) -> float:
-        return self._dfn(theta)
+        return self._du.scalar(theta)
+
+    def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
+        return self._du.grid(thetas)
 
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
         return derivatives_at(self.expr, theta, order)
+
+
+# _PREFACTORS[dx][kp]: d^dx/ds^dx of s^kp is _PREFACTORS[dx][kp] * s^(kp - dx)
+_PREFACTORS = [[float(math.perm(kp, dx)) for kp in range(4)] for dx in range(3)]
 
 
 class SampledModulus(ModulusModel):
@@ -162,6 +194,11 @@ class SampledModulus(ModulusModel):
         self._scale = 1.0 + (float(np.max(np.abs(finite))) if finite.size else 0.0)
         # the spline exists only for finite data; validation still works without it
         self._spline = CubicSpline(t, v) if finite.size == v.size else None
+        if self._spline is not None:
+            self._knots = self._spline.x.tolist()
+            # piece i holds the coefficients of s^0..s^3, s = theta - x_i, at
+            # [4i, 4i + 4); a flat float array keeps no Python object per value
+            self._pieces = array("d", self._spline.c[::-1].T.ravel())
 
     @property
     def scale(self) -> float:
@@ -172,15 +209,34 @@ class SampledModulus(ModulusModel):
             raise InvalidModulus("sampled profile contains non-finite values")
         return self._spline
 
+    def _spline_at(self, theta: float, dx: int) -> float:
+        """The spline's ``dx``-th derivative, as scipy's ``evaluate_poly1`` sums it."""
+        self._require_spline()
+        knots = self._knots
+        # pieces are half-open [x_i, x_{i+1}), the last one closed; angles in
+        # the domain slack fall to the end pieces
+        i = min(max(bisect_right(knots, theta) - 1, 0), len(knots) - 2)
+        s = float(theta) - knots[i]
+        pieces, base = self._pieces, 4 * i
+        prefactors = _PREFACTORS[dx]
+        res = 0.0
+        z = 1.0
+        for kp in range(dx, 4):
+            res += pieces[base + kp] * z * prefactors[kp]
+            z *= s
+        return res
+
     def _raw_value(self, theta: float) -> float:
-        return float(self._require_spline()(theta))
+        return self._spline_at(theta, 0)
 
     def _raw_derivative(self, theta: float) -> float:
-        return float(self._require_spline()(theta, 1))
+        return self._spline_at(theta, 1)
+
+    def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
+        return self._require_spline()(thetas, 1)
 
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
-        s = self._require_spline()
-        return np.array([float(s(theta, k)) for k in range(order + 1)])
+        return np.array([self._spline_at(theta, k) for k in range(order + 1)])
 
 
 def from_depth(rho: DepthFunction) -> ModulusModel:
@@ -225,7 +281,7 @@ def validate_modulus(u: ModulusModel, samples: int = 1024) -> ModulusReport:
         for th in np.linspace(lo, hi, samples):
             try:
                 val = u._raw_value(float(th))
-            except Exception:
+            except EvalError:
                 nonfinite.append(float(th))
                 continue
             if not math.isfinite(val):

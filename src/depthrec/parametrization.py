@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expressions import (
-    Call, Div, Expression, Mul, Var, differentiate, parse_expression, to_callable,
+    Call, Div, Expression, ExpressionKernel, Mul, Var, differentiate, parse_expression,
 )
 
 __all__ = [
@@ -56,8 +56,9 @@ class DepthFunction:
     grid: np.ndarray | None = None
     values: np.ndarray | None = None
     angular: bool = True
-    _value_fn: object = field(default=None, repr=False, compare=False)
-    _deriv_fn: object = field(default=None, repr=False, compare=False)
+    _kernel: object = field(default=None, repr=False, compare=False)
+    _deriv_kernel: object = field(default=None, repr=False, compare=False)
+    _slopes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -68,10 +69,10 @@ class DepthFunction:
         if (self.expr is None) == (self.grid is None):
             raise DomainError("exactly one of expr or grid must be given")
         if self.expr is not None:
-            object.__setattr__(self, "_value_fn", to_callable(self.expr))
-            object.__setattr__(self, "_deriv_fn", to_callable(differentiate(self.expr)))
+            object.__setattr__(self, "_kernel", ExpressionKernel(self.expr))
+            object.__setattr__(self, "_deriv_kernel", ExpressionKernel(differentiate(self.expr)))
             for th in np.linspace(lo, hi, 257):
-                if self._value_fn(float(th)) <= 0.0:
+                if self._kernel.scalar(float(th)) <= 0.0:
                     raise DomainError(f"depth is not positive at {float(th)}")
         else:
             g = np.asarray(self.grid, dtype=float)
@@ -107,21 +108,25 @@ class DepthFunction:
     def value(self, t: float) -> float:
         self._check_domain(t)
         if self.expr is not None:
-            return self._value_fn(t)
+            return self._kernel.scalar(t)
         return float(np.interp(t, self.grid, self.values))
 
     def derivative(self, t: float) -> float:
         """First derivative; central differences on grids, one-sided at ends."""
         self._check_domain(t)
         if self.expr is not None:
-            return self._deriv_fn(t)
+            return self._deriv_kernel.scalar(t)
         return float(np.interp(t, self.grid, self.grid_derivatives()))
 
     def grid_derivatives(self) -> np.ndarray:
-        """Finite-difference slopes at the sample points."""
+        """Finite-difference slopes at the sample points (read-only, computed once)."""
         if self.expr is not None:
             raise DomainError("grid_derivatives applies to sampled depth functions")
-        return np.gradient(self.values, self.grid, edge_order=2)
+        if self._slopes is None:
+            slopes = np.gradient(self.values, self.grid, edge_order=2)
+            slopes.flags.writeable = False
+            object.__setattr__(self, "_slopes", slopes)
+        return self._slopes
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from depthrec.cli import main
+from depthrec.cli import _load_config, main
 from depthrec.modulus import ClosedFormModulus
 from depthrec.reports import read_solution_csv, read_u_csv
 
@@ -154,6 +154,16 @@ def test_config_file_and_precedence(tmp_path):
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 1\n")
+    assert main(["maximal", "--config", str(cfg), "--u", "1",
+                 "--domain", "0", "1"]) == 2
+
+
+def test_config_rejects_tol_bvp(tmp_path):
+    # no subcommand reads a BVP tolerance, so the key must not be accepted silently
+    cfg = tmp_path / "bvp.cfg"
+    cfg.write_text("tol_bvp = 1e-9\n")
+    with pytest.raises(SystemExit, match="unknown key 'tol_bvp'"):
+        _load_config(str(cfg))
     assert main(["maximal", "--config", str(cfg), "--u", "1",
                  "--domain", "0", "1"]) == 2
 

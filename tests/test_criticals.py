@@ -5,10 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depthrec.criticals import (
-    CriticalKind, find_critical_points, maximal_depth, upper_bound_check,
+    CriticalKind, _scan, find_critical_points, maximal_depth, upper_bound_check,
 )
+from depthrec.errors import EvalError
 from depthrec.modulus import ClosedFormModulus
 
 
@@ -88,6 +90,56 @@ def test_touch_root_inflection():
     cp = cs.points[0]
     assert cp.theta == pytest.approx(1.0, abs=1e-7)
     assert cp.kind is CriticalKind.INFLECTION
+
+
+@pytest.mark.parametrize("text,domain", [
+    ("5 + sqrt(theta - 1)", (0.0, 2.0)),      # U' fails on the first grid angles
+    ("5 - 1/(theta - 1)", (0.0, 2.0)),        # U' divides by zero at one grid angle
+])
+def test_scan_raises_like_pointwise_loop(text, domain):
+    u = ClosedFormModulus(text, domain)
+    with pytest.raises(EvalError) as loop:
+        [u.derivative(float(t)) for t in np.linspace(*domain, 2049)]
+    with pytest.raises(EvalError) as scan:
+        find_critical_points(u)
+    assert (str(scan.value), scan.value.theta) == (str(loop.value), loop.value.theta)
+
+
+def scan_loops(dvals, tol_flat, touch_screen):
+    """Reference: the cell-by-cell loops that ``_scan`` replaces."""
+    flat = np.abs(dvals) <= tol_flat
+    runs, run_start = [], None
+    for i in range(len(flat) + 1):
+        f = flat[i] if i < len(flat) else False
+        if f and run_start is None:
+            run_start = i
+        elif not f and run_start is not None:
+            runs.append((run_start, i - 1))
+            run_start = None
+    sign_changes = [i for i in range(len(dvals) - 1)
+                    if not (flat[i] or flat[i + 1]) and dvals[i] * dvals[i + 1] < 0.0]
+    absd = np.abs(dvals)
+    touches = []
+    for i in range(1, len(dvals) - 1):
+        if flat[i] or absd[i] > touch_screen:
+            continue
+        if not (absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1]):
+            continue
+        if dvals[i - 1] * dvals[i + 1] < 0.0:
+            continue
+        touches.append(i)
+    return flat, runs, sign_changes, touches
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1e-6, -1e-6, 2e-6, 0.5, -0.5, 1.0,
+                                 math.inf, -math.inf, math.nan]), min_size=2, max_size=40))
+def test_scan_matches_cell_loops(values):
+    dvals = np.array(values)
+    flat, *rest = _scan(dvals, 1e-11, 1e-5)
+    want_flat, *want_rest = scan_loops(dvals, 1e-11, 1e-5)
+    np.testing.assert_array_equal(flat, want_flat)
+    assert rest == want_rest
 
 
 def test_critical_at_vanishing_profile_rejected():

@@ -2,14 +2,16 @@
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from depthrec.errors import EvalError, ParseError
 from depthrec.expressions import (
-    Add, Call, Div, Mul, Neg, Num, Pi, Pow, Sub, Var,
+    FUNCTIONS, Add, Call, Div, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
     derivatives_at, differentiate, parse_expression, to_callable, to_text,
 )
 
@@ -209,3 +211,160 @@ def test_fuzz_smoke_short():
             parse_expression(s)
         except ParseError as exc:
             assert 0 <= exc.offset <= len(s)
+
+
+# -- generated kernels against the closure-tree interpreter ---------------------
+
+_MATH_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+}
+
+
+def _build(node):
+    """One closure per node, evaluated by a recursive walk of the tree."""
+    if isinstance(node, Num):
+        v = node.value
+        return lambda th: v
+    if isinstance(node, Pi):
+        return lambda th: math.pi
+    if isinstance(node, Var):
+        return lambda th: th
+    if isinstance(node, Neg):
+        f = _build(node.arg)
+        return lambda th: -f(th)
+    if isinstance(node, Add):
+        a, b = _build(node.left), _build(node.right)
+        return lambda th: a(th) + b(th)
+    if isinstance(node, Sub):
+        a, b = _build(node.left), _build(node.right)
+        return lambda th: a(th) - b(th)
+    if isinstance(node, Mul):
+        a, b = _build(node.left), _build(node.right)
+        return lambda th: a(th) * b(th)
+    if isinstance(node, Div):
+        a, b = _build(node.left), _build(node.right)
+        return lambda th: a(th) / b(th)
+    if isinstance(node, Pow):
+        a, n = _build(node.base), node.exponent
+        return lambda th: a(th) ** n
+    if isinstance(node, Call):
+        fn, a = _MATH_FUNCS[node.func], _build(node.arg)
+        return lambda th: fn(a(th))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def tree_callable(node):
+    """Reference evaluator: the closure tree, with the same error mapping."""
+    raw = _build(node)
+
+    def call(theta):
+        try:
+            return raw(theta)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalError(f"cannot evaluate expression: {exc}", theta) from exc
+
+    return call
+
+
+def outcome(f, theta):
+    """The result's bits, or the error's text and angle."""
+    try:
+        return struct.pack("<d", f(theta))
+    except EvalError as exc:
+        return str(exc), exc.theta
+
+
+_leaves = st.one_of(
+    st.floats(-20.0, 20.0, allow_nan=False).map(Num),
+    st.just(Pi()),
+    st.sampled_from([Var("theta"), Var("t")]),
+)
+
+
+def _compound(children):
+    return st.one_of(
+        children.map(Neg),
+        *(st.builds(cls, children, children) for cls in (Add, Sub, Mul, Div)),
+        st.builds(Pow, children, st.integers(-3, 4)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+expressions = st.recursive(_leaves, _compound, max_leaves=24)
+angles = st.one_of(st.floats(-4.0, 4.0, allow_nan=False), st.sampled_from([0.0, 1.0, -1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions, st.lists(angles, min_size=1, max_size=6))
+def test_kernel_bit_identical_to_tree(node, thetas):
+    kernel, oracle = to_callable(node), tree_callable(node)
+    for th in thetas:
+        assert outcome(kernel, th) == outcome(oracle, th)
+
+
+def _chain(depth, node=Var("theta")):
+    for i in range(depth):
+        node = Add(Call("sin", node), Num(0.5 + i))
+    return node
+
+
+def test_kernel_bit_identical_on_deep_tree():
+    node = _chain(180)    # deeper than one parenthesized line allows
+    kernel, oracle = to_callable(node), tree_callable(node)
+    for th in np.linspace(-3.0, 3.0, 41):
+        assert outcome(kernel, float(th)) == outcome(oracle, float(th))
+
+
+def test_kernel_keeps_evaluation_order_around_locals():
+    # both operands fail: the left one first, as in the tree walk, although
+    # the right one is deep enough to go into locals evaluated before the sum
+    failing = Div(Num(1.0), Sub(Var("theta"), Var("theta")))
+    node = Add(Call("log", Neg(Var("theta"))), _chain(120, failing))
+    kernel, oracle = to_callable(node), tree_callable(node)
+    assert outcome(kernel, 2.0) == outcome(oracle, 2.0)
+    assert "math domain error" in outcome(kernel, 2.0)[0]
+
+
+@pytest.mark.parametrize("text,theta", [
+    ("sqrt(theta)", -1.0),
+    ("log(theta - 2)", 1.5),
+    ("1/theta", 0.0),
+    ("3 + 1/(theta - 1)", 1.0),
+    ("exp(theta)", 1000.0),
+    ("exp(theta)^2", 400.0),
+])
+def test_kernel_eval_error_carries_theta(text, theta):
+    node = parse_expression(text)
+    with pytest.raises(EvalError) as ei:
+        to_callable(node)(theta)
+    assert ei.value.theta == theta
+    assert outcome(to_callable(node), theta) == outcome(tree_callable(node), theta)
+
+
+def test_grid_matches_scalar_to_roundoff():
+    text = "(0.17*(cos(3*theta + 1.3)*3))^2 + (2.1 + 0.17*sin(3*theta + 1.3))^2"
+    kernel = ExpressionKernel(differentiate(parse_expression(text)))
+    thetas = np.linspace(0.2, 2.9, 2049)
+    want = np.array([kernel.scalar(float(th)) for th in thetas])
+    np.testing.assert_allclose(kernel.grid(thetas), want, rtol=1e-13, atol=1e-13)
+
+
+def test_grid_of_constant_has_grid_shape():
+    thetas = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_array_equal(ExpressionKernel(Num(2.5)).grid(thetas), np.full(9, 2.5))
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    ("sqrt(theta)", -1.0, 1.0),            # numpy gives nan, math raises at the first angle
+    ("-1/(theta - 1)^2", 0.0, 2.0),        # numpy gives inf at theta = 1, math divides by zero
+    ("theta + 1/(2 - 2)", 0.0, 1.0),       # the constant terms fail before any array work
+])
+def test_grid_failure_raises_as_scalar_loop(text, lo, hi):
+    kernel = ExpressionKernel(parse_expression(text))
+    thetas = np.linspace(lo, hi, 2049)
+    with pytest.raises(EvalError) as loop:
+        [kernel.scalar(float(th)) for th in thetas]
+    with pytest.raises(EvalError) as grid:
+        kernel.grid(thetas)
+    assert (str(grid.value), grid.value.theta) == (str(loop.value), loop.value.theta)

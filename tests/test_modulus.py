@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from depthrec.errors import InvalidModulus, OrderUnavailable, DomainError
 from depthrec.modulus import (
@@ -35,6 +37,8 @@ def test_eval_out_of_domain():
     u = ClosedFormModulus("1", (0.0, 1.0))
     with pytest.raises(DomainError):
         u.value(2.0)
+    with pytest.raises(DomainError):
+        u.derivative_grid(np.array([0.5, 2.0]))
 
 
 def test_eval_negative_raises():
@@ -161,3 +165,29 @@ def test_validate_nan_sample():
     rep = validate_modulus(SampledModulus(th, v))
     assert not rep.clean
     assert rep.nonfinite_thetas == [pytest.approx(th[5])]
+
+
+def test_validate_reports_eval_errors_as_nonfinite():
+    u = ClosedFormModulus("sqrt(theta - 1)", (0.0, 2.0))
+    assert u.scale > 1.0
+    rep = validate_modulus(u)
+    grid = np.linspace(0.0, 2.0, 1024)
+    assert rep.nonfinite_thetas == [float(th) for th in grid if th < 1.0]
+    assert rep.negative_thetas == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
+def test_sampled_kernel_equals_scipy_spline(seed, n):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
+    v = 100.0 + rng.uniform(-1.0, 1.0, n)   # far enough above 0 that no overshoot clamps
+    u, spline = SampledModulus(t, v), CubicSpline(t, v)
+    lo, hi = u.domain
+    points = [*t, *rng.uniform(lo, hi, 50), lo - 5e-13, hi + 5e-13,
+              np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    for th in map(float, points):
+        want = [float(spline(th, k)) for k in range(3)]
+        assert [u.value(th), u.derivative(th)] == want[:2]
+        assert u.jet(th, 2).coeffs.tolist() == want
+    np.testing.assert_array_equal(u.derivative_grid(t), [float(spline(th, 1)) for th in t])

@@ -158,3 +158,13 @@ def test_depth_function_validation():
         DepthFunction.from_samples([0.1, 0.2], [1.0, -1.0])
     with pytest.raises(DomainError):
         DepthFunction.from_samples([0.2, 0.1], [1.0, 1.0])
+
+
+def test_sampled_slopes_computed_once():
+    th = np.linspace(0.1, 1.4, 50)
+    rho = DepthFunction.from_samples(th, 2.0 + np.sin(th))
+    slopes = rho.grid_derivatives()
+    assert slopes is rho.grid_derivatives()
+    assert not slopes.flags.writeable
+    np.testing.assert_array_equal(slopes, np.gradient(rho.values, th, edge_order=2))
+    assert rho.derivative(0.7) == float(np.interp(0.7, th, slopes))
