@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
     except SystemExit as exc:
+        if isinstance(exc.code, str):  # a --config error; argparse prints its own
+            sys.stderr.write(exc.code + "\n")
+            return 2
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)

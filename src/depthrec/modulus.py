@@ -15,7 +15,8 @@ binding of the same kernel.  A sampled profile evaluates its spline with a
 scalar kernel on the spline's breakpoints and coefficients: ``bisect``
 finds the piece (half-open ``[x_i, x_{i+1})``, the last one closed, angles
 in the domain slack clamped to the end pieces) and the terms are summed in
-scipy's order, so every value equals ``CubicSpline.__call__``'s bit for bit.
+scipy's order, so every value equals ``CubicSpline.__call__``'s bit for bit;
+U itself, the value every integrator stage reads, has that kernel written out.
 """
 
 from __future__ import annotations
@@ -82,8 +83,13 @@ class ModulusModel:
 
     def value(self, theta: float) -> float:
         """U(theta), clamped at roundoff level and validated nonnegative."""
-        self._check_domain(theta)
-        return self._clamp(self._raw_value(theta), theta)
+        lo, hi = self.domain
+        if not (lo - 1e-12 <= theta <= hi + 1e-12):
+            self._check_domain(theta)
+        u = self._raw_value(theta)
+        if u < 0.0:
+            return self._clamp(u, theta)
+        return u
 
     def derivative(self, theta: float) -> float:
         self._check_domain(theta)
@@ -227,7 +233,20 @@ class SampledModulus(ModulusModel):
         return res
 
     def _raw_value(self, theta: float) -> float:
-        return self._spline_at(theta, 0)
+        # _spline_at(theta, 0) unrolled: the same products and sums, without
+        # the unit prefactors (multiplying by 1.0 is exact)
+        if self._spline is None:
+            self._require_spline()
+        knots = self._knots
+        i = min(max(bisect_right(knots, theta) - 1, 0), len(knots) - 2)
+        s = float(theta) - knots[i]
+        pieces, base = self._pieces, 4 * i
+        res = 0.0 + pieces[base]
+        res += pieces[base + 1] * s
+        z = s * s
+        res += pieces[base + 2] * z
+        res += pieces[base + 3] * (z * s)
+        return res
 
     def _raw_derivative(self, theta: float) -> float:
         return self._spline_at(theta, 1)

@@ -123,7 +123,9 @@ class DepthFunction:
         if self.expr is not None:
             raise DomainError("grid_derivatives applies to sampled depth functions")
         if self._slopes is None:
-            slopes = np.gradient(self.values, self.grid, edge_order=2)
+            # second-order ends need 3 points; on 2 the slope is the secant
+            edge_order = 2 if self.grid.size >= 3 else 1
+            slopes = np.gradient(self.values, self.grid, edge_order=edge_order)
             slopes.flags.writeable = False
             object.__setattr__(self, "_slopes", slopes)
         return self._slopes

@@ -158,14 +158,17 @@ def test_config_rejects_unknown_key(tmp_path):
                  "--domain", "0", "1"]) == 2
 
 
-def test_config_rejects_tol_bvp(tmp_path):
+def test_config_rejects_tol_bvp(tmp_path, capsys):
     # no subcommand reads a BVP tolerance, so the key must not be accepted silently
     cfg = tmp_path / "bvp.cfg"
     cfg.write_text("tol_bvp = 1e-9\n")
     with pytest.raises(SystemExit, match="unknown key 'tol_bvp'"):
         _load_config(str(cfg))
+    capsys.readouterr()
     assert main(["maximal", "--config", str(cfg), "--u", "1",
                  "--domain", "0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"config {cfg}:1: unknown key 'tol_bvp'" in err
 
 
 def test_plot_svg_structure(tmp_path):

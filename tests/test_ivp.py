@@ -3,18 +3,25 @@
 Closed-form oracles come from separating the autonomous equation: with
 U = 1, the rising branch through (0, 1/2) is sin(theta + pi/6) and the
 falling branch is cos(theta + pi/3).
+
+``solve_regular`` writes the Dormand-Prince stages out one by one; the
+generic tableau loop it replaced is kept here as the oracle, and every
+piece must match it bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from depthrec.errors import NoContinuation, NotRegular
+import depthrec.ivp as ivp_mod
+from depthrec.errors import DepthRecError, EvalError, NoContinuation, NotRegular
 from depthrec.ivp import (
-    IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
-    branch_to_piece, continue_through_critical, derivative_pair, residual,
-    solve_regular,
+    _DP_A, _DP_B4, _DP_B5, _DP_C, IntegrationOptions, RegularIC, SolutionPiece,
+    Termination, TerminationKind, _bisect_event, _contact_node, _emit_nodes, _hermite,
+    _regular_alpha, _series_handoff, branch_to_piece, continue_through_critical,
+    derivative_pair, residual, solve_regular,
 )
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
@@ -23,6 +30,180 @@ import depthrec.taylor as taylor_mod
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 LINE = ClosedFormModulus("25/cos(theta)^4", (-1.2, 1.2))
+
+
+def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
+    """The stepper as it was before its stages were written out: a generic
+    loop over the Dormand-Prince tableau, U through a memoizing closure."""
+    opts = opts or IntegrationOptions()
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
+    _regular_alpha(u, ic, opts)
+
+    lo, hi = u.domain
+    t_end = hi if direction == "forward" else lo
+    tdir = 1.0 if direction == "forward" else -1.0
+    span = hi - lo
+    ode_sign = sign if direction == "forward" else -sign
+
+    uval_cache = {}
+
+    def uval(t):
+        v = uval_cache.get(t)
+        if v is None:
+            v = u.value(t)
+            uval_cache[t] = v
+        return v
+
+    def ffield(t, y):
+        return ode_sign * math.sqrt(max(uval(t) - y * y, 0.0))
+
+    def gval(t, y):
+        return uval(t) - y * y
+
+    def contact_tol(t):
+        return opts.tol_contact * (1.0 + abs(uval(t)))
+
+    ts = [ic.theta0]
+    ys = [ic.rho0]
+    fs = [ffield(ic.theta0, ic.rho0)]
+    termination = None
+
+    t, y = ic.theta0, ic.rho0
+    f_t = fs[0]
+    h = min(opts.h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
+    rejects = 0
+    steps = 0
+    handoff_theta_tried = math.nan
+
+    if abs(t_end - t) < 1e-15 * max(1.0, span):
+        termination = Termination(TerminationKind.DOMAIN_END, t)
+
+    while termination is None:
+        steps += 1
+        if steps > opts.max_steps:
+            termination = Termination(TerminationKind.STEP_FAILURE, t,
+                                      f"step budget {opts.max_steps} exhausted")
+            break
+        h = min(h, opts.h_max, abs(t_end - t))
+        if h <= 1e-15 * max(1.0, abs(t)):
+            # no room left to step: we are at the domain end
+            termination = Termination(TerminationKind.DOMAIN_END, t)
+            break
+        ht = tdir * h
+
+        k = [f_t]
+        failed = False
+        for i in range(1, 6):
+            ti = t + _DP_C[i] * ht
+            yi = y + ht * sum(a * kk for a, kk in zip(_DP_A[i], k))
+            try:
+                k.append(ffield(ti, yi))
+            except DepthRecError as exc:  # profile evaluation failed mid-stage
+                failed = True
+                fail_detail = str(exc)
+                break
+        if failed:
+            h *= 0.5
+            rejects += 1
+            if rejects > 60:
+                termination = Termination(TerminationKind.STEP_FAILURE, t, fail_detail)
+            continue
+
+        y5 = y + ht * sum(b * kk for b, kk in zip(_DP_B5, k))
+        t_new = t + ht
+        try:
+            k6 = ffield(t_new, y5)
+        except DepthRecError as exc:
+            h *= 0.5
+            rejects += 1
+            if rejects > 60:
+                termination = Termination(TerminationKind.STEP_FAILURE, t, str(exc))
+            continue
+        y4 = y + ht * sum(b * kk for b, kk in zip(_DP_B4, k + [k6]))
+
+        scale = opts.atol + opts.rtol * max(abs(y), abs(y5))
+        err = abs(y5 - y4) / scale
+        if err > 1.0:
+            rejects += 1
+            if rejects > 60:
+                # persistent rejection happens only hard against the bound
+                if gval(t, y) <= 10.0 * contact_tol(t):
+                    termination = Termination(TerminationKind.CONTACT, t)
+                else:
+                    termination = Termination(TerminationKind.STEP_FAILURE, t,
+                                              f"step size underflow at err={err:.3g}")
+                break
+            h *= max(0.2, 0.9 * err ** -0.2)
+            continue
+        rejects = 0
+
+        # events on the accepted step, earliest first
+        event = None
+        if y5 <= opts.tol_floor:
+            tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - opts.tol_floor,
+                                t, t_new)
+            event = (tau, TerminationKind.FLOOR_CONTACT)
+        g_new = gval(t_new, y5)
+        if g_new <= contact_tol(t_new):
+            tau = _bisect_event(
+                lambda tt: (gval(tt, _hermite(t, y, f_t, t_new, y5, k6, tt))
+                            - contact_tol(tt)),
+                t, t_new)
+            if event is None or tdir * (event[0] - tau) > 0:
+                event = (tau, TerminationKind.CONTACT)
+
+        if event is not None:
+            tau, kind = event
+            y_tau = _hermite(t, y, f_t, t_new, y5, k6, tau)
+            _emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, ffield(tau, y_tau), ffield, opts)
+            if kind is TerminationKind.CONTACT:
+                # land the final node exactly on the bound at the critical
+                # point (tangential contacts); transversal ones keep tau
+                snap = _contact_node(u, tau, fs[-1], tdir, lo, hi)
+                if snap is not None:
+                    theta_c, rho_c = snap
+                    if ode_sign * (rho_c - ys[-1]) >= -1e-13 and tdir * (theta_c - tau) >= 0.0:
+                        ts.append(theta_c)
+                        ys.append(rho_c)
+                        fs.append(0.0)
+                        tau = theta_c
+            termination = Termination(kind, tau)
+            break
+
+        # near-contact series handoff: a trajectory riding tangentially into
+        # the bound is exponentially ill-conditioned for stepping, so once
+        # the margin is small we try to identify the analytic branch it sits
+        # on and finish the approach with the local series
+        if (g_new <= opts.handoff_factor * (1.0 + abs(uval(t_new)))
+                and g_new < gval(t, y) and handoff_theta_tried != t_new):
+            handoff_theta_tried = t_new
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
+            if snap is not None:
+                snap_ts, snap_ys, snap_fs, theta_c = snap
+                _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+                ts.extend(snap_ts)
+                ys.extend(snap_ys)
+                fs.extend(snap_fs)
+                termination = Termination(TerminationKind.CONTACT, theta_c)
+                break
+
+        _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+        t, y, f_t = t_new, y5, k6
+        if abs(t - t_end) <= 1e-15 * max(1.0, abs(t_end)):
+            termination = Termination(TerminationKind.DOMAIN_END, t)
+            break
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+
+    thetas = np.array(ts)
+    rhos = np.array(ys)
+    drhos = np.array(fs)
+    if direction == "backward":
+        thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
+    return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
+                         termination=termination, direction=direction)
 
 
 def max_error(piece, truth):
@@ -229,3 +410,137 @@ def test_roundtrip_smooth_depth():
     back = solve_regular(u, ic, -sign, "backward")
     assert max_error(fwd, rho_true.value) < 1e-6
     assert max_error(back, rho_true.value) < 1e-6
+
+
+# -- the straight-line stepper against the generic loop ------------------------------
+
+def _run_counted(solver, u, ic, sign, direction, opts):
+    """A solve's piece (None if it raised), its output bytes and termination
+    or the error it raised, and every angle at which it evaluated U, in order."""
+    calls = []
+    value = type(u).value
+
+    def counted(theta):
+        calls.append(theta)
+        return value(u, theta)
+
+    u.value = counted
+    try:
+        piece = solver(u, ic, sign, direction, opts)
+    except DepthRecError as exc:
+        return None, (type(exc), str(exc)), calls
+    finally:
+        del u.value
+    return piece, (piece.sign, piece.direction, piece.termination, piece.thetas.tobytes(),
+                   piece.rhos.tobytes(), piece.drhos.tobytes()), calls
+
+
+def assert_matches_oracle(u, ic, sign, direction, opts=None):
+    piece, got, got_calls = _run_counted(solve_regular, u, ic, sign, direction, opts)
+    _, want, want_calls = _run_counted(generic_solve_regular, u, ic, sign, direction, opts)
+    assert got == want
+    assert got_calls == want_calls
+    return piece
+
+
+DOMAIN = (0.2, 2.9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=st.floats(1.0, 4.0), rel_amp=st.floats(0.01, 0.15), k=st.integers(1, 6),
+       phase=st.floats(0.0, 2 * math.pi), at=st.floats(0.0, 1.0),
+       depth=st.floats(0.3, 1.0), sampled=st.booleans(), sign=st.sampled_from([+1, -1]),
+       direction=st.sampled_from(["forward", "backward"]),
+       rtol=st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_stepper_matches_generic_loop_on_forward_models(
+        c0, rel_amp, k, phase, at, depth, sampled, sign, direction, rtol):
+    # the forward model of a sine-family depth, in closed form or as an
+    # 801-sample spline; ICs on the true depth (depth = 1) or below it
+    text = f"{c0!r} + {c0 * rel_amp!r}*sin({k}*theta + {phase!r})"
+    rho = DepthFunction.from_text(text, DOMAIN)
+    if sampled:
+        grid = np.linspace(*DOMAIN, 801)
+        rho = DepthFunction.from_samples(grid, [rho.value(float(t)) for t in grid])
+    u = from_depth(rho)
+    theta0 = DOMAIN[0] + at * (DOMAIN[1] - DOMAIN[0])
+    ic = RegularIC(theta0, depth * rho.value(theta0))
+    assert_matches_oracle(u, ic, sign, direction, IntegrationOptions(rtol=rtol))
+
+
+def test_oracle_domain_end():
+    u = ClosedFormModulus("2 + theta", (0.0, 1.0))
+    for sign in (+1, -1):
+        for direction in ("forward", "backward"):
+            piece = assert_matches_oracle(u, RegularIC(0.5, 0.8), sign, direction)
+            assert piece.termination.kind is TerminationKind.DOMAIN_END
+
+
+def test_oracle_contact_with_snapped_node():
+    piece = assert_matches_oracle(UNIT, RegularIC(0.0, 0.5), +1, "forward")
+    assert piece.termination.kind is TerminationKind.CONTACT
+    # the last node sits on the bound with zero slope, at the contact angle
+    assert piece.thetas[-1] == piece.termination.theta
+    assert piece.drhos[-1] == 0.0
+    assert piece.rhos[-1] == 1.0
+
+
+def test_oracle_floor_contact():
+    piece = assert_matches_oracle(UNIT, RegularIC(0.0, 0.5), -1, "forward")
+    assert piece.termination.kind is TerminationKind.FLOOR_CONTACT
+
+
+def test_oracle_series_handoff(monkeypatch):
+    taken = []
+
+    def spy(*args):
+        snap = _series_handoff(*args)
+        taken.append(snap is not None)
+        return snap
+
+    monkeypatch.setattr(ivp_mod, "_series_handoff", spy)
+    ic = RegularIC(0.3, 5.0 / math.cos(0.3))
+    piece = assert_matches_oracle(LINE, ic, -1, "backward")
+    assert True in taken
+    assert piece.termination.kind is TerminationKind.CONTACT
+    assert piece.termination.theta == piece.thetas[0]
+
+
+def test_oracle_step_budget_failure():
+    opts = IntegrationOptions(max_steps=5)
+    piece = assert_matches_oracle(UNIT, RegularIC(0.0, 0.5), +1, "forward", opts)
+    assert piece.termination == Termination(TerminationKind.STEP_FAILURE, piece.theta_end,
+                                            "step budget 5 exhausted")
+
+
+def test_eval_error_part_way_matches_oracle():
+    # U cannot be evaluated past theta = 1: the steps shrink toward it and
+    # the piece ends there, exactly as the generic loop ends it
+    u = ClosedFormModulus("9 + sqrt(1 - theta)", (0.0, 2.0))
+    piece = assert_matches_oracle(u, RegularIC(0.5, 1.0), +1, "forward")
+    assert piece.theta_end == pytest.approx(1.0, abs=1e-12)
+    assert piece.theta_end <= 1.0
+
+
+def test_eval_error_part_way_ends_in_step_failure():
+    # from the edge of the evaluable region every stage fails; 61 halvings
+    # of a 1e4 step stay above the minimum step, so the budget of rejected
+    # attempts ends the piece, with the profile's own error text
+    u = ClosedFormModulus("9 + sqrt(1 - theta)", (0.0, 1e6))
+    opts = IntegrationOptions(h_max=1e4)
+    piece = assert_matches_oracle(u, RegularIC(1.0, 1.0), +1, "forward", opts)
+    with pytest.raises(EvalError) as last_failure:
+        u.value(1.0 + _DP_C[1] * (1e4 * 0.5 ** 60))
+    assert piece.termination == Termination(TerminationKind.STEP_FAILURE, 1.0,
+                                            str(last_failure.value))
+    assert piece.thetas.tolist() == [1.0]
+
+
+def test_event_path_does_not_swallow_foreign_errors():
+    # only the typed profile errors mean "no snap here"; anything else is a bug
+    class BrokenJet(ClosedFormModulus):
+        def jet(self, theta, order):
+            raise RuntimeError("jet bug")
+
+    u = BrokenJet("25/cos(theta)^4", (-1.2, 1.2))
+    with pytest.raises(RuntimeError, match="jet bug"):
+        solve_regular(u, RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward")

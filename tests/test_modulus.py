@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from depthrec.errors import InvalidModulus, OrderUnavailable, DomainError
 from depthrec.modulus import (
-    ClosedFormModulus, SampledModulus, from_depth, validate_modulus,
+    NEGATIVE_CLAMP, ClosedFormModulus, SampledModulus, from_depth, validate_modulus,
 )
 from depthrec.parametrization import DepthFunction
 
@@ -178,16 +178,55 @@ def test_validate_reports_eval_errors_as_nonfinite():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
+@example(160257, 29)
 def test_sampled_kernel_equals_scipy_spline(seed, n):
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
-    v = 100.0 + rng.uniform(-1.0, 1.0, n)   # far enough above 0 that no overshoot clamps
+    v = 100.0 + rng.uniform(-1.0, 1.0, n)
     u, spline = SampledModulus(t, v), CubicSpline(t, v)
     lo, hi = u.domain
     points = [*t, *rng.uniform(lo, hi, 50), lo - 5e-13, hi + 5e-13,
               np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
     for th in map(float, points):
         want = [float(spline(th, k)) for k in range(3)]
-        assert [u.value(th), u.derivative(th)] == want[:2]
+        assert u.derivative(th) == want[1]
+        if want[0] < -NEGATIVE_CLAMP * u.scale:
+            # a short piece next to a long one can overshoot below zero
+            # (the explicit example): the profile is then rejected
+            with pytest.raises(InvalidModulus):
+                u.value(th)
+            with pytest.raises(InvalidModulus):
+                u.jet(th, 2)
+            continue
+        want[0] = max(want[0], 0.0)
+        assert u.value(th) == want[0]
         assert u.jet(th, 2).coeffs.tolist() == want
     np.testing.assert_array_equal(u.derivative_grid(t), [float(spline(th, 1)) for th in t])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
+def test_order0_spline_kernel_is_bit_identical(seed, n):
+    # the unrolled U kernel against the generic one and against scipy, bit
+    # for bit, on data of both signs (the raw kernel does not clamp)
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
+    v = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4)
+    u, spline = SampledModulus(t, v), CubicSpline(t, v)
+    lo, hi = u.domain
+    points = [*t, *rng.uniform(lo, hi, 50), lo, hi, lo - 1e-12, hi + 1e-12,
+              lo - 5e-13, hi + 5e-13, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    for th in map(float, points):
+        got = u._raw_value(th)
+        assert got.hex() == u._spline_at(th, 0).hex() == float(spline(th)).hex()
+
+
+def test_value_errors_keep_their_text():
+    u = ClosedFormModulus("theta - 1", (0.0, 2.0))
+    with pytest.raises(DomainError, match=r"^angle 2\.5 outside domain \[0\.0, 2\.0\]$"):
+        u.value(2.5)
+    with pytest.raises(DomainError, match="outside domain"):
+        u.value(float("nan"))
+    with pytest.raises(InvalidModulus, match=r"^profile is negative at theta=0\.5: -0\.5$"):
+        u.value(0.5)
+    assert u.value(2.0 + 1e-12) == pytest.approx(1.0)

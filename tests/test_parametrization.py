@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from depthrec.errors import DomainError
+from depthrec.modulus import from_depth
 from depthrec.parametrization import (
     CartesianKind, CartesianParametrization, DepthFunction,
     convert_to_polar, image_line_to_angle, polar_to_cartesian, velocity,
@@ -168,3 +169,16 @@ def test_sampled_slopes_computed_once():
     assert not slopes.flags.writeable
     np.testing.assert_array_equal(slopes, np.gradient(rho.values, th, edge_order=2))
     assert rho.derivative(0.7) == float(np.interp(0.7, th, slopes))
+
+
+def test_two_point_samples_take_the_secant_slope():
+    # second-order end differences need three points; two give the secant
+    rho = DepthFunction.from_samples([0.1, 0.5], [1.0, 2.0])
+    secant = (2.0 - 1.0) / (0.5 - 0.1)
+    np.testing.assert_array_equal(rho.grid_derivatives(), [secant, secant])
+    assert rho.derivative(0.1) == secant
+    assert rho.derivative(0.3) == secant
+    # the forward model still needs a 4-point spline, and says so in a typed error
+    with pytest.raises(DomainError, match=">= 4 points"):
+        from_depth(rho)
+
