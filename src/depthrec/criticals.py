@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidModulus
+from .errors import DepthRecError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
 __all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
@@ -167,7 +167,7 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
                 cand = float(brentq(second, a, b, xtol=tol))
             else:
                 cand = float(thetas[i])
-        except Exception:
+        except (DepthRecError, RuntimeError):  # no usable jet, or brentq did not converge
             continue
         if abs(u.derivative(cand)) <= tol_accept:
             roots.append(cand)

@@ -633,49 +633,80 @@ def to_callable(node: Expression):
     return ExpressionKernel(node).scalar
 
 
-def _eval_series(node: Expression, var: PowerSeries):
-    if isinstance(node, Num):
+def _eval_series(node: Expression, var: PowerSeries, memo: dict, sincos: dict):
+    """Value of ``node`` on the series ``var``, each shared node evaluated once.
+
+    ``memo`` maps ``id(node)`` to the value of every compound node evaluated
+    so far and ``sincos`` maps ``id(arg)`` to the pair of series computed for
+    ``sin``, ``cos`` or ``tan`` of ``arg``.  A derivative built by
+    :func:`differentiate` reuses its operand's subtrees (``sin(u)`` becomes
+    ``cos(u)*u'`` with the same node ``u``), so a profile ``U = rho'^2 +
+    rho^2`` shares most of its nodes between the two squares.  The walk
+    meets the nodes in the same order as without the memos and computes the
+    same values, so it fails with the same error at the same node.
+    """
+    kind = type(node)
+    if kind is Num:
         return node.value
-    if isinstance(node, Pi):
-        return math.pi
-    if isinstance(node, Var):
+    if kind is Var:
         return var
-    if isinstance(node, Neg):
-        return -_eval_series(node.arg, var)
-    if isinstance(node, Add):
-        return _eval_series(node.left, var) + _eval_series(node.right, var)
-    if isinstance(node, Sub):
-        return _eval_series(node.left, var) - _eval_series(node.right, var)
-    if isinstance(node, Mul):
-        return _eval_series(node.left, var) * _eval_series(node.right, var)
-    if isinstance(node, Div):
-        return _eval_series(node.left, var) / _eval_series(node.right, var)
-    if isinstance(node, Pow):
-        return _eval_series(node.base, var) ** node.exponent
-    if isinstance(node, Call):
-        arg = _eval_series(node.arg, var)
-        if isinstance(arg, PowerSeries):
-            return getattr(arg, node.func)()
-        return _MATH_FUNCS[node.func](arg)
-    raise TypeError(f"unknown node {node!r}")
+    if kind is Pi:
+        return math.pi
+    key = id(node)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    if kind is Neg:
+        value = -_eval_series(node.arg, var, memo, sincos)
+    elif kind is Add:
+        value = (_eval_series(node.left, var, memo, sincos)
+                 + _eval_series(node.right, var, memo, sincos))
+    elif kind is Sub:
+        value = (_eval_series(node.left, var, memo, sincos)
+                 - _eval_series(node.right, var, memo, sincos))
+    elif kind is Mul:
+        value = (_eval_series(node.left, var, memo, sincos)
+                 * _eval_series(node.right, var, memo, sincos))
+    elif kind is Div:
+        value = (_eval_series(node.left, var, memo, sincos)
+                 / _eval_series(node.right, var, memo, sincos))
+    elif kind is Pow:
+        value = _eval_series(node.base, var, memo, sincos) ** node.exponent
+    elif kind is Call:
+        arg = _eval_series(node.arg, var, memo, sincos)
+        if not isinstance(arg, PowerSeries):
+            value = _MATH_FUNCS[node.func](arg)
+        elif node.func in ("sin", "cos", "tan"):
+            pair = sincos.get(id(node.arg))
+            if pair is None:
+                pair = sincos[id(node.arg)] = arg.sincos()
+            s, c = pair
+            value = s if node.func == "sin" else c if node.func == "cos" else s / c
+        else:
+            value = getattr(arg, node.func)()
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    memo[key] = value
+    return value
+
+
+def _expand(node: Expression, center: float, order: int) -> PowerSeries:
+    """The expression's Taylor series about ``center`` up to ``order``."""
+    var = PowerSeries.variable(center, order)
+    try:
+        result = _eval_series(node, var, {}, {})
+    except _MATH_ERRORS as exc:
+        raise EvalError(f"cannot expand expression: {exc}", center) from exc
+    if isinstance(result, PowerSeries):
+        return result
+    return PowerSeries.constant(result, order)
 
 
 def series_coefficients(node: Expression, center: float, order: int) -> np.ndarray:
     """Taylor coefficients of the expression about ``center`` up to ``order``."""
-    var = PowerSeries.variable(center, order)
-    try:
-        result = _eval_series(node, var)
-    except _MATH_ERRORS as exc:
-        raise EvalError(f"cannot expand expression: {exc}", center) from exc
-    if isinstance(result, PowerSeries):
-        return result.c.copy()
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = result
-    return coeffs
+    return _expand(node, center, order).c.copy()
 
 
 def derivatives_at(node: Expression, center: float, order: int) -> np.ndarray:
     """Derivative values ``[f, f', ..., f^(order)]`` at ``center``."""
-    coeffs = series_coefficients(node, center, order)
-    fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-    return coeffs * fact
+    return _expand(node, center, order).derivatives()

@@ -245,6 +245,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     u_t = uval_cache[t]
     h = min(h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
     rejects = 0
+    stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
     handoff_theta_tried = math.nan
 
@@ -258,9 +259,15 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                                       f"step budget {opts.max_steps} exhausted")
             break
         h = min(h, h_max, abs(t_end - t))
-        if h <= 1e-15 * max(1.0, abs(t)):
-            # no room left to step: we are at the domain end
-            termination = Termination(TerminationKind.DOMAIN_END, t)
+        h_floor = 1e-15 * max(1.0, abs(t))
+        if h <= h_floor:
+            if abs(t_end - t) <= h_floor:
+                # no room left to step: we are at the domain end
+                termination = Termination(TerminationKind.DOMAIN_END, t)
+            else:
+                # the step shrank to nothing short of the end
+                detail = "step size underflow" if stage_error is None else str(stage_error)
+                termination = Termination(TerminationKind.STEP_FAILURE, t, detail)
             break
         ht = tdir * h
 
@@ -310,6 +317,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             g = u_new - yi * yi
             k5 = ode_sign * sqrt(0.0 if g < 0.0 else g)
         except DepthRecError as exc:  # profile evaluation failed mid-stage
+            stage_error = exc
             h *= 0.5
             rejects += 1
             if rejects > 60:
@@ -337,6 +345,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
         rejects = 0
+        stage_error = None
 
         # events on the accepted step, earliest first
         event: tuple[float, TerminationKind] | None = None

@@ -14,22 +14,37 @@ The elementary-function rules are the standard convolutional recurrences:
 for ``g = F(f)`` one differentiates once, multiplies through by ``f`` where
 needed and matches coefficients of ``h**(n-1)``.  All operations are
 O(order^2).
+
+Products stay ``np.convolve``.  It sums each coefficient with the BLAS dot
+product, whose order of additions a Python loop does not reproduce: on
+random coefficients a left-to-right sum differs from it in about a third of
+the sums of three or more terms, so a rewrite would move jets in the last
+bits.  The other recurrences (division, sqrt, exp, log and the coupled
+sin/cos pair) are left-to-right sums: they read the coefficients into a
+Python list once, build the result in a list and wrap it once, which gives
+the same bits as the same sums on numpy scalars at a fraction of the cost.
+Results are never modified in place, so one series can serve several
+expressions; :func:`depthrec.expressions.derivatives_at` relies on that to
+evaluate each shared node of a tree once and to take ``sin`` and ``cos`` of
+one argument from one :meth:`PowerSeries.sincos` call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["PowerSeries"]
+__all__ = ["PowerSeries", "factorials"]
 
 
 class PowerSeries:
     """Dense truncated power series with float64 coefficients.
 
     Supports ``+ - * /``, integer ``**``, and the elementary functions
-    needed by the expression language (sqrt, exp, log, sin, cos, tan).
+    needed by the expression language (sqrt, exp, log, sin, cos, tan, and
+    the pair :meth:`sincos`).
     Mixed arithmetic with plain numbers treats the number as a constant
     series.  The order of a binary result is the smaller operand order.
     """
@@ -104,15 +119,16 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return PowerSeries(self.c / other)
         n = min(self.order, other.order)
-        a, b = self.c, other.c
-        if b[0] == 0.0:
+        a, b = self.c.tolist(), other.c.tolist()
+        b0 = b[0]
+        if b0 == 0.0:
             raise ZeroDivisionError("series division by a series with zero constant term")
-        out = np.empty(n + 1)
+        out = []
         for k in range(n + 1):
             acc = a[k]
-            for j in range(1, k + 1):
-                acc -= b[j] * out[k - j]
-            out[k] = acc / b[0]
+            for bj, ok in zip(b[1 : k + 1], out[::-1]):
+                acc -= bj * ok
+            out.append(acc / b0)
         return PowerSeries(out)
 
     def __rtruediv__(self, other):
@@ -127,80 +143,79 @@ class PowerSeries:
         base = self if exponent > 0 else 1.0 / self
         result = None
         e = abs(exponent)
-        while e:
+        while True:
             if e & 1:
                 result = base if result is None else result * base
-            base = base * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- elementary functions ------------------------------------------------
 
     def sqrt(self) -> "PowerSeries":
-        f = self.c
+        f = self.c.tolist()
         if f[0] <= 0.0:
             raise ValueError("series sqrt needs a positive constant term")
-        n = self.order
-        g = np.empty(n + 1)
-        g[0] = math.sqrt(f[0])
-        for k in range(1, n + 1):
-            acc = f[k] if k < len(f) else 0.0
-            for j in range(1, k):
-                acc -= g[j] * g[k - j]
-            g[k] = acc / (2.0 * g[0])
+        g = [math.sqrt(f[0])]
+        two_g0 = 2.0 * g[0]
+        for k in range(1, len(f)):
+            acc = f[k]
+            for gj, gk in zip(g[1:k], g[k - 1 : 0 : -1]):
+                acc -= gj * gk
+            g.append(acc / two_g0)
         return PowerSeries(g)
 
     def exp(self) -> "PowerSeries":
-        f = self.c
-        n = self.order
-        g = np.empty(n + 1)
-        g[0] = math.exp(f[0])
-        for k in range(1, n + 1):
+        f = self.c.tolist()
+        df = [j * fj for j, fj in enumerate(f)]
+        g = [math.exp(f[0])]
+        for k in range(1, len(f)):
             acc = 0.0
-            for j in range(1, k + 1):
-                acc += j * f[j] * g[k - j]
-            g[k] = acc / k
+            for dfj, gk in zip(df[1 : k + 1], g[::-1]):
+                acc += dfj * gk
+            g.append(acc / k)
         return PowerSeries(g)
 
     def log(self) -> "PowerSeries":
-        f = self.c
-        if f[0] <= 0.0:
+        f = self.c.tolist()
+        f0 = f[0]
+        if f0 <= 0.0:
             raise ValueError("series log needs a positive constant term")
-        n = self.order
-        g = np.empty(n + 1)
-        g[0] = math.log(f[0])
-        for k in range(1, n + 1):
+        g = [math.log(f0)]
+        dg = [0.0]
+        for k in range(1, len(f)):
             acc = k * f[k]
-            for j in range(1, k):
-                acc -= j * g[j] * f[k - j]
-            g[k] = acc / (k * f[0])
+            for dgj, fk in zip(dg[1:], f[k - 1 : 0 : -1]):
+                acc -= dgj * fk
+            g.append(acc / (k * f0))
+            dg.append(k * g[k])
         return PowerSeries(g)
 
-    def _sincos(self) -> tuple["PowerSeries", "PowerSeries"]:
-        f = self.c
-        n = self.order
-        s = np.empty(n + 1)
-        c = np.empty(n + 1)
-        s[0] = math.sin(f[0])
-        c[0] = math.cos(f[0])
-        for k in range(1, n + 1):
+    def sincos(self) -> tuple["PowerSeries", "PowerSeries"]:
+        """``(sin(self), cos(self))``, from one coupled recurrence."""
+        f = self.c.tolist()
+        df = [j * fj for j, fj in enumerate(f)]
+        s = [math.sin(f[0])]
+        c = [math.cos(f[0])]
+        for k in range(1, len(f)):
             sa = 0.0
             ca = 0.0
-            for j in range(1, k + 1):
-                sa += j * f[j] * c[k - j]
-                ca += j * f[j] * s[k - j]
-            s[k] = sa / k
-            c[k] = -ca / k
+            for dfj, ck, sk in zip(df[1 : k + 1], c[::-1], s[::-1]):
+                sa += dfj * ck
+                ca += dfj * sk
+            s.append(sa / k)
+            c.append(-ca / k)
         return PowerSeries(s), PowerSeries(c)
 
     def sin(self) -> "PowerSeries":
-        return self._sincos()[0]
+        return self.sincos()[0]
 
     def cos(self) -> "PowerSeries":
-        return self._sincos()[1]
+        return self.sincos()[1]
 
     def tan(self) -> "PowerSeries":
-        s, c = self._sincos()
+        s, c = self.sincos()
         return s / c
 
     # -- evaluation -----------------------------------------------------------
@@ -214,5 +229,12 @@ class PowerSeries:
 
     def derivatives(self) -> np.ndarray:
         """Derivative values ``f^(k)(center) = k! * c[k]``."""
-        fact = np.array([math.factorial(k) for k in range(self.order + 1)], dtype=float)
-        return self.c * fact
+        return self.c * factorials(self.order)
+
+
+@lru_cache(maxsize=64)
+def factorials(order: int) -> np.ndarray:
+    """Read-only ``[0!, 1!, ..., order!]`` as floats, built once per order."""
+    fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    fact.flags.writeable = False
+    return fact

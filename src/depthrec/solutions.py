@@ -20,7 +20,8 @@ import numpy as np
 
 from .criticals import CriticalKind, CriticalPoint, CriticalSet, find_critical_points
 from .errors import (
-    NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular, OutsideCone,
+    DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular,
+    OutsideCone,
 )
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
@@ -207,7 +208,7 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
         return [([piece], 0)]
     try:
         candidates = continuation_candidates(u, theta_c, side, opts)
-    except Exception:
+    except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
     paths: list[tuple[list[SolutionPiece], int]] = []
     for _walk_sign, branch in candidates:

@@ -20,6 +20,13 @@ of jets appears.
 
 Derivative-vector convention: ``derivs[k]`` is the k-th derivative value,
 not the monomial coefficient; the series coefficient is ``derivs[k]/k!``.
+
+The recursion, the radius estimate and the series evaluation run on lists
+of Python floats: the same sums in the same order as on numpy arrays, so
+the same bits, without numpy's cost for each scalar read.  Binomial rows
+are built when an order first asks for them and kept; a branch computes its
+monomial coefficients ``derivs[k]/k!`` and ``derivs[k]/(k-1)!`` once, on its
+first :func:`eval_series` call, and every later evaluation reuses them.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +43,7 @@ from .errors import (
     ComplexDiscriminant, DegenerateFamily, DomainError, OutsideRadiusWarning,
 )
 from .modulus import Jet, ModulusModel
+from .series import factorials
 
 __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "LeibnizTerms", "BetaSignClass",
@@ -102,6 +111,16 @@ class TaylorBranch:
     def order(self) -> int:
         return len(self.derivs) - 1
 
+    @cached_property
+    def _horner_coeffs(self) -> tuple[list[float], list[float]]:
+        """Monomial coefficients of the series and of its derivative, highest
+        degree first: ``derivs[k]/k!`` and ``derivs[k]/(k-1)!``."""
+        d = self.derivs.tolist()
+        fact = factorials(len(d) - 1).tolist()
+        value = [dk / fk for dk, fk in zip(d, fact)]
+        slope = [dk / fk for dk, fk in zip(d[1:], fact)]
+        return value[::-1], slope[::-1]
+
 
 @dataclass(frozen=True)
 class LeibnizTerms:
@@ -160,6 +179,23 @@ def beta_sign_class(rho0: float, u2: float, tol: float | None = None) -> BetaSig
     return BetaSignClass.BOTH_NEGATIVE
 
 
+@lru_cache(maxsize=64)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """``(C(n, 0), ..., C(n, n))``, built the first time row n is asked for."""
+    return tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def _leibniz_sums(n: int, d: list[float]) -> tuple[float, float]:
+    """``x_n`` and ``y_n`` of :func:`leibniz_terms` on a list, summed over k
+    from 0 to n (``d`` must reach index n+1)."""
+    x = 0.0
+    y = 0.0
+    for c, a, b, p, q in zip(_binomial_row(n), d[1 : n + 2], d[n + 1 : 0 : -1], d, d[n::-1]):
+        x += c * a * b
+        y += c * p * q
+    return x, y
+
+
 def leibniz_terms(n: int, derivs) -> LeibnizTerms:
     """Product-rule sums of the derivative and depth squares at iteration n.
 
@@ -167,16 +203,10 @@ def leibniz_terms(n: int, derivs) -> LeibnizTerms:
     comes from a solution jet, ``x_n + y_n`` equals the n-th profile
     derivative.
     """
-    d = np.asarray(derivs, dtype=float)
+    d = np.asarray(derivs, dtype=float).tolist()
     if len(d) < n + 2:
         raise DomainError(f"need derivatives through order {n + 1}, got {len(d) - 1}")
-    x = 0.0
-    y = 0.0
-    for k in range(n + 1):
-        c = math.comb(n, k)
-        x += c * d[k + 1] * d[n - k + 1]
-        y += c * d[k] * d[n - k]
-    return LeibnizTerms(n, x, y)
+    return LeibnizTerms(n, *_leibniz_sums(n, d))
 
 
 def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER,
@@ -192,32 +222,34 @@ def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER,
         raise DomainError(f"profile jet order {ic.u_jet.order} < requested order {order}")
     if tol_deg is None:
         tol_deg = 1e-9 * (1.0 + ic.rho0)
+    rho0 = ic.rho0
+    u_jet = ic.u_jet.coeffs.tolist()
 
     # one zero pad slot so iteration n can touch index n+1 (its coefficient
     # is the vanishing first derivative, so the value never matters)
-    work = np.zeros(order + 2)
-    work[0] = ic.rho0
+    work = [0.0] * (order + 2)
+    work[0] = rho0
     work[2] = beta
 
     for n in range(3, order + 1):
-        alpha = 2.0 * (ic.rho0 + n * beta)
-        terms = leibniz_terms(n, work)
-        rhs = ic.u_jet[n] - (terms.x_n + terms.y_n)
+        alpha = 2.0 * (rho0 + n * beta)
+        x, y = _leibniz_sums(n, work)
+        rhs = u_jet[n] - (x + y)
         if abs(alpha) < tol_deg:
             return TaylorBranch(
-                ic=ic, beta=beta, derivs=work[:n].copy(),
+                ic=ic, beta=beta, derivs=np.array(work[:n]),
                 status=BranchStatus.DEGENERATE, free_index=n,
                 consistency_residual=abs(rhs))
         work[n] = rhs / alpha
 
-    derivs = work[: order + 1].copy()
-    if np.all(np.abs(derivs[1:]) <= 1e-14 * (1.0 + ic.rho0)):
-        return TaylorBranch(ic=ic, beta=beta, derivs=derivs,
+    derivs = work[: order + 1]
+    tol_const = 1e-14 * (1.0 + rho0)
+    if all(abs(v) <= tol_const for v in derivs[1:]):
+        return TaylorBranch(ic=ic, beta=beta, derivs=np.array(derivs),
                             status=BranchStatus.CONSTANT_CIRCLE,
                             radius_estimate=math.inf)
-    branch = TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE)
-    return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE,
-                        radius_estimate=estimate_radius(branch))
+    return TaylorBranch(ic=ic, beta=beta, derivs=np.array(derivs),
+                        status=BranchStatus.COMPLETE, radius_estimate=_ratio_radius(derivs))
 
 
 class SafeRegionKind(Enum):
@@ -271,13 +303,13 @@ def eval_series(branch: TaylorBranch, theta: float) -> tuple[float, float]:
     if r is not None and math.isfinite(r) and abs(h) > r:
         warnings.warn(f"offset {h} exceeds estimated convergence radius {r}",
                       OutsideRadiusWarning, stacklevel=2)
+    value_coeffs, slope_coeffs = branch._horner_coeffs
     val = 0.0
-    n = branch.order
-    for k in range(n, -1, -1):
-        val = val * h + branch.derivs[k] / math.factorial(k)
+    for a in value_coeffs:
+        val = val * h + a
     dval = 0.0
-    for k in range(n, 0, -1):
-        dval = dval * h + branch.derivs[k] / math.factorial(k - 1)
+    for a in slope_coeffs:
+        dval = dval * h + a
     return val, dval
 
 
@@ -287,9 +319,14 @@ def estimate_radius(branch: TaylorBranch) -> float | None:
     Returns +inf for constant jets and None when the tail is too short or
     too erratic to trust.
     """
-    n = branch.order
-    coeffs = np.array([abs(branch.derivs[k]) / math.factorial(k) for k in range(n + 1)])
-    support = [k for k in range(1, n + 1) if coeffs[k] > 1e-300]
+    return _ratio_radius(branch.derivs.tolist())
+
+
+def _ratio_radius(derivs: list[float]) -> float | None:
+    """:func:`estimate_radius` of the derivative values ``derivs``."""
+    fact = factorials(len(derivs) - 1).tolist()
+    coeffs = [abs(d) / f for d, f in zip(derivs, fact)]
+    support = [k for k in range(1, len(coeffs)) if coeffs[k] > 1e-300]
     if not support:
         return math.inf
     if len(support) < 3:
@@ -315,16 +352,18 @@ def recursion_residuals(branch: TaylorBranch, scaled: bool = True) -> np.ndarray
     factorially with n while cancelling exactly, so the absolute defect of
     a correct jet is roundoff relative to that magnitude, not to 1.
     """
-    d = branch.derivs
+    d = branch.derivs.tolist()
     n_max = branch.order - 1
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
-        terms = leibniz_terms(n, d)
-        defect = abs(terms.x_n + terms.y_n - branch.ic.u_jet[n])
+        x, y = _leibniz_sums(n, d)
+        defect = abs(x + y - branch.ic.u_jet[n])
         if scaled:
-            magnitude = sum(
-                math.comb(n, k) * (abs(d[k + 1] * d[n - k + 1]) + abs(d[k] * d[n - k]))
-                for k in range(n + 1))
+            # a loop, not sum(): from Python 3.12 sum() rounds a sum of floats
+            # differently from adding them one by one
+            magnitude = 0.0
+            for k, c in enumerate(_binomial_row(n)):
+                magnitude += c * (abs(d[k + 1] * d[n - k + 1]) + abs(d[k] * d[n - k]))
             defect /= 1.0 + magnitude
         out[n - 1] = defect
     return out

@@ -92,6 +92,21 @@ def test_touch_root_inflection():
     assert cp.kind is CriticalKind.INFLECTION
 
 
+@pytest.mark.parametrize("error", [EvalError("no jet here", 1.0), ValueError("jet bug")])
+def test_touch_root_polish_drops_only_typed_failures(error):
+    # a profile error drops the touch root; anything else is a bug and propagates
+    class FailingJet(ClosedFormModulus):
+        def jet(self, theta, order):
+            raise error
+
+    u = FailingJet("4 + (theta - 1.01)^3", (0.0, 2.0))   # off the scan grid
+    if isinstance(error, EvalError):
+        assert find_critical_points(u).points == []
+    else:
+        with pytest.raises(ValueError, match="jet bug"):
+            find_critical_points(u)
+
+
 @pytest.mark.parametrize("text,domain", [
     ("5 + sqrt(theta - 1)", (0.0, 2.0)),      # U' fails on the first grid angles
     ("5 - 1/(theta - 1)", (0.0, 2.0)),        # U' divides by zero at one grid angle

@@ -14,6 +14,10 @@ from depthrec.expressions import (
     FUNCTIONS, Add, Call, Div, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
     derivatives_at, differentiate, parse_expression, to_callable, to_text,
 )
+from depthrec.modulus import from_depth
+from depthrec.parametrization import DepthFunction
+from depthrec.series import PowerSeries
+from test_series import ArraySeries, coefficient_bits
 
 THETA = sp.Symbol("theta")
 
@@ -368,3 +372,115 @@ def test_grid_failure_raises_as_scalar_loop(text, lo, hi):
     with pytest.raises(EvalError) as grid:
         kernel.grid(thetas)
     assert (str(grid.value), grid.value.theta) == (str(loop.value), loop.value.theta)
+
+
+# -- jets against the unshared tree walk on numpy-scalar series ------------------
+
+def walk_series(node, var):
+    """The series tree walk as it was before it shared nodes: every
+    occurrence of a subtree evaluated again, and ``sin``, ``cos`` and ``tan``
+    each running their own recurrence."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Pi):
+        return math.pi
+    if isinstance(node, Var):
+        return var
+    if isinstance(node, Neg):
+        return -walk_series(node.arg, var)
+    if isinstance(node, Add):
+        return walk_series(node.left, var) + walk_series(node.right, var)
+    if isinstance(node, Sub):
+        return walk_series(node.left, var) - walk_series(node.right, var)
+    if isinstance(node, Mul):
+        return walk_series(node.left, var) * walk_series(node.right, var)
+    if isinstance(node, Div):
+        return walk_series(node.left, var) / walk_series(node.right, var)
+    if isinstance(node, Pow):
+        return walk_series(node.base, var) ** node.exponent
+    if isinstance(node, Call):
+        arg = walk_series(node.arg, var)
+        if isinstance(arg, ArraySeries):
+            return getattr(arg, node.func)()
+        return _MATH_FUNCS[node.func](arg)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def oracle_derivatives(node, center, order):
+    """``derivatives_at`` as it was: the unshared walk, factorials per call."""
+    var = ArraySeries.variable(center, order)
+    try:
+        result = walk_series(node, var)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise EvalError(f"cannot expand expression: {exc}", center) from exc
+    if isinstance(result, ArraySeries):
+        coeffs = result.c.copy()
+    else:
+        coeffs = np.zeros(order + 1)
+        coeffs[0] = result
+    fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    return coeffs * fact
+
+
+def jet_outcome(fn, node, center, order):
+    """The jet's bits (NaNs made one NaN), or the error's text and angle."""
+    try:
+        with np.errstate(all="ignore"):
+            return coefficient_bits(fn(node, center, order))
+    except EvalError as exc:
+        return str(exc), exc.theta
+
+
+def squared_speed(node):
+    """``U = rho'^2 + rho^2`` as the forward model builds it: the derivative
+    reuses the subtrees of ``node``, so the two squares share nodes."""
+    return Add(Pow(differentiate(node), 2), Pow(node, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, angles, st.integers(0, 22))
+def test_jet_bit_identical_to_unshared_walk(node, center, order):
+    for tree in (node, squared_speed(node)):
+        assert jet_outcome(derivatives_at, tree, center, order) == \
+            jet_outcome(oracle_derivatives, tree, center, order)
+
+
+SINE_U = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.2, 2.9)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 21, 22])
+def test_sine_jet_bit_identical_to_unshared_walk(order):
+    for center in (0.2, 1.1, 2.9):
+        want = jet_outcome(oracle_derivatives, SINE_U.expr, center, order)
+        assert jet_outcome(derivatives_at, SINE_U.expr, center, order) == want
+        assert coefficient_bits(SINE_U.jet(center, order).coeffs) == want
+
+
+@pytest.mark.parametrize("text", [
+    "tan(exp(theta)/3)",
+    "sqrt(1 + theta^2)/log(2 + theta)^2",
+    "cos(exp(theta)/3)/theta^3",
+    "tan(theta^2/3) + sqrt(1 + theta)/log(2 + theta)^2 - 1/(theta + 1.5)"
+    " + sin(exp(theta)/3)/theta^3",
+])
+def test_tan_sqrt_log_division_jet_bit_identical(text):
+    # -1.5 and 0 fail in the full tree (sqrt of a negative, a zero divisor)
+    node = parse_expression(text)
+    for center in (-1.5, -0.4, 0.0, 0.3, 1.0, 2.5):
+        for order in range(23):
+            want = jet_outcome(oracle_derivatives, node, center, order)
+            assert jet_outcome(derivatives_at, node, center, order) == want
+
+
+def test_sin_and_cos_of_one_argument_share_one_recurrence(monkeypatch):
+    # U of a sine depth holds sin(u) in rho and cos(u) in rho' on the same node u
+    calls = []
+    original = PowerSeries.sincos
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PowerSeries, "sincos", counting)
+    derivatives_at(SINE_U.expr, 1.1, 21)
+    assert len(calls) == 1

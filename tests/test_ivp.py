@@ -75,6 +75,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
     f_t = fs[0]
     h = min(opts.h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
     rejects = 0
+    stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
     handoff_theta_tried = math.nan
 
@@ -88,9 +89,15 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
                                       f"step budget {opts.max_steps} exhausted")
             break
         h = min(h, opts.h_max, abs(t_end - t))
-        if h <= 1e-15 * max(1.0, abs(t)):
-            # no room left to step: we are at the domain end
-            termination = Termination(TerminationKind.DOMAIN_END, t)
+        h_floor = 1e-15 * max(1.0, abs(t))
+        if h <= h_floor:
+            if abs(t_end - t) <= h_floor:
+                # no room left to step: we are at the domain end
+                termination = Termination(TerminationKind.DOMAIN_END, t)
+            else:
+                # the step shrank to nothing short of the end
+                detail = "step size underflow" if stage_error is None else str(stage_error)
+                termination = Termination(TerminationKind.STEP_FAILURE, t, detail)
             break
         ht = tdir * h
 
@@ -103,13 +110,13 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
                 k.append(ffield(ti, yi))
             except DepthRecError as exc:  # profile evaluation failed mid-stage
                 failed = True
-                fail_detail = str(exc)
+                stage_error = exc
                 break
         if failed:
             h *= 0.5
             rejects += 1
             if rejects > 60:
-                termination = Termination(TerminationKind.STEP_FAILURE, t, fail_detail)
+                termination = Termination(TerminationKind.STEP_FAILURE, t, str(stage_error))
             continue
 
         y5 = y + ht * sum(b * kk for b, kk in zip(_DP_B5, k))
@@ -117,6 +124,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
         try:
             k6 = ffield(t_new, y5)
         except DepthRecError as exc:
+            stage_error = exc
             h *= 0.5
             rejects += 1
             if rejects > 60:
@@ -139,6 +147,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
         rejects = 0
+        stage_error = None
 
         # events on the accepted step, earliest first
         event = None
@@ -513,12 +522,18 @@ def test_oracle_step_budget_failure():
 
 
 def test_eval_error_part_way_matches_oracle():
-    # U cannot be evaluated past theta = 1: the steps shrink toward it and
-    # the piece ends there, exactly as the generic loop ends it
+    # U cannot be evaluated past theta = 1: the steps shrink toward it under
+    # the minimum step, short of the domain end at 2, so the piece ends
+    # there in a step failure with the last failed stage's error text,
+    # exactly as the generic loop ends it
     u = ClosedFormModulus("9 + sqrt(1 - theta)", (0.0, 2.0))
     piece = assert_matches_oracle(u, RegularIC(0.5, 1.0), +1, "forward")
     assert piece.theta_end == pytest.approx(1.0, abs=1e-12)
     assert piece.theta_end <= 1.0
+    with pytest.raises(EvalError) as last_failure:
+        u.value(1.0000000000000004)
+    assert piece.termination == Termination(TerminationKind.STEP_FAILURE, piece.theta_end,
+                                            str(last_failure.value))
 
 
 def test_eval_error_part_way_ends_in_step_failure():

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from depthrec.criticals import CriticalKind, find_critical_points, upper_bound_check
-from depthrec.errors import NoCriticalPoints, NoSolution, NotConeApex, OutsideCone
+import depthrec.solutions as solutions_mod
+from depthrec.errors import (
+    NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, OutsideCone,
+)
 from depthrec.ivp import IntegrationOptions, RegularIC, residual
 from depthrec.modulus import ClosedFormModulus
 from depthrec.solutions import (
@@ -58,6 +61,23 @@ def test_enumerate_unit_profile_shapes():
     # end at cos(pi/2 - pi/3) and 1
     assert ends[0] <= 1e-6
     assert ends[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("error", [NoContinuation("none here"), RuntimeError("candidates bug")])
+def test_extend_ends_paths_only_on_typed_failures(monkeypatch, error):
+    # the rising seed contacts the bound: a typed failure to continue there
+    # ends that path at the contact; anything else is a bug and propagates
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(solutions_mod, "continuation_candidates", failing)
+    if isinstance(error, NoContinuation):
+        sols = enumerate_branches(UNIT, RegularIC(0.0, 0.5), max_switches=1)
+        assert len(sols) == 2
+        assert sorted(len(s.pieces) for s in sols) == [1, 1]
+    else:
+        with pytest.raises(RuntimeError, match="candidates bug"):
+            enumerate_branches(UNIT, RegularIC(0.0, 0.5), max_switches=1)
 
 
 def test_enumerate_line_reproduces_depth():

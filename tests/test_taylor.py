@@ -1,20 +1,25 @@
 """Analytic branch construction at critical initial conditions."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthrec.errors import ComplexDiscriminant, DegenerateFamily
-from depthrec.modulus import ClosedFormModulus, Jet
+from depthrec.criticals import find_critical_points
+from depthrec.errors import ComplexDiscriminant, DegenerateFamily, OutsideRadiusWarning
+from depthrec.modulus import ClosedFormModulus, Jet, from_depth
+from depthrec.parametrization import DepthFunction
 from depthrec.taylor import (
-    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind,
+    BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind, TaylorBranch,
     beta_sign_class, branches_at, check_safe_region, estimate_radius,
     eval_series, expand_branch, leibniz_terms, recursion_residuals,
     second_derivative_roots,
 )
+from test_series import coefficient_bits
 
 
 def constant_ic(rho0: float, order: int = 14) -> CriticalIC:
@@ -220,3 +225,218 @@ def test_radius_geometric_jet():
                                   status=BranchStatus.COMPLETE)
     est = estimate_radius(synthetic)
     assert est == pytest.approx(1.0 / r, rel=0.2)
+
+
+# -- the list recursion against the numpy-scalar one it replaced ------------------
+#
+# The functions below are the Taylor side as it was before it ran on Python
+# lists: every derivative read and written as a numpy scalar, binomials and
+# factorials computed on every pass.  The package must match them bit for bit.
+
+def oracle_leibniz_terms(n, derivs):
+    d = np.asarray(derivs, dtype=float)
+    x = 0.0
+    y = 0.0
+    for k in range(n + 1):
+        c = math.comb(n, k)
+        x += c * d[k + 1] * d[n - k + 1]
+        y += c * d[k] * d[n - k]
+    return LeibnizTerms(n, x, y)
+
+
+def oracle_expand_branch(ic, beta, order, tol_deg=None):
+    if tol_deg is None:
+        tol_deg = 1e-9 * (1.0 + ic.rho0)
+    work = np.zeros(order + 2)
+    work[0] = ic.rho0
+    work[2] = beta
+    for n in range(3, order + 1):
+        alpha = 2.0 * (ic.rho0 + n * beta)
+        terms = oracle_leibniz_terms(n, work)
+        rhs = ic.u_jet[n] - (terms.x_n + terms.y_n)
+        if abs(alpha) < tol_deg:
+            return TaylorBranch(
+                ic=ic, beta=beta, derivs=work[:n].copy(),
+                status=BranchStatus.DEGENERATE, free_index=n,
+                consistency_residual=abs(rhs))
+        work[n] = rhs / alpha
+    derivs = work[: order + 1].copy()
+    if np.all(np.abs(derivs[1:]) <= 1e-14 * (1.0 + ic.rho0)):
+        return TaylorBranch(ic=ic, beta=beta, derivs=derivs,
+                            status=BranchStatus.CONSTANT_CIRCLE, radius_estimate=math.inf)
+    branch = TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE)
+    return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE,
+                        radius_estimate=oracle_estimate_radius(branch))
+
+
+def oracle_estimate_radius(branch):
+    n = branch.order
+    coeffs = np.array([abs(branch.derivs[k]) / math.factorial(k) for k in range(n + 1)])
+    support = [k for k in range(1, n + 1) if coeffs[k] > 1e-300]
+    if not support:
+        return math.inf
+    if len(support) < 3:
+        return None
+    estimates = []
+    for i, j in zip(support, support[1:]):
+        if coeffs[j] == 0.0:
+            continue
+        estimates.append((coeffs[i] / coeffs[j]) ** (1.0 / (j - i)))
+    if len(estimates) < 2:
+        return None
+    tail = estimates[-5:]
+    if max(tail) / max(min(tail), 1e-300) > 1e3:
+        return None
+    return float(np.median(tail))
+
+
+def oracle_eval_series(branch, theta):
+    h = theta - branch.ic.theta0
+    r = branch.radius_estimate
+    if r is not None and math.isfinite(r) and abs(h) > r:
+        warnings.warn(f"offset {h} exceeds estimated convergence radius {r}",
+                      OutsideRadiusWarning, stacklevel=2)
+    val = 0.0
+    n = branch.order
+    for k in range(n, -1, -1):
+        val = val * h + branch.derivs[k] / math.factorial(k)
+    dval = 0.0
+    for k in range(n, 0, -1):
+        dval = dval * h + branch.derivs[k] / math.factorial(k - 1)
+    return val, dval
+
+
+def oracle_recursion_residuals(branch, scaled=True):
+    d = branch.derivs
+    n_max = branch.order - 1
+    out = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        terms = oracle_leibniz_terms(n, d)
+        defect = abs(terms.x_n + terms.y_n - branch.ic.u_jet[n])
+        if scaled:
+            magnitude = sum(
+                math.comb(n, k) * (abs(d[k + 1] * d[n - k + 1]) + abs(d[k] * d[n - k]))
+                for k in range(n + 1))
+            defect /= 1.0 + magnitude
+        out[n - 1] = defect
+    return out
+
+
+def bits(value):
+    """A float's bits (every NaN the same), or the value itself if not a float."""
+    if isinstance(value, float):
+        return struct.pack("<d", math.nan if math.isnan(value) else value)
+    return value
+
+
+def branch_record(branch):
+    return (coefficient_bits(branch.derivs), branch.status, branch.free_index,
+            bits(branch.consistency_residual), bits(branch.radius_estimate))
+
+
+def eval_record(fn, branch, theta):
+    """Value and slope bits plus the warnings raised, or the refusal's text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with np.errstate(all="ignore"):
+                val, dval = fn(branch, theta)
+        except DegenerateFamily as exc:
+            return str(exc)
+    return bits(float(val)), bits(float(dval)), [(w.category, str(w.message)) for w in caught]
+
+
+def assert_matches_oracles(ic, beta, order, tol_deg=None, offsets=(0.0,)):
+    with np.errstate(all="ignore"):
+        got = expand_branch(ic, beta, order, tol_deg)
+        want = oracle_expand_branch(ic, beta, order, tol_deg)
+    assert branch_record(got) == branch_record(want)
+    with np.errstate(all="ignore"):
+        assert bits(estimate_radius(got)) == bits(oracle_estimate_radius(want))
+    for h in offsets:
+        theta = ic.theta0 + h
+        if want.status is BranchStatus.DEGENERATE:
+            with pytest.raises(DegenerateFamily):
+                eval_series(got, theta)
+        else:
+            assert eval_record(eval_series, got, theta) == \
+                eval_record(oracle_eval_series, want, theta)
+    if want.status is not BranchStatus.DEGENERATE and want.order >= 2:
+        with np.errstate(all="ignore"):
+            for scaled in (True, False):
+                assert coefficient_bits(recursion_residuals(got, scaled)) == \
+                    coefficient_bits(oracle_recursion_residuals(want, scaled))
+    return got
+
+
+@st.composite
+def critical_seeds(draw):
+    """A critical IC with a random profile jet and a curvature seed: a root
+    of the quadratic, a lattice point -rho0/n, or any value."""
+    order = draw(st.integers(2, 22))
+    rho0 = draw(st.floats(0.05, 20.0))
+    theta0 = draw(st.floats(-3.0, 3.0))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order))
+    jet = Jet(theta0, np.array([rho0 * rho0, 0.0] + [scale * v for v in rest]))
+    ic = CriticalIC(theta0, rho0, jet)
+    roots = ([] if rho0 * rho0 + 2.0 * jet[2] < 0.0
+             else list(second_derivative_roots(rho0, jet[2])))
+    beta = draw(st.one_of(
+        st.sampled_from(roots) if roots else st.nothing(),
+        st.integers(3, 24).map(lambda n: -rho0 / n),
+        st.floats(-2.0 * rho0, rho0)))
+    tol_deg = draw(st.sampled_from([None, 1e-6]))
+    offsets = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    return ic, beta, order, tol_deg, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(critical_seeds())
+def test_branch_bit_identical_to_numpy_scalar_oracle(seed):
+    ic, beta, order, tol_deg, offsets = seed
+    assert_matches_oracles(ic, beta, order, tol_deg, offsets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 22), st.lists(st.floats(-1e3, 1e3), min_size=24, max_size=24))
+def test_leibniz_terms_bit_identical_to_oracle(n, derivs):
+    d = derivs[: n + 2]
+    got, want = leibniz_terms(n, d), oracle_leibniz_terms(n, d)
+    assert (got.n, bits(got.x_n), bits(got.y_n)) == \
+        (want.n, bits(float(want.x_n)), bits(float(want.y_n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 20])
+def test_lattice_seed_bit_identical_to_oracle(n):
+    # beta = -rho0/n stalls the recursion at derivative n
+    branch = assert_matches_oracles(constant_ic(2.0, order=22), -2.0 / n, 21)
+    assert branch.status is BranchStatus.DEGENERATE
+    assert branch.free_index == n
+
+
+def test_sine_profile_branches_bit_identical_to_oracle():
+    # the order-21 jet of a forward model at each of its critical points, and
+    # the series evaluated inside and outside the estimated radius
+    u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.2, 2.9)))
+    points = find_critical_points(u).points
+    assert points
+    for point in points:
+        ic = CriticalIC.from_modulus(u, point.theta)
+        b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
+        for beta in (b1, b2):
+            branch = assert_matches_oracles(ic, beta, 20, offsets=(-0.3, -0.02, 0.01, 0.2, 1.5))
+            assert branch.status is BranchStatus.COMPLETE
+
+
+def test_eval_series_outside_radius_warns_as_oracle():
+    for ic, beta in [(constant_ic(1.0, order=14), -1.0),
+                     (CriticalIC.from_modulus(ClosedFormModulus(
+                         "pi^2/16 - pi^2/128*theta^2", (0.0, 2.0)), 0.0), PAR_BETA_LARGE)]:
+        branch = assert_matches_oracles(ic, beta, 12)
+        r = branch.radius_estimate
+        assert math.isfinite(r)
+        for h in (0.5 * r, -0.99 * r, 1.01 * r, -3.0 * r):
+            record = eval_record(eval_series, branch, ic.theta0 + h)
+            assert record == eval_record(oracle_eval_series, branch, ic.theta0 + h)
+            assert len(record[2]) == (abs(h) > r)
