@@ -1,9 +1,20 @@
 """Command line surface.
 
 Subcommands: forward, validate, critical, solve, branch, enumerate,
-maximal, cone, plot.  All angles are radians.  Exit codes: 0 success,
-1 domain or solver error, 2 usage error.  Outputs are written atomically
-and are byte-deterministic for identical inputs.
+maximal, cone, plot.  All angles are radians.  Exit codes:
+
+- 0 success;
+- 1 domain or solver error, a malformed ``--u-csv`` file included;
+- 2 usage error, or an I/O error: a ``--config`` or ``--u-csv`` file that
+  cannot be read, an ``--out`` or ``--csv-dir`` path that cannot be
+  written.  An I/O error prints one ``depthrec: ...`` line on stderr.
+
+Outputs are written atomically and are byte-deterministic for identical
+inputs.
+
+The argument parser is built once per process, on the first ``main`` call;
+each call parses into a fresh namespace, so no value carries over from one
+call to the next.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments) seeds
 defaults; explicit command-line flags win over config values.
@@ -12,6 +23,7 @@ defaults; explicit command-line flags win over config values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -63,6 +75,7 @@ def _load_config(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
@@ -349,15 +362,17 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         args = _apply_config(args, argv)
     except SystemExit as exc:
         if isinstance(exc.code, str):  # a --config error; argparse prints its own
             sys.stderr.write(exc.code + "\n")
             return 2
         return 2 if exc.code not in (0, None) else 0
+    except OSError as exc:  # an unreadable --config file
+        sys.stderr.write(f"depthrec: {exc}\n")
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
@@ -368,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     except DepthRecError as exc:
         sys.stderr.write(f"depthrec: {exc}\n")
         return 1
+    except OSError as exc:  # an unreadable input or an unwritable output
+        sys.stderr.write(f"depthrec: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -199,12 +199,17 @@ class SampledModulus(ModulusModel):
         finite = v[np.isfinite(v)]
         self._scale = 1.0 + (float(np.max(np.abs(finite))) if finite.size else 0.0)
         # the spline exists only for finite data; validation still works without it
-        self._spline = CubicSpline(t, v) if finite.size == v.size else None
-        if self._spline is not None:
+        self._spline = None
+        if finite.size == v.size:
+            try:
+                self._spline = CubicSpline(t, v)
+            except ValueError as exc:  # its slopes overflow near the float limit
+                raise DomainError(f"sampled profile has no finite cubic spline: {exc}") from None
             self._knots = self._spline.x.tolist()
             # piece i holds the coefficients of s^0..s^3, s = theta - x_i, at
-            # [4i, 4i + 4); a flat float array keeps no Python object per value
-            self._pieces = array("d", self._spline.c[::-1].T.ravel())
+            # [4i, 4i + 4); a flat float array keeps no Python object per value,
+            # filled from the raw bytes rather than element by element
+            self._pieces = array("d", self._spline.c[::-1].T.tobytes())
 
     @property
     def scale(self) -> float:

@@ -1,17 +1,22 @@
 """Serialization: CSV node tables, the JSON report, atomic writes.
 
 All float formatting is deterministic: CSV carries 17 significant digits
-(lossless round-trip), JSON uses Python's shortest-repr floats.  Writes go
-through a temp file plus rename so readers never see partial output.
+(lossless round-trip), JSON uses Python's shortest-repr floats.  The JSON
+comes from a direct writer whose bytes equal those of
+``json.dumps(report, sort_keys=True, indent=2)`` (``NaN``/``Infinity``
+included); ``json.dumps`` cannot use its C encoder with an indent, and its
+pure-Python one costs about twice as much.  Writes go through a temp file
+plus rename so readers never see partial output.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -56,17 +61,51 @@ def u_csv_text(u: ModulusModel, samples: int = 501) -> str:
 
 
 def read_u_csv(path: str) -> SampledModulus:
+    """Profile samples from a ``theta,u`` CSV file.
+
+    Rows that are blank or whose first cell reads ``theta`` are skipped;
+    columns after the second are ignored.  A short row or a cell that is not
+    a number raises ``DomainError``.  A regular file (one header line at
+    most, no other irregular row) is parsed by ``np.loadtxt`` in one pass,
+    with the same cells and the same float conversion as ``float``; any
+    other file goes through ``csv.reader`` row by row.
+    """
+    with open(path, newline="") as handle:
+        text = handle.read()
+    header = text.split(",", 1)[0].strip().lower() == "theta"
+    # loadtxt warns on a file without data rows; leave those to the row loop
+    if (text.partition("\n")[2] if header else text).strip():
+        try:
+            table = np.loadtxt(io.StringIO(text, newline=""), delimiter=",",
+                               comments=None, quotechar='"', usecols=(0, 1),
+                               skiprows=int(header), ndmin=2)
+        except ValueError:
+            pass
+        else:
+            thetas, values = table.T.copy()
+            return SampledModulus(thetas, values)
+    return SampledModulus(*_u_csv_rows(text, path))
+
+
+def _u_csv_rows(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
     thetas: list[float] = []
     values: list[float] = []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].strip().lower() == "theta":
-                continue
-            if len(row) < 2:
-                raise DomainError(f"bad profile row {row!r} in {path}")
-            thetas.append(float(row[0]))
-            values.append(float(row[1]))
-    return SampledModulus(np.array(thetas), np.array(values))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row or row[0].strip().lower() == "theta":
+            continue
+        if len(row) < 2:
+            raise DomainError(f"bad profile row {row!r} in {path}")
+        thetas.append(_csv_float(row[0], path, reader.line_num))
+        values.append(_csv_float(row[1], path, reader.line_num))
+    return np.array(thetas), np.array(values)
+
+
+def _csv_float(cell: str, path: str, line: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DomainError(f"bad number {cell!r} in {path}, line {line}") from None
 
 
 def solution_csv_text(sol, u: ModulusModel | None = None) -> str:
@@ -95,6 +134,10 @@ def read_solution_csv(path: str) -> dict[str, np.ndarray]:
     return {k: np.array(v) for k, v in cols.items()}
 
 
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=float).tolist()
+
+
 def piece_payload(piece: SolutionPiece) -> dict:
     return {
         "sign": piece.sign,
@@ -103,9 +146,9 @@ def piece_payload(piece: SolutionPiece) -> dict:
         "termination": {"kind": piece.termination.kind.value,
                         "theta": piece.termination.theta},
         "nodes": {
-            "theta": [float(v) for v in piece.thetas],
-            "rho": [float(v) for v in piece.rhos],
-            "drho": [float(v) for v in piece.drhos],
+            "theta": _floats(piece.thetas),
+            "rho": _floats(piece.rhos),
+            "drho": _floats(piece.drhos),
         },
     }
 
@@ -131,7 +174,7 @@ def criticals_payload(cs: CriticalSet) -> dict:
             "depth": p.depth,
             "kind": p.kind.value,
             "boundary": p.boundary,
-            "u_jet": [float(c) for c in p.u_jet.coeffs],
+            "u_jet": _floats(p.u_jet.coeffs),
         } for p in cs.points],
     }
 
@@ -148,7 +191,7 @@ def branch_payload(branch: TaylorBranch) -> dict:
         "free_index": branch.free_index,
         "consistency_residual": branch.consistency_residual,
         "radius_estimate": radius,
-        "derivatives": [float(d) for d in branch.derivs],
+        "derivatives": _floats(branch.derivs),
     }
 
 
@@ -168,5 +211,49 @@ def empty_report() -> dict:
             "solutions": []}
 
 
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    at nesting ``indent``; dict keys must be strings."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # node tables are long float lists: one join when every item is a
+        # finite float (a finite float's repr holds no "n", "nan" and "inf" do)
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:
+            body = None
+        if body is None or "n" in body:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_json_str(k)}: {_json(v, inner)}"
+                         for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def report_json_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json(report, "") + "\n"

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from depthrec.cli import _load_config, main
+from depthrec.cli import _build_parser, _load_config, main
 from depthrec.modulus import ClosedFormModulus
 from depthrec.reports import read_solution_csv, read_u_csv
 
@@ -218,3 +221,84 @@ def test_validate_sampled_csv(tmp_path):
     code = main(["validate", "--u-csv", str(ucsv), "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["clean"] is True
+
+
+# -- one parser per process ------------------------------------------------------
+
+def _sampled_profile(tmp_path) -> str:
+    path = str(tmp_path / "u.csv")
+    assert main(["forward", "--rho", "2 + 0.15*sin(2*theta + 0.5)",
+                 "--domain", "0.2", "2.9", "--samples", "201", "--out", path]) == 0
+    return path
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cone_sample_does_not_carry_over(tmp_path):
+    ucsv = _sampled_profile(tmp_path)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["cone", "--u-csv", ucsv, "--sample", "1.0", "2.0",
+                 "--out", str(first)]) == 0
+    assert len(json.loads(first.read_text())["solutions"]) == 1
+    assert main(["cone", "--u-csv", ucsv, "--out", str(second)]) == 0
+    assert json.loads(second.read_text())["solutions"] == []
+
+
+def test_usage_error_then_valid_call_matches_fresh_process(tmp_path, capsys):
+    argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5",
+            "--max-switches", "1"]
+    fresh = tmp_path / "fresh.json"
+    subprocess.run([sys.executable, "-m", "depthrec.cli", *argv, "--out", str(fresh)],
+                   check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert main(["enumerate", "--u", "1", "--domain", "0", "1.5", "--max-switches",
+                 "many"]) == 2
+    assert main(["solve", "--u", "1", "--domain", "0", "1.5"]) == 2
+    capsys.readouterr()
+    assert run_to_file(tmp_path, "after.json", argv) == fresh.read_bytes()
+
+
+def test_config_values_do_not_leak_into_next_call(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_switches = 0\nfan_size = 2\nrtol = 1e-6\n")
+    argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5"]
+    plain = run_to_file(tmp_path, "plain.json", argv)
+    configured = run_to_file(tmp_path, "configured.json", argv + ["--config", str(cfg)])
+    assert configured != plain
+    assert run_to_file(tmp_path, "again.json", argv) == plain
+
+
+# -- file-system and input errors --------------------------------------------------
+
+def test_missing_u_csv_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    assert main(["critical", "--u-csv", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("depthrec: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+def test_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main(["maximal", "--config", str(missing), "--u", "1",
+                 "--domain", "0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("depthrec: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "v.json"
+    assert main(["validate", "--u", "1", "--domain", "0", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("depthrec: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_malformed_number_in_u_csv_exits_1(tmp_path, capsys):
+    ucsv = tmp_path / "u.csv"
+    ucsv.write_text("theta,u\n0.1,1.0\n0.2,abc\n0.3,1.0\n0.4,1.0\n")
+    assert main(["critical", "--u-csv", str(ucsv)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"depthrec: bad number 'abc' in {ucsv}, line 3\n"

@@ -1,6 +1,7 @@
 """Squared-speed profiles: evaluation, jets, forward model, validation."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -219,6 +220,27 @@ def test_order0_spline_kernel_is_bit_identical(seed, n):
     for th in map(float, points):
         got = u._raw_value(th)
         assert got.hex() == u._spline_at(th, 0).hex() == float(spline(th)).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
+def test_spline_pieces_equal_elementwise_build(seed, n):
+    # the flat piece table filled from raw bytes against the element-by-element
+    # array("d", ndarray) build it replaced
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
+    v = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4)
+    u = SampledModulus(t, v)
+    want = array("d", CubicSpline(t, v).c[::-1].T.ravel())
+    assert u._pieces.typecode == "d"
+    assert u._pieces.tobytes() == want.tobytes()
+
+
+def test_sampled_values_near_float_limit_raise_domain_error():
+    # scipy rejects the overflowing slopes with a bare ValueError
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="no finite cubic spline"):
+            SampledModulus([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 1.7976931348623157e308])
 
 
 def test_value_errors_keep_their_text():
