@@ -38,8 +38,7 @@ from scipy.interpolate import CubicHermiteSpline
 from .errors import DepthRecError, NoContinuation, NotRegular, StepFailure
 from .modulus import ModulusModel
 from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, eval_series, expand_branch,
-    second_derivative_roots,
+    BranchStatus, CriticalIC, TaylorBranch, branches_at, eval_series, polish_critical,
 )
 
 __all__ = [
@@ -416,36 +415,23 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
                   lo: float, hi: float) -> tuple[float, float] | None:
     """Exact bound node for a tangential contact detected at ``tau``.
 
-    Prefers the nearby root of U' (Newton with the order-2 jet); on
-    autonomous stretches extrapolates the touch point from the residual
-    slope of the local cosine-type trajectory.  Returns None for
-    transversal contacts, which have no critical point to land on.
+    Prefers the nearby root of U' (:func:`polish_critical`); on autonomous
+    stretches extrapolates the touch point from the residual slope of the
+    local cosine-type trajectory.  Returns None for transversal contacts,
+    which have no critical point to land on.
     """
     try:
-        dtau = u.derivative(tau)
-        scale_d = 1.0 + u.scale
-        if abs(dtau) <= 1e-9 * scale_d:
+        if abs(u.derivative(tau)) <= 1e-9 * (1.0 + u.scale):
             # flat profile: rho = sqrt(U) cos(offset), slope determines offset
             bound = math.sqrt(max(u.value(tau), 0.0))
             if bound <= 0.0:
                 return None
             offset = math.asin(min(1.0, abs(f_tau) / bound))
             theta_c = min(max(tau + tdir * offset, lo), hi)
-            return theta_c, math.sqrt(max(u.value(theta_c), 0.0))
-        theta_c = tau
-        for _ in range(8):
-            jet2 = u.jet(theta_c, 2)
-            if abs(jet2[2]) < 1e-9 * u.scale:
+        else:
+            theta_c = polish_critical(u, tau, 0.05 * max(1.0, hi - lo))
+            if theta_c is None:
                 return None
-            step = jet2[1] / jet2[2]
-            theta_c -= step
-            if abs(theta_c - tau) > 0.05 * max(1.0, hi - lo):
-                return None
-            if abs(step) < 1e-15:
-                break
-        if abs(u.derivative(theta_c)) > 1e-8 * scale_d:
-            return None
-        theta_c = min(max(theta_c, lo), hi)
         return theta_c, math.sqrt(max(u.value(theta_c), 0.0))
     except DepthRecError:  # U or its jet failed near the contact: keep tau
         return None
@@ -455,50 +441,30 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
                     tdir: float, t_end: float, opts: IntegrationOptions):
     """Finish a tangential approach with the local analytic series.
 
-    Locates the critical point the trajectory is converging to (Newton on
-    U'), expands both branches there, and if the current state sits on one
-    of them (within ``handoff_match_tol``, and unambiguously so), returns
-    replacement nodes from ``t`` to the exact contact.  Returns None when
-    no unambiguous branch match exists (autonomous stretches, cone-interior
-    trajectories, genuine pass-unders).
+    Locates the critical point the trajectory is converging to
+    (:func:`polish_critical`), expands both branches there, and if the
+    current state sits on one of them (within ``handoff_match_tol``, and
+    unambiguously so), returns replacement nodes from ``t`` to the exact
+    contact.  Returns None when no unambiguous branch match exists (flat
+    curvature, autonomous stretches, cone-interior trajectories, genuine
+    pass-unders).
     """
-    lo, hi = u.domain
-    theta_c = t
+    theta_c = polish_critical(u, t, 2 * opts.series_radius)
+    if theta_c is None or tdir * (theta_c - t) < 0.0:
+        return None  # no critical point ahead in the direction of travel
     try:
-        for _ in range(8):
-            jet2 = u.jet(theta_c, 2)
-            if abs(jet2[2]) < 1e-9 * u.scale:
-                return None  # flat or inflection-like curvature: leave it to events
-            step = jet2[1] / jet2[2]
-            theta_c -= step
-            if not (lo - 1e-12 <= theta_c <= hi + 1e-12) or abs(theta_c - t) > 2 * opts.series_radius:
-                return None
-            if abs(step) < 1e-14:
-                break
-        if abs(u.derivative(theta_c)) > 1e-8 * u.scale:
-            return None
-        theta_c = min(max(theta_c, lo), hi)
-        if tdir * (theta_c - t) < 0.0:
-            return None  # the critical point is behind the direction of travel
         ic = CriticalIC.from_modulus(u, theta_c, order=opts.taylor_order)
-        b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
+        branches = branches_at(ic, opts.taylor_order)
     except DepthRecError:  # no usable critical IC here: leave it to the events
         return None
 
     side_app = +1 if t > theta_c else (-1 if t < theta_c else int(-tdir))
-    order = min(opts.taylor_order, ic.u_jet.order)
-    candidates = []
-    for beta in {b1, b2}:
-        branch = expand_branch(ic, beta, order=order)
-        if branch.status is not BranchStatus.COMPLETE:
-            continue
-        if _half_branch_sign(branch, side_app) != ode_sign:
-            continue
-        val, _ = eval_series(branch, t)
-        candidates.append((abs(val - y), branch))
+    candidates = sorted(((abs(eval_series(b, t)[0] - y), b) for b in branches
+                         if b.status is BranchStatus.COMPLETE
+                         and _half_branch_sign(b, side_app) == ode_sign),
+                        key=lambda c: c[0])
     if not candidates:
         return None
-    candidates.sort(key=lambda c: c[0])
     dist, branch = candidates[0]
     if dist > opts.handoff_match_tol * (1.0 + ic.rho0):
         return None
@@ -506,17 +472,11 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
         return None  # too close to call between branches
 
     n_nodes = max(6, int(math.ceil(abs(theta_c - t) / math.sqrt(8.0 * opts.interp_tol))))
-    taus = np.linspace(t, theta_c, n_nodes + 1)[1:]
-    snap_ts: list[float] = []
-    snap_ys: list[float] = []
-    snap_fs: list[float] = []
-    for tau in taus:
-        val, dval = eval_series(branch, float(tau))
-        snap_ts.append(float(tau))
-        snap_ys.append(val)
-        snap_fs.append(dval)
-    snap_ys[-1] = ic.rho0
-    snap_fs[-1] = 0.0
+    snap_ts = np.linspace(t, theta_c, n_nodes + 1)[1:].tolist()
+    series = [eval_series(branch, tau) for tau in snap_ts[:-1]]
+    # the last node is the contact itself: on the bound, with zero slope
+    snap_ys = [val for val, _ in series] + [ic.rho0]
+    snap_fs = [dval for _, dval in series] + [0.0]
     return snap_ts, snap_ys, snap_fs, theta_c
 
 
@@ -567,22 +527,6 @@ def residual(piece: SolutionPiece, u: ModulusModel) -> float:
 # ---------------------------------------------------------------------------
 # Continuation through critical contacts
 # ---------------------------------------------------------------------------
-
-def _local_critical_ic(u: ModulusModel, theta_c: float,
-                       opts: IntegrationOptions) -> CriticalIC:
-    """Critical IC at (or polished near) a contact angle."""
-    lo, hi = u.domain
-    # polish against U' if a bracket exists; contacts land on critical points
-    delta = min(1e-3 * (hi - lo), 1e-2)
-    a = max(lo, theta_c - delta)
-    b = min(hi, theta_c + delta)
-    da, db = u.derivative(a), u.derivative(b)
-    theta = theta_c
-    if da * db < 0.0:
-        from scipy.optimize import brentq
-        theta = float(brentq(u.derivative, a, b, xtol=1e-14))
-    return CriticalIC.from_modulus(u, theta, order=opts.taylor_order)
-
 
 def _half_branch_sign(branch: TaylorBranch, side: int) -> int:
     """Monotonicity sign of a branch half (side=+1 ahead, -1 behind).
@@ -740,29 +684,19 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
                          direction=direction, dense_contact=True)
 
 
-def continuation_candidates(u: ModulusModel, theta_c: float, side: int,
+def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
                             opts: IntegrationOptions | None = None) -> list[tuple[int, TaylorBranch]]:
-    """All (walk sign, branch) pairs that can continue past a contact.
+    """All (walk sign, branch) pairs that can leave a critical IC on ``side``.
 
-    Each curvature root contributes the monotone half matching ``side``;
-    a constant branch contributes the bound-following continuation with
-    the conventional +1 sign.
+    The non-degenerate branches of :func:`branches_at`, smaller curvature
+    root first: each contributes the monotone half matching ``side``, a
+    constant branch the bound-following continuation with the conventional
+    +1 sign.
     """
     opts = opts or IntegrationOptions()
-    ic = _local_critical_ic(u, theta_c, opts)
-    order = min(opts.taylor_order, ic.u_jet.order)  # sampled profiles stop at 2
-    b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
-    betas = [b1] if abs(b2 - b1) <= 1e-12 * (1.0 + ic.rho0) else [b1, b2]
-    out: list[tuple[int, TaylorBranch]] = []
-    for beta in betas:
-        branch = expand_branch(ic, beta, order=order)
-        if branch.status is BranchStatus.DEGENERATE:
-            continue
-        if branch.status is BranchStatus.CONSTANT_CIRCLE:
-            out.append((+1, branch))
-            continue
-        out.append((_half_branch_sign(branch, side) * side, branch))
-    return out
+    return [(+1 if b.status is BranchStatus.CONSTANT_CIRCLE else _half_branch_sign(b, side) * side, b)
+            for b in branches_at(ic, opts.taylor_order)
+            if b.status is not BranchStatus.DEGENERATE]
 
 
 def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
@@ -770,22 +704,22 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
                               opts: IntegrationOptions | None = None) -> SolutionPiece:
     """Continue a contact-terminated trajectory past the critical point.
 
-    The continuation starts exactly on the bound with zero slope and picks,
-    among the analytic halves whose monotonicity matches ``choice``, the one
-    with the larger curvature root (the pointwise-dominant one).  Raises
-    :class:`NoContinuation` when no half matches.
+    The continuation starts exactly on the bound with zero slope, at the
+    contact angle polished by :func:`polish_critical` where that finds a
+    root.  Among the analytic halves whose monotonicity matches ``choice``
+    it picks the one with the larger curvature root (the pointwise-dominant
+    one).  Raises :class:`NoContinuation` when no half matches.
     """
     opts = opts or IntegrationOptions()
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
     side = +1 if piece.direction == "forward" else -1
     theta_c = piece.termination.theta
-    candidates = continuation_candidates(u, theta_c, side, opts)
-    matching = [(s, b) for s, b in candidates if s == choice]
+    lo, hi = u.domain
+    theta = polish_critical(u, theta_c, min(1e-3 * (hi - lo), 1e-2))
+    ic = CriticalIC.from_modulus(u, theta_c if theta is None else theta, order=opts.taylor_order)
+    matching = [b for s, b in continuation_candidates(u, ic, side, opts) if s == choice]
     if not matching:
         raise NoContinuation(
             f"no admissible continuation with sign {choice:+d} at theta={theta_c}")
-    _, branch = max(matching, key=lambda sb: sb[1].beta)
-    if branch.status is BranchStatus.CONSTANT_CIRCLE:
-        return bound_following_piece(u, branch.ic.theta0, side, opts)
-    return branch_to_piece(u, branch, side, opts)
+    return branch_to_piece(u, max(matching, key=lambda b: b.beta), side, opts)

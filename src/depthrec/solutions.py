@@ -29,7 +29,7 @@ from .ivp import (
     continue_through_critical, solve_regular, _clip_piece, _half_branch_sign,
 )
 from .modulus import ModulusModel
-from .taylor import BranchStatus, CriticalIC, TaylorBranch
+from .taylor import BranchStatus, CriticalIC, TaylorBranch, eval_series, polish_critical
 
 __all__ = [
     "JunctionKind", "Junction", "PiecewiseSolution", "ConvergenceCone",
@@ -189,13 +189,6 @@ def c1_check(sol: PiecewiseSolution, tol: float = 1e-8) -> C1Report:
 # Enumeration from an initial condition
 # ---------------------------------------------------------------------------
 
-def _materialize(u: ModulusModel, branch: TaylorBranch, side: int,
-                 opts: IntegrationOptions) -> SolutionPiece:
-    if branch.status is BranchStatus.CONSTANT_CIRCLE:
-        return bound_following_piece(u, branch.ic.theta0, side, opts)
-    return branch_to_piece(u, branch, side, opts)
-
-
 def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
             opts: IntegrationOptions) -> list[tuple[list[SolutionPiece], int]]:
     """All continuation paths from a piece, annotated with switches used."""
@@ -207,19 +200,28 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     if room <= 1e-12:
         return [([piece], 0)]
     try:
-        candidates = continuation_candidates(u, theta_c, side, opts)
+        # the contact angle polished to the nearby root of U', if there is one
+        theta = polish_critical(u, theta_c, min(1e-3 * (hi - lo), 1e-2))
+        ic = CriticalIC.from_modulus(u, theta_c if theta is None else theta,
+                                     order=opts.taylor_order)
+        candidates = continuation_candidates(u, ic, side, opts)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
+    paths = [([piece] + rest, used + 1)
+             for rest, used in _branch_paths(u, candidates, side, budget - 1, opts)]
+    return paths or [([piece], 0)]
+
+
+def _branch_paths(u: ModulusModel, candidates: list[tuple[int, TaylorBranch]], side: int,
+                  budget: int, opts: IntegrationOptions) -> list[tuple[list[SolutionPiece], int]]:
+    """The continuation paths of every candidate branch's piece on ``side``."""
     paths: list[tuple[list[SolutionPiece], int]] = []
     for _walk_sign, branch in candidates:
         try:
-            cont = _materialize(u, branch, side, opts)
-        except (NoContinuation, NotRegular, NoSolution):
+            piece = branch_to_piece(u, branch, side, opts)
+        except (NoContinuation, NotRegular):
             continue
-        for rest, used in _extend(u, cont, side, budget - 1, opts):
-            paths.append(([piece] + rest, used + 1))
-    if not paths:
-        paths.append(([piece], 0))
+        paths.extend(_extend(u, piece, side, budget, opts))
     return paths
 
 
@@ -305,14 +307,8 @@ def _enumerate_from_critical(u: ModulusModel, ic: CriticalIC, max_switches: int,
         edge = lo if side < 0 else hi
         if abs(ic.theta0 - edge) <= 1e-12:
             return [([], 0)]
-        paths: list[tuple[list[SolutionPiece], int]] = []
-        for _s, branch in continuation_candidates(u, ic.theta0, side, opts):
-            try:
-                piece = _materialize(u, branch, side, opts)
-            except (NoContinuation, NotRegular):
-                continue
-            paths.extend(_extend(u, piece, side, max_switches, opts))
-        return paths or [([], 0)]
+        candidates = continuation_candidates(u, ic, side, opts)
+        return _branch_paths(u, candidates, side, max_switches, opts) or [([], 0)]
 
     for lpieces, lused in side_paths(-1):
         for rpieces, rused in side_paths(+1):
@@ -339,16 +335,28 @@ def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoi
     raise NoSolution("neither endpoint is minimum-type; the chain is ambiguous here")
 
 
+def _critical_ic(u: ModulusModel, cp: CriticalPoint, opts: IntegrationOptions,
+                 ics: dict[float, CriticalIC]) -> CriticalIC:
+    """The IC at a critical point's (already polished) angle, built once per ``ics``."""
+    ic = ics.get(cp.theta)
+    if ic is None:
+        ic = ics[cp.theta] = CriticalIC.from_modulus(u, cp.theta, order=opts.taylor_order)
+    return ic
+
+
 def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
                                 right: CriticalPoint,
                                 opts: IntegrationOptions | None = None,
-                                tol_bvp: float = 1e-8) -> SolutionPiece:
+                                tol_bvp: float = 1e-8,
+                                ics: dict[float, CriticalIC] | None = None) -> SolutionPiece:
     """The unique trajectory joining two consecutive critical points.
 
     Launched as the analytic branch at the minimum-type endpoint and
     integrated toward the other; the far end must land on the bound within
     ``tol_bvp`` (then it is snapped exactly), with a small shooting search
-    on the handoff depth as a robustness net.
+    on the handoff depth as a robustness net.  The launch IC is built once,
+    at the critical point's angle, without polishing it again; ``ics``
+    (critical angle to IC) lets a caller chaining intervals share it.
     """
     opts = opts or IntegrationOptions()
     if not left.theta < right.theta:
@@ -358,15 +366,13 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     flat = all(abs(u.value(th) - left.depth ** 2) <= 1e-9 * u.scale
                for th in np.linspace(left.theta, right.theta, 17))
     if flat:
-        piece = bound_following_piece(u, left.theta, +1, opts, stop_theta=right.theta)
-        return piece
+        return bound_following_piece(u, left.theta, +1, opts, stop_theta=right.theta)
 
     launch, target, side = _pick_launch(left, right)
     ode_needed = int(math.copysign(1.0, (target.depth - launch.depth) * side))
-    candidates = continuation_candidates(u, launch.theta, side, opts)
-    matches = [b for s, b in candidates
-               if b.status is BranchStatus.COMPLETE
-               and _half_branch_sign(b, side) == ode_needed]
+    ic = _critical_ic(u, launch, opts, {} if ics is None else ics)
+    matches = [b for s, b in continuation_candidates(u, ic, side, opts)
+               if b.status is BranchStatus.COMPLETE and s == ode_needed * side]
     if not matches:
         raise NoSolution(
             f"no branch leaves ({launch.theta}, {launch.depth}) toward the target")
@@ -406,8 +412,6 @@ def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> Solutio
 def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoint,
            opts: IntegrationOptions, tol_bvp: float) -> SolutionPiece | None:
     """Bisection on the handoff depth to hit the far critical point."""
-    from .taylor import eval_series
-
     theta_c = branch.ic.theta0
     r = min(opts.series_radius, abs(target.theta - theta_c) / 4)
     theta_h = theta_c + side * r
@@ -475,8 +479,10 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     Touches the bound at every critical point: chained from the unique
     two-point trajectories between consecutive critical points, extended
     over the outer intervals by the pointwise-dominant analytic branch
-    leaving the outermost critical points.  On a fully autonomous profile
-    the bound itself solves the equation and is returned directly.
+    leaving the outermost critical points.  Each launch IC is built once,
+    at the critical point's angle, and shared by every piece leaving that
+    point.  On a fully autonomous profile the bound itself solves the
+    equation and is returned directly.
     """
     opts = opts or IntegrationOptions()
     cs = critical_set if critical_set is not None else find_critical_points(u)
@@ -486,25 +492,25 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
         if cs.dense and cs.dense_intervals and (
                 abs(cs.dense_intervals[0][0] - lo) < 1e-6
                 and abs(cs.dense_intervals[-1][1] - hi) < 1e-6):
-            piece = bound_following_piece(u, lo, +1, opts)
-            return stitch([piece])
+            return stitch([bound_following_piece(u, lo, +1, opts)])
         raise NoCriticalPoints(
             "the profile has no critical points; the depth supremum is not attained")
 
     pieces: list[SolutionPiece] = []
     pts = cs.points
+    ics: dict[float, CriticalIC] = {}  # an interior minimum launches both its intervals
     for a, b in zip(pts, pts[1:]):
-        pieces.append(solve_bvp_between_criticals(u, a, b, opts, tol_bvp))
+        pieces.append(solve_bvp_between_criticals(u, a, b, opts, tol_bvp, ics))
 
     if pts[0].theta > lo + 1e-9:
-        pieces.insert(0, _dominant_extension(u, pts[0], -1, opts))
+        pieces.insert(0, _dominant_extension(u, _critical_ic(u, pts[0], opts, ics), -1, opts))
     if pts[-1].theta < hi - 1e-9:
-        pieces.append(_dominant_extension(u, pts[-1], +1, opts))
+        pieces.append(_dominant_extension(u, _critical_ic(u, pts[-1], opts, ics), +1, opts))
 
     return stitch(pieces)
 
 
-def _dominant_extension(u: ModulusModel, cp: CriticalPoint, side: int,
+def _dominant_extension(u: ModulusModel, ic: CriticalIC, side: int,
                         opts: IntegrationOptions) -> SolutionPiece:
     """The pointwise-largest branch leaving the outermost critical point.
 
@@ -512,11 +518,11 @@ def _dominant_extension(u: ModulusModel, cp: CriticalPoint, side: int,
     same-family trajectories cannot cross, so the larger curvature root
     dominates globally on the outer interval.
     """
-    candidates = continuation_candidates(u, cp.theta, side, opts)
+    candidates = continuation_candidates(u, ic, side, opts)
     if not candidates:
-        raise NoSolution(f"no branch leaves the outer critical point at {cp.theta}")
+        raise NoSolution(f"no branch leaves the outer critical point at {ic.theta0}")
     branch = max((b for _s, b in candidates), key=lambda b: b.beta)
-    return _materialize(u, branch, side, opts)
+    return branch_to_piece(u, branch, side, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -554,31 +560,26 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
     """
     opts = opts or IntegrationOptions()
     if isinstance(apex, CriticalIC):
-        theta_c, depth = apex.theta0, apex.rho0
+        ic, theta_c, depth = apex, apex.theta0, apex.rho0
     else:
+        ic = CriticalIC.from_modulus(u, apex.theta, order=opts.taylor_order)
         theta_c, depth = apex.theta, apex.depth
     lo, hi = u.domain
     if side is None:
         side = -1 if abs(theta_c - hi) < 1e-9 else +1
 
-    from .taylor import second_derivative_roots
-    ic = CriticalIC.from_modulus(u, theta_c, order=opts.taylor_order)
-    b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
-    tol = 1e-9 * (1.0 + ic.rho0)
-    if b2 > tol:
+    candidates = continuation_candidates(u, ic, side, opts)
+    # a positive root is never degenerate, so the filtered set still shows it
+    betas = [b.beta for _s, b in candidates]
+    if max(betas, default=0.0) > 1e-9 * (1.0 + ic.rho0):
         raise NotConeApex(
-            f"curvature roots ({b1:.4g}, {b2:.4g}) are not both nonpositive; "
-            "this is a minimum-type point with a unique touching solution")
+            f"curvature roots ({', '.join(f'{b:.4g}' for b in betas)}) are not both "
+            "nonpositive; this is a minimum-type point with a unique touching solution")
 
-    candidates = continuation_candidates(u, theta_c, side, opts)
-    grown: list[tuple[float, PiecewiseSolution]] = []
-    for _s, branch in candidates:
-        piece = _materialize(u, branch, side, opts)
-        grown.append((branch.beta, stitch([piece])))
-    if len(grown) < 2:
+    if len(candidates) < 2:
         raise NotConeApex("the apex does not carry two distinct branches")
-    grown.sort(key=lambda g: g[0])
-    lower, upper = grown[0][1], grown[-1][1]
+    # smaller curvature root first: the larger one grows the upper bound
+    lower, upper = (stitch([branch_to_piece(u, b, side, opts)]) for _s, b in candidates)
     end = upper.theta_end if side > 0 else upper.theta_start
     other_end = lower.theta_end if side > 0 else lower.theta_start
     reach = min(end, other_end) if side > 0 else max(end, other_end)

@@ -18,6 +18,10 @@ which vanishes exactly when rho2 = -rho0/n for an integer n >= 3; those are
 the degenerate cases where the recursion stalls and a one-parameter family
 of jets appears.
 
+Every critical point is polished near a guess by :func:`polish_critical`
+and every branch set is built by :func:`branches_at`; the integrator and
+the global assembly call these two and nothing else for that.
+
 Derivative-vector convention: ``derivs[k]`` is the k-th derivative value,
 not the monomial coefficient; the series coefficient is ``derivs[k]/k!``.
 
@@ -40,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
-    ComplexDiscriminant, DegenerateFamily, DomainError, OutsideRadiusWarning,
+    ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError, OutsideRadiusWarning,
 )
 from .modulus import Jet, ModulusModel
 from .series import factorials
@@ -49,7 +53,7 @@ __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "LeibnizTerms", "BetaSignClass",
     "SafeRegionKind", "SafeRegionResult", "second_derivative_roots", "beta_sign_class",
     "leibniz_terms", "expand_branch", "check_safe_region", "eval_series",
-    "estimate_radius", "recursion_residuals", "branches_at",
+    "estimate_radius", "recursion_residuals", "branches_at", "polish_critical",
 ]
 
 DEFAULT_ORDER = 20
@@ -369,9 +373,40 @@ def recursion_residuals(branch: TaylorBranch, scaled: bool = True) -> np.ndarray
     return out
 
 
+def polish_critical(u: ModulusModel, theta: float, window: float) -> float | None:
+    """The root of U' near ``theta``, clamped to the domain: at most 8 Newton
+    steps on the order-2 jet, until a step is below 1e-15.
+
+    None when the curvature is flat (|U''| < 1e-9*scale), an iterate strays
+    more than ``window`` from ``theta``, U' is not small at the end, or the
+    profile raises a :class:`DepthRecError`.
+    """
+    theta_c = theta
+    try:
+        for _ in range(8):
+            jet2 = u.jet(theta_c, 2)
+            if abs(jet2[2]) < 1e-9 * u.scale:
+                return None
+            step = jet2[1] / jet2[2]
+            theta_c -= step
+            if abs(theta_c - theta) > window:
+                return None
+            if abs(step) < 1e-15:
+                break
+        if abs(u.derivative(theta_c)) > 1e-8 * (1.0 + u.scale):
+            return None
+    except DepthRecError:  # U or its jet failed near the guess
+        return None
+    lo, hi = u.domain
+    return min(max(theta_c, lo), hi)
+
+
 def branches_at(ic: CriticalIC, order: int = DEFAULT_ORDER,
                 tol_deg: float | None = None) -> list[TaylorBranch]:
-    """All analytic branches through a critical IC (two, or one double root)."""
+    """All analytic branches through a critical IC (two, or one at a double
+    root), smaller curvature root first, expanded to ``order`` or to the IC's
+    jet order if that is lower (a sampled profile's jet stops at 2)."""
     b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
     betas = [b1] if abs(b2 - b1) <= 1e-12 * (1.0 + ic.rho0) else [b1, b2]
+    order = min(order, ic.u_jet.order)
     return [expand_branch(ic, b, order, tol_deg) for b in betas]

@@ -246,6 +246,20 @@ def test_cone_sample_does_not_carry_over(tmp_path):
     assert json.loads(second.read_text())["solutions"] == []
 
 
+def test_branch_on_sampled_profile_at_default_order(tmp_path):
+    # a spline jet stops at order 2, so the branches stop there too
+    ucsv = _sampled_profile(tmp_path)
+    out = tmp_path / "branch.json"
+    assert main(["branch", "--u-csv", ucsv, "--theta0", "0.5353981729511362",
+                 "--out", str(out)]) == 0
+    branches = json.loads(out.read_text())["branches"]
+    assert [b["status"] for b in branches] == ["complete", "complete"]
+    assert all(len(b["derivatives"]) == 3 for b in branches)
+    # a maximum: both curvature roots negative, summing to -rho0
+    assert all(b["beta"] < 0.0 for b in branches)
+    assert sum(b["beta"] for b in branches) == pytest.approx(-branches[0]["rho0"], abs=1e-12)
+
+
 def test_usage_error_then_valid_call_matches_fresh_process(tmp_path, capsys):
     argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5",
             "--max-switches", "1"]

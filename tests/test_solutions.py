@@ -210,6 +210,16 @@ def test_maximal_requires_criticals():
         maximal_solution(u)
 
 
+def test_maximal_pieces_abut_exactly_at_critical_points():
+    # each piece leaves a critical point at the angle its neighbour is
+    # snapped to, so interior junctions have no gap at all
+    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", (0.2, 2.9))
+    sol = maximal_solution(u)
+    assert len(sol.pieces) >= 3
+    for left, right in zip(sol.pieces, sol.pieces[1:]):
+        assert left.theta_end == right.theta_start
+
+
 def test_maximal_upper_bound_everywhere():
     for u in (UNIT, PARABOLA, LINE, THREE_BUMP):
         sol = maximal_solution(u)

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthrec.criticals import find_critical_points
-from depthrec.errors import ComplexDiscriminant, DegenerateFamily, OutsideRadiusWarning
+from depthrec.errors import (
+    ComplexDiscriminant, DegenerateFamily, InvalidModulus, OutsideRadiusWarning,
+)
 from depthrec.modulus import ClosedFormModulus, Jet, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.taylor import (
     BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind, TaylorBranch,
     beta_sign_class, branches_at, check_safe_region, estimate_radius,
-    eval_series, expand_branch, leibniz_terms, recursion_residuals,
+    eval_series, expand_branch, leibniz_terms, polish_critical, recursion_residuals,
     second_derivative_roots,
 )
 from test_series import coefficient_bits
@@ -440,3 +442,39 @@ def test_eval_series_outside_radius_warns_as_oracle():
             record = eval_record(eval_series, branch, ic.theta0 + h)
             assert record == eval_record(oracle_eval_series, branch, ic.theta0 + h)
             assert len(record[2]) == (abs(h) > r)
+
+
+# -- critical-point polish ----------------------------------------------------
+
+# U' = 0.6 cos(2 theta): one root, at pi/4, in the domain
+TILT = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
+
+
+def test_polish_lands_on_profile_root():
+    theta = polish_critical(TILT, 0.7, 0.1)
+    assert theta == pytest.approx(math.pi / 4, abs=1e-15)
+    assert abs(TILT.derivative(theta)) <= 1e-15
+
+
+def test_polish_rejects_flat_curvature():
+    assert polish_critical(ClosedFormModulus("1", (0.0, 1.0)), 0.5, 0.1) is None
+
+
+def test_polish_rejects_root_outside_window():
+    assert polish_critical(TILT, 0.5, 0.1) is None
+    assert polish_critical(TILT, 0.5, 0.5) == pytest.approx(math.pi / 4, abs=1e-15)
+
+
+def test_polish_maps_profile_errors_to_none_and_propagates_others(monkeypatch):
+    u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
+
+    def raising(error):
+        def jet(theta, order):
+            raise error
+        return jet
+
+    monkeypatch.setattr(u, "jet", raising(InvalidModulus("profile is negative")))
+    assert polish_critical(u, 0.7, 0.1) is None
+    monkeypatch.setattr(u, "jet", raising(RuntimeError("jet bug")))
+    with pytest.raises(RuntimeError, match="jet bug"):
+        polish_critical(u, 0.7, 0.1)
