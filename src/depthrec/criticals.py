@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DepthRecError, InvalidModulus
+from .errors import DepthRecError, DomainError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
 __all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
@@ -68,8 +68,8 @@ def maximal_depth(u: ModulusModel, theta: float) -> float:
     return math.sqrt(u.value(theta))
 
 
-def _classify(u: ModulusModel, theta: float, tol_class: float) -> CriticalKind:
-    j = u.jet(theta, 2)
+def _classify(u: ModulusModel, theta: float, j: Jet, tol_class: float) -> CriticalKind:
+    """The kind of the critical point at ``theta``, whose order-2 jet is ``j``."""
     if j[2] > tol_class:
         return CriticalKind.MINIMUM
     if j[2] < -tol_class:
@@ -159,7 +159,12 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
             roots.append(float(thetas[(start + end) // 2]))
 
     # touch roots: local minima of |U'| that polish to a zero of U''
-    second = lambda th: u.jet(th, 2)[2]
+    def second(th: float) -> float:
+        d2 = u.second_derivative(th)
+        if not math.isfinite(d2):
+            raise DomainError(f"U'' is not finite at theta={th}: {d2}")
+        return d2
+
     for i in touches:
         a, b = float(thetas[i - 1]), float(thetas[i + 1])
         try:
@@ -167,7 +172,7 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
                 cand = float(brentq(second, a, b, xtol=tol))
             else:
                 cand = float(thetas[i])
-        except (DepthRecError, RuntimeError):  # no usable jet, or brentq did not converge
+        except (DepthRecError, RuntimeError):  # no usable U'', or brentq did not converge
             continue
         if abs(u.derivative(cand)) <= tol_accept:
             roots.append(cand)
@@ -195,8 +200,8 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
         if uval <= 1e-14 * u.scale:
             rejected.append((th, "profile vanishes here; no positive depth exists"))
             continue
-        kind = _classify(u, th, tol_class)
         jet = u.jet(th, 2)
+        kind = _classify(u, th, jet, tol_class)
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
         points.append(CriticalPoint(th, math.sqrt(uval), kind, jet, is_boundary))
 

@@ -247,6 +247,9 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
     handoff_theta_tried = math.nan
+    # polished angle -> (critical IC, its branches), or None where they could
+    # not be built: successive handoff attempts mostly polish to one angle
+    handoff_ics: dict[float, tuple[CriticalIC, list[TaylorBranch]] | None] | None = None
 
     if abs(t_end - t) < 1e-15 * max(1.0, span):
         termination = Termination(TerminationKind.DOMAIN_END, t)
@@ -385,7 +388,9 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         if (g_new <= opts.handoff_factor * (1.0 + abs(u_new))
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
+            if handoff_ics is None:
+                handoff_ics = {}
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts, handoff_ics)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
                 _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
@@ -438,7 +443,8 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
 
 
 def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
-                    tdir: float, t_end: float, opts: IntegrationOptions):
+                    tdir: float, t_end: float, opts: IntegrationOptions,
+                    ics: dict[float, tuple[CriticalIC, list[TaylorBranch]] | None]):
     """Finish a tangential approach with the local analytic series.
 
     Locates the critical point the trajectory is converging to
@@ -447,16 +453,24 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
     unambiguously so), returns replacement nodes from ``t`` to the exact
     contact.  Returns None when no unambiguous branch match exists (flat
     curvature, autonomous stretches, cone-interior trajectories, genuine
-    pass-unders).
+    pass-unders).  ``ics`` maps each polished angle already tried to its IC
+    and branches (None where they could not be built); new ones are added.
     """
     theta_c = polish_critical(u, t, 2 * opts.series_radius)
     if theta_c is None or tdir * (theta_c - t) < 0.0:
         return None  # no critical point ahead in the direction of travel
-    try:
-        ic = CriticalIC.from_modulus(u, theta_c, order=opts.taylor_order)
-        branches = branches_at(ic, opts.taylor_order)
-    except DepthRecError:  # no usable critical IC here: leave it to the events
-        return None
+    if theta_c in ics:
+        built = ics[theta_c]
+    else:
+        try:
+            ic = CriticalIC.from_modulus(u, theta_c, order=opts.taylor_order)
+            built = ic, branches_at(ic, opts.taylor_order)
+        except DepthRecError:  # no usable critical IC here
+            built = None
+        ics[theta_c] = built
+    if built is None:
+        return None  # leave it to the events
+    ic, branches = built
 
     side_app = +1 if t > theta_c else (-1 if t < theta_c else int(-tdir))
     candidates = sorted(((abs(eval_series(b, t)[0] - y), b) for b in branches

@@ -7,16 +7,19 @@ derivatives of any order through truncated power-series arithmetic; a
 two exact derivative orders.  Values within roundoff of zero are clamped to
 zero; anything more negative raises :class:`InvalidModulus`.
 
-Every layer above reads U and U' many times, so both representations
-evaluate them without per-call overhead.  A closed form evaluates U and U'
-with generated kernels (:class:`~depthrec.expressions.ExpressionKernel`),
-U' compiled on first use, and scans U' over a whole grid with the numpy
-binding of the same kernel.  A sampled profile evaluates its spline with a
-scalar kernel on the spline's breakpoints and coefficients: ``bisect``
-finds the piece (half-open ``[x_i, x_{i+1})``, the last one closed, angles
-in the domain slack clamped to the end pieces) and the terms are summed in
-scipy's order, so every value equals ``CubicSpline.__call__``'s bit for bit;
-U itself, the value every integrator stage reads, has that kernel written out.
+Every layer above reads U and U' many times, and the critical-point polish
+reads U' and U'', so both representations evaluate them without per-call
+overhead.  A closed form evaluates U, U' and U'' with generated kernels
+(:class:`~depthrec.expressions.ExpressionKernel`), each compiled on first
+use; U'' is also differentiated only when first asked for, so building a
+profile costs no second symbolic differentiation.  It scans U' over a whole
+grid with the numpy binding of the same kernel.  A sampled profile
+evaluates its spline with a scalar kernel on the spline's breakpoints and
+coefficients: ``bisect`` finds the piece (half-open ``[x_i, x_{i+1})``, the
+last one closed, angles in the domain slack clamped to the end pieces) and
+the terms are summed in scipy's order, so every value equals
+``CubicSpline.__call__``'s bit for bit; U itself, the value every
+integrator stage reads, has that kernel written out.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -95,6 +99,13 @@ class ModulusModel:
         self._check_domain(theta)
         return self._raw_derivative(theta)
 
+    def second_derivative(self, theta: float) -> float:
+        """U''(theta); like :meth:`derivative`, unclamped and unchecked for
+        finiteness.  Equals ``jet(theta, 2)[2]`` up to roundoff (exactly, for
+        sampled profiles)."""
+        self._check_domain(theta)
+        return self._raw_second_derivative(theta)
+
     def derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
         """U' at every angle of a 1-d float array inside the domain.
 
@@ -128,6 +139,9 @@ class ModulusModel:
         raise NotImplementedError
 
     def _raw_derivative(self, theta: float) -> float:
+        raise NotImplementedError
+
+    def _raw_second_derivative(self, theta: float) -> float:
         raise NotImplementedError
 
     def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
@@ -170,6 +184,13 @@ class ClosedFormModulus(ModulusModel):
 
     def _raw_derivative(self, theta: float) -> float:
         return self._du.scalar(theta)
+
+    @cached_property
+    def _ddu(self) -> ExpressionKernel:
+        return ExpressionKernel(differentiate(self._du.node))
+
+    def _raw_second_derivative(self, theta: float) -> float:
+        return self._ddu.scalar(theta)
 
     def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
         return self._du.grid(thetas)
@@ -255,6 +276,9 @@ class SampledModulus(ModulusModel):
 
     def _raw_derivative(self, theta: float) -> float:
         return self._spline_at(theta, 1)
+
+    def _raw_second_derivative(self, theta: float) -> float:
+        return self._spline_at(theta, 2)
 
     def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
         return self._require_spline()(thetas, 1)

@@ -411,23 +411,34 @@ def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> Solutio
 
 def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoint,
            opts: IntegrationOptions, tol_bvp: float) -> SolutionPiece | None:
-    """Bisection on the handoff depth to hit the far critical point."""
+    """Bisection on the handoff depth to hit the far critical point.
+
+    Each handoff depth is solved once: the bracket shares ``delta = 0`` with
+    the first solve, the result reuses the piece of the last midpoint, and
+    late midpoints that round to one depth share one solve.
+    """
     theta_c = branch.ic.theta0
     r = min(opts.series_radius, abs(target.theta - theta_c) / 4)
     theta_h = theta_c + side * r
     rho_h, _ = eval_series(branch, theta_h)
     direction = "forward" if side > 0 else "backward"
     walk_sign = _half_branch_sign(branch, side) * side
+    # handoff depth -> clipped piece, None where the IC is not regular
+    pieces: dict[float, SolutionPiece | None] = {}
+
+    def solve(delta: float) -> SolutionPiece | None:
+        rho = rho_h + delta
+        if rho not in pieces:
+            try:
+                p = solve_regular(u, RegularIC(theta_h, rho), walk_sign, direction, opts)
+                pieces[rho] = _clip_piece(p, target.theta)
+            except NotRegular:
+                pieces[rho] = None
+        return pieces[rho]
 
     def end_value(delta: float) -> float:
-        try:
-            p = solve_regular(u, RegularIC(theta_h, rho_h + delta), walk_sign,
-                              direction, opts)
-        except NotRegular:
-            return -math.inf
-        p = _clip_piece(p, target.theta)
-        _, rho_end, _ = _end_state(p, at_start=(side < 0))
-        return rho_end
+        p = solve(delta)
+        return -math.inf if p is None else _end_state(p, at_start=(side < 0))[1]
 
     scale = 1e-6 * (1.0 + branch.ic.rho0)
     best = None
@@ -452,12 +463,8 @@ def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoi
         best = mid
     if best is None:
         return None
-    try:
-        p = solve_regular(u, RegularIC(theta_h, rho_h + best), walk_sign, direction, opts)
-    except NotRegular:
-        return None
-    p = _clip_piece(p, target.theta)
-    if abs(_end_state(p, at_start=(side < 0))[1] - target.depth) > tol_bvp:
+    p = solve(best)
+    if p is None or abs(_end_state(p, at_start=(side < 0))[1] - target.depth) > tol_bvp:
         return None
     # re-attach the series leg down to the critical point
     lead = branch_to_piece(u, branch, side, opts, stop_theta=theta_h)

@@ -20,7 +20,10 @@ of jets appears.
 
 Every critical point is polished near a guess by :func:`polish_critical`
 and every branch set is built by :func:`branches_at`; the integrator and
-the global assembly call these two and nothing else for that.
+the global assembly call these two and nothing else for that.  The polish
+is Newton on U' and U'' read from the profile's compiled kernels, not on
+Taylor-mode jets: it needs two derivative values per step, which the
+kernels give for a fraction of a jet's cost.
 
 Derivative-vector convention: ``derivs[k]`` is the k-th derivative value,
 not the monomial coefficient; the series coefficient is ``derivs[k]/k!``.
@@ -375,27 +378,32 @@ def recursion_residuals(branch: TaylorBranch, scaled: bool = True) -> np.ndarray
 
 def polish_critical(u: ModulusModel, theta: float, window: float) -> float | None:
     """The root of U' near ``theta``, clamped to the domain: at most 8 Newton
-    steps on the order-2 jet, until a step is below 1e-15.
+    steps on U' and U'' (:meth:`~depthrec.modulus.ModulusModel.derivative`
+    and :meth:`~depthrec.modulus.ModulusModel.second_derivative`, no jets),
+    until a step is below 1e-15.
 
-    None when the curvature is flat (|U''| < 1e-9*scale), an iterate strays
-    more than ``window`` from ``theta``, U' is not small at the end, or the
-    profile raises a :class:`DepthRecError`.
+    None when the curvature is flat (|U''| < 1e-9*scale), U' or U'' is not
+    finite, an iterate strays more than ``window`` from ``theta``, U' is not
+    small at the end, or the profile raises a :class:`DepthRecError`.
     """
     theta_c = theta
+    flat = 1e-9 * u.scale
     try:
         for _ in range(8):
-            jet2 = u.jet(theta_c, 2)
-            if abs(jet2[2]) < 1e-9 * u.scale:
+            d2 = u.second_derivative(theta_c)
+            if not flat <= abs(d2) < math.inf:  # flat, infinite or NaN
                 return None
-            step = jet2[1] / jet2[2]
+            step = u.derivative(theta_c) / d2
+            if not math.isfinite(step):  # U' infinite or NaN
+                return None
             theta_c -= step
             if abs(theta_c - theta) > window:
                 return None
             if abs(step) < 1e-15:
                 break
-        if abs(u.derivative(theta_c)) > 1e-8 * (1.0 + u.scale):
+        if not abs(u.derivative(theta_c)) <= 1e-8 * (1.0 + u.scale):  # large, or NaN
             return None
-    except DepthRecError:  # U or its jet failed near the guess
+    except DepthRecError:  # U' or U'' failed near the guess
         return None
     lo, hi = u.domain
     return min(max(theta_c, lo), hi)

@@ -92,18 +92,34 @@ def test_touch_root_inflection():
     assert cp.kind is CriticalKind.INFLECTION
 
 
-@pytest.mark.parametrize("error", [EvalError("no jet here", 1.0), ValueError("jet bug")])
+def test_each_critical_point_costs_one_jet():
+    # the order-2 jet that classifies a point is the one it carries, and the
+    # touch-root scan reads U'' without jets
+    requests = []
+
+    class CountingJets(ClosedFormModulus):
+        def jet(self, theta, order):
+            requests.append((theta, order))
+            return super().jet(theta, order)
+
+    cs = find_critical_points(CountingJets("2 + 0.1*sin(3*theta)", (0.2, 2.9)))
+    assert len(cs.points) == 3
+    assert requests == [(p.theta, 2) for p in cs.points]
+    assert [p.u_jet.center for p in cs.points] == [p.theta for p in cs.points]
+
+
+@pytest.mark.parametrize("error", [EvalError("no U'' here", 1.0), ValueError("U'' bug")])
 def test_touch_root_polish_drops_only_typed_failures(error):
     # a profile error drops the touch root; anything else is a bug and propagates
-    class FailingJet(ClosedFormModulus):
-        def jet(self, theta, order):
+    class FailingSecond(ClosedFormModulus):
+        def second_derivative(self, theta):
             raise error
 
-    u = FailingJet("4 + (theta - 1.01)^3", (0.0, 2.0))   # off the scan grid
+    u = FailingSecond("4 + (theta - 1.01)^3", (0.0, 2.0))   # off the scan grid
     if isinstance(error, EvalError):
         assert find_critical_points(u).points == []
     else:
-        with pytest.raises(ValueError, match="jet bug"):
+        with pytest.raises(ValueError, match="U'' bug"):
             find_critical_points(u)
 
 

@@ -189,7 +189,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
         if (g_new <= opts.handoff_factor * (1.0 + abs(uval(t_new)))
                 and g_new < gval(t, y) and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
+            # a fresh IC memo per attempt: the solve as it was before the memo
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts, {})
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
                 _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
@@ -512,6 +513,35 @@ def test_oracle_series_handoff(monkeypatch):
     assert True in taken
     assert piece.termination.kind is TerminationKind.CONTACT
     assert piece.termination.theta == piece.thetas[0]
+
+
+def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):
+    # a tangential approach hands off at many steps in a row, mostly to the
+    # same polished angle: its IC and branches are built once in the solve
+    u = from_depth(DepthFunction.from_text(
+        "2.380690463175796 + 0.1964806762374441*sin(4*theta + 5.204572765361018)", DOMAIN))
+    ic = RegularIC(0.6123522171534247, 2.577853570325295)
+    built, attempts = [], []
+    from_modulus = CriticalIC.from_modulus.__func__
+    handoff = ivp_mod._series_handoff
+
+    def counting_build(cls, u, theta0, order=taylor_mod.DEFAULT_ORDER):
+        built.append(theta0)
+        return from_modulus(cls, u, theta0, order)
+
+    def counting_handoff(*args):
+        attempts.append(args[1])
+        return handoff(*args)
+
+    monkeypatch.setattr(CriticalIC, "from_modulus", classmethod(counting_build))
+    monkeypatch.setattr(ivp_mod, "_series_handoff", counting_handoff)
+    # bit for bit the oracle's solve, which hands each attempt a fresh memo
+    assert_matches_oracle(u, ic, +1, "backward")
+    built.clear()
+    attempts.clear()
+    solve_regular(u, ic, +1, "backward")
+    assert len(built) == len(set(built)) >= 1
+    assert len(attempts) > len(built)
 
 
 def test_oracle_step_budget_failure():

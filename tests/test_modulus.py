@@ -1,6 +1,7 @@
 """Squared-speed profiles: evaluation, jets, forward model, validation."""
 
 import math
+import sys
 from array import array
 
 import numpy as np
@@ -9,11 +10,13 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from depthrec.errors import InvalidModulus, OrderUnavailable, DomainError
+from depthrec.errors import DomainError, EvalError, InvalidModulus, OrderUnavailable
+from depthrec.expressions import Add, Call, Div, Mul, Neg, Num, Pi, Pow, Sub, Var
 from depthrec.modulus import (
     NEGATIVE_CLAMP, ClosedFormModulus, SampledModulus, from_depth, validate_modulus,
 )
 from depthrec.parametrization import DepthFunction
+from test_expressions import expressions
 
 THETA = sp.Symbol("theta")
 
@@ -252,3 +255,116 @@ def test_value_errors_keep_their_text():
     with pytest.raises(InvalidModulus, match=r"^profile is negative at theta=0\.5: -0\.5$"):
         u.value(0.5)
     assert u.value(2.0 + 1e-12) == pytest.approx(1.0)
+
+
+# -- U'' accessor -------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
+def test_sampled_second_derivative_is_the_jet_entry(seed, n):
+    # bit for bit the jet's U'' (and scipy's), on data of both signs: the
+    # accessor does not clamp U, so it answers where the jet refuses
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
+    v = 2.0 + rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 2)
+    u, spline = SampledModulus(t, v), CubicSpline(t, v)
+    lo, hi = u.domain
+    points = [*t, *rng.uniform(lo, hi, 50), lo - 5e-13, hi + 5e-13,
+              np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    for th in map(float, points):
+        got = u.second_derivative(th)
+        assert got.hex() == float(spline(th, 2)).hex()
+        try:
+            jet = u.jet(th, 2)
+        except InvalidModulus:
+            continue
+        assert got.hex() == jet[2].hex()
+
+
+def test_second_derivative_checks_the_domain_like_derivative():
+    for u in (ClosedFormModulus("2 + sin(theta)", (0.0, 2.0)),
+              SampledModulus(np.linspace(0.0, 2.0, 9), np.linspace(1.0, 3.0, 9))):
+        for th in (2.5, -1e-11, float("nan")):
+            with pytest.raises(DomainError) as first:
+                u.derivative(th)
+            with pytest.raises(DomainError) as second:
+                u.second_derivative(th)
+            assert str(second.value) == str(first.value)
+
+
+def test_closed_form_second_derivative_is_built_on_first_use():
+    u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
+    assert "_ddu" not in vars(u)
+    assert u.second_derivative(0.4) == pytest.approx(-1.2 * math.sin(0.8), rel=1e-15)
+    assert "_ddu" in vars(u)
+
+
+
+_TINY = sys.float_info.min
+_SLOPES = {"sin": math.cos, "cos": lambda x: -math.sin(x), "tan": lambda x: 1 + math.tan(x) ** 2,
+           "sqrt": lambda x: 0.5 / math.sqrt(x), "exp": math.exp, "log": lambda x: 1 / x}
+
+
+def value_and_size(node, th):
+    """The value of an expression tree at ``th`` and the size of the rounding
+    error its float evaluation can pick up, in units of the unit roundoff:
+    first order, each operation's own rounding (``|w|``, or the smallest
+    normal float for an underflowing ``w``) plus its operands' errors
+    carried through it."""
+    if isinstance(node, Num):
+        return node.value, abs(node.value)
+    if isinstance(node, Pi):
+        return math.pi, math.pi
+    if isinstance(node, Var):
+        return th, abs(th)
+    if isinstance(node, Neg):
+        v, m = value_and_size(node.arg, th)
+        return -v, m
+    if isinstance(node, Pow):
+        v, m = value_and_size(node.base, th)
+        k = node.exponent
+        w = v ** k
+        return w, abs(w) + _TINY + (abs(k * v ** (k - 1)) * m if k else 0.0)
+    if isinstance(node, Call):
+        v, m = value_and_size(node.arg, th)
+        w = getattr(math, node.func)(v)
+        return w, abs(w) + _TINY + abs(_SLOPES[node.func](v)) * m
+    a, ma = value_and_size(node.left, th)
+    b, mb = value_and_size(node.right, th)
+    if isinstance(node, Add):
+        return a + b, abs(a + b) + _TINY + ma + mb
+    if isinstance(node, Sub):
+        return a - b, abs(a - b) + _TINY + ma + mb
+    if isinstance(node, Mul):
+        return a * b, abs(a * b) + _TINY + ma * abs(b) + abs(a) * mb
+    w = a / b
+    return w, abs(w) + _TINY + ma / abs(b) + abs(w) * mb / abs(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=6))
+def test_closed_form_second_derivative_against_jet(node, thetas):
+    # the compiled U'' kernel against the Taylor-mode jet: within 1e-12 of
+    # the larger of |U''| and the rounding error the kernel's own sums can
+    # pick up (a cancelling quotient rule, such as that of theta/(1e-5 +
+    # theta), loses digits the jet keeps); where the kernel fails it fails
+    # as U' does, with an EvalError carrying the angle
+    u = ClosedFormModulus(node, (-4.0, 4.0))
+    for th in thetas:
+        try:
+            got = u.second_derivative(th)
+        except EvalError as exc:
+            assert exc.theta == th
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                want = u.jet(th, 2)[2]
+        except (EvalError, DomainError, InvalidModulus):
+            continue  # the jet needs U itself, finite and nonnegative
+        try:
+            _, size = value_and_size(u._ddu.node, th)
+        except (ArithmeticError, ValueError):
+            continue  # an unbounded error size (sqrt at 0, say): nothing to compare
+        if not (math.isfinite(got) and math.isfinite(size)):
+            continue  # overflow inside the kernel: a value the polish refuses
+        assert abs(got - want) <= 1e-12 * max(abs(want), size)

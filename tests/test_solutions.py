@@ -1,6 +1,7 @@
 """Global assembly: enumeration, two-point chains, maximality, cones."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ import pytest
 from depthrec.criticals import CriticalKind, find_critical_points, upper_bound_check
 import depthrec.solutions as solutions_mod
 from depthrec.errors import (
-    NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, OutsideCone,
+    NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular, OutsideCone,
 )
-from depthrec.ivp import IntegrationOptions, RegularIC, residual
+from depthrec.ivp import (
+    IntegrationOptions, RegularIC, _clip_piece, _half_branch_sign, branch_to_piece,
+    continuation_candidates, residual, solve_regular,
+)
 from depthrec.modulus import ClosedFormModulus
 from depthrec.solutions import (
     JunctionKind, build_cone, c1_check, enumerate_branches, maximal_solution,
     sample_cone_solution, solve_bvp_between_criticals, stitch,
 )
-from depthrec.taylor import CriticalIC
+from depthrec.taylor import CriticalIC, eval_series
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 PARABOLA = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
@@ -321,3 +325,106 @@ def test_maximal_junction_kinds():
     assert kinds[-1] is JunctionKind.END
     assert all(k in (JunctionKind.CRITICAL_PASS, JunctionKind.BRANCH_SWITCH)
                for k in kinds[1:-1])
+
+
+# -- shooting -------------------------------------------------------------------
+
+def old_shoot(u, branch, side, target, opts, tol_bvp):
+    """``_shoot`` as it was before its solves were memoized: the oracle."""
+    theta_c = branch.ic.theta0
+    r = min(opts.series_radius, abs(target.theta - theta_c) / 4)
+    theta_h = theta_c + side * r
+    rho_h, _ = eval_series(branch, theta_h)
+    direction = "forward" if side > 0 else "backward"
+    walk_sign = _half_branch_sign(branch, side) * side
+
+    def end_value(delta):
+        try:
+            p = solve_regular(u, RegularIC(theta_h, rho_h + delta), walk_sign, direction, opts)
+        except NotRegular:
+            return -math.inf
+        p = _clip_piece(p, target.theta)
+        return solutions_mod._end_state(p, at_start=(side < 0))[1]
+
+    scale = 1e-6 * (1.0 + branch.ic.rho0)
+    best = None
+    f0 = end_value(0.0) - target.depth
+    lo_d, hi_d = -scale, 0.0
+    if f0 > 0:
+        lo_d, hi_d = 0.0, scale
+    flo = end_value(lo_d) - target.depth
+    fhi = end_value(hi_d) - target.depth
+    if flo * fhi > 0:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo_d + hi_d)
+        fm = end_value(mid) - target.depth
+        if abs(fm) <= 0.1 * tol_bvp:
+            best = mid
+            break
+        if flo * fm <= 0:
+            hi_d, fhi = mid, fm
+        else:
+            lo_d, flo = mid, fm
+        best = mid
+    if best is None:
+        return None
+    try:
+        p = solve_regular(u, RegularIC(theta_h, rho_h + best), walk_sign, direction, opts)
+    except NotRegular:
+        return None
+    p = _clip_piece(p, target.theta)
+    if abs(solutions_mod._end_state(p, at_start=(side < 0))[1] - target.depth) > tol_bvp:
+        return None
+    lead = branch_to_piece(u, branch, side, opts, stop_theta=theta_h)
+    lead = _clip_piece(lead, theta_h)
+    if side > 0:
+        return solutions_mod._merge_adjacent(lead, p)
+    return solutions_mod._merge_adjacent(p, lead)
+
+
+def piece_bits(piece):
+    if piece is None:
+        return None
+    return (piece.sign, piece.direction, piece.termination, piece.thetas.tobytes(),
+            piece.rhos.tobytes(), piece.drhos.tobytes())
+
+
+@pytest.mark.parametrize("series_radius", [0.05, 1e-3])
+def test_shoot_solves_each_ic_once_and_matches_old_shoot(monkeypatch, series_radius):
+    # three targets per interval: the far critical point itself (a hit),
+    # 1e-10 below the unshot trajectory's end (a hit only from the short
+    # series leg, whose bracket closes on a depth that is not regular) and
+    # 1e-8 below it (a miss); each shoot solves every start depth once
+    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", (0.2, 2.9))
+    opts = IntegrationOptions(series_radius=series_radius)
+    starts = []
+
+    def counting_solve(u, ic, *args):
+        starts.append((ic.theta0, ic.rho0))
+        return solve_regular(u, ic, *args)
+
+    monkeypatch.setattr(solutions_mod, "solve_regular", counting_solve)
+    outcomes = []
+    cs = find_critical_points(u)
+    for a, b in zip(cs.points, cs.points[1:]):
+        launch, target, side = solutions_mod._pick_launch(a, b)
+        ic = CriticalIC.from_modulus(u, launch.theta, order=opts.taylor_order)
+        branch = max((br for s, br in continuation_candidates(u, ic, side, opts)
+                      if s * side == (1 if target.depth > launch.depth else -1) * side),
+                     key=lambda br: br.beta)
+        theta_h = launch.theta + side * min(series_radius, abs(target.theta - launch.theta) / 4)
+        walk_sign = _half_branch_sign(branch, side) * side
+        direction = "forward" if side > 0 else "backward"
+        end = _clip_piece(solve_regular(u, RegularIC(theta_h, eval_series(branch, theta_h)[0]),
+                                        walk_sign, direction, opts), target.theta)
+        end_depth = float(end.rhos[-1] if side > 0 else end.rhos[0])
+        for depth in (target.depth, end_depth - 1e-10, end_depth - 1e-8):
+            aim = replace(target, depth=depth)
+            starts.clear()
+            got = solutions_mod._shoot(u, branch, side, aim, opts, 1e-8)
+            assert len(starts) == len(set(starts)) >= 2
+            assert piece_bits(got) == piece_bits(old_shoot(u, branch, side, aim, opts, 1e-8))
+            outcomes.append(got is not None)
+    hit_below = series_radius < 0.01
+    assert outcomes == [True, hit_below, False] * 2

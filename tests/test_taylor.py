@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from depthrec.criticals import find_critical_points
 from depthrec.errors import (
-    ComplexDiscriminant, DegenerateFamily, InvalidModulus, OutsideRadiusWarning,
+    ComplexDiscriminant, DegenerateFamily, DepthRecError, InvalidModulus, OutsideRadiusWarning,
 )
-from depthrec.modulus import ClosedFormModulus, Jet, from_depth
+from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.taylor import (
     BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind, TaylorBranch,
@@ -465,16 +465,89 @@ def test_polish_rejects_root_outside_window():
     assert polish_critical(TILT, 0.5, 0.5) == pytest.approx(math.pi / 4, abs=1e-15)
 
 
-def test_polish_maps_profile_errors_to_none_and_propagates_others(monkeypatch):
-    u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
-
+def test_polish_maps_profile_errors_to_none_and_propagates_others():
+    # the polish reads the profile through U' and U'' only: an error from
+    # either is a typed failure (None) or a bug (propagates)
     def raising(error):
-        def jet(theta, order):
+        def read(theta):
             raise error
-        return jet
+        return read
 
-    monkeypatch.setattr(u, "jet", raising(InvalidModulus("profile is negative")))
+    for accessor in ("derivative", "second_derivative"):
+        u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
+        setattr(u, accessor, raising(InvalidModulus("profile is negative")))
+        assert polish_critical(u, 0.7, 0.1) is None
+        setattr(u, accessor, raising(RuntimeError(f"{accessor} bug")))
+        with pytest.raises(RuntimeError, match=f"{accessor} bug"):
+            polish_critical(u, 0.7, 0.1)
+
+
+def jet_polish_critical(u, theta, window):
+    """The polish as it was on order-2 jets: the oracle of the U'/U'' one."""
+    theta_c = theta
+    try:
+        for _ in range(8):
+            jet2 = u.jet(theta_c, 2)
+            if abs(jet2[2]) < 1e-9 * u.scale:
+                return None
+            step = jet2[1] / jet2[2]
+            theta_c -= step
+            if abs(theta_c - theta) > window:
+                return None
+            if abs(step) < 1e-15:
+                break
+        if abs(u.derivative(theta_c)) > 1e-8 * (1.0 + u.scale):
+            return None
+    except DepthRecError:
+        return None
+    lo, hi = u.domain
+    return min(max(theta_c, lo), hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(12, 200), st.floats(0.01, 0.3),
+       st.sampled_from([1e-3, 0.02, 0.1, 1.0]))
+def test_polish_bit_identical_to_jet_oracle_on_sampled_profiles(seed, n, rel_amp, window):
+    # a sampled profile's U' and U'' are the jet's entries, so every Newton
+    # iterate, and so the result, is the same float
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.2, 2.9, n)
+    c = float(rng.uniform(1.0, 4.0))
+    v = c * (1.0 + rel_amp * np.sin(rng.integers(1, 7) * t + rng.uniform(0.0, 6.3)))
+    v += rng.normal(0.0, 1e-4 * c, n)
+    u = SampledModulus(t, v)
+    for theta in [*rng.uniform(0.2, 2.9, 40), *t[:: max(1, n // 10)]]:
+        got = polish_critical(u, float(theta), window)
+        assert got == jet_polish_critical(u, float(theta), window)
+
+
+def test_polish_agrees_with_jet_oracle_on_closed_forms():
+    # the kernels round U' and U'' differently from the jet: the same None
+    # or not-None answer, and roots within 1e-13
+    rng = np.random.default_rng(7)
+    found = 0
+    for _ in range(24):
+        c, k, phi = rng.uniform(1.0, 3.0), int(rng.integers(2, 5)), rng.uniform(0.0, 6.3)
+        a = rng.uniform(0.05, 0.12) * c
+        u = from_depth(DepthFunction.from_text(f"{c!r} + {a!r}*sin({k}*theta + {phi!r})",
+                                               (0.2, 2.9)))
+        for theta in rng.uniform(0.2, 2.9, 25):
+            for window in (0.01, 0.1):
+                got = polish_critical(u, float(theta), window)
+                want = jet_polish_critical(u, float(theta), window)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got == pytest.approx(want, abs=1e-13)
+                    found += 1
+    assert found > 50
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polish_refuses_non_finite_derivatives(bad):
+    u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
+    assert polish_critical(u, 0.7, 0.1) == pytest.approx(math.pi / 4, abs=1e-15)
+    u.second_derivative = lambda theta: bad
     assert polish_critical(u, 0.7, 0.1) is None
-    monkeypatch.setattr(u, "jet", raising(RuntimeError("jet bug")))
-    with pytest.raises(RuntimeError, match="jet bug"):
-        polish_critical(u, 0.7, 0.1)
+    del u.second_derivative
+    u.derivative = lambda theta: bad
+    assert polish_critical(u, 0.7, 0.1) is None
