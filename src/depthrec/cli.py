@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .criticals import CriticalKind, find_critical_points, maximal_depth
+from .criticals import CriticalKind, find_critical_points
 from .errors import DepthRecError
 from .ivp import IntegrationOptions, RegularIC, solve_regular
 from .modulus import ClosedFormModulus, ModulusModel, from_depth, validate_modulus
@@ -323,7 +323,7 @@ def _cmd_plot(args) -> int:
     opts = _integration_options(args)
     lo, hi = u.domain
     grid = np.linspace(lo, hi, 512)
-    bound = np.array([maximal_depth(u, float(t)) for t in grid])
+    bound = np.sqrt(u.value_grid(grid))
     curves = [SvgCurve(bound * np.cos(grid), bound * np.sin(grid),
                        color="#d62728", width=2.5, label="depth bound")]
     cs = find_critical_points(u)

@@ -228,18 +228,22 @@ def upper_bound_check(solution, u: ModulusModel, tol: float | None = None) -> Up
     thetas = np.asarray(solution.thetas, dtype=float)
     rhos = np.asarray(solution.rhos, dtype=float)
     if tol is None:
-        bound_max = max(math.sqrt(max(u.value(float(t)), 0.0)) for t in thetas[:: max(1, len(thetas) // 64)])
+        # U is clamped: never below 0
+        bound_max = max(np.sqrt(u.value_grid(thetas[:: max(1, len(thetas) // 64)])).tolist())
         tol = 1e-8 * (1.0 + bound_max)
-    violations: list[tuple[float, float, float]] = []
-    contacts: list[float] = []
-    for th, r in zip(thetas, rhos):
-        try:
-            bound = math.sqrt(max(u.value(float(th)), 0.0))
-        except InvalidModulus:
-            violations.append((float(th), float(r), math.nan))
-            continue
-        if r > bound + tol:
-            violations.append((float(th), float(r), bound))
-        elif abs(r - bound) <= tol:
-            contacts.append(float(th))
-    return UpperBoundReport(violations, contacts, not violations)
+    invalid = np.zeros(thetas.shape, dtype=bool)
+    try:
+        uvals = u.value_grid(thetas)
+    except InvalidModulus:
+        # a negative stretch: each node there is a violation with a NaN bound
+        uvals = np.empty(thetas.shape)
+        for i, th in enumerate(thetas.tolist()):
+            try:
+                uvals[i] = u.value(th)
+            except InvalidModulus:
+                uvals[i], invalid[i] = math.nan, True
+    bounds = np.sqrt(uvals)
+    over = invalid | (rhos > bounds + tol)
+    near = ~over & (np.abs(rhos - bounds) <= tol)
+    violations = list(zip(thetas[over].tolist(), rhos[over].tolist(), bounds[over].tolist()))
+    return UpperBoundReport(violations, thetas[near].tolist(), not violations)

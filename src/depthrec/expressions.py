@@ -15,19 +15,24 @@ be differentiated symbolically (the result stays inside the grammar),
 evaluated with :class:`~depthrec.series.PowerSeries` arguments for
 high-order derivatives, or compiled into kernels for plain evaluation.
 
-An :class:`ExpressionKernel` generates one Python function from the AST,
-one parenthesized operation per node, with the constants as globals, and
-compiles it on first use.  Run on ``math`` it evaluates one angle and
-performs the same floating-point operations in the same order as a
-node-by-node walk, so its values are bit-identical to that walk's; run on
-``numpy`` the same code evaluates a whole array of angles.
+An :class:`ExpressionKernel` generates Python source from the AST, one
+parenthesized operation per node, with the constants as globals, and
+compiles it on first use.  The scalar kernel runs on ``math``: it evaluates
+one angle and performs the same floating-point operations in the same order
+as a node-by-node walk, so its values are bit-identical to that walk's.
+The array kernel evaluates a whole array of angles with the same operations
+on numpy, each bound to a function that rounds as the scalar one does, so
+its values are bit-identical to the scalar kernel's too.  Profiles of one
+shape (a sine family, say) differ only in their constants, so they share
+one source text, and each source is compiled once per process.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -482,9 +487,28 @@ _MATH_FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
 }
-_NUMPY_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+
+
+def _angle_by_angle(fn):
+    """``fn`` from ``math`` applied to each entry of an array."""
+    def apply(x):
+        if isinstance(x, np.ndarray):
+            return np.array([fn(v) for v in x.tolist()])
+        return fn(x)
+    return apply
+
+
+# The array kernel's functions, each rounding as its ``math`` counterpart.
+# Python's ``x ** n`` calls libm ``pow``, and so does ``np.float_power``;
+# numpy's ``x ** 2`` squares instead, which differed from ``pow`` in 846 of
+# 1M random squares.  ``np.sin``, ``np.cos`` and ``np.sqrt`` matched
+# ``math`` on 1M random angles each (numpy 2.4.6, x86-64 with AVX-512);
+# ``np.tan``, ``np.exp`` and ``np.log`` differed in 5229, 46030 and 260 of
+# them, so those three run ``math`` angle by angle.
+_ARRAY_FUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": _angle_by_angle(math.tan),
+    "sqrt": np.sqrt, "exp": _angle_by_angle(math.exp), "log": _angle_by_angle(math.log),
+    "_pow": np.float_power,
 }
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # what math-domain failures raise in Python float arithmetic and ``math``
@@ -504,9 +528,9 @@ def _kernel_source(node: Expression) -> tuple[str, list]:
     ``_MAX_NESTING`` go into locals first; a left operand whose right
     sibling went into a local goes into one before it, which keeps that
     order.  The constants and exponents are the globals ``c0, c1, ...``,
-    and the six functions are looked up as globals too: the one compiled
-    source runs on ``math`` for scalars or on ``numpy`` for arrays.
-    Returns the source and the constants ``c0, c1, ...`` in order.
+    and the six functions are looked up as globals too, so the source
+    depends only on the tree's shape.  Returns the source and the
+    constants ``c0, c1, ...`` in order.
     """
     consts: list = []
     temps: list[tuple[str, str]] = []   # (local, source), in evaluation order
@@ -569,57 +593,84 @@ def _fail(exc: Exception, theta) -> EvalError:
     return EvalError(f"cannot evaluate expression: {exc}", theta)
 
 
+class _PowerAsCall(ast.NodeTransformer):
+    """Rewrites every ``b ** n`` as ``_pow(b, n)``."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.copy_location(
+            ast.Call(ast.Name("_pow", ast.Load()), [node.left, node.right], []), node)
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str, array: bool):
+    """The code object of one kernel source, compiled once per process.
+
+    The ``array`` variant computes each power as ``_pow(b, n)``: bound to
+    ``np.float_power``, which rounds as Python's ``b ** n`` does.  The
+    scalar one keeps the operator, which costs no call.
+    """
+    if not array:
+        return compile(source, "<depthrec expression>", "exec")
+    tree = ast.fix_missing_locations(_PowerAsCall().visit(ast.parse(source)))
+    return compile(tree, "<depthrec expression>", "exec")
+
+
 class ExpressionKernel:
-    """Generated kernels of one expression, compiled on first use.
+    """Generated kernels of one expression, built on first use.
 
     ``scalar`` evaluates at one float angle on ``math`` and is bit-identical
     to evaluating the tree node by node.  :meth:`grid` evaluates a whole
-    array of angles with the same compiled code run on ``numpy``.  Both
-    raise :class:`EvalError` carrying the offending angle for a math-domain
-    failure (sqrt/log of a negative, division by zero, overflow).  Compiling
-    costs as much as a few hundred evaluations, so nothing is compiled until
-    a kernel is first used.
+    array of angles on numpy and is bit-identical to a loop of ``scalar``.
+    Both raise :class:`EvalError` carrying the offending angle for a
+    math-domain failure (sqrt/log of a negative, division by zero,
+    overflow).  Compiling costs as much as a few hundred evaluations, so
+    nothing is built until a kernel is first used, and kernels whose trees
+    differ only in their constants share one compiled code object.
     """
 
     def __init__(self, node: Expression):
         self.node = node
 
     @cached_property
-    def _code(self):
-        source, consts = _kernel_source(self.node)
-        names = {f"c{i}": value for i, value in enumerate(consts)}
-        return compile(source, "<depthrec expression>", "exec"), names
+    def _source(self) -> tuple[str, list]:
+        return _kernel_source(self.node)
 
-    def _bind(self, funcs: dict):
-        code, names = self._code
-        namespace = {**names, **funcs, "_MATH_ERRORS": _MATH_ERRORS, "_fail": _fail}
-        exec(code, namespace)
+    def _bind(self, funcs: dict, array: bool):
+        source, consts = self._source
+        namespace = {f"c{i}": value for i, value in enumerate(consts)}
+        namespace.update(funcs, _MATH_ERRORS=_MATH_ERRORS, _fail=_fail)
+        exec(_compiled(source, array), namespace)
         return namespace["kernel"]
 
     @cached_property
     def scalar(self):
-        return self._bind(_MATH_FUNCS)
+        return self._bind(_MATH_FUNCS, array=False)
 
     @cached_property
     def _array(self):
-        return self._bind(_NUMPY_FUNCS)
+        return self._bind(_ARRAY_FUNCS, array=True)
 
     def grid(self, thetas: np.ndarray) -> np.ndarray:
-        """Values at every angle of a 1-d float array.
+        """Values at every angle of a 1-d float array, equal to ``scalar``'s.
 
-        numpy's elementwise functions may round differently from ``math``
-        in the last place.  Where numpy meets a failure (a non-finite entry,
-        or an error among the constant terms) the angles are evaluated one
-        by one with ``scalar``, so errors and their angles are exactly those
-        of a scalar loop.
+        Where numpy meets a failure the angles are evaluated one by one with
+        ``scalar``, so errors and their angles are exactly those of a scalar
+        loop.  A failure is an error among the constant terms or in a
+        ``math`` function, or any division by zero, overflow or invalid
+        operation: Python raises on some of those where numpy would carry an
+        infinity or a NaN on, and a later operation (``1/x``, ``x^0``) could
+        turn that back into a finite value.
         """
-        with np.errstate(all="ignore"):
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             try:
-                values = np.broadcast_to(self._array(thetas), thetas.shape)
-            except EvalError:
+                values = self._array(thetas)
+            except (EvalError, FloatingPointError):
                 values = None
-        if values is not None and np.all(np.isfinite(values)):
-            return values
+        if values is not None and np.isfinite(values).all():
+            return values if np.ndim(values) else np.full(thetas.shape, values)
         return np.array([self.scalar(th) for th in thetas.tolist()])
 
 

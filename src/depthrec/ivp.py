@@ -17,7 +17,13 @@ stepping loop, so :func:`solve_regular` writes the pair out in straight-line
 code: the tableau (``_DP_*``, its only copy) is unpacked into locals once
 per solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with the terms in
 tableau order, and U is read through the bound ``u.value`` and a per-solve
-memo keyed by angle.  scipy's ``OdeSolver`` steppers are not used: on this
+memo keyed by angle.  Most emitted nodes are not step ends but interior
+nodes that keep linear interpolation within ``interp_tol``; they feed
+nothing back into the stepping, so the loop only records each step that
+needs them, and one pass after the loop fills them all in, with U read for
+all of them in one :meth:`~depthrec.modulus.ModulusModel.value_grid` call
+(dense output after the fact; Hairer, Norsett & Wanner, *Solving ODEs I*,
+sec. II.6).  scipy's ``OdeSolver`` steppers are not used: on this
 1-d field their per-step overhead exceeds the steps they save.  On the
 benchmark's ``roundtrip`` inputs (seed 101, 2-vCPU x86-64 VM, scipy 1.17)
 a bare ``DOP853.step()`` loop, without events or node output, took 32
@@ -171,12 +177,18 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    """Cubic Hermite interpolant over one accepted step."""
+def _hermite(t0, y0, f0, t1, y1, f1, t, power=pow):
+    """Cubic Hermite interpolant over one accepted step.
+
+    Runs on floats, or elementwise on arrays with ``power=np.float_power``:
+    that squares through libm ``pow`` as ``x ** 2`` does on floats, where
+    numpy's own ``**`` multiplies and may round differently.
+    """
     h = t1 - t0
     s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
+    q = power(1 - s, 2)
+    h00 = (1 + 2 * s) * q
+    h10 = s * q
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
@@ -192,7 +204,8 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     of: domain end, contact with the depth bound (``U - rho^2`` down at
     the scaled contact tolerance), depth reaching the floor, or a step
     failure.  Emitted nodes are dense enough that linear interpolation
-    between them stays within ``opts.interp_tol``.
+    between them stays within ``opts.interp_tol``; the interior nodes of
+    the steps are added after the loop (:func:`_fill_nodes`).
     """
     opts = opts or IntegrationOptions()
     if sign not in (+1, -1):
@@ -209,6 +222,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     sqrt = math.sqrt
     uvalue = u.value
     atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, opts.h_max, opts.tol_contact
+    interp_tol = opts.interp_tol
     _, c1, c2, c3, c4, c5 = _DP_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54) = _DP_A
@@ -237,6 +251,8 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     ts = [ic.theta0]
     ys = [ic.rho0]
     fs = [ffield(ic.theta0, ic.rho0)]
+    # the accepted steps that need interior nodes, filled in after the loop
+    steps_taken: list[float] = []
     termination: Termination | None = None
 
     t, y = ic.theta0, ic.rho0
@@ -366,7 +382,8 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         if event is not None:
             tau, kind = event
             y_tau = _hermite(t, y, f_t, t_new, y5, k6, tau)
-            _emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, ffield(tau, y_tau), ffield, opts)
+            _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, tau, y_tau, ffield(tau, y_tau),
+                        interp_tol)
             if kind is TerminationKind.CONTACT:
                 # land the final node exactly on the bound at the critical
                 # point (tangential contacts); transversal ones keep tau
@@ -393,23 +410,21 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts, handoff_ics)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
-                _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+                _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, t_new, y5, k6, interp_tol)
                 ts.extend(snap_ts)
                 ys.extend(snap_ys)
                 fs.extend(snap_fs)
                 termination = Termination(TerminationKind.CONTACT, theta_c)
                 break
 
-        _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+        _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, t_new, y5, k6, interp_tol)
         t, y, f_t, u_t = t_new, y5, k6, u_new
         if abs(t - t_end) <= 1e-15 * max(1.0, abs(t_end)):
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
-    thetas = np.array(ts)
-    rhos = np.array(ys)
-    drhos = np.array(fs)
+    thetas, rhos, drhos = _fill_nodes(u, steps_taken, ts, ys, fs, ode_sign)
     if direction == "backward":
         thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
     return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
@@ -510,32 +525,71 @@ def _bisect_event(pred, t_ok: float, t_hit: float, iters: int = 80) -> float:
     return b
 
 
-def _emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts) -> None:
-    """Append the step end plus interpolated interior nodes when the step
-    is too wide for the linear-interpolation error target."""
+def _emit_nodes(ts, ys, fs, steps, t0, y0, f0, t1, y1, f1, interp_tol) -> None:
+    """Append the end node of a step from ``t0`` to ``t1``.
+
+    A step too wide for the linear-interpolation error target needs
+    ``n_sub - 1`` interior nodes; it is recorded in the flat list ``steps``
+    as eight numbers (its place in the node lists, ``n_sub`` and the two
+    states), and :func:`_fill_nodes` adds those nodes.
+    """
     width = abs(t1 - t0)
     if width == 0.0:
         return
     curvature = abs(f1 - f0) / width
-    h_lin = math.sqrt(8.0 * opts.interp_tol / max(curvature, 1e-9))
+    h_lin = math.sqrt(8.0 * interp_tol / max(curvature, 1e-9))
     n_sub = min(64, max(1, int(math.ceil(width / h_lin))))
-    for j in range(1, n_sub):
-        tau = t0 + (t1 - t0) * j / n_sub
-        y_tau = _hermite(t0, y0, f0, t1, y1, f1, tau)
-        ts.append(tau)
-        ys.append(y_tau)
-        fs.append(fjet(tau, y_tau))
+    if n_sub > 1:
+        steps.extend((len(ts), n_sub, t0, y0, f0, t1, y1, f1))
     ts.append(t1)
     ys.append(y1)
     fs.append(f1)
 
 
+def _fill_nodes(u: ModulusModel, steps, ts, ys, fs,
+                ode_sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node arrays with the interior nodes of every recorded step.
+
+    Node ``j`` of a step cut into ``n_sub`` parts sits at ``t0 + (t1 -
+    t0)*j/n_sub``; its depth is the step's cubic Hermite interpolant
+    (:func:`_hermite`) and its slope the field there, with U read for all
+    interior nodes of the solve in one :meth:`~ModulusModel.value_grid`
+    call.  The values are bit for bit those of interpolating and
+    evaluating node by node.  Interior nodes feed nothing back into the
+    stepping, so a profile that fails at one raises here, after the loop,
+    with the error of the first node that fails.
+    """
+    if not steps:
+        return np.array(ts), np.array(ys), np.array(fs)
+    recorded = np.array(steps).reshape(-1, 8).T
+    inner = recorded[1].astype(np.intp) - 1
+    # one column per interior node, steps in order
+    index, n_sub, t0, y0, f0, t1, y1, f1 = np.repeat(recorded, inner, axis=1)
+    k = np.arange(index.size)
+    j = k - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    tau = t0 + (t1 - t0) * j / n_sub
+    y_tau = _hermite(t0, y0, f0, t1, y1, f1, tau, np.float_power)
+    g = u.value_grid(tau) - y_tau * y_tau
+    f_tau = ode_sign * np.sqrt(np.where(g < 0.0, 0.0, g))
+    # an interior node lands after the ``index`` nodes recorded before its
+    # step's end and the ``k`` interior nodes before it
+    at = index.astype(np.intp) + k
+    nodes = np.empty((3, len(ts) + k.size))
+    is_end = np.ones(nodes.shape[1], dtype=bool)
+    is_end[at] = False
+    nodes[:, is_end] = (ts, ys, fs)
+    nodes[:, at] = (tau, y_tau, f_tau)
+    return nodes[0], nodes[1], nodes[2]
+
+
 def residual(piece: SolutionPiece, u: ModulusModel) -> float:
-    """Largest defect of the reconstruction identity over the stored nodes."""
-    worst = 0.0
-    for th, r, dr in zip(piece.thetas, piece.rhos, piece.drhos):
-        worst = max(worst, abs(dr * dr + r * r - u.value(float(th))))
-    return worst
+    """Largest defect of the reconstruction identity over the stored nodes.
+
+    NaN defects are skipped, and a piece without nodes has defect 0.
+    """
+    rhos, drhos = piece.rhos, piece.drhos
+    defects = np.abs(drhos * drhos + rhos * rhos - u.value_grid(piece.thetas))
+    return float(np.fmax.reduce(defects, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +741,9 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
         t = t_next
 
     thetas = np.array(ts if side > 0 else ts[::-1])
-    rhos = np.array([math.sqrt(u.value(float(tt))) for tt in thetas])
+    rhos = np.sqrt(u.value_grid(thetas))
     with np.errstate(all="ignore"):
-        drhos = np.array([u.derivative(float(tt)) for tt in thetas]) / (2.0 * rhos)
+        drhos = u.derivative_grid(thetas) / (2.0 * rhos)
     end_theta = float(ts[-1])
     kind = TerminationKind.DOMAIN_END if ended_by_domain else TerminationKind.CONTACT
     direction = "forward" if side > 0 else "backward"

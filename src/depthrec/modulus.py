@@ -12,14 +12,19 @@ reads U' and U'', so both representations evaluate them without per-call
 overhead.  A closed form evaluates U, U' and U'' with generated kernels
 (:class:`~depthrec.expressions.ExpressionKernel`), each compiled on first
 use; U'' is also differentiated only when first asked for, so building a
-profile costs no second symbolic differentiation.  It scans U' over a whole
-grid with the numpy binding of the same kernel.  A sampled profile
+profile costs no second symbolic differentiation.  A sampled profile
 evaluates its spline with a scalar kernel on the spline's breakpoints and
 coefficients: ``bisect`` finds the piece (half-open ``[x_i, x_{i+1})``, the
 last one closed, angles in the domain slack clamped to the end pieces) and
 the terms are summed in scipy's order, so every value equals
 ``CubicSpline.__call__``'s bit for bit; U itself, the value every
 integrator stage reads, has that kernel written out.
+
+Whole arrays of angles go through :meth:`ModulusModel.value_grid` and
+:meth:`ModulusModel.derivative_grid`: the numpy binding of a closed form's
+kernel, or ``CubicSpline.__call__`` itself.  Both equal a loop of the
+scalar accessor bit for bit and raise that loop's first error, so a caller
+may read U at all the nodes of a solution in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, EvalError, InvalidModulus, OrderUnavailable
+from .errors import DepthRecError, DomainError, EvalError, InvalidModulus, OrderUnavailable
 from .expressions import (
     Add, Expression, ExpressionKernel, Pow, differentiate, derivatives_at, parse_expression,
 )
@@ -106,15 +111,43 @@ class ModulusModel:
         self._check_domain(theta)
         return self._raw_second_derivative(theta)
 
-    def derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
-        """U' at every angle of a 1-d float array inside the domain.
+    def value_grid(self, thetas) -> np.ndarray:
+        """U at every angle of a 1-d float array, as a loop of :meth:`value`.
 
-        Agrees with :meth:`derivative` up to roundoff (exactly, for sampled
-        profiles) and raises the error a loop of those calls would raise.
+        Bit for bit the loop's values, clamped and validated alike, and the
+        loop's first error where it would raise one.  The array path covers
+        angles inside the domain whose raw values are finite and
+        nonnegative; anything else is left to the loop itself.
         """
-        self._check_domain(float(np.min(thetas)))
-        self._check_domain(float(np.max(thetas)))
-        return self._raw_derivative_grid(thetas)
+        thetas = np.asarray(thetas, dtype=float)
+        if self._inside(thetas):
+            try:
+                # a scalar evaluation prints no warning on overflow either
+                with np.errstate(all="ignore"):
+                    values = self._raw_value_grid(thetas)
+            except DepthRecError:
+                values = None
+            # finite and nonnegative: the minimum is no NaN and at least 0
+            if values is not None and values.min() >= 0.0 and values.max() < math.inf:
+                return values
+        return np.array([self.value(th) for th in thetas.tolist()])
+
+    def derivative_grid(self, thetas) -> np.ndarray:
+        """U' at every angle of a 1-d float array, as a loop of :meth:`derivative`.
+
+        Bit for bit the loop's values, and the loop's first error where it
+        would raise one.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        if not self._inside(thetas):
+            return np.array([self.derivative(th) for th in thetas.tolist()])
+        with np.errstate(all="ignore"):
+            return self._raw_derivative_grid(thetas)
+
+    def _inside(self, thetas: np.ndarray) -> bool:
+        """Whether a non-empty array of angles lies in the domain (NaN does not)."""
+        lo, hi = self.domain
+        return bool(thetas.size) and lo - 1e-12 <= thetas.min() and thetas.max() <= hi + 1e-12
 
     def jet(self, theta: float, order: int) -> Jet:
         """Derivative values up to ``order``; exact for closed forms."""
@@ -142,6 +175,9 @@ class ModulusModel:
         raise NotImplementedError
 
     def _raw_second_derivative(self, theta: float) -> float:
+        raise NotImplementedError
+
+    def _raw_value_grid(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
@@ -192,6 +228,9 @@ class ClosedFormModulus(ModulusModel):
     def _raw_second_derivative(self, theta: float) -> float:
         return self._ddu.scalar(theta)
 
+    def _raw_value_grid(self, thetas: np.ndarray) -> np.ndarray:
+        return self._u.grid(thetas)
+
     def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
         return self._du.grid(thetas)
 
@@ -223,8 +262,11 @@ class SampledModulus(ModulusModel):
         self._spline = None
         if finite.size == v.size:
             try:
-                self._spline = CubicSpline(t, v)
-            except ValueError as exc:  # its slopes overflow near the float limit
+                # near the float limit its slopes overflow, which numpy would
+                # also print as warnings; the error below says it once
+                with np.errstate(all="ignore"):
+                    self._spline = CubicSpline(t, v)
+            except ValueError as exc:
                 raise DomainError(f"sampled profile has no finite cubic spline: {exc}") from None
             self._knots = self._spline.x.tolist()
             # piece i holds the coefficients of s^0..s^3, s = theta - x_i, at
@@ -279,6 +321,9 @@ class SampledModulus(ModulusModel):
 
     def _raw_second_derivative(self, theta: float) -> float:
         return self._spline_at(theta, 2)
+
+    def _raw_value_grid(self, thetas: np.ndarray) -> np.ndarray:
+        return self._require_spline()(thetas)
 
     def _raw_derivative_grid(self, thetas: np.ndarray) -> np.ndarray:
         return self._require_spline()(thetas, 1)

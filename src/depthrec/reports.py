@@ -54,9 +54,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def u_csv_text(u: ModulusModel, samples: int = 501) -> str:
     lo, hi = u.domain
+    thetas = np.linspace(lo, hi, samples)
     lines = ["theta,u"]
-    for th in np.linspace(lo, hi, samples):
-        lines.append(f"{format_float(th)},{format_float(u.value(float(th)))}")
+    for th, val in zip(thetas.tolist(), u.value_grid(thetas).tolist()):
+        lines.append(f"{format_float(th)},{format_float(val)}")
     return "\n".join(lines) + "\n"
 
 
@@ -113,11 +114,14 @@ def solution_csv_text(sol, u: ModulusModel | None = None) -> str:
     thetas = np.asarray(sol.thetas, dtype=float)
     rhos = np.asarray(sol.rhos, dtype=float)
     drhos = np.asarray(sol.drhos, dtype=float)
+    if u is None:
+        residuals = np.zeros_like(thetas)
+    else:
+        residuals = np.abs(drhos * drhos + rhos * rhos - u.value_grid(thetas))
     lines = ["theta,rho,drho,x,y,residual"]
-    for th, r, dr in zip(thetas, rhos, drhos):
+    for th, r, dr, res in zip(thetas, rhos, drhos, residuals):
         x = r * math.cos(th)
         y = r * math.sin(th)
-        res = abs(dr * dr + r * r - u.value(float(th))) if u is not None else 0.0
         lines.append(",".join(format_float(v) for v in (th, r, dr, x, y, res)))
     return "\n".join(lines) + "\n"
 

@@ -322,6 +322,22 @@ def _enumerate_from_critical(u: ModulusModel, ic: CriticalIC, max_switches: int,
 # Two-point problem between consecutive critical points
 # ---------------------------------------------------------------------------
 
+def _flat_between(u: ModulusModel, left: CriticalPoint, right: CriticalPoint) -> bool:
+    """Whether U stays within ``1e-9*scale`` of ``left.depth**2`` at 17
+    probes from ``left`` to ``right``.
+
+    Decided as a scan probe by probe would decide it, which stops at the
+    first probe off the bound: a failure of U at a later probe is not
+    raised.
+    """
+    probes = np.linspace(left.theta, right.theta, 17)
+    tol = 1e-9 * u.scale
+    try:
+        return bool(np.all(np.abs(u.value_grid(probes) - left.depth ** 2) <= tol))
+    except DepthRecError:
+        return all(abs(u.value(th) - left.depth ** 2) <= tol for th in probes.tolist())
+
+
 def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoint, CriticalPoint, int]:
     """Choose the endpoint carrying local uniqueness (minimum first)."""
     if left.kind is CriticalKind.MINIMUM:
@@ -363,9 +379,7 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
         raise NoSolution("empty interval between the critical points")
 
     # autonomous stretch: the bound itself joins the endpoints
-    flat = all(abs(u.value(th) - left.depth ** 2) <= 1e-9 * u.scale
-               for th in np.linspace(left.theta, right.theta, 17))
-    if flat:
+    if _flat_between(u, left, right):
         return bound_following_piece(u, left.theta, +1, opts, stop_theta=right.theta)
 
     launch, target, side = _pick_launch(left, right)

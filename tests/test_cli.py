@@ -316,3 +316,16 @@ def test_malformed_number_in_u_csv_exits_1(tmp_path, capsys):
     assert main(["critical", "--u-csv", str(ucsv)]) == 1
     err = capsys.readouterr().err
     assert err == f"depthrec: bad number 'abc' in {ucsv}, line 3\n"
+
+
+def test_overflowing_u_csv_prints_one_error_line(tmp_path):
+    # the spline's slopes overflow: one typed error, and none of numpy's
+    # overflow warnings before it (a fresh process shows every warning once)
+    ucsv = tmp_path / "u.csv"
+    ucsv.write_text("1,0\n2,0\n3,0\n4,1.7976931348623157e+308\n")
+    done = subprocess.run([sys.executable, "-m", "depthrec.cli", "critical", "--u-csv", str(ucsv)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 1
+    assert done.stderr.startswith("depthrec: ") and done.stderr.count("\n") == 1
+    assert "no finite cubic spline" in done.stderr

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from depthrec.criticals import (
     CriticalKind, _scan, find_critical_points, maximal_depth, upper_bound_check,
 )
-from depthrec.errors import EvalError
+from depthrec.errors import DomainError, EvalError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus
 
 
@@ -215,3 +215,54 @@ def test_upper_bound_check_violation():
     rep = upper_bound_check(SimpleNamespace(thetas=th, rhos=np.full_like(th, 1.01)), u)
     assert not rep.ok
     assert len(rep.violations) == 50
+
+
+def upper_bound_check_oracle(solution, u, tol=None):
+    """``upper_bound_check`` as it was, reading U node by node."""
+    thetas = np.asarray(solution.thetas, dtype=float)
+    rhos = np.asarray(solution.rhos, dtype=float)
+    if tol is None:
+        bound_max = max(math.sqrt(max(u.value(float(t)), 0.0))
+                        for t in thetas[:: max(1, len(thetas) // 64)])
+        tol = 1e-8 * (1.0 + bound_max)
+    violations, contacts = [], []
+    for th, r in zip(thetas, rhos):
+        try:
+            bound = math.sqrt(max(u.value(float(th)), 0.0))
+        except InvalidModulus:
+            violations.append((float(th), float(r), math.nan))
+            continue
+        if r > bound + tol:
+            violations.append((float(th), float(r), bound))
+        elif abs(r - bound) <= tol:
+            contacts.append(float(th))
+    return violations, contacts, not violations
+
+
+def check_outcome(check, solution, u, tol):
+    try:
+        rep = check(solution, u, tol)
+    except (EvalError, InvalidModulus, DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    if not isinstance(rep, tuple):
+        rep = rep.violations, rep.contacts, rep.ok
+    return repr(rep)   # repr: NaN bounds compare equal
+
+
+@pytest.mark.parametrize("text,lo,hi,rho", [
+    ("1", 0.0, 1.5, "cos"),
+    ("1", 0.0, 1.0, "ones"),
+    ("2 + sin(3*theta)", 0.0, 2.0, "ones"),
+    ("theta - 1", 0.0, 2.0, "ones"),            # negative stretch: NaN-bound violations
+    ("(theta - 1)*1e-13 + 0.5", 0.0, 2.0, "ones"),
+    ("9 + sqrt(1 - theta)", 0.0, 2.0, "ones"),  # fails past theta = 1
+    ("1", 0.0, 1.0, "empty"),
+])
+@pytest.mark.parametrize("tol", [None, 1e-3])
+def test_upper_bound_check_matches_node_loop(text, lo, hi, rho, tol):
+    u = ClosedFormModulus(text, (lo, hi))
+    th = np.linspace(lo, hi, 0 if rho == "empty" else 301)
+    rhos = {"cos": np.cos(th), "ones": np.ones_like(th), "empty": th}[rho]
+    sol = SimpleNamespace(thetas=th, rhos=rhos)
+    assert check_outcome(upper_bound_check, sol, u, tol) == \
+        check_outcome(upper_bound_check_oracle, sol, u, tol)

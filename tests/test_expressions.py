@@ -374,6 +374,118 @@ def test_grid_failure_raises_as_scalar_loop(text, lo, hi):
     assert (str(grid.value), grid.value.theta) == (str(loop.value), loop.value.theta)
 
 
+# -- the array kernel against the scalar one, bit for bit -----------------------
+
+def loop_outcome(kernel, thetas):
+    """The bits of a loop of ``scalar``, or the first error's text and angle."""
+    try:
+        return np.array([kernel.scalar(th) for th in thetas]).tobytes()
+    except EvalError as exc:
+        return str(exc), exc.theta
+
+
+def grid_outcome(kernel, thetas):
+    try:
+        return np.ascontiguousarray(kernel.grid(np.array(thetas))).tobytes()
+    except EvalError as exc:
+        return str(exc), exc.theta
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions, st.lists(angles, min_size=1, max_size=8))
+def test_grid_bit_identical_to_scalar_loop(node, thetas):
+    kernel = ExpressionKernel(node)
+    want = loop_outcome(kernel, thetas)
+    assert grid_outcome(kernel, thetas) == want
+    # the numpy path itself, where it answers without falling back
+    with np.errstate(all="ignore"):
+        try:
+            values = np.broadcast_to(kernel._array(np.array(thetas)), (len(thetas),))
+        except EvalError:
+            return
+    if isinstance(want, bytes) and np.all(np.isfinite(values)):
+        assert np.ascontiguousarray(values).tobytes() == want
+
+
+_ARITHMETIC = ("sin", "cos", "sqrt")
+
+
+def _arithmetic(children):
+    return st.one_of(
+        children.map(Neg),
+        *(st.builds(cls, children, children) for cls in (Add, Sub, Mul, Div)),
+        st.builds(Pow, children, st.integers(-3, 4)),
+        st.builds(Call, st.sampled_from(_ARITHMETIC), children),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaves, _arithmetic, max_leaves=24),
+       st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=64, max_size=64))
+def test_numpy_operations_round_as_scalar_ones(node, thetas):
+    # + - * /, powers, sqrt, sin and cos run on numpy itself (tan, exp and
+    # log run math angle by angle): wherever that answers, bit for bit the
+    # scalar kernel's value
+    kernel = ExpressionKernel(node)
+    with np.errstate(all="ignore"):
+        try:
+            values = np.broadcast_to(kernel._array(np.array(thetas)), (64,))
+        except EvalError:
+            return
+    for th, got in zip(thetas, values.tolist()):
+        try:
+            want = kernel.scalar(th)
+        except EvalError:
+            continue
+        if math.isfinite(want):
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("text,numpy_op", [
+    ("theta^2", lambda x: x ** 2),   # numpy's x**2 multiplies, Python's calls pow
+    ("tan(theta)", np.tan),
+    ("exp(theta)", np.exp),
+    ("log(theta + 11)", lambda x: np.log(x + 11)),
+])
+def test_grid_rounds_where_numpy_would_not(text, numpy_op):
+    # on these angles numpy's own operation rounds differently from the
+    # scalar kernel; the array kernel does not
+    kernel = ExpressionKernel(parse_expression(text))
+    thetas = np.random.default_rng(3).uniform(-10.0, 10.0, 4000)
+    want = np.array([kernel.scalar(th) for th in thetas.tolist()])
+    assert np.any(numpy_op(thetas) != want)
+    assert kernel.grid(thetas).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    ("1/(1/(theta - theta))", 0.0, 1.0),   # numpy: 1/inf = 0; Python divides by zero
+    ("sqrt(theta)^0", -1.0, 1.0),          # numpy: nan^0 = 1; math raises
+    ("1/((theta*1e100)^4)^4", 1.0, 2.0),   # numpy: 1/inf = 0; Python's power overflows
+    ("sin(theta*1e200*1e200)", 1.0, 2.0),  # numpy: sin(inf) = nan; math raises
+])
+def test_grid_does_not_absorb_a_scalar_failure(text, lo, hi):
+    kernel = ExpressionKernel(parse_expression(text))
+    thetas = np.linspace(lo, hi, 9)
+    assert isinstance(loop_outcome(kernel, thetas.tolist()), tuple)
+    assert grid_outcome(kernel, thetas.tolist()) == loop_outcome(kernel, thetas.tolist())
+
+
+def test_one_shape_compiles_once():
+    # constants are globals, so two profiles of one shape share their code
+    # objects and still evaluate their own constants
+    first = ExpressionKernel(parse_expression("2.1 + 0.17*sin(3*theta + 1.3)^2"))
+    second = ExpressionKernel(parse_expression("1.4 + 0.05*sin(5*theta + 0.2)^2"))
+    assert first.scalar.__code__ is second.scalar.__code__
+    assert first._array.__code__ is second._array.__code__
+    assert first.scalar.__code__ is not first._array.__code__
+    thetas = np.linspace(0.2, 2.9, 7)
+    for kernel, node in ((first, first.node), (second, second.node)):
+        want = [tree_callable(node)(th) for th in thetas.tolist()]
+        assert [kernel.scalar(th) for th in thetas.tolist()] == want
+        assert kernel.grid(thetas).tolist() == want
+    assert first.scalar(1.0) != second.scalar(1.0)
+
+
 # -- jets against the unshared tree walk on numpy-scalar series ------------------
 
 def walk_series(node, var):

@@ -4,11 +4,13 @@ Closed-form oracles come from separating the autonomous equation: with
 U = 1, the rising branch through (0, 1/2) is sin(theta + pi/6) and the
 falling branch is cos(theta + pi/3).
 
-``solve_regular`` writes the Dormand-Prince stages out one by one; the
-generic tableau loop it replaced is kept here as the oracle, and every
-piece must match it bit for bit.
+``solve_regular`` writes the Dormand-Prince stages out one by one and fills
+in the interior nodes after its loop, with U read for all of them at once;
+the generic tableau loop it replaced, emitting nodes one by one, is kept
+here as the oracle, and every piece must match it bit for bit.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -19,9 +21,9 @@ import depthrec.ivp as ivp_mod
 from depthrec.errors import DepthRecError, EvalError, NoContinuation, NotRegular
 from depthrec.ivp import (
     _DP_A, _DP_B4, _DP_B5, _DP_C, IntegrationOptions, RegularIC, SolutionPiece,
-    Termination, TerminationKind, _bisect_event, _contact_node, _emit_nodes, _hermite,
+    Termination, TerminationKind, _bisect_event, _contact_node, _hermite,
     _regular_alpha, _series_handoff, branch_to_piece, continue_through_critical,
-    derivative_pair, residual, solve_regular,
+    bound_following_piece, derivative_pair, residual, solve_regular,
 )
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
@@ -32,9 +34,32 @@ UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 LINE = ClosedFormModulus("25/cos(theta)^4", (-1.2, 1.2))
 
 
-def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
+def oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts) -> None:
+    """Node output as it was before the interior nodes were filled in one
+    pass: each interpolated interior node, its slope from ``fjet``, then
+    the step end."""
+    width = abs(t1 - t0)
+    if width == 0.0:
+        return
+    curvature = abs(f1 - f0) / width
+    h_lin = math.sqrt(8.0 * opts.interp_tol / max(curvature, 1e-9))
+    n_sub = min(64, max(1, int(math.ceil(width / h_lin))))
+    for j in range(1, n_sub):
+        tau = t0 + (t1 - t0) * j / n_sub
+        y_tau = _hermite(t0, y0, f0, t1, y1, f1, tau)
+        ts.append(tau)
+        ys.append(y_tau)
+        fs.append(fjet(tau, y_tau))
+    ts.append(t1)
+    ys.append(y1)
+    fs.append(f1)
+
+
+def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
+                          emit_nodes=oracle_emit_nodes):
     """The stepper as it was before its stages were written out: a generic
-    loop over the Dormand-Prince tableau, U through a memoizing closure."""
+    loop over the Dormand-Prince tableau, U through a memoizing closure,
+    nodes emitted step by step with ``emit_nodes``."""
     opts = opts or IntegrationOptions()
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -167,7 +192,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
         if event is not None:
             tau, kind = event
             y_tau = _hermite(t, y, f_t, t_new, y5, k6, tau)
-            _emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, ffield(tau, y_tau), ffield, opts)
+            emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, ffield(tau, y_tau), ffield, opts)
             if kind is TerminationKind.CONTACT:
                 # land the final node exactly on the bound at the critical
                 # point (tangential contacts); transversal ones keep tau
@@ -193,14 +218,14 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts, {})
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
-                _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+                emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
                 ts.extend(snap_ts)
                 ys.extend(snap_ys)
                 fs.extend(snap_fs)
                 termination = Termination(TerminationKind.CONTACT, theta_c)
                 break
 
-        _emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+        emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
         t, y, f_t = t_new, y5, k6
         if abs(t - t_end) <= 1e-15 * max(1.0, abs(t_end)):
             termination = Termination(TerminationKind.DOMAIN_END, t)
@@ -340,6 +365,56 @@ def test_residual_detects_perturbation():
     assert residual(piece, UNIT) > 1e-4
 
 
+
+def residual_oracle(piece, u):
+    """``residual`` as it was, reading U node by node."""
+    worst = 0.0
+    for th, r, dr in zip(piece.thetas, piece.rhos, piece.drhos):
+        worst = max(worst, abs(dr * dr + r * r - u.value(float(th))))
+    return worst
+
+
+def residual_outcome(fn, piece, u):
+    try:
+        return float(fn(piece, u)).hex()
+    except DepthRecError as exc:
+        return type(exc), str(exc)
+
+
+def _piece(thetas, rhos, drhos):
+    return SolutionPiece(+1, np.array(thetas, dtype=float), np.array(rhos, dtype=float),
+                         np.array(drhos, dtype=float), Termination(TerminationKind.DOMAIN_END, 0.0),
+                         "forward")
+
+
+@pytest.mark.parametrize("u,piece", [
+    (LINE, lambda: solve_regular(LINE, RegularIC(0.3, 4.0), +1, "forward")),
+    (UNIT, lambda: solve_regular(UNIT, RegularIC(0.0, 0.5), -1, "forward")),
+    (UNIT, lambda: _piece([0.1, 0.2, 0.3], [0.5, math.nan, 2.0], [0.0, 0.0, 0.1])),  # NaN skipped
+    (UNIT, lambda: _piece([], [], [])),
+    (UNIT, lambda: _piece([0.1, 2.0], [0.5, 0.5], [0.0, 0.0])),  # leaves the domain
+    (ClosedFormModulus("theta - 1", (0.0, 2.0)),
+     lambda: _piece([1.5, 0.5], [0.5, 0.5], [0.0, 0.0])),          # negative: InvalidModulus
+])
+def test_residual_matches_node_loop(u, piece):
+    piece = piece()
+    assert residual_outcome(residual, piece, u) == residual_outcome(residual_oracle, piece, u)
+
+
+@pytest.mark.parametrize("text,domain,theta_c", [
+    ("1", (0.0, 1.5), 0.3),
+    ("2 + (theta - 1.2)^6", (0.0, 2.0), 0.9),   # leaves the flat stretch
+])
+@pytest.mark.parametrize("side", [+1, -1])
+def test_bound_following_nodes_match_node_loop(text, domain, theta_c, side):
+    u = ClosedFormModulus(text, domain)
+    piece = bound_following_piece(u, theta_c, side)
+    rhos = np.array([math.sqrt(u.value(float(t))) for t in piece.thetas])
+    with np.errstate(all="ignore"):
+        drhos = np.array([u.derivative(float(t)) for t in piece.thetas]) / (2.0 * rhos)
+    assert piece.rhos.tobytes() == rhos.tobytes()
+    assert piece.drhos.tobytes() == drhos.tobytes()
+
 # -- continuation through contacts ---------------------------------------------------
 
 def test_continue_falling_after_contact():
@@ -424,32 +499,64 @@ def test_roundtrip_smooth_depth():
 
 # -- the straight-line stepper against the generic loop ------------------------------
 
-def _run_counted(solver, u, ic, sign, direction, opts):
-    """A solve's piece (None if it raised), its output bytes and termination
-    or the error it raised, and every angle at which it evaluated U, in order."""
-    calls = []
-    value = type(u).value
+@contextlib.contextmanager
+def counting_reads(u):
+    """Record every angle at which ``u.value`` is called, in order, and the
+    angles of every ``u.value_grid`` call."""
+    calls, grids = [], []
+    value, value_grid = type(u).value, type(u).value_grid
 
     def counted(theta):
         calls.append(theta)
         return value(u, theta)
 
-    u.value = counted
+    def counted_grid(thetas):
+        grids.append(np.asarray(thetas).tolist())
+        return value_grid(u, thetas)
+
+    u.value, u.value_grid = counted, counted_grid
     try:
-        piece = solver(u, ic, sign, direction, opts)
-    except DepthRecError as exc:
-        return None, (type(exc), str(exc)), calls
+        yield calls, grids
     finally:
-        del u.value
+        del u.value, u.value_grid
+
+
+def _solve_outcome(solver, *args):
+    """A solve's piece (None if it raised), and its output bytes and
+    termination or the error it raised."""
+    try:
+        piece = solver(*args)
+    except DepthRecError as exc:
+        return None, (type(exc), str(exc))
     return piece, (piece.sign, piece.direction, piece.termination, piece.thetas.tobytes(),
-                   piece.rhos.tobytes(), piece.drhos.tobytes()), calls
+                   piece.rhos.tobytes(), piece.drhos.tobytes())
 
 
 def assert_matches_oracle(u, ic, sign, direction, opts=None):
-    piece, got, got_calls = _run_counted(solve_regular, u, ic, sign, direction, opts)
-    _, want, want_calls = _run_counted(generic_solve_regular, u, ic, sign, direction, opts)
+    """``solve_regular`` against the generic loop: the same output bytes or
+    error; U read one angle at a time where the oracle reads it for a step
+    or an event, and all interior nodes read in one grid, in the oracle's
+    order."""
+    with counting_reads(u) as (got_calls, got_grids):
+        piece, got = _solve_outcome(solve_regular, u, ic, sign, direction, opts)
+    interior = []
+    with counting_reads(u) as (want_calls, _):
+
+        def emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts):
+            def interior_field(t, y):
+                interior.append(t)
+                mark = len(want_calls)
+                slope = fjet(t, y)
+                del want_calls[mark:]   # an interior node's read, not a step's
+                return slope
+
+            oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, interior_field, opts)
+
+        _, want = _solve_outcome(generic_solve_regular, u, ic, sign, direction, opts,
+                                 emit_nodes)
     assert got == want
     assert got_calls == want_calls
+    assert got_grids == ([interior] if interior else [])
     return piece
 
 
@@ -475,6 +582,17 @@ def test_stepper_matches_generic_loop_on_forward_models(
     theta0 = DOMAIN[0] + at * (DOMAIN[1] - DOMAIN[0])
     ic = RegularIC(theta0, depth * rho.value(theta0))
     assert_matches_oracle(u, ic, sign, direction, IntegrationOptions(rtol=rtol))
+
+
+def test_interior_nodes_read_u_in_one_grid():
+    # the interior nodes are most of a solve's nodes, all read in one grid
+    u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", DOMAIN))
+    with counting_reads(u) as (_, grids):
+        piece = solve_regular(u, RegularIC(0.5, 2.0), +1, "forward")
+    [interior] = grids
+    nodes = piece.thetas.tolist()
+    assert len(interior) > len(nodes) / 2
+    assert set(interior) <= set(nodes)
 
 
 def test_oracle_domain_end():

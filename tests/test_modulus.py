@@ -368,3 +368,85 @@ def test_closed_form_second_derivative_against_jet(node, thetas):
         if not (math.isfinite(got) and math.isfinite(size)):
             continue  # overflow inside the kernel: a value the polish refuses
         assert abs(got - want) <= 1e-12 * max(abs(want), size)
+
+
+# -- U on a grid against a loop of value ----------------------------------------
+
+def value_loop(u, thetas, accessor="value"):
+    """A loop of ``value`` (or ``derivative``): the bits of its values, or
+    its first error."""
+    try:
+        return np.array([getattr(u, accessor)(th) for th in thetas]).tobytes()
+    except (DomainError, EvalError, InvalidModulus) as exc:
+        return type(exc), str(exc), getattr(exc, "theta", None)
+
+
+def value_grid(u, thetas, accessor="value"):
+    try:
+        grid = getattr(u, accessor + "_grid")(np.array(thetas))
+        return np.ascontiguousarray(grid).tobytes()
+    except (DomainError, EvalError, InvalidModulus) as exc:
+        return type(exc), str(exc), getattr(exc, "theta", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.lists(st.floats(-4.5, 4.5, allow_nan=False), max_size=12))
+def test_closed_form_value_grid_is_the_value_loop(node, thetas):
+    # bit for bit, or the same first error: outside the domain, in the
+    # expression, or a profile negative beyond the clamp; U' alike
+    u = ClosedFormModulus(node, (-4.0, 4.0))
+    assert value_grid(u, thetas) == value_loop(u, thetas)
+    assert value_grid(u, thetas, "derivative") == value_loop(u, thetas, "derivative")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40), st.sampled_from([0.0, 1e-13, 1.0]),
+       st.booleans())
+def test_sampled_value_grid_is_the_value_loop(seed, n, shift, nonfinite):
+    # data of both signs around a shift, so some values clamp and some
+    # raise; a non-finite sample leaves the profile without a spline
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
+    v = shift + rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-14, 2)
+    if nonfinite:
+        v[rng.integers(n)] = np.nan
+    u = SampledModulus(t, v)
+    lo, hi = u.domain
+    thetas = [*t, *rng.uniform(lo, hi, 30), lo - 5e-13, hi + 5e-13]
+    assert value_grid(u, thetas) == value_loop(u, thetas)
+    assert value_grid(u, thetas, "derivative") == value_loop(u, thetas, "derivative")
+
+
+@pytest.mark.parametrize("text,thetas,error", [
+    ("2 + sin(theta)", [0.5, 3.5, 1.0], DomainError),
+    ("2 + sin(theta)", [0.5, float("nan")], DomainError),
+    ("9 + sqrt(1 - theta)", [0.5, 1.5, 1.8], EvalError),
+    ("theta - 1", [1.5, 0.5, 0.2], InvalidModulus),
+    # negative beyond the clamp at 1.8 before sqrt fails at 2.5: the loop's
+    # first error is the negative value, though numpy meets the sqrt first
+    ("sqrt(2 - theta) - 0.5", [0.0, 1.8, 2.5], InvalidModulus),
+    ("1 - theta^2 - 1e-13", [0.0, 1.0, 0.5], None),  # 1e-13 below zero clamps to 0
+])
+def test_value_grid_named_cases(text, thetas, error):
+    u = ClosedFormModulus(text, (0.0, 3.0))
+    got = value_grid(u, thetas)
+    assert got == value_loop(u, thetas)
+    assert (got[0] if error else None) is error
+
+
+def test_value_grid_clamps_roundoff_negatives():
+    u = ClosedFormModulus("1 - theta^2 - 1e-13", (0.0, 3.0))
+    assert u.value_grid(np.array([0.0, 1.0])).tolist() == [1.0 - 1e-13, 0.0]
+
+
+def test_grids_of_no_angles():
+    u = ClosedFormModulus("2 + sin(theta)", (0.0, 3.0))
+    assert u.value_grid(np.array([])).shape == (0,)
+    assert u.derivative_grid(np.array([])).shape == (0,)
+
+
+def test_derivative_grid_raises_at_the_loops_angle():
+    # the first angle outside the domain, not the smallest
+    u = ClosedFormModulus("2 + sin(theta)", (0.0, 2.0))
+    with pytest.raises(DomainError, match=r"^angle 5\.0 outside"):
+        u.derivative_grid(np.array([0.5, 5.0, -1.0]))

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import depthrec.cli as cli
 from depthrec.cli import main
-from depthrec.errors import DomainError
-from depthrec.modulus import SampledModulus
-from depthrec.reports import _json, read_u_csv, report_json_text
+from depthrec.errors import DepthRecError, DomainError
+from depthrec.ivp import RegularIC, solve_regular
+from depthrec.modulus import ClosedFormModulus, SampledModulus
+from depthrec.reports import (
+    _json, format_float, read_u_csv, report_json_text, solution_csv_text, u_csv_text,
+)
 
 
 def _dumps(obj) -> str:
@@ -230,3 +234,60 @@ def _csv_files(draw):
 @given(_csv_files())
 def test_read_u_csv_matches_oracle(tmp_path_factory, text):
     _assert_reads_like_oracle(_write(tmp_path_factory.mktemp("csv"), text))
+
+
+# -- node tables against the node-by-node loops ---------------------------------
+
+def _u_csv_text_oracle(u, samples=501):
+    lo, hi = u.domain
+    lines = ["theta,u"]
+    for th in np.linspace(lo, hi, samples):
+        lines.append(f"{format_float(th)},{format_float(u.value(float(th)))}")
+    return "\n".join(lines) + "\n"
+
+
+def _solution_csv_text_oracle(sol, u=None):
+    thetas = np.asarray(sol.thetas, dtype=float)
+    rhos = np.asarray(sol.rhos, dtype=float)
+    drhos = np.asarray(sol.drhos, dtype=float)
+    lines = ["theta,rho,drho,x,y,residual"]
+    for th, r, dr in zip(thetas, rhos, drhos):
+        x = r * math.cos(th)
+        y = r * math.sin(th)
+        res = abs(dr * dr + r * r - u.value(float(th))) if u is not None else 0.0
+        lines.append(",".join(format_float(v) for v in (th, r, dr, x, y, res)))
+    return "\n".join(lines) + "\n"
+
+
+def _text_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DepthRecError as exc:
+        return type(exc), str(exc)
+
+
+_PROFILES = [
+    ClosedFormModulus("(0.51*cos(3*theta + 1.3))^2 + (2.1 + 0.17*sin(3*theta + 1.3))^2",
+                      (0.2, 2.9)),
+    ClosedFormModulus("1 - theta^2 - 1e-13", (0.0, 1.0)),   # clamps to 0 at theta = 1
+    ClosedFormModulus("theta - 1", (0.0, 2.0)),             # negative: InvalidModulus
+    ClosedFormModulus("9 + sqrt(1 - theta)", (0.0, 2.0)),   # fails past theta = 1
+    SampledModulus(np.linspace(0.0, 2.0, 41), 2.0 + np.sin(3.0 * np.linspace(0.0, 2.0, 41))),
+]
+
+
+@pytest.mark.parametrize("u", _PROFILES)
+def test_u_csv_text_matches_node_loop(u):
+    assert _text_or_error(u_csv_text, u) == _text_or_error(_u_csv_text_oracle, u)
+    assert _text_or_error(u_csv_text, u, 7) == _text_or_error(_u_csv_text_oracle, u, 7)
+
+
+@pytest.mark.parametrize("u", _PROFILES)
+def test_solution_csv_text_matches_node_loop(u):
+    lo, hi = u.domain
+    piece = solve_regular(_PROFILES[0], RegularIC(0.5, 2.0), +1, "forward")
+    for sol in (piece, SimpleNamespace(thetas=np.linspace(lo, hi, 33), rhos=np.full(33, 0.5),
+                                       drhos=np.zeros(33))):
+        assert _text_or_error(solution_csv_text, sol, u) == \
+            _text_or_error(_solution_csv_text_oracle, sol, u)
+    assert solution_csv_text(piece) == _solution_csv_text_oracle(piece)

@@ -9,7 +9,7 @@ import pytest
 from depthrec.criticals import CriticalKind, find_critical_points, upper_bound_check
 import depthrec.solutions as solutions_mod
 from depthrec.errors import (
-    NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular, OutsideCone,
+    DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular, OutsideCone,
 )
 from depthrec.ivp import (
     IntegrationOptions, RegularIC, _clip_piece, _half_branch_sign, branch_to_piece,
@@ -120,6 +120,39 @@ def test_bvp_dense_constant():
     piece = solve_bvp_between_criticals(UNIT, a, b)
     assert piece.dense_contact
     np.testing.assert_allclose(piece.rhos, 1.0, atol=1e-12)
+
+
+def _flat_oracle(u, left, right):
+    """The autonomous-stretch test as it was, a scan probe by probe, but on
+    float angles: it passed numpy floats, so an error's text read
+    ``theta=np.float64(1.1)`` where it now reads ``theta=1.1``."""
+    return all(abs(u.value(th) - left.depth ** 2) <= 1e-9 * u.scale
+               for th in np.linspace(left.theta, right.theta, 17).tolist())
+
+
+def _flat_outcome(fn, u, left, right):
+    try:
+        return fn(u, left, right)
+    except DepthRecError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text,domain,thetas", [
+    ("1", (0.0, 1.5), (0.2, 1.2)),                          # flat
+    ("1 + 1e-12*theta", (0.0, 1.5), (0.2, 1.2)),            # flat within the tolerance
+    ("2 + sin(theta)", (0.0, 2.0), (0.2, 1.2)),             # off the bound at the second probe
+    ("2 + sqrt(1 - theta)", (0.0, 2.0), (0.2, 1.8)),        # off the bound before U fails
+    ("2 + sqrt(1 - theta)^2 - (1 - theta)", (0.0, 2.0), (0.2, 1.8)),  # flat until U fails
+])
+def test_flat_stretch_test_matches_probe_loop(text, domain, thetas):
+    from depthrec.criticals import CriticalPoint
+    from depthrec.modulus import Jet
+    u = ClosedFormModulus(text, domain)
+    # only the left depth and the two angles enter the test
+    left, right = (CriticalPoint(th, math.sqrt(u.value(thetas[0])), CriticalKind.MINIMUM,
+                                 Jet(th, np.array([1.0, 0.0, 0.0]))) for th in thetas)
+    assert _flat_outcome(solutions_mod._flat_between, u, left, right) == \
+        _flat_outcome(_flat_oracle, u, left, right)
 
 
 def test_bvp_trig_profile_mismatch():
