@@ -21,7 +21,9 @@ from .errors import DepthRecError, DomainError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
 __all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
-           "find_critical_points", "upper_bound_check", "UpperBoundReport"]
+           "find_critical_points", "upper_bound_check", "UpperBoundReport", "SCAN_CELLS"]
+
+SCAN_CELLS = 2048  # cells of the default U' scan
 
 
 class CriticalKind(Enum):
@@ -109,7 +111,7 @@ def _scan(dvals: np.ndarray, tol_flat: float, touch_screen: float):
     return flat, runs, sign_changes.tolist(), touches.tolist()
 
 
-def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = 2048,
+def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = SCAN_CELLS,
                          tol_class: float | None = None) -> CriticalSet:
     """Locate and classify every critical point of the depth bound.
 

@@ -23,8 +23,13 @@ nothing back into the stepping, so the loop only records each step that
 needs them, and one pass after the loop fills them all in, with U read for
 all of them in one :meth:`~depthrec.modulus.ModulusModel.value_grid` call
 (dense output after the fact; Hairer, Norsett & Wanner, *Solving ODEs I*,
-sec. II.6).  scipy's ``OdeSolver`` steppers are not used: on this
-1-d field their per-step overhead exceeds the steps they save.  On the
+sec. II.6).  A near-contact series handoff takes its critical IC and
+branches from the table of the public solver call it runs in
+(:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called
+on its own is such a call), so successive attempts on one approach, and
+every solve of one call, build them once.  scipy's ``OdeSolver``
+steppers are not used: on this 1-d field their per-step overhead exceeds
+the steps they save.  On the
 benchmark's ``roundtrip`` inputs (seed 101, 2-vCPU x86-64 VM, scipy 1.17)
 a bare ``DOP853.step()`` loop, without events or node output, took 32
 steps and 391 field evaluations per solve and 6.2 ms per forward-backward
@@ -44,7 +49,8 @@ from scipy.interpolate import CubicHermiteSpline
 from .errors import DepthRecError, NoContinuation, NotRegular, StepFailure
 from .modulus import ModulusModel
 from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, branches_at, eval_series, polish_critical,
+    BranchStatus, CriticalIC, TaylorBranch, branches_at, critical_ic, eval_series,
+    one_critical_table, polish_critical,
 )
 
 __all__ = [
@@ -110,6 +116,10 @@ class SolutionPiece:
     describes the far end in the direction of integration (the smallest
     angle for backward pieces).  ``dense_contact`` marks bound-following
     pieces on autonomous stretches, which carry sign +1 by convention.
+    ``_handoff`` is the (angle, depth) at which :func:`branch_to_piece`
+    handed its series leg over to integration, where it tried to: the
+    nodes past that angle are the integrated tail, and a piece that ends
+    there found no regular start.
     """
 
     sign: BranchSign
@@ -120,6 +130,7 @@ class SolutionPiece:
     direction: str  # "forward" | "backward"
     dense_contact: bool = False
     _spline: object = field(default=None, repr=False, compare=False)
+    _handoff: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def ode_sign(self) -> int:
@@ -194,6 +205,7 @@ def _hermite(t0, y0, f0, t1, y1, f1, t, power=pow):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
+@one_critical_table
 def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                   direction: str = "forward",
                   opts: IntegrationOptions | None = None) -> SolutionPiece:
@@ -263,9 +275,6 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
     handoff_theta_tried = math.nan
-    # polished angle -> (critical IC, its branches), or None where they could
-    # not be built: successive handoff attempts mostly polish to one angle
-    handoff_ics: dict[float, tuple[CriticalIC, list[TaylorBranch]] | None] | None = None
 
     if abs(t_end - t) < 1e-15 * max(1.0, span):
         termination = Termination(TerminationKind.DOMAIN_END, t)
@@ -405,9 +414,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         if (g_new <= opts.handoff_factor * (1.0 + abs(u_new))
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            if handoff_ics is None:
-                handoff_ics = {}
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts, handoff_ics)
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
                 _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, t_new, y5, k6, interp_tol)
@@ -458,8 +465,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
 
 
 def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
-                    tdir: float, t_end: float, opts: IntegrationOptions,
-                    ics: dict[float, tuple[CriticalIC, list[TaylorBranch]] | None]):
+                    tdir: float, t_end: float, opts: IntegrationOptions):
     """Finish a tangential approach with the local analytic series.
 
     Locates the critical point the trajectory is converging to
@@ -468,24 +474,17 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
     unambiguously so), returns replacement nodes from ``t`` to the exact
     contact.  Returns None when no unambiguous branch match exists (flat
     curvature, autonomous stretches, cone-interior trajectories, genuine
-    pass-unders).  ``ics`` maps each polished angle already tried to its IC
-    and branches (None where they could not be built); new ones are added.
+    pass-unders).  Successive attempts on one approach mostly polish to one
+    angle, whose IC and branches the call's table builds once.
     """
     theta_c = polish_critical(u, t, 2 * opts.series_radius)
     if theta_c is None or tdir * (theta_c - t) < 0.0:
         return None  # no critical point ahead in the direction of travel
-    if theta_c in ics:
-        built = ics[theta_c]
-    else:
-        try:
-            ic = CriticalIC.from_modulus(u, theta_c, order=opts.taylor_order)
-            built = ic, branches_at(ic, opts.taylor_order)
-        except DepthRecError:  # no usable critical IC here
-            built = None
-        ics[theta_c] = built
-    if built is None:
-        return None  # leave it to the events
-    ic, branches = built
+    try:
+        ic = critical_ic(u, theta_c, opts.taylor_order)
+        branches = branches_at(ic, opts.taylor_order)
+    except DepthRecError:  # no usable critical IC here: leave it to the events
+        return None
 
     side_app = +1 if t > theta_c else (-1 if t < theta_c else int(-tdir))
     candidates = sorted(((abs(eval_series(b, t)[0] - y), b) for b in branches
@@ -650,10 +649,12 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
 
     theta_h, rho_h = ts[-1], ys[-1]
     reached_limit = abs(theta_h - limit) <= 1e-14 * max(1.0, abs(limit))
+    handoff = None
     if reached_limit:
         termination = Termination(TerminationKind.DOMAIN_END, theta_h)
         tail = None
     else:
+        handoff = theta_h, rho_h
         try:
             tail = solve_regular(u, RegularIC(theta_h, rho_h), walk_sign, direction, opts)
         except NotRegular:
@@ -677,7 +678,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
 
     return SolutionPiece(sign=walk_sign, thetas=np.array(ts), rhos=np.array(ys),
                          drhos=np.array(fs), termination=termination,
-                         direction=direction)
+                         direction=direction, _handoff=handoff)
 
 
 def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:
@@ -767,6 +768,7 @@ def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
             if b.status is not BranchStatus.DEGENERATE]
 
 
+@one_critical_table
 def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
                               choice: BranchSign,
                               opts: IntegrationOptions | None = None) -> SolutionPiece:
@@ -785,7 +787,7 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
     theta_c = piece.termination.theta
     lo, hi = u.domain
     theta = polish_critical(u, theta_c, min(1e-3 * (hi - lo), 1e-2))
-    ic = CriticalIC.from_modulus(u, theta_c if theta is None else theta, order=opts.taylor_order)
+    ic = critical_ic(u, theta_c if theta is None else theta, opts.taylor_order)
     matching = [b for s, b in continuation_candidates(u, ic, side, opts) if s == choice]
     if not matching:
         raise NoContinuation(

@@ -201,15 +201,7 @@ class ClosedFormModulus(ModulusModel):
         self.max_order = None
         self._u = ExpressionKernel(expr)
         self._du = ExpressionKernel(differentiate(expr))
-        sample = []
-        for t in np.linspace(lo, hi, 129):
-            try:
-                v = self._u.scalar(float(t))
-            except EvalError:
-                continue
-            if math.isfinite(v):
-                sample.append(abs(v))
-        self._scale = 1.0 + (max(sample) if sample else 0.0)
+        self._scale = 1.0 + _largest_magnitude(self._u, np.linspace(lo, hi, 129))
 
     @property
     def scale(self) -> float:
@@ -236,6 +228,31 @@ class ClosedFormModulus(ModulusModel):
 
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
         return derivatives_at(self.expr, theta, order)
+
+
+def _largest_magnitude(kernel: ExpressionKernel, thetas: np.ndarray) -> float:
+    """The largest |U| over the angles where U is defined and finite, 0 if
+    there are none.
+
+    One :meth:`~depthrec.expressions.ExpressionKernel.grid` call where U is
+    finite at every angle; otherwise the angles one by one, skipping those
+    that fail.  Either way the maximum of the same values.
+    """
+    try:
+        values = kernel.grid(thetas)
+    except EvalError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return float(np.abs(values).max())
+    sample = []
+    for t in thetas.tolist():
+        try:
+            v = kernel.scalar(t)
+        except EvalError:
+            continue
+        if math.isfinite(v):
+            sample.append(abs(v))
+    return max(sample) if sample else 0.0
 
 
 # _PREFACTORS[dx][kp]: d^dx/ds^dx of s^kp is _PREFACTORS[dx][kp] * s^(kp - dx)

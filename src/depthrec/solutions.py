@@ -8,6 +8,11 @@ minimum-type end, where uniqueness holds), assembles the depth-maximal
 solution that touches the bound at every critical point, and constructs
 the bounding pair around maximum-type critical points together with the
 squeezed non-analytic solutions inside it.
+
+Each public function here is one call of
+:func:`~depthrec.taylor.one_critical_table`: every critical IC it meets,
+and that IC's branch set, is built once and shared by all its pieces,
+continuations and handoffs until it returns.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criticals import CriticalKind, CriticalPoint, CriticalSet, find_critical_points
+from .criticals import SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, find_critical_points
 from .errors import (
     DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular,
     OutsideCone,
@@ -29,7 +34,10 @@ from .ivp import (
     continue_through_critical, solve_regular, _clip_piece, _half_branch_sign,
 )
 from .modulus import ModulusModel
-from .taylor import BranchStatus, CriticalIC, TaylorBranch, eval_series, polish_critical
+from .taylor import (
+    BranchStatus, CriticalIC, TaylorBranch, critical_ic, eval_series, one_critical_table,
+    polish_critical,
+)
 
 __all__ = [
     "JunctionKind", "Junction", "PiecewiseSolution", "ConvergenceCone",
@@ -202,8 +210,7 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     try:
         # the contact angle polished to the nearby root of U', if there is one
         theta = polish_critical(u, theta_c, min(1e-3 * (hi - lo), 1e-2))
-        ic = CriticalIC.from_modulus(u, theta_c if theta is None else theta,
-                                     order=opts.taylor_order)
+        ic = critical_ic(u, theta_c if theta is None else theta, opts.taylor_order)
         candidates = continuation_candidates(u, ic, side, opts)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
@@ -238,6 +245,7 @@ def _seed_paths(u: ModulusModel, ic: RegularIC, ode_sign: int, direction: str,
     return _extend(u, piece, side, max_switches, opts)
 
 
+@one_critical_table
 def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None,
                        max_switches: int = 2,
                        opts: IntegrationOptions | None = None,
@@ -351,28 +359,20 @@ def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoi
     raise NoSolution("neither endpoint is minimum-type; the chain is ambiguous here")
 
 
-def _critical_ic(u: ModulusModel, cp: CriticalPoint, opts: IntegrationOptions,
-                 ics: dict[float, CriticalIC]) -> CriticalIC:
-    """The IC at a critical point's (already polished) angle, built once per ``ics``."""
-    ic = ics.get(cp.theta)
-    if ic is None:
-        ic = ics[cp.theta] = CriticalIC.from_modulus(u, cp.theta, order=opts.taylor_order)
-    return ic
-
-
+@one_critical_table
 def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
                                 right: CriticalPoint,
                                 opts: IntegrationOptions | None = None,
-                                tol_bvp: float = 1e-8,
-                                ics: dict[float, CriticalIC] | None = None) -> SolutionPiece:
+                                tol_bvp: float = 1e-8) -> SolutionPiece:
     """The unique trajectory joining two consecutive critical points.
 
     Launched as the analytic branch at the minimum-type endpoint and
     integrated toward the other; the far end must land on the bound within
     ``tol_bvp`` (then it is snapped exactly), with a small shooting search
-    on the handoff depth as a robustness net.  The launch IC is built once,
-    at the critical point's angle, without polishing it again; ``ics``
-    (critical angle to IC) lets a caller chaining intervals share it.
+    on the handoff depth as a robustness net, which starts from the
+    trajectory already integrated.  The launch IC sits at the critical
+    point's angle, not polished again, and comes from the call's table, so
+    a caller chaining intervals shares it.
     """
     opts = opts or IntegrationOptions()
     if not left.theta < right.theta:
@@ -384,7 +384,7 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
 
     launch, target, side = _pick_launch(left, right)
     ode_needed = int(math.copysign(1.0, (target.depth - launch.depth) * side))
-    ic = _critical_ic(u, launch, opts, {} if ics is None else ics)
+    ic = critical_ic(u, launch.theta, opts.taylor_order)
     matches = [b for s, b in continuation_candidates(u, ic, side, opts)
                if b.status is BranchStatus.COMPLETE and s == ode_needed * side]
     if not matches:
@@ -394,7 +394,7 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
     mismatch = _endpoint_mismatch(piece, target, side)
     if mismatch > tol_bvp:
-        refined = _shoot(u, branch, side, target, opts, tol_bvp)
+        refined = _shoot(u, branch, side, target, opts, tol_bvp, piece)
         if refined is None:
             raise NoSolution(
                 f"trajectory misses the far critical point by {mismatch:.3e}")
@@ -424,12 +424,16 @@ def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> Solutio
 
 
 def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoint,
-           opts: IntegrationOptions, tol_bvp: float) -> SolutionPiece | None:
+           opts: IntegrationOptions, tol_bvp: float,
+           first: SolutionPiece | None = None) -> SolutionPiece | None:
     """Bisection on the handoff depth to hit the far critical point.
 
     Each handoff depth is solved once: the bracket shares ``delta = 0`` with
     the first solve, the result reuses the piece of the last midpoint, and
-    late midpoints that round to one depth share one solve.
+    late midpoints that round to one depth share one solve.  ``first`` is
+    the branch's piece toward the target (:func:`branch_to_piece`, stopped
+    there); where its handoff is this one, its far end is the end depth at
+    ``delta = 0`` and that start is not solved again.
     """
     theta_c = branch.ic.theta0
     r = min(opts.series_radius, abs(target.theta - theta_c) / 4)
@@ -439,6 +443,12 @@ def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoi
     walk_sign = _half_branch_sign(branch, side) * side
     # handoff depth -> clipped piece, None where the IC is not regular
     pieces: dict[float, SolutionPiece | None] = {}
+    # handoff depth -> far-end depth, -inf where the IC is not regular
+    ends: dict[float, float] = {}
+    if first is not None and first._handoff == (theta_h, rho_h):
+        theta_end, rho_end, _ = _end_state(first, at_start=(side < 0))
+        # a tail was integrated exactly when the piece reaches past the handoff
+        ends[rho_h] = -math.inf if theta_end == theta_h else rho_end
 
     def solve(delta: float) -> SolutionPiece | None:
         rho = rho_h + delta
@@ -451,8 +461,11 @@ def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoi
         return pieces[rho]
 
     def end_value(delta: float) -> float:
-        p = solve(delta)
-        return -math.inf if p is None else _end_state(p, at_start=(side < 0))[1]
+        rho = rho_h + delta
+        if rho not in ends:
+            p = solve(delta)
+            ends[rho] = -math.inf if p is None else _end_state(p, at_start=(side < 0))[1]
+        return ends[rho]
 
     scale = 1e-6 * (1.0 + branch.ic.rho0)
     best = None
@@ -492,6 +505,7 @@ def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoi
 # The depth-maximal solution
 # ---------------------------------------------------------------------------
 
+@one_critical_table
 def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
                      critical_set: CriticalSet | None = None,
                      tol_bvp: float = 1e-8) -> PiecewiseSolution:
@@ -503,7 +517,10 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     leaving the outermost critical points.  Each launch IC is built once,
     at the critical point's angle, and shared by every piece leaving that
     point.  On a fully autonomous profile the bound itself solves the
-    equation and is returned directly.
+    equation and is returned directly.  A profile with no critical point
+    is first read on the scan grid, so one that is negative or undefined
+    somewhere raises that error, naming the angle, rather than
+    :class:`NoCriticalPoints`.
     """
     opts = opts or IntegrationOptions()
     cs = critical_set if critical_set is not None else find_critical_points(u)
@@ -514,19 +531,21 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
                 abs(cs.dense_intervals[0][0] - lo) < 1e-6
                 and abs(cs.dense_intervals[-1][1] - hi) < 1e-6):
             return stitch([bound_following_piece(u, lo, +1, opts)])
+        u.value_grid(np.linspace(lo, hi, SCAN_CELLS + 1))
         raise NoCriticalPoints(
             "the profile has no critical points; the depth supremum is not attained")
 
     pieces: list[SolutionPiece] = []
     pts = cs.points
-    ics: dict[float, CriticalIC] = {}  # an interior minimum launches both its intervals
     for a, b in zip(pts, pts[1:]):
-        pieces.append(solve_bvp_between_criticals(u, a, b, opts, tol_bvp, ics))
+        pieces.append(solve_bvp_between_criticals(u, a, b, opts, tol_bvp))
 
     if pts[0].theta > lo + 1e-9:
-        pieces.insert(0, _dominant_extension(u, _critical_ic(u, pts[0], opts, ics), -1, opts))
+        ic = critical_ic(u, pts[0].theta, opts.taylor_order)
+        pieces.insert(0, _dominant_extension(u, ic, -1, opts))
     if pts[-1].theta < hi - 1e-9:
-        pieces.append(_dominant_extension(u, _critical_ic(u, pts[-1], opts, ics), +1, opts))
+        ic = critical_ic(u, pts[-1].theta, opts.taylor_order)
+        pieces.append(_dominant_extension(u, ic, +1, opts))
 
     return stitch(pieces)
 
@@ -569,6 +588,7 @@ class ConvergenceCone:
                 < float(self.upper.interp(theta)) - margin)
 
 
+@one_critical_table
 def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                opts: IntegrationOptions | None = None,
                side: int | None = None) -> ConvergenceCone:
@@ -583,7 +603,7 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
     if isinstance(apex, CriticalIC):
         ic, theta_c, depth = apex, apex.theta0, apex.rho0
     else:
-        ic = CriticalIC.from_modulus(u, apex.theta, order=opts.taylor_order)
+        ic = critical_ic(u, apex.theta, opts.taylor_order)
         theta_c, depth = apex.theta, apex.depth
     lo, hi = u.domain
     if side is None:
@@ -609,6 +629,7 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                            side=side)
 
 
+@one_critical_table
 def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
                          opts: IntegrationOptions | None = None) -> PiecewiseSolution:
     """The squeezed solution through a strictly interior cone point.

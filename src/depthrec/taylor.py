@@ -18,12 +18,21 @@ which vanishes exactly when rho2 = -rho0/n for an integer n >= 3; those are
 the degenerate cases where the recursion stalls and a one-parameter family
 of jets appears.
 
-Every critical point is polished near a guess by :func:`polish_critical`
-and every branch set is built by :func:`branches_at`; the integrator and
-the global assembly call these two and nothing else for that.  The polish
-is Newton on U' and U'' read from the profile's compiled kernels, not on
-Taylor-mode jets: it needs two derivative values per step, which the
-kernels give for a fraction of a jet's cost.
+Every critical point is polished near a guess by :func:`polish_critical`,
+every critical IC is built by :func:`critical_ic` and every branch set by
+:func:`branches_at`; the integrator and the global assembly call these
+three and nothing else for that.  The polish is Newton on U' and U'' read
+from the profile's compiled kernels, not on Taylor-mode jets: it needs two
+derivative values per step, which the kernels give for a fraction of a
+jet's cost.
+
+A critical IC carries at most two analytic branches, fixed by its angle
+and order, so within one public solver call (each function decorated
+with :func:`one_critical_table`) there is one table of them: an IC is
+built once per profile, exact angle and order, and its branch set once
+per order.  Calls nested in another share its table; it is dropped when
+the outermost call returns, so nothing is kept from one call to the next.
+Outside any such call both builders build afresh each time.
 
 Derivative-vector convention: ``derivs[k]`` is the k-th derivative value,
 not the monomial coefficient; the series coefficient is ``derivs[k]/k!``.
@@ -38,8 +47,10 @@ first :func:`eval_series` call, and every later evaluation reuses them.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -57,6 +68,7 @@ __all__ = [
     "SafeRegionKind", "SafeRegionResult", "second_derivative_roots", "beta_sign_class",
     "leibniz_terms", "expand_branch", "check_safe_region", "eval_series",
     "estimate_radius", "recursion_residuals", "branches_at", "polish_critical",
+    "critical_ic", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -409,11 +421,92 @@ def polish_critical(u: ModulusModel, theta: float, window: float) -> float | Non
     return min(max(theta_c, lo), hi)
 
 
+class _CallTable:
+    """The critical ICs and branch sets of one public solver call, each
+    with the error its build raised, if any."""
+
+    __slots__ = ("ics", "branch_sets")
+
+    def __init__(self):
+        # (profile, angle, sign of the angle, order) -> IC: exact angles,
+        # and 0.0 and -0.0 are two
+        self.ics: dict[tuple, CriticalIC | DepthRecError] = {}
+        # id(IC) -> (IC, {(order, tol_deg): branches}); the IC is kept so
+        # that its id is not reused while the table lives
+        self.branch_sets: dict[int, tuple[CriticalIC, dict]] = {}
+
+
+_UNUSED = _CallTable()  # marks a call that has not needed its table yet
+_call_table: ContextVar[_CallTable | None] = ContextVar("depthrec_call_table", default=None)
+
+
+def one_critical_table(fn):
+    """Decorate a public solver call: one table of critical ICs and branch
+    sets serves it and every call nested in it, and is dropped when it
+    returns.  The table is made on first use, so a call that meets no
+    critical point makes none."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _call_table.get() is not None:  # nested: the outer call's table
+            return fn(*args, **kwargs)
+        token = _call_table.set(_UNUSED)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _call_table.reset(token)
+
+    return call
+
+
+def _open_table() -> _CallTable | None:
+    table = _call_table.get()
+    if table is _UNUSED:
+        table = _CallTable()
+        _call_table.set(table)
+    return table
+
+
+def _built(memo: dict, key, build):
+    """``memo[key]``, built by ``build()`` the first time; a build that
+    raised a :class:`DepthRecError` raises it again on every later ask."""
+    entry = memo.get(key)
+    if entry is None:
+        try:
+            entry = build()
+        except DepthRecError as exc:
+            entry = exc
+        memo[key] = entry
+    if isinstance(entry, DepthRecError):
+        raise entry.with_traceback(None)
+    return entry
+
+
+def critical_ic(u: ModulusModel, theta0: float, order: int = DEFAULT_ORDER) -> CriticalIC:
+    """:meth:`CriticalIC.from_modulus`, built once per exact angle and order
+    in the running public solver call."""
+    table = _open_table()
+    if table is None:
+        return CriticalIC.from_modulus(u, theta0, order)
+    key = (u, theta0, math.copysign(1.0, theta0), order)
+    return _built(table.ics, key, lambda: CriticalIC.from_modulus(u, theta0, order))
+
+
 def branches_at(ic: CriticalIC, order: int = DEFAULT_ORDER,
                 tol_deg: float | None = None) -> list[TaylorBranch]:
     """All analytic branches through a critical IC (two, or one at a double
     root), smaller curvature root first, expanded to ``order`` or to the IC's
-    jet order if that is lower (a sampled profile's jet stops at 2)."""
+    jet order if that is lower (a sampled profile's jet stops at 2).
+
+    Built once per IC and order in the running public solver call."""
+    table = _open_table()
+    if table is None:
+        return _expand_branches(ic, order, tol_deg)
+    _ic, sets = table.branch_sets.setdefault(id(ic), (ic, {}))
+    return list(_built(sets, (order, tol_deg), lambda: _expand_branches(ic, order, tol_deg)))
+
+
+def _expand_branches(ic: CriticalIC, order: int, tol_deg: float | None) -> list[TaylorBranch]:
     b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
     betas = [b1] if abs(b2 - b1) <= 1e-12 * (1.0 + ic.rho0) else [b1, b2]
     order = min(order, ic.u_jet.order)

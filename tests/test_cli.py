@@ -130,6 +130,15 @@ def test_exit_code_invalid_profile(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text,angle", [("1/(theta-1)", "0.2"), ("2-theta", "2.00087890625")])
+def test_maximal_names_the_angle_where_the_profile_is_negative(capsys, text, angle):
+    code = main(["maximal", "--u", text, "--domain", "0.2", "2.9"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"depthrec: profile is negative at theta={angle}: ")
+    assert "critical points" not in err
+
+
 def test_config_file_and_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

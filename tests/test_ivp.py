@@ -214,8 +214,9 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         if (g_new <= opts.handoff_factor * (1.0 + abs(uval(t_new)))
                 and g_new < gval(t, y) and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            # a fresh IC memo per attempt: the solve as it was before the memo
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts, {})
+            # called outside any public solver call, so each attempt builds its
+            # IC and branches afresh: the solve as it was before they were shared
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
                 emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
@@ -653,7 +654,7 @@ def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(CriticalIC, "from_modulus", classmethod(counting_build))
     monkeypatch.setattr(ivp_mod, "_series_handoff", counting_handoff)
-    # bit for bit the oracle's solve, which hands each attempt a fresh memo
+    # bit for bit the oracle's solve, which builds each attempt's IC afresh
     assert_matches_oracle(u, ic, +1, "backward")
     built.clear()
     attempts.clear()

@@ -257,6 +257,39 @@ def test_value_errors_keep_their_text():
     assert u.value(2.0 + 1e-12) == pytest.approx(1.0)
 
 
+def scale_by_angle_loop(u):
+    """The scale of a closed form as the angle loop it replaced sampled it:
+    one plus the largest finite |U| at 129 angles, skipping failures."""
+    lo, hi = u.domain
+    sample = []
+    for t in np.linspace(lo, hi, 129):
+        try:
+            v = u._u.scalar(float(t))
+        except EvalError:
+            continue
+        if math.isfinite(v):
+            sample.append(abs(v))
+    return 1.0 + (max(sample) if sample else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.floats(-4.0, 4.0), st.floats(0.01, 6.0))
+def test_closed_form_scale_equals_angle_loop(node, lo, width):
+    u = ClosedFormModulus(node, (lo, lo + width))
+    assert u.scale == scale_by_angle_loop(u)
+
+
+@pytest.mark.parametrize("text,domain", [
+    ("1/(theta - 1)", (0.0, 2.0)),      # a pole on the 65th sample angle
+    ("sqrt(theta) + 2", (-1.0, 1.0)),   # undefined on the first half
+    ("log(theta)", (-2.0, -1.0)),       # undefined everywhere
+    ("exp(theta^2)", (0.0, 30.0)),      # overflows on the far samples
+])
+def test_closed_form_scale_skips_failing_angles(text, domain):
+    u = ClosedFormModulus(text, domain)
+    assert u.scale == scale_by_angle_loop(u)
+
+
 # -- U'' accessor -------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

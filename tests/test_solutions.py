@@ -1,15 +1,20 @@
 """Global assembly: enumeration, two-point chains, maximality, cones."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from depthrec.criticals import CriticalKind, find_critical_points, upper_bound_check
+import depthrec.ivp as ivp_mod
 import depthrec.solutions as solutions_mod
+import depthrec.taylor as taylor_mod
 from depthrec.errors import (
-    DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular, OutsideCone,
+    DepthRecError, InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
+    NotRegular, OutsideCone,
 )
 from depthrec.ivp import (
     IntegrationOptions, RegularIC, _clip_piece, _half_branch_sign, branch_to_piece,
@@ -247,6 +252,18 @@ def test_maximal_requires_criticals():
         maximal_solution(u)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1/(theta-1)", r"^profile is negative at theta=0\.2: -1\.25$"),
+    ("2-theta", r"^profile is negative at theta=2\.00087890625: "),
+])
+def test_maximal_names_where_the_profile_is_negative(text, message):
+    # no critical point, but the fault is a profile negative over part of
+    # the domain: the first scan angle where it is, not NoCriticalPoints
+    u = ClosedFormModulus(text, (0.2, 2.9))
+    with pytest.raises(InvalidModulus, match=message):
+        maximal_solution(u)
+
+
 def test_maximal_pieces_abut_exactly_at_critical_points():
     # each piece leaves a critical point at the angle its neighbour is
     # snapped to, so interior junctions have no gap at all
@@ -428,7 +445,8 @@ def test_shoot_solves_each_ic_once_and_matches_old_shoot(monkeypatch, series_rad
     # three targets per interval: the far critical point itself (a hit),
     # 1e-10 below the unshot trajectory's end (a hit only from the short
     # series leg, whose bracket closes on a depth that is not regular) and
-    # 1e-8 below it (a miss); each shoot solves every start depth once
+    # 1e-8 below it (a miss); each shoot solves every start depth once, and
+    # the delta = 0 start not at all: the handed-in first piece holds it
     u = ClosedFormModulus("2 + 0.1*sin(3*theta)", (0.2, 2.9))
     opts = IntegrationOptions(series_radius=series_radius)
     starts = []
@@ -449,15 +467,142 @@ def test_shoot_solves_each_ic_once_and_matches_old_shoot(monkeypatch, series_rad
         theta_h = launch.theta + side * min(series_radius, abs(target.theta - launch.theta) / 4)
         walk_sign = _half_branch_sign(branch, side) * side
         direction = "forward" if side > 0 else "backward"
-        end = _clip_piece(solve_regular(u, RegularIC(theta_h, eval_series(branch, theta_h)[0]),
-                                        walk_sign, direction, opts), target.theta)
+        start = (theta_h, eval_series(branch, theta_h)[0])
+        end = _clip_piece(solve_regular(u, RegularIC(*start), walk_sign, direction, opts),
+                          target.theta)
         end_depth = float(end.rhos[-1] if side > 0 else end.rhos[0])
+        first = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
         for depth in (target.depth, end_depth - 1e-10, end_depth - 1e-8):
             aim = replace(target, depth=depth)
             starts.clear()
-            got = solutions_mod._shoot(u, branch, side, aim, opts, 1e-8)
-            assert len(starts) == len(set(starts)) >= 2
+            got = solutions_mod._shoot(u, branch, side, aim, opts, 1e-8, first)
+            assert len(starts) == len(set(starts)) >= 1
+            assert start not in starts
             assert piece_bits(got) == piece_bits(old_shoot(u, branch, side, aim, opts, 1e-8))
             outcomes.append(got is not None)
     hit_below = series_radius < 0.01
     assert outcomes == [True, hit_below, False] * 2
+
+
+# -- one table of critical ICs and branch sets per call ------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every jet built, as (angle, order), and every branch expanded, as
+    (angle, curvature root, order), in call order."""
+    jets, branches = [], []
+    jet, expand = ClosedFormModulus.jet, taylor_mod.expand_branch
+
+    def counting_jet(self, theta, order):
+        jets.append((theta, order))
+        return jet(self, theta, order)
+
+    def counting_expand(ic, beta, order=taylor_mod.DEFAULT_ORDER, tol_deg=None):
+        branches.append((ic.theta0, beta, order))
+        return expand(ic, beta, order, tol_deg)
+
+    monkeypatch.setattr(ClosedFormModulus, "jet", counting_jet)
+    monkeypatch.setattr(taylor_mod, "expand_branch", counting_expand)
+    return jets, branches
+
+
+def _calls(u):
+    """One call of each public solver that reaches critical points, on ``u``."""
+    cs = find_critical_points(u)
+    apex = next(p for p in cs.points if p.kind is CriticalKind.MAXIMUM)
+    lo, hi = u.domain
+    th = 0.5 * (lo + hi)
+    return [
+        lambda: maximal_solution(u, critical_set=cs),
+        lambda: enumerate_branches(u, RegularIC(th, 0.99 * math.sqrt(u.value(th)))),
+        lambda: build_cone(u, apex),
+    ]
+
+
+@pytest.mark.parametrize("text", [
+    "2 + 0.1*sin(3*theta)",
+    "2 + 0.3*sin(5*theta)",
+    # a maximal-workload profile that hands off near contacts many times
+    "(0.19648*4*cos(4*theta + 5.2046))^2 + (2.3807 + 0.19648*sin(4*theta + 5.2046))^2",
+])
+def test_each_jet_and_branch_set_is_built_once_per_call(builds, text):
+    jets, branches = builds
+    u = ClosedFormModulus(text, (0.2, 2.9))
+    seen = []
+    for call in _calls(u):
+        for _ in range(2):
+            jets.clear()
+            branches.clear()
+            try:
+                call()
+            except DepthRecError:
+                pass  # the call still built what it built
+            assert len(jets) == len(set(jets))
+            assert len(branches) == len(set(branches))
+            seen.append((jets[:], branches[:]))
+        # the second call builds all of it again: nothing outlived the first
+        assert seen[-1] == seen[-2]
+    assert any(branches for _jets, branches in seen)
+
+
+def test_shoot_does_not_solve_the_first_start_again(monkeypatch):
+    # the far critical point is missed: the shoot starts from the piece the
+    # first solve integrated, so the BVP solves one start fewer than a shoot
+    # that solves its delta = 0 start itself, and fails with the same text
+    u = ClosedFormModulus("2 + 0.3*sin(5*theta)", (0.2, 2.9))
+    starts = []
+    solve = ivp_mod.solve_regular
+
+    def counting_solve(u, ic, *args):
+        starts.append((ic.theta0, ic.rho0))
+        return solve(u, ic, *args)
+
+    monkeypatch.setattr(ivp_mod, "solve_regular", counting_solve)
+    monkeypatch.setattr(solutions_mod, "solve_regular", counting_solve)
+    shoot = solutions_mod._shoot
+    outcomes = []
+    for first_piece_kept in (False, True):
+        if not first_piece_kept:
+            monkeypatch.setattr(solutions_mod, "_shoot",
+                                lambda *args: shoot(*args[:6]))
+        else:
+            monkeypatch.setattr(solutions_mod, "_shoot", shoot)
+        starts.clear()
+        with pytest.raises(NoSolution) as err:
+            maximal_solution(u)
+        outcomes.append((len(starts), len(set(starts)), str(err.value)))
+    (n_old, distinct_old, text_old), (n_new, distinct_new, text_new) = outcomes
+    assert n_new == n_old - 1 == distinct_new
+    assert distinct_old == n_old - 1
+    assert text_new == text_old == "trajectory misses the far critical point by 2.907e-02"
+
+
+def test_threads_running_solver_calls_keep_their_own_tables():
+    # each thread's calls open their own table: concurrent calls on several
+    # profiles give the bytes of the same calls run one after another
+    texts = ["2 + 0.1*sin(3*theta)", "2 + 0.1*sin(3*theta + 0.4)", "2.5 + 0.2*sin(2*theta + 1)"]
+    profiles = [ClosedFormModulus(t, (0.2, 2.9)) for t in texts]
+
+    def run(u):
+        sol = maximal_solution(u)
+        return sol.thetas.tobytes() + sol.rhos.tobytes() + sol.drhos.tobytes()
+
+    serial = [run(u) for u in profiles]
+    results: dict[int, list[bytes]] = {}
+
+    def worker(i):
+        results[i] = [run(profiles[(i + k) % len(profiles)]) for k in range(len(profiles))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        assert results[i] == [serial[(i + k) % len(profiles)] for k in range(len(profiles))]
