@@ -13,28 +13,33 @@ event (the field loses Lipschitz continuity there), detected by monitoring
 which continuation is the business of :func:`continue_through_critical`.
 
 Every regular solve, series tail and shooting re-solve runs through one
-stepping loop, so :func:`solve_regular` writes the pair out in straight-line
-code: the tableau (``_DP_*``, its only copy) is unpacked into locals once
-per solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with the terms in
-tableau order, and U is read through the bound ``u.value`` and a per-solve
-memo keyed by angle.  Most emitted nodes are not step ends but interior
-nodes that keep linear interpolation within ``interp_tol``; they feed
-nothing back into the stepping, so the loop only records each step that
-needs them, and one pass after the loop fills them all in, with U read for
-all of them in one :meth:`~depthrec.modulus.ModulusModel.value_grid` call
-(dense output after the fact; Hairer, Norsett & Wanner, *Solving ODEs I*,
-sec. II.6).  A near-contact series handoff takes its critical IC and
-branches from the table of the public solver call it runs in
-(:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called
-on its own is such a call), so successive attempts on one approach, and
-every solve of one call, build them once.  scipy's ``OdeSolver``
-steppers are not used: on this 1-d field their per-step overhead exceeds
-the steps they save.  On the
-benchmark's ``roundtrip`` inputs (seed 101, 2-vCPU x86-64 VM, scipy 1.17)
-a bare ``DOP853.step()`` loop, without events or node output, took 32
-steps and 391 field evaluations per solve and 6.2 ms per forward-backward
-pair, against 2.6 ms for the two full solves here (Hairer, Norsett &
-Wanner, *Solving ODEs I*, sec. II.5).
+stepping loop, so :func:`solve_regular` writes the pair out in
+straight-line code: the tableau (``_DP_*``, its only copy) is unpacked into
+locals once per solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with
+the terms in tableau order, and U is read straight through the bound
+``u.value`` at every stage angle.  The last stage sits at the step end, so
+its U serves the error estimate, the event tests and the next step's start;
+an accepted step without an event calls no Python function but ``u.value``.
+U is not memoized by angle: on the benchmark's inputs fewer than 2 in
+10 000 stage reads repeat an angle of the same solve, and a memo costs a
+dict lookup and store at every stage.  Most emitted nodes are not step
+ends but interior nodes that keep linear interpolation within
+``interp_tol``; they feed nothing back into the stepping, so the loop's one
+emit point only records each step that needs them, and one pass after the
+loop fills them all in, with U read for all of them in one
+:meth:`~depthrec.modulus.ModulusModel.value_grid` call (dense output after
+the fact; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6).  A
+near-contact series handoff takes its critical IC and branches from the
+table of the public solver call it runs in
+(:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
+its own is such a call), so successive attempts on one approach, and every
+solve of one call, build them once.  scipy's ``OdeSolver`` steppers are not
+used: on this 1-d field their per-step overhead exceeds the steps they
+save.  On the benchmark's ``roundtrip`` inputs (seed 101, 2-vCPU x86-64 VM,
+scipy 1.17) a bare ``DOP853.step()`` loop, without events or node output,
+took 32 steps and 391 field evaluations per solve and 6.2 ms per
+forward-backward pair, against 2.6 ms for the two full solves here (Hairer,
+Norsett & Wanner, *Solving ODEs I*, sec. II.5).
 """
 
 from __future__ import annotations
@@ -231,45 +236,29 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     tdir = 1.0 if direction == "forward" else -1.0
     span = hi - lo
     ode_sign = sign if direction == "forward" else -sign
-    sqrt = math.sqrt
+    sqrt, ceil = math.sqrt, math.ceil
     uvalue = u.value
     atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, opts.h_max, opts.tol_contact
-    interp_tol = opts.interp_tol
+    tol_floor, handoff_factor, max_steps = opts.tol_floor, opts.handoff_factor, opts.max_steps
+    lin_tol = 8.0 * opts.interp_tol  # a step's interior nodes keep h^2*curvature/8 under interp_tol
+    end_tol = 1e-15 * max(1.0, abs(t_end))
     _, c1, c2, c3, c4, c5 = _DP_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54) = _DP_A
     b0, b1, b2, b3, b4, b5 = _DP_B5
     e0, e1, e2, e3, e4, e5, e6 = _DP_B4
 
-    # every U value the solve computes, by angle: a retried step can land a
-    # stage on an angle an earlier attempt already evaluated
-    uval_cache: dict[float, float] = {}
-
-    def uval(t: float) -> float:
-        v = uval_cache.get(t)
-        if v is None:
-            v = uval_cache[t] = uvalue(t)
-        return v
-
-    def ffield(t: float, y: float) -> float:
-        return ode_sign * sqrt(max(uval(t) - y * y, 0.0))
-
-    def gval(t: float, y: float) -> float:
-        return uval(t) - y * y
-
-    def contact_tol(t: float) -> float:
-        return tol_contact * (1.0 + abs(uval(t)))
-
-    ts = [ic.theta0]
-    ys = [ic.rho0]
-    fs = [ffield(ic.theta0, ic.rho0)]
+    t, y = ic.theta0, ic.rho0
+    u_t = uvalue(t)
+    g = u_t - y * y
+    f_t = ode_sign * sqrt(0.0 if g < 0.0 else g)
+    ts = [t]
+    ys = [y]
+    fs = [f_t]
     # the accepted steps that need interior nodes, filled in after the loop
     steps_taken: list[float] = []
     termination: Termination | None = None
 
-    t, y = ic.theta0, ic.rho0
-    f_t = fs[0]
-    u_t = uval_cache[t]
     h = min(h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
     rejects = 0
     stage_error = None  # the last failed stage evaluation since the last accepted step
@@ -281,9 +270,9 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
 
     while termination is None:
         steps += 1
-        if steps > opts.max_steps:
+        if steps > max_steps:
             termination = Termination(TerminationKind.STEP_FAILURE, t,
-                                      f"step budget {opts.max_steps} exhausted")
+                                      f"step budget {max_steps} exhausted")
             break
         h = min(h, h_max, abs(t_end - t))
         h_floor = 1e-15 * max(1.0, abs(t))
@@ -298,49 +287,31 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             break
         ht = tdir * h
 
-        # the stages, each row summed left to right as the tableau lists it;
-        # ``0.0 if g < 0.0 else g`` is max(g, 0.0) without the call
+        # the stages, each row summed left to right as the tableau lists it,
+        # U read straight at every stage angle; ``0.0 if g < 0.0 else g`` is
+        # max(g, 0.0) without the call
         k0 = f_t
         try:
-            ti = t + c1 * ht
             yi = y + ht * (a10 * k0)
-            ui = uval_cache.get(ti)
-            if ui is None:
-                ui = uval_cache[ti] = uvalue(ti)
-            g = ui - yi * yi
+            g = uvalue(t + c1 * ht) - yi * yi
             k1 = ode_sign * sqrt(0.0 if g < 0.0 else g)
 
-            ti = t + c2 * ht
             yi = y + ht * (a20 * k0 + a21 * k1)
-            ui = uval_cache.get(ti)
-            if ui is None:
-                ui = uval_cache[ti] = uvalue(ti)
-            g = ui - yi * yi
+            g = uvalue(t + c2 * ht) - yi * yi
             k2 = ode_sign * sqrt(0.0 if g < 0.0 else g)
 
-            ti = t + c3 * ht
             yi = y + ht * (a30 * k0 + a31 * k1 + a32 * k2)
-            ui = uval_cache.get(ti)
-            if ui is None:
-                ui = uval_cache[ti] = uvalue(ti)
-            g = ui - yi * yi
+            g = uvalue(t + c3 * ht) - yi * yi
             k3 = ode_sign * sqrt(0.0 if g < 0.0 else g)
 
-            ti = t + c4 * ht
             yi = y + ht * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3)
-            ui = uval_cache.get(ti)
-            if ui is None:
-                ui = uval_cache[ti] = uvalue(ti)
-            g = ui - yi * yi
+            g = uvalue(t + c4 * ht) - yi * yi
             k4 = ode_sign * sqrt(0.0 if g < 0.0 else g)
 
             # c5 = 1: the last stage sits at the step end, so its U serves
-            # k6, the event test and the next step
-            ti = t + c5 * ht
+            # k6, the event tests and the next step
             yi = y + ht * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-            u_new = uval_cache.get(ti)
-            if u_new is None:
-                u_new = uval_cache[ti] = uvalue(ti)
+            u_new = uvalue(t + c5 * ht)
             g = u_new - yi * yi
             k5 = ode_sign * sqrt(0.0 if g < 0.0 else g)
         except DepthRecError as exc:  # profile evaluation failed mid-stage
@@ -374,25 +345,38 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         rejects = 0
         stage_error = None
 
-        # events on the accepted step, earliest first
-        event: tuple[float, TerminationKind] | None = None
-        if y5 <= opts.tol_floor:
-            tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - opts.tol_floor,
-                                t, t_new)
-            event = (tau, TerminationKind.FLOOR_CONTACT)
-        if g_new <= tol_contact * (1.0 + abs(u_new)):
-            tau = _bisect_event(
-                lambda tt: (gval(tt, _hermite(t, y, f_t, t_new, y5, k6, tt))
-                            - contact_tol(tt)),
-                t, t_new)
-            if event is None or tdir * (event[0] - tau) > 0:
-                event = (tau, TerminationKind.CONTACT)
+        # the node that ends this step: the step end, unless an event cuts
+        # the step short
+        t1, y1, f1 = t_new, y5, k6
+        kind: TerminationKind | None = None
+        snap = None
+        if y5 <= tol_floor or g_new <= tol_contact * (1.0 + abs(u_new)):
+            kind, t1, y1, f1 = _step_event(uvalue, ode_sign, tdir, tol_floor, tol_contact,
+                                            t, y, f_t, u_t, t_new, y5, k6, u_new)
+        # near-contact series handoff: a trajectory riding tangentially into
+        # the bound is exponentially ill-conditioned for stepping, so once
+        # the margin is small we try to identify the analytic branch it sits
+        # on and finish the approach with the local series
+        elif (g_new <= handoff_factor * (1.0 + abs(u_new))
+                and g_new < u_t - y * y and handoff_theta_tried != t_new):
+            handoff_theta_tried = t_new
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
 
-        if event is not None:
-            tau, kind = event
-            y_tau = _hermite(t, y, f_t, t_new, y5, k6, tau)
-            _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, tau, y_tau, ffield(tau, y_tau),
-                        interp_tol)
+        # emit the end node; a step too wide for linear interpolation within
+        # interp_tol is cut into n_sub parts (at most 64), and recorded as
+        # eight numbers (its place in the node lists, n_sub and the two
+        # states) for _fill_nodes to add the n_sub - 1 interior nodes
+        width = abs(t1 - t)
+        if width != 0.0:
+            n_sub = ceil(width / sqrt(lin_tol / max(abs(f1 - f_t) / width, 1e-9)))
+            if n_sub > 1:
+                steps_taken.extend((len(ts), min(n_sub, 64), t, y, f_t, t1, y1, f1))
+            ts.append(t1)
+            ys.append(y1)
+            fs.append(f1)
+
+        if kind is not None:
+            tau = t1
             if kind is TerminationKind.CONTACT:
                 # land the final node exactly on the bound at the critical
                 # point (tangential contacts); transversal ones keep tau
@@ -406,27 +390,16 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                         tau = theta_c
             termination = Termination(kind, tau)
             break
+        if snap is not None:
+            snap_ts, snap_ys, snap_fs, theta_c = snap
+            ts.extend(snap_ts)
+            ys.extend(snap_ys)
+            fs.extend(snap_fs)
+            termination = Termination(TerminationKind.CONTACT, theta_c)
+            break
 
-        # near-contact series handoff: a trajectory riding tangentially into
-        # the bound is exponentially ill-conditioned for stepping, so once
-        # the margin is small we try to identify the analytic branch it sits
-        # on and finish the approach with the local series
-        if (g_new <= opts.handoff_factor * (1.0 + abs(u_new))
-                and g_new < u_t - y * y and handoff_theta_tried != t_new):
-            handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
-            if snap is not None:
-                snap_ts, snap_ys, snap_fs, theta_c = snap
-                _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, t_new, y5, k6, interp_tol)
-                ts.extend(snap_ts)
-                ys.extend(snap_ys)
-                fs.extend(snap_fs)
-                termination = Termination(TerminationKind.CONTACT, theta_c)
-                break
-
-        _emit_nodes(ts, ys, fs, steps_taken, t, y, f_t, t_new, y5, k6, interp_tol)
         t, y, f_t, u_t = t_new, y5, k6, u_new
-        if abs(t - t_end) <= 1e-15 * max(1.0, abs(t_end)):
+        if abs(t - t_end) <= end_tol:
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
@@ -524,25 +497,44 @@ def _bisect_event(pred, t_ok: float, t_hit: float, iters: int = 80) -> float:
     return b
 
 
-def _emit_nodes(ts, ys, fs, steps, t0, y0, f0, t1, y1, f1, interp_tol) -> None:
-    """Append the end node of a step from ``t0`` to ``t1``.
+def _step_event(uvalue, ode_sign: int, tdir: float, tol_floor: float, tol_contact: float,
+                t: float, y: float, f_t: float, u_t: float,
+                t_new: float, y5: float, k6: float, u_new: float):
+    """The earliest event on an accepted step from ``t`` to ``t_new``, and
+    the node that ends the step there.
 
-    A step too wide for the linear-interpolation error target needs
-    ``n_sub - 1`` interior nodes; it is recorded in the flat list ``steps``
-    as eight numbers (its place in the node lists, ``n_sub`` and the two
-    states), and :func:`_fill_nodes` adds those nodes.
+    Floor contact is where the step's cubic Hermite interpolant falls to
+    ``tol_floor``; contact with the bound is where ``U - rho^2`` falls to
+    the scaled contact tolerance.  Each is bisected only when the step's
+    end is past it.  U is read once per bisection midpoint and taken from
+    ``u_t`` and ``u_new`` at the step's own ends, as is U at the event
+    angle when a bisection already read it.  Returns the event's kind and
+    the node ``(tau, rho, drho)``.
     """
-    width = abs(t1 - t0)
-    if width == 0.0:
-        return
-    curvature = abs(f1 - f0) / width
-    h_lin = math.sqrt(8.0 * interp_tol / max(curvature, 1e-9))
-    n_sub = min(64, max(1, int(math.ceil(width / h_lin))))
-    if n_sub > 1:
-        steps.extend((len(ts), n_sub, t0, y0, f0, t1, y1, f1))
-    ts.append(t1)
-    ys.append(y1)
-    fs.append(f1)
+    def rho_at(tt: float) -> float:
+        return _hermite(t, y, f_t, t_new, y5, k6, tt)
+
+    read = {t: u_t, t_new: u_new}  # the U values this search knows, by angle
+
+    def contact_margin(tt: float) -> float:
+        u_tt = read.get(tt)
+        if u_tt is None:
+            u_tt = read[tt] = uvalue(tt)
+        y_tt = rho_at(tt)
+        return u_tt - y_tt * y_tt - tol_contact * (1.0 + abs(u_tt))
+
+    kind = None
+    if y5 <= tol_floor:
+        tau = _bisect_event(lambda tt: rho_at(tt) - tol_floor, t, t_new)
+        kind = TerminationKind.FLOOR_CONTACT
+    if u_new - y5 * y5 <= tol_contact * (1.0 + abs(u_new)):
+        tau_c = _bisect_event(contact_margin, t, t_new)
+        if kind is None or tdir * (tau - tau_c) > 0:
+            tau, kind = tau_c, TerminationKind.CONTACT
+    y_tau = rho_at(tau)
+    u_tau = read.get(tau)
+    g = (uvalue(tau) if u_tau is None else u_tau) - y_tau * y_tau
+    return kind, tau, y_tau, ode_sign * math.sqrt(0.0 if g < 0.0 else g)
 
 
 def _fill_nodes(u: ModulusModel, steps, ts, ys, fs,
@@ -661,24 +653,26 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
             # the series leg still hugs the bound at the handoff point
             termination = Termination(TerminationKind.CONTACT, theta_h)
             tail = None
-    if tail is not None:
+    if side < 0:
+        ts, ys, fs = ts[::-1], ys[::-1], fs[::-1]
+    if tail is None:
+        thetas, rhos, drhos = np.array(ts), np.array(ys), np.array(fs)
+    else:
         if stop_theta is not None:
             tail = _clip_piece(tail, stop_theta)
+        # the series leg and the tail share the handoff node: keep the leg's
         if side > 0:
-            ts.extend(tail.thetas[1:])
-            ys.extend(tail.rhos[1:])
-            fs.extend(tail.drhos[1:])
+            thetas = np.concatenate((ts, tail.thetas[1:]))
+            rhos = np.concatenate((ys, tail.rhos[1:]))
+            drhos = np.concatenate((fs, tail.drhos[1:]))
         else:
-            ts = list(tail.thetas[:-1]) + ts[::-1]
-            ys = list(tail.rhos[:-1]) + ys[::-1]
-            fs = list(tail.drhos[:-1]) + fs[::-1]
+            thetas = np.concatenate((tail.thetas[:-1], ts))
+            rhos = np.concatenate((tail.rhos[:-1], ys))
+            drhos = np.concatenate((tail.drhos[:-1], fs))
         termination = tail.termination
-    elif side < 0:
-        ts, ys, fs = ts[::-1], ys[::-1], fs[::-1]
 
-    return SolutionPiece(sign=walk_sign, thetas=np.array(ts), rhos=np.array(ys),
-                         drhos=np.array(fs), termination=termination,
-                         direction=direction, _handoff=handoff)
+    return SolutionPiece(sign=walk_sign, thetas=thetas, rhos=rhos, drhos=drhos,
+                         termination=termination, direction=direction, _handoff=handoff)
 
 
 def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:

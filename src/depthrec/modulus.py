@@ -5,7 +5,9 @@ velocity.  A :class:`ClosedFormModulus` wraps an expression AST and serves
 derivatives of any order through truncated power-series arithmetic; a
 :class:`SampledModulus` wraps a grid with a cubic spline and serves at most
 two exact derivative orders.  Values within roundoff of zero are clamped to
-zero; anything more negative raises :class:`InvalidModulus`.
+zero; anything more negative raises :class:`InvalidModulus`, and so does a
+value that is not finite (NaN, or an infinity from silent float overflow),
+naming the angle: no layer above steps or reports on such a value.
 
 Every layer above reads U and U' many times, and the critical-point polish
 reads U' and U'', so both representations evaluate them without per-call
@@ -14,11 +16,14 @@ overhead.  A closed form evaluates U, U' and U'' with generated kernels
 use; U'' is also differentiated only when first asked for, so building a
 profile costs no second symbolic differentiation.  A sampled profile
 evaluates its spline with a scalar kernel on the spline's breakpoints and
-coefficients: ``bisect`` finds the piece (half-open ``[x_i, x_{i+1})``, the
-last one closed, angles in the domain slack clamped to the end pieces) and
-the terms are summed in scipy's order, so every value equals
-``CubicSpline.__call__``'s bit for bit; U itself, the value every
-integrator stage reads, has that kernel written out.
+coefficients: ``bisect`` over the inner knots finds the piece (half-open
+``[x_i, x_{i+1})``, the last one closed, angles in the domain slack falling
+to the end pieces) and the terms are summed in scipy's order, so every
+value equals ``CubicSpline.__call__``'s bit for bit; U itself, the value
+every integrator stage reads, has that kernel written out.
+:meth:`ModulusModel.value` is the one entry point for a U read, with one
+chained compare on its fast path; below it a closed form calls its
+compiled kernel directly.
 
 Whole arrays of angles go through :meth:`ModulusModel.value_grid` and
 :meth:`ModulusModel.derivative_grid`: the numpy binding of a closed form's
@@ -49,6 +54,8 @@ __all__ = ["Jet", "ModulusModel", "ClosedFormModulus", "SampledModulus",
 
 # values in [-NEGATIVE_CLAMP*scale, 0) count as roundoff and clamp to 0
 NEGATIVE_CLAMP = 1e-12
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -91,14 +98,17 @@ class ModulusModel:
         return u
 
     def value(self, theta: float) -> float:
-        """U(theta), clamped at roundoff level and validated nonnegative."""
+        """U(theta), clamped at roundoff level and validated finite and
+        nonnegative."""
         lo, hi = self.domain
         if not (lo - 1e-12 <= theta <= hi + 1e-12):
             self._check_domain(theta)
         u = self._raw_value(theta)
+        if 0.0 <= u < _INF:
+            return u
         if u < 0.0:
             return self._clamp(u, theta)
-        return u
+        raise InvalidModulus(f"profile is not finite at theta={theta}: {u}")
 
     def derivative(self, theta: float) -> float:
         self._check_domain(theta)
@@ -207,8 +217,11 @@ class ClosedFormModulus(ModulusModel):
     def scale(self) -> float:
         return self._scale
 
-    def _raw_value(self, theta: float) -> float:
-        return self._u.scalar(theta)
+    @cached_property
+    def _raw_value(self):
+        # the compiled kernel itself, bound on first use: a U read calls it
+        # straight from ``value``, without a method frame in between
+        return self._u.scalar
 
     def _raw_derivative(self, theta: float) -> float:
         return self._du.scalar(theta)
@@ -286,6 +299,8 @@ class SampledModulus(ModulusModel):
             except ValueError as exc:
                 raise DomainError(f"sampled profile has no finite cubic spline: {exc}") from None
             self._knots = self._spline.x.tolist()
+            # bisecting knots[1:-1] alone clamps the piece index to [0, n - 2]
+            self._last_knot = len(self._knots) - 1
             # piece i holds the coefficients of s^0..s^3, s = theta - x_i, at
             # [4i, 4i + 4); a flat float array keeps no Python object per value,
             # filled from the raw bytes rather than element by element
@@ -303,11 +318,10 @@ class SampledModulus(ModulusModel):
     def _spline_at(self, theta: float, dx: int) -> float:
         """The spline's ``dx``-th derivative, as scipy's ``evaluate_poly1`` sums it."""
         self._require_spline()
-        knots = self._knots
         # pieces are half-open [x_i, x_{i+1}), the last one closed; angles in
         # the domain slack fall to the end pieces
-        i = min(max(bisect_right(knots, theta) - 1, 0), len(knots) - 2)
-        s = float(theta) - knots[i]
+        i = bisect_right(self._knots, theta, 1, self._last_knot) - 1
+        s = float(theta) - self._knots[i]
         pieces, base = self._pieces, 4 * i
         prefactors = _PREFACTORS[dx]
         res = 0.0
@@ -323,7 +337,7 @@ class SampledModulus(ModulusModel):
         if self._spline is None:
             self._require_spline()
         knots = self._knots
-        i = min(max(bisect_right(knots, theta) - 1, 0), len(knots) - 2)
+        i = bisect_right(knots, theta, 1, self._last_knot) - 1
         s = float(theta) - knots[i]
         pieces, base = self._pieces, 4 * i
         res = 0.0 + pieces[base]

@@ -139,6 +139,16 @@ def test_maximal_names_the_angle_where_the_profile_is_negative(capsys, text, ang
     assert "critical points" not in err
 
 
+def test_maximal_rejects_a_non_finite_profile(tmp_path, capsys):
+    # exit 1 with the angle, and no report of NaN nodes
+    out = tmp_path / "sol.csv"
+    code = main(["maximal", "--u", "2 + (1e200*theta)*(1e200*theta)*(theta - 1.5)*0",
+                 "--domain", "0.2", "2.9", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "depthrec: profile is not finite at theta=0.2: nan\n"
+    assert not out.exists()
+
+
 def test_config_file_and_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import depthrec.ivp as ivp_mod
-from depthrec.errors import DepthRecError, EvalError, NoContinuation, NotRegular
+from depthrec.errors import DepthRecError, EvalError, InvalidModulus, NoContinuation, NotRegular
 from depthrec.ivp import (
     _DP_A, _DP_B4, _DP_B5, _DP_C, IntegrationOptions, RegularIC, SolutionPiece,
     Termination, TerminationKind, _bisect_event, _contact_node, _hermite,
@@ -58,8 +58,11 @@ def oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts) -> None:
 def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
                           emit_nodes=oracle_emit_nodes):
     """The stepper as it was before its stages were written out: a generic
-    loop over the Dormand-Prince tableau, U through a memoizing closure,
-    nodes emitted step by step with ``emit_nodes``."""
+    loop over the Dormand-Prince tableau, nodes emitted step by step with
+    ``emit_nodes``.  U is read at every stage angle, at every event
+    bisection midpoint and interior node, and at an event angle that no
+    bisection read; the U of a step's last stage (``c = 1``) serves the
+    step's end, and the step's start reuses the previous step's end."""
     opts = opts or IntegrationOptions()
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -73,30 +76,22 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
     span = hi - lo
     ode_sign = sign if direction == "forward" else -sign
 
-    uval_cache = {}
-
-    def uval(t):
-        v = uval_cache.get(t)
-        if v is None:
-            v = u.value(t)
-            uval_cache[t] = v
-        return v
+    def field(u_t, y):
+        return ode_sign * math.sqrt(max(u_t - y * y, 0.0))
 
     def ffield(t, y):
-        return ode_sign * math.sqrt(max(uval(t) - y * y, 0.0))
+        return field(u.value(t), y)
 
-    def gval(t, y):
-        return uval(t) - y * y
-
-    def contact_tol(t):
-        return opts.tol_contact * (1.0 + abs(uval(t)))
-
-    ts = [ic.theta0]
-    ys = [ic.rho0]
-    fs = [ffield(ic.theta0, ic.rho0)]
-    termination = None
+    def contact_tol(u_t):
+        return opts.tol_contact * (1.0 + abs(u_t))
 
     t, y = ic.theta0, ic.rho0
+    u_t = u.value(t)
+    ts = [t]
+    ys = [y]
+    fs = [field(u_t, y)]
+    termination = None
+
     f_t = fs[0]
     h = min(opts.h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
     rejects = 0
@@ -132,11 +127,12 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
             ti = t + _DP_C[i] * ht
             yi = y + ht * sum(a * kk for a, kk in zip(_DP_A[i], k))
             try:
-                k.append(ffield(ti, yi))
+                u_new = u.value(ti)
             except DepthRecError as exc:  # profile evaluation failed mid-stage
                 failed = True
                 stage_error = exc
                 break
+            k.append(field(u_new, yi))
         if failed:
             h *= 0.5
             rejects += 1
@@ -146,15 +142,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
 
         y5 = y + ht * sum(b * kk for b, kk in zip(_DP_B5, k))
         t_new = t + ht
-        try:
-            k6 = ffield(t_new, y5)
-        except DepthRecError as exc:
-            stage_error = exc
-            h *= 0.5
-            rejects += 1
-            if rejects > 60:
-                termination = Termination(TerminationKind.STEP_FAILURE, t, str(exc))
-            continue
+        assert t_new == t + _DP_C[5] * ht  # the last stage read U at the step end
+        k6 = field(u_new, y5)
         y4 = y + ht * sum(b * kk for b, kk in zip(_DP_B4, k + [k6]))
 
         scale = opts.atol + opts.rtol * max(abs(y), abs(y5))
@@ -163,7 +152,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
             rejects += 1
             if rejects > 60:
                 # persistent rejection happens only hard against the bound
-                if gval(t, y) <= 10.0 * contact_tol(t):
+                if u_t - y * y <= 10.0 * contact_tol(u_t):
                     termination = Termination(TerminationKind.CONTACT, t)
                 else:
                     termination = Termination(TerminationKind.STEP_FAILURE, t,
@@ -174,25 +163,34 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         rejects = 0
         stage_error = None
 
-        # events on the accepted step, earliest first
+        # events on the accepted step, earliest first; U at the step's ends
+        # and wherever the contact bisection read it
+        known = {t: u_t, t_new: u_new}
+
+        def uval(tt):
+            if tt not in known:
+                known[tt] = u.value(tt)
+            return known[tt]
+
         event = None
         if y5 <= opts.tol_floor:
             tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - opts.tol_floor,
                                 t, t_new)
             event = (tau, TerminationKind.FLOOR_CONTACT)
-        g_new = gval(t_new, y5)
-        if g_new <= contact_tol(t_new):
-            tau = _bisect_event(
-                lambda tt: (gval(tt, _hermite(t, y, f_t, t_new, y5, k6, tt))
-                            - contact_tol(tt)),
-                t, t_new)
+        g_new = u_new - y5 * y5
+        if g_new <= contact_tol(u_new):
+            def contact_margin(tt):
+                y_tt = _hermite(t, y, f_t, t_new, y5, k6, tt)
+                return uval(tt) - y_tt * y_tt - contact_tol(uval(tt))
+
+            tau = _bisect_event(contact_margin, t, t_new)
             if event is None or tdir * (event[0] - tau) > 0:
                 event = (tau, TerminationKind.CONTACT)
 
         if event is not None:
             tau, kind = event
             y_tau = _hermite(t, y, f_t, t_new, y5, k6, tau)
-            emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, ffield(tau, y_tau), ffield, opts)
+            emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, field(uval(tau), y_tau), ffield, opts)
             if kind is TerminationKind.CONTACT:
                 # land the final node exactly on the bound at the critical
                 # point (tangential contacts); transversal ones keep tau
@@ -211,8 +209,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         # the bound is exponentially ill-conditioned for stepping, so once
         # the margin is small we try to identify the analytic branch it sits
         # on and finish the approach with the local series
-        if (g_new <= opts.handoff_factor * (1.0 + abs(uval(t_new)))
-                and g_new < gval(t, y) and handoff_theta_tried != t_new):
+        if (g_new <= opts.handoff_factor * (1.0 + abs(u_new))
+                and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
             # called outside any public solver call, so each attempt builds its
             # IC and branches afresh: the solve as it was before they were shared
@@ -227,7 +225,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
                 break
 
         emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
-        t, y, f_t = t_new, y5, k6
+        t, y, f_t, u_t = t_new, y5, k6, u_new
         if abs(t - t_end) <= 1e-15 * max(1.0, abs(t_end)):
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break
@@ -697,6 +695,26 @@ def test_eval_error_part_way_ends_in_step_failure():
     assert piece.termination == Termination(TerminationKind.STEP_FAILURE, 1.0,
                                             str(last_failure.value))
     assert piece.thetas.tolist() == [1.0]
+
+
+def test_non_finite_profile_at_the_ic_raises_a_typed_error():
+    # U is NaN everywhere (an overflow to inf, times 0): the IC's own read
+    # names the angle, where NaN nodes used to reach the node emitter
+    u = ClosedFormModulus("2 + (1e200*theta)*(1e200*theta)*(theta - 1.5)*0", DOMAIN)
+    with pytest.raises(InvalidModulus, match=r"^profile is not finite at theta=0\.5: nan$"):
+        solve_regular(u, RegularIC(0.5, 1.0), +1)
+
+
+def test_profile_overflowing_part_way_ends_in_step_failure():
+    # about 2 + theta^2 up to theta = 1.3408, infinite past it: the steps
+    # shrink toward the overflow as toward an evaluation error, and every
+    # node stays finite
+    u = ClosedFormModulus("2 + (1e154*theta)*(1e154*theta)*1e-308", DOMAIN)
+    piece = assert_matches_oracle(u, RegularIC(0.5, 1.0), +1, "forward")
+    assert piece.termination.kind is TerminationKind.STEP_FAILURE
+    assert piece.termination.detail.startswith("profile is not finite at theta=1.3407")
+    assert piece.termination.detail.endswith(": inf")
+    assert np.isfinite(piece.rhos).all() and np.isfinite(piece.drhos).all()
 
 
 def test_event_path_does_not_swallow_foreign_errors():

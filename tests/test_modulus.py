@@ -56,6 +56,18 @@ def test_eval_tiny_negative_clamps():
     assert u.value(0.5) == 0.0
 
 
+# float products overflow silently: inf here, and inf * 0 is NaN
+OVERFLOW_INF = "2 + (1e200*theta)*(1e200*theta)"
+OVERFLOW_NAN = "2 + (1e200*theta)*(1e200*theta)*(theta - 1.5)*0"
+
+
+@pytest.mark.parametrize("text,shown", [(OVERFLOW_INF, "inf"), (OVERFLOW_NAN, "nan")])
+def test_eval_non_finite_raises(text, shown):
+    u = ClosedFormModulus(text, (0.2, 2.9))
+    with pytest.raises(InvalidModulus, match=rf"^profile is not finite at theta=0\.5: {shown}$"):
+        u.value(0.5)
+
+
 def test_jet_constant():
     u = ClosedFormModulus("1", (0.0, 1.0))
     np.testing.assert_allclose(u.jet(0.0, 4).coeffs, [1, 0, 0, 0, 0])
@@ -212,14 +224,17 @@ def test_sampled_kernel_equals_scipy_spline(seed, n):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
 def test_order0_spline_kernel_is_bit_identical(seed, n):
     # the unrolled U kernel against the generic one and against scipy, bit
-    # for bit, on data of both signs (the raw kernel does not clamp)
+    # for bit, on data of both signs (the raw kernel does not clamp); the
+    # piece lookup is tried at every knot and on either side of it, at both
+    # domain ends and across the 1e-12 slack past each end
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
     v = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4)
     u, spline = SampledModulus(t, v), CubicSpline(t, v)
     lo, hi = u.domain
-    points = [*t, *rng.uniform(lo, hi, 50), lo, hi, lo - 1e-12, hi + 1e-12,
-              lo - 5e-13, hi + 5e-13, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    points = [*t, *np.nextafter(t, -np.inf), *np.nextafter(t, np.inf),
+              *rng.uniform(lo, hi, 50), lo, hi, lo - 1e-12, hi + 1e-12, lo - 5e-13, hi + 5e-13,
+              *rng.uniform(lo - 1e-12, lo, 5), *rng.uniform(hi, hi + 1e-12, 5)]
     for th in map(float, points):
         got = u._raw_value(th)
         assert got.hex() == u._spline_at(th, 0).hex() == float(spline(th)).hex()
@@ -459,6 +474,9 @@ def test_sampled_value_grid_is_the_value_loop(seed, n, shift, nonfinite):
     # first error is the negative value, though numpy meets the sqrt first
     ("sqrt(2 - theta) - 0.5", [0.0, 1.8, 2.5], InvalidModulus),
     ("1 - theta^2 - 1e-13", [0.0, 1.0, 0.5], None),  # 1e-13 below zero clamps to 0
+    # about theta^2 + 1 up to 1.34, infinite past it: the loop's error at 2.0
+    ("(1e154*theta)*(1e154*theta)*1e-308 + 1", [0.5, 2.0, 2.5], InvalidModulus),
+    (OVERFLOW_NAN, [0.5, 1.5], InvalidModulus),
 ])
 def test_value_grid_named_cases(text, thetas, error):
     u = ClosedFormModulus(text, (0.0, 3.0))

@@ -264,6 +264,14 @@ def test_maximal_names_where_the_profile_is_negative(text, message):
         maximal_solution(u)
 
 
+def test_maximal_rejects_a_non_finite_profile():
+    # NaN from a silent float overflow (inf * 0) used to give a "solution"
+    # whose nodes were all NaN
+    u = ClosedFormModulus("2 + (1e200*theta)*(1e200*theta)*(theta - 1.5)*0", (0.2, 2.9))
+    with pytest.raises(InvalidModulus, match=r"^profile is not finite at theta=0\.2: nan$"):
+        maximal_solution(u)
+
+
 def test_maximal_pieces_abut_exactly_at_critical_points():
     # each piece leaves a critical point at the angle its neighbour is
     # snapped to, so interior junctions have no gap at all
