@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DepthRecError, DomainError, InvalidModulus
+from .errors import DepthRecError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
 __all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
@@ -161,12 +161,7 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = SCAN_C
             roots.append(float(thetas[(start + end) // 2]))
 
     # touch roots: local minima of |U'| that polish to a zero of U''
-    def second(th: float) -> float:
-        d2 = u.second_derivative(th)
-        if not math.isfinite(d2):
-            raise DomainError(f"U'' is not finite at theta={th}: {d2}")
-        return d2
-
+    second = u.second_derivative
     for i in touches:
         a, b = float(thetas[i - 1]), float(thetas[i + 1])
         try:

@@ -37,7 +37,8 @@ class EvalError(DepthRecError):
 
 
 class InvalidModulus(DepthRecError):
-    """A squared-speed profile is negative beyond roundoff tolerance."""
+    """A squared-speed profile is negative beyond roundoff tolerance, or it
+    or a derivative of it is not finite."""
 
 
 class OrderUnavailable(DepthRecError):

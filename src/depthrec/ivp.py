@@ -6,20 +6,29 @@ The reconstruction identity splits into two explicit branches
 
 each Lipschitz away from the depth bound, so a regular initial condition
 (depth strictly below the bound) launches exactly one monotone trajectory
-per sign and direction.  Integration uses an embedded Dormand-Prince 5(4)
-pair with the radicand clamped at zero; the bound itself is a contact
-event (the field loses Lipschitz continuity there), detected by monitoring
-``g = U - rho^2`` and localized by bisecting the last accepted step, after
-which continuation is the business of :func:`continue_through_critical`.
+per sign and direction.  Integration uses Tsitouras's embedded 5(4) pair
+(Tsitouras, *Comput. Math. Appl.* 62 (2011) 770-775; Hairer, Norsett &
+Wanner, *Solving ODEs I*, sec. II.4-II.5) with the radicand clamped at
+zero.  It has the Dormand-Prince stage structure, six stages with the last
+at the step end and the fifth-order solution's slope as a seventh for the
+error estimate, but smaller error constants, so it takes fewer steps at
+equal tolerances.  The bound itself is a contact event (the field loses
+Lipschitz continuity there), detected by monitoring ``g = U - rho^2`` and
+localized by bisecting the last accepted step, after which continuation is
+the business of :func:`continue_through_critical`.
 
 Every regular solve, series tail and shooting re-solve runs through one
 stepping loop, so :func:`solve_regular` writes the pair out in
-straight-line code: the tableau (``_DP_*``, its only copy) is unpacked into
-locals once per solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with
-the terms in tableau order, and U is read straight through the bound
-``u.value`` at every stage angle.  The last stage sits at the step end, so
-its U serves the error estimate, the event tests and the next step's start;
-an accepted step without an event calls no Python function but ``u.value``.
+straight-line code: the tableau (``_TSIT5_*``, its only copy) is unpacked
+into locals once per solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)``
+with the terms in tableau order, and U is read straight through the bound
+``u.value`` at every stage angle, the IC's read serving the regularity
+check too.  The last stage sits at the step end, so its U serves the error
+estimate, the event tests and the next step's start; an accepted step
+without an event calls no Python function but ``u.value``.  A caller that
+keeps a piece only up to some angle passes it as ``stop_theta``, and the
+loop stops at the first step end past it instead of running on to the
+domain end or an event out there.
 U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
 dict lookup and store at every stage.  Most emitted nodes are not step
@@ -35,11 +44,13 @@ table of the public solver call it runs in
 its own is such a call), so successive attempts on one approach, and every
 solve of one call, build them once.  scipy's ``OdeSolver`` steppers are not
 used: on this 1-d field their per-step overhead exceeds the steps they
-save.  On the benchmark's ``roundtrip`` inputs (seed 101, 2-vCPU x86-64 VM,
-scipy 1.17) a bare ``DOP853.step()`` loop, without events or node output,
-took 32 steps and 391 field evaluations per solve and 6.2 ms per
-forward-backward pair, against 2.6 ms for the two full solves here (Hairer,
-Norsett & Wanner, *Solving ODEs I*, sec. II.5).
+save.  On the benchmark's ``roundtrip`` inputs (seed 101, its tolerances
+``rtol=1e-12, atol=1e-14``, 2-vCPU x86-64 VM, scipy 1.17) a bare
+``DOP853.step()`` loop, without events or node output, took 32 steps and
+391 field evaluations per solve, and 8.0 ms per forward-backward pair
+against 2.2 to 2.4 ms for the two full solves here, which take 70 steps
+and 349 U reads per solve (Hairer, Norsett & Wanner, *Solving ODEs I*,
+sec. II.5).
 """
 
 from __future__ import annotations
@@ -165,32 +176,42 @@ def derivative_pair(u: ModulusModel, ic: RegularIC,
                     opts: IntegrationOptions | None = None) -> tuple[float, float]:
     """The two admissible slopes (+alpha, -alpha) at a regular IC."""
     opts = opts or IntegrationOptions()
-    alpha = _regular_alpha(u, ic, opts)
+    alpha = math.sqrt(_regular_margin(ic, u.value(ic.theta0), opts))
     return alpha, -alpha
 
 
-def _regular_alpha(u: ModulusModel, ic: RegularIC, opts: IntegrationOptions) -> float:
-    uval = u.value(ic.theta0)
+def _regular_margin(ic: RegularIC, uval: float, opts: IntegrationOptions) -> float:
+    """``U - rho^2`` at the IC, given ``uval = U(theta0)``; raises
+    :class:`NotRegular` unless it clears the regularity margin."""
     margin = uval - ic.rho0 * ic.rho0
     tol_reg = opts.tol_reg_factor * opts.tol_contact * (1.0 + uval)
     if margin <= tol_reg:
         raise NotRegular(
             f"IC ({ic.theta0}, {ic.rho0}) is not regular: U - rho^2 = {margin} <= {tol_reg}")
-    return math.sqrt(margin)
+    return margin
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
+# Tsitouras 5(4) tableau (Tsitouras, Comput. Math. Appl. 62 (2011) 770-775),
+# in the double-precision values of OrdinaryDiffEq's ``Tsit5``: the stage
+# angles, the stage rows, the fifth-order weights (the last stage row a6 of
+# the FSAL stage k6 = f(t + h, y5)) and the differences b - b_hat, whose 7th
+# entry weights k6; the embedded fourth-order weights b_hat follow from them
+_TSIT5_C = (0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0)
+_TSIT5_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (0.161,),
+    (-0.008480655492356989, 0.335480655492357),
+    (2.897153057105493, -6.359448489975075, 4.3622954328695815),
+    (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525),
+    (5.86145544294642, -12.92096931784711, 8.159367898576159, -0.071584973281401,
+     -0.028269050394068383),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_TSIT5_B = (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742,
+            -3.290069515436081, 2.324710524099774)
+_TSIT5_BTILDE = (-0.00178001105222577714, -0.0008164344596567469, 0.007880878010261995,
+                 -0.1447110071732629, 0.5823571654525552, -0.45808210592918697,
+                 0.015151515151515152)
+_TSIT5_BHAT = tuple(b - d for b, d in zip(_TSIT5_B + (0.0,), _TSIT5_BTILDE))
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, t, power=pow):
@@ -213,7 +234,8 @@ def _hermite(t0, y0, f0, t1, y1, f1, t, power=pow):
 @one_critical_table
 def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                   direction: str = "forward",
-                  opts: IntegrationOptions | None = None) -> SolutionPiece:
+                  opts: IntegrationOptions | None = None,
+                  stop_theta: float | None = None) -> SolutionPiece:
     """Integrate one explicit branch until the domain end or an event.
 
     ``sign`` follows the walk convention of :class:`SolutionPiece`: +1
@@ -223,13 +245,21 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     failure.  Emitted nodes are dense enough that linear interpolation
     between them stays within ``opts.interp_tol``; the interior nodes of
     the steps are added after the loop (:func:`_fill_nodes`).
+
+    With ``stop_theta``, the piece is wanted only up to that angle: the
+    loop also ends at the first step end that :func:`_clip_piece` would
+    cut off there (past it by more than its 1e-14 slack), and the piece
+    comes back clipped at ``stop_theta``.  That is bit for bit the clip of
+    the full solve, whose later nodes the clip drops: the cut node
+    interpolates the nodes on either side of ``stop_theta``, which this
+    step's end already bounds.  The U reads are the first ones of the full
+    solve.  A piece that ends short of ``stop_theta`` is the full solve's.
     """
     opts = opts or IntegrationOptions()
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    _regular_alpha(u, ic, opts)
 
     lo, hi = u.domain
     t_end = hi if direction == "forward" else lo
@@ -242,16 +272,23 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     tol_floor, handoff_factor, max_steps = opts.tol_floor, opts.handoff_factor, opts.max_steps
     lin_tol = 8.0 * opts.interp_tol  # a step's interior nodes keep h^2*curvature/8 under interp_tol
     end_tol = 1e-15 * max(1.0, abs(t_end))
-    _, c1, c2, c3, c4, c5 = _DP_C
+    _, c1, c2, c3, c4, c5 = _TSIT5_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
-        (a50, a51, a52, a53, a54) = _DP_A
-    b0, b1, b2, b3, b4, b5 = _DP_B5
-    e0, e1, e2, e3, e4, e5, e6 = _DP_B4
+        (a50, a51, a52, a53, a54) = _TSIT5_A
+    b0, b1, b2, b3, b4, b5 = _TSIT5_B
+    e0, e1, e2, e3, e4, e5, e6 = _TSIT5_BHAT
+
+    # a step end past ``stop_past`` (in the direction of travel) is one the
+    # clip at ``stop_theta`` drops, as are all later nodes
+    stop_past = math.inf
+    if stop_theta is not None:
+        stop_past = stop_theta + 1e-14 if tdir > 0 else -(stop_theta - 1e-14)
 
     t, y = ic.theta0, ic.rho0
     u_t = uvalue(t)
-    g = u_t - y * y
-    f_t = ode_sign * sqrt(0.0 if g < 0.0 else g)
+    # U - rho^2 at the IC: never below the regularity margin
+    g = _regular_margin(ic, u_t, opts)
+    f_t = ode_sign * sqrt(g)
     ts = [t]
     ys = [y]
     fs = [f_t]
@@ -356,9 +393,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         # near-contact series handoff: a trajectory riding tangentially into
         # the bound is exponentially ill-conditioned for stepping, so once
         # the margin is small we try to identify the analytic branch it sits
-        # on and finish the approach with the local series
+        # on and finish the approach with the local series; not past
+        # ``stop_past``, where the clip would drop the series nodes
         elif (g_new <= handoff_factor * (1.0 + abs(u_new))
-                and g_new < u_t - y * y and handoff_theta_tried != t_new):
+                and g_new < u_t - y * y and handoff_theta_tried != t_new
+                and tdir * t_new <= stop_past):
             handoff_theta_tried = t_new
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
 
@@ -402,13 +441,16 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         if abs(t - t_end) <= end_tol:
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break
+        if tdir * t > stop_past:  # the clip below ends the piece at stop_theta
+            break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
     thetas, rhos, drhos = _fill_nodes(u, steps_taken, ts, ys, fs, ode_sign)
     if direction == "backward":
         thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
-    return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                         termination=termination, direction=direction)
+    piece = SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
+                          termination=termination, direction=direction)
+    return piece if stop_theta is None else _clip_piece(piece, stop_theta)
 
 
 def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
@@ -648,7 +690,8 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     else:
         handoff = theta_h, rho_h
         try:
-            tail = solve_regular(u, RegularIC(theta_h, rho_h), walk_sign, direction, opts)
+            tail = solve_regular(u, RegularIC(theta_h, rho_h), walk_sign, direction, opts,
+                                 stop_theta)
         except NotRegular:
             # the series leg still hugs the bound at the handoff point
             termination = Termination(TerminationKind.CONTACT, theta_h)
@@ -658,8 +701,6 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     if tail is None:
         thetas, rhos, drhos = np.array(ts), np.array(ys), np.array(fs)
     else:
-        if stop_theta is not None:
-            tail = _clip_piece(tail, stop_theta)
         # the series leg and the tail share the handoff node: keep the leg's
         if side > 0:
             thetas = np.concatenate((ts, tail.thetas[1:]))
@@ -677,7 +718,12 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
 
 def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:
     """Restrict a piece to angles on the near side of ``stop_theta``,
-    ending on an interpolated node exactly at the cut."""
+    ending on an interpolated node exactly at the cut.
+
+    The cut's depth is :meth:`SolutionPiece.interp` there and its slope the
+    linear interpolant of the node slopes, both read off the one node
+    interval that holds ``stop_theta`` (:func:`_interval_at`).
+    """
     thetas, rhos, drhos = piece.thetas, piece.rhos, piece.drhos
     if piece.direction == "forward":
         mask = thetas <= stop_theta + 1e-14
@@ -685,8 +731,7 @@ def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:
         mask = thetas >= stop_theta - 1e-14
     if mask.all():
         return piece
-    rho_cut = float(piece.interp(stop_theta))
-    drho_cut = float(np.interp(stop_theta, piece.thetas, piece.drhos))
+    rho_cut, drho_cut = _interval_at(thetas, rhos, drhos, stop_theta)
     t_keep, r_keep, d_keep = thetas[mask], rhos[mask], drhos[mask]
     if piece.direction == "forward":
         t_new = np.append(t_keep, stop_theta)
@@ -700,6 +745,37 @@ def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:
     return SolutionPiece(sign=piece.sign, thetas=t_new, rhos=r_new, drhos=d_new,
                          termination=term, direction=piece.direction,
                          dense_contact=piece.dense_contact)
+
+
+def _interval_at(thetas: np.ndarray, rhos: np.ndarray, drhos: np.ndarray,
+                 x: float) -> tuple[float, float]:
+    """The cubic Hermite interpolant of the nodes at ``x``, and the linear
+    interpolant of their slopes.
+
+    Only the interval that holds ``x`` is evaluated: the one scipy's
+    ``PPoly`` picks (``[x_i, x_{i+1})``, the last one closed, the end ones
+    beyond the nodes), with ``CubicHermiteSpline``'s coefficients and its
+    terms summed in ``evaluate_poly1``'s order, so the depth equals
+    ``CubicHermiteSpline(thetas, rhos, drhos)(x)`` bit for bit; the slope
+    is ``np.interp`` over the same two nodes, which is its value over all
+    of them.  A single node gives its own depth and slope.
+    """
+    if len(thetas) < 2:
+        return float(rhos[0]), float(drhos[0])
+    i = min(max(int(np.searchsorted(thetas, x, side="right")) - 1, 0), len(thetas) - 2)
+    x0, x1 = float(thetas[i]), float(thetas[i + 1])
+    y0, y1 = float(rhos[i]), float(rhos[i + 1])
+    d0, d1 = float(drhos[i]), float(drhos[i + 1])
+    dx = x1 - x0
+    slope = (y1 - y0) / dx
+    t = (d0 + d1 - 2 * slope) / dx
+    s = x - x0
+    z = s * s
+    rho = 0.0 + y0
+    rho += d0 * s
+    rho += ((slope - d0) / dx - t) * z
+    rho += (t / dx) * (z * s)
+    return rho, float(np.interp(x, thetas[i:i + 2], drhos[i:i + 2]))
 
 
 def bound_following_piece(u: ModulusModel, theta_c: float, side: int,

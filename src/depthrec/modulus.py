@@ -29,7 +29,9 @@ Whole arrays of angles go through :meth:`ModulusModel.value_grid` and
 :meth:`ModulusModel.derivative_grid`: the numpy binding of a closed form's
 kernel, or ``CubicSpline.__call__`` itself.  Both equal a loop of the
 scalar accessor bit for bit and raise that loop's first error, so a caller
-may read U at all the nodes of a solution in one call.
+may read U at all the nodes of a solution in one call.  U', U'' and jets
+follow the same rule as U: a value that is not finite raises
+:class:`InvalidModulus` naming the angle.
 """
 
 from __future__ import annotations
@@ -111,15 +113,22 @@ class ModulusModel:
         raise InvalidModulus(f"profile is not finite at theta={theta}: {u}")
 
     def derivative(self, theta: float) -> float:
+        """U'(theta), validated finite like :meth:`value`."""
         self._check_domain(theta)
-        return self._raw_derivative(theta)
+        d = self._raw_derivative(theta)
+        if -_INF < d < _INF:
+            return d
+        raise InvalidModulus(f"profile derivative is not finite at theta={theta}: {d}")
 
     def second_derivative(self, theta: float) -> float:
-        """U''(theta); like :meth:`derivative`, unclamped and unchecked for
-        finiteness.  Equals ``jet(theta, 2)[2]`` up to roundoff (exactly, for
-        sampled profiles)."""
+        """U''(theta), validated finite like :meth:`value`.  Equals
+        ``jet(theta, 2)[2]`` up to roundoff (exactly, for sampled
+        profiles)."""
         self._check_domain(theta)
-        return self._raw_second_derivative(theta)
+        d2 = self._raw_second_derivative(theta)
+        if -_INF < d2 < _INF:
+            return d2
+        raise InvalidModulus(f"profile second derivative is not finite at theta={theta}: {d2}")
 
     def value_grid(self, thetas) -> np.ndarray:
         """U at every angle of a 1-d float array, as a loop of :meth:`value`.
@@ -149,10 +158,16 @@ class ModulusModel:
         would raise one.
         """
         thetas = np.asarray(thetas, dtype=float)
-        if not self._inside(thetas):
-            return np.array([self.derivative(th) for th in thetas.tolist()])
-        with np.errstate(all="ignore"):
-            return self._raw_derivative_grid(thetas)
+        if self._inside(thetas):
+            try:
+                with np.errstate(all="ignore"):
+                    values = self._raw_derivative_grid(thetas)
+            except DepthRecError:
+                values = None
+            # finite: neither extreme is NaN or infinite
+            if values is not None and -_INF < values.min() and values.max() < _INF:
+                return values
+        return np.array([self.derivative(th) for th in thetas.tolist()])
 
     def _inside(self, thetas: np.ndarray) -> bool:
         """Whether a non-empty array of angles lies in the domain (NaN does not)."""
@@ -169,6 +184,11 @@ class ModulusModel:
                 f"order {order} exceeds the exact capability ({self.max_order}) "
                 "of this profile representation")
         coeffs = self._raw_jet(theta, order)
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if bad.size:
+            k = int(bad[0])
+            what = "profile" if k == 0 else f"profile derivative of order {k}"
+            raise InvalidModulus(f"{what} is not finite at theta={theta}: {coeffs[k]}")
         coeffs[0] = self._clamp(coeffs[0], theta)
         return Jet(theta, coeffs)
 

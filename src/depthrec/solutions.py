@@ -454,8 +454,8 @@ def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoi
         rho = rho_h + delta
         if rho not in pieces:
             try:
-                p = solve_regular(u, RegularIC(theta_h, rho), walk_sign, direction, opts)
-                pieces[rho] = _clip_piece(p, target.theta)
+                pieces[rho] = solve_regular(u, RegularIC(theta_h, rho), walk_sign, direction,
+                                            opts, target.theta)
             except NotRegular:
                 pieces[rho] = None
         return pieces[rho]

@@ -394,28 +394,29 @@ def polish_critical(u: ModulusModel, theta: float, window: float) -> float | Non
     and :meth:`~depthrec.modulus.ModulusModel.second_derivative`, no jets),
     until a step is below 1e-15.
 
-    None when the curvature is flat (|U''| < 1e-9*scale), U' or U'' is not
-    finite, an iterate strays more than ``window`` from ``theta``, U' is not
-    small at the end, or the profile raises a :class:`DepthRecError`.
+    None when the curvature is flat (|U''| < 1e-9*scale), a step overflows,
+    an iterate strays more than ``window`` from ``theta``, U' is not small
+    at the end, or the profile raises a :class:`DepthRecError` (as it does
+    where U' or U'' is not finite).
     """
     theta_c = theta
     flat = 1e-9 * u.scale
     try:
         for _ in range(8):
             d2 = u.second_derivative(theta_c)
-            if not flat <= abs(d2) < math.inf:  # flat, infinite or NaN
+            if abs(d2) < flat:
                 return None
             step = u.derivative(theta_c) / d2
-            if not math.isfinite(step):  # U' infinite or NaN
+            if not math.isfinite(step):
                 return None
             theta_c -= step
             if abs(theta_c - theta) > window:
                 return None
             if abs(step) < 1e-15:
                 break
-        if not abs(u.derivative(theta_c)) <= 1e-8 * (1.0 + u.scale):  # large, or NaN
+        if abs(u.derivative(theta_c)) > 1e-8 * (1.0 + u.scale):
             return None
-    except DepthRecError:  # U' or U'' failed near the guess
+    except DepthRecError:  # U' or U'' failed or is not finite near the guess
         return None
     lo, hi = u.domain
     return min(max(theta_c, lo), hi)

@@ -139,6 +139,18 @@ def test_maximal_names_the_angle_where_the_profile_is_negative(capsys, text, ang
     assert "critical points" not in err
 
 
+def test_critical_rejects_a_profile_whose_derivative_overflows(tmp_path, capsys):
+    # U' is infinite past 0.8988 on the scan grid: exit 1 with the first
+    # such grid angle, where the scan used to find no points and say nothing
+    out = tmp_path / "crit.json"
+    code = main(["critical", "--u", "2 + (1e154*theta)*(1e154*theta)*1e-308",
+                 "--domain", "0.2", "2.9", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "depthrec: profile derivative is not finite at theta=0.9000488281249999: inf\n")
+    assert not out.exists()
+
+
 def test_maximal_rejects_a_non_finite_profile(tmp_path, capsys):
     # exit 1 with the angle, and no report of NaN nodes
     out = tmp_path / "sol.csv"

@@ -266,3 +266,12 @@ def test_upper_bound_check_matches_node_loop(text, lo, hi, rho, tol):
     sol = SimpleNamespace(thetas=th, rhos=rhos)
     assert check_outcome(upper_bound_check, sol, u, tol) == \
         check_outcome(upper_bound_check_oracle, sol, u, tol)
+
+
+def test_scan_raises_where_the_derivative_is_not_finite():
+    # U is finite up to 1.34 and U' up to 0.8988; the scan's grid of U'
+    # raises its first non-finite angle, where it used to return no points
+    u = ClosedFormModulus("2 + (1e154*theta)*(1e154*theta)*1e-308", (0.2, 2.9))
+    with pytest.raises(InvalidModulus,
+                       match=r"^profile derivative is not finite at theta=0\.9000488281249999: inf$"):
+        find_critical_points(u)

@@ -4,26 +4,31 @@ Closed-form oracles come from separating the autonomous equation: with
 U = 1, the rising branch through (0, 1/2) is sin(theta + pi/6) and the
 falling branch is cos(theta + pi/3).
 
-``solve_regular`` writes the Dormand-Prince stages out one by one and fills
-in the interior nodes after its loop, with U read for all of them at once;
-the generic tableau loop it replaced, emitting nodes one by one, is kept
-here as the oracle, and every piece must match it bit for bit.
+``solve_regular`` writes the stages of its Runge-Kutta pair (Tsitouras
+5(4)) out one by one and fills in the interior nodes after its loop, with U
+read for all of them at once; the generic tableau loop it replaced,
+emitting nodes one by one, is kept here as the oracle, and every piece must
+match it bit for bit.  A solve given ``stop_theta`` must equal the full
+solve clipped there, with the spline clip it replaced
+(:func:`oracle_clip_piece`), and read U in a prefix of its reads.
 """
 
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 import depthrec.ivp as ivp_mod
 from depthrec.errors import DepthRecError, EvalError, InvalidModulus, NoContinuation, NotRegular
 from depthrec.ivp import (
-    _DP_A, _DP_B4, _DP_B5, _DP_C, IntegrationOptions, RegularIC, SolutionPiece,
-    Termination, TerminationKind, _bisect_event, _contact_node, _hermite,
-    _regular_alpha, _series_handoff, branch_to_piece, continue_through_critical,
-    bound_following_piece, derivative_pair, residual, solve_regular,
+    _TSIT5_A, _TSIT5_B, _TSIT5_BHAT, _TSIT5_BTILDE, _TSIT5_C, IntegrationOptions, RegularIC,
+    SolutionPiece, Termination, TerminationKind, _bisect_event, _clip_piece, _contact_node,
+    _hermite, _interval_at, _regular_margin, _series_handoff, branch_to_piece,
+    continue_through_critical, bound_following_piece, derivative_pair, residual, solve_regular,
 )
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
@@ -58,17 +63,17 @@ def oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts) -> None:
 def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
                           emit_nodes=oracle_emit_nodes):
     """The stepper as it was before its stages were written out: a generic
-    loop over the Dormand-Prince tableau, nodes emitted step by step with
-    ``emit_nodes``.  U is read at every stage angle, at every event
-    bisection midpoint and interior node, and at an event angle that no
-    bisection read; the U of a step's last stage (``c = 1``) serves the
-    step's end, and the step's start reuses the previous step's end."""
+    loop over the tableau, nodes emitted step by step with ``emit_nodes``.
+    U is read once at the IC, for the regularity check and the first
+    slope, at every stage angle, at every event bisection midpoint and
+    interior node, and at an event angle that no bisection read; the U of
+    a step's last stage (``c = 1``) serves the step's end, and the step's
+    start reuses the previous step's end."""
     opts = opts or IntegrationOptions()
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    _regular_alpha(u, ic, opts)
 
     lo, hi = u.domain
     t_end = hi if direction == "forward" else lo
@@ -87,6 +92,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
 
     t, y = ic.theta0, ic.rho0
     u_t = u.value(t)
+    _regular_margin(ic, u_t, opts)
     ts = [t]
     ys = [y]
     fs = [field(u_t, y)]
@@ -124,8 +130,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         k = [f_t]
         failed = False
         for i in range(1, 6):
-            ti = t + _DP_C[i] * ht
-            yi = y + ht * sum(a * kk for a, kk in zip(_DP_A[i], k))
+            ti = t + _TSIT5_C[i] * ht
+            yi = y + ht * sum(a * kk for a, kk in zip(_TSIT5_A[i], k))
             try:
                 u_new = u.value(ti)
             except DepthRecError as exc:  # profile evaluation failed mid-stage
@@ -140,11 +146,11 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
                 termination = Termination(TerminationKind.STEP_FAILURE, t, str(stage_error))
             continue
 
-        y5 = y + ht * sum(b * kk for b, kk in zip(_DP_B5, k))
+        y5 = y + ht * sum(b * kk for b, kk in zip(_TSIT5_B, k))
         t_new = t + ht
-        assert t_new == t + _DP_C[5] * ht  # the last stage read U at the step end
+        assert t_new == t + _TSIT5_C[5] * ht  # the last stage read U at the step end
         k6 = field(u_new, y5)
-        y4 = y + ht * sum(b * kk for b, kk in zip(_DP_B4, k + [k6]))
+        y4 = y + ht * sum(b * kk for b, kk in zip(_TSIT5_BHAT, k + [k6]))
 
         scale = opts.atol + opts.rtol * max(abs(y), abs(y5))
         err = abs(y5 - y4) / scale
@@ -677,10 +683,186 @@ def test_eval_error_part_way_matches_oracle():
     piece = assert_matches_oracle(u, RegularIC(0.5, 1.0), +1, "forward")
     assert piece.theta_end == pytest.approx(1.0, abs=1e-12)
     assert piece.theta_end <= 1.0
+    # the angle of the oracle's last failed stage read, just past 1
+    failed = []
+    value = type(u).value
+
+    def recording(theta):
+        try:
+            return value(u, theta)
+        except EvalError:
+            failed.append(theta)
+            raise
+
+    u.value = recording
+    try:
+        generic_solve_regular(u, RegularIC(0.5, 1.0), +1, "forward")
+    finally:
+        del u.value
+    assert 1.0 < failed[-1] < 1.0 + 1e-12
     with pytest.raises(EvalError) as last_failure:
-        u.value(1.0000000000000004)
+        u.value(failed[-1])
     assert piece.termination == Termination(TerminationKind.STEP_FAILURE, piece.theta_end,
                                             str(last_failure.value))
+
+
+# -- the solve stopped at an angle against the clipped full solve ----------------------
+
+def oracle_clip_piece(piece, stop_theta):
+    """``_clip_piece`` as it was: the cut's depth from a
+    ``CubicHermiteSpline`` over every node, its slope ``np.interp`` over
+    every node."""
+    thetas, rhos, drhos = piece.thetas, piece.rhos, piece.drhos
+    if piece.direction == "forward":
+        mask = thetas <= stop_theta + 1e-14
+    else:
+        mask = thetas >= stop_theta - 1e-14
+    if mask.all():
+        return piece
+    rho_cut = float(piece.interp(stop_theta))
+    drho_cut = float(np.interp(stop_theta, piece.thetas, piece.drhos))
+    t_keep, r_keep, d_keep = thetas[mask], rhos[mask], drhos[mask]
+    if piece.direction == "forward":
+        t_new = np.append(t_keep, stop_theta)
+        r_new = np.append(r_keep, rho_cut)
+        d_new = np.append(d_keep, drho_cut)
+    else:
+        t_new = np.insert(t_keep, 0, stop_theta)
+        r_new = np.insert(r_keep, 0, rho_cut)
+        d_new = np.insert(d_keep, 0, drho_cut)
+    term = Termination(TerminationKind.DOMAIN_END, stop_theta, "clipped")
+    return SolutionPiece(sign=piece.sign, thetas=t_new, rhos=r_new, drhos=d_new,
+                         termination=term, direction=piece.direction,
+                         dense_contact=piece.dense_contact)
+
+
+def assert_stop_matches_clip(u, ic, sign, direction, stop_theta, opts=None):
+    """``solve_regular`` stopped at ``stop_theta`` against the full solve
+    clipped there: the same output bytes and termination, and U read at a
+    prefix of the full solve's angles.  Returns the stopped piece and the
+    numbers of scalar reads of both solves."""
+    with counting_reads(u) as (full_calls, _):
+        full = solve_regular(u, ic, sign, direction, opts)
+    with counting_reads(u) as (got_calls, _):
+        piece, got = _solve_outcome(solve_regular, u, ic, sign, direction, opts, stop_theta)
+    want = oracle_clip_piece(full, stop_theta)
+    assert got == (want.sign, want.direction, want.termination, want.thetas.tobytes(),
+                   want.rhos.tobytes(), want.drhos.tobytes())
+    assert got_calls == full_calls[:len(got_calls)]
+    return piece, len(got_calls), len(full_calls)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_stop_theta_matches_clipped_full_solve(direction):
+    # a solve that would run on to the domain end stops soon after the angle
+    u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", DOMAIN))
+    stop = 1.1 if direction == "forward" else 0.7
+    piece, got, full = assert_stop_matches_clip(u, RegularIC(0.9, 1.5), +1, direction, stop)
+    assert piece.termination == Termination(TerminationKind.DOMAIN_END, stop, "clipped")
+    assert (piece.theta_end if direction == "forward" else piece.theta_start) == stop
+    assert got < full / 2
+
+
+@pytest.mark.parametrize("at", [0.25, 0.5, 0.75])
+def test_stop_theta_at_every_node_position(at):
+    # stop angles on a node, between nodes and past the end
+    u = ClosedFormModulus("2 + theta", (0.0, 1.0))
+    full = solve_regular(u, RegularIC(0.2, 0.8), -1, "forward")
+    i = int(at * (len(full.thetas) - 1))
+    for stop in (float(full.thetas[i]), float(0.5 * (full.thetas[i] + full.thetas[i + 1])),
+                 float(full.thetas[i]) + 5e-15, 1.5):
+        assert_stop_matches_clip(u, RegularIC(0.2, 0.8), -1, "forward", stop)
+
+
+@pytest.mark.parametrize("ic,sign,direction,u,event", [
+    (RegularIC(0.0, 0.5), +1, "forward", UNIT, -2),                   # contact, snapped node
+    (RegularIC(0.0, 0.5), -1, "forward", UNIT, -1),                   # floor contact
+    (RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward", LINE, -2),  # series handoff
+])
+def test_stop_theta_inside_the_event_step(ic, sign, direction, u, event):
+    # the stop angle lies just before the event's node (``event`` counts
+    # from the far end), so inside the step whose event ends the full solve
+    # or among the series nodes after it: the stopped solve runs that step
+    # and its event as the full one does, every read included, and clips
+    # behind the event
+    full = solve_regular(u, ic, sign, direction)
+    nodes = full.thetas if direction == "forward" else full.thetas[::-1]
+    stop = float(0.5 * (nodes[event - 1] + nodes[event]))
+    piece, got, full_reads = assert_stop_matches_clip(u, ic, sign, direction, stop)
+    assert got == full_reads
+    assert piece.termination.detail == "clipped"
+
+
+def test_stop_theta_short_of_the_event_keeps_the_piece():
+    # the full solve ends before the stop angle: the piece is the full one
+    full = solve_regular(UNIT, RegularIC(0.0, 0.5), +1, "forward")
+    piece, got, full_reads = assert_stop_matches_clip(UNIT, RegularIC(0.0, 0.5), +1,
+                                                      "forward", 1.5)
+    assert piece.termination == full.termination
+    assert got == full_reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12),
+       start=st.floats(-4.0, 4.0),
+       values=st.lists(st.floats(-10.0, 10.0), min_size=26, max_size=26),
+       pick=st.floats(-0.2, 1.2), on_node=st.booleans())
+def test_interval_clip_matches_hermite_spline(steps, start, values, pick, on_node):
+    # node sets of 2 to 13 nodes; angles between, on and beyond the nodes
+    thetas = start + np.cumsum([0.0] + steps)
+    assume(np.all(np.diff(thetas) > 0))
+    n = len(thetas)
+    rhos, drhos = np.array(values[:n]), np.array(values[13:13 + n])
+    x = float(thetas[int(pick * (n - 1)) % n]) if on_node else float(
+        thetas[0] + pick * (thetas[-1] - thetas[0]))
+    rho, drho = _interval_at(thetas, rhos, drhos, x)
+    assert rho.hex() == float(CubicHermiteSpline(thetas, rhos, drhos)(x)).hex()
+    assert drho.hex() == float(np.interp(x, thetas, drhos)).hex()
+    for direction in ("forward", "backward"):
+        piece = SolutionPiece(+1, thetas, rhos, drhos,
+                              Termination(TerminationKind.DOMAIN_END, 0.0), direction)
+        got, want = _clip_piece(piece, x), oracle_clip_piece(piece, x)
+        assert got.termination == want.termination
+        for a, b in ((got.thetas, want.thetas), (got.rhos, want.rhos),
+                     (got.drhos, want.drhos)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_interval_clip_of_a_single_node():
+    rho, drho = _interval_at(np.array([0.5]), np.array([2.0]), np.array([0.25]), 0.7)
+    assert (rho, drho) == (2.0, 0.25)
+
+
+# -- the tableau ------------------------------------------------------------------------
+
+def test_tableau_order_conditions():
+    # Tsitouras 5(4): rows sum to the stage angles, b has order 5 and b_hat
+    # order 4 on the quadrature conditions, and both meet the order-3 tree
+    # condition; b_hat weights the FSAL stage k6 = f(t + h, y5) at c = 1,
+    # whose row is b itself.  The sums are exact over the stored doubles,
+    # which meet the conditions to a few ulps (stage 4's row sums to 7.8e-16
+    # off its angle)
+    c, a, b, b_hat = _TSIT5_C, _TSIT5_A, _TSIT5_B, _TSIT5_BHAT
+    assert len(b_hat) == 7 and len(_TSIT5_BTILDE) == 7
+    assert b_hat == tuple(bi - di for bi, di in zip(b + (0.0,), _TSIT5_BTILDE))
+    tol = 1e-15
+
+    def off(terms, want):
+        return abs(float(sum(Fraction(t) for t in terms) - want))
+
+    for row, ci in zip(a, c):
+        assert off(row, Fraction(ci)) <= tol
+    for k in range(5):
+        assert off((bi * ci ** k for bi, ci in zip(b, c)), Fraction(1, k + 1)) <= tol
+    c7, a7 = c + (1.0,), a + (b,)
+    for k in range(4):
+        assert off((bi * ci ** k for bi, ci in zip(b_hat, c7)), Fraction(1, k + 1)) <= tol
+    # b_hat is of order 4 exactly: the fifth quadrature condition fails
+    assert off((bi * ci ** 4 for bi, ci in zip(b_hat, c7)), Fraction(1, 5)) > 1e-4
+    for weights, rows, angles in ((b, a, c), (b_hat, a7, c7)):
+        tree = sum(Fraction(weights[i]) * Fraction(rows[i][j]) * Fraction(angles[j])
+                   for i in range(len(weights)) for j in range(i))
+        assert abs(float(tree - Fraction(1, 6))) <= tol
 
 
 def test_eval_error_part_way_ends_in_step_failure():
@@ -691,7 +873,7 @@ def test_eval_error_part_way_ends_in_step_failure():
     opts = IntegrationOptions(h_max=1e4)
     piece = assert_matches_oracle(u, RegularIC(1.0, 1.0), +1, "forward", opts)
     with pytest.raises(EvalError) as last_failure:
-        u.value(1.0 + _DP_C[1] * (1e4 * 0.5 ** 60))
+        u.value(1.0 + _TSIT5_C[1] * (1e4 * 0.5 ** 60))
     assert piece.termination == Termination(TerminationKind.STEP_FAILURE, 1.0,
                                             str(last_failure.value))
     assert piece.thetas.tolist() == [1.0]

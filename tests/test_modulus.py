@@ -68,6 +68,45 @@ def test_eval_non_finite_raises(text, shown):
         u.value(0.5)
 
 
+# about 2 + theta^2, but U is infinite past 1.34 and U' past 0.8988: the
+# products of the derivative terms overflow before U's own
+OVERFLOW_PART_WAY = "2 + (1e154*theta)*(1e154*theta)*1e-308"
+
+
+def test_derivatives_follow_the_non_finite_rule():
+    # U' and U'' raise naming the angle, where they returned inf unchecked
+    u = ClosedFormModulus(OVERFLOW_PART_WAY, (0.2, 2.9))
+    assert u.value(1.0) == 3.0
+    with pytest.raises(InvalidModulus, match=r"^profile derivative is not finite at theta=2\.0: inf$"):
+        u.derivative(2.0)
+    with pytest.raises(InvalidModulus,
+                       match=r"^profile second derivative is not finite at theta=2\.0: inf$"):
+        u.second_derivative(2.0)
+    assert u.derivative(0.5) == pytest.approx(1.0, rel=1e-12)
+    # U'' is 2e-308*1e154*1e154 in the kernel's order: infinite everywhere
+    with pytest.raises(InvalidModulus, match=r"at theta=0\.5: inf$"):
+        u.second_derivative(0.5)
+
+
+def test_derivative_grid_raises_its_loops_first_non_finite_error():
+    u = ClosedFormModulus(OVERFLOW_PART_WAY, (0.2, 2.9))
+    with pytest.raises(InvalidModulus, match=r"^profile derivative is not finite at theta=1\.0: inf$"):
+        u.derivative_grid(np.array([0.5, 1.0, 2.0]))
+    assert u.derivative_grid(np.array([0.5, 0.6])).tolist() == [u.derivative(0.5),
+                                                                u.derivative(0.6)]
+
+
+def test_jet_names_the_angle_of_a_non_finite_coefficient():
+    # U(1.0) = 3 is finite; the Taylor-mode product overflows in U'
+    u = ClosedFormModulus(OVERFLOW_PART_WAY, (0.2, 2.9))
+    with pytest.raises(InvalidModulus,
+                       match=r"^profile derivative of order 1 is not finite at theta=1\.0: inf$"):
+        u.jet(1.0, 2)
+    with pytest.raises(InvalidModulus, match=r"^profile is not finite at theta=2\.0: inf$"):
+        u.jet(2.0, 2)
+    assert u.jet(0.5, 2).coeffs.tolist() == pytest.approx([2.25, 1.0, 2.0], rel=1e-12)
+
+
 def test_jet_constant():
     u = ClosedFormModulus("1", (0.0, 1.0))
     np.testing.assert_allclose(u.jet(0.0, 4).coeffs, [1, 0, 0, 0, 0])
@@ -396,13 +435,17 @@ def test_closed_form_second_derivative_against_jet(node, thetas):
     # the larger of |U''| and the rounding error the kernel's own sums can
     # pick up (a cancelling quotient rule, such as that of theta/(1e-5 +
     # theta), loses digits the jet keeps); where the kernel fails it fails
-    # as U' does, with an EvalError carrying the angle
+    # as U' does, with an EvalError carrying the angle, and where its value
+    # overflows it raises InvalidModulus naming the angle
     u = ClosedFormModulus(node, (-4.0, 4.0))
     for th in thetas:
         try:
             got = u.second_derivative(th)
         except EvalError as exc:
             assert exc.theta == th
+            continue
+        except InvalidModulus as exc:
+            assert str(exc).startswith(f"profile second derivative is not finite at theta={th}: ")
             continue
         try:
             with np.errstate(all="ignore"):
@@ -413,8 +456,8 @@ def test_closed_form_second_derivative_against_jet(node, thetas):
             _, size = value_and_size(u._ddu.node, th)
         except (ArithmeticError, ValueError):
             continue  # an unbounded error size (sqrt at 0, say): nothing to compare
-        if not (math.isfinite(got) and math.isfinite(size)):
-            continue  # overflow inside the kernel: a value the polish refuses
+        if not math.isfinite(size):
+            continue  # overflow inside the kernel's error size: nothing to compare
         assert abs(got - want) <= 1e-12 * max(abs(want), size)
 
 
