@@ -16,8 +16,7 @@ from .criticals import (
 from .errors import (
     ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError, EvalError,
     InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
-    NotRegular, OrderUnavailable, OutsideCone, OutsideRadiusWarning, ParseError,
-    StepFailure,
+    NotRegular, OrderUnavailable, OutsideCone, ParseError, StepFailure,
 )
 from .expressions import differentiate, parse_expression, to_callable, to_text
 from .ivp import (
@@ -41,7 +40,7 @@ from .solutions import (
 from .taylor import (
     BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind,
     SafeRegionResult, TaylorBranch, beta_sign_class, branches_at,
-    check_safe_region, estimate_radius, eval_series, expand_branch,
+    check_safe_region, eval_series, expand_branch,
     leibniz_terms, recursion_residuals, second_derivative_roots,
 )
 

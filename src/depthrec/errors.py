@@ -79,7 +79,3 @@ class NotConeApex(DepthRecError):
 
 class OutsideCone(DepthRecError):
     """An initial condition lies outside the strict interior of a cone."""
-
-
-class OutsideRadiusWarning(UserWarning):
-    """Series evaluation requested beyond the estimated convergence radius."""

@@ -112,13 +112,15 @@ class IntegrationOptions:
     interp_tol: float = 1e-6        # linear-interpolation error target between nodes
     tol_contact: float = 1e-10      # scaled by (1 + U) pointwise
     tol_floor: float = 1e-12
-    tol_reg_factor: float = 10.0    # regularity margin in units of the contact tolerance
     series_radius: float = 0.05     # local-series handoff distance at critical points
     taylor_order: int = 20
-    tol_bound_follow: float = 1e-9  # bound-following admissibility, scaled by profile
-    handoff_factor: float = 1e-4    # switch to the local series when U - rho^2 dips below this (scaled)
-    handoff_match_tol: float = 1e-6  # trajectory-to-branch distance accepted as "on branch"
     max_steps: int = 500_000
+
+
+_TOL_REG_FACTOR = 10.0     # regularity margin in units of the contact tolerance
+_TOL_BOUND_FOLLOW = 1e-9   # bound-following admissibility, scaled by the profile
+_HANDOFF_FACTOR = 1e-4     # switch to the local series when U - rho^2 dips below this (scaled)
+_HANDOFF_MATCH_TOL = 1e-6  # trajectory-to-branch distance accepted as "on branch"
 
 
 @dataclass
@@ -184,7 +186,7 @@ def _regular_margin(ic: RegularIC, uval: float, opts: IntegrationOptions) -> flo
     """``U - rho^2`` at the IC, given ``uval = U(theta0)``; raises
     :class:`NotRegular` unless it clears the regularity margin."""
     margin = uval - ic.rho0 * ic.rho0
-    tol_reg = opts.tol_reg_factor * opts.tol_contact * (1.0 + uval)
+    tol_reg = _TOL_REG_FACTOR * opts.tol_contact * (1.0 + uval)
     if margin <= tol_reg:
         raise NotRegular(
             f"IC ({ic.theta0}, {ic.rho0}) is not regular: U - rho^2 = {margin} <= {tol_reg}")
@@ -269,7 +271,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     sqrt, ceil = math.sqrt, math.ceil
     uvalue = u.value
     atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, opts.h_max, opts.tol_contact
-    tol_floor, handoff_factor, max_steps = opts.tol_floor, opts.handoff_factor, opts.max_steps
+    tol_floor, handoff_factor, max_steps = opts.tol_floor, _HANDOFF_FACTOR, opts.max_steps
     lin_tol = 8.0 * opts.interp_tol  # a step's interior nodes keep h^2*curvature/8 under interp_tol
     end_tol = 1e-15 * max(1.0, abs(t_end))
     _, c1, c2, c3, c4, c5 = _TSIT5_C
@@ -485,7 +487,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
 
     Locates the critical point the trajectory is converging to
     (:func:`polish_critical`), expands both branches there, and if the
-    current state sits on one of them (within ``handoff_match_tol``, and
+    current state sits on one of them (within ``_HANDOFF_MATCH_TOL``, and
     unambiguously so), returns replacement nodes from ``t`` to the exact
     contact.  Returns None when no unambiguous branch match exists (flat
     curvature, autonomous stretches, cone-interior trajectories, genuine
@@ -509,7 +511,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
     if not candidates:
         return None
     dist, branch = candidates[0]
-    if dist > opts.handoff_match_tol * (1.0 + ic.rho0):
+    if dist > _HANDOFF_MATCH_TOL * (1.0 + ic.rho0):
         return None
     if len(candidates) > 1 and dist > 0.25 * candidates[1][0]:
         return None  # too close to call between branches
@@ -649,9 +651,11 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
                     stop_theta: float | None = None) -> SolutionPiece:
     """Materialize one half of an analytic branch as a solution piece.
 
-    Evaluates the local series out to the handoff distance, then continues
-    by integration.  ``side`` +1 extends toward larger angles.  A constant
-    branch turns into a bound-following piece instead.
+    The series leg runs ``min(opts.series_radius, room)`` from the critical
+    angle, where ``room`` is the distance to ``stop_theta`` or, without it,
+    to the domain end on ``side``; integration continues from the leg's end
+    (the piece's ``_handoff``).  ``side`` +1 extends toward larger angles.
+    A constant branch turns into a bound-following piece instead.
     """
     opts = opts or IntegrationOptions()
     theta_c = branch.ic.theta0
@@ -666,11 +670,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     direction = "forward" if side > 0 else "backward"
     walk_sign = half_ode_sign * side
 
-    r = opts.series_radius
-    if branch.radius_estimate is not None and math.isfinite(branch.radius_estimate):
-        r = min(r, 0.5 * branch.radius_estimate)
-    span_avail = abs(limit - theta_c)
-    r = min(r, span_avail)
+    r = min(opts.series_radius, abs(limit - theta_c))
     if r <= 0.0:
         raise NoContinuation("no room to continue on this side of the contact")
 
@@ -791,7 +791,7 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
     lo, hi = u.domain
     limit = (hi if side > 0 else lo) if stop_theta is None else stop_theta
     rho0 = math.sqrt(u.value(theta_c))
-    tol = opts.tol_bound_follow * u.scale
+    tol = _TOL_BOUND_FOLLOW * u.scale
 
     def flat(th: float) -> bool:
         return abs(u.value(th) - rho0 * rho0) <= tol
@@ -821,6 +821,15 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
     return SolutionPiece(sign=+1, thetas=thetas, rhos=rhos, drhos=drhos,
                          termination=Termination(kind, end_theta),
                          direction=direction, dense_contact=True)
+
+
+def contact_ic(u: ModulusModel, theta: float, opts: IntegrationOptions) -> CriticalIC:
+    """The critical IC at a contact detected at ``theta``: at the nearby
+    root of U' (:func:`polish_critical`, within ``min(1e-3*span, 1e-2)``)
+    where there is one, else at ``theta`` itself."""
+    lo, hi = u.domain
+    theta_c = polish_critical(u, theta, min(1e-3 * (hi - lo), 1e-2))
+    return critical_ic(u, theta if theta_c is None else theta_c, opts.taylor_order)
 
 
 def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
@@ -855,9 +864,7 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
         raise NoContinuation("piece did not terminate at a contact")
     side = +1 if piece.direction == "forward" else -1
     theta_c = piece.termination.theta
-    lo, hi = u.domain
-    theta = polish_critical(u, theta_c, min(1e-3 * (hi - lo), 1e-2))
-    ic = critical_ic(u, theta_c if theta is None else theta, opts.taylor_order)
+    ic = contact_ic(u, theta_c, opts)
     matching = [b for s, b in continuation_candidates(u, ic, side, opts) if s == choice]
     if not matching:
         raise NoContinuation(

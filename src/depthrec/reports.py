@@ -184,9 +184,6 @@ def criticals_payload(cs: CriticalSet) -> dict:
 
 
 def branch_payload(branch: TaylorBranch) -> dict:
-    radius = branch.radius_estimate
-    if radius is not None and math.isinf(radius):
-        radius = "inf"
     return {
         "theta0": branch.ic.theta0,
         "rho0": branch.ic.rho0,
@@ -194,7 +191,6 @@ def branch_payload(branch: TaylorBranch) -> dict:
         "status": branch.status.value,
         "free_index": branch.free_index,
         "consistency_residual": branch.consistency_residual,
-        "radius_estimate": radius,
         "derivatives": _floats(branch.derivs),
     }
 

@@ -5,9 +5,10 @@ stitches them into C1 solutions spanning the domain.  It enumerates the
 finite tree of continuations from an initial condition, builds the unique
 trajectory between consecutive critical points (launched from the
 minimum-type end, where uniqueness holds), assembles the depth-maximal
-solution that touches the bound at every critical point, and constructs
-the bounding pair around maximum-type critical points together with the
-squeezed non-analytic solutions inside it.
+solution by chaining those trajectories (raising :class:`NoSolution`
+where one misses its far point), and constructs the bounding pair around
+maximum-type critical points together with the squeezed non-analytic
+solutions inside it.
 
 Each public function here is one call of
 :func:`~depthrec.taylor.one_critical_table`: every critical IC it meets,
@@ -30,13 +31,12 @@ from .errors import (
 )
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
-    bound_following_piece, branch_to_piece, continuation_candidates,
+    bound_following_piece, branch_to_piece, contact_ic, continuation_candidates,
     continue_through_critical, solve_regular, _clip_piece, _half_branch_sign,
 )
 from .modulus import ModulusModel
 from .taylor import (
     BranchStatus, CriticalIC, TaylorBranch, critical_ic, eval_series, one_critical_table,
-    polish_critical,
 )
 
 __all__ = [
@@ -208,10 +208,7 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     if room <= 1e-12:
         return [([piece], 0)]
     try:
-        # the contact angle polished to the nearby root of U', if there is one
-        theta = polish_critical(u, theta_c, min(1e-3 * (hi - lo), 1e-2))
-        ic = critical_ic(u, theta_c if theta is None else theta, opts.taylor_order)
-        candidates = continuation_candidates(u, ic, side, opts)
+        candidates = continuation_candidates(u, contact_ic(u, theta_c, opts), side, opts)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
     paths = [([piece] + rest, used + 1)
@@ -509,12 +506,17 @@ def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoi
 def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
                      critical_set: CriticalSet | None = None,
                      tol_bvp: float = 1e-8) -> PiecewiseSolution:
-    """The unique solution dominating all others pointwise.
+    """The solution dominating all others pointwise, as this construction
+    finds it.
 
-    Touches the bound at every critical point: chained from the unique
-    two-point trajectories between consecutive critical points, extended
-    over the outer intervals by the pointwise-dominant analytic branch
-    leaving the outermost critical points.  Each launch IC is built once,
+    Chains the two-point trajectories (:func:`solve_bvp_between_criticals`)
+    between every pair of consecutive critical points, and extends the
+    chain over the outer intervals by the largest-curvature analytic branch
+    leaving the outermost critical points.  Raises :class:`NoSolution`
+    where a link fails: its trajectory misses the far critical point, no
+    branch leaves toward it, or neither end is minimum-type.  Not every
+    critical point is one the maximal solution touches, so that error does
+    not prove the profile has no solution.  Each launch IC is built once,
     at the critical point's angle, and shared by every piece leaving that
     point.  On a fully autonomous profile the bound itself solves the
     equation and is returned directly.  A profile with no critical point

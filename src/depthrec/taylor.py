@@ -37,19 +37,18 @@ Outside any such call both builders build afresh each time.
 Derivative-vector convention: ``derivs[k]`` is the k-th derivative value,
 not the monomial coefficient; the series coefficient is ``derivs[k]/k!``.
 
-The recursion, the radius estimate and the series evaluation run on lists
-of Python floats: the same sums in the same order as on numpy arrays, so
-the same bits, without numpy's cost for each scalar read.  Binomial rows
-are built when an order first asks for them and kept; a branch computes its
-monomial coefficients ``derivs[k]/k!`` and ``derivs[k]/(k-1)!`` once, on its
-first :func:`eval_series` call, and every later evaluation reuses them.
+The recursion and the series evaluation run on lists of Python floats: the
+same sums in the same order as on numpy arrays, so the same bits, without
+numpy's cost for each scalar read.  Binomial rows are built when an order
+first asks for them and kept; a branch computes its monomial coefficients
+``derivs[k]/k!`` and ``derivs[k]/(k-1)!`` once, on its first
+:func:`eval_series` call, and every later evaluation reuses them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
@@ -57,9 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError, OutsideRadiusWarning,
-)
+from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError
 from .modulus import Jet, ModulusModel
 from .series import factorials
 
@@ -67,8 +64,8 @@ __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "LeibnizTerms", "BetaSignClass",
     "SafeRegionKind", "SafeRegionResult", "second_derivative_roots", "beta_sign_class",
     "leibniz_terms", "expand_branch", "check_safe_region", "eval_series",
-    "estimate_radius", "recursion_residuals", "branches_at", "polish_critical",
-    "critical_ic", "one_critical_table",
+    "recursion_residuals", "branches_at", "polish_critical", "critical_ic",
+    "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -124,7 +121,6 @@ class TaylorBranch:
     status: BranchStatus
     free_index: int | None = None
     consistency_residual: float | None = None
-    radius_estimate: float | None = None
 
     @property
     def order(self) -> int:
@@ -263,12 +259,9 @@ def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER,
 
     derivs = work[: order + 1]
     tol_const = 1e-14 * (1.0 + rho0)
-    if all(abs(v) <= tol_const for v in derivs[1:]):
-        return TaylorBranch(ic=ic, beta=beta, derivs=np.array(derivs),
-                            status=BranchStatus.CONSTANT_CIRCLE,
-                            radius_estimate=math.inf)
+    constant = all(abs(v) <= tol_const for v in derivs[1:])
     return TaylorBranch(ic=ic, beta=beta, derivs=np.array(derivs),
-                        status=BranchStatus.COMPLETE, radius_estimate=_ratio_radius(derivs))
+                        status=BranchStatus.CONSTANT_CIRCLE if constant else BranchStatus.COMPLETE)
 
 
 class SafeRegionKind(Enum):
@@ -308,20 +301,13 @@ def check_safe_region(rho0: float, beta: float, tol: float | None = None,
 
 
 def eval_series(branch: TaylorBranch, theta: float) -> tuple[float, float]:
-    """Horner evaluation of the truncated branch series and its derivative.
-
-    Warns (:class:`OutsideRadiusWarning`) when the offset exceeds the
-    estimated convergence radius; refuses degenerate branches.
-    """
+    """Horner evaluation of the truncated branch series and its derivative;
+    refuses degenerate branches."""
     if branch.status is BranchStatus.DEGENERATE:
         raise DegenerateFamily(
             f"branch is degenerate at derivative {branch.free_index}; "
             "its series has a free parameter")
     h = theta - branch.ic.theta0
-    r = branch.radius_estimate
-    if r is not None and math.isfinite(r) and abs(h) > r:
-        warnings.warn(f"offset {h} exceeds estimated convergence radius {r}",
-                      OutsideRadiusWarning, stacklevel=2)
     value_coeffs, slope_coeffs = branch._horner_coeffs
     val = 0.0
     for a in value_coeffs:
@@ -330,37 +316,6 @@ def eval_series(branch: TaylorBranch, theta: float) -> tuple[float, float]:
     for a in slope_coeffs:
         dval = dval * h + a
     return val, dval
-
-
-def estimate_radius(branch: TaylorBranch) -> float | None:
-    """Ratio-test estimate from the tail of the series coefficients.
-
-    Returns +inf for constant jets and None when the tail is too short or
-    too erratic to trust.
-    """
-    return _ratio_radius(branch.derivs.tolist())
-
-
-def _ratio_radius(derivs: list[float]) -> float | None:
-    """:func:`estimate_radius` of the derivative values ``derivs``."""
-    fact = factorials(len(derivs) - 1).tolist()
-    coeffs = [abs(d) / f for d, f in zip(derivs, fact)]
-    support = [k for k in range(1, len(coeffs)) if coeffs[k] > 1e-300]
-    if not support:
-        return math.inf
-    if len(support) < 3:
-        return None
-    estimates = []
-    for i, j in zip(support, support[1:]):
-        if coeffs[j] == 0.0:
-            continue
-        estimates.append((coeffs[i] / coeffs[j]) ** (1.0 / (j - i)))
-    if len(estimates) < 2:
-        return None
-    tail = estimates[-5:]
-    if max(tail) / max(min(tail), 1e-300) > 1e3:
-        return None
-    return float(np.median(tail))
 
 
 def recursion_residuals(branch: TaylorBranch, scaled: bool = True) -> np.ndarray:

@@ -15,6 +15,7 @@ solve clipped there, with the spline clip it replaced
 
 import contextlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from depthrec.errors import DepthRecError, EvalError, InvalidModulus, NoContinua
 from depthrec.ivp import (
     _TSIT5_A, _TSIT5_B, _TSIT5_BHAT, _TSIT5_BTILDE, _TSIT5_C, IntegrationOptions, RegularIC,
     SolutionPiece, Termination, TerminationKind, _bisect_event, _clip_piece, _contact_node,
-    _hermite, _interval_at, _regular_margin, _series_handoff, branch_to_piece,
+    _HANDOFF_FACTOR, _hermite, _interval_at, _regular_margin, _series_handoff, branch_to_piece,
     continue_through_critical, bound_following_piece, derivative_pair, residual, solve_regular,
 )
 from depthrec.modulus import ClosedFormModulus, from_depth
@@ -215,7 +216,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         # the bound is exponentially ill-conditioned for stepping, so once
         # the margin is small we try to identify the analytic branch it sits
         # on and finish the approach with the local series
-        if (g_new <= opts.handoff_factor * (1.0 + abs(u_new))
+        if (g_new <= _HANDOFF_FACTOR * (1.0 + abs(u_new))
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
             # called outside any public solver call, so each attempt builds its
@@ -488,6 +489,26 @@ def test_branch_to_piece_matches_series():
     for th in np.linspace(0.01, 0.3, 15):
         series_val, _ = taylor_mod.eval_series(branch, float(th))
         assert abs(float(piece.interp(th)) - series_val) < 1e-7
+
+
+def test_series_leg_runs_the_fixed_handoff_distance():
+    # a depth whose series at its critical point at theta = 1 is geometric,
+    # 0.01*(12*(theta - 1))^k for k >= 2: convergence radius 1/12, under
+    # twice the handoff distance, and still the leg runs the full distance
+    lo, hi = 0.5, 1.07
+    u = from_depth(DepthFunction.from_text("2 + 0.01*(1/(13 - 12*theta) + 12 - 12*theta)",
+                                           (lo, hi)))
+    branch = max(taylor_mod.branches_at(CriticalIC.from_modulus(u, 1.0)), key=lambda b: b.beta)
+    assert branch.beta == pytest.approx(2.88)
+    opts = IntegrationOptions()
+    assert 1.0 / 12.0 < 2 * opts.series_radius
+    for side, room in ((+1, hi - 1.0), (-1, 1.0 - lo)):
+        piece = branch_to_piece(u, branch, side, opts)
+        assert piece._handoff[0] == 1.0 + side * min(opts.series_radius, room)
+        assert piece.termination.kind is TerminationKind.DOMAIN_END
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taylor_mod.eval_series(branch, 1.0 - 2 * opts.series_radius)
 
 
 def test_roundtrip_smooth_depth():

@@ -2,7 +2,6 @@
 
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -10,16 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthrec.criticals import find_critical_points
-from depthrec.errors import (
-    ComplexDiscriminant, DegenerateFamily, DepthRecError, InvalidModulus, OutsideRadiusWarning,
-)
+from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.taylor import (
     BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind, TaylorBranch,
-    beta_sign_class, branches_at, check_safe_region, estimate_radius,
-    eval_series, expand_branch, leibniz_terms, polish_critical, recursion_residuals,
-    second_derivative_roots,
+    beta_sign_class, branches_at, check_safe_region, eval_series, expand_branch, leibniz_terms,
+    polish_critical, recursion_residuals, second_derivative_roots,
 )
 from test_series import coefficient_bits
 
@@ -111,7 +107,6 @@ def test_expand_constant_branch():
     branch = expand_branch(constant_ic(1.0), beta=0.0, order=8)
     np.testing.assert_allclose(branch.derivs, [1] + [0] * 8, atol=1e-15)
     assert branch.status is BranchStatus.CONSTANT_CIRCLE
-    assert branch.radius_estimate == math.inf
 
 
 def test_expand_degenerate_lattice_point():
@@ -208,27 +203,6 @@ def test_eval_series_parabola_residual():
     assert abs(dval ** 2 + val ** 2 - u.value(0.05)) < 1e-8
 
 
-# -- radius estimation -------------------------------------------------------------
-
-def test_radius_cosine_is_large():
-    branch = expand_branch(constant_ic(1.0), beta=-1.0, order=12)
-    assert branch.radius_estimate is not None
-    assert branch.radius_estimate >= 1.0
-
-
-def test_radius_geometric_jet():
-    r = 0.4
-    order = 12
-    derivs = np.array([math.factorial(i) * r ** i for i in range(order + 1)])
-    jet = np.zeros(order + 2)
-    jet[0] = 1.0
-    branch_like = expand_branch(constant_ic(1.0), beta=-1.0, order=order)
-    synthetic = type(branch_like)(ic=branch_like.ic, beta=0.0, derivs=derivs,
-                                  status=BranchStatus.COMPLETE)
-    est = estimate_radius(synthetic)
-    assert est == pytest.approx(1.0 / r, rel=0.2)
-
-
 # -- the list recursion against the numpy-scalar one it replaced ------------------
 #
 # The functions below are the Taylor side as it was before it ran on Python
@@ -264,40 +238,12 @@ def oracle_expand_branch(ic, beta, order, tol_deg=None):
         work[n] = rhs / alpha
     derivs = work[: order + 1].copy()
     if np.all(np.abs(derivs[1:]) <= 1e-14 * (1.0 + ic.rho0)):
-        return TaylorBranch(ic=ic, beta=beta, derivs=derivs,
-                            status=BranchStatus.CONSTANT_CIRCLE, radius_estimate=math.inf)
-    branch = TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE)
-    return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE,
-                        radius_estimate=oracle_estimate_radius(branch))
-
-
-def oracle_estimate_radius(branch):
-    n = branch.order
-    coeffs = np.array([abs(branch.derivs[k]) / math.factorial(k) for k in range(n + 1)])
-    support = [k for k in range(1, n + 1) if coeffs[k] > 1e-300]
-    if not support:
-        return math.inf
-    if len(support) < 3:
-        return None
-    estimates = []
-    for i, j in zip(support, support[1:]):
-        if coeffs[j] == 0.0:
-            continue
-        estimates.append((coeffs[i] / coeffs[j]) ** (1.0 / (j - i)))
-    if len(estimates) < 2:
-        return None
-    tail = estimates[-5:]
-    if max(tail) / max(min(tail), 1e-300) > 1e3:
-        return None
-    return float(np.median(tail))
+        return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.CONSTANT_CIRCLE)
+    return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE)
 
 
 def oracle_eval_series(branch, theta):
     h = theta - branch.ic.theta0
-    r = branch.radius_estimate
-    if r is not None and math.isfinite(r) and abs(h) > r:
-        warnings.warn(f"offset {h} exceeds estimated convergence radius {r}",
-                      OutsideRadiusWarning, stacklevel=2)
     val = 0.0
     n = branch.order
     for k in range(n, -1, -1):
@@ -333,19 +279,17 @@ def bits(value):
 
 def branch_record(branch):
     return (coefficient_bits(branch.derivs), branch.status, branch.free_index,
-            bits(branch.consistency_residual), bits(branch.radius_estimate))
+            bits(branch.consistency_residual))
 
 
 def eval_record(fn, branch, theta):
-    """Value and slope bits plus the warnings raised, or the refusal's text."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            with np.errstate(all="ignore"):
-                val, dval = fn(branch, theta)
-        except DegenerateFamily as exc:
-            return str(exc)
-    return bits(float(val)), bits(float(dval)), [(w.category, str(w.message)) for w in caught]
+    """Value and slope bits, or the refusal's text."""
+    try:
+        with np.errstate(all="ignore"):
+            val, dval = fn(branch, theta)
+    except DegenerateFamily as exc:
+        return str(exc)
+    return bits(float(val)), bits(float(dval))
 
 
 def assert_matches_oracles(ic, beta, order, tol_deg=None, offsets=(0.0,)):
@@ -353,8 +297,6 @@ def assert_matches_oracles(ic, beta, order, tol_deg=None, offsets=(0.0,)):
         got = expand_branch(ic, beta, order, tol_deg)
         want = oracle_expand_branch(ic, beta, order, tol_deg)
     assert branch_record(got) == branch_record(want)
-    with np.errstate(all="ignore"):
-        assert bits(estimate_radius(got)) == bits(oracle_estimate_radius(want))
     for h in offsets:
         theta = ic.theta0 + h
         if want.status is BranchStatus.DEGENERATE:
@@ -419,7 +361,7 @@ def test_lattice_seed_bit_identical_to_oracle(n):
 
 def test_sine_profile_branches_bit_identical_to_oracle():
     # the order-21 jet of a forward model at each of its critical points, and
-    # the series evaluated inside and outside the estimated radius
+    # the series evaluated near the critical point and far from it
     u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.2, 2.9)))
     points = find_critical_points(u).points
     assert points
@@ -431,17 +373,13 @@ def test_sine_profile_branches_bit_identical_to_oracle():
             assert branch.status is BranchStatus.COMPLETE
 
 
-def test_eval_series_outside_radius_warns_as_oracle():
-    for ic, beta in [(constant_ic(1.0, order=14), -1.0),
-                     (CriticalIC.from_modulus(ClosedFormModulus(
-                         "pi^2/16 - pi^2/128*theta^2", (0.0, 2.0)), 0.0), PAR_BETA_LARGE)]:
-        branch = assert_matches_oracles(ic, beta, 12)
-        r = branch.radius_estimate
-        assert math.isfinite(r)
-        for h in (0.5 * r, -0.99 * r, 1.01 * r, -3.0 * r):
-            record = eval_record(eval_series, branch, ic.theta0 + h)
-            assert record == eval_record(oracle_eval_series, branch, ic.theta0 + h)
-            assert len(record[2]) == (abs(h) > r)
+def test_eval_series_near_and_far_bit_identical_to_oracle():
+    # Horner on each series near its critical point and far from it, both sides
+    assert_matches_oracles(constant_ic(1.0, order=14), -1.0, 12,
+                           offsets=(0.0, 3.7, -7.4, 7.6, -22.5))
+    parabola = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
+    assert_matches_oracles(CriticalIC.from_modulus(parabola, 0.0), PAR_BETA_LARGE, 12,
+                           offsets=(0.0, 0.6, -1.25, 1.3, -3.8))
 
 
 # -- critical-point polish ----------------------------------------------------
