@@ -16,15 +16,19 @@ evaluated with :class:`~depthrec.series.PowerSeries` arguments for
 high-order derivatives, or compiled into kernels for plain evaluation.
 
 An :class:`ExpressionKernel` generates Python source from the AST, one
-parenthesized operation per node, with the constants as globals, and
-compiles it on first use.  The scalar kernel runs on ``math``: it evaluates
-one angle and performs the same floating-point operations in the same order
-as a node-by-node walk, so its values are bit-identical to that walk's.
-The array kernel evaluates a whole array of angles with the same operations
-on numpy, each bound to a function that rounds as the scalar one does, so
-its values are bit-identical to the scalar kernel's too.  Profiles of one
-shape (a sine family, say) differ only in their constants, so they share
-one source text, and each source is compiled once per process.
+parenthesized operation per distinct subexpression, with the constants as
+globals, and compiles it on first use.  A subexpression that occurs more
+than once (``U = rho'^2 + rho^2`` repeats most of ``rho`` inside ``rho'``)
+is computed where it first occurs and kept in a local.  The scalar kernel
+runs on ``math``: it evaluates one angle and performs the floating-point
+operations of a node-by-node walk in the same order, leaving out only the
+repeats, so its values are bit-identical to that walk's and it fails at the
+walk's first failing operation.  The array kernel evaluates a whole array
+of angles with the same operations on numpy, each bound to a function that
+rounds as the scalar one does, so its values are bit-identical to the
+scalar kernel's too.  Profiles of one shape (a sine family, say) differ
+only in their constants, so they share one source text, generated once,
+and each source is compiled once per process.
 """
 
 from __future__ import annotations
@@ -518,55 +522,133 @@ _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _MAX_NESTING = 50
 
 
-def _kernel_source(node: Expression) -> tuple[str, list]:
-    """Generated source of a function ``kernel(th)`` evaluating ``node``.
+def _shape(node: Expression) -> tuple[tuple, list]:
+    """The tree's shape and its constants, in one walk.
 
-    Every operation becomes one parenthesized Python operation, so Python
-    evaluates them in the order a recursive walk of the tree does (left
-    operand first) and the kernel performs the same floating-point
-    operations in the same order.  Subexpressions nested deeper than
-    ``_MAX_NESTING`` go into locals first; a left operand whose right
-    sibling went into a local goes into one before it, which keeps that
-    order.  The constants and exponents are the globals ``c0, c1, ...``,
-    and the six functions are looked up as globals too, so the source
-    depends only on the tree's shape.  Returns the source and the
-    constants ``c0, c1, ...`` in order.
+    The shape is the tree in prefix order with every repeated subexpression
+    cut off after its first occurrence.  Its tokens: ``"c"`` a constant,
+    ``"t"`` the variable, ``"+"``/``"-"``/``"*"``/``"/"`` and ``"neg"`` an
+    operator, ``("**", n)`` a power, a function name a call, and an int ``k``
+    the value of the ``k``-th distinct compound subtree, counted where the
+    walk completes it.  Two subtrees are the same when their node types,
+    function names, exponents, constants (their type and bits) and children
+    are; ``theta`` and ``t`` are one variable.  ``-`` of a constant is
+    folded into that constant, which is exact.  The constants come in the
+    order of the ``"c"`` tokens.
+
+    A node object met again (:func:`differentiate` reuses its operand's
+    nodes) costs one lookup; an equal subtree built anew is walked and then
+    cut back to its reference.
     """
+    tokens: list = []
     consts: list = []
-    temps: list[tuple[str, str]] = []   # (local, source), in evaluation order
+    seen: dict[int, int] = {}      # id(compound node) -> its subtree number
+    numbers: dict[tuple, int] = {}   # (op, child keys) -> subtree number
 
-    def const(value) -> tuple[str, int]:
-        consts.append(value)
-        return f"c{len(consts) - 1}", 0
-
-    def emit(node: Expression) -> tuple[str, int]:
-        """Source text of ``node`` and its parenthesis depth."""
-        if isinstance(node, Num):
-            return const(node.value)
-        if isinstance(node, Pi):
-            return const(math.pi)
-        if isinstance(node, Var):
-            return "th", 0
-        if isinstance(node, Neg):
-            arg, depth = emit(node.arg)
-            text = f"(-{arg})"
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            left, left_depth = emit(node.left)
-            mark = len(temps)
-            right, right_depth = emit(node.right)
-            if len(temps) > mark and left_depth > 0:
-                left, left_depth = local(left, mark), 0
-            text = f"({left} {_BINARY_OPS[type(node)]} {right})"
-            depth = max(left_depth, right_depth)
-        elif isinstance(node, Pow):
-            base, depth = emit(node.base)
-            exponent, _ = const(node.exponent)
-            text = f"({base} ** {exponent})"
-        elif isinstance(node, Call):
-            arg, depth = emit(node.arg)
-            text = f"{node.func}({arg})"
+    def walk(node: Expression):
+        """Appends ``node``'s tokens; returns the key that identifies it."""
+        kind = type(node)
+        if kind is Num or kind is Pi:
+            value = node.value if kind is Num else math.pi
+            tokens.append("c")
+            consts.append(value)
+            return "c", type(value), value, math.copysign(1.0, value)
+        if kind is Var:
+            tokens.append("t")
+            return "t"
+        number = seen.get(id(node))
+        if number is not None:
+            tokens.append(number)
+            return number
+        mark, const_mark = len(tokens), len(consts)
+        if kind is Neg:
+            tokens.append("neg")
+            key = walk(node.arg)
+            if type(key) is tuple:     # a constant: negate it in place
+                tokens.pop(-2)
+                value = consts[-1] = -consts[-1]
+                return "c", type(value), value, math.copysign(1.0, value)
+            key = ("neg", key)
+        elif kind is Add or kind is Sub or kind is Mul or kind is Div:
+            op = _BINARY_OPS[kind]
+            tokens.append(op)
+            key = (op, walk(node.left), walk(node.right))
+        elif kind is Pow:
+            op = ("**", node.exponent)
+            tokens.append(op)
+            key = (op, walk(node.base))
+        elif kind is Call:
+            tokens.append(node.func)
+            key = (node.func, walk(node.arg))
         else:
             raise TypeError(f"unknown node {node!r}")
+        number = numbers.get(key)
+        if number is None:
+            number = numbers[key] = len(numbers)
+        else:                          # an equal subtree came first
+            del tokens[mark:], consts[const_mark:]
+            tokens.append(number)
+        seen[id(node)] = number
+        return number
+
+    walk(node)
+    return tuple(tokens), consts
+
+
+@lru_cache(maxsize=256)
+def _shape_source(shape: tuple) -> str:
+    """Generated source of a function ``kernel(th)`` for one shape.
+
+    Every distinct operation is one Python operation, parenthesized, so
+    Python evaluates them in the order of the tree walk (left operand
+    first).  A subtree that the shape refers to again is computed as
+    ``(sK := ...)`` where it first occurs and read as ``sK`` after that, so
+    it is computed where the walk first computes it, and any later copy
+    would only repeat the same operation on the same operands.
+    Subexpressions nested deeper than ``_MAX_NESTING`` go into locals first;
+    a left operand whose right sibling went into a local goes into one
+    before it, which keeps that order.  The exponents are literals, the
+    constants are the globals ``c0, c1, ...`` and the six functions are
+    looked up as globals too.
+    """
+    shared = {token for token in shape if type(token) is int}
+    temps: list[tuple[str, str]] = []   # (local, source), in evaluation order
+    position = iter(shape)
+    counts = [0, 0]                     # constants and subtrees so far
+
+    def emit() -> tuple[str, int]:
+        """Source text of the next subtree and its parenthesis depth."""
+        token = next(position)
+        if token == "c":
+            counts[0] += 1
+            return f"c{counts[0] - 1}", 0
+        if token == "t":
+            return "th", 0
+        if type(token) is int:
+            return f"s{token}", 0
+        if token in _MATH_FUNCS:
+            arg, depth = emit()
+            text = f"{token}({arg})"
+        else:
+            if token == "neg":
+                arg, depth = emit()
+                text = f"-{arg}"
+            elif type(token) is tuple:
+                base, depth = emit()
+                text = f"{base} ** {token[1]}"
+            else:
+                left, left_depth = emit()
+                mark = len(temps)
+                right, right_depth = emit()
+                if len(temps) > mark and left_depth > 0:
+                    left, left_depth = local(left, mark), 0
+                text = f"{left} {token} {right}"
+                depth = max(left_depth, right_depth)
+            text = f"({text})"
+        number = counts[1]
+        counts[1] += 1
+        if number in shared:
+            text = f"(s{number} := {text})"
         if depth + 1 < _MAX_NESTING:
             return text, depth + 1
         return local(text, len(temps)), 0
@@ -576,8 +658,8 @@ def _kernel_source(node: Expression) -> tuple[str, list]:
         temps.insert(position, (name, text))
         return name
 
-    result, _ = emit(node)
-    source = "\n".join([
+    result, _ = emit()
+    return "\n".join([
         "def kernel(th):",
         "    try:",
         *(f"        {name} = {text}" for name, text in temps),
@@ -586,7 +668,23 @@ def _kernel_source(node: Expression) -> tuple[str, list]:
         "        raise _fail(exc, th) from exc",
         "",
     ])
-    return source, consts
+
+
+def _kernel_source(node: Expression) -> tuple[str, list]:
+    """Generated source of a function ``kernel(th)`` evaluating ``node``,
+    and the constants ``c0, c1, ...`` it reads, in order.
+
+    The kernel computes each distinct subexpression once, in the order a
+    recursive walk of the tree first computes it, with the same
+    floating-point operations on the same operands, so its values are
+    bit-identical to the walk's, and a failure is the walk's first failing
+    operation, with the same error.  One walk of the tree yields its shape
+    and constants (:func:`_shape`); the source is generated once per shape
+    (:func:`_shape_source`), so profiles that differ only in their constants
+    share one text.
+    """
+    shape, consts = _shape(node)
+    return _shape_source(shape), consts
 
 
 def _fail(exc: Exception, theta) -> EvalError:
@@ -622,13 +720,16 @@ class ExpressionKernel:
     """Generated kernels of one expression, built on first use.
 
     ``scalar`` evaluates at one float angle on ``math`` and is bit-identical
-    to evaluating the tree node by node.  :meth:`grid` evaluates a whole
-    array of angles on numpy and is bit-identical to a loop of ``scalar``.
-    Both raise :class:`EvalError` carrying the offending angle for a
-    math-domain failure (sqrt/log of a negative, division by zero,
-    overflow).  Compiling costs as much as a few hundred evaluations, so
-    nothing is built until a kernel is first used, and kernels whose trees
-    differ only in their constants share one compiled code object.
+    to evaluating the tree node by node, though it computes each repeated
+    subexpression once.  :meth:`grid` evaluates a whole array of angles on
+    numpy and is bit-identical to a loop of ``scalar``.  Both raise
+    :class:`EvalError` carrying the offending angle for a math-domain
+    failure (sqrt/log of a negative, division by zero, overflow), the one
+    the node-by-node walk meets first.  Compiling costs as much as a few
+    hundred evaluations, so nothing is built until a kernel is first used.
+    Building one walks the tree once for its shape and constants; kernels
+    of one shape (trees that differ only in their constants, with the same
+    subtrees equal) share one source text and one compiled code object.
     """
 
     def __init__(self, node: Expression):

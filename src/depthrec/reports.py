@@ -127,14 +127,31 @@ def solution_csv_text(sol, u: ModulusModel | None = None) -> str:
 
 
 def read_solution_csv(path: str) -> dict[str, np.ndarray]:
+    """Columns of a node table written by :func:`solution_csv_text`.
+
+    The first row names the columns, each one of ``theta, rho, drho, x, y,
+    residual``; blank rows are skipped.  An empty file, an unknown column, a
+    row with more or fewer cells than the header or a cell that is not a
+    number raises ``DomainError`` naming the path and line.
+    """
     cols: dict[str, list[float]] = {k: [] for k in
                                     ("theta", "rho", "drho", "x", "y", "residual")}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError(f"no header row in {path}, line 1")
+        for key in header:
+            if key not in cols:
+                raise DomainError(f"unknown column {key!r} in {path}, line {reader.line_num}")
         for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DomainError(f"bad solution row {row!r} in {path}, "
+                                  f"line {reader.line_num}: {len(header)} cells expected")
             for key, val in zip(header, row):
-                cols[key].append(float(val))
+                cols[key].append(_csv_float(val, path, reader.line_num))
     return {k: np.array(v) for k, v in cols.items()}
 
 

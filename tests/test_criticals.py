@@ -6,12 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from depthrec.criticals import (
     CriticalKind, _scan, find_critical_points, maximal_depth, upper_bound_check,
 )
 from depthrec.errors import DomainError, EvalError, InvalidModulus
-from depthrec.modulus import ClosedFormModulus
+from depthrec.modulus import ClosedFormModulus, from_depth
+from depthrec.parametrization import DepthFunction
+from depthrec.taylor import second_derivative_roots
 
 
 PARABOLA = "pi^2/16 - pi^2/128*theta^2"
@@ -275,3 +278,73 @@ def test_scan_raises_where_the_derivative_is_not_finite():
     with pytest.raises(InvalidModulus,
                        match=r"^profile derivative is not finite at theta=0\.9000488281249999: inf$"):
         find_critical_points(u)
+
+
+# -- the forward model as an oracle: every extremum of rho is a critical point ---
+
+def _sine_depth(c, ratio, k, phi):
+    """``c + a*sin(k*theta + phi)`` on (0.2, 2.9), the ``maximal`` family,
+    with rho, rho' and rho'' in closed form."""
+    a = ratio * c
+    return (f"{c!r} + {a!r}*sin({k}*theta + {phi!r})", (0.2, 2.9),
+            lambda t: c + a * math.sin(k * t + phi),
+            lambda t: a * k * math.cos(k * t + phi),
+            lambda t: -a * k * k * math.sin(k * t + phi))
+
+
+def _harmonic_depth(c0, a1, b1, a2, b2):
+    """Two harmonics on (0.1, 1.45), as the acceptance suite's random depths."""
+    a1, b1, a2, b2 = a1 * c0, b1 * c0, a2 * c0, b2 * c0
+    return (f"{c0!r} + {a1!r}*cos(theta) + {b1!r}*sin(theta) "
+            f"+ {a2!r}*cos(2*theta) + {b2!r}*sin(2*theta)", (0.1, 1.45),
+            lambda t: c0 + a1 * math.cos(t) + b1 * math.sin(t)
+            + a2 * math.cos(2 * t) + b2 * math.sin(2 * t),
+            lambda t: -a1 * math.sin(t) + b1 * math.cos(t)
+            - 2 * a2 * math.sin(2 * t) + 2 * b2 * math.cos(2 * t),
+            lambda t: -a1 * math.cos(t) - b1 * math.sin(t)
+            - 4 * a2 * math.cos(2 * t) - 4 * b2 * math.sin(2 * t))
+
+
+_depths = st.one_of(
+    st.builds(_sine_depth, st.floats(1.0, 3.0), st.floats(0.05, 0.12),
+              st.sampled_from([2, 3, 4]), st.floats(0.0, 2 * math.pi)),
+    # some harmonic of at least 1% of c0: a nearly constant depth has a U'
+    # at roundoff level, which the scan rightly calls dense, not critical
+    st.tuples(st.floats(1.0, 4.0), *(st.floats(-0.2, 0.2) for _ in range(2)),
+              *(st.floats(-0.1, 0.1) for _ in range(2)))
+    .filter(lambda coeffs: max(map(abs, coeffs[1:])) >= 0.01)
+    .map(lambda coeffs: _harmonic_depth(*coeffs)),
+)
+
+
+def _interior_extrema(d1, lo, hi):
+    """The sign changes of rho' inside (lo, hi), polished by brentq."""
+    grid = np.linspace(lo, hi, 4097).tolist()
+    slopes = [d1(t) for t in grid]
+    return [brentq(d1, a, b, xtol=1e-15)
+            for a, b, sa, sb in zip(grid, grid[1:], slopes, slopes[1:]) if sa * sb < 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_depths)
+def test_every_extremum_of_a_forward_model_depth_is_a_critical_point(depth):
+    # U = rho'^2 + rho^2 has U' = 2 rho' (rho'' + rho), so every extremum
+    # theta_e of rho is a critical point with U(theta_e) = rho^2 and U'' =
+    # 2 rho''^2 + 2 rho rho'': the discriminant rho^2 + 2 U'' = (rho +
+    # 2 rho'')^2 is real and rho'' is one of the two curvature roots
+    text, (lo, hi), rho, d1, d2 = depth
+    points = find_critical_points(from_depth(DepthFunction.from_text(text, (lo, hi)))).points
+    for theta_e in _interior_extrema(d1, lo, hi):
+        if abs(d2(theta_e) + rho(theta_e)) < 1e-6 * rho(theta_e):
+            continue   # rho'' + rho vanishes too: a triple zero of U', no simple root
+        point = min(points, key=lambda p: abs(p.theta - theta_e))
+        assert abs(point.theta - theta_e) < 1e-9
+        assert point.u_jet.order >= 2
+        u2 = point.u_jet[2]
+        roots = second_derivative_roots(point.depth, u2)   # raises if complex
+        # a root carries the discriminant's rounding, amplified where the
+        # two roots nearly meet (the clamp to a double root included)
+        slack = 1e-12 * (1.0 + point.depth ** 2 + abs(u2))
+        disc = point.depth ** 2 + 2.0 * u2
+        tol = 1e-10 + slack / math.sqrt(max(disc, slack))
+        assert min(abs(r - d2(theta_e)) for r in roots) < tol

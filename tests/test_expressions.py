@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from depthrec.errors import EvalError, ParseError
 from depthrec.expressions import (
-    FUNCTIONS, Add, Call, Div, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
+    FUNCTIONS, Add, Call, Div, Expression, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
     derivatives_at, differentiate, parse_expression, to_callable, to_text,
 )
 from depthrec.modulus import from_depth
@@ -484,6 +484,137 @@ def test_one_shape_compiles_once():
         assert [kernel.scalar(th) for th in thetas.tolist()] == want
         assert kernel.grid(thetas).tolist() == want
     assert first.scalar(1.0) != second.scalar(1.0)
+
+
+# -- shared subexpressions: each computed once, bit for bit the tree walk -------
+
+def _fields(node):
+    return [getattr(node, f) for f in node.__slots__]
+
+
+def rebuilt(node):
+    """An equal tree made of new node objects."""
+    return type(node)(*(rebuilt(v) if isinstance(v, Expression) else v for v in _fields(node)))
+
+
+def _nodes(node):
+    """Every node of the tree, once per occurrence."""
+    yield node
+    for child in _fields(node):
+        if isinstance(child, Expression):
+            yield from _nodes(child)
+
+
+_offsets = st.floats(-3.0, 3.0, allow_nan=False).map(Num)
+# parts that fail on some angles in [-4, 4]: sqrt and log of a negative, a
+# zero divisor
+_failing = st.one_of(
+    st.builds(lambda c: Call("sqrt", Sub(Var("theta"), c)), _offsets),
+    st.builds(lambda c: Call("log", Sub(Var("theta"), c)), _offsets),
+    st.builds(lambda c: Div(Num(1.0), Sub(Var("theta"), c)), _offsets),
+    st.builds(lambda e: Call("log", e), expressions),
+)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree whose leaves are drawn from a few parts, each met again as the
+    same object or as an equal copy, optionally made into U = rho'^2 +
+    rho^2 or differentiated (both reuse subtrees)."""
+    pool = draw(st.lists(st.one_of(expressions, _failing), min_size=1, max_size=4))
+    part = st.sampled_from(pool).flatmap(lambda n: st.sampled_from([n, rebuilt(n)]))
+    node = draw(st.recursive(part, _compound, max_leaves=10))
+    return draw(st.sampled_from([node, squared_speed(node), differentiate(node)]))
+
+
+def tree_loop_outcome(node, thetas):
+    """The bits of a loop of the tree walk, or its first error's text and angle."""
+    oracle = tree_callable(node)
+    try:
+        return np.array([oracle(th) for th in thetas]).tobytes()
+    except EvalError as exc:
+        return str(exc), exc.theta
+
+
+@settings(max_examples=400, deadline=None)
+@given(shared_trees(), st.lists(angles, min_size=1, max_size=8))
+def test_shared_kernel_bit_identical_to_tree(node, thetas):
+    kernel, oracle = ExpressionKernel(node), tree_callable(node)
+    for th in thetas:
+        assert outcome(kernel.scalar, th) == outcome(oracle, th)
+    assert grid_outcome(kernel, thetas) == tree_loop_outcome(node, thetas)
+
+
+def _counting(fn, calls):
+    def call(x):
+        calls.append(fn.__name__)
+        return fn(x)
+    return call
+
+
+ROUNDTRIP_RHO = ("1.7 + 0.21*cos(theta) + -0.13*sin(theta) "
+                 "+ 0.08*cos(2*theta) + 0.05*sin(2*theta)")
+
+
+def test_roundtrip_u_read_calls_each_trig_function_once():
+    # U = rho'^2 + rho^2 of the round-trip family holds sin and cos of theta
+    # and of 2*theta eight times; a kernel read computes each of the four once
+    u = from_depth(DepthFunction.from_text(ROUNDTRIP_RHO, (0.3, 2.6)))
+    trig = [n for n in _nodes(u.expr) if isinstance(n, Call) and n.func in ("sin", "cos")]
+    assert len(trig) == 8
+    calls = []
+    counted = u._u._bind({**_MATH_FUNCS, "sin": _counting(math.sin, calls),
+                          "cos": _counting(math.cos, calls)}, array=False)
+    for th in (0.3, 1.1, 2.6):
+        del calls[:]
+        assert counted(th) == tree_callable(u.expr)(th)
+        assert sorted(calls) == ["cos", "cos", "sin", "sin"]
+
+
+def test_same_shape_profiles_share_source_and_code():
+    # U, U' and U'' of two round-trip depths (a negative coefficient is one
+    # constant): one source text and one code object per variant, each
+    # kernel evaluating its own constants
+    first = from_depth(DepthFunction.from_text(ROUNDTRIP_RHO, (0.3, 2.6)))
+    second = from_depth(DepthFunction.from_text(
+        "2.4 + -0.3*cos(theta) + 0.11*sin(theta) + -0.02*cos(2*theta) + 0.19*sin(2*theta)",
+        (0.3, 2.6)))
+    for a, b in ((first._u, second._u), (first._du, second._du), (first._ddu, second._ddu)):
+        assert a._source[0] is b._source[0]
+        assert a._source[1] != b._source[1]
+        assert a.scalar.__code__ is b.scalar.__code__
+        assert a._array.__code__ is b._array.__code__
+        thetas = np.linspace(0.3, 2.6, 9)
+        for kernel in (a, b):
+            want = tree_loop_outcome(kernel.node, thetas.tolist())
+            assert np.array([kernel.scalar(th) for th in thetas.tolist()]).tobytes() == want
+            assert kernel.grid(thetas).tobytes() == want
+        assert a.scalar(1.0) != b.scalar(1.0)
+
+
+def test_shape_tells_which_subtrees_are_equal():
+    # one tree shape, two partitions: cos(2*theta) repeats sin's argument,
+    # cos(3*theta) does not; the kernels differ and each matches its tree
+    same = ExpressionKernel(parse_expression("sin(2*theta) + cos(2*theta)"))
+    other = ExpressionKernel(parse_expression("sin(2*theta) + cos(3*theta)"))
+    assert same._source[0] != other._source[0]
+    assert same._source[0].count("*") == 1 and other._source[0].count("*") == 2
+    for kernel in (same, other):
+        for th in (-1.0, 0.4, 2.0):
+            assert outcome(kernel.scalar, th) == outcome(tree_callable(kernel.node), th)
+
+
+@pytest.mark.parametrize("node,theta", [
+    # theta*0.0 - theta*-0.0 is -0.0 at theta < 0; sharing the products gives 0.0
+    (Sub(Mul(Var("theta"), Num(0.0)), Mul(Var("theta"), Num(-0.0))), -1.5),
+    # int 2 - 2 divides as an int: "division by zero", not "float division by zero"
+    (Add(Sub(Num(2.0), Num(2.0)), Div(Num(1), Sub(Num(2), Num(2)))), 0.5),
+])
+def test_constants_equal_in_value_but_not_in_bits_or_type_are_not_shared(node, theta):
+    kernel = ExpressionKernel(node)
+    want = outcome(tree_callable(node), theta)
+    assert outcome(kernel.scalar, theta) == want
+    assert grid_outcome(kernel, [theta]) == tree_loop_outcome(node, [theta])
 
 
 # -- jets against the unshared tree walk on numpy-scalar series ------------------

@@ -21,7 +21,8 @@ from depthrec.errors import DepthRecError, DomainError
 from depthrec.ivp import RegularIC, solve_regular
 from depthrec.modulus import ClosedFormModulus, SampledModulus
 from depthrec.reports import (
-    _json, format_float, read_u_csv, report_json_text, solution_csv_text, u_csv_text,
+    _json, format_float, read_solution_csv, read_u_csv, report_json_text, solution_csv_text,
+    u_csv_text,
 )
 
 
@@ -291,3 +292,26 @@ def test_solution_csv_text_matches_node_loop(u):
         assert _text_or_error(solution_csv_text, sol, u) == \
             _text_or_error(_solution_csv_text_oracle, sol, u)
     assert solution_csv_text(piece) == _solution_csv_text_oracle(piece)
+
+
+# -- solution.csv reader --------------------------------------------------------
+
+def _solution_file(tmp_path, text: str) -> str:
+    path = tmp_path / "solution.csv"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("theta,rho\n0.5,2.0\n0.6,abc\n", "bad number 'abc' in {path}, line 3"),
+    ("theta,depth\n0.5,2.0\n", "unknown column 'depth' in {path}, line 1"),
+    ("", "no header row in {path}, line 1"),
+    ("theta,rho\n0.5,2.0\n0.6\n", "bad solution row ['0.6'] in {path}, line 3: 2 cells expected"),
+])
+def test_read_solution_csv_rejects_bad_tables(tmp_path, text, message):
+    # a bad number, an unknown column, an empty file and a short row each
+    # raise the package's DomainError naming the file and line
+    path = _solution_file(tmp_path, text)
+    with pytest.raises(DomainError) as got:
+        read_solution_csv(path)
+    assert str(got.value) == message.format(path=path)
