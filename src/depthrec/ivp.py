@@ -17,18 +17,18 @@ Lipschitz continuity there), detected by monitoring ``g = U - rho^2`` and
 localized by bisecting the last accepted step, after which continuation is
 the business of :func:`continue_through_critical`.
 
-Every regular solve, series tail and shooting re-solve runs through one
-stepping loop, so :func:`solve_regular` writes the pair out in
-straight-line code: the tableau (``_TSIT5_*``, its only copy) is unpacked
-into locals once per solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)``
-with the terms in tableau order, and U is read straight through the bound
-``u.value`` at every stage angle, the IC's read serving the regularity
-check too.  The last stage sits at the step end, so its U serves the error
-estimate, the event tests and the next step's start; an accepted step
-without an event calls no Python function but ``u.value``.  A caller that
-keeps a piece only up to some angle passes it as ``stop_theta``, and the
-loop stops at the first step end past it instead of running on to the
-domain end or an event out there.
+Every regular solve and series tail runs through one stepping loop, so
+:func:`solve_regular` writes the pair out in straight-line code: the
+tableau (``_TSIT5_*``, its only copy) is unpacked into locals once per
+solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with the terms in
+tableau order, and U is read straight through the bound ``u.value`` at
+every stage angle, the IC's read serving the regularity check too.  The
+last stage sits at the step end, so its U serves the error estimate, the
+event tests and the next step's start; an accepted step without an event
+calls no Python function but ``u.value``.  A caller that keeps a piece
+only up to some angle passes it as ``stop_theta``, and the loop stops at
+the first step end past it instead of running on to the domain end or an
+event out there.
 U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
 dict lookup and store at every stage.  Most emitted nodes are not step
@@ -134,10 +134,6 @@ class SolutionPiece:
     describes the far end in the direction of integration (the smallest
     angle for backward pieces).  ``dense_contact`` marks bound-following
     pieces on autonomous stretches, which carry sign +1 by convention.
-    ``_handoff`` is the (angle, depth) at which :func:`branch_to_piece`
-    handed its series leg over to integration, where it tried to: the
-    nodes past that angle are the integrated tail, and a piece that ends
-    there found no regular start.
     """
 
     sign: BranchSign
@@ -148,7 +144,6 @@ class SolutionPiece:
     direction: str  # "forward" | "backward"
     dense_contact: bool = False
     _spline: object = field(default=None, repr=False, compare=False)
-    _handoff: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def ode_sign(self) -> int:
@@ -653,9 +648,9 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
 
     The series leg runs ``min(opts.series_radius, room)`` from the critical
     angle, where ``room`` is the distance to ``stop_theta`` or, without it,
-    to the domain end on ``side``; integration continues from the leg's end
-    (the piece's ``_handoff``).  ``side`` +1 extends toward larger angles.
-    A constant branch turns into a bound-following piece instead.
+    to the domain end on ``side``; integration continues from the leg's end.
+    ``side`` +1 extends toward larger angles.  A constant branch turns into
+    a bound-following piece instead.
     """
     opts = opts or IntegrationOptions()
     theta_c = branch.ic.theta0
@@ -683,12 +678,10 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
 
     theta_h, rho_h = ts[-1], ys[-1]
     reached_limit = abs(theta_h - limit) <= 1e-14 * max(1.0, abs(limit))
-    handoff = None
     if reached_limit:
         termination = Termination(TerminationKind.DOMAIN_END, theta_h)
         tail = None
     else:
-        handoff = theta_h, rho_h
         try:
             tail = solve_regular(u, RegularIC(theta_h, rho_h), walk_sign, direction, opts,
                                  stop_theta)
@@ -713,7 +706,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
         termination = tail.termination
 
     return SolutionPiece(sign=walk_sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                         termination=termination, direction=direction, _handoff=handoff)
+                         termination=termination, direction=direction)
 
 
 def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:

@@ -3,12 +3,17 @@
 Single pieces from the branch integrator stop at contacts; this module
 stitches them into C1 solutions spanning the domain.  It enumerates the
 finite tree of continuations from an initial condition, builds the unique
-trajectory between consecutive critical points (launched from the
-minimum-type end, where uniqueness holds), assembles the depth-maximal
-solution by chaining those trajectories (raising :class:`NoSolution`
-where one misses its far point), and constructs the bounding pair around
-maximum-type critical points together with the squeezed non-analytic
-solutions inside it.
+trajectory between consecutive critical points, assembles the
+depth-maximal solution by chaining those trajectories, and constructs the
+bounding pair around maximum-type critical points together with the
+squeezed non-analytic solutions inside it.
+
+A link between two critical points has one rule: launch the
+largest-curvature branch leaving the minimum-type end toward the other
+(there the analytic solution touching the bound is unique, so it is the
+only candidate), integrate it up to the far point's angle, and either snap
+its end onto the far point, when it lands within ``tol_bvp`` of it, or
+raise :class:`NoSolution`.
 
 Each public function here is one call of
 :func:`~depthrec.taylor.one_critical_table`: every critical IC it meets,
@@ -32,11 +37,11 @@ from .errors import (
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
     bound_following_piece, branch_to_piece, contact_ic, continuation_candidates,
-    continue_through_critical, solve_regular, _clip_piece, _half_branch_sign,
+    continue_through_critical, solve_regular,
 )
 from .modulus import ModulusModel
 from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, critical_ic, eval_series, one_critical_table,
+    BranchStatus, CriticalIC, TaylorBranch, critical_ic, one_critical_table,
 )
 
 __all__ = [
@@ -363,13 +368,15 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
                                 tol_bvp: float = 1e-8) -> SolutionPiece:
     """The unique trajectory joining two consecutive critical points.
 
-    Launched as the analytic branch at the minimum-type endpoint and
-    integrated toward the other; the far end must land on the bound within
-    ``tol_bvp`` (then it is snapped exactly), with a small shooting search
-    on the handoff depth as a robustness net, which starts from the
-    trajectory already integrated.  The launch IC sits at the critical
-    point's angle, not polished again, and comes from the call's table, so
-    a caller chaining intervals shares it.
+    Launched as the largest-curvature analytic branch leaving the
+    minimum-type endpoint toward the other and integrated up to the other's
+    angle.  The far end must land on the bound within ``tol_bvp``, and is
+    then snapped exactly; otherwise :class:`NoSolution` names the miss or,
+    for a trajectory ending short of the far point, its termination and
+    angle.  There is nothing to tune: the launch branch is the link, hit or
+    miss.  The launch IC sits at the critical point's angle, not polished
+    again, and comes from the call's table, so a caller chaining intervals
+    shares it.
     """
     opts = opts or IntegrationOptions()
     if not left.theta < right.theta:
@@ -389,21 +396,16 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
             f"no branch leaves ({launch.theta}, {launch.depth}) toward the target")
     branch = max(matches, key=lambda b: b.beta)
     piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
-    mismatch = _endpoint_mismatch(piece, target, side)
+    theta_end, rho_end, _ = _end_state(piece, at_start=(side < 0))
+    if abs(theta_end - target.theta) > 5e-3:  # stalled or contacted far from the target
+        end = piece.termination
+        raise NoSolution(
+            f"trajectory ends ({end.kind.value}) at theta={end.theta}, short of the far "
+            f"critical point at theta={target.theta}")
+    mismatch = abs(rho_end - target.depth)
     if mismatch > tol_bvp:
-        refined = _shoot(u, branch, side, target, opts, tol_bvp, piece)
-        if refined is None:
-            raise NoSolution(
-                f"trajectory misses the far critical point by {mismatch:.3e}")
-        piece = refined
+        raise NoSolution(f"trajectory misses the far critical point by {mismatch:.3e}")
     return _snap_end(piece, target, side)
-
-
-def _endpoint_mismatch(piece: SolutionPiece, target: CriticalPoint, side: int) -> float:
-    th, rho, _ = _end_state(piece, at_start=(side < 0))
-    if abs(th - target.theta) > 5e-3:
-        return math.inf  # stalled or contacted far from the target
-    return abs(rho - target.depth)
 
 
 def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> SolutionPiece:
@@ -418,84 +420,6 @@ def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> Solutio
     return SolutionPiece(sign=piece.sign, thetas=thetas, rhos=rhos, drhos=drhos,
                          termination=term, direction=piece.direction,
                          dense_contact=piece.dense_contact)
-
-
-def _shoot(u: ModulusModel, branch: TaylorBranch, side: int, target: CriticalPoint,
-           opts: IntegrationOptions, tol_bvp: float,
-           first: SolutionPiece | None = None) -> SolutionPiece | None:
-    """Bisection on the handoff depth to hit the far critical point.
-
-    Each handoff depth is solved once: the bracket shares ``delta = 0`` with
-    the first solve, the result reuses the piece of the last midpoint, and
-    late midpoints that round to one depth share one solve.  ``first`` is
-    the branch's piece toward the target (:func:`branch_to_piece`, stopped
-    there); where its handoff is this one, its far end is the end depth at
-    ``delta = 0`` and that start is not solved again.
-    """
-    theta_c = branch.ic.theta0
-    r = min(opts.series_radius, abs(target.theta - theta_c) / 4)
-    theta_h = theta_c + side * r
-    rho_h, _ = eval_series(branch, theta_h)
-    direction = "forward" if side > 0 else "backward"
-    walk_sign = _half_branch_sign(branch, side) * side
-    # handoff depth -> clipped piece, None where the IC is not regular
-    pieces: dict[float, SolutionPiece | None] = {}
-    # handoff depth -> far-end depth, -inf where the IC is not regular
-    ends: dict[float, float] = {}
-    if first is not None and first._handoff == (theta_h, rho_h):
-        theta_end, rho_end, _ = _end_state(first, at_start=(side < 0))
-        # a tail was integrated exactly when the piece reaches past the handoff
-        ends[rho_h] = -math.inf if theta_end == theta_h else rho_end
-
-    def solve(delta: float) -> SolutionPiece | None:
-        rho = rho_h + delta
-        if rho not in pieces:
-            try:
-                pieces[rho] = solve_regular(u, RegularIC(theta_h, rho), walk_sign, direction,
-                                            opts, target.theta)
-            except NotRegular:
-                pieces[rho] = None
-        return pieces[rho]
-
-    def end_value(delta: float) -> float:
-        rho = rho_h + delta
-        if rho not in ends:
-            p = solve(delta)
-            ends[rho] = -math.inf if p is None else _end_state(p, at_start=(side < 0))[1]
-        return ends[rho]
-
-    scale = 1e-6 * (1.0 + branch.ic.rho0)
-    best = None
-    f0 = end_value(0.0) - target.depth
-    lo_d, hi_d = -scale, 0.0
-    if f0 > 0:
-        lo_d, hi_d = 0.0, scale
-    flo = end_value(lo_d) - target.depth
-    fhi = end_value(hi_d) - target.depth
-    if flo * fhi > 0:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (lo_d + hi_d)
-        fm = end_value(mid) - target.depth
-        if abs(fm) <= 0.1 * tol_bvp:
-            best = mid
-            break
-        if flo * fm <= 0:
-            hi_d, fhi = mid, fm
-        else:
-            lo_d, flo = mid, fm
-        best = mid
-    if best is None:
-        return None
-    p = solve(best)
-    if p is None or abs(_end_state(p, at_start=(side < 0))[1] - target.depth) > tol_bvp:
-        return None
-    # re-attach the series leg down to the critical point
-    lead = branch_to_piece(u, branch, side, opts, stop_theta=theta_h)
-    lead = _clip_piece(lead, theta_h)
-    if side > 0:
-        return _merge_adjacent(lead, p)
-    return _merge_adjacent(p, lead)
 
 
 # ---------------------------------------------------------------------------

@@ -491,10 +491,11 @@ def test_branch_to_piece_matches_series():
         assert abs(float(piece.interp(th)) - series_val) < 1e-7
 
 
-def test_series_leg_runs_the_fixed_handoff_distance():
+def test_series_leg_runs_the_fixed_handoff_distance(monkeypatch):
     # a depth whose series at its critical point at theta = 1 is geometric,
     # 0.01*(12*(theta - 1))^k for k >= 2: convergence radius 1/12, under
-    # twice the handoff distance, and still the leg runs the full distance
+    # twice the handoff distance, and still the leg runs the full distance:
+    # the integrated tail starts where it ends
     lo, hi = 0.5, 1.07
     u = from_depth(DepthFunction.from_text("2 + 0.01*(1/(13 - 12*theta) + 12 - 12*theta)",
                                            (lo, hi)))
@@ -502,9 +503,19 @@ def test_series_leg_runs_the_fixed_handoff_distance():
     assert branch.beta == pytest.approx(2.88)
     opts = IntegrationOptions()
     assert 1.0 / 12.0 < 2 * opts.series_radius
+    starts = []
+    solve = ivp_mod.solve_regular
+
+    def spy(u, ic, *args):
+        starts.append(ic)
+        return solve(u, ic, *args)
+
+    monkeypatch.setattr(ivp_mod, "solve_regular", spy)
     for side, room in ((+1, hi - 1.0), (-1, 1.0 - lo)):
+        starts.clear()
         piece = branch_to_piece(u, branch, side, opts)
-        assert piece._handoff[0] == 1.0 + side * min(opts.series_radius, room)
+        assert [ic.theta0 for ic in starts] == [1.0 + side * min(opts.series_radius, room)]
+        assert starts[0].rho0 == taylor_mod.eval_series(branch, starts[0].theta0)[0]
         assert piece.termination.kind is TerminationKind.DOMAIN_END
     with warnings.catch_warnings():
         warnings.simplefilter("error")

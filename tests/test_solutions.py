@@ -1,31 +1,30 @@
 """Global assembly: enumeration, two-point chains, maximality, cones."""
 
 import math
+import re
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from depthrec.cli import main
 from depthrec.criticals import CriticalKind, find_critical_points, upper_bound_check
 import depthrec.ivp as ivp_mod
 import depthrec.solutions as solutions_mod
 import depthrec.taylor as taylor_mod
 from depthrec.errors import (
     DepthRecError, InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
-    NotRegular, OutsideCone,
+    OutsideCone,
 )
-from depthrec.ivp import (
-    IntegrationOptions, RegularIC, _clip_piece, _half_branch_sign, branch_to_piece,
-    continuation_candidates, residual, solve_regular,
-)
+from depthrec.ivp import IntegrationOptions, RegularIC, residual
 from depthrec.modulus import ClosedFormModulus
+from depthrec.reports import read_u_csv
 from depthrec.solutions import (
     JunctionKind, build_cone, c1_check, enumerate_branches, maximal_solution,
     sample_cone_solution, solve_bvp_between_criticals, stitch,
 )
-from depthrec.taylor import CriticalIC, eval_series
+from depthrec.taylor import CriticalIC
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 PARABOLA = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
@@ -184,6 +183,38 @@ def test_bvp_steep_maximum_has_no_touching_solution():
     assert b.depth ** 2 + 2 * b.u_jet[2] < 0
     with pytest.raises(NoSolution):
         solve_bvp_between_criticals(u, a, b, tol_bvp=1e-8)
+
+
+# a cli-workload depth (seed 1); read back from the CSV of ``depthrec
+# forward``, its U has a minimum at theta ~ 0.33973 between two maxima
+SAMPLED_RHO = "1.2267996954630016 + 0.08740727400779802*sin(4*theta + 0.21186496209698724)"
+
+
+def test_bvp_link_is_its_launch_branch_hit_or_miss(tmp_path, capsys):
+    # from the minimum, the launch branch's series leg ends on the bound,
+    # 0.04 short of either maximum: each link raises, naming where its
+    # trajectory ended, rather than returning a piece whose tail starts
+    # off the series leg (a depth jump of ~1.2e-6 between two nodes)
+    path = str(tmp_path / "u.csv")
+    assert main(["forward", "--rho", SAMPLED_RHO, "--domain", "0.2", "2.9",
+                 "--samples", "801", "--out", path]) == 0
+    u = read_u_csv(path)
+    pts = find_critical_points(u).points
+    i = next(i for i, p in enumerate(pts) if abs(p.theta - 0.33973) < 1e-4)
+    assert pts[i].kind is CriticalKind.MINIMUM
+    radius = IntegrationOptions().series_radius
+    for left, right, side in ((pts[i - 1], pts[i], -1), (pts[i], pts[i + 1], +1)):
+        with pytest.raises(NoSolution) as err:
+            solve_bvp_between_criticals(u, left, right)
+        ended = re.fullmatch(r"trajectory ends \(contact\) at theta=(\S+), short of the far "
+                             r"critical point at theta=(\S+)", str(err.value))
+        assert ended is not None, str(err.value)
+        assert float(ended[1]) == pytest.approx(pts[i].theta + side * radius, abs=1e-12)
+        assert float(ended[2]) == (left if side < 0 else right).theta
+    # the session's exit codes stay: maximal fails here, plot draws without it
+    assert main(["maximal", "--u-csv", path, "--out", str(tmp_path / "m.json")]) == 1
+    assert "trajectory ends (contact)" in capsys.readouterr().err
+    assert main(["plot", "--u-csv", path, "--out", str(tmp_path / "p.svg")]) == 0
 
 
 def test_bvp_needs_two_criticals():
@@ -385,113 +416,6 @@ def test_maximal_junction_kinds():
                for k in kinds[1:-1])
 
 
-# -- shooting -------------------------------------------------------------------
-
-def old_shoot(u, branch, side, target, opts, tol_bvp):
-    """``_shoot`` as it was before its solves were memoized: the oracle."""
-    theta_c = branch.ic.theta0
-    r = min(opts.series_radius, abs(target.theta - theta_c) / 4)
-    theta_h = theta_c + side * r
-    rho_h, _ = eval_series(branch, theta_h)
-    direction = "forward" if side > 0 else "backward"
-    walk_sign = _half_branch_sign(branch, side) * side
-
-    def end_value(delta):
-        try:
-            p = solve_regular(u, RegularIC(theta_h, rho_h + delta), walk_sign, direction, opts)
-        except NotRegular:
-            return -math.inf
-        p = _clip_piece(p, target.theta)
-        return solutions_mod._end_state(p, at_start=(side < 0))[1]
-
-    scale = 1e-6 * (1.0 + branch.ic.rho0)
-    best = None
-    f0 = end_value(0.0) - target.depth
-    lo_d, hi_d = -scale, 0.0
-    if f0 > 0:
-        lo_d, hi_d = 0.0, scale
-    flo = end_value(lo_d) - target.depth
-    fhi = end_value(hi_d) - target.depth
-    if flo * fhi > 0:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (lo_d + hi_d)
-        fm = end_value(mid) - target.depth
-        if abs(fm) <= 0.1 * tol_bvp:
-            best = mid
-            break
-        if flo * fm <= 0:
-            hi_d, fhi = mid, fm
-        else:
-            lo_d, flo = mid, fm
-        best = mid
-    if best is None:
-        return None
-    try:
-        p = solve_regular(u, RegularIC(theta_h, rho_h + best), walk_sign, direction, opts)
-    except NotRegular:
-        return None
-    p = _clip_piece(p, target.theta)
-    if abs(solutions_mod._end_state(p, at_start=(side < 0))[1] - target.depth) > tol_bvp:
-        return None
-    lead = branch_to_piece(u, branch, side, opts, stop_theta=theta_h)
-    lead = _clip_piece(lead, theta_h)
-    if side > 0:
-        return solutions_mod._merge_adjacent(lead, p)
-    return solutions_mod._merge_adjacent(p, lead)
-
-
-def piece_bits(piece):
-    if piece is None:
-        return None
-    return (piece.sign, piece.direction, piece.termination, piece.thetas.tobytes(),
-            piece.rhos.tobytes(), piece.drhos.tobytes())
-
-
-@pytest.mark.parametrize("series_radius", [0.05, 1e-3])
-def test_shoot_solves_each_ic_once_and_matches_old_shoot(monkeypatch, series_radius):
-    # three targets per interval: the far critical point itself (a hit),
-    # 1e-10 below the unshot trajectory's end (a hit only from the short
-    # series leg, whose bracket closes on a depth that is not regular) and
-    # 1e-8 below it (a miss); each shoot solves every start depth once, and
-    # the delta = 0 start not at all: the handed-in first piece holds it
-    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", (0.2, 2.9))
-    opts = IntegrationOptions(series_radius=series_radius)
-    starts = []
-
-    def counting_solve(u, ic, *args):
-        starts.append((ic.theta0, ic.rho0))
-        return solve_regular(u, ic, *args)
-
-    monkeypatch.setattr(solutions_mod, "solve_regular", counting_solve)
-    outcomes = []
-    cs = find_critical_points(u)
-    for a, b in zip(cs.points, cs.points[1:]):
-        launch, target, side = solutions_mod._pick_launch(a, b)
-        ic = CriticalIC.from_modulus(u, launch.theta, order=opts.taylor_order)
-        branch = max((br for s, br in continuation_candidates(u, ic, side, opts)
-                      if s * side == (1 if target.depth > launch.depth else -1) * side),
-                     key=lambda br: br.beta)
-        theta_h = launch.theta + side * min(series_radius, abs(target.theta - launch.theta) / 4)
-        walk_sign = _half_branch_sign(branch, side) * side
-        direction = "forward" if side > 0 else "backward"
-        start = (theta_h, eval_series(branch, theta_h)[0])
-        end = _clip_piece(solve_regular(u, RegularIC(*start), walk_sign, direction, opts),
-                          target.theta)
-        end_depth = float(end.rhos[-1] if side > 0 else end.rhos[0])
-        first = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
-        for depth in (target.depth, end_depth - 1e-10, end_depth - 1e-8):
-            aim = replace(target, depth=depth)
-            starts.clear()
-            got = solutions_mod._shoot(u, branch, side, aim, opts, 1e-8, first)
-            assert len(starts) == len(set(starts)) >= 1
-            assert start not in starts
-            assert piece_bits(got) == piece_bits(old_shoot(u, branch, side, aim, opts, 1e-8))
-            outcomes.append(got is not None)
-    hit_below = series_radius < 0.01
-    assert outcomes == [True, hit_below, False] * 2
-
-
 # -- one table of critical ICs and branch sets per call ------------------------------
 
 @pytest.fixture
@@ -553,10 +477,9 @@ def test_each_jet_and_branch_set_is_built_once_per_call(builds, text):
     assert any(branches for _jets, branches in seen)
 
 
-def test_shoot_does_not_solve_the_first_start_again(monkeypatch):
-    # the far critical point is missed: the shoot starts from the piece the
-    # first solve integrated, so the BVP solves one start fewer than a shoot
-    # that solves its delta = 0 start itself, and fails with the same text
+def test_bvp_miss_solves_each_start_once(monkeypatch):
+    # the launch branch misses the far critical point: the chain raises
+    # with the miss, and no regular start is solved twice
     u = ClosedFormModulus("2 + 0.3*sin(5*theta)", (0.2, 2.9))
     starts = []
     solve = ivp_mod.solve_regular
@@ -567,22 +490,10 @@ def test_shoot_does_not_solve_the_first_start_again(monkeypatch):
 
     monkeypatch.setattr(ivp_mod, "solve_regular", counting_solve)
     monkeypatch.setattr(solutions_mod, "solve_regular", counting_solve)
-    shoot = solutions_mod._shoot
-    outcomes = []
-    for first_piece_kept in (False, True):
-        if not first_piece_kept:
-            monkeypatch.setattr(solutions_mod, "_shoot",
-                                lambda *args: shoot(*args[:6]))
-        else:
-            monkeypatch.setattr(solutions_mod, "_shoot", shoot)
-        starts.clear()
-        with pytest.raises(NoSolution) as err:
-            maximal_solution(u)
-        outcomes.append((len(starts), len(set(starts)), str(err.value)))
-    (n_old, distinct_old, text_old), (n_new, distinct_new, text_new) = outcomes
-    assert n_new == n_old - 1 == distinct_new
-    assert distinct_old == n_old - 1
-    assert text_new == text_old == "trajectory misses the far critical point by 2.907e-02"
+    with pytest.raises(NoSolution) as err:
+        maximal_solution(u)
+    assert str(err.value) == "trajectory misses the far critical point by 2.907e-02"
+    assert len(starts) == len(set(starts)) >= 1
 
 
 def test_threads_running_solver_calls_keep_their_own_tables():
