@@ -25,10 +25,9 @@ tableau order, and U is read straight through the bound ``u.value`` at
 every stage angle, the IC's read serving the regularity check too.  The
 last stage sits at the step end, so its U serves the error estimate, the
 event tests and the next step's start; an accepted step without an event
-calls no Python function but ``u.value``.  A caller that keeps a piece
-only up to some angle passes it as ``stop_theta``, and the loop stops at
-the first step end past it instead of running on to the domain end or an
-event out there.
+calls no Python function but ``u.value``.  A ``stop_theta`` before the
+domain end is the solve's end instead, and the last step lands on it
+(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
 U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
 dict lookup and store at every stage.  Most emitted nodes are not step
@@ -56,13 +55,13 @@ sec. II.5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import DepthRecError, NoContinuation, NotRegular, StepFailure
+from .errors import DepthRecError, NoContinuation, NotRegular
 from .modulus import ModulusModel
 from .taylor import (
     BranchStatus, CriticalIC, TaylorBranch, branches_at, critical_ic, eval_series,
@@ -73,6 +72,7 @@ __all__ = [
     "BranchSign", "RegularIC", "TerminationKind", "Termination", "SolutionPiece",
     "IntegrationOptions", "derivative_pair", "solve_regular", "residual",
     "continue_through_critical", "branch_to_piece", "bound_following_piece",
+    "leaving_branch",
 ]
 
 BranchSign = int  # +1 or -1
@@ -243,14 +243,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     between them stays within ``opts.interp_tol``; the interior nodes of
     the steps are added after the loop (:func:`_fill_nodes`).
 
-    With ``stop_theta``, the piece is wanted only up to that angle: the
-    loop also ends at the first step end that :func:`_clip_piece` would
-    cut off there (past it by more than its 1e-14 slack), and the piece
-    comes back clipped at ``stop_theta``.  That is bit for bit the clip of
-    the full solve, whose later nodes the clip drops: the cut node
-    interpolates the nodes on either side of ``stop_theta``, which this
-    step's end already bounds.  The U reads are the first ones of the full
-    solve.  A piece that ends short of ``stop_theta`` is the full solve's.
+    With ``stop_theta``, the solve ends there, with a ``DOMAIN_END`` on
+    the angle, unless an event comes first; one at or past the domain end
+    changes nothing.  A series handoff or contact snap that starts before
+    ``stop_theta`` still ends on its polished critical angle.  Raises
+    ``ValueError`` when ``stop_theta`` lies behind the IC.
     """
     opts = opts or IntegrationOptions()
     if sign not in (+1, -1):
@@ -261,6 +258,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     lo, hi = u.domain
     t_end = hi if direction == "forward" else lo
     tdir = 1.0 if direction == "forward" else -1.0
+    if stop_theta is not None:
+        if tdir * (stop_theta - ic.theta0) < 0.0:
+            raise ValueError(f"stop_theta {stop_theta} lies behind the IC at {ic.theta0}")
+        if tdir * (stop_theta - t_end) < 0.0:
+            t_end = stop_theta
     span = hi - lo
     ode_sign = sign if direction == "forward" else -sign
     sqrt, ceil = math.sqrt, math.ceil
@@ -274,12 +276,6 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         (a50, a51, a52, a53, a54) = _TSIT5_A
     b0, b1, b2, b3, b4, b5 = _TSIT5_B
     e0, e1, e2, e3, e4, e5, e6 = _TSIT5_BHAT
-
-    # a step end past ``stop_past`` (in the direction of travel) is one the
-    # clip at ``stop_theta`` drops, as are all later nodes
-    stop_past = math.inf
-    if stop_theta is not None:
-        stop_past = stop_theta + 1e-14 if tdir > 0 else -(stop_theta - 1e-14)
 
     t, y = ic.theta0, ic.rho0
     u_t = uvalue(t)
@@ -390,13 +386,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         # near-contact series handoff: a trajectory riding tangentially into
         # the bound is exponentially ill-conditioned for stepping, so once
         # the margin is small we try to identify the analytic branch it sits
-        # on and finish the approach with the local series; not past
-        # ``stop_past``, where the clip would drop the series nodes
+        # on and finish the approach with the local series
         elif (g_new <= handoff_factor * (1.0 + abs(u_new))
-                and g_new < u_t - y * y and handoff_theta_tried != t_new
-                and tdir * t_new <= stop_past):
+                and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, opts)
 
         # emit the end node; a step too wide for linear interpolation within
         # interp_tol is cut into n_sub parts (at most 64), and recorded as
@@ -438,26 +432,23 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         if abs(t - t_end) <= end_tol:
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break
-        if tdir * t > stop_past:  # the clip below ends the piece at stop_theta
-            break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
     thetas, rhos, drhos = _fill_nodes(u, steps_taken, ts, ys, fs, ode_sign)
     if direction == "backward":
         thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
-    piece = SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                          termination=termination, direction=direction)
-    return piece if stop_theta is None else _clip_piece(piece, stop_theta)
+    return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
+                         termination=termination, direction=direction)
 
 
 def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
                   lo: float, hi: float) -> tuple[float, float] | None:
     """Exact bound node for a tangential contact detected at ``tau``.
 
-    Prefers the nearby root of U' (:func:`polish_critical`); on autonomous
-    stretches extrapolates the touch point from the residual slope of the
-    local cosine-type trajectory.  Returns None for transversal contacts,
-    which have no critical point to land on.
+    Prefers the root of U' that the contact is at (:func:`_polish_contact`);
+    on autonomous stretches extrapolates the touch point from the residual
+    slope of the local cosine-type trajectory.  Returns None for
+    transversal contacts, which have no critical point to land on.
     """
     try:
         if abs(u.derivative(tau)) <= 1e-9 * (1.0 + u.scale):
@@ -468,7 +459,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
             offset = math.asin(min(1.0, abs(f_tau) / bound))
             theta_c = min(max(tau + tdir * offset, lo), hi)
         else:
-            theta_c = polish_critical(u, tau, 0.05 * max(1.0, hi - lo))
+            theta_c = _polish_contact(u, tau)
             if theta_c is None:
                 return None
         return theta_c, math.sqrt(max(u.value(theta_c), 0.0))
@@ -477,7 +468,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
 
 
 def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
-                    tdir: float, t_end: float, opts: IntegrationOptions):
+                    tdir: float, opts: IntegrationOptions):
     """Finish a tangential approach with the local analytic series.
 
     Locates the critical point the trajectory is converging to
@@ -709,68 +700,6 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
                          termination=termination, direction=direction)
 
 
-def _clip_piece(piece: SolutionPiece, stop_theta: float) -> SolutionPiece:
-    """Restrict a piece to angles on the near side of ``stop_theta``,
-    ending on an interpolated node exactly at the cut.
-
-    The cut's depth is :meth:`SolutionPiece.interp` there and its slope the
-    linear interpolant of the node slopes, both read off the one node
-    interval that holds ``stop_theta`` (:func:`_interval_at`).
-    """
-    thetas, rhos, drhos = piece.thetas, piece.rhos, piece.drhos
-    if piece.direction == "forward":
-        mask = thetas <= stop_theta + 1e-14
-    else:
-        mask = thetas >= stop_theta - 1e-14
-    if mask.all():
-        return piece
-    rho_cut, drho_cut = _interval_at(thetas, rhos, drhos, stop_theta)
-    t_keep, r_keep, d_keep = thetas[mask], rhos[mask], drhos[mask]
-    if piece.direction == "forward":
-        t_new = np.append(t_keep, stop_theta)
-        r_new = np.append(r_keep, rho_cut)
-        d_new = np.append(d_keep, drho_cut)
-    else:
-        t_new = np.insert(t_keep, 0, stop_theta)
-        r_new = np.insert(r_keep, 0, rho_cut)
-        d_new = np.insert(d_keep, 0, drho_cut)
-    term = Termination(TerminationKind.DOMAIN_END, stop_theta, "clipped")
-    return SolutionPiece(sign=piece.sign, thetas=t_new, rhos=r_new, drhos=d_new,
-                         termination=term, direction=piece.direction,
-                         dense_contact=piece.dense_contact)
-
-
-def _interval_at(thetas: np.ndarray, rhos: np.ndarray, drhos: np.ndarray,
-                 x: float) -> tuple[float, float]:
-    """The cubic Hermite interpolant of the nodes at ``x``, and the linear
-    interpolant of their slopes.
-
-    Only the interval that holds ``x`` is evaluated: the one scipy's
-    ``PPoly`` picks (``[x_i, x_{i+1})``, the last one closed, the end ones
-    beyond the nodes), with ``CubicHermiteSpline``'s coefficients and its
-    terms summed in ``evaluate_poly1``'s order, so the depth equals
-    ``CubicHermiteSpline(thetas, rhos, drhos)(x)`` bit for bit; the slope
-    is ``np.interp`` over the same two nodes, which is its value over all
-    of them.  A single node gives its own depth and slope.
-    """
-    if len(thetas) < 2:
-        return float(rhos[0]), float(drhos[0])
-    i = min(max(int(np.searchsorted(thetas, x, side="right")) - 1, 0), len(thetas) - 2)
-    x0, x1 = float(thetas[i]), float(thetas[i + 1])
-    y0, y1 = float(rhos[i]), float(rhos[i + 1])
-    d0, d1 = float(drhos[i]), float(drhos[i + 1])
-    dx = x1 - x0
-    slope = (y1 - y0) / dx
-    t = (d0 + d1 - 2 * slope) / dx
-    s = x - x0
-    z = s * s
-    rho = 0.0 + y0
-    rho += d0 * s
-    rho += ((slope - d0) / dx - t) * z
-    rho += (t / dx) * (z * s)
-    return rho, float(np.interp(x, thetas[i:i + 2], drhos[i:i + 2]))
-
-
 def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
                           opts: IntegrationOptions | None = None,
                           stop_theta: float | None = None) -> SolutionPiece:
@@ -816,12 +745,18 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
                          direction=direction, dense_contact=True)
 
 
-def contact_ic(u: ModulusModel, theta: float, opts: IntegrationOptions) -> CriticalIC:
-    """The critical IC at a contact detected at ``theta``: at the nearby
-    root of U' (:func:`polish_critical`, within ``min(1e-3*span, 1e-2)``)
-    where there is one, else at ``theta`` itself."""
+def _polish_contact(u: ModulusModel, theta: float) -> float | None:
+    """The root of U' that a contact detected at ``theta`` is at: within
+    ``min(1e-3*span, 1e-2)`` of it (:func:`polish_critical`), or None."""
     lo, hi = u.domain
-    theta_c = polish_critical(u, theta, min(1e-3 * (hi - lo), 1e-2))
+    return polish_critical(u, theta, min(1e-3 * (hi - lo), 1e-2))
+
+
+def contact_ic(u: ModulusModel, theta: float, opts: IntegrationOptions) -> CriticalIC:
+    """The critical IC at a contact detected at ``theta``: at the root of U'
+    it is at (:func:`_polish_contact`) where there is one, else at
+    ``theta`` itself."""
+    theta_c = _polish_contact(u, theta)
     return critical_ic(u, theta if theta_c is None else theta_c, opts.taylor_order)
 
 
@@ -840,6 +775,27 @@ def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
             if b.status is not BranchStatus.DEGENERATE]
 
 
+def leaving_branch(u: ModulusModel, ic: CriticalIC, side: int,
+                   opts: IntegrationOptions | None = None,
+                   walk_sign: BranchSign | None = None) -> TaylorBranch:
+    """The branch that leaves a critical IC on ``side``: the one with the
+    largest curvature root among :func:`continuation_candidates`, with walk
+    sign ``walk_sign`` when one is given.
+
+    Near the contact each branch sits at depth + beta/2 * offset^2, and
+    same-family trajectories cannot cross, so the larger root dominates
+    pointwise.  Raises :class:`NoContinuation` when no branch qualifies.
+    """
+    branches = [b for s, b in continuation_candidates(u, ic, side, opts)
+                if walk_sign is None or s == walk_sign]
+    if not branches:
+        signed = "" if walk_sign is None else f" with walk sign {walk_sign:+d}"
+        raise NoContinuation(
+            f"no branch{signed} leaves the critical point at theta={ic.theta0} "
+            f"on side {side:+d}")
+    return max(branches, key=lambda b: b.beta)
+
+
 @one_critical_table
 def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
                               choice: BranchSign,
@@ -848,18 +804,12 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
 
     The continuation starts exactly on the bound with zero slope, at the
     contact angle polished by :func:`polish_critical` where that finds a
-    root.  Among the analytic halves whose monotonicity matches ``choice``
-    it picks the one with the larger curvature root (the pointwise-dominant
-    one).  Raises :class:`NoContinuation` when no half matches.
+    root, on the :func:`leaving_branch` with walk sign ``choice``.  Raises
+    :class:`NoContinuation` when no branch has it.
     """
     opts = opts or IntegrationOptions()
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
     side = +1 if piece.direction == "forward" else -1
-    theta_c = piece.termination.theta
-    ic = contact_ic(u, theta_c, opts)
-    matching = [b for s, b in continuation_candidates(u, ic, side, opts) if s == choice]
-    if not matching:
-        raise NoContinuation(
-            f"no admissible continuation with sign {choice:+d} at theta={theta_c}")
-    return branch_to_piece(u, max(matching, key=lambda b: b.beta), side, opts)
+    ic = contact_ic(u, piece.termination.theta, opts)
+    return branch_to_piece(u, leaving_branch(u, ic, side, opts, choice), side, opts)

@@ -37,11 +37,11 @@ from .errors import (
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
     bound_following_piece, branch_to_piece, contact_ic, continuation_candidates,
-    continue_through_critical, solve_regular,
+    continue_through_critical, leaving_branch, solve_regular,
 )
 from .modulus import ModulusModel
 from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, critical_ic, one_critical_table,
+    CriticalIC, TaylorBranch, critical_ic, one_critical_table,
 )
 
 __all__ = [
@@ -123,14 +123,11 @@ def _end_state(piece: SolutionPiece, at_start: bool) -> tuple[float, float, floa
 
 def _end_curvature(piece: SolutionPiece, at_start: bool) -> float:
     """One-sided second-derivative estimate from the outermost nodes."""
-    th, dr = piece.thetas, piece.drhos
-    if len(th) < 3:
+    ends = slice(0, 3) if at_start else slice(-3, None)
+    th, dr = piece.thetas[ends], piece.drhos[ends]
+    if len(th) < 3 or th[2] == th[0]:
         return 0.0
-    if at_start:
-        span = th[2] - th[0]
-        return float((dr[2] - dr[0]) / span) if span else 0.0
-    span = th[-1] - th[-3]
-    return float((dr[-1] - dr[-3]) / span) if span else 0.0
+    return float((dr[2] - dr[0]) / (th[2] - th[0]))
 
 
 def _merge_adjacent(a: SolutionPiece, b: SolutionPiece) -> SolutionPiece:
@@ -148,9 +145,10 @@ def stitch(pieces: list[SolutionPiece], slope_tol: float = 1e-6,
     """Order pieces by angle and classify the junctions between them.
 
     Interior junctions where both one-sided slopes vanish are critical
-    junctions; they are labelled a critical pass when the one-sided
-    curvature estimates agree (the chain continues the same analytic
-    germ), and a branch switch otherwise.
+    junctions.  The two curvature roots there sum to ``-rho0``, so
+    ``-rho0/2`` separates them: the junction is labelled a critical pass
+    when both one-sided curvature estimates lie on the same side of it (the
+    chain continues the same analytic germ), and a branch switch otherwise.
     """
     parts = sorted((p for p in pieces if len(p.thetas) >= 2),
                    key=lambda p: p.theta_start)
@@ -165,9 +163,9 @@ def stitch(pieces: list[SolutionPiece], slope_tol: float = 1e-6,
         d_rho = abs(rl - rr)
         d_slope = abs(dl - dr)
         if max(abs(dl), abs(dr)) <= slope_tol:
-            kl = _end_curvature(left, at_start=False)
-            kr = _end_curvature(right, at_start=True)
-            same_germ = abs(kl - kr) <= max(0.05 * max(abs(kl), abs(kr)), 1e-3)
+            split = -0.5 * rl  # between the two curvature roots
+            same_germ = ((_end_curvature(left, at_start=False) > split)
+                         == (_end_curvature(right, at_start=True) > split))
             kind = JunctionKind.CRITICAL_PASS if same_germ else JunctionKind.BRANCH_SWITCH
         else:
             kind = JunctionKind.BRANCH_SWITCH
@@ -387,14 +385,10 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
         return bound_following_piece(u, left.theta, +1, opts, stop_theta=right.theta)
 
     launch, target, side = _pick_launch(left, right)
-    ode_needed = int(math.copysign(1.0, (target.depth - launch.depth) * side))
     ic = critical_ic(u, launch.theta, opts.taylor_order)
-    matches = [b for s, b in continuation_candidates(u, ic, side, opts)
-               if b.status is BranchStatus.COMPLETE and s == ode_needed * side]
-    if not matches:
-        raise NoSolution(
-            f"no branch leaves ({launch.theta}, {launch.depth}) toward the target")
-    branch = max(matches, key=lambda b: b.beta)
+    # depth grows along the walk toward a deeper target
+    walk_sign = 1 if target.depth >= launch.depth else -1
+    branch = _leaving_branch(u, ic, side, opts, walk_sign)
     piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
     theta_end, rho_end, _ = _end_state(piece, at_start=(side < 0))
     if abs(theta_end - target.theta) > 5e-3:  # stalled or contacted far from the target
@@ -406,6 +400,16 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     if mismatch > tol_bvp:
         raise NoSolution(f"trajectory misses the far critical point by {mismatch:.3e}")
     return _snap_end(piece, target, side)
+
+
+def _leaving_branch(u: ModulusModel, ic: CriticalIC, side: int, opts: IntegrationOptions,
+                    walk_sign: int | None = None) -> TaylorBranch:
+    """:func:`~depthrec.ivp.leaving_branch`, raising :class:`NoSolution`
+    where no branch leaves."""
+    try:
+        return leaving_branch(u, ic, side, opts, walk_sign)
+    except NoContinuation as exc:
+        raise NoSolution(str(exc)) from exc
 
 
 def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> SolutionPiece:
@@ -466,29 +470,13 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     for a, b in zip(pts, pts[1:]):
         pieces.append(solve_bvp_between_criticals(u, a, b, opts, tol_bvp))
 
-    if pts[0].theta > lo + 1e-9:
-        ic = critical_ic(u, pts[0].theta, opts.taylor_order)
-        pieces.insert(0, _dominant_extension(u, ic, -1, opts))
-    if pts[-1].theta < hi - 1e-9:
-        ic = critical_ic(u, pts[-1].theta, opts.taylor_order)
-        pieces.append(_dominant_extension(u, ic, +1, opts))
+    # the outer intervals: the branch leaving the outermost critical points
+    for point, side, room in ((pts[0], -1, pts[0].theta - lo), (pts[-1], +1, hi - pts[-1].theta)):
+        if room > 1e-9:
+            ic = critical_ic(u, point.theta, opts.taylor_order)
+            pieces.append(branch_to_piece(u, _leaving_branch(u, ic, side, opts), side, opts))
 
     return stitch(pieces)
-
-
-def _dominant_extension(u: ModulusModel, ic: CriticalIC, side: int,
-                        opts: IntegrationOptions) -> SolutionPiece:
-    """The pointwise-largest branch leaving the outermost critical point.
-
-    Near the contact each branch sits at depth + beta/2 * offset^2, and
-    same-family trajectories cannot cross, so the larger curvature root
-    dominates globally on the outer interval.
-    """
-    candidates = continuation_candidates(u, ic, side, opts)
-    if not candidates:
-        raise NoSolution(f"no branch leaves the outer critical point at {ic.theta0}")
-    branch = max((b for _s, b in candidates), key=lambda b: b.beta)
-    return branch_to_piece(u, branch, side, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ falling branch is cos(theta + pi/3).
 5(4)) out one by one and fills in the interior nodes after its loop, with U
 read for all of them at once; the generic tableau loop it replaced,
 emitting nodes one by one, is kept here as the oracle, and every piece must
-match it bit for bit.  A solve given ``stop_theta`` must equal the full
-solve clipped there, with the spline clip it replaced
-(:func:`oracle_clip_piece`), and read U in a prefix of its reads.
+match it bit for bit.  A solve given ``stop_theta`` ends there: its last
+step lands on the angle as on the domain end, an event before it ends the
+solve as it ends the full one, and a stop at or past the domain end is the
+full solve.
 """
 
 import contextlib
@@ -20,15 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from scipy.interpolate import CubicHermiteSpline
+from hypothesis import given, settings, strategies as st
 
 import depthrec.ivp as ivp_mod
 from depthrec.errors import DepthRecError, EvalError, InvalidModulus, NoContinuation, NotRegular
 from depthrec.ivp import (
     _TSIT5_A, _TSIT5_B, _TSIT5_BHAT, _TSIT5_BTILDE, _TSIT5_C, IntegrationOptions, RegularIC,
-    SolutionPiece, Termination, TerminationKind, _bisect_event, _clip_piece, _contact_node,
-    _HANDOFF_FACTOR, _hermite, _interval_at, _regular_margin, _series_handoff, branch_to_piece,
+    SolutionPiece, Termination, TerminationKind, _bisect_event, _contact_node,
+    _HANDOFF_FACTOR, _hermite, _regular_margin, _series_handoff, branch_to_piece,
     continue_through_critical, bound_following_piece, derivative_pair, residual, solve_regular,
 )
 from depthrec.modulus import ClosedFormModulus, from_depth
@@ -221,7 +221,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
             handoff_theta_tried = t_new
             # called outside any public solver call, so each attempt builds its
             # IC and branches afresh: the solve as it was before they were shared
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, t_end, opts)
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, opts)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
                 emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
@@ -738,72 +738,80 @@ def test_eval_error_part_way_matches_oracle():
                                             str(last_failure.value))
 
 
-# -- the solve stopped at an angle against the clipped full solve ----------------------
+# -- the solve stopped at an angle ----------------------------------------------------
 
-def oracle_clip_piece(piece, stop_theta):
-    """``_clip_piece`` as it was: the cut's depth from a
-    ``CubicHermiteSpline`` over every node, its slope ``np.interp`` over
-    every node."""
-    thetas, rhos, drhos = piece.thetas, piece.rhos, piece.drhos
-    if piece.direction == "forward":
-        mask = thetas <= stop_theta + 1e-14
-    else:
-        mask = thetas >= stop_theta - 1e-14
-    if mask.all():
-        return piece
-    rho_cut = float(piece.interp(stop_theta))
-    drho_cut = float(np.interp(stop_theta, piece.thetas, piece.drhos))
-    t_keep, r_keep, d_keep = thetas[mask], rhos[mask], drhos[mask]
-    if piece.direction == "forward":
-        t_new = np.append(t_keep, stop_theta)
-        r_new = np.append(r_keep, rho_cut)
-        d_new = np.append(d_keep, drho_cut)
-    else:
-        t_new = np.insert(t_keep, 0, stop_theta)
-        r_new = np.insert(r_keep, 0, rho_cut)
-        d_new = np.insert(d_keep, 0, drho_cut)
-    term = Termination(TerminationKind.DOMAIN_END, stop_theta, "clipped")
-    return SolutionPiece(sign=piece.sign, thetas=t_new, rhos=r_new, drhos=d_new,
-                         termination=term, direction=piece.direction,
-                         dense_contact=piece.dense_contact)
+WAVE = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", DOMAIN))
+# a depth whose backward trajectory from this IC meets the bound transversally
+# (U' = 2.39 there), at theta = 2.12263, with the minimum of U at 2.01514
+BUMP = from_depth(DepthFunction.from_text(
+    "2.7638543445710955 + 0.1493647551932831*sin(4*theta + 2.9350039919698663)", DOMAIN))
+BUMP_IC = RegularIC(2.1478438705601617, 2.635042218202635)
 
 
-def assert_stop_matches_clip(u, ic, sign, direction, stop_theta, opts=None):
-    """``solve_regular`` stopped at ``stop_theta`` against the full solve
-    clipped there: the same output bytes and termination, and U read at a
-    prefix of the full solve's angles.  Returns the stopped piece and the
-    numbers of scalar reads of both solves."""
-    with counting_reads(u) as (full_calls, _):
-        full = solve_regular(u, ic, sign, direction, opts)
-    with counting_reads(u) as (got_calls, _):
-        piece, got = _solve_outcome(solve_regular, u, ic, sign, direction, opts, stop_theta)
-    want = oracle_clip_piece(full, stop_theta)
-    assert got == (want.sign, want.direction, want.termination, want.thetas.tobytes(),
-                   want.rhos.tobytes(), want.drhos.tobytes())
-    assert got_calls == full_calls[:len(got_calls)]
-    return piece, len(got_calls), len(full_calls)
+def reads_of(solve, u, *args):
+    """A solve's piece and the number of U values it read, one by one or in
+    grids."""
+    with counting_reads(u) as (calls, grids):
+        piece = solve(u, *args)
+    return piece, len(calls) + sum(map(len, grids))
 
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_stop_theta_matches_clipped_full_solve(direction):
-    # a solve that would run on to the domain end stops soon after the angle
-    u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", DOMAIN))
-    stop = 1.1 if direction == "forward" else 0.7
-    piece, got, full = assert_stop_matches_clip(u, RegularIC(0.9, 1.5), +1, direction, stop)
-    assert piece.termination == Termination(TerminationKind.DOMAIN_END, stop, "clipped")
+@pytest.mark.parametrize("direction,stop", [("forward", 1.1), ("backward", 0.7)])
+def test_stop_theta_is_the_end_of_the_solve(direction, stop):
+    # a solve that would run on to a contact or the domain end lands its
+    # last step on the angle, reading far fewer U values
+    ic, opts = RegularIC(0.9, 1.5), IntegrationOptions()
+    full, full_reads = reads_of(solve_regular, WAVE, ic, +1, direction, opts)
+    piece, got_reads = reads_of(solve_regular, WAVE, ic, +1, direction, opts, stop)
+    assert piece.termination == Termination(TerminationKind.DOMAIN_END, stop)
     assert (piece.theta_end if direction == "forward" else piece.theta_start) == stop
-    assert got < full / 2
+    assert got_reads < full_reads / 2
+    # the depth there is the full solve's, to the accuracy of the full
+    # solve's interior nodes (each step's cubic Hermite interpolant), and a
+    # tight solve's to the solve's tolerance
+    rho_stop = piece.rhos[-1] if direction == "forward" else piece.rhos[0]
+    assert abs(rho_stop - float(full.interp(stop))) <= 1e-8
+    tight = solve_regular(WAVE, ic, +1, direction, IntegrationOptions(rtol=1e-13, atol=1e-15),
+                          stop)
+    rho_tight = tight.rhos[-1] if direction == "forward" else tight.rhos[0]
+    assert abs(rho_stop - rho_tight) <= 10 * (opts.atol + opts.rtol * rho_stop)
+
+
+@pytest.mark.parametrize("u,ic,sign,direction,kind,tol", [
+    # a transversal contact is bisected on the step's Hermite interpolant,
+    # where the depth has a (theta_c - theta)^(3/2) term, so two step
+    # sequences place it to about 2e-8
+    (BUMP, BUMP_IC, +1, "backward", TerminationKind.CONTACT, 1e-7),
+    (UNIT, RegularIC(0.0, 0.5), -1, "forward", TerminationKind.FLOOR_CONTACT, 1e-9),
+    # the series handoff ends on the polished critical angle
+    (LINE, RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward", TerminationKind.CONTACT, 1e-9),
+], ids=["contact", "floor_contact", "series_handoff"])
+def test_event_before_stop_theta_ends_the_solve(u, ic, sign, direction, kind, tol):
+    full = solve_regular(u, ic, sign, direction)
+    assert full.termination.kind is kind
+    tdir = 1.0 if direction == "forward" else -1.0
+    piece = solve_regular(u, ic, sign, direction, stop_theta=full.termination.theta + tdir * 0.05)
+    assert piece.termination.kind is kind
+    assert piece.termination.theta == pytest.approx(full.termination.theta, abs=tol)
 
 
 @pytest.mark.parametrize("at", [0.25, 0.5, 0.75])
 def test_stop_theta_at_every_node_position(at):
-    # stop angles on a node, between nodes and past the end
+    # stop angles on a node of the full solve, between two, just past one
+    # and past the domain end: the solve ends exactly on the angle, or is
+    # the full solve
     u = ClosedFormModulus("2 + theta", (0.0, 1.0))
-    full = solve_regular(u, RegularIC(0.2, 0.8), -1, "forward")
+    ic = RegularIC(0.2, 0.8)
+    full = solve_regular(u, ic, -1, "forward")
     i = int(at * (len(full.thetas) - 1))
     for stop in (float(full.thetas[i]), float(0.5 * (full.thetas[i] + full.thetas[i + 1])),
-                 float(full.thetas[i]) + 5e-15, 1.5):
-        assert_stop_matches_clip(u, RegularIC(0.2, 0.8), -1, "forward", stop)
+                 float(full.thetas[i]) + 5e-15):
+        piece = solve_regular(u, ic, -1, "forward", stop_theta=stop)
+        assert piece.termination == Termination(TerminationKind.DOMAIN_END, stop)
+        assert piece.theta_end == stop
+        assert np.all(np.diff(piece.thetas) > 0)
+    assert _solve_outcome(solve_regular, u, ic, -1, "forward", None, 1.5)[1] == \
+        _solve_outcome(solve_regular, u, ic, -1, "forward")[1]
 
 
 @pytest.mark.parametrize("ic,sign,direction,u,event", [
@@ -812,57 +820,50 @@ def test_stop_theta_at_every_node_position(at):
     (RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward", LINE, -2),  # series handoff
 ])
 def test_stop_theta_inside_the_event_step(ic, sign, direction, u, event):
-    # the stop angle lies just before the event's node (``event`` counts
-    # from the far end), so inside the step whose event ends the full solve
-    # or among the series nodes after it: the stopped solve runs that step
-    # and its event as the full one does, every read included, and clips
-    # behind the event
+    # the stop angle lies just before the full solve's event node (``event``
+    # counts from the far end): the solve ends on it short of a contact or
+    # the floor, while a series handoff that starts before it still ends on
+    # its critical angle, here 2.4e-3 past the stop
     full = solve_regular(u, ic, sign, direction)
     nodes = full.thetas if direction == "forward" else full.thetas[::-1]
     stop = float(0.5 * (nodes[event - 1] + nodes[event]))
-    piece, got, full_reads = assert_stop_matches_clip(u, ic, sign, direction, stop)
-    assert got == full_reads
-    assert piece.termination.detail == "clipped"
+    piece = solve_regular(u, ic, sign, direction, stop_theta=stop)
+    assert np.all(np.diff(piece.thetas) > 0)
+    if u is LINE:
+        assert piece.termination == full.termination
+    else:
+        assert piece.termination == Termination(TerminationKind.DOMAIN_END, stop)
 
 
-def test_stop_theta_short_of_the_event_keeps_the_piece():
-    # the full solve ends before the stop angle: the piece is the full one
-    full = solve_regular(UNIT, RegularIC(0.0, 0.5), +1, "forward")
-    piece, got, full_reads = assert_stop_matches_clip(UNIT, RegularIC(0.0, 0.5), +1,
-                                                      "forward", 1.5)
-    assert piece.termination == full.termination
-    assert got == full_reads
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_stop_theta_at_or_past_the_domain_end_is_the_full_solve(direction):
+    lo, hi = DOMAIN
+    end, tdir = (hi, 1.0) if direction == "forward" else (lo, -1.0)
+    ic = RegularIC(1.5, 1.9)
+    with counting_reads(WAVE) as want_reads:
+        _, want = _solve_outcome(solve_regular, WAVE, ic, -1, direction)
+    for stop in (end, end + tdir * 0.5):
+        with counting_reads(WAVE) as got_reads:
+            _, got = _solve_outcome(solve_regular, WAVE, ic, -1, direction, None, stop)
+        assert got == want
+        assert got_reads == want_reads
 
 
-@settings(max_examples=200, deadline=None)
-@given(steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12),
-       start=st.floats(-4.0, 4.0),
-       values=st.lists(st.floats(-10.0, 10.0), min_size=26, max_size=26),
-       pick=st.floats(-0.2, 1.2), on_node=st.booleans())
-def test_interval_clip_matches_hermite_spline(steps, start, values, pick, on_node):
-    # node sets of 2 to 13 nodes; angles between, on and beyond the nodes
-    thetas = start + np.cumsum([0.0] + steps)
-    assume(np.all(np.diff(thetas) > 0))
-    n = len(thetas)
-    rhos, drhos = np.array(values[:n]), np.array(values[13:13 + n])
-    x = float(thetas[int(pick * (n - 1)) % n]) if on_node else float(
-        thetas[0] + pick * (thetas[-1] - thetas[0]))
-    rho, drho = _interval_at(thetas, rhos, drhos, x)
-    assert rho.hex() == float(CubicHermiteSpline(thetas, rhos, drhos)(x)).hex()
-    assert drho.hex() == float(np.interp(x, thetas, drhos)).hex()
-    for direction in ("forward", "backward"):
-        piece = SolutionPiece(+1, thetas, rhos, drhos,
-                              Termination(TerminationKind.DOMAIN_END, 0.0), direction)
-        got, want = _clip_piece(piece, x), oracle_clip_piece(piece, x)
-        assert got.termination == want.termination
-        for a, b in ((got.thetas, want.thetas), (got.rhos, want.rhos),
-                     (got.drhos, want.drhos)):
-            assert a.tobytes() == b.tobytes()
+@pytest.mark.parametrize("direction,stop", [("forward", 0.8), ("backward", 1.0)])
+def test_stop_theta_behind_the_ic_raises(direction, stop):
+    with pytest.raises(ValueError, match="behind the IC"):
+        solve_regular(WAVE, RegularIC(0.9, 1.5), +1, direction, stop_theta=stop)
 
 
-def test_interval_clip_of_a_single_node():
-    rho, drho = _interval_at(np.array([0.5]), np.array([2.0]), np.array([0.25]), 0.7)
-    assert (rho, drho) == (2.0, 0.25)
+def test_transversal_contact_is_not_snapped_onto_a_distant_critical_point():
+    # the minimum of U lies 0.1075 behind the contact: no node is appended on
+    # it, so nothing is continued from a point the trajectory never reached
+    opts = IntegrationOptions()
+    piece = solve_regular(BUMP, BUMP_IC, +1, "backward", opts)
+    assert piece.termination.kind is TerminationKind.CONTACT
+    assert piece.termination.theta == pytest.approx(2.12263, abs=1e-5)
+    assert piece.thetas[0] == piece.termination.theta
+    assert np.max(np.diff(piece.thetas)) <= opts.h_max + 1e-12
 
 
 # -- the tableau ------------------------------------------------------------------------

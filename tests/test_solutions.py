@@ -18,7 +18,8 @@ from depthrec.errors import (
     OutsideCone,
 )
 from depthrec.ivp import IntegrationOptions, RegularIC, residual
-from depthrec.modulus import ClosedFormModulus
+from depthrec.modulus import ClosedFormModulus, from_depth
+from depthrec.parametrization import DepthFunction
 from depthrec.reports import read_u_csv
 from depthrec.solutions import (
     JunctionKind, build_cone, c1_check, enumerate_branches, maximal_solution,
@@ -111,6 +112,20 @@ def test_enumerate_fan_without_ic():
     for s in sols:
         rep = upper_bound_check(s, PARABOLA)
         assert rep.ok
+
+
+def test_enumeration_continues_only_from_points_the_trajectory_reached():
+    # the backward trajectory meets the bound transversally at theta =
+    # 2.12263 (U' = 2.39), 0.1075 past the minimum of U at 2.01514: no
+    # solution is continued from that minimum, and none leaves a node gap
+    # wider than a step
+    u = from_depth(DepthFunction.from_text(
+        "2.7638543445710955 + 0.1493647551932831*sin(4*theta + 2.9350039919698663)",
+        (0.2, 2.9)))
+    sols = enumerate_branches(u, RegularIC(2.1478438705601617, 2.635042218202635))
+    assert len(sols) == 3
+    h_max = IntegrationOptions().h_max
+    assert all(np.max(np.diff(sol.thetas)) <= h_max + 1e-12 for sol in sols)
 
 
 # -- two-point problems -----------------------------------------------------------
@@ -222,6 +237,53 @@ def test_bvp_needs_two_criticals():
     assert len(cs.points) == 1
     with pytest.raises((NoSolution, AttributeError, TypeError)):
         solve_bvp_between_criticals(PARABOLA, cs.points[0], None)  # type: ignore
+
+
+# maximal-workload depths (seed 1) with links whose series handoff ends on
+# the polished far critical angle up to 2.5e-13 past the target
+HANDOFF_PAST_TARGET = [
+    "1.347405770094168 + 0.09435951229817716*sin(4*theta + 6.127417592889937)",
+    "2.966374844339911 + 0.17269916731389148*sin(4*theta + 0.9855033520847305)",
+    "2.0842043470917004 + 0.16465196698195178*sin(3*theta + 5.454594594167309)",
+]
+
+
+def test_links_end_on_the_target_with_increasing_nodes(monkeypatch):
+    past = []
+    to_piece = solutions_mod.branch_to_piece
+
+    def spy(u, branch, side, opts=None, stop_theta=None):
+        piece = to_piece(u, branch, side, opts, stop_theta)
+        end = piece.theta_end if side > 0 else piece.theta_start
+        past.append(side * (end - stop_theta))
+        return piece
+
+    monkeypatch.setattr(solutions_mod, "branch_to_piece", spy)
+    links = 0
+    for text in HANDOFF_PAST_TARGET:
+        u = from_depth(DepthFunction.from_text(text, (0.2, 2.9)))
+        pts = find_critical_points(u).points
+        for left, right in zip(pts, pts[1:]):
+            try:
+                link = solve_bvp_between_criticals(u, left, right)
+            except NoSolution:
+                continue
+            links += 1
+            assert np.all(np.diff(link.thetas) > 0)
+            assert (link.theta_start, link.theta_end) == (left.theta, right.theta)
+    assert links >= 5
+    assert 0.0 < max(past) <= 2.5e-13
+
+
+def test_links_name_the_point_no_branch_leaves(monkeypatch):
+    # the typed error of the branch chooser reaches the caller as NoSolution
+    monkeypatch.setattr(ivp_mod, "continuation_candidates", lambda *args: [])
+    pts = find_critical_points(THREE_BUMP).points
+    with pytest.raises(NoSolution, match=r"no branch with walk sign [+-]1 leaves the critical "
+                                         r"point at theta=\S+ on side [+-]1"):
+        solve_bvp_between_criticals(THREE_BUMP, pts[0], pts[1])
+    with pytest.raises(NoSolution, match="no branch leaves the critical point"):
+        maximal_solution(ClosedFormModulus("2 - (theta - 1)^2", (0.5, 1.5)))
 
 
 # -- maximal solution ---------------------------------------------------------------
@@ -414,6 +476,20 @@ def test_maximal_junction_kinds():
     assert kinds[-1] is JunctionKind.END
     assert all(k in (JunctionKind.CRITICAL_PASS, JunctionKind.BRANCH_SWITCH)
                for k in kinds[1:-1])
+
+
+def test_junction_label_follows_the_nearer_curvature_root():
+    # at theta ~ 0.874604 the two sides' curvature estimates read -0.88610
+    # and -0.89807, each within 1e-4 of a different root (-0.88614 and
+    # -0.89811): the chain switches branch there, and passes the point at
+    # theta ~ 1.921802 on one germ
+    u = from_depth(DepthFunction.from_text(
+        "1.6844629327781966 + 0.09978978510635661*sin(3*theta + 5.230169578792604)",
+        (0.2, 2.9)))
+    sol = maximal_solution(u)
+    inner = [(j.theta, j.kind) for j in sol.junctions[1:-1]]
+    assert [kind for _, kind in inner] == [JunctionKind.BRANCH_SWITCH, JunctionKind.CRITICAL_PASS]
+    assert [theta for theta, _ in inner] == pytest.approx([0.874604, 1.921802], abs=1e-6)
 
 
 # -- one table of critical ICs and branch sets per call ------------------------------
