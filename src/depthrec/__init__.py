@@ -38,10 +38,9 @@ from .solutions import (
     solve_bvp_between_criticals, stitch,
 )
 from .taylor import (
-    BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind,
-    SafeRegionResult, TaylorBranch, beta_sign_class, branches_at,
-    check_safe_region, eval_series, expand_branch,
-    leibniz_terms, recursion_residuals, second_derivative_roots,
+    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, SafeRegionResult,
+    TaylorBranch, beta_sign_class, branches_at, check_safe_region, eval_series,
+    expand_branch, recursion_residuals, second_derivative_roots,
 )
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ class ComplexDiscriminant(DepthRecError):
 
 
 class DegenerateFamily(DepthRecError):
-    """The derivative recursion lost its pivot; a free parameter appeared."""
+    """The Taylor coefficient recursion lost its pivot; a free parameter appeared."""
 
 
 class NoSolution(DepthRecError):

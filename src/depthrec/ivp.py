@@ -61,7 +61,7 @@ from enum import Enum
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import DepthRecError, NoContinuation, NotRegular
+from .errors import DepthRecError, DomainError, NoContinuation, NotRegular
 from .modulus import ModulusModel
 from .taylor import (
     BranchStatus, CriticalIC, TaylorBranch, branches_at, critical_ic, eval_series,
@@ -445,8 +445,9 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
                   lo: float, hi: float) -> tuple[float, float] | None:
     """Exact bound node for a tangential contact detected at ``tau``.
 
-    Prefers the root of U' that the contact is at (:func:`_polish_contact`);
-    on autonomous stretches extrapolates the touch point from the residual
+    Prefers the root of U' that the contact is at, within
+    ``min(1e-3*span, 1e-2)`` of ``tau`` (:func:`polish_critical`); on
+    autonomous stretches extrapolates the touch point from the residual
     slope of the local cosine-type trajectory.  Returns None for
     transversal contacts, which have no critical point to land on.
     """
@@ -459,7 +460,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
             offset = math.asin(min(1.0, abs(f_tau) / bound))
             theta_c = min(max(tau + tdir * offset, lo), hi)
         else:
-            theta_c = _polish_contact(u, tau)
+            theta_c = polish_critical(u, tau, min(1e-3 * (hi - lo), 1e-2))
             if theta_c is None:
                 return None
         return theta_c, math.sqrt(max(u.value(theta_c), 0.0))
@@ -620,14 +621,14 @@ def residual(piece: SolutionPiece, u: ModulusModel) -> float:
 def _half_branch_sign(branch: TaylorBranch, side: int) -> int:
     """Monotonicity sign of a branch half (side=+1 ahead, -1 behind).
 
-    The slope near the center is dominated by the first nonzero derivative
-    of order >= 2; a constant branch returns 0.
+    The slope near the center is dominated by the first nonzero Taylor
+    coefficient of order >= 2; a constant branch returns 0.
     """
     tol = 1e-12 * (1.0 + branch.ic.rho0)
     for k in range(2, branch.order + 1):
-        dk = branch.derivs[k]
-        if abs(dk) > tol:
-            s = 1.0 if dk > 0 else -1.0
+        ak = branch.coeffs[k]
+        if abs(ak) > tol:
+            s = 1.0 if ak > 0 else -1.0
             return int(s * (side ** (k - 1)))
     return 0
 
@@ -745,21 +746,6 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
                          direction=direction, dense_contact=True)
 
 
-def _polish_contact(u: ModulusModel, theta: float) -> float | None:
-    """The root of U' that a contact detected at ``theta`` is at: within
-    ``min(1e-3*span, 1e-2)`` of it (:func:`polish_critical`), or None."""
-    lo, hi = u.domain
-    return polish_critical(u, theta, min(1e-3 * (hi - lo), 1e-2))
-
-
-def contact_ic(u: ModulusModel, theta: float, opts: IntegrationOptions) -> CriticalIC:
-    """The critical IC at a contact detected at ``theta``: at the root of U'
-    it is at (:func:`_polish_contact`) where there is one, else at
-    ``theta`` itself."""
-    theta_c = _polish_contact(u, theta)
-    return critical_ic(u, theta if theta_c is None else theta_c, opts.taylor_order)
-
-
 def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
                             opts: IntegrationOptions | None = None) -> list[tuple[int, TaylorBranch]]:
     """All (walk sign, branch) pairs that can leave a critical IC on ``side``.
@@ -802,14 +788,19 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
                               opts: IntegrationOptions | None = None) -> SolutionPiece:
     """Continue a contact-terminated trajectory past the critical point.
 
-    The continuation starts exactly on the bound with zero slope, at the
-    contact angle polished by :func:`polish_critical` where that finds a
-    root, on the :func:`leaving_branch` with walk sign ``choice``.  Raises
-    :class:`NoContinuation` when no branch has it.
+    The continuation starts exactly on the bound with zero slope, where
+    the piece ended, on the :func:`leaving_branch` with walk sign
+    ``choice``.  Raises :class:`NoContinuation` when no branch has it, or
+    when the piece ended at a contact that is not a critical point.
     """
     opts = opts or IntegrationOptions()
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
     side = +1 if piece.direction == "forward" else -1
-    ic = contact_ic(u, piece.termination.theta, opts)
+    theta = piece.termination.theta
+    try:
+        ic = critical_ic(u, theta, opts.taylor_order)
+    except DomainError as exc:
+        raise NoContinuation(
+            f"the contact at theta={theta} is not a critical point: {exc}") from exc
     return branch_to_piece(u, leaving_branch(u, ic, side, opts, choice), side, opts)

@@ -24,6 +24,7 @@ from .criticals import CriticalSet
 from .errors import DomainError
 from .ivp import SolutionPiece
 from .modulus import ModulusModel, SampledModulus
+from .series import factorials
 from .solutions import ConvergenceCone, PiecewiseSolution
 from .taylor import TaylorBranch
 
@@ -208,7 +209,7 @@ def branch_payload(branch: TaylorBranch) -> dict:
         "status": branch.status.value,
         "free_index": branch.free_index,
         "consistency_residual": branch.consistency_residual,
-        "derivatives": _floats(branch.derivs),
+        "derivatives": _floats(branch.coeffs * factorials(branch.order)),
     }
 
 

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
-    bound_following_piece, branch_to_piece, contact_ic, continuation_candidates,
+    bound_following_piece, branch_to_piece, continuation_candidates,
     continue_through_critical, leaving_branch, solve_regular,
 )
 from .modulus import ModulusModel
@@ -211,7 +211,8 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     if room <= 1e-12:
         return [([piece], 0)]
     try:
-        candidates = continuation_candidates(u, contact_ic(u, theta_c, opts), side, opts)
+        ic = critical_ic(u, theta_c, opts.taylor_order)
+        candidates = continuation_candidates(u, ic, side, opts)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
     paths = [([piece] + rest, used + 1)

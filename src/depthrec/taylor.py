@@ -2,21 +2,22 @@
 
 At a critical initial condition (depth equal to the bound, slope zero) the
 branch ODE degenerates and Picard iteration is unavailable.  Instead the
-solution jet is built order by order: differentiating the defining identity
-``(rho')^2 + rho^2 = U`` n times and evaluating at the critical angle gives,
-once the first derivative vanishes, a linear equation for the (n)th depth
-derivative -- except at n = 2, where it is a quadratic
+solution series ``rho = a0 + a1*h + a2*h^2 + ...`` (h the offset from the
+critical angle) is built order by order: matching the h^n coefficients of
+the defining identity ``(rho')^2 + rho^2 = U`` gives, once the slope a1
+vanishes, a linear equation for a_n -- except at n = 2, where it is a
+quadratic in the curvature beta = 2*a2 = rho''
 
-    2*(rho2^2 + rho0*rho2) = U2,
+    2*(beta^2 + rho0*beta) = U'',
 
 whose two roots seed (at most) two analytic branches.  The linear steps
 share the pivot
 
-    alpha_n = 2*(rho0 + n*rho2),
+    alpha_n = 2*(rho0 + n*beta),
 
-which vanishes exactly when rho2 = -rho0/n for an integer n >= 3; those are
+which vanishes exactly when beta = -rho0/n for an integer n >= 3; those are
 the degenerate cases where the recursion stalls and a one-parameter family
-of jets appears.
+of series appears.
 
 Every critical point is polished near a guess by :func:`polish_critical`,
 every critical IC is built by :func:`critical_ic` and every branch set by
@@ -34,15 +35,12 @@ per order.  Calls nested in another share its table; it is dropped when
 the outermost call returns, so nothing is kept from one call to the next.
 Outside any such call both builders build afresh each time.
 
-Derivative-vector convention: ``derivs[k]`` is the k-th derivative value,
-not the monomial coefficient; the series coefficient is ``derivs[k]/k!``.
-
-The recursion and the series evaluation run on lists of Python floats: the
-same sums in the same order as on numpy arrays, so the same bits, without
-numpy's cost for each scalar read.  Binomial rows are built when an order
-first asks for them and kept; a branch computes its monomial coefficients
-``derivs[k]/k!`` and ``derivs[k]/(k-1)!`` once, on its first
-:func:`eval_series` call, and every later evaluation reuses them.
+Coefficient convention: a branch stores its Taylor coefficients
+``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
+stores ``c``; the profile jet holds derivative values and is divided by the
+factorials once, when a branch is expanded.  The recursion and the series
+evaluation run on lists of Python floats, without numpy's cost for each
+scalar read.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,11 +58,10 @@ from .modulus import Jet, ModulusModel
 from .series import factorials
 
 __all__ = [
-    "CriticalIC", "TaylorBranch", "BranchStatus", "LeibnizTerms", "BetaSignClass",
-    "SafeRegionKind", "SafeRegionResult", "second_derivative_roots", "beta_sign_class",
-    "leibniz_terms", "expand_branch", "check_safe_region", "eval_series",
-    "recursion_residuals", "branches_at", "polish_critical", "critical_ic",
-    "one_critical_table",
+    "CriticalIC", "TaylorBranch", "BranchStatus", "BetaSignClass", "SafeRegionKind",
+    "SafeRegionResult", "second_derivative_roots", "beta_sign_class", "expand_branch",
+    "check_safe_region", "eval_series", "recursion_residuals", "branches_at",
+    "polish_critical", "critical_ic", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -106,44 +102,27 @@ class BranchStatus(Enum):
 
 @dataclass(frozen=True)
 class TaylorBranch:
-    """One analytic branch: the jet of a solution at a critical IC.
+    """One analytic branch: the Taylor coefficients of a solution at a
+    critical IC, ``coeffs[k] = rho^(k)(theta0)/k!``.
 
     ``free_index`` and ``consistency_residual`` are set only for degenerate
-    branches: the recursion pivot vanished when solving for derivative
+    branches: the recursion pivot vanished when solving for coefficient
     ``free_index``, leaving it a free parameter; the residual measures
     whether the stalled equation is consistent (a genuine one-parameter
-    family) or contradictory.
+    family) or contradictory.  It is the defect of that h^n coefficient
+    equation, so the n-th derivative's defect divided by n!.
     """
 
     ic: CriticalIC
     beta: float
-    derivs: np.ndarray
+    coeffs: np.ndarray
     status: BranchStatus
     free_index: int | None = None
     consistency_residual: float | None = None
 
     @property
     def order(self) -> int:
-        return len(self.derivs) - 1
-
-    @cached_property
-    def _horner_coeffs(self) -> tuple[list[float], list[float]]:
-        """Monomial coefficients of the series and of its derivative, highest
-        degree first: ``derivs[k]/k!`` and ``derivs[k]/(k-1)!``."""
-        d = self.derivs.tolist()
-        fact = factorials(len(d) - 1).tolist()
-        value = [dk / fk for dk, fk in zip(d, fact)]
-        slope = [dk / fk for dk, fk in zip(d[1:], fact)]
-        return value[::-1], slope[::-1]
-
-
-@dataclass(frozen=True)
-class LeibnizTerms:
-    """The two product-rule sums at iteration n (see module docstring)."""
-
-    n: int
-    x_n: float
-    y_n: float
+        return len(self.coeffs) - 1
 
 
 def second_derivative_roots(rho0: float, u2: float, tol: float | None = None) -> tuple[float, float]:
@@ -194,73 +173,48 @@ def beta_sign_class(rho0: float, u2: float, tol: float | None = None) -> BetaSig
     return BetaSignClass.BOTH_NEGATIVE
 
 
-@lru_cache(maxsize=64)
-def _binomial_row(n: int) -> tuple[int, ...]:
-    """``(C(n, 0), ..., C(n, n))``, built the first time row n is asked for."""
-    return tuple(math.comb(n, k) for k in range(n + 1))
-
-
-def _leibniz_sums(n: int, d: list[float]) -> tuple[float, float]:
-    """``x_n`` and ``y_n`` of :func:`leibniz_terms` on a list, summed over k
-    from 0 to n (``d`` must reach index n+1)."""
-    x = 0.0
-    y = 0.0
-    for c, a, b, p, q in zip(_binomial_row(n), d[1 : n + 2], d[n + 1 : 0 : -1], d, d[n::-1]):
-        x += c * a * b
-        y += c * p * q
-    return x, y
-
-
-def leibniz_terms(n: int, derivs) -> LeibnizTerms:
-    """Product-rule sums of the derivative and depth squares at iteration n.
-
-    Needs ``derivs`` filled through index n+1.  When the derivative vector
-    comes from a solution jet, ``x_n + y_n`` equals the n-th profile
-    derivative.
-    """
-    d = np.asarray(derivs, dtype=float).tolist()
-    if len(d) < n + 2:
-        raise DomainError(f"need derivatives through order {n + 1}, got {len(d) - 1}")
-    return LeibnizTerms(n, *_leibniz_sums(n, d))
-
-
 def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER,
                   tol_deg: float | None = None) -> TaylorBranch:
-    """Run the derivative recursion from one curvature root.
+    """Run the coefficient recursion from one curvature root.
 
-    Iteration i (for i >= 2) solves the differentiated identity of order
-    i+1 for the (i+1)-th derivative with pivot ``2*(rho0 + (i+1)*beta)``.
-    A vanishing pivot stops the recursion and marks the branch degenerate
-    with the stalled derivative reported as the free parameter.
+    Starts from ``a0 = rho0``, ``a1 = 0`` and ``a2 = beta/2``.  Step n >= 3
+    solves the h^n coefficient of ``(rho')^2 + rho^2 = U``,
+
+        2*(rho0 + n*beta)*a_n = u_n - sum_{j=2}^{n-2} (j+1)*(n-j+1)*a_{j+1}*a_{n-j+1}
+                                    - sum_{j=1}^{n-1} a_j*a_{n-j},
+
+    with ``u_n = U^(n)/n!``.  A vanishing pivot stops the recursion and
+    marks the branch degenerate with the stalled coefficient reported as
+    the free parameter.
     """
     if ic.u_jet.order < order:
         raise DomainError(f"profile jet order {ic.u_jet.order} < requested order {order}")
     if tol_deg is None:
         tol_deg = 1e-9 * (1.0 + ic.rho0)
     rho0 = ic.rho0
-    u_jet = ic.u_jet.coeffs.tolist()
+    u = (ic.u_jet.coeffs[: order + 1] / factorials(order)).tolist()
 
-    # one zero pad slot so iteration n can touch index n+1 (its coefficient
-    # is the vanishing first derivative, so the value never matters)
-    work = [0.0] * (order + 2)
-    work[0] = rho0
-    work[2] = beta
-
+    a = [rho0, 0.0, 0.5 * beta]
+    slope = [0.0, beta]  # slope[k] = (k+1)*a[k+1], the coefficients of rho'
     for n in range(3, order + 1):
         alpha = 2.0 * (rho0 + n * beta)
-        x, y = _leibniz_sums(n, work)
-        rhs = u_jet[n] - (x + y)
+        rhs = u[n]
+        for p, q in zip(slope[2 : n - 1], slope[n - 2 : 1 : -1]):
+            rhs -= p * q
+        for p, q in zip(a[1:n], a[n - 1 : 0 : -1]):
+            rhs -= p * q
         if abs(alpha) < tol_deg:
             return TaylorBranch(
-                ic=ic, beta=beta, derivs=np.array(work[:n]),
+                ic=ic, beta=beta, coeffs=np.array(a),
                 status=BranchStatus.DEGENERATE, free_index=n,
                 consistency_residual=abs(rhs))
-        work[n] = rhs / alpha
+        a.append(rhs / alpha)
+        slope.append(n * a[n])
 
-    derivs = work[: order + 1]
+    coeffs = a[: order + 1]
     tol_const = 1e-14 * (1.0 + rho0)
-    constant = all(abs(v) <= tol_const for v in derivs[1:])
-    return TaylorBranch(ic=ic, beta=beta, derivs=np.array(derivs),
+    constant = all(abs(v) <= tol_const for v in coeffs[1:])
+    return TaylorBranch(ic=ic, beta=beta, coeffs=np.array(coeffs),
                         status=BranchStatus.CONSTANT_CIRCLE if constant else BranchStatus.COMPLETE)
 
 
@@ -301,46 +255,41 @@ def check_safe_region(rho0: float, beta: float, tol: float | None = None,
 
 
 def eval_series(branch: TaylorBranch, theta: float) -> tuple[float, float]:
-    """Horner evaluation of the truncated branch series and its derivative;
-    refuses degenerate branches."""
+    """Horner evaluation, in one pass, of the truncated branch series (the
+    stored coefficients ``a_k``) and of its derivative (``k*a_k``); refuses
+    degenerate branches."""
     if branch.status is BranchStatus.DEGENERATE:
         raise DegenerateFamily(
-            f"branch is degenerate at derivative {branch.free_index}; "
+            f"branch is degenerate at coefficient {branch.free_index}; "
             "its series has a free parameter")
     h = theta - branch.ic.theta0
-    value_coeffs, slope_coeffs = branch._horner_coeffs
-    val = 0.0
-    for a in value_coeffs:
-        val = val * h + a
-    dval = 0.0
-    for a in slope_coeffs:
-        dval = dval * h + a
-    return val, dval
+    a = branch.coeffs.tolist()
+    val = dval = 0.0
+    for k in range(len(a) - 1, 0, -1):
+        ak = a[k]
+        val = val * h + ak
+        dval = dval * h + k * ak
+    return val * h + a[0], dval
 
 
 def recursion_residuals(branch: TaylorBranch, scaled: bool = True) -> np.ndarray:
-    """Identity defects |x_n + y_n - U_n| of the jet for n = 1 .. order-1.
+    """Identity defects: the h^n coefficients of ``(rho')^2 + rho^2 - U`` of
+    the series, in absolute value, for n = 1 .. order-1.
 
     With ``scaled`` (the default) each defect is divided by one plus the
-    total magnitude of the products entering the sums: the summands grow
-    factorially with n while cancelling exactly, so the absolute defect of
-    a correct jet is roundoff relative to that magnitude, not to 1.
+    sum of the magnitudes of the products in that coefficient: they can
+    grow large while cancelling exactly, so the defect of a correct series
+    is roundoff relative to that magnitude, not to 1.
     """
-    d = branch.derivs.tolist()
-    n_max = branch.order - 1
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        x, y = _leibniz_sums(n, d)
-        defect = abs(x + y - branch.ic.u_jet[n])
-        if scaled:
-            # a loop, not sum(): from Python 3.12 sum() rounds a sum of floats
-            # differently from adding them one by one
-            magnitude = 0.0
-            for k, c in enumerate(_binomial_row(n)):
-                magnitude += c * (abs(d[k + 1] * d[n - k + 1]) + abs(d[k] * d[n - k]))
-            defect /= 1.0 + magnitude
-        out[n - 1] = defect
-    return out
+    a = branch.coeffs
+    n = branch.order
+    slope = a[1:] * np.arange(1, n + 1)
+    u = branch.ic.u_jet.coeffs[:n] / factorials(n - 1)
+    defects = np.abs(np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n] - u)[1:]
+    if scaled:
+        slope, a = np.abs(slope), np.abs(a)
+        defects /= 1.0 + (np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n])[1:]
+    return defects
 
 
 def polish_critical(u: ModulusModel, theta: float, window: float) -> float | None:

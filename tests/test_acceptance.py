@@ -60,9 +60,10 @@ def test_criterion_1_cosine_constant_fixture():
         assert (b1, b2) == (-1.0, 0.0)
         falling = expand_branch(ic, b1, order=12)
         constant = expand_branch(ic, b2, order=12)
-        cos_jet = [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]
-        np.testing.assert_allclose(falling.derivs, cos_jet, atol=1e-12)
-        np.testing.assert_allclose(constant.derivs, [1] + [0] * 12, atol=1e-12)
+        # the Taylor coefficients of cos: (-1)^(k/2)/k! at even k
+        cos_coeffs = [0.0 if k % 2 else (-1) ** (k // 2) / math.factorial(k) for k in range(13)]
+        np.testing.assert_allclose(falling.coeffs, cos_coeffs, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(constant.coeffs, [1] + [0] * 12, atol=1e-12)
         _COLLECTED_BRANCHES.append(falling)
 
         cone = build_cone(UNIT, ic)
@@ -251,7 +252,7 @@ def test_criterion_5_invariant_suite():
 
 
 def test_criterion_6_taylor_recursion_oracle():
-    with criterion(6, "derivative recursion identities and degeneracy lattice"):
+    with criterion(6, "coefficient recursion identities and degeneracy lattice"):
         assert _COLLECTED_BRANCHES, "criteria 1-3 must run first"
         for branch in _COLLECTED_BRANCHES:
             defects = recursion_residuals(branch)

@@ -866,6 +866,15 @@ def test_transversal_contact_is_not_snapped_onto_a_distant_critical_point():
     assert np.max(np.diff(piece.thetas)) <= opts.h_max + 1e-12
 
 
+def test_no_continuation_through_a_transversal_contact():
+    # U' = 2.39 where the trajectory meets the bound: no critical point, so
+    # no analytic branch leaves it, and the error names the angle
+    piece = solve_regular(BUMP, BUMP_IC, +1, "backward")
+    theta = piece.termination.theta
+    with pytest.raises(NoContinuation, match=f"contact at theta={theta} is not a critical point"):
+        continue_through_critical(piece, BUMP, choice=+1)
+
+
 # -- the tableau ------------------------------------------------------------------------
 
 def test_tableau_order_conditions():

@@ -427,6 +427,22 @@ def test_unit_cone_shifted_sample():
     assert sol.theta_end == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def test_cone_sample_ends_at_a_contact_that_is_not_a_critical_point():
+    # toward the apex the falling trajectory meets the bound at 0.24048,
+    # where U' = 1.3e-4 and no branch leaves: the sample ends there
+    u = from_depth(DepthFunction.from_text(
+        "2.135405224132581 + 0.14292284574179612*sin(4*theta + 0.6221758702417292)",
+        (0.2, 2.9)))
+    apex = find_critical_points(u).points[0]
+    assert apex.kind is CriticalKind.MAXIMUM and apex.theta == 0.21496768394776977
+    cone = build_cone(u, apex, side=+1)
+    sol = sample_cone_solution(cone, u, RegularIC(0.5761441980301207, 2.168761736059946))
+    assert len(sol.pieces) == 1 and sol.c1
+    assert sol.theta_start == pytest.approx(0.24048, abs=1e-5)
+    assert sol.theta_end == pytest.approx(0.91064, abs=1e-5)
+    assert np.all(sol.rhos <= np.sqrt(u.value_grid(sol.thetas)) + 1e-9)
+
+
 def test_unit_cone_boundary_ic_rejected():
     ic = CriticalIC.from_modulus(UNIT, 0.0)
     cone = build_cone(UNIT, ic)

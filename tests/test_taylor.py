@@ -1,23 +1,22 @@
 """Analytic branch construction at critical initial conditions."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depthrec.criticals import find_critical_points
 from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
+from depthrec.series import factorials
 from depthrec.taylor import (
-    BetaSignClass, BranchStatus, CriticalIC, LeibnizTerms, SafeRegionKind, TaylorBranch,
-    beta_sign_class, branches_at, check_safe_region, eval_series, expand_branch, leibniz_terms,
-    polish_critical, recursion_residuals, second_derivative_roots,
+    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, beta_sign_class, branches_at,
+    check_safe_region, eval_series, expand_branch, polish_critical, recursion_residuals,
+    second_derivative_roots,
 )
-from test_series import coefficient_bits
 
 
 def constant_ic(rho0: float, order: int = 14) -> CriticalIC:
@@ -74,38 +73,22 @@ def test_beta_sign_classes():
     assert beta_sign_class(1.0, -0.5) is BetaSignClass.DOUBLE_NEGATIVE
 
 
-# -- product-rule sums ---------------------------------------------------------
-
-def test_leibniz_n2_cosine_jet():
-    lt = leibniz_terms(2, [1.0, 0.0, -1.0, 0.0, 1.0])
-    assert lt.x_n == 2.0       # 2*rho1*rho3 + 2*rho2^2
-    assert lt.y_n == -2.0      # 2*rho0*rho2 + 2*rho1^2
-    assert lt.x_n + lt.y_n == 0.0  # U2 for the unit profile
-
-
-def test_leibniz_n1_vanishes_at_critical():
-    lt = leibniz_terms(1, [2.0, 0.0, 5.0])
-    assert lt.x_n == 0.0
-    assert lt.y_n == 0.0
-
-
-def test_leibniz_constant_circle():
-    lt = leibniz_terms(4, [3.0, 0, 0, 0, 0, 0])
-    assert lt.x_n == 0.0 and lt.y_n == 0.0
-
-
 # -- recursion ------------------------------------------------------------------
+
+def cos_coeffs(order: int) -> list[float]:
+    """Taylor coefficients of cos: 1, 0, -1/2, 0, 1/24, ..."""
+    return [0.0 if k % 2 else (-1) ** (k // 2) / math.factorial(k) for k in range(order + 1)]
+
 
 def test_expand_cosine_branch():
     branch = expand_branch(constant_ic(1.0), beta=-1.0, order=8)
-    np.testing.assert_allclose(branch.derivs, [1, 0, -1, 0, 1, 0, -1, 0, 1],
-                               atol=1e-14)
+    np.testing.assert_allclose(branch.coeffs, cos_coeffs(8), rtol=1e-14, atol=1e-15)
     assert branch.status is BranchStatus.COMPLETE
 
 
 def test_expand_constant_branch():
     branch = expand_branch(constant_ic(1.0), beta=0.0, order=8)
-    np.testing.assert_allclose(branch.derivs, [1] + [0] * 8, atol=1e-15)
+    np.testing.assert_allclose(branch.coeffs, [1] + [0] * 8, atol=1e-15)
     assert branch.status is BranchStatus.CONSTANT_CIRCLE
 
 
@@ -120,8 +103,7 @@ def test_expand_scaled_cosine():
     # constant profile U = R^2: the falling branch is R*cos offset
     R = 2.5
     branch = expand_branch(constant_ic(R), beta=-R, order=10)
-    expected = [R, 0, -R, 0, R, 0, -R, 0, R, 0, -R]
-    np.testing.assert_allclose(branch.derivs, expected, atol=1e-12)
+    np.testing.assert_allclose(branch.coeffs, R * np.array(cos_coeffs(10)), rtol=1e-13, atol=1e-15)
 
 
 def test_recursion_residuals_cosine():
@@ -203,24 +185,16 @@ def test_eval_series_parabola_residual():
     assert abs(dval ** 2 + val ** 2 - u.value(0.05)) < 1e-8
 
 
-# -- the list recursion against the numpy-scalar one it replaced ------------------
+# -- the coefficient recursion against the derivative one it replaced -------------
 #
-# The functions below are the Taylor side as it was before it ran on Python
-# lists: every derivative read and written as a numpy scalar, binomials and
-# factorials computed on every pass.  The package must match them bit for bit.
-
-def oracle_leibniz_terms(n, derivs):
-    d = np.asarray(derivs, dtype=float)
-    x = 0.0
-    y = 0.0
-    for k in range(n + 1):
-        c = math.comb(n, k)
-        x += c * d[k + 1] * d[n - k + 1]
-        y += c * d[k] * d[n - k]
-    return LeibnizTerms(n, x, y)
-
+# The functions below are the Taylor side as it was when branches held
+# derivative values: the n-times differentiated identity, with its binomial
+# sums, solved for the n-th derivative.  The coefficient recursion must give
+# the same status and free index, and the same series to roundoff.
 
 def oracle_expand_branch(ic, beta, order, tol_deg=None):
+    """``(derivs, status, free_index, consistency_residual)``, the residual in
+    derivative units."""
     if tol_deg is None:
         tol_deg = 1e-9 * (1.0 + ic.rho0)
     work = np.zeros(order + 2)
@@ -228,104 +202,88 @@ def oracle_expand_branch(ic, beta, order, tol_deg=None):
     work[2] = beta
     for n in range(3, order + 1):
         alpha = 2.0 * (ic.rho0 + n * beta)
-        terms = oracle_leibniz_terms(n, work)
-        rhs = ic.u_jet[n] - (terms.x_n + terms.y_n)
+        x = y = 0.0
+        for k in range(n + 1):
+            c = math.comb(n, k)
+            x += c * work[k + 1] * work[n - k + 1]
+            y += c * work[k] * work[n - k]
+        rhs = ic.u_jet[n] - (x + y)
         if abs(alpha) < tol_deg:
-            return TaylorBranch(
-                ic=ic, beta=beta, derivs=work[:n].copy(),
-                status=BranchStatus.DEGENERATE, free_index=n,
-                consistency_residual=abs(rhs))
+            return work[:n].copy(), BranchStatus.DEGENERATE, n, abs(rhs)
         work[n] = rhs / alpha
     derivs = work[: order + 1].copy()
-    if np.all(np.abs(derivs[1:]) <= 1e-14 * (1.0 + ic.rho0)):
-        return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.CONSTANT_CIRCLE)
-    return TaylorBranch(ic=ic, beta=beta, derivs=derivs, status=BranchStatus.COMPLETE)
+    # the constant-circle threshold applies to the coefficients derivs[k]/k!
+    if np.all(np.abs(derivs[1:] / factorials(order)[1:]) <= 1e-14 * (1.0 + ic.rho0)):
+        return derivs, BranchStatus.CONSTANT_CIRCLE, None, None
+    return derivs, BranchStatus.COMPLETE, None, None
 
 
-def oracle_eval_series(branch, theta):
-    h = theta - branch.ic.theta0
+def oracle_eval_series(derivs, h):
     val = 0.0
-    n = branch.order
+    n = len(derivs) - 1
     for k in range(n, -1, -1):
-        val = val * h + branch.derivs[k] / math.factorial(k)
+        val = val * h + derivs[k] / math.factorial(k)
     dval = 0.0
     for k in range(n, 0, -1):
-        dval = dval * h + branch.derivs[k] / math.factorial(k - 1)
+        dval = dval * h + derivs[k] / math.factorial(k - 1)
     return val, dval
 
 
-def oracle_recursion_residuals(branch, scaled=True):
-    d = branch.derivs
-    n_max = branch.order - 1
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        terms = oracle_leibniz_terms(n, d)
-        defect = abs(terms.x_n + terms.y_n - branch.ic.u_jet[n])
-        if scaled:
-            magnitude = sum(
-                math.comb(n, k) * (abs(d[k + 1] * d[n - k + 1]) + abs(d[k] * d[n - k]))
-                for k in range(n + 1))
-            defect /= 1.0 + magnitude
-        out[n - 1] = defect
-    return out
-
-
-def bits(value):
-    """A float's bits (every NaN the same), or the value itself if not a float."""
-    if isinstance(value, float):
-        return struct.pack("<d", math.nan if math.isnan(value) else value)
-    return value
-
-
-def branch_record(branch):
-    return (coefficient_bits(branch.derivs), branch.status, branch.free_index,
-            bits(branch.consistency_residual))
-
-
-def eval_record(fn, branch, theta):
-    """Value and slope bits, or the refusal's text."""
-    try:
-        with np.errstate(all="ignore"):
-            val, dval = fn(branch, theta)
-    except DegenerateFamily as exc:
-        return str(exc)
-    return bits(float(val)), bits(float(dval))
+TINY = np.finfo(float).tiny
 
 
 def assert_matches_oracles(ic, beta, order, tol_deg=None, offsets=(0.0,)):
+    """The same status and free index as the derivative recursion, and each
+    value and slope of the series within 1e-12 of the sum of the magnitudes
+    of its terms there."""
     with np.errstate(all="ignore"):
         got = expand_branch(ic, beta, order, tol_deg)
-        want = oracle_expand_branch(ic, beta, order, tol_deg)
-    assert branch_record(got) == branch_record(want)
-    for h in offsets:
-        theta = ic.theta0 + h
-        if want.status is BranchStatus.DEGENERATE:
+        derivs, status, free_index, residual = oracle_expand_branch(ic, beta, order, tol_deg)
+    assert (got.status, got.free_index) == (status, free_index)
+    if status is BranchStatus.DEGENERATE:
+        assert got.consistency_residual == pytest.approx(
+            residual / math.factorial(free_index), rel=1e-9, abs=1e-12)
+    coeffs = np.abs(derivs / factorials(len(derivs) - 1))
+    k = np.arange(len(coeffs))
+    for offset in offsets:
+        theta = ic.theta0 + offset
+        h = theta - ic.theta0
+        if status is BranchStatus.DEGENERATE:
             with pytest.raises(DegenerateFamily):
                 eval_series(got, theta)
-        else:
-            assert eval_record(eval_series, got, theta) == \
-                eval_record(oracle_eval_series, want, theta)
-    if want.status is not BranchStatus.DEGENERATE and want.order >= 2:
+            continue
         with np.errstate(all="ignore"):
-            for scaled in (True, False):
-                assert coefficient_bits(recursion_residuals(got, scaled)) == \
-                    coefficient_bits(oracle_recursion_residuals(want, scaled))
+            val, dval = eval_series(got, theta)
+            want_val, want_dval = oracle_eval_series(derivs, h)
+            powers = abs(h) ** k
+            value_scale = float(np.sum(coeffs * powers))
+            slope_scale = float(np.sum((k * coeffs)[1:] * powers[:-1]))
+        # below the smallest normal float rounding is absolute
+        assert abs(val - want_val) <= 1e-12 * value_scale + TINY
+        assert abs(dval - want_dval) <= 1e-12 * slope_scale + TINY
     return got
 
 
 @st.composite
-def critical_seeds(draw):
-    """A critical IC with a random profile jet and a curvature seed: a root
-    of the quadratic, a lattice point -rho0/n, or any value."""
+def critical_ics(draw):
+    """A critical IC with a random profile jet, and an order it reaches."""
     order = draw(st.integers(2, 22))
     rho0 = draw(st.floats(0.05, 20.0))
     theta0 = draw(st.floats(-3.0, 3.0))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order))
     jet = Jet(theta0, np.array([rho0 * rho0, 0.0] + [scale * v for v in rest]))
-    ic = CriticalIC(theta0, rho0, jet)
-    roots = ([] if rho0 * rho0 + 2.0 * jet[2] < 0.0
-             else list(second_derivative_roots(rho0, jet[2])))
+    return CriticalIC(theta0, rho0, jet), order
+
+
+@st.composite
+def critical_seeds(draw):
+    """A critical IC and a curvature seed: a root of the quadratic, a lattice
+    point -rho0/n, or any value."""
+    ic, order = draw(critical_ics())
+    rho0 = ic.rho0
+    roots = ([] if rho0 * rho0 + 2.0 * ic.u_jet[2] < 0.0
+             else list(second_derivative_roots(rho0, ic.u_jet[2])))
     beta = draw(st.one_of(
         st.sampled_from(roots) if roots else st.nothing(),
         st.integers(3, 24).map(lambda n: -rho0 / n),
@@ -337,29 +295,33 @@ def critical_seeds(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(critical_seeds())
-def test_branch_bit_identical_to_numpy_scalar_oracle(seed):
+def test_branch_matches_derivative_oracle(seed):
     ic, beta, order, tol_deg, offsets = seed
     assert_matches_oracles(ic, beta, order, tol_deg, offsets)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 22), st.lists(st.floats(-1e3, 1e3), min_size=24, max_size=24))
-def test_leibniz_terms_bit_identical_to_oracle(n, derivs):
-    d = derivs[: n + 2]
-    got, want = leibniz_terms(n, d), oracle_leibniz_terms(n, d)
-    assert (got.n, bits(got.x_n), bits(got.y_n)) == \
-        (want.n, bits(float(want.x_n)), bits(float(want.y_n)))
+@given(critical_ics(), st.sampled_from([0, 1]))
+def test_recursion_residuals_vanish_on_root_seeded_branches(seed, which):
+    # every h^n coefficient of rho'^2 + rho^2 - U below the order is
+    # roundoff, relative to the products that cancel in it
+    ic, order = seed
+    assume(ic.rho0 * ic.rho0 + 2.0 * ic.u_jet[2] >= 0.0)
+    beta = second_derivative_roots(ic.rho0, ic.u_jet[2])[which]
+    branch = expand_branch(ic, beta, order)
+    assume(branch.status is not BranchStatus.DEGENERATE)
+    assert recursion_residuals(branch).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12, 20])
-def test_lattice_seed_bit_identical_to_oracle(n):
-    # beta = -rho0/n stalls the recursion at derivative n
+def test_lattice_seed_matches_derivative_oracle(n):
+    # beta = -rho0/n stalls the recursion at coefficient n
     branch = assert_matches_oracles(constant_ic(2.0, order=22), -2.0 / n, 21)
     assert branch.status is BranchStatus.DEGENERATE
     assert branch.free_index == n
 
 
-def test_sine_profile_branches_bit_identical_to_oracle():
+def test_sine_profile_branches_match_derivative_oracle():
     # the order-21 jet of a forward model at each of its critical points, and
     # the series evaluated near the critical point and far from it
     u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.2, 2.9)))
@@ -373,7 +335,7 @@ def test_sine_profile_branches_bit_identical_to_oracle():
             assert branch.status is BranchStatus.COMPLETE
 
 
-def test_eval_series_near_and_far_bit_identical_to_oracle():
+def test_eval_series_near_and_far_matches_derivative_oracle():
     # Horner on each series near its critical point and far from it, both sides
     assert_matches_oracles(constant_ic(1.0, order=14), -1.0, 12,
                            offsets=(0.0, 3.7, -7.4, 7.6, -22.5))
