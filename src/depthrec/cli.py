@@ -17,7 +17,13 @@ each call parses into a fresh namespace, so no value carries over from one
 call to the next.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments) seeds
-defaults; explicit command-line flags win over config values.
+defaults; explicit command-line flags win over config values.  Flags are
+spelled out in full: argparse's prefix matching is off, so an abbreviated
+flag is a usage error rather than a flag the config scan cannot see.
+
+``--rtol`` and ``--atol`` (config keys ``rtol`` and ``atol``), the
+stepper's local error tolerances, are the only tolerance flags; every
+other tolerance is a constant of the solver.
 """
 
 from __future__ import annotations
@@ -49,8 +55,7 @@ from .taylor import CriticalIC, branches_at
 
 CONFIG_KEYS = {
     "domain_lo": float, "domain_hi": float, "u": str, "u_csv": str, "rho": str,
-    "rtol": float, "atol": float, "tol_contact": float, "tol_floor": float,
-    "series_radius": float, "taylor_order": int,
+    "rtol": float, "atol": float,
     "max_switches": int, "samples": int, "seed": int, "fan_size": int,
 }
 
@@ -85,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (stdout when omitted)")
     common.add_argument("--rtol", type=float, default=None)
     common.add_argument("--atol", type=float, default=None)
-    common.add_argument("--tol-contact", dest="tol_contact", type=float, default=None)
-    common.add_argument("--tol-floor", dest="tol_floor", type=float, default=None)
-    common.add_argument("--series-radius", dest="series_radius", type=float, default=None)
-    common.add_argument("--taylor-order", dest="taylor_order", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="depthrec",
@@ -96,19 +97,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "speed profile.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", parents=[common],
+    p = sub.add_parser("forward", parents=[common], allow_abbrev=False,
                        help="squared speed of a known depth profile")
     p.add_argument("--rho", help="depth expression in theta")
     p.add_argument("--samples", type=int, default=501)
 
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate", parents=[common], allow_abbrev=False,
                    help="admissibility scan of a profile")
 
-    p = sub.add_parser("critical", parents=[common],
-                       help="locate and classify critical points")
-    p.add_argument("--grid", type=int, default=2048)
+    sub.add_parser("critical", parents=[common], allow_abbrev=False,
+                   help="locate and classify critical points")
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[common], allow_abbrev=False,
                        help="integrate one branch from a regular IC")
     p.add_argument("--ic", nargs=2, type=float, metavar=("THETA", "RHO"),
                    required=True)
@@ -116,12 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["forward", "backward"],
                    default="forward")
 
-    p = sub.add_parser("branch", parents=[common],
+    p = sub.add_parser("branch", parents=[common], allow_abbrev=False,
                        help="analytic branch jets at a critical IC")
     p.add_argument("--theta0", type=float, required=True)
     p.add_argument("--order", type=int, default=20)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[common], allow_abbrev=False,
                        help="tree of global solutions through an IC")
     p.add_argument("--ic", nargs=2, type=float, metavar=("THETA", "RHO"))
     p.add_argument("--max-switches", dest="max_switches", type=int, default=2)
@@ -130,10 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-dir", dest="csv_dir",
                    help="write one node CSV per solution into this directory")
 
-    sub.add_parser("maximal", parents=[common],
+    sub.add_parser("maximal", parents=[common], allow_abbrev=False,
                    help="the depth-maximal solution")
 
-    p = sub.add_parser("cone", parents=[common],
+    p = sub.add_parser("cone", parents=[common], allow_abbrev=False,
                        help="bounding solution pair at a maximum-type point")
     p.add_argument("--apex", type=float, default=None,
                    help="apex angle (defaults to the first maximum-type critical)")
@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar=("THETA", "RHO"),
                    help="also integrate the squeezed solution through this IC")
 
-    p = sub.add_parser("plot", parents=[common],
+    p = sub.add_parser("plot", parents=[common], allow_abbrev=False,
                        help="SVG overlay of the curve family in the plane")
     p.add_argument("--ic", nargs=2, type=float, metavar=("THETA", "RHO"))
     p.add_argument("--max-switches", dest="max_switches", type=int, default=1)
@@ -167,13 +167,8 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
 
 
 def _integration_options(args: argparse.Namespace) -> IntegrationOptions:
-    opts = IntegrationOptions()
-    for key in ("rtol", "atol", "tol_contact", "tol_floor", "series_radius",
-                "taylor_order"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(opts, key, value)
-    return opts
+    return IntegrationOptions(**{key: getattr(args, key) for key in ("rtol", "atol")
+                                 if getattr(args, key) is not None})
 
 
 def _require_domain(args) -> tuple[float, float]:
@@ -230,7 +225,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_critical(args) -> int:
     u = _load_profile(args)
-    cs = find_critical_points(u, grid=args.grid)
+    cs = find_critical_points(u)
     report = empty_report()
     report["criticals"] = criticals_payload(cs)
     _emit(args, report_json_text(report))
@@ -291,12 +286,12 @@ def _cmd_cone(args) -> int:
     report = empty_report()
     report["criticals"] = criticals_payload(cs)
     if args.apex is not None:
-        apex = CriticalIC.from_modulus(u, args.apex, order=opts.taylor_order)
+        apex = CriticalIC.from_modulus(u, args.apex)
         cone = build_cone(u, apex, opts)
     else:
         maxima = [p for p in cs.points if p.kind is CriticalKind.MAXIMUM]
         if not maxima and cs.dense:
-            apex = CriticalIC.from_modulus(u, u.domain[0], order=opts.taylor_order)
+            apex = CriticalIC.from_modulus(u, u.domain[0])
             cone = build_cone(u, apex, opts)
         elif maxima:
             cone = build_cone(u, maxima[0], opts)

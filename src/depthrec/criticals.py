@@ -23,7 +23,8 @@ from .modulus import Jet, ModulusModel
 __all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
            "find_critical_points", "upper_bound_check", "UpperBoundReport", "SCAN_CELLS"]
 
-SCAN_CELLS = 2048  # cells of the default U' scan
+SCAN_CELLS = 2048  # cells of the U' scan
+_TOL_ROOT = 1e-12  # bracketed roots of U' and U'' are polished to this angle
 
 
 class CriticalKind(Enum):
@@ -70,8 +71,9 @@ def maximal_depth(u: ModulusModel, theta: float) -> float:
     return math.sqrt(u.value(theta))
 
 
-def _classify(u: ModulusModel, theta: float, j: Jet, tol_class: float) -> CriticalKind:
+def _classify(u: ModulusModel, theta: float, j: Jet) -> CriticalKind:
     """The kind of the critical point at ``theta``, whose order-2 jet is ``j``."""
+    tol_class = 1e-9 * u.scale
     if j[2] > tol_class:
         return CriticalKind.MINIMUM
     if j[2] < -tol_class:
@@ -81,9 +83,9 @@ def _classify(u: ModulusModel, theta: float, j: Jet, tol_class: float) -> Critic
     h = (hi - lo) * 1e-3
     left = u.derivative(max(lo, theta - h))
     right = u.derivative(min(hi, theta + h))
-    if left > 0 >= right or (left > 0 and right < 0):
+    if left > 0 >= right:
         return CriticalKind.MAXIMUM
-    if left < 0 <= right or (left < 0 and right > 0):
+    if left < 0 <= right:
         return CriticalKind.MINIMUM
     return CriticalKind.INFLECTION
 
@@ -111,12 +113,11 @@ def _scan(dvals: np.ndarray, tol_flat: float, touch_screen: float):
     return flat, runs, sign_changes.tolist(), touches.tolist()
 
 
-def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = SCAN_CELLS,
-                         tol_class: float | None = None) -> CriticalSet:
+def find_critical_points(u: ModulusModel) -> CriticalSet:
     """Locate and classify every critical point of the depth bound.
 
-    A sign-change scan of U' over ``grid`` cells brackets the isolated
-    roots, which are then polished to ``|theta - root| < tol``.  Runs where
+    A sign-change scan of U' over :data:`SCAN_CELLS` cells brackets the
+    isolated roots, polished to ``|theta - root| < _TOL_ROOT``.  Runs where
     U' sits at roundoff level throughout mark dense (autonomous) stretches.
     Double roots of U' (no sign change) are caught by polishing the zeros
     of U'' and accepting them when U' is small there.  Domain endpoints
@@ -126,8 +127,7 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = SCAN_C
     scale_d = 1.0 + u.scale / max(hi - lo, 1e-6)
     tol_flat = 1e-11 * scale_d
     tol_accept = 1e-8 * scale_d
-    if tol_class is None:
-        tol_class = 1e-9 * u.scale
+    tol, grid = _TOL_ROOT, SCAN_CELLS
 
     thetas = np.linspace(lo, hi, grid + 1)
     dvals = u.derivative_grid(thetas)
@@ -198,7 +198,7 @@ def find_critical_points(u: ModulusModel, tol: float = 1e-12, grid: int = SCAN_C
             rejected.append((th, "profile vanishes here; no positive depth exists"))
             continue
         jet = u.jet(th, 2)
-        kind = _classify(u, th, jet, tol_class)
+        kind = _classify(u, th, jet)
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
         points.append(CriticalPoint(th, math.sqrt(uval), kind, jet, is_boundary))
 

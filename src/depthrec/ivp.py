@@ -32,7 +32,7 @@ U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
 dict lookup and store at every stage.  Most emitted nodes are not step
 ends but interior nodes that keep linear interpolation within
-``interp_tol``; they feed nothing back into the stepping, so the loop's one
+``_INTERP_TOL``; they feed nothing back into the stepping, so the loop's one
 emit point only records each step that needs them, and one pass after the
 loop fills them all in, with U read for all of them in one
 :meth:`~depthrec.modulus.ModulusModel.value_grid` call (dense output after
@@ -104,19 +104,19 @@ class RegularIC:
 
 @dataclass
 class IntegrationOptions:
-    """Tolerances and stepping knobs shared across the solver surface."""
+    """The stepper's local error tolerances, relative and absolute; every
+    other tolerance of the solver is a module constant."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_max: float = 0.02
-    interp_tol: float = 1e-6        # linear-interpolation error target between nodes
-    tol_contact: float = 1e-10      # scaled by (1 + U) pointwise
-    tol_floor: float = 1e-12
-    series_radius: float = 0.05     # local-series handoff distance at critical points
-    taylor_order: int = 20
-    max_steps: int = 500_000
 
 
+_H_MAX = 0.02              # the longest step
+_INTERP_TOL = 1e-6         # linear-interpolation error target between nodes
+_TOL_CONTACT = 1e-10       # contact with the bound, scaled by (1 + U) pointwise
+_TOL_FLOOR = 1e-12         # depth floor
+_SERIES_RADIUS = 0.05      # local-series handoff distance at critical points
+_MAX_STEPS = 500_000       # step budget of one solve
 _TOL_REG_FACTOR = 10.0     # regularity margin in units of the contact tolerance
 _TOL_BOUND_FOLLOW = 1e-9   # bound-following admissibility, scaled by the profile
 _HANDOFF_FACTOR = 1e-4     # switch to the local series when U - rho^2 dips below this (scaled)
@@ -169,19 +169,17 @@ class SolutionPiece:
         return self._spline(theta)
 
 
-def derivative_pair(u: ModulusModel, ic: RegularIC,
-                    opts: IntegrationOptions | None = None) -> tuple[float, float]:
+def derivative_pair(u: ModulusModel, ic: RegularIC) -> tuple[float, float]:
     """The two admissible slopes (+alpha, -alpha) at a regular IC."""
-    opts = opts or IntegrationOptions()
-    alpha = math.sqrt(_regular_margin(ic, u.value(ic.theta0), opts))
+    alpha = math.sqrt(_regular_margin(ic, u.value(ic.theta0)))
     return alpha, -alpha
 
 
-def _regular_margin(ic: RegularIC, uval: float, opts: IntegrationOptions) -> float:
+def _regular_margin(ic: RegularIC, uval: float) -> float:
     """``U - rho^2`` at the IC, given ``uval = U(theta0)``; raises
     :class:`NotRegular` unless it clears the regularity margin."""
     margin = uval - ic.rho0 * ic.rho0
-    tol_reg = _TOL_REG_FACTOR * opts.tol_contact * (1.0 + uval)
+    tol_reg = _TOL_REG_FACTOR * _TOL_CONTACT * (1.0 + uval)
     if margin <= tol_reg:
         raise NotRegular(
             f"IC ({ic.theta0}, {ic.rho0}) is not regular: U - rho^2 = {margin} <= {tol_reg}")
@@ -240,7 +238,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     of: domain end, contact with the depth bound (``U - rho^2`` down at
     the scaled contact tolerance), depth reaching the floor, or a step
     failure.  Emitted nodes are dense enough that linear interpolation
-    between them stays within ``opts.interp_tol``; the interior nodes of
+    between them stays within ``_INTERP_TOL``; the interior nodes of
     the steps are added after the loop (:func:`_fill_nodes`).
 
     With ``stop_theta``, the solve ends there, with a ``DOMAIN_END`` on
@@ -267,9 +265,9 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     ode_sign = sign if direction == "forward" else -sign
     sqrt, ceil = math.sqrt, math.ceil
     uvalue = u.value
-    atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, opts.h_max, opts.tol_contact
-    tol_floor, handoff_factor, max_steps = opts.tol_floor, _HANDOFF_FACTOR, opts.max_steps
-    lin_tol = 8.0 * opts.interp_tol  # a step's interior nodes keep h^2*curvature/8 under interp_tol
+    atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, _H_MAX, _TOL_CONTACT
+    tol_floor, handoff_factor, max_steps = _TOL_FLOOR, _HANDOFF_FACTOR, _MAX_STEPS
+    lin_tol = 8.0 * _INTERP_TOL  # a step's interior nodes keep h^2*curvature/8 under _INTERP_TOL
     end_tol = 1e-15 * max(1.0, abs(t_end))
     _, c1, c2, c3, c4, c5 = _TSIT5_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
@@ -280,7 +278,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     t, y = ic.theta0, ic.rho0
     u_t = uvalue(t)
     # U - rho^2 at the IC: never below the regularity margin
-    g = _regular_margin(ic, u_t, opts)
+    g = _regular_margin(ic, u_t)
     f_t = ode_sign * sqrt(g)
     ts = [t]
     ys = [y]
@@ -390,10 +388,10 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         elif (g_new <= handoff_factor * (1.0 + abs(u_new))
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, opts)
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
 
         # emit the end node; a step too wide for linear interpolation within
-        # interp_tol is cut into n_sub parts (at most 64), and recorded as
+        # _INTERP_TOL is cut into n_sub parts (at most 64), and recorded as
         # eight numbers (its place in the node lists, n_sub and the two
         # states) for _fill_nodes to add the n_sub - 1 interior nodes
         width = abs(t1 - t)
@@ -468,8 +466,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
         return None
 
 
-def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
-                    tdir: float, opts: IntegrationOptions):
+def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: float):
     """Finish a tangential approach with the local analytic series.
 
     Locates the critical point the trajectory is converging to
@@ -481,12 +478,12 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
     pass-unders).  Successive attempts on one approach mostly polish to one
     angle, whose IC and branches the call's table builds once.
     """
-    theta_c = polish_critical(u, t, 2 * opts.series_radius)
+    theta_c = polish_critical(u, t, 2 * _SERIES_RADIUS)
     if theta_c is None or tdir * (theta_c - t) < 0.0:
         return None  # no critical point ahead in the direction of travel
     try:
-        ic = critical_ic(u, theta_c, opts.taylor_order)
-        branches = branches_at(ic, opts.taylor_order)
+        ic = critical_ic(u, theta_c)
+        branches = branches_at(ic)
     except DepthRecError:  # no usable critical IC here: leave it to the events
         return None
 
@@ -503,7 +500,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int,
     if len(candidates) > 1 and dist > 0.25 * candidates[1][0]:
         return None  # too close to call between branches
 
-    n_nodes = max(6, int(math.ceil(abs(theta_c - t) / math.sqrt(8.0 * opts.interp_tol))))
+    n_nodes = max(6, int(math.ceil(abs(theta_c - t) / math.sqrt(8.0 * _INTERP_TOL))))
     snap_ts = np.linspace(t, theta_c, n_nodes + 1)[1:].tolist()
     series = [eval_series(branch, tau) for tau in snap_ts[:-1]]
     # the last node is the contact itself: on the bound, with zero slope
@@ -638,18 +635,17 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
                     stop_theta: float | None = None) -> SolutionPiece:
     """Materialize one half of an analytic branch as a solution piece.
 
-    The series leg runs ``min(opts.series_radius, room)`` from the critical
+    The series leg runs ``min(_SERIES_RADIUS, room)`` from the critical
     angle, where ``room`` is the distance to ``stop_theta`` or, without it,
     to the domain end on ``side``; integration continues from the leg's end.
     ``side`` +1 extends toward larger angles.  A constant branch turns into
     a bound-following piece instead.
     """
-    opts = opts or IntegrationOptions()
     theta_c = branch.ic.theta0
     lo, hi = u.domain
     limit = (hi if side > 0 else lo) if stop_theta is None else stop_theta
     if branch.status is BranchStatus.CONSTANT_CIRCLE:
-        return bound_following_piece(u, theta_c, side, opts, stop_theta=limit)
+        return bound_following_piece(u, theta_c, side, stop_theta=limit)
 
     half_ode_sign = _half_branch_sign(branch, side)
     if half_ode_sign == 0:
@@ -657,11 +653,11 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     direction = "forward" if side > 0 else "backward"
     walk_sign = half_ode_sign * side
 
-    r = min(opts.series_radius, abs(limit - theta_c))
+    r = min(_SERIES_RADIUS, abs(limit - theta_c))
     if r <= 0.0:
         raise NoContinuation("no room to continue on this side of the contact")
 
-    n_series = max(8, int(math.ceil(r / math.sqrt(8.0 * opts.interp_tol))))
+    n_series = max(8, int(math.ceil(r / math.sqrt(8.0 * _INTERP_TOL))))
     offsets = np.linspace(0.0, side * r, n_series + 1)
     ts = [theta_c + float(o) for o in offsets]
     vals = [eval_series(branch, tt) for tt in ts]
@@ -702,7 +698,6 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
 
 
 def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
-                          opts: IntegrationOptions | None = None,
                           stop_theta: float | None = None) -> SolutionPiece:
     """Constant-depth piece following the bound over an autonomous stretch.
 
@@ -710,7 +705,6 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
     ODE exactly there).  Ends at the domain end or where flatness fails,
     the latter reported as a contact so continuation can chain further.
     """
-    opts = opts or IntegrationOptions()
     lo, hi = u.domain
     limit = (hi if side > 0 else lo) if stop_theta is None else stop_theta
     rho0 = math.sqrt(u.value(theta_c))
@@ -719,7 +713,7 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
     def flat(th: float) -> bool:
         return abs(u.value(th) - rho0 * rho0) <= tol
 
-    h = opts.h_max
+    h = _H_MAX
     ts = [theta_c]
     t = theta_c
     ended_by_domain = True
@@ -746,8 +740,7 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
                          direction=direction, dense_contact=True)
 
 
-def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
-                            opts: IntegrationOptions | None = None) -> list[tuple[int, TaylorBranch]]:
+def continuation_candidates(ic: CriticalIC, side: int) -> list[tuple[int, TaylorBranch]]:
     """All (walk sign, branch) pairs that can leave a critical IC on ``side``.
 
     The non-degenerate branches of :func:`branches_at`, smaller curvature
@@ -755,14 +748,12 @@ def continuation_candidates(u: ModulusModel, ic: CriticalIC, side: int,
     constant branch the bound-following continuation with the conventional
     +1 sign.
     """
-    opts = opts or IntegrationOptions()
     return [(+1 if b.status is BranchStatus.CONSTANT_CIRCLE else _half_branch_sign(b, side) * side, b)
-            for b in branches_at(ic, opts.taylor_order)
+            for b in branches_at(ic)
             if b.status is not BranchStatus.DEGENERATE]
 
 
-def leaving_branch(u: ModulusModel, ic: CriticalIC, side: int,
-                   opts: IntegrationOptions | None = None,
+def leaving_branch(ic: CriticalIC, side: int,
                    walk_sign: BranchSign | None = None) -> TaylorBranch:
     """The branch that leaves a critical IC on ``side``: the one with the
     largest curvature root among :func:`continuation_candidates`, with walk
@@ -772,7 +763,7 @@ def leaving_branch(u: ModulusModel, ic: CriticalIC, side: int,
     same-family trajectories cannot cross, so the larger root dominates
     pointwise.  Raises :class:`NoContinuation` when no branch qualifies.
     """
-    branches = [b for s, b in continuation_candidates(u, ic, side, opts)
+    branches = [b for s, b in continuation_candidates(ic, side)
                 if walk_sign is None or s == walk_sign]
     if not branches:
         signed = "" if walk_sign is None else f" with walk sign {walk_sign:+d}"
@@ -793,14 +784,13 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
     ``choice``.  Raises :class:`NoContinuation` when no branch has it, or
     when the piece ended at a contact that is not a critical point.
     """
-    opts = opts or IntegrationOptions()
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
     side = +1 if piece.direction == "forward" else -1
     theta = piece.termination.theta
     try:
-        ic = critical_ic(u, theta, opts.taylor_order)
+        ic = critical_ic(u, theta)
     except DomainError as exc:
         raise NoContinuation(
             f"the contact at theta={theta} is not a critical point: {exc}") from exc
-    return branch_to_piece(u, leaving_branch(u, ic, side, opts, choice), side, opts)
+    return branch_to_piece(u, leaving_branch(ic, side, choice), side, opts)

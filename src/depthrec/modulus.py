@@ -56,6 +56,7 @@ __all__ = ["Jet", "ModulusModel", "ClosedFormModulus", "SampledModulus",
 
 # values in [-NEGATIVE_CLAMP*scale, 0) count as roundoff and clamp to 0
 NEGATIVE_CLAMP = 1e-12
+_VALIDATE_SAMPLES = 1024
 
 _INF = math.inf
 
@@ -408,9 +409,8 @@ class ModulusReport:
     clean: bool
 
 
-def validate_modulus(u: ModulusModel, samples: int = 1024) -> ModulusReport:
+def validate_modulus(u: ModulusModel) -> ModulusReport:
     """Scan for negative or non-finite values (report, never raises)."""
-    lo, hi = u.domain
     negative: list[float] = []
     nonfinite: list[float] = []
     if isinstance(u, SampledModulus):
@@ -422,7 +422,7 @@ def validate_modulus(u: ModulusModel, samples: int = 1024) -> ModulusReport:
                 negative.append(float(th))
     else:
         grid_ok = True
-        for th in np.linspace(lo, hi, samples):
+        for th in np.linspace(*u.domain, _VALIDATE_SAMPLES):
             try:
                 val = u._raw_value(float(th))
             except EvalError:

@@ -12,7 +12,7 @@ A link between two critical points has one rule: launch the
 largest-curvature branch leaving the minimum-type end toward the other
 (there the analytic solution touching the bound is unique, so it is the
 only candidate), integrate it up to the far point's angle, and either snap
-its end onto the far point, when it lands within ``tol_bvp`` of it, or
+its end onto the far point, when it lands within ``_TOL_BVP`` of it, or
 raise :class:`NoSolution`.
 
 Each public function here is one call of
@@ -43,6 +43,11 @@ from .modulus import ModulusModel
 from .taylor import (
     CriticalIC, TaylorBranch, critical_ic, one_critical_table,
 )
+
+_TOL_BVP = 1e-8          # largest depth miss of a link at the far critical point
+_SLOPE_TOL = 1e-6        # a junction whose one-sided slopes are both below is critical
+_ABUT_TOL = 1e-6         # largest angle gap between consecutive pieces
+_C1_TOL = 1e-8           # largest depth or slope jump of a C1 junction
 
 __all__ = [
     "JunctionKind", "Junction", "PiecewiseSolution", "ConvergenceCone",
@@ -140,8 +145,7 @@ def _merge_adjacent(a: SolutionPiece, b: SolutionPiece) -> SolutionPiece:
                          dense_contact=a.dense_contact and b.dense_contact)
 
 
-def stitch(pieces: list[SolutionPiece], slope_tol: float = 1e-6,
-           abut_tol: float = 1e-6) -> PiecewiseSolution:
+def stitch(pieces: list[SolutionPiece]) -> PiecewiseSolution:
     """Order pieces by angle and classify the junctions between them.
 
     Interior junctions where both one-sided slopes vanish are critical
@@ -158,11 +162,11 @@ def stitch(pieces: list[SolutionPiece], slope_tol: float = 1e-6,
     for left, right in zip(parts, parts[1:]):
         tl, rl, dl = _end_state(left, at_start=False)
         tr, rr, dr = _end_state(right, at_start=True)
-        if abs(tl - tr) > abut_tol:
+        if abs(tl - tr) > _ABUT_TOL:
             raise NoSolution(f"pieces do not abut: gap [{tl}, {tr}]")
         d_rho = abs(rl - rr)
         d_slope = abs(dl - dr)
-        if max(abs(dl), abs(dr)) <= slope_tol:
+        if max(abs(dl), abs(dr)) <= _SLOPE_TOL:
             split = -0.5 * rl  # between the two curvature roots
             same_germ = ((_end_curvature(left, at_start=False) > split)
                          == (_end_curvature(right, at_start=True) > split))
@@ -182,7 +186,7 @@ class C1Report:
     ok: bool
 
 
-def c1_check(sol: PiecewiseSolution, tol: float = 1e-8) -> C1Report:
+def c1_check(sol: PiecewiseSolution) -> C1Report:
     """Per-junction value and slope gaps; updates the solution's c1 flag."""
     deltas = []
     ok = True
@@ -190,7 +194,7 @@ def c1_check(sol: PiecewiseSolution, tol: float = 1e-8) -> C1Report:
         if j.kind in (JunctionKind.START, JunctionKind.END):
             continue
         deltas.append((j.theta, j.delta_rho, j.delta_drho))
-        if j.delta_rho > tol or j.delta_drho > tol:
+        if j.delta_rho > _C1_TOL or j.delta_drho > _C1_TOL:
             ok = False
     sol.c1 = ok
     return C1Report(deltas, ok)
@@ -211,8 +215,8 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     if room <= 1e-12:
         return [([piece], 0)]
     try:
-        ic = critical_ic(u, theta_c, opts.taylor_order)
-        candidates = continuation_candidates(u, ic, side, opts)
+        ic = critical_ic(u, theta_c)
+        candidates = continuation_candidates(ic, side)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
     paths = [([piece] + rest, used + 1)
@@ -316,7 +320,7 @@ def _enumerate_from_critical(u: ModulusModel, ic: CriticalIC, max_switches: int,
         edge = lo if side < 0 else hi
         if abs(ic.theta0 - edge) <= 1e-12:
             return [([], 0)]
-        candidates = continuation_candidates(u, ic, side, opts)
+        candidates = continuation_candidates(ic, side)
         return _branch_paths(u, candidates, side, max_switches, opts) or [([], 0)]
 
     for lpieces, lused in side_paths(-1):
@@ -363,13 +367,12 @@ def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoi
 @one_critical_table
 def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
                                 right: CriticalPoint,
-                                opts: IntegrationOptions | None = None,
-                                tol_bvp: float = 1e-8) -> SolutionPiece:
+                                opts: IntegrationOptions | None = None) -> SolutionPiece:
     """The unique trajectory joining two consecutive critical points.
 
     Launched as the largest-curvature analytic branch leaving the
     minimum-type endpoint toward the other and integrated up to the other's
-    angle.  The far end must land on the bound within ``tol_bvp``, and is
+    angle.  The far end must land on the bound within ``_TOL_BVP``, and is
     then snapped exactly; otherwise :class:`NoSolution` names the miss or,
     for a trajectory ending short of the far point, its termination and
     angle.  There is nothing to tune: the launch branch is the link, hit or
@@ -377,19 +380,18 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     again, and comes from the call's table, so a caller chaining intervals
     shares it.
     """
-    opts = opts or IntegrationOptions()
     if not left.theta < right.theta:
         raise NoSolution("empty interval between the critical points")
 
     # autonomous stretch: the bound itself joins the endpoints
     if _flat_between(u, left, right):
-        return bound_following_piece(u, left.theta, +1, opts, stop_theta=right.theta)
+        return bound_following_piece(u, left.theta, +1, stop_theta=right.theta)
 
     launch, target, side = _pick_launch(left, right)
-    ic = critical_ic(u, launch.theta, opts.taylor_order)
+    ic = critical_ic(u, launch.theta)
     # depth grows along the walk toward a deeper target
     walk_sign = 1 if target.depth >= launch.depth else -1
-    branch = _leaving_branch(u, ic, side, opts, walk_sign)
+    branch = _leaving_branch(ic, side, walk_sign)
     piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
     theta_end, rho_end, _ = _end_state(piece, at_start=(side < 0))
     if abs(theta_end - target.theta) > 5e-3:  # stalled or contacted far from the target
@@ -398,17 +400,16 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
             f"trajectory ends ({end.kind.value}) at theta={end.theta}, short of the far "
             f"critical point at theta={target.theta}")
     mismatch = abs(rho_end - target.depth)
-    if mismatch > tol_bvp:
+    if mismatch > _TOL_BVP:
         raise NoSolution(f"trajectory misses the far critical point by {mismatch:.3e}")
     return _snap_end(piece, target, side)
 
 
-def _leaving_branch(u: ModulusModel, ic: CriticalIC, side: int, opts: IntegrationOptions,
-                    walk_sign: int | None = None) -> TaylorBranch:
+def _leaving_branch(ic: CriticalIC, side: int, walk_sign: int | None = None) -> TaylorBranch:
     """:func:`~depthrec.ivp.leaving_branch`, raising :class:`NoSolution`
     where no branch leaves."""
     try:
-        return leaving_branch(u, ic, side, opts, walk_sign)
+        return leaving_branch(ic, side, walk_sign)
     except NoContinuation as exc:
         raise NoSolution(str(exc)) from exc
 
@@ -433,8 +434,7 @@ def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> Solutio
 
 @one_critical_table
 def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
-                     critical_set: CriticalSet | None = None,
-                     tol_bvp: float = 1e-8) -> PiecewiseSolution:
+                     critical_set: CriticalSet | None = None) -> PiecewiseSolution:
     """The solution dominating all others pointwise, as this construction
     finds it.
 
@@ -453,7 +453,6 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     somewhere raises that error, naming the angle, rather than
     :class:`NoCriticalPoints`.
     """
-    opts = opts or IntegrationOptions()
     cs = critical_set if critical_set is not None else find_critical_points(u)
     lo, hi = u.domain
 
@@ -461,7 +460,7 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
         if cs.dense and cs.dense_intervals and (
                 abs(cs.dense_intervals[0][0] - lo) < 1e-6
                 and abs(cs.dense_intervals[-1][1] - hi) < 1e-6):
-            return stitch([bound_following_piece(u, lo, +1, opts)])
+            return stitch([bound_following_piece(u, lo, +1)])
         u.value_grid(np.linspace(lo, hi, SCAN_CELLS + 1))
         raise NoCriticalPoints(
             "the profile has no critical points; the depth supremum is not attained")
@@ -469,13 +468,13 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     pieces: list[SolutionPiece] = []
     pts = cs.points
     for a, b in zip(pts, pts[1:]):
-        pieces.append(solve_bvp_between_criticals(u, a, b, opts, tol_bvp))
+        pieces.append(solve_bvp_between_criticals(u, a, b, opts))
 
     # the outer intervals: the branch leaving the outermost critical points
     for point, side, room in ((pts[0], -1, pts[0].theta - lo), (pts[-1], +1, hi - pts[-1].theta)):
         if room > 1e-9:
-            ic = critical_ic(u, point.theta, opts.taylor_order)
-            pieces.append(branch_to_piece(u, _leaving_branch(u, ic, side, opts), side, opts))
+            ic = critical_ic(u, point.theta)
+            pieces.append(branch_to_piece(u, _leaving_branch(ic, side), side, opts))
 
     return stitch(pieces)
 
@@ -514,17 +513,16 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
     outward on ``side`` and the pointwise-larger one becomes the upper
     bound.
     """
-    opts = opts or IntegrationOptions()
     if isinstance(apex, CriticalIC):
         ic, theta_c, depth = apex, apex.theta0, apex.rho0
     else:
-        ic = critical_ic(u, apex.theta, opts.taylor_order)
+        ic = critical_ic(u, apex.theta)
         theta_c, depth = apex.theta, apex.depth
     lo, hi = u.domain
     if side is None:
         side = -1 if abs(theta_c - hi) < 1e-9 else +1
 
-    candidates = continuation_candidates(u, ic, side, opts)
+    candidates = continuation_candidates(ic, side)
     # a positive root is never degenerate, so the filtered set still shows it
     betas = [b.beta for _s, b in candidates]
     if max(betas, default=0.0) > 1e-9 * (1.0 + ic.rho0):

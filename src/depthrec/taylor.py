@@ -30,9 +30,10 @@ jet's cost.
 A critical IC carries at most two analytic branches, fixed by its angle
 and order, so within one public solver call (each function decorated
 with :func:`one_critical_table`) there is one table of them: an IC is
-built once per profile, exact angle and order, and its branch set once
-per order.  Calls nested in another share its table; it is dropped when
-the outermost call returns, so nothing is kept from one call to the next.
+built once per profile and exact angle, at :data:`DEFAULT_ORDER`, and its
+branch set once per order.  Calls nested in another share its table; it
+is dropped when the outermost call returns, so nothing is kept from one
+call to the next.
 Outside any such call both builders build afresh each time.
 
 Coefficient convention: a branch stores its Taylor coefficients
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 20
+_SAFE_REGION_I_MAX = 10_000  # the degenerate lattice index scanned up to
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class TaylorBranch:
         return len(self.coeffs) - 1
 
 
-def second_derivative_roots(rho0: float, u2: float, tol: float | None = None) -> tuple[float, float]:
+def second_derivative_roots(rho0: float, u2: float) -> tuple[float, float]:
     """Both roots of the curvature quadratic, smaller first.
 
     The discriminant ``rho0^2 + 2*u2`` is clamped to zero when within
@@ -134,8 +136,7 @@ def second_derivative_roots(rho0: float, u2: float, tol: float | None = None) ->
     """
     if rho0 <= 0.0:
         raise DomainError("depth must be positive")
-    if tol is None:
-        tol = 1e-12 * (1.0 + rho0 * rho0 + abs(u2))
+    tol = 1e-12 * (1.0 + rho0 * rho0 + abs(u2))
     disc = rho0 * rho0 + 2.0 * u2
     if disc < -tol:
         raise ComplexDiscriminant(
@@ -155,15 +156,14 @@ class BetaSignClass(Enum):
     DOUBLE_NEGATIVE = "double_root_negative"
 
 
-def beta_sign_class(rho0: float, u2: float, tol: float | None = None) -> BetaSignClass:
+def beta_sign_class(rho0: float, u2: float) -> BetaSignClass:
     """Classify the root pair by sign, computed from the roots themselves.
 
     The smaller root is always strictly negative (it is at most -rho0/2),
     so the class is decided by the larger one.
     """
-    b1, b2 = second_derivative_roots(rho0, u2, tol)
-    if tol is None:
-        tol = 1e-12 * (1.0 + rho0)
+    b1, b2 = second_derivative_roots(rho0, u2)
+    tol = 1e-12 * (1.0 + rho0)
     if abs(b2 - b1) <= tol:
         return BetaSignClass.DOUBLE_NEGATIVE
     if b2 > tol:
@@ -173,8 +173,7 @@ def beta_sign_class(rho0: float, u2: float, tol: float | None = None) -> BetaSig
     return BetaSignClass.BOTH_NEGATIVE
 
 
-def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER,
-                  tol_deg: float | None = None) -> TaylorBranch:
+def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER) -> TaylorBranch:
     """Run the coefficient recursion from one curvature root.
 
     Starts from ``a0 = rho0``, ``a1 = 0`` and ``a2 = beta/2``.  Step n >= 3
@@ -189,9 +188,8 @@ def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER,
     """
     if ic.u_jet.order < order:
         raise DomainError(f"profile jet order {ic.u_jet.order} < requested order {order}")
-    if tol_deg is None:
-        tol_deg = 1e-9 * (1.0 + ic.rho0)
     rho0 = ic.rho0
+    tol_deg = 1e-9 * (1.0 + rho0)
     u = (ic.u_jet.coeffs[: order + 1] / factorials(order)).tolist()
 
     a = [rho0, 0.0, 0.5 * beta]
@@ -230,26 +228,25 @@ class SafeRegionResult:
     index: int | None = None
 
 
-def check_safe_region(rho0: float, beta: float, tol: float | None = None,
-                      i_max: int = 10_000) -> SafeRegionResult:
+def check_safe_region(rho0: float, beta: float) -> SafeRegionResult:
     """Decide whether the recursion pivot can ever vanish for this seed.
 
     Curvatures outside [-rho0/3, 0) are safe for every iteration.  Inside,
     the pivot vanishes exactly on the lattice ``beta = -rho0/(i+1)`` for
-    integer i >= 2; the lattice is scanned up to ``i_max``.  Everything
-    else inside the window is only potentially degenerate: floating point
-    cannot certify that the ratio beta/rho0 avoids all rationals.
+    integer i >= 2; the lattice is scanned up to ``_SAFE_REGION_I_MAX``.
+    Everything else inside the window is only potentially degenerate:
+    floating point cannot certify that the ratio beta/rho0 avoids all
+    rationals.
     """
     if rho0 <= 0.0:
         raise DomainError("depth must be positive")
-    if tol is None:
-        tol = 1e-9 * (1.0 + rho0)
+    tol = 1e-9 * (1.0 + rho0)
     inside_window = -rho0 / 3.0 - tol <= beta < 0.0
     if not inside_window:
         return SafeRegionResult(SafeRegionKind.SAFE)
     i_near = int(round(-rho0 / beta)) - 1
     for i in (i_near - 1, i_near, i_near + 1):
-        if 2 <= i <= i_max and abs(beta + rho0 / (i + 1)) <= tol:
+        if 2 <= i <= _SAFE_REGION_I_MAX and abs(beta + rho0 / (i + 1)) <= tol:
             return SafeRegionResult(SafeRegionKind.DEGENERATE_AT, i)
     return SafeRegionResult(SafeRegionKind.POTENTIALLY_DEGENERATE)
 
@@ -333,10 +330,10 @@ class _CallTable:
     __slots__ = ("ics", "branch_sets")
 
     def __init__(self):
-        # (profile, angle, sign of the angle, order) -> IC: exact angles,
-        # and 0.0 and -0.0 are two
+        # (profile, angle, sign of the angle) -> IC: exact angles, and 0.0
+        # and -0.0 are two
         self.ics: dict[tuple, CriticalIC | DepthRecError] = {}
-        # id(IC) -> (IC, {(order, tol_deg): branches}); the IC is kept so
+        # id(IC) -> (IC, {order: branches}); the IC is kept so
         # that its id is not reused while the table lives
         self.branch_sets: dict[int, tuple[CriticalIC, dict]] = {}
 
@@ -387,18 +384,17 @@ def _built(memo: dict, key, build):
     return entry
 
 
-def critical_ic(u: ModulusModel, theta0: float, order: int = DEFAULT_ORDER) -> CriticalIC:
-    """:meth:`CriticalIC.from_modulus`, built once per exact angle and order
-    in the running public solver call."""
+def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
+    """:meth:`CriticalIC.from_modulus` at :data:`DEFAULT_ORDER`, built once
+    per exact angle in the running public solver call."""
     table = _open_table()
     if table is None:
-        return CriticalIC.from_modulus(u, theta0, order)
-    key = (u, theta0, math.copysign(1.0, theta0), order)
-    return _built(table.ics, key, lambda: CriticalIC.from_modulus(u, theta0, order))
+        return CriticalIC.from_modulus(u, theta0)
+    key = (u, theta0, math.copysign(1.0, theta0))
+    return _built(table.ics, key, lambda: CriticalIC.from_modulus(u, theta0))
 
 
-def branches_at(ic: CriticalIC, order: int = DEFAULT_ORDER,
-                tol_deg: float | None = None) -> list[TaylorBranch]:
+def branches_at(ic: CriticalIC, order: int = DEFAULT_ORDER) -> list[TaylorBranch]:
     """All analytic branches through a critical IC (two, or one at a double
     root), smaller curvature root first, expanded to ``order`` or to the IC's
     jet order if that is lower (a sampled profile's jet stops at 2).
@@ -406,13 +402,13 @@ def branches_at(ic: CriticalIC, order: int = DEFAULT_ORDER,
     Built once per IC and order in the running public solver call."""
     table = _open_table()
     if table is None:
-        return _expand_branches(ic, order, tol_deg)
+        return _expand_branches(ic, order)
     _ic, sets = table.branch_sets.setdefault(id(ic), (ic, {}))
-    return list(_built(sets, (order, tol_deg), lambda: _expand_branches(ic, order, tol_deg)))
+    return list(_built(sets, order, lambda: _expand_branches(ic, order)))
 
 
-def _expand_branches(ic: CriticalIC, order: int, tol_deg: float | None) -> list[TaylorBranch]:
+def _expand_branches(ic: CriticalIC, order: int) -> list[TaylorBranch]:
     b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
     betas = [b1] if abs(b2 - b1) <= 1e-12 * (1.0 + ic.rho0) else [b1, b2]
     order = min(order, ic.u_jet.order)
-    return [expand_branch(ic, b, order, tol_deg) for b in betas]
+    return [expand_branch(ic, b, order) for b in betas]

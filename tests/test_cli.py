@@ -193,16 +193,46 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_config_rejects_tol_bvp(tmp_path, capsys):
-    # no subcommand reads a BVP tolerance, so the key must not be accepted silently
-    cfg = tmp_path / "bvp.cfg"
-    cfg.write_text("tol_bvp = 1e-9\n")
-    with pytest.raises(SystemExit, match="unknown key 'tol_bvp'"):
-        _load_config(str(cfg))
-    capsys.readouterr()
-    assert main(["maximal", "--config", str(cfg), "--u", "1",
-                 "--domain", "0", "1"]) == 2
-    err = capsys.readouterr().err
-    assert f"config {cfg}:1: unknown key 'tol_bvp'" in err
+    # rtol and atol are the only tolerances a caller sets; the solver's
+    # other tolerances are constants, so their keys must not be accepted
+    # silently
+    for key, value in (("tol_bvp", "1e-9"), ("tol_contact", "1e-9"), ("tol_floor", "1e-9"),
+                       ("series_radius", "0.1"), ("taylor_order", "12")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit, match=f"unknown key '{key}'"):
+            _load_config(str(cfg))
+        capsys.readouterr()
+        assert main(["maximal", "--config", str(cfg), "--u", "1",
+                     "--domain", "0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"config {cfg}:1: unknown key '{key}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--series-radius", "0.1"],
+    ["maximal", "--taylor-order", "12"],
+    ["maximal", "--tol-contact", "1e-9"],
+    ["maximal", "--tol-floor", "1e-9"],
+    ["critical", "--grid", "512"],
+])
+def test_removed_tuning_flags_exit_2(argv, capsys):
+    assert main(argv + ["--u", "1", "--domain", "0", "1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flag_prefix_is_a_usage_error_not_a_config_override(tmp_path, capsys):
+    # a prefix of --max-switches would be missed by the scan for explicit
+    # flags, so the config value would win over it: prefixes are refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_switches = 0\n")
+    argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5",
+            "--config", str(cfg)]
+    assert main(argv + ["--max-sw", "2"]) == 2
+    assert "unrecognized arguments: --max-sw" in capsys.readouterr().err
+    out = tmp_path / "full.json"
+    assert main(argv + ["--max-switches", "2", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["solutions"]) == 3
 
 
 def test_plot_svg_structure(tmp_path):

@@ -40,7 +40,7 @@ UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 LINE = ClosedFormModulus("25/cos(theta)^4", (-1.2, 1.2))
 
 
-def oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts) -> None:
+def oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet) -> None:
     """Node output as it was before the interior nodes were filled in one
     pass: each interpolated interior node, its slope from ``fjet``, then
     the step end."""
@@ -48,7 +48,7 @@ def oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts) -> None:
     if width == 0.0:
         return
     curvature = abs(f1 - f0) / width
-    h_lin = math.sqrt(8.0 * opts.interp_tol / max(curvature, 1e-9))
+    h_lin = math.sqrt(8.0 * ivp_mod._INTERP_TOL / max(curvature, 1e-9))
     n_sub = min(64, max(1, int(math.ceil(width / h_lin))))
     for j in range(1, n_sub):
         tau = t0 + (t1 - t0) * j / n_sub
@@ -89,18 +89,18 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         return field(u.value(t), y)
 
     def contact_tol(u_t):
-        return opts.tol_contact * (1.0 + abs(u_t))
+        return ivp_mod._TOL_CONTACT * (1.0 + abs(u_t))
 
     t, y = ic.theta0, ic.rho0
     u_t = u.value(t)
-    _regular_margin(ic, u_t, opts)
+    _regular_margin(ic, u_t)
     ts = [t]
     ys = [y]
     fs = [field(u_t, y)]
     termination = None
 
     f_t = fs[0]
-    h = min(opts.h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
+    h = min(ivp_mod._H_MAX, max(1e-6 * span, abs(t_end - t) * 0.01))
     rejects = 0
     stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
@@ -111,11 +111,11 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
 
     while termination is None:
         steps += 1
-        if steps > opts.max_steps:
+        if steps > ivp_mod._MAX_STEPS:
             termination = Termination(TerminationKind.STEP_FAILURE, t,
-                                      f"step budget {opts.max_steps} exhausted")
+                                      f"step budget {ivp_mod._MAX_STEPS} exhausted")
             break
-        h = min(h, opts.h_max, abs(t_end - t))
+        h = min(h, ivp_mod._H_MAX, abs(t_end - t))
         h_floor = 1e-15 * max(1.0, abs(t))
         if h <= h_floor:
             if abs(t_end - t) <= h_floor:
@@ -180,8 +180,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
             return known[tt]
 
         event = None
-        if y5 <= opts.tol_floor:
-            tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - opts.tol_floor,
+        if y5 <= ivp_mod._TOL_FLOOR:
+            tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - ivp_mod._TOL_FLOOR,
                                 t, t_new)
             event = (tau, TerminationKind.FLOOR_CONTACT)
         g_new = u_new - y5 * y5
@@ -197,7 +197,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
         if event is not None:
             tau, kind = event
             y_tau = _hermite(t, y, f_t, t_new, y5, k6, tau)
-            emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, field(uval(tau), y_tau), ffield, opts)
+            emit_nodes(ts, ys, fs, t, y, f_t, tau, y_tau, field(uval(tau), y_tau), ffield)
             if kind is TerminationKind.CONTACT:
                 # land the final node exactly on the bound at the critical
                 # point (tangential contacts); transversal ones keep tau
@@ -221,17 +221,17 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None,
             handoff_theta_tried = t_new
             # called outside any public solver call, so each attempt builds its
             # IC and branches afresh: the solve as it was before they were shared
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, opts)
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c = snap
-                emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+                emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield)
                 ts.extend(snap_ts)
                 ys.extend(snap_ys)
                 fs.extend(snap_fs)
                 termination = Termination(TerminationKind.CONTACT, theta_c)
                 break
 
-        emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield, opts)
+        emit_nodes(ts, ys, fs, t, y, f_t, t_new, y5, k6, ffield)
         t, y, f_t, u_t = t_new, y5, k6, u_new
         if abs(t - t_end) <= 1e-15 * max(1.0, abs(t_end)):
             termination = Termination(TerminationKind.DOMAIN_END, t)
@@ -336,9 +336,9 @@ def test_non_crossing_same_sign():
     assert np.all(gap > 0)
 
 
-def test_interp_density_supports_linear_interpolation():
-    opts = IntegrationOptions(interp_tol=1e-8)
-    piece = solve_regular(UNIT, RegularIC(0.0, 0.5), +1, "forward", opts)
+def test_interp_density_supports_linear_interpolation(monkeypatch):
+    monkeypatch.setattr(ivp_mod, "_INTERP_TOL", 1e-8)
+    piece = solve_regular(UNIT, RegularIC(0.0, 0.5), +1, "forward")
     mids = (piece.thetas[:-1] + piece.thetas[1:]) / 2
     lin = (piece.rhos[:-1] + piece.rhos[1:]) / 2
     truth = np.sin(mids + math.pi / 6)
@@ -501,8 +501,8 @@ def test_series_leg_runs_the_fixed_handoff_distance(monkeypatch):
                                            (lo, hi)))
     branch = max(taylor_mod.branches_at(CriticalIC.from_modulus(u, 1.0)), key=lambda b: b.beta)
     assert branch.beta == pytest.approx(2.88)
-    opts = IntegrationOptions()
-    assert 1.0 / 12.0 < 2 * opts.series_radius
+    radius = ivp_mod._SERIES_RADIUS
+    assert 1.0 / 12.0 < 2 * radius
     starts = []
     solve = ivp_mod.solve_regular
 
@@ -513,13 +513,13 @@ def test_series_leg_runs_the_fixed_handoff_distance(monkeypatch):
     monkeypatch.setattr(ivp_mod, "solve_regular", spy)
     for side, room in ((+1, hi - 1.0), (-1, 1.0 - lo)):
         starts.clear()
-        piece = branch_to_piece(u, branch, side, opts)
-        assert [ic.theta0 for ic in starts] == [1.0 + side * min(opts.series_radius, room)]
+        piece = branch_to_piece(u, branch, side)
+        assert [ic.theta0 for ic in starts] == [1.0 + side * min(radius, room)]
         assert starts[0].rho0 == taylor_mod.eval_series(branch, starts[0].theta0)[0]
         assert piece.termination.kind is TerminationKind.DOMAIN_END
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        taylor_mod.eval_series(branch, 1.0 - 2 * opts.series_radius)
+        taylor_mod.eval_series(branch, 1.0 - 2 * radius)
 
 
 def test_roundtrip_smooth_depth():
@@ -579,7 +579,7 @@ def assert_matches_oracle(u, ic, sign, direction, opts=None):
     interior = []
     with counting_reads(u) as (want_calls, _):
 
-        def emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet, opts):
+        def emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, fjet):
             def interior_field(t, y):
                 interior.append(t)
                 mark = len(want_calls)
@@ -587,7 +587,7 @@ def assert_matches_oracle(u, ic, sign, direction, opts=None):
                 del want_calls[mark:]   # an interior node's read, not a step's
                 return slope
 
-            oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, interior_field, opts)
+            oracle_emit_nodes(ts, ys, fs, t0, y0, f0, t1, y1, f1, interior_field)
 
         _, want = _solve_outcome(generic_solve_regular, u, ic, sign, direction, opts,
                                  emit_nodes)
@@ -699,9 +699,9 @@ def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):
     assert len(attempts) > len(built)
 
 
-def test_oracle_step_budget_failure():
-    opts = IntegrationOptions(max_steps=5)
-    piece = assert_matches_oracle(UNIT, RegularIC(0.0, 0.5), +1, "forward", opts)
+def test_oracle_step_budget_failure(monkeypatch):
+    monkeypatch.setattr(ivp_mod, "_MAX_STEPS", 5)
+    piece = assert_matches_oracle(UNIT, RegularIC(0.0, 0.5), +1, "forward")
     assert piece.termination == Termination(TerminationKind.STEP_FAILURE, piece.theta_end,
                                             "step budget 5 exhausted")
 
@@ -858,12 +858,11 @@ def test_stop_theta_behind_the_ic_raises(direction, stop):
 def test_transversal_contact_is_not_snapped_onto_a_distant_critical_point():
     # the minimum of U lies 0.1075 behind the contact: no node is appended on
     # it, so nothing is continued from a point the trajectory never reached
-    opts = IntegrationOptions()
-    piece = solve_regular(BUMP, BUMP_IC, +1, "backward", opts)
+    piece = solve_regular(BUMP, BUMP_IC, +1, "backward")
     assert piece.termination.kind is TerminationKind.CONTACT
     assert piece.termination.theta == pytest.approx(2.12263, abs=1e-5)
     assert piece.thetas[0] == piece.termination.theta
-    assert np.max(np.diff(piece.thetas)) <= opts.h_max + 1e-12
+    assert np.max(np.diff(piece.thetas)) <= ivp_mod._H_MAX + 1e-12
 
 
 def test_no_continuation_through_a_transversal_contact():
@@ -907,13 +906,13 @@ def test_tableau_order_conditions():
         assert abs(float(tree - Fraction(1, 6))) <= tol
 
 
-def test_eval_error_part_way_ends_in_step_failure():
+def test_eval_error_part_way_ends_in_step_failure(monkeypatch):
     # from the edge of the evaluable region every stage fails; 61 halvings
     # of a 1e4 step stay above the minimum step, so the budget of rejected
     # attempts ends the piece, with the profile's own error text
     u = ClosedFormModulus("9 + sqrt(1 - theta)", (0.0, 1e6))
-    opts = IntegrationOptions(h_max=1e4)
-    piece = assert_matches_oracle(u, RegularIC(1.0, 1.0), +1, "forward", opts)
+    monkeypatch.setattr(ivp_mod, "_H_MAX", 1e4)
+    piece = assert_matches_oracle(u, RegularIC(1.0, 1.0), +1, "forward")
     with pytest.raises(EvalError) as last_failure:
         u.value(1.0 + _TSIT5_C[1] * (1e4 * 0.5 ** 60))
     assert piece.termination == Termination(TerminationKind.STEP_FAILURE, 1.0,

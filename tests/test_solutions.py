@@ -17,7 +17,7 @@ from depthrec.errors import (
     DepthRecError, InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
     OutsideCone,
 )
-from depthrec.ivp import IntegrationOptions, RegularIC, residual
+from depthrec.ivp import RegularIC, residual
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.reports import read_u_csv
@@ -124,7 +124,7 @@ def test_enumeration_continues_only_from_points_the_trajectory_reached():
         (0.2, 2.9)))
     sols = enumerate_branches(u, RegularIC(2.1478438705601617, 2.635042218202635))
     assert len(sols) == 3
-    h_max = IntegrationOptions().h_max
+    h_max = ivp_mod._H_MAX
     assert all(np.max(np.diff(sol.thetas)) <= h_max + 1e-12 for sol in sols)
 
 
@@ -181,7 +181,7 @@ def test_bvp_trig_profile_mismatch():
     cs = find_critical_points(u)
     assert len(cs.points) >= 3
     a, b = cs.points[0], cs.points[1]
-    piece = solve_bvp_between_criticals(u, a, b, tol_bvp=1e-8)
+    piece = solve_bvp_between_criticals(u, a, b)
     assert residual(piece, u) < 1e-8 * (1 + u.scale)
     assert piece.rhos[0] == pytest.approx(a.depth, abs=1e-8)
     assert piece.rhos[-1] == pytest.approx(b.depth, abs=1e-8)
@@ -197,7 +197,7 @@ def test_bvp_steep_maximum_has_no_touching_solution():
     a, b = cs.points[0], cs.points[1]
     assert b.depth ** 2 + 2 * b.u_jet[2] < 0
     with pytest.raises(NoSolution):
-        solve_bvp_between_criticals(u, a, b, tol_bvp=1e-8)
+        solve_bvp_between_criticals(u, a, b)
 
 
 # a cli-workload depth (seed 1); read back from the CSV of ``depthrec
@@ -217,7 +217,7 @@ def test_bvp_link_is_its_launch_branch_hit_or_miss(tmp_path, capsys):
     pts = find_critical_points(u).points
     i = next(i for i, p in enumerate(pts) if abs(p.theta - 0.33973) < 1e-4)
     assert pts[i].kind is CriticalKind.MINIMUM
-    radius = IntegrationOptions().series_radius
+    radius = ivp_mod._SERIES_RADIUS
     for left, right, side in ((pts[i - 1], pts[i], -1), (pts[i], pts[i + 1], +1)):
         with pytest.raises(NoSolution) as err:
             solve_bvp_between_criticals(u, left, right)
@@ -313,7 +313,7 @@ def test_maximal_parabola_is_upper_branch():
 def test_maximal_three_bump_recovers_tangent_solution():
     sol = maximal_solution(THREE_BUMP)
     assert solution_max_error(sol, three_bump_depth) < 1e-6
-    rep = c1_check(sol, tol=1e-8)
+    rep = c1_check(sol)
     assert rep.ok
     cs = find_critical_points(THREE_BUMP)
     for p in cs.points:
@@ -473,7 +473,7 @@ def test_c1_check_flags_mismatch():
     b = SolutionPiece(-1, th2, np.full_like(th2, 1.001), np.zeros_like(th2),
                       Termination(TerminationKind.DOMAIN_END, 1.0), "forward")
     sol = stitch([a, b])
-    rep = c1_check(sol, tol=1e-8)
+    rep = c1_check(sol)
     assert not rep.ok
     assert not sol.c1
 
@@ -521,9 +521,9 @@ def builds(monkeypatch):
         jets.append((theta, order))
         return jet(self, theta, order)
 
-    def counting_expand(ic, beta, order=taylor_mod.DEFAULT_ORDER, tol_deg=None):
+    def counting_expand(ic, beta, order=taylor_mod.DEFAULT_ORDER):
         branches.append((ic.theta0, beta, order))
-        return expand(ic, beta, order, tol_deg)
+        return expand(ic, beta, order)
 
     monkeypatch.setattr(ClosedFormModulus, "jet", counting_jet)
     monkeypatch.setattr(taylor_mod, "expand_branch", counting_expand)

@@ -192,11 +192,10 @@ def test_eval_series_parabola_residual():
 # sums, solved for the n-th derivative.  The coefficient recursion must give
 # the same status and free index, and the same series to roundoff.
 
-def oracle_expand_branch(ic, beta, order, tol_deg=None):
+def oracle_expand_branch(ic, beta, order):
     """``(derivs, status, free_index, consistency_residual)``, the residual in
     derivative units."""
-    if tol_deg is None:
-        tol_deg = 1e-9 * (1.0 + ic.rho0)
+    tol_deg = 1e-9 * (1.0 + ic.rho0)
     work = np.zeros(order + 2)
     work[0] = ic.rho0
     work[2] = beta
@@ -232,13 +231,13 @@ def oracle_eval_series(derivs, h):
 TINY = np.finfo(float).tiny
 
 
-def assert_matches_oracles(ic, beta, order, tol_deg=None, offsets=(0.0,)):
+def assert_matches_oracles(ic, beta, order, offsets=(0.0,)):
     """The same status and free index as the derivative recursion, and each
     value and slope of the series within 1e-12 of the sum of the magnitudes
     of its terms there."""
     with np.errstate(all="ignore"):
-        got = expand_branch(ic, beta, order, tol_deg)
-        derivs, status, free_index, residual = oracle_expand_branch(ic, beta, order, tol_deg)
+        got = expand_branch(ic, beta, order)
+        derivs, status, free_index, residual = oracle_expand_branch(ic, beta, order)
     assert (got.status, got.free_index) == (status, free_index)
     if status is BranchStatus.DEGENERATE:
         assert got.consistency_residual == pytest.approx(
@@ -288,16 +287,15 @@ def critical_seeds(draw):
         st.sampled_from(roots) if roots else st.nothing(),
         st.integers(3, 24).map(lambda n: -rho0 / n),
         st.floats(-2.0 * rho0, rho0)))
-    tol_deg = draw(st.sampled_from([None, 1e-6]))
     offsets = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
-    return ic, beta, order, tol_deg, offsets
+    return ic, beta, order, offsets
 
 
 @settings(max_examples=300, deadline=None)
 @given(critical_seeds())
 def test_branch_matches_derivative_oracle(seed):
-    ic, beta, order, tol_deg, offsets = seed
-    assert_matches_oracles(ic, beta, order, tol_deg, offsets)
+    ic, beta, order, offsets = seed
+    assert_matches_oracles(ic, beta, order, offsets)
 
 
 @settings(max_examples=200, deadline=None)
