@@ -215,8 +215,10 @@ class UpperBoundReport:
     ok: bool
 
 
-def upper_bound_check(solution, u: ModulusModel, tol: float | None = None) -> UpperBoundReport:
-    """Verify ``rho <= sqrt(U) + tol`` at every node of a solution.
+def upper_bound_check(solution, u: ModulusModel) -> UpperBoundReport:
+    """Verify ``rho <= sqrt(U) + tol`` at every node of a solution, where
+    ``tol`` is 1e-8 times one plus the largest bound read at every
+    ``len(thetas) // 64``-th node.
 
     Accepts anything exposing ``thetas``/``rhos`` arrays (single pieces and
     stitched solutions both do).  Near-equality nodes are reported as
@@ -224,10 +226,9 @@ def upper_bound_check(solution, u: ModulusModel, tol: float | None = None) -> Up
     """
     thetas = np.asarray(solution.thetas, dtype=float)
     rhos = np.asarray(solution.rhos, dtype=float)
-    if tol is None:
-        # U is clamped: never below 0
-        bound_max = max(np.sqrt(u.value_grid(thetas[:: max(1, len(thetas) // 64)])).tolist())
-        tol = 1e-8 * (1.0 + bound_max)
+    # U is clamped: never below 0
+    bound_max = max(np.sqrt(u.value_grid(thetas[:: max(1, len(thetas) // 64)])).tolist())
+    tol = 1e-8 * (1.0 + bound_max)
     invalid = np.zeros(thetas.shape, dtype=bool)
     try:
         uvals = u.value_grid(thetas)

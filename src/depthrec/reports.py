@@ -7,6 +7,16 @@ comes from a direct writer whose bytes equal those of
 included); ``json.dumps`` cannot use its C encoder with an indent, and its
 pure-Python one costs about twice as much.  Writes go through a temp file
 plus rename so readers never see partial output.
+
+Float formatting is most of the JSON writer's time.  Within one report
+each list whose items are all exactly ``float`` is formatted once per
+nesting depth and its text reused: ``enumerate`` pairs every left path
+with every right path, so one report repeats each shared node column in
+several solutions.  The memo is keyed by the list's IEEE bytes, which tell
+``-0.0`` from ``0.0``; only exact floats are keyed, because ``1`` and
+``True`` pack to the bytes of ``1.0`` but are written ``1`` and ``true``.
+It lives for one ``report_json_text`` call, so concurrent writers share
+nothing.  ``u.csv`` is formatted by one ``%`` over all its cells.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import io
 import math
 import os
 import tempfile
+from array import array
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -56,10 +67,9 @@ def atomic_write_text(path: str, text: str) -> None:
 def u_csv_text(u: ModulusModel, samples: int = 501) -> str:
     lo, hi = u.domain
     thetas = np.linspace(lo, hi, samples)
-    lines = ["theta,u"]
-    for th, val in zip(thetas.tolist(), u.value_grid(thetas).tolist()):
-        lines.append(f"{format_float(th)},{format_float(val)}")
-    return "\n".join(lines) + "\n"
+    # "%.17g" writes what format_float writes; the rows interleave theta and U
+    cells = np.column_stack([thetas, u.value_grid(thetas)]).ravel().tolist()
+    return "theta,u\n" + ("%.17g,%.17g\n" * samples) % tuple(cells)
 
 
 def read_u_csv(path: str) -> SampledModulus:
@@ -229,9 +239,10 @@ def empty_report() -> dict:
             "solutions": []}
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str, memo: dict) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
-    at nesting ``indent``; dict keys must be strings."""
+    at nesting ``indent``; dict keys must be strings.  ``memo`` maps
+    ``(indent, bytes)`` of each all-float list written so far to its text."""
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -255,23 +266,26 @@ def _json(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # node tables are long float lists: one join when every item is a
-        # finite float (a finite float's repr holds no "n", "nan" and "inf" do)
-        try:
+        if set(map(type, value)) != {float}:
+            body = sep.join([_json(v, inner, memo) for v in value])
+            return f"[\n{inner}{body}\n{indent}]"
+        key = (indent, array("d", value).tobytes())
+        text = memo.get(key)
+        if text is None:
+            # one join; a finite float's repr holds no "n", "nan" and "inf" do
             body = sep.join(map(float.__repr__, value))
-        except TypeError:
-            body = None
-        if body is None or "n" in body:
-            body = sep.join([_json(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{indent}]"
+            if "n" in body:
+                body = sep.join([_json(v, inner, memo) for v in value])
+            text = memo[key] = f"[\n{inner}{body}\n{indent}]"
+        return text
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join([f"{_json_str(k)}: {_json(v, inner)}"
+        body = sep.join([f"{_json_str(k)}: {_json(v, inner, memo)}"
                          for k, v in sorted(value.items())])
         return f"{{\n{inner}{body}\n{indent}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_json_text(report: dict) -> str:
-    return _json(report, "") + "\n"
+    return _json(report, "", {}) + "\n"

@@ -264,7 +264,8 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
     truncated (their last piece still ends in a contact termination).
 
     With no IC, a deterministic fan of regular ICs is sampled for
-    illustration; the full solution set is dense and not enumerable.
+    illustration, each enumerated up to ``max_switches``; the full solution
+    set is dense and not enumerable.
     """
     opts = opts or IntegrationOptions()
     if ic is None:
@@ -276,8 +277,8 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
             bound = math.sqrt(max(u.value(th), 0.0))
             rho = float(rng.uniform(0.3, 0.9)) * bound
             try:
-                out.extend(enumerate_branches(u, RegularIC(th, rho), max_switches=1,
-                                              opts=opts))
+                out.extend(enumerate_branches(u, RegularIC(th, rho),
+                                              max_switches=max_switches, opts=opts))
             except (NotRegular, NoSolution):
                 continue
         return out
@@ -289,26 +290,25 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
     for ode_sign in (+1, -1):
         lefts = _seed_paths(u, ic, ode_sign, "backward", max_switches, opts)
         rights = _seed_paths(u, ic, ode_sign, "forward", max_switches, opts)
+        # every path of one side starts with that side's seed piece, so the
+        # solutions of this sign share one seam through the IC
+        (lfirst, _), (rfirst, _) = lefts[0], rights[0]
+        seam = _merge_adjacent(lfirst[0], rfirst[0]) if lfirst and rfirst else None
         for lpieces, lused in lefts:
             for rpieces, rused in rights:
                 if lused + rused > max_switches:
                     continue
-                solutions.append(_assemble_two_sided(lpieces, rpieces))
+                solutions.append(_assemble_two_sided(lpieces, rpieces, seam))
     return solutions
 
 
-def _assemble_two_sided(left_path: list[SolutionPiece],
-                        right_path: list[SolutionPiece]) -> PiecewiseSolution:
-    """Stitch a backward extension path and a forward one at the seed IC."""
-    left = list(reversed(left_path))
-    right = list(right_path)
-    if left and right:
-        seam_left, seam_right = left[-1], right[0]
-        merged = _merge_adjacent(seam_left, seam_right)
-        pieces = left[:-1] + [merged] + right[1:]
-    else:
-        pieces = left + right
-    return stitch(pieces)
+def _assemble_two_sided(left_path: list[SolutionPiece], right_path: list[SolutionPiece],
+                        seam: SolutionPiece | None) -> PiecewiseSolution:
+    """Stitch a backward extension path and a forward one at the seed IC;
+    ``seam`` is their two seed pieces merged into one."""
+    if left_path and right_path:
+        return stitch(left_path[:0:-1] + [seam] + right_path[1:])
+    return stitch(left_path[::-1] + right_path)
 
 
 def _enumerate_from_critical(u: ModulusModel, ic: CriticalIC, max_switches: int,

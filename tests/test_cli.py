@@ -246,6 +246,16 @@ def test_plot_svg_structure(tmp_path):
     assert "<path" in text and "<circle" in text
 
 
+@pytest.mark.parametrize("max_switches,most_pieces", [("0", 1), ("1", 2)])
+def test_fan_keeps_the_switch_budget(tmp_path, max_switches, most_pieces):
+    # without --ic each sampled IC is enumerated with the caller's budget
+    out = tmp_path / "fan.json"
+    assert main(["enumerate", "--u", "1", "--domain", "0", "1.5",
+                 "--max-switches", max_switches, "--out", str(out)]) == 0
+    sols = json.loads(out.read_text())["solutions"]
+    assert max(len(sol["pieces"]) for sol in sols) == most_pieces
+
+
 def test_enumerate_csv_dir(tmp_path):
     csv_dir = tmp_path / "sols"
     code = main(["enumerate", "--u", "1", "--domain", "0", "1.5707963267948966",

@@ -221,7 +221,8 @@ def test_upper_bound_check_violation():
 
 
 def upper_bound_check_oracle(solution, u, tol=None):
-    """``upper_bound_check`` as it was, reading U node by node."""
+    """``upper_bound_check`` as it was, reading U node by node.  A ``tol``
+    of None derives the tolerance from U, as the check does."""
     thetas = np.asarray(solution.thetas, dtype=float)
     rhos = np.asarray(solution.rhos, dtype=float)
     if tol is None:
@@ -242,9 +243,9 @@ def upper_bound_check_oracle(solution, u, tol=None):
     return violations, contacts, not violations
 
 
-def check_outcome(check, solution, u, tol):
+def check_outcome(check, solution, u):
     try:
-        rep = check(solution, u, tol)
+        rep = check(solution, u)
     except (EvalError, InvalidModulus, DomainError, ValueError) as exc:
         return type(exc), str(exc)
     if not isinstance(rep, tuple):
@@ -261,14 +262,14 @@ def check_outcome(check, solution, u, tol):
     ("9 + sqrt(1 - theta)", 0.0, 2.0, "ones"),  # fails past theta = 1
     ("1", 0.0, 1.0, "empty"),
 ])
-@pytest.mark.parametrize("tol", [None, 1e-3])
+@pytest.mark.parametrize("tol", [None])   # the oracle's tolerance: the check's own
 def test_upper_bound_check_matches_node_loop(text, lo, hi, rho, tol):
     u = ClosedFormModulus(text, (lo, hi))
     th = np.linspace(lo, hi, 0 if rho == "empty" else 301)
     rhos = {"cos": np.cos(th), "ones": np.ones_like(th), "empty": th}[rho]
     sol = SimpleNamespace(thetas=th, rhos=rhos)
-    assert check_outcome(upper_bound_check, sol, u, tol) == \
-        check_outcome(upper_bound_check_oracle, sol, u, tol)
+    assert check_outcome(upper_bound_check, sol, u) == \
+        check_outcome(lambda s, u: upper_bound_check_oracle(s, u, tol), sol, u)
 
 
 def test_scan_raises_where_the_derivative_is_not_finite():

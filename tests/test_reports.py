@@ -9,6 +9,8 @@ import csv
 import json
 import math
 import re
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,8 +61,15 @@ _TREES = st.recursive(
 @example([1.0, math.nan, -0.0, 5e-324, math.inf, -math.inf])
 @example([True, 1.5, None, "\x00é\U0001f600", 10 ** 30])
 @example({"b": 1, "a": [0.1, 0.2], "é": "\n\t\"\\", "A": None})
+# the memo of all-float lists: ints and bools pack to the bytes of floats,
+# -0.0 and 0.0 do not, NaN lists repeat, and one list sits at two depths
+@example({"a": [1.0, 2.0], "b": [1, 2]})
+@example([[0.0], [-0.0]])
+@example([[1.0, math.nan], [1.0, math.nan]])
+@example([[True], [1.0]])
+@example([[0.5, 1.5], [[0.5, 1.5]], [0.5, 1.5]])
 def test_json_writer_equals_json_dumps(tree):
-    assert _json(tree, "") == _dumps(tree)
+    assert _json(tree, "", {}) == _dumps(tree)
     assert report_json_text({"payload": tree, "other": [tree]}) == \
         _dumps({"payload": tree, "other": [tree]}) + "\n"
 
@@ -90,11 +99,14 @@ def _first_critical(path: str, tmp_path) -> float:
     return json.loads(out.read_text())["criticals"]["points"][0]["theta"]
 
 
-@pytest.mark.parametrize("command", ["critical", "maximal", "enumerate", "cone",
+@pytest.mark.parametrize("command", ["critical", "maximal", "enumerate",
+                                     "enumerate --max-switches 2", "cone",
                                      "branch", "validate"])
 def test_json_writer_on_real_reports(command, sampled_profile, tmp_path, monkeypatch):
     extra = {
         "enumerate": ["--ic", "0.5", "2.0", "--max-switches", "1"],
+        # solutions that share pieces, so the report repeats node columns
+        "enumerate --max-switches 2": ["--ic", "1.0", "2.0", "--max-switches", "2"],
         "cone": ["--sample", "1.0", "2.0"],
         "branch": ["--theta0", repr(_first_critical(sampled_profile, tmp_path)),
                    "--order", "2"],
@@ -107,9 +119,50 @@ def test_json_writer_on_real_reports(command, sampled_profile, tmp_path, monkeyp
 
     monkeypatch.setattr(cli, "report_json_text", recording)
     out = tmp_path / "report.json"
-    assert main([command, "--u-csv", sampled_profile, *extra, "--out", str(out)]) == 0
+    assert main([command.split()[0], "--u-csv", sampled_profile, *extra,
+                 "--out", str(out)]) == 0
     [report] = reports
     assert out.read_text() == _dumps(report) + "\n"
+    if command == "enumerate --max-switches 2":
+        columns = [tuple(piece["nodes"][key]) for sol in report["solutions"]
+                   for piece in sol["pieces"] for key in ("theta", "rho", "drho")]
+        assert len(set(columns)) < len(columns)
+
+
+def test_json_writers_in_threads_match_serial_runs():
+    # four reports, each with columns repeated within it and shared with the
+    # others, written at once by four threads
+    rng = np.random.default_rng(5)
+    shared = rng.normal(size=300).tolist()
+    reports = []
+    for i in range(4):
+        own = rng.normal(size=200 + 50 * i).tolist()
+        reports.append({"solutions": [{"rho": own, "theta": shared, "i": i},
+                                      {"rho": shared, "theta": own, "i": [i, 1.0]}],
+                        "again": [own, [own], shared]})
+    serial = [report_json_text(report) for report in reports]
+    barrier = threading.Barrier(4, timeout=60)
+    results = [[] for _ in reports]
+
+    def write(i):
+        barrier.wait()
+        for _ in range(20):
+            results[i].append(report_json_text(reports[i]))
+
+    threads = [threading.Thread(target=write, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for text, runs in zip(serial, results):
+        assert runs == [text] * 20
+    assert serial == [_dumps(report) + "\n" for report in reports]
 
 
 # -- u.csv reader ---------------------------------------------------------------
@@ -280,7 +333,9 @@ _PROFILES = [
 @pytest.mark.parametrize("u", _PROFILES)
 def test_u_csv_text_matches_node_loop(u):
     assert _text_or_error(u_csv_text, u) == _text_or_error(_u_csv_text_oracle, u)
-    assert _text_or_error(u_csv_text, u, 7) == _text_or_error(_u_csv_text_oracle, u, 7)
+    for samples in (0, 1, 2, 7):
+        assert _text_or_error(u_csv_text, u, samples) == \
+            _text_or_error(_u_csv_text_oracle, u, samples)
 
 
 @pytest.mark.parametrize("u", _PROFILES)

@@ -106,6 +106,19 @@ def test_enumerate_no_critical_two_solutions():
         assert len(s.pieces) == 1
 
 
+def test_solutions_of_one_seed_sign_share_the_seam():
+    # the rising seed meets the bound forward of the IC: two solutions
+    # continue from that contact, and both hold the one merged seed piece
+    ic = RegularIC(0.3, 0.9)
+    seams: dict[int, list] = {}
+    for sol in enumerate_branches(UNIT, ic, max_switches=1):
+        [seam] = [p for p in sol.pieces if p.theta_start < ic.theta0 < p.theta_end]
+        seams.setdefault(seam.sign, []).append(seam)
+    assert sorted(map(len, seams.values())) == [1, 2]
+    for group in seams.values():
+        assert all(seam is group[0] for seam in group)
+
+
 def test_enumerate_fan_without_ic():
     sols = enumerate_branches(PARABOLA, None, fan_size=4, seed=1)
     assert len(sols) >= 4
