@@ -39,7 +39,7 @@ from .solutions import (
 )
 from .taylor import (
     BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, SafeRegionResult,
-    TaylorBranch, beta_sign_class, branches_at, check_safe_region, eval_series,
+    TaylorBranch, beta_sign_class, check_safe_region, eval_series,
     expand_branch, recursion_residuals, second_derivative_roots,
 )
 

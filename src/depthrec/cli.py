@@ -23,7 +23,13 @@ flag is a usage error rather than a flag the config scan cannot see.
 
 ``--rtol`` and ``--atol`` (config keys ``rtol`` and ``atol``), the
 stepper's local error tolerances, are the only tolerance flags; every
-other tolerance is a constant of the solver.
+other tolerance is a constant of the solver.  A tolerance that is not
+finite, is negative, or is zero with the other one is a domain error.
+``branch`` reports the series at the critical IC's own order, its jet's:
+20 on a closed form, 2 on a sampled profile.  Count flags are checked by
+their subcommand, whether they come from the command line or a config
+file: ``--samples`` below 4 (a sampled profile needs 4 points) and
+``--max-switches`` below 0 are usage errors.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .solutions import (
     sample_cone_solution,
 )
 from .svg import SvgCurve, SvgMarker, render_svg
-from .taylor import CriticalIC, branches_at
+from .taylor import CriticalIC
 
 CONFIG_KEYS = {
     "domain_lo": float, "domain_hi": float, "u": str, "u_csv": str, "rho": str,
@@ -119,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", parents=[common], allow_abbrev=False,
                        help="analytic branch jets at a critical IC")
     p.add_argument("--theta0", type=float, required=True)
-    p.add_argument("--order", type=int, default=20)
 
     p = sub.add_parser("enumerate", parents=[common], allow_abbrev=False,
                        help="tree of global solutions through an IC")
@@ -195,6 +200,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _at_least(args, key: str, least: int) -> int:
+    """``args.<key>``, a count that a flag or a config key set; a usage
+    error naming the flag below ``least``."""
+    value = getattr(args, key)
+    if value < least:
+        raise SystemExit(f"--{key.replace('_', '-')} must be at least {least}, got {value}")
+    return value
+
+
 def _parse_sign(text: str) -> int:
     return +1 if text in ("+", "+1") else -1
 
@@ -202,13 +216,14 @@ def _parse_sign(text: str) -> int:
 # -- subcommand bodies -------------------------------------------------------
 
 def _cmd_forward(args) -> int:
+    samples = _at_least(args, "samples", 4)
     if not args.rho:
         raise SystemExit("forward requires --rho EXPR")
     lo, hi = _require_domain(args)
     angular = 0.0 <= lo and hi <= math.pi + 1e-12
     rho = DepthFunction.from_text(args.rho, (lo, hi), angular=angular)
     u = from_depth(rho)
-    _emit(args, u_csv_text(u, samples=args.samples))
+    _emit(args, u_csv_text(u, samples=samples))
     return 0
 
 
@@ -243,18 +258,19 @@ def _cmd_solve(args) -> int:
 
 def _cmd_branch(args) -> int:
     u = _load_profile(args)
-    ic = CriticalIC.from_modulus(u, args.theta0, order=args.order)
+    ic = CriticalIC.from_modulus(u, args.theta0)
     report = empty_report()
-    report["branches"] = [branch_payload(b) for b in branches_at(ic, order=args.order)]
+    report["branches"] = [branch_payload(b) for b in ic.branches]
     _emit(args, report_json_text(report))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    max_switches = _at_least(args, "max_switches", 0)
     u = _load_profile(args)
     opts = _integration_options(args)
     ic = RegularIC(args.ic[0], args.ic[1]) if args.ic else None
-    sols = enumerate_branches(u, ic, max_switches=args.max_switches, opts=opts,
+    sols = enumerate_branches(u, ic, max_switches=max_switches, opts=opts,
                               fan_size=args.fan_size, seed=args.seed)
     report = empty_report()
     report["solutions"] = [solution_payload(s) for s in sols]
@@ -314,6 +330,7 @@ def _solution_curve(sol: PiecewiseSolution, color: str, label: str = "",
 
 
 def _cmd_plot(args) -> int:
+    max_switches = _at_least(args, "max_switches", 0)
     u = _load_profile(args)
     opts = _integration_options(args)
     lo, hi = u.domain
@@ -331,7 +348,7 @@ def _cmd_plot(args) -> int:
         pass
     if args.ic:
         sols = enumerate_branches(u, RegularIC(args.ic[0], args.ic[1]),
-                                  max_switches=args.max_switches, opts=opts)
+                                  max_switches=max_switches, opts=opts)
         for i, s in enumerate(sols):
             label = "solutions through IC" if i == 0 else ""
             curves.append(_solution_curve(s, "#4878cf", label))

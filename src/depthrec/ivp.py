@@ -37,8 +37,8 @@ emit point only records each step that needs them, and one pass after the
 loop fills them all in, with U read for all of them in one
 :meth:`~depthrec.modulus.ModulusModel.value_grid` call (dense output after
 the fact; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6).  A
-near-contact series handoff takes its critical IC and branches from the
-table of the public solver call it runs in
+near-contact series handoff takes its critical IC, which holds its
+branches, from the table of the public solver call it runs in
 (:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
 its own is such a call), so successive attempts on one approach, and every
 solve of one call, build them once.  scipy's ``OdeSolver`` steppers are not
@@ -64,8 +64,8 @@ from scipy.interpolate import CubicHermiteSpline
 from .errors import DepthRecError, DomainError, NoContinuation, NotRegular
 from .modulus import ModulusModel
 from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, branches_at, critical_ic, eval_series,
-    one_critical_table, polish_critical,
+    BranchStatus, CriticalIC, TaylorBranch, critical_ic, eval_series, one_critical_table,
+    polish_critical,
 )
 
 __all__ = [
@@ -105,10 +105,24 @@ class RegularIC:
 @dataclass
 class IntegrationOptions:
     """The stepper's local error tolerances, relative and absolute; every
-    other tolerance of the solver is a module constant."""
+    other tolerance of the solver is a module constant.
+
+    Each must be finite and nonnegative, and not both zero: the step
+    controller divides by their weighted sum, and a NaN or negative
+    tolerance would accept every step.  Anything else raises
+    :class:`DomainError` naming the field.
+    """
 
     rtol: float = 1e-10
     atol: float = 1e-12
+
+    def __post_init__(self):
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DomainError(f"{name} must be finite and >= 0, got {value}")
+        if self.rtol == 0.0 and self.atol == 0.0:
+            raise DomainError("rtol and atol must not both be 0")
 
 
 _H_MAX = 0.02              # the longest step
@@ -483,7 +497,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
         return None  # no critical point ahead in the direction of travel
     try:
         ic = critical_ic(u, theta_c)
-        branches = branches_at(ic)
+        branches = ic.branches
     except DepthRecError:  # no usable critical IC here: leave it to the events
         return None
 
@@ -509,12 +523,13 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     return snap_ts, snap_ys, snap_fs, theta_c
 
 
-def _bisect_event(pred, t_ok: float, t_hit: float, iters: int = 80) -> float:
-    """First angle (from t_ok toward t_hit) where ``pred <= 0``."""
+def _bisect_event(pred, t_ok: float, t_hit: float) -> float:
+    """First angle (from t_ok toward t_hit) where ``pred <= 0``, after at
+    most 80 halvings or once a midpoint rounds to an end."""
     if pred(t_ok) <= 0.0:
         return t_ok
     a, b = t_ok, t_hit
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
@@ -743,13 +758,13 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
 def continuation_candidates(ic: CriticalIC, side: int) -> list[tuple[int, TaylorBranch]]:
     """All (walk sign, branch) pairs that can leave a critical IC on ``side``.
 
-    The non-degenerate branches of :func:`branches_at`, smaller curvature
-    root first: each contributes the monotone half matching ``side``, a
-    constant branch the bound-following continuation with the conventional
-    +1 sign.
+    The non-degenerate branches of :attr:`CriticalIC.branches`, smaller
+    curvature root first: each contributes the monotone half matching
+    ``side``, a constant branch the bound-following continuation with the
+    conventional +1 sign.
     """
     return [(+1 if b.status is BranchStatus.CONSTANT_CIRCLE else _half_branch_sign(b, side) * side, b)
-            for b in branches_at(ic)
+            for b in ic.branches
             if b.status is not BranchStatus.DEGENERATE]
 
 

@@ -19,22 +19,24 @@ which vanishes exactly when beta = -rho0/n for an integer n >= 3; those are
 the degenerate cases where the recursion stalls and a one-parameter family
 of series appears.
 
-Every critical point is polished near a guess by :func:`polish_critical`,
-every critical IC is built by :func:`critical_ic` and every branch set by
-:func:`branches_at`; the integrator and the global assembly call these
-three and nothing else for that.  The polish is Newton on U' and U'' read
-from the profile's compiled kernels, not on Taylor-mode jets: it needs two
-derivative values per step, which the kernels give for a fraction of a
-jet's cost.
+Every critical point is polished near a guess by :func:`polish_critical`
+and every critical IC is built by :func:`critical_ic`; its branch set is
+the IC's own, :attr:`CriticalIC.branches`.  The integrator and the global
+assembly use these and nothing else for that.  The polish is Newton on U'
+and U'' read from the profile's compiled kernels, not on Taylor-mode jets:
+it needs two derivative values per step, which the kernels give for a
+fraction of a jet's cost.
 
-A critical IC carries at most two analytic branches, fixed by its angle
-and order, so within one public solver call (each function decorated
-with :func:`one_critical_table`) there is one table of them: an IC is
-built once per profile and exact angle, at :data:`DEFAULT_ORDER`, and its
-branch set once per order.  Calls nested in another share its table; it
+A critical IC carries at most two analytic branches, fixed by its jet, so
+an IC's series order is its jet's: :data:`DEFAULT_ORDER`, or the profile's
+exact capability if that is lower (a sampled profile's jet stops at 2).
+Its branch set is built once, on first use, and kept on the IC.  Within
+one public solver call (each function decorated with
+:func:`one_critical_table`) there is one table of ICs: an IC is built once
+per profile and exact angle.  Calls nested in another share its table; it
 is dropped when the outermost call returns, so nothing is kept from one
-call to the next.
-Outside any such call both builders build afresh each time.
+call to the next.  Outside any such call :func:`critical_ic` builds
+afresh each time.
 
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
@@ -61,8 +63,8 @@ from .series import factorials
 __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "BetaSignClass", "SafeRegionKind",
     "SafeRegionResult", "second_derivative_roots", "beta_sign_class", "expand_branch",
-    "check_safe_region", "eval_series", "recursion_residuals", "branches_at",
-    "polish_critical", "critical_ic", "one_critical_table",
+    "check_safe_region", "eval_series", "recursion_residuals", "polish_critical",
+    "critical_ic", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -88,12 +90,23 @@ class CriticalIC:
             raise DomainError(f"profile slope {self.u_jet[1]} does not vanish here")
 
     @classmethod
-    def from_modulus(cls, u: ModulusModel, theta0: float, order: int = DEFAULT_ORDER) -> "CriticalIC":
-        """Build from a profile, requesting one jet order beyond ``order``
+    def from_modulus(cls, u: ModulusModel, theta0: float) -> "CriticalIC":
+        """Build from a profile, with its jet at :data:`DEFAULT_ORDER`
         (capped at the profile's exact capability for sampled data)."""
-        jet_order = order + 1 if u.max_order is None else min(order + 1, u.max_order)
-        jet = u.jet(theta0, jet_order)
+        order = DEFAULT_ORDER if u.max_order is None else min(DEFAULT_ORDER, u.max_order)
+        jet = u.jet(theta0, order)
         return cls(theta0, math.sqrt(max(jet[0], 0.0)), jet)
+
+    @functools.cached_property
+    def branches(self) -> tuple[TaylorBranch, ...]:
+        """All analytic branches through this IC (two, or one at a double
+        root), smaller curvature root first, expanded to the jet's order.
+
+        Built on first use and kept; a complex discriminant raises
+        :class:`ComplexDiscriminant` on every use."""
+        b1, b2 = second_derivative_roots(self.rho0, self.u_jet[2])
+        betas = (b1,) if abs(b2 - b1) <= 1e-12 * (1.0 + self.rho0) else (b1, b2)
+        return tuple(expand_branch(self, b) for b in betas)
 
 
 class BranchStatus(Enum):
@@ -173,8 +186,9 @@ def beta_sign_class(rho0: float, u2: float) -> BetaSignClass:
     return BetaSignClass.BOTH_NEGATIVE
 
 
-def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER) -> TaylorBranch:
-    """Run the coefficient recursion from one curvature root.
+def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
+    """Run the coefficient recursion from one curvature root, to the order
+    of the IC's jet.
 
     Starts from ``a0 = rho0``, ``a1 = 0`` and ``a2 = beta/2``.  Step n >= 3
     solves the h^n coefficient of ``(rho')^2 + rho^2 = U``,
@@ -186,11 +200,10 @@ def expand_branch(ic: CriticalIC, beta: float, order: int = DEFAULT_ORDER) -> Ta
     marks the branch degenerate with the stalled coefficient reported as
     the free parameter.
     """
-    if ic.u_jet.order < order:
-        raise DomainError(f"profile jet order {ic.u_jet.order} < requested order {order}")
+    order = ic.u_jet.order
     rho0 = ic.rho0
     tol_deg = 1e-9 * (1.0 + rho0)
-    u = (ic.u_jet.coeffs[: order + 1] / factorials(order)).tolist()
+    u = (ic.u_jet.coeffs / factorials(order)).tolist()
 
     a = [rho0, 0.0, 0.5 * beta]
     slope = [0.0, beta]  # slope[k] = (k+1)*a[k+1], the coefficients of rho'
@@ -269,24 +282,22 @@ def eval_series(branch: TaylorBranch, theta: float) -> tuple[float, float]:
     return val * h + a[0], dval
 
 
-def recursion_residuals(branch: TaylorBranch, scaled: bool = True) -> np.ndarray:
+def recursion_residuals(branch: TaylorBranch) -> np.ndarray:
     """Identity defects: the h^n coefficients of ``(rho')^2 + rho^2 - U`` of
     the series, in absolute value, for n = 1 .. order-1.
 
-    With ``scaled`` (the default) each defect is divided by one plus the
-    sum of the magnitudes of the products in that coefficient: they can
-    grow large while cancelling exactly, so the defect of a correct series
-    is roundoff relative to that magnitude, not to 1.
+    Each defect is divided by one plus the sum of the magnitudes of the
+    products in that coefficient: they can grow large while cancelling
+    exactly, so the defect of a correct series is roundoff relative to that
+    magnitude, not to 1.
     """
     a = branch.coeffs
     n = branch.order
     slope = a[1:] * np.arange(1, n + 1)
     u = branch.ic.u_jet.coeffs[:n] / factorials(n - 1)
     defects = np.abs(np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n] - u)[1:]
-    if scaled:
-        slope, a = np.abs(slope), np.abs(a)
-        defects /= 1.0 + (np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n])[1:]
-    return defects
+    slope, a = np.abs(slope), np.abs(a)
+    return defects / (1.0 + (np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n])[1:])
 
 
 def polish_critical(u: ModulusModel, theta: float, window: float) -> float | None:
@@ -323,30 +334,18 @@ def polish_critical(u: ModulusModel, theta: float, window: float) -> float | Non
     return min(max(theta_c, lo), hi)
 
 
-class _CallTable:
-    """The critical ICs and branch sets of one public solver call, each
-    with the error its build raised, if any."""
-
-    __slots__ = ("ics", "branch_sets")
-
-    def __init__(self):
-        # (profile, angle, sign of the angle) -> IC: exact angles, and 0.0
-        # and -0.0 are two
-        self.ics: dict[tuple, CriticalIC | DepthRecError] = {}
-        # id(IC) -> (IC, {order: branches}); the IC is kept so
-        # that its id is not reused while the table lives
-        self.branch_sets: dict[int, tuple[CriticalIC, dict]] = {}
-
-
-_UNUSED = _CallTable()  # marks a call that has not needed its table yet
-_call_table: ContextVar[_CallTable | None] = ContextVar("depthrec_call_table", default=None)
+# one public solver call's critical ICs, each with the error its build
+# raised, if any, keyed by (profile, angle, sign of the angle): exact
+# angles, and 0.0 and -0.0 are two
+_UNUSED: dict = {}  # marks a call that has not needed its table yet; never written
+_call_table: ContextVar[dict | None] = ContextVar("depthrec_call_table", default=None)
 
 
 def one_critical_table(fn):
-    """Decorate a public solver call: one table of critical ICs and branch
-    sets serves it and every call nested in it, and is dropped when it
-    returns.  The table is made on first use, so a call that meets no
-    critical point makes none."""
+    """Decorate a public solver call: one table of critical ICs serves it
+    and every call nested in it, and is dropped when it returns.  The table
+    is made on first use, so a call that meets no critical point makes
+    none."""
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
@@ -361,54 +360,24 @@ def one_critical_table(fn):
     return call
 
 
-def _open_table() -> _CallTable | None:
+def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
+    """:meth:`CriticalIC.from_modulus`, built once per exact angle in the
+    running public solver call; a build that raised a
+    :class:`DepthRecError` raises it again on every later ask."""
     table = _call_table.get()
+    if table is None:
+        return CriticalIC.from_modulus(u, theta0)
     if table is _UNUSED:
-        table = _CallTable()
+        table = {}
         _call_table.set(table)
-    return table
-
-
-def _built(memo: dict, key, build):
-    """``memo[key]``, built by ``build()`` the first time; a build that
-    raised a :class:`DepthRecError` raises it again on every later ask."""
-    entry = memo.get(key)
+    key = (u, theta0, math.copysign(1.0, theta0))
+    entry = table.get(key)
     if entry is None:
         try:
-            entry = build()
+            entry = CriticalIC.from_modulus(u, theta0)
         except DepthRecError as exc:
             entry = exc
-        memo[key] = entry
+        table[key] = entry
     if isinstance(entry, DepthRecError):
         raise entry.with_traceback(None)
     return entry
-
-
-def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
-    """:meth:`CriticalIC.from_modulus` at :data:`DEFAULT_ORDER`, built once
-    per exact angle in the running public solver call."""
-    table = _open_table()
-    if table is None:
-        return CriticalIC.from_modulus(u, theta0)
-    key = (u, theta0, math.copysign(1.0, theta0))
-    return _built(table.ics, key, lambda: CriticalIC.from_modulus(u, theta0))
-
-
-def branches_at(ic: CriticalIC, order: int = DEFAULT_ORDER) -> list[TaylorBranch]:
-    """All analytic branches through a critical IC (two, or one at a double
-    root), smaller curvature root first, expanded to ``order`` or to the IC's
-    jet order if that is lower (a sampled profile's jet stops at 2).
-
-    Built once per IC and order in the running public solver call."""
-    table = _open_table()
-    if table is None:
-        return _expand_branches(ic, order)
-    _ic, sets = table.branch_sets.setdefault(id(ic), (ic, {}))
-    return list(_built(sets, order, lambda: _expand_branches(ic, order)))
-
-
-def _expand_branches(ic: CriticalIC, order: int) -> list[TaylorBranch]:
-    b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
-    betas = [b1] if abs(b2 - b1) <= 1e-12 * (1.0 + ic.rho0) else [b1, b2]
-    order = min(order, ic.u_jet.order)
-    return [expand_branch(ic, b, order) for b in betas]

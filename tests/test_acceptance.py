@@ -25,7 +25,7 @@ from depthrec.solutions import (
     sample_cone_solution,
 )
 from depthrec.taylor import (
-    BranchStatus, CriticalIC, SafeRegionKind, branches_at, check_safe_region,
+    BranchStatus, CriticalIC, SafeRegionKind, check_safe_region,
     eval_series, expand_branch, recursion_residuals, second_derivative_roots,
 )
 
@@ -55,11 +55,11 @@ def criterion(number: int, label: str, budget_s: float | None = None):
 def test_criterion_1_cosine_constant_fixture():
     with criterion(1, "constant-profile fixture: jets and shifted solutions",
                    budget_s=1.0):
-        ic = CriticalIC.from_modulus(UNIT, 0.0, order=12)
+        ic = CriticalIC(0.0, 1.0, UNIT.jet(0.0, 12))  # its branches stop at order 12
         b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
         assert (b1, b2) == (-1.0, 0.0)
-        falling = expand_branch(ic, b1, order=12)
-        constant = expand_branch(ic, b2, order=12)
+        falling = expand_branch(ic, b1)
+        constant = expand_branch(ic, b2)
         # the Taylor coefficients of cos: (-1)^(k/2)/k! at even k
         cos_coeffs = [0.0 if k % 2 else (-1) ** (k // 2) / math.factorial(k) for k in range(13)]
         np.testing.assert_allclose(falling.coeffs, cos_coeffs, rtol=1e-12, atol=1e-15)
@@ -86,8 +86,8 @@ def test_criterion_2_parabola_fixture():
         assert b2 == pytest.approx(-(math.pi / 8) * (1 - 1 / math.sqrt(2)), abs=1e-12)
         assert b1 < 0 and b2 < 0
 
-        ic = CriticalIC.from_modulus(PARABOLA, 0.0, order=20)
-        branches = branches_at(ic, order=20)
+        ic = CriticalIC.from_modulus(PARABOLA, 0.0)
+        branches = ic.branches
         for branch in branches:
             assert branch.status is BranchStatus.COMPLETE
             piece = branch_to_piece(PARABOLA, branch, side=+1)
@@ -127,8 +127,8 @@ def test_criterion_3_line_fixture():
         assert piece.termination.theta == pytest.approx(0.0, abs=1e-4)
 
         # exactly one branch carries a local minimum at the tangency
-        ic = CriticalIC.from_modulus(LINE_WIDE, 0.0, order=20)
-        branches = branches_at(ic, order=20)
+        ic = CriticalIC.from_modulus(LINE_WIDE, 0.0)
+        branches = ic.branches
         rising = [b for b in branches if b.beta > 0]
         assert len(rising) == 1
         _COLLECTED_BRANCHES.extend(b for b in branches
@@ -266,22 +266,22 @@ def test_criterion_6_taylor_recursion_oracle():
             assert res.index == i
             # a constructed jet with this curvature stalls exactly there
             u2 = 2.0 * (beta * beta + rho0 * beta)
-            jet = np.zeros(16)
+            jet = np.zeros(15)
             jet[0] = rho0 * rho0
             jet[2] = u2
             ic = CriticalIC(0.0, rho0, Jet(0.0, jet))
-            degenerate = expand_branch(ic, beta, order=14)
+            degenerate = expand_branch(ic, beta)
             assert degenerate.status is BranchStatus.DEGENERATE
             assert degenerate.free_index == i + 1
 
         for beta in (-5.0, -2.0, -rho0 / 2.9, 0.0, 0.7, 3.0):
             assert check_safe_region(rho0, beta).kind is SafeRegionKind.SAFE
             u2 = 2.0 * (beta * beta + rho0 * beta)
-            jet = np.zeros(16)
+            jet = np.zeros(15)
             jet[0] = rho0 * rho0
             jet[2] = u2
             ic = CriticalIC(0.0, rho0, Jet(0.0, jet))
-            grown = expand_branch(ic, beta, order=14)
+            grown = expand_branch(ic, beta)
             assert grown.status is not BranchStatus.DEGENERATE
 
 

@@ -215,10 +215,73 @@ def test_config_rejects_tol_bvp(tmp_path, capsys):
     ["maximal", "--tol-contact", "1e-9"],
     ["maximal", "--tol-floor", "1e-9"],
     ["critical", "--grid", "512"],
+    ["branch", "--theta0", "0", "--order", "8"],
 ])
 def test_removed_tuning_flags_exit_2(argv, capsys):
     assert main(argv + ["--u", "1", "--domain", "0", "1"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SOLVE_ARGV = ["solve", "--u", "2+0.1*sin(theta)", "--domain", "0.2", "2.9",
+              "--ic", "1", "1", "--sign", "+"]
+
+
+@pytest.mark.parametrize("tolerances,field", [
+    (["--rtol", "nan"], "rtol"), (["--rtol", "-1"], "rtol"),
+    (["--rtol", "-1", "--atol", "-1"], "rtol"), (["--atol", "inf"], "atol"),
+    (["--rtol", "0", "--atol", "0"], "rtol and atol"),
+])
+def test_unusable_tolerances_exit_1(tmp_path, capsys, tolerances, field):
+    # each used to run: a NaN or negative tolerance accepted every step and
+    # moved the contact, and two zeros ended in a ZeroDivisionError traceback
+    out = tmp_path / "sol.csv"
+    assert main(SOLVE_ARGV + tolerances + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"depthrec: {field} must") and err.count("\n") == 1
+    assert not out.exists()
+    # the same values from a config file
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                           for flag, value in zip(tolerances[::2], tolerances[1::2])))
+    assert main(SOLVE_ARGV + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"depthrec: {field} must") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,flag,least", [
+    (["forward", "--rho", "2 + sin(theta)/4", "--domain", "0.2", "1.2", "--samples", "-5"],
+     "--samples", 4),
+    (["forward", "--rho", "2 + sin(theta)/4", "--domain", "0.2", "1.2", "--samples", "3"],
+     "--samples", 4),
+    (["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0.5", "0.5",
+      "--max-switches", "-1"], "--max-switches", 0),
+    (["plot", "--u", "1", "--domain", "0", "1.5", "--ic", "0.5", "0.5",
+      "--max-switches", "-1"], "--max-switches", 0),
+])
+def test_counts_below_their_least_exit_2(tmp_path, capsys, argv, flag, least):
+    # -5 samples crashed in numpy, 0 to 3 wrote a u.csv that --u-csv rejects,
+    # and -1 switches printed no solutions and exited 0
+    out = tmp_path / "out"
+    value = argv[-1]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{flag} must be at least {least}, got {value}\n"
+    assert not out.exists()
+    # the same value from a config file is checked as well
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+    assert main(argv[:-2] + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{flag} must be at least {least}, got {value}\n"
+
+
+def test_counts_at_their_least_run(tmp_path):
+    ucsv = tmp_path / "u.csv"
+    assert main(["forward", "--rho", "2 + sin(theta)/4", "--domain", "0.2", "1.2",
+                 "--samples", "4", "--out", str(ucsv)]) == 0
+    assert read_u_csv(str(ucsv)).thetas.size == 4
+    out = tmp_path / "e.json"
+    assert main(["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0.5", "0.5",
+                 "--max-switches", "0", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["solutions"]) == 2
 
 
 def test_flag_prefix_is_a_usage_error_not_a_config_override(tmp_path, capsys):
@@ -269,16 +332,16 @@ def test_enumerate_csv_dir(tmp_path):
 
 
 def test_branch_json_jets(tmp_path):
+    # a closed form's branches run to the IC's order, 20
     out = tmp_path / "branch.json"
     code = main(["branch", "--theta0", "0", "--u", "1",
-                 "--domain", "0", "1.5707963267948966", "--order", "8",
-                 "--out", str(out)])
+                 "--domain", "0", "1.5707963267948966", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert len(report["branches"]) == 2
     falling = min(report["branches"], key=lambda b: b["beta"])
     np.testing.assert_allclose(falling["derivatives"],
-                               [1, 0, -1, 0, 1, 0, -1, 0, 1], atol=1e-12)
+                               [(1, 0, -1, 0)[k % 4] for k in range(21)], atol=1e-12)
     constant = max(report["branches"], key=lambda b: b["beta"])
     assert constant["status"] == "constant_circle"
 

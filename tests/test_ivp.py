@@ -24,7 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import depthrec.ivp as ivp_mod
-from depthrec.errors import DepthRecError, EvalError, InvalidModulus, NoContinuation, NotRegular
+from depthrec.errors import (
+    DepthRecError, DomainError, EvalError, InvalidModulus, NoContinuation, NotRegular,
+)
 from depthrec.ivp import (
     _TSIT5_A, _TSIT5_B, _TSIT5_BHAT, _TSIT5_BTILDE, _TSIT5_C, IntegrationOptions, RegularIC,
     SolutionPiece, Termination, TerminationKind, _bisect_event, _contact_node,
@@ -481,8 +483,7 @@ def test_no_rising_continuation_at_maximum():
 # -- series/integration matching ------------------------------------------------------
 
 def test_branch_to_piece_matches_series():
-    ic = CriticalIC.from_modulus(UNIT, 0.0, order=16)
-    branch = expand_branch(ic, -1.0, order=16)
+    branch = expand_branch(CriticalIC(0.0, 1.0, UNIT.jet(0.0, 16)), -1.0)
     piece = branch_to_piece(UNIT, branch, side=+1)
     assert max_error(piece, math.cos) < 1e-7
     # overlap agreement between the local series and the integrated tail
@@ -499,7 +500,7 @@ def test_series_leg_runs_the_fixed_handoff_distance(monkeypatch):
     lo, hi = 0.5, 1.07
     u = from_depth(DepthFunction.from_text("2 + 0.01*(1/(13 - 12*theta) + 12 - 12*theta)",
                                            (lo, hi)))
-    branch = max(taylor_mod.branches_at(CriticalIC.from_modulus(u, 1.0)), key=lambda b: b.beta)
+    branch = max(CriticalIC.from_modulus(u, 1.0).branches, key=lambda b: b.beta)
     assert branch.beta == pytest.approx(2.88)
     radius = ivp_mod._SERIES_RADIUS
     assert 1.0 / 12.0 < 2 * radius
@@ -680,9 +681,9 @@ def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):
     from_modulus = CriticalIC.from_modulus.__func__
     handoff = ivp_mod._series_handoff
 
-    def counting_build(cls, u, theta0, order=taylor_mod.DEFAULT_ORDER):
+    def counting_build(cls, u, theta0):
         built.append(theta0)
-        return from_modulus(cls, u, theta0, order)
+        return from_modulus(cls, u, theta0)
 
     def counting_handoff(*args):
         attempts.append(args[1])
@@ -949,3 +950,24 @@ def test_event_path_does_not_swallow_foreign_errors():
     u = BrokenJet("25/cos(theta)^4", (-1.2, 1.2))
     with pytest.raises(RuntimeError, match="jet bug"):
         solve_regular(u, RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward")
+
+
+# -- tolerances the stepper can use ----------------------------------------------------
+
+@pytest.mark.parametrize("rtol,atol,field", [
+    (math.nan, 1e-12, "rtol"), (-1.0, 1e-12, "rtol"), (math.inf, 1e-12, "rtol"),
+    (1e-10, math.nan, "atol"), (1e-10, -1e-12, "atol"), (1e-10, -math.inf, "atol"),
+    (-1.0, -1.0, "rtol"), (0.0, 0.0, "rtol and atol"),
+])
+def test_unusable_tolerances_raise_a_domain_error(rtol, atol, field):
+    # a NaN or negative tolerance accepted every step, and two zeros divided
+    # by zero in the step controller
+    with pytest.raises(DomainError, match=f"^{field} must"):
+        IntegrationOptions(rtol=rtol, atol=atol)
+
+
+def test_one_zero_tolerance_is_usable():
+    u = ClosedFormModulus("2 + 0.1*sin(theta)", DOMAIN)
+    for opts in (IntegrationOptions(rtol=0.0), IntegrationOptions(atol=0.0)):
+        piece = solve_regular(u, RegularIC(1.0, 1.0), +1, "forward", opts)
+        assert piece.termination.kind is TerminationKind.CONTACT

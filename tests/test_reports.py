@@ -108,8 +108,7 @@ def test_json_writer_on_real_reports(command, sampled_profile, tmp_path, monkeyp
         # solutions that share pieces, so the report repeats node columns
         "enumerate --max-switches 2": ["--ic", "1.0", "2.0", "--max-switches", "2"],
         "cone": ["--sample", "1.0", "2.0"],
-        "branch": ["--theta0", repr(_first_critical(sampled_profile, tmp_path)),
-                   "--order", "2"],
+        "branch": ["--theta0", repr(_first_critical(sampled_profile, tmp_path))],
     }.get(command, [])
     reports = []
 

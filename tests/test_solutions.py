@@ -521,7 +521,7 @@ def test_junction_label_follows_the_nearer_curvature_root():
     assert [theta for theta, _ in inner] == pytest.approx([0.874604, 1.921802], abs=1e-6)
 
 
-# -- one table of critical ICs and branch sets per call ------------------------------
+# -- one table of critical ICs per call, one branch set per IC -----------------------
 
 @pytest.fixture
 def builds(monkeypatch):
@@ -534,9 +534,9 @@ def builds(monkeypatch):
         jets.append((theta, order))
         return jet(self, theta, order)
 
-    def counting_expand(ic, beta, order=taylor_mod.DEFAULT_ORDER):
-        branches.append((ic.theta0, beta, order))
-        return expand(ic, beta, order)
+    def counting_expand(ic, beta):
+        branches.append((ic.theta0, beta, ic.u_jet.order))
+        return expand(ic, beta)
 
     monkeypatch.setattr(ClosedFormModulus, "jet", counting_jet)
     monkeypatch.setattr(taylor_mod, "expand_branch", counting_expand)

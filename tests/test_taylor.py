@@ -12,18 +12,30 @@ from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DepthRecError
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.series import factorials
+import depthrec.taylor as taylor_mod
 from depthrec.taylor import (
-    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, beta_sign_class, branches_at,
-    check_safe_region, eval_series, expand_branch, polish_critical, recursion_residuals,
-    second_derivative_roots,
+    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, beta_sign_class, check_safe_region,
+    eval_series, expand_branch, polish_critical, recursion_residuals, second_derivative_roots,
 )
 
 
 def constant_ic(rho0: float, order: int = 14) -> CriticalIC:
-    """Critical IC for the constant profile U = rho0^2."""
-    jet = np.zeros(order + 2)
+    """Critical IC for the constant profile U = rho0^2, its jet at ``order``."""
+    jet = np.zeros(order + 1)
     jet[0] = rho0 * rho0
     return CriticalIC(0.0, rho0, Jet(0.0, jet))
+
+
+def ic_at_order(u, theta0: float, order: int) -> CriticalIC:
+    """The critical IC of ``u`` at ``theta0``, its jet, and so its branches,
+    at ``order``."""
+    jet = u.jet(theta0, order)
+    return CriticalIC(theta0, math.sqrt(jet[0]), jet)
+
+
+def cut_to_order(ic: CriticalIC, order: int) -> CriticalIC:
+    """``ic`` with its jet cut to ``order``."""
+    return CriticalIC(ic.theta0, ic.rho0, Jet(ic.u_jet.center, ic.u_jet.coeffs[: order + 1]))
 
 
 PAR_RHO0 = math.pi / 4
@@ -81,20 +93,20 @@ def cos_coeffs(order: int) -> list[float]:
 
 
 def test_expand_cosine_branch():
-    branch = expand_branch(constant_ic(1.0), beta=-1.0, order=8)
+    branch = expand_branch(constant_ic(1.0, order=8), beta=-1.0)
     np.testing.assert_allclose(branch.coeffs, cos_coeffs(8), rtol=1e-14, atol=1e-15)
     assert branch.status is BranchStatus.COMPLETE
 
 
 def test_expand_constant_branch():
-    branch = expand_branch(constant_ic(1.0), beta=0.0, order=8)
+    branch = expand_branch(constant_ic(1.0, order=8), beta=0.0)
     np.testing.assert_allclose(branch.coeffs, [1] + [0] * 8, atol=1e-15)
     assert branch.status is BranchStatus.CONSTANT_CIRCLE
 
 
 def test_expand_degenerate_lattice_point():
     # beta = -rho0/3 kills the pivot when solving the 3rd derivative
-    branch = expand_branch(constant_ic(3.0), beta=-1.0, order=10)
+    branch = expand_branch(constant_ic(3.0, order=10), beta=-1.0)
     assert branch.status is BranchStatus.DEGENERATE
     assert branch.free_index == 3
 
@@ -102,19 +114,18 @@ def test_expand_degenerate_lattice_point():
 def test_expand_scaled_cosine():
     # constant profile U = R^2: the falling branch is R*cos offset
     R = 2.5
-    branch = expand_branch(constant_ic(R), beta=-R, order=10)
+    branch = expand_branch(constant_ic(R, order=10), beta=-R)
     np.testing.assert_allclose(branch.coeffs, R * np.array(cos_coeffs(10)), rtol=1e-13, atol=1e-15)
 
 
 def test_recursion_residuals_cosine():
-    branch = expand_branch(constant_ic(1.0), beta=-1.0, order=14)
+    branch = expand_branch(constant_ic(1.0, order=14), beta=-1.0)
     assert recursion_residuals(branch).max() < 1e-12
 
 
 def test_parabola_branches_via_modulus():
     u = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
-    ic = CriticalIC.from_modulus(u, 0.0, order=16)
-    branches = branches_at(ic, order=16)
+    branches = ic_at_order(u, 0.0, 16).branches
     assert len(branches) == 2
     assert branches[0].beta == pytest.approx(PAR_BETA_SMALL, abs=1e-12)
     assert branches[1].beta == pytest.approx(PAR_BETA_LARGE, abs=1e-12)
@@ -159,27 +170,26 @@ def test_safe_region_off_lattice():
 # -- series evaluation ------------------------------------------------------------
 
 def test_eval_series_cosine():
-    branch = expand_branch(constant_ic(1.0), beta=-1.0, order=12)
+    branch = expand_branch(constant_ic(1.0, order=12), beta=-1.0)
     val, dval = eval_series(branch, 0.1)
     assert val == pytest.approx(math.cos(0.1), abs=1e-12)
     assert dval == pytest.approx(-math.sin(0.1), abs=1e-12)
 
 
 def test_eval_series_constant():
-    branch = expand_branch(constant_ic(2.0), beta=0.0, order=8)
+    branch = expand_branch(constant_ic(2.0, order=8), beta=0.0)
     assert eval_series(branch, 0.7) == (2.0, 0.0)
 
 
 def test_eval_series_degenerate_refused():
-    branch = expand_branch(constant_ic(3.0), beta=-1.0, order=8)
+    branch = expand_branch(constant_ic(3.0, order=8), beta=-1.0)
     with pytest.raises(DegenerateFamily):
         eval_series(branch, 0.1)
 
 
 def test_eval_series_parabola_residual():
     u = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
-    ic = CriticalIC.from_modulus(u, 0.0, order=20)
-    branch = branches_at(ic, order=20)[1]  # larger curvature root
+    branch = ic_at_order(u, 0.0, 20).branches[1]  # larger curvature root
     val, dval = eval_series(branch, 0.05)
     assert val < math.pi / 4
     assert abs(dval ** 2 + val ** 2 - u.value(0.05)) < 1e-8
@@ -234,9 +244,10 @@ TINY = np.finfo(float).tiny
 def assert_matches_oracles(ic, beta, order, offsets=(0.0,)):
     """The same status and free index as the derivative recursion, and each
     value and slope of the series within 1e-12 of the sum of the magnitudes
-    of its terms there."""
+    of its terms there; the branch is expanded from ``ic`` cut to ``order``."""
+    ic = cut_to_order(ic, order)
     with np.errstate(all="ignore"):
-        got = expand_branch(ic, beta, order)
+        got = expand_branch(ic, beta)
         derivs, status, free_index, residual = oracle_expand_branch(ic, beta, order)
     assert (got.status, got.free_index) == (status, free_index)
     if status is BranchStatus.DEGENERATE:
@@ -306,7 +317,7 @@ def test_recursion_residuals_vanish_on_root_seeded_branches(seed, which):
     ic, order = seed
     assume(ic.rho0 * ic.rho0 + 2.0 * ic.u_jet[2] >= 0.0)
     beta = second_derivative_roots(ic.rho0, ic.u_jet[2])[which]
-    branch = expand_branch(ic, beta, order)
+    branch = expand_branch(cut_to_order(ic, order), beta)
     assume(branch.status is not BranchStatus.DEGENERATE)
     assert recursion_residuals(branch).max() < 1e-12
 
@@ -320,7 +331,7 @@ def test_lattice_seed_matches_derivative_oracle(n):
 
 
 def test_sine_profile_branches_match_derivative_oracle():
-    # the order-21 jet of a forward model at each of its critical points, and
+    # the order-20 jet of a forward model at each of its critical points, and
     # the series evaluated near the critical point and far from it
     u = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.2, 2.9)))
     points = find_critical_points(u).points
@@ -340,6 +351,76 @@ def test_eval_series_near_and_far_matches_derivative_oracle():
     parabola = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
     assert_matches_oracles(CriticalIC.from_modulus(parabola, 0.0), PAR_BETA_LARGE, 12,
                            offsets=(0.0, 0.6, -1.25, 1.3, -3.8))
+
+
+# -- the series order is the IC's own ----------------------------------------------
+
+SINE_DOMAIN = (0.2, 2.9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=st.floats(1.0, 3.0), rel_amp=st.floats(0.01, 0.2), k=st.integers(1, 6),
+       phase=st.floats(0.0, 2 * math.pi), forward=st.booleans(), at=st.floats(0.0, 1.0),
+       order=st.integers(11, 20), extra=st.integers(1, 4))
+def test_jets_and_branches_do_not_depend_on_the_truncation_order(
+        c0, rel_amp, k, phase, forward, at, order, extra):
+    # Taylor-mode coefficients depend only on lower ones, so a jet, and each
+    # branch expanded from it, is the head of any longer one, bit for bit:
+    # an IC's order changes where its series stop, not their values.  From
+    # order 11 on, that is: np.convolve sums a product's last coefficient
+    # with the dot it uses for every other one only from 12 terms; with
+    # fewer it takes a small-kernel path that rounds differently (a forward
+    # model's order-4 jet is not the head of its order-5 jet in the last bit)
+    text = f"{c0!r} + {c0 * rel_amp!r}*sin({k}*theta + {phase!r})"
+    u = (from_depth(DepthFunction.from_text(text, SINE_DOMAIN)) if forward
+         else ClosedFormModulus(text, SINE_DOMAIN))
+    lo, hi = SINE_DOMAIN
+    theta = lo + at * (hi - lo)
+    short, long = u.jet(theta, order), u.jet(theta, order + extra)
+    assert short.coeffs.tobytes() == long.coeffs[: order + 1].tobytes()
+    for point in find_critical_points(u).points:
+        low = ic_at_order(u, point.theta, order)
+        high = ic_at_order(u, point.theta, order + extra)
+        try:
+            pairs = list(zip(low.branches, high.branches, strict=True))
+        except ComplexDiscriminant:
+            continue
+        for a, b in pairs:
+            assert a.beta == b.beta
+            assert a.coeffs.tobytes() == b.coeffs[: len(a.coeffs)].tobytes()
+
+
+def test_from_modulus_jet_order_is_the_profile_capability():
+    closed = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
+    assert CriticalIC.from_modulus(closed, math.pi / 6).u_jet.order == 20
+    grid = np.linspace(*SINE_DOMAIN, 201)
+    sampled = SampledModulus(grid, 2.0 + 0.1 * np.sin(3.0 * grid))
+    ic = CriticalIC.from_modulus(sampled, polish_critical(sampled, math.pi / 6, 0.1))
+    assert ic.u_jet.order == 2
+    assert [b.order for b in ic.branches] == [2, 2]
+
+
+def test_branch_set_is_built_once_per_ic(monkeypatch):
+    expanded = []
+    expand = taylor_mod.expand_branch
+
+    def counting_expand(ic, beta):
+        expanded.append(beta)
+        return expand(ic, beta)
+
+    monkeypatch.setattr(taylor_mod, "expand_branch", counting_expand)
+    ic = constant_ic(1.0)
+    assert ic.branches is ic.branches
+    assert [b.beta for b in ic.branches] == expanded == [-1.0, 0.0]
+    assert [b.order for b in ic.branches] == [14, 14]
+    # a complex discriminant raises on every ask, and expands nothing
+    jet = np.zeros(15)
+    jet[0], jet[2] = 1.0, -1.0
+    complex_ic = CriticalIC(0.0, 1.0, Jet(0.0, jet))
+    for _ in range(2):
+        with pytest.raises(ComplexDiscriminant):
+            complex_ic.branches
+    assert expanded == [-1.0, 0.0]
 
 
 # -- critical-point polish ----------------------------------------------------
