@@ -267,11 +267,13 @@ def _cmd_branch(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     max_switches = _at_least(args, "max_switches", 0)
+    # the fan of sampled ICs stands in for a missing --ic
+    fan_size = args.fan_size if args.ic else _at_least(args, "fan_size", 1)
     u = _load_profile(args)
     opts = _integration_options(args)
     ic = RegularIC(args.ic[0], args.ic[1]) if args.ic else None
     sols = enumerate_branches(u, ic, max_switches=max_switches, opts=opts,
-                              fan_size=args.fan_size, seed=args.seed)
+                              fan_size=fan_size, seed=args.seed)
     report = empty_report()
     report["solutions"] = [solution_payload(s) for s in sols]
     if args.csv_dir:

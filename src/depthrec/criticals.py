@@ -6,6 +6,13 @@ exactly the points where solutions can touch it, merge, or split.  This
 module locates those points (isolated roots of U', flat runs where U'
 vanishes identically, and boundary roots) and classifies each as a
 minimum, maximum or inflection of the bound.
+
+A point's kind comes from U'' read through the profile's compiled kernel,
+as the touch-root search reads it, so the scan builds no jet.  The order-2
+jet a :class:`CriticalPoint` carries, :attr:`CriticalPoint.u_jet`, is built
+from its profile on first read and kept.  Roots of U' closer than
+:func:`merge_distance` are one point; the solver's table of critical ICs
+(:func:`~depthrec.taylor.critical_ic`) merges angles by the same distance.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,7 +29,8 @@ from .errors import DepthRecError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
 __all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
-           "find_critical_points", "upper_bound_check", "UpperBoundReport", "SCAN_CELLS"]
+           "find_critical_points", "upper_bound_check", "UpperBoundReport", "SCAN_CELLS",
+           "merge_distance"]
 
 SCAN_CELLS = 2048  # cells of the U' scan
 _TOL_ROOT = 1e-12  # bracketed roots of U' and U'' are polished to this angle
@@ -35,11 +44,18 @@ class CriticalKind(Enum):
 
 @dataclass(frozen=True)
 class CriticalPoint:
+    """One critical point of the depth bound of ``profile``."""
+
     theta: float
     depth: float
     kind: CriticalKind
-    u_jet: Jet
+    profile: ModulusModel = field(repr=False, compare=False)
     boundary: bool = False
+
+    @cached_property
+    def u_jet(self) -> Jet:
+        """The profile's order-2 jet at the point, built on first read."""
+        return self.profile.jet(self.theta, 2)
 
 
 @dataclass
@@ -71,12 +87,18 @@ def maximal_depth(u: ModulusModel, theta: float) -> float:
     return math.sqrt(u.value(theta))
 
 
-def _classify(u: ModulusModel, theta: float, j: Jet) -> CriticalKind:
-    """The kind of the critical point at ``theta``, whose order-2 jet is ``j``."""
+def merge_distance(u: ModulusModel) -> float:
+    """Roots of U' closer than this are one critical point of ``u``."""
+    lo, hi = u.domain
+    return max(10 * _TOL_ROOT, 1e-10 * (hi - lo))
+
+
+def _classify(u: ModulusModel, theta: float, u2: float) -> CriticalKind:
+    """The kind of the critical point at ``theta``, where U'' is ``u2``."""
     tol_class = 1e-9 * u.scale
-    if j[2] > tol_class:
+    if u2 > tol_class:
         return CriticalKind.MINIMUM
-    if j[2] < -tol_class:
+    if u2 < -tol_class:
         return CriticalKind.MAXIMUM
     # curvature at roundoff level: look at the derivative's sign on both sides
     lo, hi = u.domain
@@ -121,7 +143,9 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
     U' sits at roundoff level throughout mark dense (autonomous) stretches.
     Double roots of U' (no sign change) are caught by polishing the zeros
     of U'' and accepting them when U' is small there.  Domain endpoints
-    with vanishing U' are admitted and flagged ``boundary``.
+    with vanishing U' are admitted and flagged ``boundary``.  Each point is
+    classified by the sign of U'' (:meth:`ModulusModel.second_derivative`);
+    no jet is built.
     """
     lo, hi = u.domain
     scale_d = 1.0 + u.scale / max(hi - lo, 1e-6)
@@ -183,10 +207,11 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
 
     # de-duplicate and drop roots inside dense stretches
     merged: list[float] = []
+    merge = merge_distance(u)
     for r in sorted(roots):
         if in_dense(r):
             continue
-        if merged and abs(r - merged[-1]) < max(10 * tol, 1e-10 * (hi - lo)):
+        if merged and abs(r - merged[-1]) < merge:
             continue
         merged.append(r)
 
@@ -197,10 +222,9 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
         if uval <= 1e-14 * u.scale:
             rejected.append((th, "profile vanishes here; no positive depth exists"))
             continue
-        jet = u.jet(th, 2)
-        kind = _classify(u, th, jet)
+        kind = _classify(u, th, second(th))
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
-        points.append(CriticalPoint(th, math.sqrt(uval), kind, jet, is_boundary))
+        points.append(CriticalPoint(th, math.sqrt(uval), kind, u, is_boundary))
 
     return CriticalSet(points=points, dense=bool(dense_intervals),
                        dense_intervals=dense_intervals, rejected=rejected)

@@ -40,8 +40,11 @@ the fact; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6).  A
 near-contact series handoff takes its critical IC, which holds its
 branches, from the table of the public solver call it runs in
 (:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
-its own is such a call), so successive attempts on one approach, and every
-solve of one call, build them once.  scipy's ``OdeSolver`` steppers are not
+its own is such a call).  The table keeps one IC per critical point: the
+angles that successive attempts on one approach polish to, a few ulps
+apart, all get the first one's IC, and the snap ends on its angle, so one
+approach, and every solve of one call, builds one jet and one branch set
+per point.  scipy's ``OdeSolver`` steppers are not
 used: on this 1-d field their per-step overhead exceeds the steps they
 save.  On the benchmark's ``roundtrip`` inputs (seed 101, its tolerances
 ``rtol=1e-12, atol=1e-14``, 2-vCPU x86-64 VM, scipy 1.17) a bare
@@ -257,8 +260,9 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
 
     With ``stop_theta``, the solve ends there, with a ``DOMAIN_END`` on
     the angle, unless an event comes first; one at or past the domain end
-    changes nothing.  A series handoff or contact snap that starts before
-    ``stop_theta`` still ends on its polished critical angle.  Raises
+    changes nothing.  A series handoff that starts before ``stop_theta``
+    still ends on its critical point's angle, a contact snap on its
+    polished critical angle.  Raises
     ``ValueError`` when ``stop_theta`` lies behind the IC.
     """
     opts = opts or IntegrationOptions()
@@ -489,8 +493,10 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     unambiguously so), returns replacement nodes from ``t`` to the exact
     contact.  Returns None when no unambiguous branch match exists (flat
     curvature, autonomous stretches, cone-interior trajectories, genuine
-    pass-unders).  Successive attempts on one approach mostly polish to one
-    angle, whose IC and branches the call's table builds once.
+    pass-unders).  Successive attempts on one approach polish to angles a
+    few ulps apart, all within the root-merge distance of the first, so the
+    call's table builds one IC and one branch set for them, and the snap
+    ends on that IC's angle.
     """
     theta_c = polish_critical(u, t, 2 * _SERIES_RADIUS)
     if theta_c is None or tdir * (theta_c - t) < 0.0:
@@ -500,6 +506,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
         branches = ic.branches
     except DepthRecError:  # no usable critical IC here: leave it to the events
         return None
+    theta_c = ic.theta0  # the point's angle in this call
 
     side_app = +1 if t > theta_c else (-1 if t < theta_c else int(-tdir))
     candidates = sorted(((abs(eval_series(b, t)[0] - y), b) for b in branches

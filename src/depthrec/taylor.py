@@ -32,11 +32,18 @@ an IC's series order is its jet's: :data:`DEFAULT_ORDER`, or the profile's
 exact capability if that is lower (a sampled profile's jet stops at 2).
 Its branch set is built once, on first use, and kept on the IC.  Within
 one public solver call (each function decorated with
-:func:`one_critical_table`) there is one table of ICs: an IC is built once
-per profile and exact angle.  Calls nested in another share its table; it
-is dropped when the outermost call returns, so nothing is kept from one
-call to the next.  Outside any such call :func:`critical_ic` builds
-afresh each time.
+:func:`one_critical_table`) there is one table of ICs, and one IC per
+critical point: an angle asked for within the critical scan's root-merge
+distance (:func:`~depthrec.criticals.merge_distance`) of an IC already in
+the table gets that IC, at that IC's angle, so polishes that stop a few
+ulps apart share one jet and one branch set.  A caller holding a
+:class:`~depthrec.criticals.CriticalSet` makes its points' angles the
+table's first (:func:`hold_critical_angles`), so pieces that start at a
+point (series legs) and pieces that end there (handoff snaps, and the
+snapped ends of two-point links) meet at one angle.  Calls nested in
+another share its table; it is dropped when the outermost call returns, so
+nothing is kept from one call to the next.  Outside any such call
+:func:`critical_ic` builds afresh each time.
 
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
@@ -56,6 +63,7 @@ from enum import Enum
 
 import numpy as np
 
+from .criticals import merge_distance
 from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError
 from .modulus import Jet, ModulusModel
 from .series import factorials
@@ -64,7 +72,7 @@ __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "BetaSignClass", "SafeRegionKind",
     "SafeRegionResult", "second_derivative_roots", "beta_sign_class", "expand_branch",
     "check_safe_region", "eval_series", "recursion_residuals", "polish_critical",
-    "critical_ic", "one_critical_table",
+    "critical_ic", "hold_critical_angles", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -334,9 +342,9 @@ def polish_critical(u: ModulusModel, theta: float, window: float) -> float | Non
     return min(max(theta_c, lo), hi)
 
 
-# one public solver call's critical ICs, each with the error its build
-# raised, if any, keyed by (profile, angle, sign of the angle): exact
-# angles, and 0.0 and -0.0 are two
+# one public solver call's critical points, by profile: each an [angle,
+# entry] pair, the entry the point's IC, the error its build raised, or None
+# for an angle held and not built yet
 _UNUSED: dict = {}  # marks a call that has not needed its table yet; never written
 _call_table: ContextVar[dict | None] = ContextVar("depthrec_call_table", default=None)
 
@@ -360,24 +368,58 @@ def one_critical_table(fn):
     return call
 
 
-def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
-    """:meth:`CriticalIC.from_modulus`, built once per exact angle in the
-    running public solver call; a build that raised a
-    :class:`DepthRecError` raises it again on every later ask."""
+def _points(u: ModulusModel) -> list[list] | None:
+    """The running call's critical points of ``u``; None outside a call."""
     table = _call_table.get()
     if table is None:
-        return CriticalIC.from_modulus(u, theta0)
+        return None
     if table is _UNUSED:
         table = {}
         _call_table.set(table)
-    key = (u, theta0, math.copysign(1.0, theta0))
-    entry = table.get(key)
-    if entry is None:
+    return table.setdefault(u, [])
+
+
+def _nearest(u: ModulusModel, points, theta: float) -> list | None:
+    """The point nearest ``theta`` within :func:`merge_distance`, or None."""
+    reach, found = merge_distance(u), None
+    for point in points:
+        gap = abs(point[0] - theta)
+        if gap < reach:
+            reach, found = gap, point
+    return found
+
+
+def hold_critical_angles(u: ModulusModel, thetas) -> None:
+    """Make ``thetas``, the angles of a critical set's points, the angles at
+    which the running public solver call builds their ICs; a point the
+    call's table already has keeps its angle."""
+    points = _points(u)
+    if points is None:
+        return
+    for theta in thetas:
+        if _nearest(u, points, theta) is None:
+            points.append([theta, None])
+
+
+def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
+    """:meth:`CriticalIC.from_modulus`, built once per critical point in the
+    running public solver call: an angle within :func:`merge_distance` of a
+    point in the call's table gets that point's IC, built at the point's
+    angle.  A build that raised a :class:`DepthRecError` raises it again on
+    every later ask."""
+    points = _points(u)
+    if points is None:
+        return CriticalIC.from_modulus(u, theta0)
+    point = _nearest(u, points, theta0)
+    if point is None:
+        point = [theta0, None]
+        points.append(point)
+    if point[1] is None:
         try:
-            entry = CriticalIC.from_modulus(u, theta0)
+            point[1] = CriticalIC.from_modulus(u, point[0])
         except DepthRecError as exc:
-            entry = exc
-        table[key] = entry
+            point[1] = exc
+    entry = point[1]
     if isinstance(entry, DepthRecError):
         raise entry.with_traceback(None)
     return entry

@@ -257,10 +257,13 @@ def test_unusable_tolerances_exit_1(tmp_path, capsys, tolerances, field):
       "--max-switches", "-1"], "--max-switches", 0),
     (["plot", "--u", "1", "--domain", "0", "1.5", "--ic", "0.5", "0.5",
       "--max-switches", "-1"], "--max-switches", 0),
+    (["enumerate", "--u", "1", "--domain", "0", "1.5", "--fan-size", "-1"], "--fan-size", 1),
+    (["enumerate", "--u", "1", "--domain", "0", "1.5", "--fan-size", "0"], "--fan-size", 1),
 ])
 def test_counts_below_their_least_exit_2(tmp_path, capsys, argv, flag, least):
     # -5 samples crashed in numpy, 0 to 3 wrote a u.csv that --u-csv rejects,
-    # and -1 switches printed no solutions and exited 0
+    # and -1 switches, or a fan of fewer than one IC without --ic, printed no
+    # solutions and exited 0
     out = tmp_path / "out"
     value = argv[-1]
     assert main(argv + ["--out", str(out)]) == 2
@@ -280,6 +283,9 @@ def test_counts_at_their_least_run(tmp_path):
     assert read_u_csv(str(ucsv)).thetas.size == 4
     out = tmp_path / "e.json"
     assert main(["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0.5", "0.5",
+                 "--max-switches", "0", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["solutions"]) == 2
+    assert main(["enumerate", "--u", "1", "--domain", "0", "1.5", "--fan-size", "1",
                  "--max-switches", "0", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["solutions"]) == 2
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from depthrec.criticals import (
-    CriticalKind, _scan, find_critical_points, maximal_depth, upper_bound_check,
+    CriticalKind, _classify, _scan, find_critical_points, maximal_depth, upper_bound_check,
 )
 from depthrec.errors import DomainError, EvalError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, from_depth
@@ -96,8 +96,9 @@ def test_touch_root_inflection():
 
 
 def test_each_critical_point_costs_one_jet():
-    # the order-2 jet that classifies a point is the one it carries, and the
-    # touch-root scan reads U'' without jets
+    # the scan classifies every point from U'' without jets; a point builds
+    # its order-2 jet on first read, bit for bit the jet the scan used to
+    # build for it, and keeps it
     requests = []
 
     class CountingJets(ClosedFormModulus):
@@ -105,10 +106,42 @@ def test_each_critical_point_costs_one_jet():
             requests.append((theta, order))
             return super().jet(theta, order)
 
-    cs = find_critical_points(CountingJets("2 + 0.1*sin(3*theta)", (0.2, 2.9)))
+    u = CountingJets("2 + 0.1*sin(3*theta)", (0.2, 2.9))
+    cs = find_critical_points(u)
     assert len(cs.points) == 3
+    assert requests == []
+    for p in cs.points:
+        jet = p.u_jet
+        assert p.u_jet is jet
+        want = ClosedFormModulus.jet(u, p.theta, 2)
+        assert (jet.center, jet.coeffs.tobytes()) == (p.theta, want.coeffs.tobytes())
     assert requests == [(p.theta, 2) for p in cs.points]
-    assert [p.u_jet.center for p in cs.points] == [p.theta for p in cs.points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(c0=st.floats(1.0, 3.0), rel_amp=st.floats(0.05, 0.12), k=st.integers(2, 4),
+       phase=st.floats(0.0, 2 * math.pi), sampled=st.booleans())
+def test_kind_from_the_second_derivative_kernel_is_the_jets(c0, rel_amp, k, phase, sampled):
+    """The scan reads U'' from the profile's kernel, not from a jet.
+
+    On a closed form that kernel is U differentiated twice without
+    simplification, and it can lose digits to cancelling quotient rules
+    that the Taylor-mode jet keeps (for U = 3.75/(pi/theta) it reads 0.0031
+    at theta = 1e-13 where U'' = 0).  On forward-model sine profiles, the
+    benchmark's family, both read U'' alike to roundoff, and so every
+    point's kind is the one ``u.jet(theta, 2)[2]`` gives.
+    """
+    domain = (0.2, 2.9)
+    rho = DepthFunction.from_text(f"{c0!r} + {c0 * rel_amp!r}*sin({k}*theta + {phase!r})",
+                                  domain)
+    if sampled:
+        grid = np.linspace(*domain, 801)
+        rho = DepthFunction.from_samples(grid, [rho.value(float(t)) for t in grid])
+    u = from_depth(rho)
+    for p in find_critical_points(u).points:
+        u2 = u.jet(p.theta, 2)[2]
+        assert p.kind is _classify(u, p.theta, u2)
+        assert u.second_derivative(p.theta) == pytest.approx(u2, rel=1e-12, abs=1e-12 * u.scale)
 
 
 @pytest.mark.parametrize("error", [EvalError("no U'' here", 1.0), ValueError("U'' bug")])

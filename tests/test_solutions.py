@@ -145,10 +145,8 @@ def test_enumeration_continues_only_from_points_the_trajectory_reached():
 
 def test_bvp_dense_constant():
     from depthrec.criticals import CriticalPoint
-    from depthrec.modulus import Jet
-    jet = Jet(0.2, np.array([1.0, 0.0, 0.0]))
-    a = CriticalPoint(0.2, 1.0, CriticalKind.MINIMUM, jet)
-    b = CriticalPoint(1.2, 1.0, CriticalKind.MINIMUM, Jet(1.2, np.array([1.0, 0.0, 0.0])))
+    a = CriticalPoint(0.2, 1.0, CriticalKind.MINIMUM, UNIT)
+    b = CriticalPoint(1.2, 1.0, CriticalKind.MINIMUM, UNIT)
     piece = solve_bvp_between_criticals(UNIT, a, b)
     assert piece.dense_contact
     np.testing.assert_allclose(piece.rhos, 1.0, atol=1e-12)
@@ -178,11 +176,10 @@ def _flat_outcome(fn, u, left, right):
 ])
 def test_flat_stretch_test_matches_probe_loop(text, domain, thetas):
     from depthrec.criticals import CriticalPoint
-    from depthrec.modulus import Jet
     u = ClosedFormModulus(text, domain)
     # only the left depth and the two angles enter the test
-    left, right = (CriticalPoint(th, math.sqrt(u.value(thetas[0])), CriticalKind.MINIMUM,
-                                 Jet(th, np.array([1.0, 0.0, 0.0]))) for th in thetas)
+    left, right = (CriticalPoint(th, math.sqrt(u.value(thetas[0])), CriticalKind.MINIMUM, u)
+                   for th in thetas)
     assert _flat_outcome(solutions_mod._flat_between, u, left, right) == \
         _flat_outcome(_flat_oracle, u, left, right)
 
@@ -252,8 +249,9 @@ def test_bvp_needs_two_criticals():
         solve_bvp_between_criticals(PARABOLA, cs.points[0], None)  # type: ignore
 
 
-# maximal-workload depths (seed 1) with links whose series handoff ends on
-# the polished far critical angle up to 2.5e-13 past the target
+# maximal-workload depths (seed 1) with links whose series handoff polishes
+# the far critical angle up to 2.5e-13 past the target; the handoff ends on
+# the target's own angle, the one its IC is built at
 HANDOFF_PAST_TARGET = [
     "1.347405770094168 + 0.09435951229817716*sin(4*theta + 6.127417592889937)",
     "2.966374844339911 + 0.17269916731389148*sin(4*theta + 0.9855033520847305)",
@@ -285,7 +283,7 @@ def test_links_end_on_the_target_with_increasing_nodes(monkeypatch):
             assert np.all(np.diff(link.thetas) > 0)
             assert (link.theta_start, link.theta_end) == (left.theta, right.theta)
     assert links >= 5
-    assert 0.0 < max(past) <= 2.5e-13
+    assert max(past) == 0.0
 
 
 def test_links_name_the_point_no_branch_leaves(monkeypatch):
@@ -580,6 +578,26 @@ def test_each_jet_and_branch_set_is_built_once_per_call(builds, text):
         # the second call builds all of it again: nothing outlived the first
         assert seen[-1] == seen[-2]
     assert any(branches for _jets, branches in seen)
+
+
+def test_maximal_builds_one_critical_ic_per_point(monkeypatch):
+    # the handoffs onto this profile's points polish each angle to up to
+    # five floats, up to 2e-13 off the scan's: every point gets one IC, at
+    # the scan's angle
+    u = from_depth(DepthFunction.from_text(HANDOFF_PAST_TARGET[0], (0.2, 2.9)))
+    cs = find_critical_points(u)
+    built = []
+    from_modulus = CriticalIC.from_modulus.__func__
+
+    def counting_build(cls, u, theta0):
+        built.append(theta0)
+        return from_modulus(cls, u, theta0)
+
+    monkeypatch.setattr(CriticalIC, "from_modulus", classmethod(counting_build))
+    with pytest.raises(NoSolution):
+        maximal_solution(u, critical_set=cs)
+    assert len(built) == len(set(built)) >= 3
+    assert set(built) <= {p.theta for p in cs.points}
 
 
 def test_bvp_miss_solves_each_start_once(monkeypatch):

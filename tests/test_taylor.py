@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthrec.criticals import find_critical_points
+from depthrec.criticals import find_critical_points, merge_distance
 from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
@@ -421,6 +421,33 @@ def test_branch_set_is_built_once_per_ic(monkeypatch):
         with pytest.raises(ComplexDiscriminant):
             complex_ic.branches
     assert expanded == [-1.0, 0.0]
+
+
+def test_one_critical_ic_per_point_per_call():
+    # within one call an angle within the scan's root-merge distance of an IC
+    # gets that IC; a held angle is where its point's IC is built; nothing
+    # outlives the call, and outside a call every ask builds afresh
+    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
+    reach = merge_distance(u)
+    theta = math.pi / 6
+    assert reach == 1e-10 * (SINE_DOMAIN[1] - SINE_DOMAIN[0])
+
+    @taylor_mod.one_critical_table
+    def call():
+        taylor_mod.hold_critical_angles(u, [theta])
+        ic = taylor_mod.critical_ic(u, theta + 0.5 * reach)
+        assert ic.theta0 == theta
+        assert taylor_mod.critical_ic(u, theta - 0.9 * reach) is ic
+        # held again, or held near it: the point keeps its angle
+        taylor_mod.hold_critical_angles(u, [theta + 0.1 * reach])
+        assert taylor_mod.critical_ic(u, theta + 0.1 * reach) is ic
+        far = taylor_mod.critical_ic(u, theta + 1.5 * reach)
+        assert far is not ic and far.theta0 == theta + 1.5 * reach
+        return ic
+
+    first = call()
+    assert call() is not first
+    assert taylor_mod.critical_ic(u, theta) is not taylor_mod.critical_ic(u, theta)
 
 
 # -- critical-point polish ----------------------------------------------------
