@@ -29,7 +29,8 @@ finite, is negative, or is zero with the other one is a domain error.
 20 on a closed form, 2 on a sampled profile.  Count flags are checked by
 their subcommand, whether they come from the command line or a config
 file: ``--samples`` below 4 (a sampled profile needs 4 points) and
-``--max-switches`` below 0 are usage errors.
+``--max-switches`` below 0 are usage errors, and so, for ``enumerate``
+without ``--ic``, are ``--fan-size`` below 1 and ``--seed`` below 0.
 """
 
 from __future__ import annotations
@@ -269,11 +270,12 @@ def _cmd_enumerate(args) -> int:
     max_switches = _at_least(args, "max_switches", 0)
     # the fan of sampled ICs stands in for a missing --ic
     fan_size = args.fan_size if args.ic else _at_least(args, "fan_size", 1)
+    seed = args.seed if args.ic else _at_least(args, "seed", 0)
     u = _load_profile(args)
     opts = _integration_options(args)
     ic = RegularIC(args.ic[0], args.ic[1]) if args.ic else None
     sols = enumerate_branches(u, ic, max_switches=max_switches, opts=opts,
-                              fan_size=fan_size, seed=args.seed)
+                              fan_size=fan_size, seed=seed)
     report = empty_report()
     report["solutions"] = [solution_payload(s) for s in sols]
     if args.csv_dir:

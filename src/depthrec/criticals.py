@@ -11,8 +11,14 @@ A point's kind comes from U'' read through the profile's compiled kernel,
 as the touch-root search reads it, so the scan builds no jet.  The order-2
 jet a :class:`CriticalPoint` carries, :attr:`CriticalPoint.u_jet`, is built
 from its profile on first read and kept.  Roots of U' closer than
-:func:`merge_distance` are one point; the solver's table of critical ICs
-(:func:`~depthrec.taylor.critical_ic`) merges angles by the same distance.
+:func:`merge_distance` are one point.
+
+This scan is the solver's one way to find a critical point: each public
+solver call's table of critical ICs (:func:`~depthrec.taylor.critical_ic`)
+holds the critical set its caller passed, or else this scan of the
+profile, run once, and merges angles by the same distance.  A series
+handoff, and a contact snap off a flat stretch, ends on one of its angles.
+A scan that raises leaves its call with no points, and so no handoff.
 """
 
 from __future__ import annotations

@@ -37,22 +37,21 @@ emit point only records each step that needs them, and one pass after the
 loop fills them all in, with U read for all of them in one
 :meth:`~depthrec.modulus.ModulusModel.value_grid` call (dense output after
 the fact; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6).  A
-near-contact series handoff takes its critical IC, which holds its
-branches, from the table of the public solver call it runs in
+near-contact series handoff, and a contact snap off a flat stretch, end on
+a point of the critical set of the public solver call they run in, and
+take its IC, which holds its branches, from the call's table
 (:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
-its own is such a call).  The table keeps one IC per critical point: the
-angles that successive attempts on one approach polish to, a few ulps
-apart, all get the first one's IC, and the snap ends on its angle, so one
-approach, and every solve of one call, builds one jet and one branch set
-per point.  scipy's ``OdeSolver`` steppers are not
-used: on this 1-d field their per-step overhead exceeds the steps they
-save.  On the benchmark's ``roundtrip`` inputs (seed 101, its tolerances
-``rtol=1e-12, atol=1e-14``, 2-vCPU x86-64 VM, scipy 1.17) a bare
-``DOP853.step()`` loop, without events or node output, took 32 steps and
-391 field evaluations per solve, and 8.0 ms per forward-backward pair
-against 2.2 to 2.4 ms for the two full solves here, which take 70 steps
-and 349 U reads per solve (Hairer, Norsett & Wanner, *Solving ODEs I*,
-sec. II.5).
+its own is such a call, and scans the profile once, when it first needs a
+point).  The table keeps one IC per critical point, so one approach, and
+every solve of one call, builds one jet and one branch set per point.
+scipy's ``OdeSolver`` steppers are not used: on this 1-d field their
+per-step overhead exceeds the steps they save.  On the benchmark's
+``roundtrip`` inputs (seed 101, its tolerances ``rtol=1e-12, atol=1e-14``,
+2-vCPU x86-64 VM, scipy 1.17) a bare ``DOP853.step()`` loop, without
+events or node output, took 32 steps and 391 field evaluations per solve,
+and 8.0 ms per forward-backward pair against 2.2 to 2.4 ms for the two
+full solves here, which take 70 steps and 349 U reads per solve (Hairer,
+Norsett & Wanner, *Solving ODEs I*, sec. II.5).
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ from scipy.interpolate import CubicHermiteSpline
 from .errors import DepthRecError, DomainError, NoContinuation, NotRegular
 from .modulus import ModulusModel
 from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, critical_ic, eval_series, one_critical_table,
-    polish_critical,
+    BranchStatus, CriticalIC, TaylorBranch, critical_angle_near, critical_ic, eval_series,
+    one_critical_table,
 )
 
 __all__ = [
@@ -101,6 +100,8 @@ class RegularIC:
     rho0: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta0) and math.isfinite(self.rho0)):
+            raise NotRegular(f"IC ({self.theta0}, {self.rho0}) is not finite")
         if self.rho0 <= 0.0:
             raise NotRegular(f"depth must be positive, got {self.rho0}")
 
@@ -261,8 +262,8 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     With ``stop_theta``, the solve ends there, with a ``DOMAIN_END`` on
     the angle, unless an event comes first; one at or past the domain end
     changes nothing.  A series handoff that starts before ``stop_theta``
-    still ends on its critical point's angle, a contact snap on its
-    polished critical angle.  Raises
+    still ends on its critical point's angle, and so does a contact
+    snap.  Raises
     ``ValueError`` when ``stop_theta`` lies behind the IC.
     """
     opts = opts or IntegrationOptions()
@@ -461,9 +462,9 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
                   lo: float, hi: float) -> tuple[float, float] | None:
     """Exact bound node for a tangential contact detected at ``tau``.
 
-    Prefers the root of U' that the contact is at, within
-    ``min(1e-3*span, 1e-2)`` of ``tau`` (:func:`polish_critical`); on
-    autonomous stretches extrapolates the touch point from the residual
+    Lands on the call's critical point nearest ``tau`` within
+    ``min(1e-3*span, 1e-2)`` (:func:`~depthrec.taylor.critical_angle_near`);
+    on autonomous stretches extrapolates the touch point from the residual
     slope of the local cosine-type trajectory.  Returns None for
     transversal contacts, which have no critical point to land on.
     """
@@ -476,7 +477,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
             offset = math.asin(min(1.0, abs(f_tau) / bound))
             theta_c = min(max(tau + tdir * offset, lo), hi)
         else:
-            theta_c = polish_critical(u, tau, min(1e-3 * (hi - lo), 1e-2))
+            theta_c = critical_angle_near(u, tau, min(1e-3 * (hi - lo), 1e-2))
             if theta_c is None:
                 return None
         return theta_c, math.sqrt(max(u.value(theta_c), 0.0))
@@ -487,28 +488,27 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
 def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: float):
     """Finish a tangential approach with the local analytic series.
 
-    Locates the critical point the trajectory is converging to
-    (:func:`polish_critical`), expands both branches there, and if the
+    Takes the call's critical point nearest ``t`` within
+    ``2*_SERIES_RADIUS`` (:func:`~depthrec.taylor.critical_angle_near`),
+    which must lie strictly ahead, expands both branches there, and if the
     current state sits on one of them (within ``_HANDOFF_MATCH_TOL``, and
     unambiguously so), returns replacement nodes from ``t`` to the exact
-    contact.  Returns None when no unambiguous branch match exists (flat
-    curvature, autonomous stretches, cone-interior trajectories, genuine
-    pass-unders).  Successive attempts on one approach polish to angles a
-    few ulps apart, all within the root-merge distance of the first, so the
-    call's table builds one IC and one branch set for them, and the snap
-    ends on that IC's angle.
+    contact, which ends on the point's angle.  Returns None when no
+    unambiguous branch match exists (flat curvature, autonomous stretches,
+    cone-interior trajectories, genuine pass-unders).  Every attempt on one
+    approach finds the same point, so the call's table builds one IC and
+    one branch set for them.
     """
-    theta_c = polish_critical(u, t, 2 * _SERIES_RADIUS)
-    if theta_c is None or tdir * (theta_c - t) < 0.0:
+    theta_c = critical_angle_near(u, t, 2 * _SERIES_RADIUS)
+    if theta_c is None or tdir * (theta_c - t) <= 0.0:
         return None  # no critical point ahead in the direction of travel
     try:
         ic = critical_ic(u, theta_c)
         branches = ic.branches
     except DepthRecError:  # no usable critical IC here: leave it to the events
         return None
-    theta_c = ic.theta0  # the point's angle in this call
 
-    side_app = +1 if t > theta_c else (-1 if t < theta_c else int(-tdir))
+    side_app = int(-tdir)  # the side of the point the approach comes from
     candidates = sorted(((abs(eval_series(b, t)[0] - y), b) for b in branches
                          if b.status is BranchStatus.COMPLETE
                          and _half_branch_sign(b, side_app) == ode_sign),

@@ -9,8 +9,8 @@ zero; anything more negative raises :class:`InvalidModulus`, and so does a
 value that is not finite (NaN, or an infinity from silent float overflow),
 naming the angle: no layer above steps or reports on such a value.
 
-Every layer above reads U and U' many times, and the critical-point polish
-reads U' and U'', so both representations evaluate them without per-call
+Every layer above reads U and U' many times, and the critical scan reads
+U' and U'', so both representations evaluate them without per-call
 overhead.  A closed form evaluates U, U' and U'' with generated kernels
 (:class:`~depthrec.expressions.ExpressionKernel`), each compiled on first
 use; U'' is also differentiated only when first asked for, so building a
@@ -225,6 +225,8 @@ class ClosedFormModulus(ModulusModel):
         if isinstance(expr, str):
             expr = parse_expression(expr)
         lo, hi = float(domain[0]), float(domain[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"domain [{lo}, {hi}] has an end that is not finite")
         if not lo < hi:
             raise DomainError(f"empty domain [{lo}, {hi}]")
         self.expr = expr

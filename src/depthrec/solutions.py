@@ -18,10 +18,10 @@ raise :class:`NoSolution`.
 Each public function here is one call of
 :func:`~depthrec.taylor.one_critical_table`: every critical point it meets
 gets one IC and one branch set, shared by all its pieces, continuations
-and handoffs until it returns.  A function given critical points builds
-their ICs at the points' own angles
-(:func:`~depthrec.taylor.hold_critical_angles`), so a piece snapped onto a
-point and a piece leaving it meet at one angle.
+and handoffs until it returns.  A function given critical points makes
+them the call's critical set (:func:`~depthrec.taylor.use_critical_points`);
+the others scan the profile once, when they first need a point.  A piece
+snapped onto a point and a piece leaving it meet at the point's angle.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .ivp import (
 )
 from .modulus import ModulusModel
 from .taylor import (
-    CriticalIC, TaylorBranch, critical_ic, hold_critical_angles, one_critical_table,
+    CriticalIC, TaylorBranch, critical_ic, one_critical_table, use_critical_points,
 )
 
 _TOL_BVP = 1e-8          # largest depth miss of a link at the far critical point
@@ -379,13 +379,14 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     then snapped exactly; otherwise :class:`NoSolution` names the miss or,
     for a trajectory ending short of the far point, its termination and
     angle.  There is nothing to tune: the launch branch is the link, hit or
-    miss.  The launch IC sits at the critical point's angle, not polished
-    again, and comes from the call's table, so a caller chaining intervals
-    shares it; a handoff onto the far point ends on that point's angle too.
+    miss.  The two points join the call's critical set: the launch IC sits
+    at the point's angle and comes from the call's table, so a caller
+    chaining intervals shares it; a handoff onto the far point ends on that
+    point's angle too.
     """
     if not left.theta < right.theta:
         raise NoSolution("empty interval between the critical points")
-    hold_critical_angles(u, (left.theta, right.theta))
+    use_critical_points(u, (left, right))
 
     # autonomous stretch: the bound itself joins the endpoints
     if _flat_between(u, left, right):
@@ -449,16 +450,18 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     where a link fails: its trajectory misses the far critical point, no
     branch leaves toward it, or neither end is minimum-type.  Not every
     critical point is one the maximal solution touches, so that error does
-    not prove the profile has no solution.  Each point's IC is built once,
-    at the point's angle, and shared by every piece leaving that point; a
-    piece ending at a point ends on that angle too, so the pieces abut
-    exactly.  On a fully autonomous profile the bound itself solves the
+    not prove the profile has no solution.  ``critical_set``, or else the
+    profile's scan, is the call's critical set: each point's IC is built
+    once, at the point's angle, and shared by every piece leaving that
+    point; a piece ending at a point ends on that angle too, so the pieces
+    abut exactly.  On a fully autonomous profile the bound itself solves the
     equation and is returned directly.  A profile with no critical point
     is first read on the scan grid, so one that is negative or undefined
     somewhere raises that error, naming the angle, rather than
     :class:`NoCriticalPoints`.
     """
     cs = critical_set if critical_set is not None else find_critical_points(u)
+    use_critical_points(u, cs.points)
     lo, hi = u.domain
 
     if not cs.points:

@@ -19,31 +19,32 @@ which vanishes exactly when beta = -rho0/n for an integer n >= 3; those are
 the degenerate cases where the recursion stalls and a one-parameter family
 of series appears.
 
-Every critical point is polished near a guess by :func:`polish_critical`
-and every critical IC is built by :func:`critical_ic`; its branch set is
-the IC's own, :attr:`CriticalIC.branches`.  The integrator and the global
-assembly use these and nothing else for that.  The polish is Newton on U'
-and U'' read from the profile's compiled kernels, not on Taylor-mode jets:
-it needs two derivative values per step, which the kernels give for a
-fraction of a jet's cost.
+Critical points come from one place, the critical scan
+(:func:`~depthrec.criticals.find_critical_points`), and every critical IC
+is built by :func:`critical_ic`; its branch set is the IC's own,
+:attr:`CriticalIC.branches`.  The integrator and the global assembly use
+these and nothing else for that.
 
 A critical IC carries at most two analytic branches, fixed by its jet, so
 an IC's series order is its jet's: :data:`DEFAULT_ORDER`, or the profile's
 exact capability if that is lower (a sampled profile's jet stops at 2).
 Its branch set is built once, on first use, and kept on the IC.  Within
 one public solver call (each function decorated with
-:func:`one_critical_table`) there is one table of ICs, and one IC per
-critical point: an angle asked for within the critical scan's root-merge
-distance (:func:`~depthrec.criticals.merge_distance`) of an IC already in
-the table gets that IC, at that IC's angle, so polishes that stop a few
-ulps apart share one jet and one branch set.  A caller holding a
-:class:`~depthrec.criticals.CriticalSet` makes its points' angles the
-table's first (:func:`hold_critical_angles`), so pieces that start at a
-point (series legs) and pieces that end there (handoff snaps, and the
-snapped ends of two-point links) meet at one angle.  Calls nested in
-another share its table; it is dropped when the outermost call returns, so
-nothing is kept from one call to the next.  Outside any such call
-:func:`critical_ic` builds afresh each time.
+:func:`one_critical_table`) there is one table of ICs, and it is that
+call's critical set: the points the caller passed
+(:func:`use_critical_points`), or else the profile's scan, run once, when
+the call first needs a point.  A scan that raises leaves the call with no
+points, and so with no series handoff.  A handoff, and a contact snap off
+a flat stretch, ends on the set's nearest angle
+(:func:`critical_angle_near`), and an angle within the scan's root-merge
+distance (:func:`~depthrec.criticals.merge_distance`) of a point gets
+that point's IC, at its angle: pieces that start at a point (series legs)
+and pieces that end there (snaps, and the ends of two-point links) meet at
+one angle and share one jet and one branch set.  Any other angle (a
+transversal contact, an angle given by hand) gets an IC built there.
+Calls nested in another share its table; it is dropped when the outermost
+call returns, so nothing is kept from one call to the next.  Outside any
+such call :func:`critical_ic` builds afresh each time.
 
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
@@ -63,7 +64,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criticals import merge_distance
+from .criticals import CriticalPoint, find_critical_points, merge_distance
 from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError
 from .modulus import Jet, ModulusModel
 from .series import factorials
@@ -71,8 +72,8 @@ from .series import factorials
 __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "BetaSignClass", "SafeRegionKind",
     "SafeRegionResult", "second_derivative_roots", "beta_sign_class", "expand_branch",
-    "check_safe_region", "eval_series", "recursion_residuals", "polish_critical",
-    "critical_ic", "hold_critical_angles", "one_critical_table",
+    "check_safe_region", "eval_series", "recursion_residuals",
+    "critical_ic", "critical_angle_near", "use_critical_points", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -308,43 +309,10 @@ def recursion_residuals(branch: TaylorBranch) -> np.ndarray:
     return defects / (1.0 + (np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n])[1:])
 
 
-def polish_critical(u: ModulusModel, theta: float, window: float) -> float | None:
-    """The root of U' near ``theta``, clamped to the domain: at most 8 Newton
-    steps on U' and U'' (:meth:`~depthrec.modulus.ModulusModel.derivative`
-    and :meth:`~depthrec.modulus.ModulusModel.second_derivative`, no jets),
-    until a step is below 1e-15.
-
-    None when the curvature is flat (|U''| < 1e-9*scale), a step overflows,
-    an iterate strays more than ``window`` from ``theta``, U' is not small
-    at the end, or the profile raises a :class:`DepthRecError` (as it does
-    where U' or U'' is not finite).
-    """
-    theta_c = theta
-    flat = 1e-9 * u.scale
-    try:
-        for _ in range(8):
-            d2 = u.second_derivative(theta_c)
-            if abs(d2) < flat:
-                return None
-            step = u.derivative(theta_c) / d2
-            if not math.isfinite(step):
-                return None
-            theta_c -= step
-            if abs(theta_c - theta) > window:
-                return None
-            if abs(step) < 1e-15:
-                break
-        if abs(u.derivative(theta_c)) > 1e-8 * (1.0 + u.scale):
-            return None
-    except DepthRecError:  # U' or U'' failed or is not finite near the guess
-        return None
-    lo, hi = u.domain
-    return min(max(theta_c, lo), hi)
-
-
-# one public solver call's critical points, by profile: each an [angle,
-# entry] pair, the entry the point's IC, the error its build raised, or None
-# for an angle held and not built yet
+# one public solver call's critical ICs, by profile: [angle, point, ic]
+# entries, point the CriticalPoint of the call's critical set at that angle
+# (None for an IC asked for off the set), ic the IC, the error its build
+# raised, or None before it is built
 _UNUSED: dict = {}  # marks a call that has not needed its table yet; never written
 _call_table: ContextVar[dict | None] = ContextVar("depthrec_call_table", default=None)
 
@@ -368,58 +336,85 @@ def one_critical_table(fn):
     return call
 
 
-def _points(u: ModulusModel) -> list[list] | None:
-    """The running call's critical points of ``u``; None outside a call."""
+def _points(u: ModulusModel, scan: bool = True) -> list[list] | None:
+    """The running call's critical ICs of ``u``; None outside a call.  A
+    call given no critical set of ``u`` scans it now, once (``scan``)."""
     table = _call_table.get()
     if table is None:
         return None
     if table is _UNUSED:
         table = {}
         _call_table.set(table)
-    return table.setdefault(u, [])
+    entries = table.get(u)
+    if entries is None:
+        try:
+            scanned = find_critical_points(u).points if scan else []
+        except DepthRecError:  # the scan cannot read the profile: no points
+            scanned = []
+        entries = table[u] = [[p.theta, p, None] for p in scanned]
+    return entries
 
 
-def _nearest(u: ModulusModel, points, theta: float) -> list | None:
-    """The point nearest ``theta`` within :func:`merge_distance`, or None."""
-    reach, found = merge_distance(u), None
-    for point in points:
-        gap = abs(point[0] - theta)
-        if gap < reach:
-            reach, found = gap, point
+def _nearest(entries, theta: float, reach: float, off_set: bool = True) -> list | None:
+    """The entry nearest ``theta`` within ``reach``, or None; entries off
+    the critical set only with ``off_set``."""
+    found = None
+    for entry in entries:
+        gap = abs(entry[0] - theta)
+        if gap <= reach and (off_set or entry[1] is not None):
+            reach, found = gap, entry
     return found
 
 
-def hold_critical_angles(u: ModulusModel, thetas) -> None:
-    """Make ``thetas``, the angles of a critical set's points, the angles at
-    which the running public solver call builds their ICs; a point the
-    call's table already has keeps its angle."""
-    points = _points(u)
-    if points is None:
+def use_critical_points(u: ModulusModel, points) -> None:
+    """Make ``points``, critical points of ``u``, the running public solver
+    call's critical set, so that the call does not scan ``u``; a call that
+    already has a set gains the points it lacks."""
+    entries = _points(u, scan=False)
+    if entries is None:
         return
-    for theta in thetas:
-        if _nearest(u, points, theta) is None:
-            points.append([theta, None])
+    for p in points:
+        if _nearest(entries, p.theta, merge_distance(u)) is None:
+            entries.append([p.theta, p, None])
+
+
+def critical_angle_near(u: ModulusModel, theta: float, window: float) -> float | None:
+    """The angle of the running call's critical point nearest ``theta``
+    within ``window``; None when there is none, or outside a call."""
+    entries = _points(u)
+    found = None if entries is None else _nearest(entries, theta, window, off_set=False)
+    return None if found is None else found[0]
 
 
 def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
     """:meth:`CriticalIC.from_modulus`, built once per critical point in the
     running public solver call: an angle within :func:`merge_distance` of a
-    point in the call's table gets that point's IC, built at the point's
-    angle.  A build that raised a :class:`DepthRecError` raises it again on
-    every later ask."""
-    points = _points(u)
-    if points is None:
+    point of the call's critical set gets that point's IC, built at the
+    point's angle; any other angle gets an IC built there, once.  A point's
+    order-2 IC (a sampled profile's) is built on the point's own jet,
+    :attr:`~depthrec.criticals.CriticalPoint.u_jet`.  A build that raised a
+    :class:`DepthRecError` raises it again on every later ask."""
+    entries = _points(u)
+    if entries is None:
         return CriticalIC.from_modulus(u, theta0)
-    point = _nearest(u, points, theta0)
-    if point is None:
-        point = [theta0, None]
-        points.append(point)
-    if point[1] is None:
+    entry = _nearest(entries, theta0, merge_distance(u))
+    if entry is None:
+        entry = [theta0, None, None]
+        entries.append(entry)
+    if entry[2] is None:
         try:
-            point[1] = CriticalIC.from_modulus(u, point[0])
+            entry[2] = _build(u, entry[0], entry[1])
         except DepthRecError as exc:
-            point[1] = exc
-    entry = point[1]
-    if isinstance(entry, DepthRecError):
-        raise entry.with_traceback(None)
-    return entry
+            entry[2] = exc
+    if isinstance(entry[2], DepthRecError):
+        raise entry[2].with_traceback(None)
+    return entry[2]
+
+
+def _build(u: ModulusModel, theta: float, point: CriticalPoint | None) -> CriticalIC:
+    if point is not None and u.max_order == 2:
+        # the same u.jet(theta, 2) call, so the same bits; a closed form's
+        # order-2 jet is not the head of its order-20 one in the last bit
+        jet = point.u_jet
+        return CriticalIC(theta, math.sqrt(max(jet[0], 0.0)), jet)
+    return CriticalIC.from_modulus(u, theta)

@@ -125,6 +125,26 @@ def test_exit_code_solver_error(capsys):
     assert "not regular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("solve", ["--sign", "+"]), ("enumerate", []), ("plot", [])])
+def test_a_non_finite_ic_is_a_solver_error(tmp_path, capsys, command, extra):
+    # a NaN depth was taken as regular, and the solve crashed in math.ceil
+    out = tmp_path / "out"
+    code = main([command, "--u", "2+0.1*sin(3*theta)", "--domain", "0.2", "2.9",
+                 "--ic", "1", "nan", *extra, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "depthrec: IC (1.0, nan) is not finite\n"
+    assert not out.exists()
+
+
+def test_critical_rejects_an_infinite_domain_end(capsys, recwarn):
+    # numpy warned of an invalid multiply, and the scan then failed on a NaN angle
+    assert main(["critical", "--u", "2", "--domain", "0.2", "inf"]) == 1
+    assert capsys.readouterr().err == (
+        "depthrec: domain [0.2, inf] has an end that is not finite\n")
+    assert not recwarn.list
+
+
 def test_exit_code_invalid_profile(capsys):
     code = main(["maximal", "--u", "theta - 1", "--domain", "0", "2"])
     assert code == 1
@@ -259,11 +279,12 @@ def test_unusable_tolerances_exit_1(tmp_path, capsys, tolerances, field):
       "--max-switches", "-1"], "--max-switches", 0),
     (["enumerate", "--u", "1", "--domain", "0", "1.5", "--fan-size", "-1"], "--fan-size", 1),
     (["enumerate", "--u", "1", "--domain", "0", "1.5", "--fan-size", "0"], "--fan-size", 1),
+    (["enumerate", "--u", "1", "--domain", "0", "1.5", "--seed", "-1"], "--seed", 0),
 ])
 def test_counts_below_their_least_exit_2(tmp_path, capsys, argv, flag, least):
     # -5 samples crashed in numpy, 0 to 3 wrote a u.csv that --u-csv rejects,
     # and -1 switches, or a fan of fewer than one IC without --ic, printed no
-    # solutions and exited 0
+    # solutions and exited 0; a negative fan seed crashed in numpy
     out = tmp_path / "out"
     value = argv[-1]
     assert main(argv + ["--out", str(out)]) == 2
@@ -286,7 +307,7 @@ def test_counts_at_their_least_run(tmp_path):
                  "--max-switches", "0", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["solutions"]) == 2
     assert main(["enumerate", "--u", "1", "--domain", "0", "1.5", "--fan-size", "1",
-                 "--max-switches", "0", "--out", str(out)]) == 0
+                 "--seed", "0", "--max-switches", "0", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["solutions"]) == 2
 
 

@@ -267,6 +267,14 @@ def test_derivative_pair_critical_ic_rejected():
         derivative_pair(UNIT, RegularIC(0.0, 1.0))
 
 
+@pytest.mark.parametrize("theta0,rho0", [
+    (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_a_non_finite_ic_is_not_regular(theta0, rho0):
+    # NaN failed neither the depth test nor the regularity margin
+    with pytest.raises(NotRegular, match="is not finite"):
+        RegularIC(theta0, rho0)
+
+
 def test_derivative_pair_line_profile():
     want = math.sqrt(25.0 / math.cos(0.2) ** 4 - 25.0)
     plus, minus = derivative_pair(LINE, RegularIC(0.2, 5.0))
@@ -673,8 +681,8 @@ def test_oracle_series_handoff(monkeypatch):
 
 
 def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):
-    # a tangential approach hands off at many steps in a row, to polished
-    # angles a few ulps apart: one critical point, so one IC in the solve
+    # a tangential approach hands off at many steps in a row, each time
+    # onto the same scanned critical point, so one IC in the solve
     u = from_depth(DepthFunction.from_text(
         "2.380690463175796 + 0.1964806762374441*sin(4*theta + 5.204572765361018)", DOMAIN))
     ic = RegularIC(0.6123522171534247, 2.577853570325295)
@@ -786,7 +794,7 @@ def test_stop_theta_is_the_end_of_the_solve(direction, stop):
     # sequences place it to about 2e-8
     (BUMP, BUMP_IC, +1, "backward", TerminationKind.CONTACT, 1e-7),
     (UNIT, RegularIC(0.0, 0.5), -1, "forward", TerminationKind.FLOOR_CONTACT, 1e-9),
-    # the series handoff ends on the polished critical angle
+    # the series handoff ends on the scanned critical angle
     (LINE, RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward", TerminationKind.CONTACT, 1e-9),
 ], ids=["contact", "floor_contact", "series_handoff"])
 def test_event_before_stop_theta_ends_the_solve(u, ic, sign, direction, kind, tol):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from array import array
 
 import numpy as np
@@ -43,6 +44,14 @@ def test_eval_out_of_domain():
         u.value(2.0)
     with pytest.raises(DomainError):
         u.derivative_grid(np.array([0.5, 2.0]))
+
+
+@pytest.mark.parametrize("domain", [(0.2, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_a_non_finite_domain_end_is_refused(domain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="has an end that is not finite"):
+            ClosedFormModulus("2", domain)
 
 
 def test_eval_negative_raises():

@@ -18,7 +18,7 @@ from depthrec.errors import (
     OutsideCone,
 )
 from depthrec.ivp import RegularIC, residual
-from depthrec.modulus import ClosedFormModulus, from_depth
+from depthrec.modulus import ClosedFormModulus, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.reports import read_u_csv
 from depthrec.solutions import (
@@ -249,9 +249,9 @@ def test_bvp_needs_two_criticals():
         solve_bvp_between_criticals(PARABOLA, cs.points[0], None)  # type: ignore
 
 
-# maximal-workload depths (seed 1) with links whose series handoff polishes
-# the far critical angle up to 2.5e-13 past the target; the handoff ends on
-# the target's own angle, the one its IC is built at
+# maximal-workload depths (seed 1) with links that hand off onto the far
+# critical point; the handoff ends on the target's own angle, the one its IC
+# is built at, not past it
 HANDOFF_PAST_TARGET = [
     "1.347405770094168 + 0.09435951229817716*sin(4*theta + 6.127417592889937)",
     "2.966374844339911 + 0.17269916731389148*sin(4*theta + 0.9855033520847305)",
@@ -580,10 +580,33 @@ def test_each_jet_and_branch_set_is_built_once_per_call(builds, text):
     assert any(branches for _jets, branches in seen)
 
 
+def test_critical_junctions_lie_on_the_scanned_angles():
+    # a solution passes or switches branch at a critical point exactly on
+    # an angle of the profile's scan: the contact snaps and handoffs that
+    # end a piece there, and the IC the next piece leaves from, all take it
+    grid = np.linspace(0.2, 2.9, 801)
+    checked = 0
+    for text in (SAMPLED_RHO, *HANDOFF_PAST_TARGET):
+        forward = from_depth(DepthFunction.from_text(text, (0.2, 2.9)))
+        u = SampledModulus(grid, forward.value_grid(grid))
+        cs = find_critical_points(u)
+        sols = [sol for th in (0.7, 1.3, 2.2)
+                for sol in enumerate_branches(u, RegularIC(th, 0.999 * math.sqrt(u.value(th))))]
+        sols += enumerate_branches(u, fan_size=3, seed=1)
+        for p in cs:
+            if p.kind is CriticalKind.MAXIMUM:
+                cone = build_cone(u, p)
+                sols += [cone.upper, cone.lower]
+        junctions = [j.theta for sol in sols for j in sol.junctions
+                     if j.kind in (JunctionKind.CRITICAL_PASS, JunctionKind.BRANCH_SWITCH)]
+        assert set(junctions) <= {p.theta for p in cs}
+        checked += len(junctions)
+    assert checked >= 10
+
+
 def test_maximal_builds_one_critical_ic_per_point(monkeypatch):
-    # the handoffs onto this profile's points polish each angle to up to
-    # five floats, up to 2e-13 off the scan's: every point gets one IC, at
-    # the scan's angle
+    # the handoffs onto this profile's points end on the scan's angles:
+    # every point gets one IC, at the scan's angle
     u = from_depth(DepthFunction.from_text(HANDOFF_PAST_TARGET[0], (0.2, 2.9)))
     cs = find_critical_points(u)
     built = []

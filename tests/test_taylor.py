@@ -8,14 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depthrec.criticals import find_critical_points, merge_distance
-from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, InvalidModulus
+from depthrec.errors import ComplexDiscriminant, DegenerateFamily, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.series import factorials
 import depthrec.taylor as taylor_mod
 from depthrec.taylor import (
     BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, beta_sign_class, check_safe_region,
-    eval_series, expand_branch, polish_critical, recursion_residuals, second_derivative_roots,
+    eval_series, expand_branch, recursion_residuals, second_derivative_roots,
 )
 
 
@@ -395,7 +395,8 @@ def test_from_modulus_jet_order_is_the_profile_capability():
     assert CriticalIC.from_modulus(closed, math.pi / 6).u_jet.order == 20
     grid = np.linspace(*SINE_DOMAIN, 201)
     sampled = SampledModulus(grid, 2.0 + 0.1 * np.sin(3.0 * grid))
-    ic = CriticalIC.from_modulus(sampled, polish_critical(sampled, math.pi / 6, 0.1))
+    point = min(find_critical_points(sampled), key=lambda p: abs(p.theta - math.pi / 6))
+    ic = CriticalIC.from_modulus(sampled, point.theta)
     assert ic.u_jet.order == 2
     assert [b.order for b in ic.branches] == [2, 2]
 
@@ -423,137 +424,125 @@ def test_branch_set_is_built_once_per_ic(monkeypatch):
     assert expanded == [-1.0, 0.0]
 
 
-def test_one_critical_ic_per_point_per_call():
-    # within one call an angle within the scan's root-merge distance of an IC
-    # gets that IC; a held angle is where its point's IC is built; nothing
-    # outlives the call, and outside a call every ask builds afresh
+def test_one_critical_ic_per_point_per_call(monkeypatch):
+    # a call's critical set is the points it is given, or else the scan, run
+    # once; an angle within the scan's root-merge distance of a point gets
+    # that point's IC, at the point's angle, and any other angle an IC built
+    # there, once; nothing outlives the call, and outside a call every ask
+    # builds afresh
     u = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
     reach = merge_distance(u)
-    theta = math.pi / 6
     assert reach == 1e-10 * (SINE_DOMAIN[1] - SINE_DOMAIN[0])
+    point = min(find_critical_points(u), key=lambda p: abs(p.theta - math.pi / 6))
+    scans = []
+    scan = taylor_mod.find_critical_points
+
+    def counting_scan(v):
+        scans.append(v)
+        return scan(v)
+
+    monkeypatch.setattr(taylor_mod, "find_critical_points", counting_scan)
 
     @taylor_mod.one_critical_table
-    def call():
-        taylor_mod.hold_critical_angles(u, [theta])
-        ic = taylor_mod.critical_ic(u, theta + 0.5 * reach)
-        assert ic.theta0 == theta
-        assert taylor_mod.critical_ic(u, theta - 0.9 * reach) is ic
-        # held again, or held near it: the point keeps its angle
-        taylor_mod.hold_critical_angles(u, [theta + 0.1 * reach])
-        assert taylor_mod.critical_ic(u, theta + 0.1 * reach) is ic
-        far = taylor_mod.critical_ic(u, theta + 1.5 * reach)
-        assert far is not ic and far.theta0 == theta + 1.5 * reach
+    def call(given):
+        if given:
+            taylor_mod.use_critical_points(u, [point])
+        ic = taylor_mod.critical_ic(u, point.theta + 0.5 * reach)
+        assert ic.theta0 == point.theta
+        assert taylor_mod.critical_ic(u, point.theta - 0.9 * reach) is ic
+        # given again: the point keeps its IC
+        taylor_mod.use_critical_points(u, [point])
+        assert taylor_mod.critical_ic(u, point.theta + 0.1 * reach) is ic
+        far = taylor_mod.critical_ic(u, point.theta + 1.5 * reach)
+        assert far is not ic and far.theta0 == point.theta + 1.5 * reach
+        assert taylor_mod.critical_ic(u, far.theta0 + 0.5 * reach) is far
+        # an angle off the set is no critical point to look up
+        assert taylor_mod.critical_angle_near(u, far.theta0, reach) is None
+        assert taylor_mod.critical_angle_near(u, far.theta0, 2 * reach) == point.theta
         return ic
 
-    first = call()
-    assert call() is not first
-    assert taylor_mod.critical_ic(u, theta) is not taylor_mod.critical_ic(u, theta)
+    first = call(given=True)
+    assert scans == []
+    assert call(given=True) is not first
+    assert call(given=False).theta0 == point.theta
+    assert scans == [u]
+    assert taylor_mod.critical_ic(u, point.theta) is not taylor_mod.critical_ic(u, point.theta)
 
 
-# -- critical-point polish ----------------------------------------------------
+def test_a_spline_ic_is_built_on_its_points_jet():
+    # an order-2 IC is built on its critical point's kept jet, the same
+    # u.jet(theta, 2) bits; a closed form's order-20 IC builds its own
+    grid = np.linspace(*SINE_DOMAIN, 201)
+    sampled = SampledModulus(grid, 2.0 + 0.1 * np.sin(3.0 * grid))
+    closed = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
+    for u, order in ((sampled, 2), (closed, 20)):
+        point = find_critical_points(u).points[0]
+
+        @taylor_mod.one_critical_table
+        def call():
+            taylor_mod.use_critical_points(u, [point])
+            return taylor_mod.critical_ic(u, point.theta)
+
+        ic = call()
+        assert ic.u_jet.order == order
+        assert (ic.u_jet is point.u_jet) == (order == 2)
+        assert ic.u_jet.coeffs.tobytes() == u.jet(point.theta, order).coeffs.tobytes()
+
+
+# -- critical-point lookup -----------------------------------------------------
 
 # U' = 0.6 cos(2 theta): one root, at pi/4, in the domain
 TILT = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
 
 
-def test_polish_lands_on_profile_root():
-    theta = polish_critical(TILT, 0.7, 0.1)
-    assert theta == pytest.approx(math.pi / 4, abs=1e-15)
-    assert abs(TILT.derivative(theta)) <= 1e-15
+def near(u, theta, window):
+    """:func:`~depthrec.taylor.critical_angle_near` in a call of its own."""
+    return taylor_mod.one_critical_table(taylor_mod.critical_angle_near)(u, theta, window)
 
 
-def test_polish_rejects_flat_curvature():
-    assert polish_critical(ClosedFormModulus("1", (0.0, 1.0)), 0.5, 0.1) is None
+def test_lookup_lands_on_the_scanned_root():
+    theta = near(TILT, 0.7, 0.1)
+    assert theta == find_critical_points(TILT).points[0].theta
+    assert theta == pytest.approx(math.pi / 4, abs=1e-12)
 
 
-def test_polish_rejects_root_outside_window():
-    assert polish_critical(TILT, 0.5, 0.1) is None
-    assert polish_critical(TILT, 0.5, 0.5) == pytest.approx(math.pi / 4, abs=1e-15)
+def test_lookup_finds_no_point_on_a_flat_profile():
+    assert near(ClosedFormModulus("1", (0.0, 1.0)), 0.5, 0.1) is None
 
 
-def test_polish_maps_profile_errors_to_none_and_propagates_others():
-    # the polish reads the profile through U' and U'' only: an error from
-    # either is a typed failure (None) or a bug (propagates)
+def test_lookup_rejects_a_point_outside_its_window():
+    assert near(TILT, 0.5, 0.1) is None
+    assert near(TILT, 0.5, 0.5) == pytest.approx(math.pi / 4, abs=1e-12)
+    # outside a public solver call there is no critical set
+    assert taylor_mod.critical_angle_near(TILT, 0.7, 0.1) is None
+
+
+def test_a_scan_that_raises_a_profile_error_leaves_its_call_no_points():
+    # a typed profile error in the scan leaves the call with no critical
+    # set: no lookup finds a point, and an IC is built at the angle asked;
+    # any other error propagates
     def raising(error):
-        def read(theta):
+        def read(thetas):
             raise error
         return read
 
-    for accessor in ("derivative", "second_derivative"):
-        u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
-        setattr(u, accessor, raising(InvalidModulus("profile is negative")))
-        assert polish_critical(u, 0.7, 0.1) is None
-        setattr(u, accessor, raising(RuntimeError(f"{accessor} bug")))
-        with pytest.raises(RuntimeError, match=f"{accessor} bug"):
-            polish_critical(u, 0.7, 0.1)
-
-
-def jet_polish_critical(u, theta, window):
-    """The polish as it was on order-2 jets: the oracle of the U'/U'' one."""
-    theta_c = theta
-    try:
-        for _ in range(8):
-            jet2 = u.jet(theta_c, 2)
-            if abs(jet2[2]) < 1e-9 * u.scale:
-                return None
-            step = jet2[1] / jet2[2]
-            theta_c -= step
-            if abs(theta_c - theta) > window:
-                return None
-            if abs(step) < 1e-15:
-                break
-        if abs(u.derivative(theta_c)) > 1e-8 * (1.0 + u.scale):
-            return None
-    except DepthRecError:
-        return None
-    lo, hi = u.domain
-    return min(max(theta_c, lo), hi)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(12, 200), st.floats(0.01, 0.3),
-       st.sampled_from([1e-3, 0.02, 0.1, 1.0]))
-def test_polish_bit_identical_to_jet_oracle_on_sampled_profiles(seed, n, rel_amp, window):
-    # a sampled profile's U' and U'' are the jet's entries, so every Newton
-    # iterate, and so the result, is the same float
-    rng = np.random.default_rng(seed)
-    t = np.linspace(0.2, 2.9, n)
-    c = float(rng.uniform(1.0, 4.0))
-    v = c * (1.0 + rel_amp * np.sin(rng.integers(1, 7) * t + rng.uniform(0.0, 6.3)))
-    v += rng.normal(0.0, 1e-4 * c, n)
-    u = SampledModulus(t, v)
-    for theta in [*rng.uniform(0.2, 2.9, 40), *t[:: max(1, n // 10)]]:
-        got = polish_critical(u, float(theta), window)
-        assert got == jet_polish_critical(u, float(theta), window)
-
-
-def test_polish_agrees_with_jet_oracle_on_closed_forms():
-    # the kernels round U' and U'' differently from the jet: the same None
-    # or not-None answer, and roots within 1e-13
-    rng = np.random.default_rng(7)
-    found = 0
-    for _ in range(24):
-        c, k, phi = rng.uniform(1.0, 3.0), int(rng.integers(2, 5)), rng.uniform(0.0, 6.3)
-        a = rng.uniform(0.05, 0.12) * c
-        u = from_depth(DepthFunction.from_text(f"{c!r} + {a!r}*sin({k}*theta + {phi!r})",
-                                               (0.2, 2.9)))
-        for theta in rng.uniform(0.2, 2.9, 25):
-            for window in (0.01, 0.1):
-                got = polish_critical(u, float(theta), window)
-                want = jet_polish_critical(u, float(theta), window)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got == pytest.approx(want, abs=1e-13)
-                    found += 1
-    assert found > 50
+    u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
+    u.derivative_grid = raising(InvalidModulus("profile is negative"))
+    assert near(u, 0.7, 0.1) is None
+    build = taylor_mod.one_critical_table(taylor_mod.critical_ic)
+    assert build(u, math.pi / 4).theta0 == math.pi / 4
+    u.derivative_grid = raising(RuntimeError("derivative_grid bug"))
+    with pytest.raises(RuntimeError, match="derivative_grid bug"):
+        near(u, 0.7, 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_polish_refuses_non_finite_derivatives(bad):
+def test_lookup_refuses_non_finite_derivatives(bad):
     u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
-    assert polish_critical(u, 0.7, 0.1) == pytest.approx(math.pi / 4, abs=1e-15)
-    u.second_derivative = lambda theta: bad
-    assert polish_critical(u, 0.7, 0.1) is None
-    del u.second_derivative
-    u.derivative = lambda theta: bad
-    assert polish_critical(u, 0.7, 0.1) is None
+    assert near(u, 0.7, 0.1) == pytest.approx(math.pi / 4, abs=1e-12)
+    u._raw_second_derivative = lambda theta: bad
+    assert near(u, 0.7, 0.1) is None
+    del u._raw_second_derivative
+    u._raw_derivative = lambda theta: bad
+    u._raw_derivative_grid = lambda thetas: np.full_like(thetas, bad)
+    assert near(u, 0.7, 0.1) is None
