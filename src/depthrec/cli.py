@@ -305,21 +305,20 @@ def _cmd_cone(args) -> int:
     cs = find_critical_points(u)
     report = empty_report()
     report["criticals"] = criticals_payload(cs)
+    maxima = [p for p in cs.points if p.kind is CriticalKind.MAXIMUM]
     if args.apex is not None:
         apex = CriticalIC.from_modulus(u, args.apex)
-        cone = build_cone(u, apex, opts)
+    elif maxima:
+        apex = maxima[0]
+    elif cs.dense:
+        apex = CriticalIC.from_modulus(u, u.domain[0])
     else:
-        maxima = [p for p in cs.points if p.kind is CriticalKind.MAXIMUM]
-        if not maxima and cs.dense:
-            apex = CriticalIC.from_modulus(u, u.domain[0])
-            cone = build_cone(u, apex, opts)
-        elif maxima:
-            cone = build_cone(u, maxima[0], opts)
-        else:
-            raise DepthRecError("no maximum-type critical point to build a cone at")
+        raise DepthRecError("no maximum-type critical point to build a cone at")
+    cone = build_cone(u, apex, opts, critical_set=cs)
     report["cones"] = [cone_payload(cone)]
     for sample in args.sample or []:
-        sol = sample_cone_solution(cone, u, RegularIC(sample[0], sample[1]), opts)
+        sol = sample_cone_solution(cone, u, RegularIC(sample[0], sample[1]), opts,
+                                   critical_set=cs)
         report["solutions"].append(solution_payload(sol))
     _emit(args, report_json_text(report))
     return 0

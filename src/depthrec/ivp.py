@@ -32,9 +32,11 @@ U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
 dict lookup and store at every stage.  Most emitted nodes are not step
 ends but interior nodes that keep linear interpolation within
-``_INTERP_TOL``; they feed nothing back into the stepping, so the loop's one
-emit point only records each step that needs them, and one pass after the
-loop fills them all in, with U read for all of them in one
+``_INTERP_TOL``; they feed nothing back into the stepping, and how many a
+step needs depends only on its two end nodes, so the loop only steps: each
+accepted step appends its end node and nothing else.  Subdivision is
+decided after the loop, from the node arrays, and one pass fills in every
+interior node, with U read for all of them in one
 :meth:`~depthrec.modulus.ModulusModel.value_grid` call (dense output after
 the fact; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6).  A
 near-contact series handoff, and a contact snap off a flat stretch, end on
@@ -282,12 +284,16 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             t_end = stop_theta
     span = hi - lo
     ode_sign = sign if direction == "forward" else -sign
-    sqrt, ceil = math.sqrt, math.ceil
+    sqrt = math.sqrt
     uvalue = u.value
     atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, _H_MAX, _TOL_CONTACT
     tol_floor, handoff_factor, max_steps = _TOL_FLOOR, _HANDOFF_FACTOR, _MAX_STEPS
-    lin_tol = 8.0 * _INTERP_TOL  # a step's interior nodes keep h^2*curvature/8 under _INTERP_TOL
     end_tol = 1e-15 * max(1.0, abs(t_end))
+    # every angle of the loop lies between the IC and t_end, up to a last
+    # step that rounds past t_end, so the step floor 1e-15*max(1, |t|)
+    # stays under twice its value there, and is worked out only for a step
+    # that does not clear that
+    floor_cap = 2e-15 * max(1.0, abs(ic.theta0), abs(t_end))
     _, c1, c2, c3, c4, c5 = _TSIT5_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54) = _TSIT5_A
@@ -302,8 +308,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     ts = [t]
     ys = [y]
     fs = [f_t]
-    # the accepted steps that need interior nodes, filled in after the loop
-    steps_taken: list[float] = []
+    snap_nodes = None  # the nodes after the last step, which get no interior nodes
     termination: Termination | None = None
 
     h = min(h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
@@ -315,23 +320,34 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     if abs(t_end - t) < 1e-15 * max(1.0, span):
         termination = Termination(TerminationKind.DOMAIN_END, t)
 
+    # the per-step control flow is compares, not builtin calls: U from
+    # ``u.value`` is never negative, and the depth y of an accepted state
+    # is above the floor, so neither needs an ``abs``
     while termination is None:
         steps += 1
         if steps > max_steps:
             termination = Termination(TerminationKind.STEP_FAILURE, t,
                                       f"step budget {max_steps} exhausted")
             break
-        h = min(h, h_max, abs(t_end - t))
-        h_floor = 1e-15 * max(1.0, abs(t))
-        if h <= h_floor:
-            if abs(t_end - t) <= h_floor:
-                # no room left to step: we are at the domain end
-                termination = Termination(TerminationKind.DOMAIN_END, t)
-            else:
-                # the step shrank to nothing short of the end
-                detail = "step size underflow" if stage_error is None else str(stage_error)
-                termination = Termination(TerminationKind.STEP_FAILURE, t, detail)
-            break
+        # h = min(h, h_max, |t_end - t|)
+        rest = t_end - t
+        if rest < 0.0:
+            rest = -rest
+        if h > h_max:
+            h = h_max
+        if h > rest:
+            h = rest
+        if h <= floor_cap:
+            h_floor = 1e-15 * max(1.0, abs(t))
+            if h <= h_floor:
+                if rest <= h_floor:
+                    # no room left to step: we are at the domain end
+                    termination = Termination(TerminationKind.DOMAIN_END, t)
+                else:
+                    # the step shrank to nothing short of the end
+                    detail = "step size underflow" if stage_error is None else str(stage_error)
+                    termination = Termination(TerminationKind.STEP_FAILURE, t, detail)
+                break
         ht = tdir * h
 
         # the stages, each row summed left to right as the tableau lists it,
@@ -375,13 +391,16 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         k6 = ode_sign * sqrt(0.0 if g_new < 0.0 else g_new)
         y4 = y + ht * (e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
 
-        scale = atol + rtol * max(abs(y), abs(y5))
-        err = abs(y5 - y4) / scale
+        # scale = atol + rtol*max(|y|, |y5|), err = |y5 - y4|/scale
+        a5 = y5 if y5 >= 0.0 else -y5
+        scale = atol + rtol * (a5 if a5 > y else y)
+        err = y5 - y4
+        err = (err if err >= 0.0 else -err) / scale
         if err > 1.0:
             rejects += 1
             if rejects > 60:
                 # persistent rejection happens only hard against the bound
-                if u_t - y * y <= 10.0 * (tol_contact * (1.0 + abs(u_t))):
+                if u_t - y * y <= 10.0 * (tol_contact * (1.0 + u_t)):
                     termination = Termination(TerminationKind.CONTACT, t)
                 else:
                     termination = Termination(TerminationKind.STEP_FAILURE, t,
@@ -397,27 +416,20 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         t1, y1, f1 = t_new, y5, k6
         kind: TerminationKind | None = None
         snap = None
-        if y5 <= tol_floor or g_new <= tol_contact * (1.0 + abs(u_new)):
+        if y5 <= tol_floor or g_new <= tol_contact * (1.0 + u_new):
             kind, t1, y1, f1 = _step_event(uvalue, ode_sign, tdir, tol_floor, tol_contact,
                                             t, y, f_t, u_t, t_new, y5, k6, u_new)
         # near-contact series handoff: a trajectory riding tangentially into
         # the bound is exponentially ill-conditioned for stepping, so once
         # the margin is small we try to identify the analytic branch it sits
         # on and finish the approach with the local series
-        elif (g_new <= handoff_factor * (1.0 + abs(u_new))
+        elif (g_new <= handoff_factor * (1.0 + u_new)
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
 
-        # emit the end node; a step too wide for linear interpolation within
-        # _INTERP_TOL is cut into n_sub parts (at most 64), and recorded as
-        # eight numbers (its place in the node lists, n_sub and the two
-        # states) for _fill_nodes to add the n_sub - 1 interior nodes
-        width = abs(t1 - t)
-        if width != 0.0:
-            n_sub = ceil(width / sqrt(lin_tol / max(abs(f1 - f_t) / width, 1e-9)))
-            if n_sub > 1:
-                steps_taken.extend((len(ts), min(n_sub, 64), t, y, f_t, t1, y1, f1))
+        # the step's end node; _fill_nodes adds the nodes inside the step
+        if t1 != t:
             ts.append(t1)
             ys.append(y1)
             fs.append(f1)
@@ -431,27 +443,35 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                 if snap is not None:
                     theta_c, rho_c = snap
                     if ode_sign * (rho_c - ys[-1]) >= -1e-13 and tdir * (theta_c - tau) >= 0.0:
-                        ts.append(theta_c)
-                        ys.append(rho_c)
-                        fs.append(0.0)
+                        snap_nodes = [theta_c], [rho_c], [0.0]
                         tau = theta_c
             termination = Termination(kind, tau)
             break
         if snap is not None:
             snap_ts, snap_ys, snap_fs, theta_c = snap
-            ts.extend(snap_ts)
-            ys.extend(snap_ys)
-            fs.extend(snap_fs)
+            snap_nodes = snap_ts, snap_ys, snap_fs
             termination = Termination(TerminationKind.CONTACT, theta_c)
             break
 
         t, y, f_t, u_t = t_new, y5, k6, u_new
-        if abs(t - t_end) <= end_tol:
+        if -end_tol <= t - t_end <= end_tol:
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        # the growth clamp min(5, max(0.2, .)): an accepted err <= 1 gives a
+        # factor of at least 0.9
+        if err > 0.0:
+            grow = 0.9 * err ** -0.2
+            h *= grow if grow < 5.0 else 5.0
+        else:
+            h *= 5.0
 
-    thetas, rhos, drhos = _fill_nodes(u, steps_taken, ts, ys, fs, ode_sign)
+    stepped = len(ts)
+    if snap_nodes is not None:
+        snap_ts, snap_ys, snap_fs = snap_nodes
+        ts.extend(snap_ts)
+        ys.extend(snap_ys)
+        fs.extend(snap_fs)
+    thetas, rhos, drhos = _fill_nodes(u, ts, ys, fs, stepped, ode_sign)
     if direction == "backward":
         thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
     return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
@@ -523,10 +543,10 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
 
     n_nodes = max(6, int(math.ceil(abs(theta_c - t) / math.sqrt(8.0 * _INTERP_TOL))))
     snap_ts = np.linspace(t, theta_c, n_nodes + 1)[1:].tolist()
-    series = [eval_series(branch, tau) for tau in snap_ts[:-1]]
+    snap_ys, snap_fs = eval_series(branch, snap_ts[:-1])
     # the last node is the contact itself: on the bound, with zero slope
-    snap_ys = [val for val, _ in series] + [ic.rho0]
-    snap_fs = [dval for _, dval in series] + [0.0]
+    snap_ys.append(ic.rho0)
+    snap_fs.append(0.0)
     return snap_ts, snap_ys, snap_fs, theta_c
 
 
@@ -587,38 +607,54 @@ def _step_event(uvalue, ode_sign: int, tdir: float, tol_floor: float, tol_contac
     return kind, tau, y_tau, ode_sign * math.sqrt(0.0 if g < 0.0 else g)
 
 
-def _fill_nodes(u: ModulusModel, steps, ts, ys, fs,
+def _fill_nodes(u: ModulusModel, ts, ys, fs, stepped: int,
                 ode_sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The node arrays with the interior nodes of every recorded step.
+    """The node arrays, with the interior nodes of every accepted step.
 
-    Node ``j`` of a step cut into ``n_sub`` parts sits at ``t0 + (t1 -
-    t0)*j/n_sub``; its depth is the step's cubic Hermite interpolant
-    (:func:`_hermite`) and its slope the field there, with U read for all
-    interior nodes of the solve in one :meth:`~ModulusModel.value_grid`
-    call.  The values are bit for bit those of interpolating and
-    evaluating node by node.  Interior nodes feed nothing back into the
-    stepping, so a profile that fails at one raises here, after the loop,
-    with the error of the first node that fails.
+    Nodes ``i`` and ``i + 1`` below ``stepped`` are the two ends of one
+    step; the nodes from ``stepped`` on (a contact snap, a series handoff)
+    get none.  Subdivision is decided here, after the loop, from the node
+    arrays alone: a step of width ``w`` whose slope changes by ``df`` is cut
+    into ``n_sub = min(64, ceil(w / sqrt(8*_INTERP_TOL / max(df/w, 1e-9))))``
+    parts, so that linear interpolation between nodes stays within
+    ``_INTERP_TOL`` (h^2*curvature/8), the counts of all steps in one numpy
+    pass of the same IEEE operations as the scalar formula.  Node ``j`` of
+    a step sits at ``t0 + (t1 - t0)*j/n_sub``; its depth is the step's cubic
+    Hermite interpolant (:func:`_hermite`) and its slope the field there,
+    with U read for all interior nodes of the solve in one
+    :meth:`~ModulusModel.value_grid` call.  The values are bit for bit those
+    of interpolating and evaluating node by node.  Interior nodes feed
+    nothing back into the stepping, so a profile that fails at one raises
+    here, after the loop, with the error of the first node that fails.
     """
-    if not steps:
-        return np.array(ts), np.array(ys), np.array(fs)
-    recorded = np.array(steps).reshape(-1, 8).T
-    inner = recorded[1].astype(np.intp) - 1
-    # one column per interior node, steps in order
-    index, n_sub, t0, y0, f0, t1, y1, f1 = np.repeat(recorded, inner, axis=1)
-    k = np.arange(index.size)
+    thetas, rhos, drhos = np.array(ts), np.array(ys), np.array(fs)
+    t0, t1 = thetas[:stepped - 1], thetas[1:stepped]
+    width = np.abs(t1 - t0)
+    curvature = np.abs(drhos[1:stepped] - drhos[:stepped - 1]) / width
+    n_sub = np.ceil(width / np.sqrt(8.0 * _INTERP_TOL / np.maximum(curvature, 1e-9)))
+    split = np.flatnonzero(n_sub > 1.0)
+    if not split.size:
+        return thetas, rhos, drhos
+    n_sub = np.minimum(n_sub[split], 64.0)
+    inner = n_sub.astype(np.intp) - 1
+    # one column per interior node, steps in order: its step starts at node
+    # ``i``, and it is node ``j`` of the step's ``n``
+    i, n = np.repeat(split, inner), np.repeat(n_sub, inner)
+    k = np.arange(i.size)
     j = k - np.repeat(np.cumsum(inner) - inner, inner) + 1
-    tau = t0 + (t1 - t0) * j / n_sub
-    y_tau = _hermite(t0, y0, f0, t1, y1, f1, tau, np.float_power)
+    start, end = t0[i], t1[i]
+    tau = start + (end - start) * j / n
+    y_tau = _hermite(start, rhos[i], drhos[i], end, rhos[i + 1], drhos[i + 1], tau,
+                     np.float_power)
     g = u.value_grid(tau) - y_tau * y_tau
     f_tau = ode_sign * np.sqrt(np.where(g < 0.0, 0.0, g))
-    # an interior node lands after the ``index`` nodes recorded before its
-    # step's end and the ``k`` interior nodes before it
-    at = index.astype(np.intp) + k
+    # an interior node lands after the ``i + 1`` nodes up to its step's
+    # start and the ``k`` interior nodes before it
+    at = i + 1 + k
     nodes = np.empty((3, len(ts) + k.size))
     is_end = np.ones(nodes.shape[1], dtype=bool)
     is_end[at] = False
-    nodes[:, is_end] = (ts, ys, fs)
+    nodes[:, is_end] = (thetas, rhos, drhos)
     nodes[:, at] = (tau, y_tau, f_tau)
     return nodes[0], nodes[1], nodes[2]
 
@@ -680,11 +716,8 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
         raise NoContinuation("no room to continue on this side of the contact")
 
     n_series = max(8, int(math.ceil(r / math.sqrt(8.0 * _INTERP_TOL))))
-    offsets = np.linspace(0.0, side * r, n_series + 1)
-    ts = [theta_c + float(o) for o in offsets]
-    vals = [eval_series(branch, tt) for tt in ts]
-    ys = [v[0] for v in vals]
-    fs = [v[1] for v in vals]
+    ts = (theta_c + np.linspace(0.0, side * r, n_series + 1)).tolist()
+    ys, fs = eval_series(branch, ts)
 
     theta_h, rho_h = ts[-1], ys[-1]
     reached_limit = abs(theta_h - limit) <= 1e-14 * max(1.0, abs(limit))

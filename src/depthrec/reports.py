@@ -80,9 +80,11 @@ def read_u_csv(path: str) -> SampledModulus:
     a number raises ``DomainError``.  A regular file (one header line at
     most, no other irregular row) is parsed by ``np.loadtxt`` in one pass,
     with the same cells and the same float conversion as ``float``; any
-    other file goes through ``csv.reader`` row by row.
+    other file goes through ``csv.reader`` row by row.  The file is read as
+    UTF-8, a leading byte-order mark (a spreadsheet's "CSV UTF-8" export)
+    dropped.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
     header = text.split(",", 1)[0].strip().lower() == "theta"
     # loadtxt warns on a file without data rows; leave those to the row loop

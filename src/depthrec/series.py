@@ -13,7 +13,9 @@ conditioning problems of repeated numeric differencing.
 The elementary-function rules are the standard convolutional recurrences:
 for ``g = F(f)`` one differentiates once, multiplies through by ``f`` where
 needed and matches coefficients of ``h**(n-1)``.  All operations are
-O(order^2).
+O(order^2), except :meth:`PowerSeries.sincos` of a linear argument (the
+``k*theta + phi`` inside every sine profile), which is O(order) and gives
+the full recurrence's bits.
 
 Products stay ``np.convolve``.  It sums each coefficient with the BLAS dot
 product, whose order of additions a Python loop does not reproduce: on
@@ -37,6 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["PowerSeries", "factorials"]
+
+_INF = math.inf
 
 
 class PowerSeries:
@@ -193,12 +197,30 @@ class PowerSeries:
         return PowerSeries(g)
 
     def sincos(self) -> tuple["PowerSeries", "PowerSeries"]:
-        """``(sin(self), cos(self))``, from one coupled recurrence."""
+        """``(sin(self), cos(self))``, from one coupled recurrence.
+
+        A linear argument, every coefficient past order 1 a zero of either
+        sign (``k*theta + phi``), adds zeros to each sum after its first
+        term, which leave a nonzero finite partial sum as it is, so that
+        term alone is the sum and the recurrence runs in O(order).  Where
+        the term is zero (the zeros then decide its sign) or not finite (a
+        zero times it is NaN, in this sum and every later one), the full
+        sum is taken.
+        """
         f = self.c.tolist()
         df = [j * fj for j, fj in enumerate(f)]
         s = [math.sin(f[0])]
         c = [math.cos(f[0])]
+        linear = len(f) > 1 and not any(f[2:])
+        f1 = df[1] if linear else 0.0
         for k in range(1, len(f)):
+            if linear:
+                sa = f1 * c[k - 1]
+                ca = f1 * s[k - 1]
+                if sa and ca and -_INF < sa < _INF and -_INF < ca < _INF:
+                    s.append(sa / k)
+                    c.append(-ca / k)
+                    continue
             sa = 0.0
             ca = 0.0
             for dfj, ck, sk in zip(df[1 : k + 1], c[::-1], s[::-1]):

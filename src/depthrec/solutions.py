@@ -513,14 +513,18 @@ class ConvergenceCone:
 @one_critical_table
 def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                opts: IntegrationOptions | None = None,
-               side: int | None = None) -> ConvergenceCone:
+               side: int | None = None,
+               critical_set: CriticalSet | None = None) -> ConvergenceCone:
     """Bounding solution pair around a maximum-type critical point.
 
     Requires both curvature roots nonpositive (otherwise the minimum-type
     uniqueness applies and there is no cone): each root's branch is grown
     outward on ``side`` and the pointwise-larger one becomes the upper
-    bound.
+    bound.  ``critical_set``, or else the profile's scan, run when the call
+    first needs a point, is the call's critical set.
     """
+    if critical_set is not None:
+        use_critical_points(u, critical_set.points)
     if isinstance(apex, CriticalIC):
         ic, theta_c, depth = apex, apex.theta0, apex.rho0
     else:
@@ -552,14 +556,18 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
 
 @one_critical_table
 def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
-                         opts: IntegrationOptions | None = None) -> PiecewiseSolution:
+                         opts: IntegrationOptions | None = None,
+                         critical_set: CriticalSet | None = None) -> PiecewiseSolution:
     """The squeezed solution through a strictly interior cone point.
 
     Integrates the falling family both ways from the IC: toward the apex
     the trajectory is pinched between the bounding pair and reaches the
     apex depth (following the bound across any autonomous stretch), away
     from it the trajectory keeps falling to the domain end or the floor.
+    ``critical_set`` is the call's critical set as in :func:`build_cone`.
     """
+    if critical_set is not None:
+        use_critical_points(u, critical_set.points)
     opts = opts or IntegrationOptions()
     margin = 1e-9 * (1.0 + cone.apex_depth)
     if not cone.contains(ic.theta0, ic.rho0, margin=margin):

@@ -51,7 +51,9 @@ Coefficient convention: a branch stores its Taylor coefficients
 stores ``c``; the profile jet holds derivative values and is divided by the
 factorials once, when a branch is expanded.  The recursion and the series
 evaluation run on lists of Python floats, without numpy's cost for each
-scalar read.
+scalar read.  :func:`eval_series` takes one angle or a list of them: a
+series leg, or the nodes of a handoff, is one call that reads the
+coefficients once for all its angles.
 """
 
 from __future__ import annotations
@@ -273,22 +275,34 @@ def check_safe_region(rho0: float, beta: float) -> SafeRegionResult:
     return SafeRegionResult(SafeRegionKind.POTENTIALLY_DEGENERATE)
 
 
-def eval_series(branch: TaylorBranch, theta: float) -> tuple[float, float]:
+def eval_series(branch: TaylorBranch, theta: float | list[float]):
     """Horner evaluation, in one pass, of the truncated branch series (the
     stored coefficients ``a_k``) and of its derivative (``k*a_k``); refuses
-    degenerate branches."""
+    degenerate branches.
+
+    At one angle returns ``(value, slope)``; at a list of angles, the
+    lists ``(values, slopes)``, from one loop that reads the coefficients
+    once, each angle's bits those of its own call."""
     if branch.status is BranchStatus.DEGENERATE:
         raise DegenerateFamily(
             f"branch is degenerate at coefficient {branch.free_index}; "
             "its series has a free parameter")
-    h = theta - branch.ic.theta0
+    many = isinstance(theta, list)
+    center = branch.ic.theta0
     a = branch.coeffs.tolist()
-    val = dval = 0.0
-    for k in range(len(a) - 1, 0, -1):
-        ak = a[k]
-        val = val * h + ak
-        dval = dval * h + k * ak
-    return val * h + a[0], dval
+    a0 = a[0]
+    # (a_k, k*a_k) from the top order down to 1
+    terms = [(a[k], k * a[k]) for k in range(len(a) - 1, 0, -1)]
+    vals, dvals = [], []
+    for tt in theta if many else (theta,):
+        h = tt - center
+        val = dval = 0.0
+        for ak, kak in terms:
+            val = val * h + ak
+            dval = dval * h + kak
+        vals.append(val * h + a0)
+        dvals.append(dval)
+    return (vals, dvals) if many else (vals[0], dvals[0])
 
 
 def recursion_residuals(branch: TaylorBranch) -> np.ndarray:

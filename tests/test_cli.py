@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import depthrec.criticals as criticals_mod
 from depthrec.cli import _build_parser, _load_config, main
 from depthrec.modulus import ClosedFormModulus
 from depthrec.reports import read_solution_csv, read_u_csv
@@ -406,6 +407,25 @@ def test_cone_sample_does_not_carry_over(tmp_path):
     assert json.loads(second.read_text())["solutions"] == []
 
 
+@pytest.mark.parametrize("extra", [[], ["--sample", "1.0", "2.0"],
+                                   ["--apex", "0.5353981729511362"]])
+def test_cone_scans_the_profile_once(tmp_path, monkeypatch, extra):
+    # the subcommand's scan is the critical set of its cone and its samples
+    ucsv = _sampled_profile(tmp_path)
+    scan, scans = criticals_mod.find_critical_points, []
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("depthrec") and \
+                getattr(module, "find_critical_points", None) is scan:
+            monkeypatch.setattr(module, "find_critical_points", counting)
+    assert main(["cone", "--u-csv", ucsv, *extra, "--out", str(tmp_path / "c.json")]) == 0
+    assert len(scans) == 1
+
+
 def test_branch_on_sampled_profile_at_default_order(tmp_path):
     # a spline jet stops at order 2, so the branches stop there too
     ucsv = _sampled_profile(tmp_path)
@@ -476,6 +496,16 @@ def test_malformed_number_in_u_csv_exits_1(tmp_path, capsys):
     assert main(["critical", "--u-csv", str(ucsv)]) == 1
     err = capsys.readouterr().err
     assert err == f"depthrec: bad number 'abc' in {ucsv}, line 3\n"
+
+
+def test_u_csv_with_a_byte_order_mark_is_read(tmp_path):
+    # exit 1 with "bad number '\ufefftheta' ... line 1" before
+    ucsv = _sampled_profile(tmp_path)
+    bom = tmp_path / "bom.csv"
+    with open(ucsv, "rb") as handle:
+        bom.write_bytes(b"\xef\xbb\xbf" + handle.read())
+    assert run_to_file(tmp_path, "bom.json", ["critical", "--u-csv", str(bom)]) == \
+        run_to_file(tmp_path, "plain.json", ["critical", "--u-csv", ucsv])
 
 
 def test_overflowing_u_csv_prints_one_error_line(tmp_path):

@@ -710,6 +710,14 @@ def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):
     assert len(attempts) > len(built)
 
 
+def test_oracle_steep_profile_caps_steps_at_64_parts():
+    # the slope changes so fast here that a step would need up to 109 parts
+    # for linear interpolation within _INTERP_TOL; it gets 64
+    u = ClosedFormModulus("1e4*(2 + sin(40*theta))", (0.0, 1.0))
+    piece = assert_matches_oracle(u, RegularIC(0.1, 50.0), +1, "forward")
+    assert piece.termination.kind is TerminationKind.CONTACT
+
+
 def test_oracle_step_budget_failure(monkeypatch):
     monkeypatch.setattr(ivp_mod, "_MAX_STEPS", 5)
     piece = assert_matches_oracle(UNIT, RegularIC(0.0, 0.5), +1, "forward")

@@ -252,6 +252,18 @@ def test_read_u_csv_named_files_match_oracle(name, tmp_path):
     _assert_reads_like_oracle(_write(tmp_path, NAMED_FILES[name]))
 
 
+@pytest.mark.parametrize("name", ["header", "no_header", "quoted_header", "crlf"])
+def test_read_u_csv_drops_a_byte_order_mark(name, tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF; it was read as
+    # part of the first cell ("bad number '\ufefftheta'")
+    plain = read_u_csv(_write(tmp_path, NAMED_FILES[name]))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(NAMED_FILES[name].encode("utf-8-sig"))
+    u = read_u_csv(str(path))
+    assert u.thetas.tobytes() == plain.thetas.tobytes()
+    assert u.values.tobytes() == plain.values.tobytes()
+
+
 def test_read_u_csv_on_forward_output_matches_oracle(tmp_path):
     path = str(tmp_path / "u.csv")
     assert main(["forward", "--rho", "2.1 + 0.17*sin(3*theta + 1.3)",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthrec.series import PowerSeries
@@ -320,6 +320,25 @@ def test_recurrences_bit_identical_to_numpy_scalar_oracle(a, b, exponent):
             series_outcome(getattr(ArraySeries, name), ox, oy), name
     assert series_outcome(PowerSeries.__pow__, x, exponent) == \
         series_outcome(ArraySeries.__pow__, ox, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@example(0.3, -0.0, [-0.0, 0.0, -0.0])  # every sum is zeros: their signs decide
+@example(0.0, 0.0, [-0.0, -0.0])
+@example(1.0, 1e300, [0.0, -0.0, 0.0, 0.0])  # inf, then NaN in the full sums
+@example(-2.0, 3.0, [-0.0] * 20)
+@given(f0=st.floats(-10.0, 10.0),
+       f1=st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e-320, 1e200, -1e300])),
+       zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=24))
+def test_sincos_of_a_linear_argument_is_the_full_recurrence(f0, f1, zeros):
+    # the O(order) path of a linear argument, its higher coefficients zeros
+    # of either sign, against the full coupled recurrence: bit for bit,
+    # through a zero order-1 coefficient and coefficients that overflow to
+    # inf (and then to NaN in the full sums)
+    coeffs = [f0, f1, *zeros]
+    with np.errstate(all="ignore"):
+        for g, w in zip(PowerSeries(coeffs).sincos(), ArraySeries(coeffs)._sincos()):
+            assert coefficient_bits(g.c) == coefficient_bits(w.c)
 
 
 def test_results_keep_float_arrays():

@@ -353,6 +353,40 @@ def test_eval_series_near_and_far_matches_derivative_oracle():
                            offsets=(0.0, 0.6, -1.25, 1.3, -3.8))
 
 
+@settings(max_examples=40, deadline=None)
+@given(c0=st.floats(1.0, 4.0), rel_amp=st.floats(0.01, 0.15), k=st.integers(1, 6),
+       phase=st.floats(0.0, 2 * math.pi), sampled=st.booleans(),
+       offsets=st.lists(st.floats(-0.2, 0.2), max_size=30))
+def test_eval_series_at_many_angles_is_each_angle_s_call(
+        c0, rel_amp, k, phase, sampled, offsets):
+    # a list of angles (a series leg) gives each angle's one-angle call bit
+    # for bit, on the branches of a forward model's critical ICs
+    rho = DepthFunction.from_text(f"{c0!r} + {c0 * rel_amp!r}*sin({k}*theta + {phase!r})",
+                                  SINE_DOMAIN)
+    if sampled:
+        grid = np.linspace(*SINE_DOMAIN, 801)
+        rho = DepthFunction.from_samples(grid, [rho.value(float(t)) for t in grid])
+    u = from_depth(rho)
+    for point in find_critical_points(u).points:
+        try:
+            branches = CriticalIC.from_modulus(u, point.theta).branches
+        except ComplexDiscriminant:  # no real branch here
+            continue
+        for branch in branches:
+            if branch.status is BranchStatus.DEGENERATE:
+                continue
+            thetas = [point.theta + o for o in offsets]
+            vals, dvals = eval_series(branch, thetas)
+            want = [eval_series(branch, theta) for theta in thetas]
+            assert np.array([vals, dvals]).T.tobytes() == np.array(want).reshape(-1, 2).tobytes()
+
+
+def test_eval_series_at_many_angles_refuses_degenerate_branches():
+    branch = expand_branch(constant_ic(2.0, order=22), -2.0 / 5)
+    with pytest.raises(DegenerateFamily):
+        eval_series(branch, [0.1, 0.2])
+
+
 # -- the series order is the IC's own ----------------------------------------------
 
 SINE_DOMAIN = (0.2, 2.9)
