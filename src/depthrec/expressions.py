@@ -596,7 +596,7 @@ def _shape(node: Expression) -> tuple[tuple, list]:
 
 
 @lru_cache(maxsize=256)
-def _shape_source(shape: tuple) -> str:
+def _shape_source(shape: tuple, checked: bool) -> str:
     """Generated source of a function ``kernel(th)`` for one shape.
 
     Every distinct operation is one Python operation, parenthesized, so
@@ -610,6 +610,11 @@ def _shape_source(shape: tuple) -> str:
     before it, which keeps that order.  The exponents are literals, the
     constants are the globals ``c0, c1, ...`` and the six functions are
     looked up as globals too.
+
+    The ``checked`` variant returns the value only at an angle
+    ``_lo <= th <= _hi`` where it is finite and nonnegative
+    (``0.0 <= value < _inf``); at any other angle, and where an operation
+    fails, it returns ``_slow(th)`` instead.  The three are globals too.
     """
     shared = {token for token in shape if type(token) is int}
     temps: list[tuple[str, str]] = []   # (local, source), in evaluation order
@@ -659,32 +664,30 @@ def _shape_source(shape: tuple) -> str:
         return name
 
     result, _ = emit()
+    body = [f"{name} = {text}" for name, text in temps]
+    if not checked:
+        return "\n".join([
+            "def kernel(th):",
+            "    try:",
+            *(f"        {line}" for line in body),
+            f"        return {result}",
+            "    except _MATH_ERRORS as exc:",
+            "        raise _fail(exc, th) from exc",
+            "",
+        ])
     return "\n".join([
         "def kernel(th):",
-        "    try:",
-        *(f"        {name} = {text}" for name, text in temps),
-        f"        return {result}",
-        "    except _MATH_ERRORS as exc:",
-        "        raise _fail(exc, th) from exc",
+        "    if _lo <= th <= _hi:",
+        "        try:",
+        *(f"            {line}" for line in body),
+        f"            value = {result}",
+        "        except _MATH_ERRORS:",
+        "            return _slow(th)",
+        "        if 0.0 <= value < _inf:",
+        "            return value",
+        "    return _slow(th)",
         "",
     ])
-
-
-def _kernel_source(node: Expression) -> tuple[str, list]:
-    """Generated source of a function ``kernel(th)`` evaluating ``node``,
-    and the constants ``c0, c1, ...`` it reads, in order.
-
-    The kernel computes each distinct subexpression once, in the order a
-    recursive walk of the tree first computes it, with the same
-    floating-point operations on the same operands, so its values are
-    bit-identical to the walk's, and a failure is the walk's first failing
-    operation, with the same error.  One walk of the tree yields its shape
-    and constants (:func:`_shape`); the source is generated once per shape
-    (:func:`_shape_source`), so profiles that differ only in their constants
-    share one text.
-    """
-    shape, consts = _shape(node)
-    return _shape_source(shape), consts
 
 
 def _fail(exc: Exception, theta) -> EvalError:
@@ -725,30 +728,45 @@ class ExpressionKernel:
     numpy and is bit-identical to a loop of ``scalar``.  Both raise
     :class:`EvalError` carrying the offending angle for a math-domain
     failure (sqrt/log of a negative, division by zero, overflow), the one
-    the node-by-node walk meets first.  Compiling costs as much as a few
-    hundred evaluations, so nothing is built until a kernel is first used.
-    Building one walks the tree once for its shape and constants; kernels
-    of one shape (trees that differ only in their constants, with the same
-    subtrees equal) share one source text and one compiled code object.
+    the node-by-node walk meets first.  :meth:`checked` is ``scalar`` with a
+    range test on the angle and a finite-and-nonnegative test on the value
+    written into its source, handing every other angle to a given slow
+    path: a closed-form profile's U reader.  Compiling costs as much as a
+    few hundred evaluations, so nothing is built until a kernel is first
+    used.  Building one walks the tree once for its shape and constants;
+    kernels of one shape (trees that differ only in their constants, with
+    the same subtrees equal) share one source text and one compiled code
+    object per variant.
     """
 
     def __init__(self, node: Expression):
         self.node = node
 
     @cached_property
-    def _source(self) -> tuple[str, list]:
-        return _kernel_source(self.node)
+    def _tree_shape(self) -> tuple[tuple, list]:
+        return _shape(self.node)
 
-    def _bind(self, funcs: dict, array: bool):
-        source, consts = self._source
+    def _bind(self, funcs: dict, array: bool, checked: bool = False, **names):
+        shape, consts = self._tree_shape
         namespace = {f"c{i}": value for i, value in enumerate(consts)}
-        namespace.update(funcs, _MATH_ERRORS=_MATH_ERRORS, _fail=_fail)
-        exec(_compiled(source, array), namespace)
+        namespace.update(funcs, **names, _MATH_ERRORS=_MATH_ERRORS, _fail=_fail)
+        exec(_compiled(_shape_source(shape, checked), array), namespace)
         return namespace["kernel"]
 
     @cached_property
     def scalar(self):
         return self._bind(_MATH_FUNCS, array=False)
+
+    def checked(self, lo: float, hi: float, slow):
+        """``scalar`` with two tests written in: its value at an angle
+        ``lo <= th <= hi`` where that value is finite and nonnegative, and
+        ``slow(th)`` at any other angle or where ``scalar`` would raise.
+
+        Compiled once per shape, as ``scalar`` is, and bound to the
+        arguments on each call.
+        """
+        return self._bind(_MATH_FUNCS, array=False, checked=True,
+                          _lo=lo, _hi=hi, _slow=slow, _inf=math.inf)
 
     @cached_property
     def _array(self):

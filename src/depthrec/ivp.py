@@ -21,11 +21,12 @@ Every regular solve and series tail runs through one stepping loop, so
 :func:`solve_regular` writes the pair out in straight-line code: the
 tableau (``_TSIT5_*``, its only copy) is unpacked into locals once per
 solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with the terms in
-tableau order, and U is read straight through the bound ``u.value`` at
-every stage angle, the IC's read serving the regularity check too.  The
-last stage sits at the step end, so its U serves the error estimate, the
-event tests and the next step's start; an accepted step without an event
-calls no Python function but ``u.value``.  A ``stop_theta`` before the
+tableau order, and U is read at every stage angle through ``u.value``,
+bound once per solve: the profile's own checked reader, one call per read
+(:mod:`depthrec.modulus`), the IC's read serving the regularity check too.
+The last stage sits at the step end, so its U serves the error estimate,
+the event tests and the next step's start; an accepted step without an
+event calls no Python function but that reader.  A ``stop_theta`` before the
 domain end is the solve's end instead, and the last step lands on it
 (Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
 U is not memoized by angle: on the benchmark's inputs fewer than 2 in
@@ -49,11 +50,12 @@ every solve of one call, builds one jet and one branch set per point.
 scipy's ``OdeSolver`` steppers are not used: on this 1-d field their
 per-step overhead exceeds the steps they save.  On the benchmark's
 ``roundtrip`` inputs (seed 101, its tolerances ``rtol=1e-12, atol=1e-14``,
-2-vCPU x86-64 VM, scipy 1.17) a bare ``DOP853.step()`` loop, without
-events or node output, took 32 steps and 391 field evaluations per solve,
-and 8.0 ms per forward-backward pair against 2.2 to 2.4 ms for the two
-full solves here, which take 70 steps and 349 U reads per solve (Hairer,
-Norsett & Wanner, *Solving ODEs I*, sec. II.5).
+2-vCPU x86-64 VM, scipy 1.17) a bare ``DOP853.step()`` loop on the same
+field, without events or node output, took 15 steps and 216 field
+evaluations per solve, and 2.5 to 4.3 ms per forward-backward pair against
+0.9 to 1.6 ms for the two full solves here, which read U 349 times per
+solve; timed alternately, the bare loop took 2.3 to 4.4 times as long
+(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.5).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from depthrec.expressions import (
     FUNCTIONS, Add, Call, Div, Expression, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
     derivatives_at, differentiate, parse_expression, to_callable, to_text,
 )
+from depthrec.expressions import _shape_source
 from depthrec.modulus import from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.series import PowerSeries
@@ -580,8 +581,8 @@ def test_same_shape_profiles_share_source_and_code():
         "2.4 + -0.3*cos(theta) + 0.11*sin(theta) + -0.02*cos(2*theta) + 0.19*sin(2*theta)",
         (0.3, 2.6)))
     for a, b in ((first._u, second._u), (first._du, second._du), (first._ddu, second._ddu)):
-        assert a._source[0] is b._source[0]
-        assert a._source[1] != b._source[1]
+        assert a._tree_shape[0] == b._tree_shape[0]
+        assert a._tree_shape[1] != b._tree_shape[1]
         assert a.scalar.__code__ is b.scalar.__code__
         assert a._array.__code__ is b._array.__code__
         thetas = np.linspace(0.3, 2.6, 9)
@@ -590,6 +591,9 @@ def test_same_shape_profiles_share_source_and_code():
             assert np.array([kernel.scalar(th) for th in thetas.tolist()]).tobytes() == want
             assert kernel.grid(thetas).tobytes() == want
         assert a.scalar(1.0) != b.scalar(1.0)
+    # so do the profiles' U readers, each with its own constants
+    assert first.value.__code__ is second.value.__code__
+    assert first.value(1.0) != second.value(1.0)
 
 
 def test_shape_tells_which_subtrees_are_equal():
@@ -597,8 +601,9 @@ def test_shape_tells_which_subtrees_are_equal():
     # cos(3*theta) does not; the kernels differ and each matches its tree
     same = ExpressionKernel(parse_expression("sin(2*theta) + cos(2*theta)"))
     other = ExpressionKernel(parse_expression("sin(2*theta) + cos(3*theta)"))
-    assert same._source[0] != other._source[0]
-    assert same._source[0].count("*") == 1 and other._source[0].count("*") == 2
+    same_source, other_source = (_shape_source(k._tree_shape[0], False) for k in (same, other))
+    assert same_source != other_source
+    assert same_source.count("*") == 1 and other_source.count("*") == 2
     for kernel in (same, other):
         for th in (-1.0, 0.4, 2.0):
             assert outcome(kernel.scalar, th) == outcome(tree_callable(kernel.node), th)

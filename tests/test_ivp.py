@@ -33,7 +33,7 @@ from depthrec.ivp import (
     _HANDOFF_FACTOR, _hermite, _regular_margin, _series_handoff, branch_to_piece,
     continue_through_critical, bound_following_piece, derivative_pair, residual, solve_regular,
 )
-from depthrec.modulus import ClosedFormModulus, from_depth
+from depthrec.modulus import ClosedFormModulus, ModulusModel, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.taylor import CriticalIC, expand_branch
 import depthrec.taylor as taylor_mod
@@ -989,3 +989,51 @@ def test_one_zero_tolerance_is_usable():
     for opts in (IntegrationOptions(rtol=0.0), IntegrationOptions(atol=0.0)):
         piece = solve_regular(u, RegularIC(1.0, 1.0), +1, "forward", opts)
         assert piece.termination.kind is TerminationKind.CONTACT
+
+
+# -- every U read goes through ModulusModel.value ----------------------------------
+
+def _sampled(text):
+    rho = DepthFunction.from_text(text, DOMAIN)
+    grid = np.linspace(*DOMAIN, 801)
+    return from_depth(DepthFunction.from_samples(grid, [rho.value(float(t)) for t in grid]))
+
+
+@pytest.mark.parametrize("u,ic,sign,direction", [
+    ("wave", RegularIC(0.9, 1.5), +1, "forward"),                     # to the domain end
+    ("bump", BUMP_IC, +1, "backward"),                                # transversal contact
+    ("line", RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward"),    # series handoff
+    ("sampled", RegularIC(0.9, 1.5), -1, "backward"),                 # an 801-sample spline
+], ids=["domain_end", "contact", "series_handoff", "sampled"])
+def test_a_wrapper_on_the_class_sees_every_u_read(u, ic, sign, direction, monkeypatch):
+    # a wrapper set on the class in place of ModulusModel.value, as the
+    # benchmark's tracer sets one, sees exactly the reads the instance-level
+    # recorder sees, and so does a counter on the profile's reader itself:
+    # every read, stage reads included, goes through ModulusModel.value;
+    # the nodes keep their bits under either recorder
+    u = {"wave": WAVE, "bump": BUMP, "line": LINE,
+         "sampled": _sampled("2.1 + 0.17*sin(3*theta + 1.3)")}[u]
+    _, want = _solve_outcome(solve_regular, u, ic, sign, direction)
+
+    reader, by_reader = u.value, []
+
+    def counted_reader(theta):
+        by_reader.append(theta)
+        return reader(theta)
+
+    raw, by_class = ModulusModel.__dict__["value"], []
+
+    def on_class(*args, **kwargs):
+        by_class.append(args[1])
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(u, "_read", counted_reader)
+    monkeypatch.setattr(ModulusModel, "value", on_class)
+    _, got = _solve_outcome(solve_regular, u, ic, sign, direction)
+    monkeypatch.undo()
+    assert got == want
+    assert by_class and by_class == by_reader
+    with counting_reads(u) as (by_instance, _):
+        _, got = _solve_outcome(solve_regular, u, ic, sign, direction)
+    assert got == want
+    assert by_instance == by_class

@@ -12,9 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from depthrec.errors import DomainError, EvalError, InvalidModulus, OrderUnavailable
-from depthrec.expressions import Add, Call, Div, Mul, Neg, Num, Pi, Pow, Sub, Var
+from depthrec.expressions import (
+    Add, Call, Div, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
+)
 from depthrec.modulus import (
-    NEGATIVE_CLAMP, ClosedFormModulus, SampledModulus, from_depth, validate_modulus,
+    NEGATIVE_CLAMP, ClosedFormModulus, ModulusModel, SampledModulus, from_depth,
+    validate_modulus,
 )
 from depthrec.parametrization import DepthFunction
 from test_expressions import expressions
@@ -271,9 +274,10 @@ def test_sampled_kernel_equals_scipy_spline(seed, n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
 def test_order0_spline_kernel_is_bit_identical(seed, n):
-    # the unrolled U kernel against the generic one and against scipy, bit
-    # for bit, on data of both signs (the raw kernel does not clamp); the
-    # piece lookup is tried at every knot and on either side of it, at both
+    # the generic kernel, and the U reader that has its sum written out,
+    # against scipy, bit for bit, on data of both signs (the raw kernel does
+    # not clamp; the reader returns only nonnegative values); the piece
+    # lookup is tried at every knot and on either side of it, at both
     # domain ends and across the 1e-12 slack past each end
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(0.01, 0.5, n)) - 1.0
@@ -284,8 +288,10 @@ def test_order0_spline_kernel_is_bit_identical(seed, n):
               *rng.uniform(lo, hi, 50), lo, hi, lo - 1e-12, hi + 1e-12, lo - 5e-13, hi + 5e-13,
               *rng.uniform(lo - 1e-12, lo, 5), *rng.uniform(hi, hi + 1e-12, 5)]
     for th in map(float, points):
-        got = u._raw_value(th)
-        assert got.hex() == u._spline_at(th, 0).hex() == float(spline(th)).hex()
+        want = float(spline(th)).hex()
+        assert u._raw_value(th).hex() == want
+        if not want.startswith("-"):
+            assert u.value(th).hex() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -553,3 +559,92 @@ def test_derivative_grid_raises_at_the_loops_angle():
     u = ClosedFormModulus("2 + sin(theta)", (0.0, 2.0))
     with pytest.raises(DomainError, match=r"^angle 5\.0 outside"):
         u.derivative_grid(np.array([0.5, 5.0, -1.0]))
+
+
+# -- a profile's U reader against the slow path -------------------------------
+
+def read_outcome(read, theta):
+    """A U read's bits, or its error's class, text and angle."""
+    try:
+        return read(theta).hex()
+    except (DomainError, EvalError, InvalidModulus) as exc:
+        return type(exc), str(exc), getattr(exc, "theta", None)
+
+
+def edge_angles(u):
+    """Both domain ends, the 1e-12 slack past each (exactly on it, just
+    past it, and inside it), and the non-finite angles."""
+    lo, hi = u.domain
+    out = [lo, hi, lo - 1e-12, hi + 1e-12, lo - 5e-13, hi + 5e-13]
+    out += [math.nextafter(lo - 1e-12, -math.inf), math.nextafter(hi + 1e-12, math.inf),
+            math.nextafter(lo - 1e-12, math.inf), math.nextafter(hi + 1e-12, -math.inf)]
+    return out + [math.nan, math.inf, -math.inf]
+
+
+def assert_reader_is_the_slow_path(u, thetas):
+    # the reader a profile hands out, and the class attribute called on the
+    # profile, against the checks written in Python, angle by angle
+    read = u.value
+    for th in thetas:
+        want = read_outcome(u._checked_value, th)
+        assert read_outcome(read, th) == want
+        assert read_outcome(lambda t: ModulusModel.value(u, t), th) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=6),
+       st.sampled_from([None, 0.0, 1e-13, -1e-13, 3e-12, 1e-9]))
+@example(Sub(Num(1.0), Pow(Var("theta"), 2)), [1.0], 1e-13)
+@example(Add(Num(2.0), Mul(Mul(Num(1e200), Var("theta")), Mul(Num(1e200), Var("theta")))),
+         [0.5], None)
+def test_closed_form_reader_is_the_slow_path(node, thetas, near_zero):
+    # bit for bit, or the same first error (class, text and angle): outside
+    # the domain or its slack, a failing expression, a value negative
+    # beyond the clamp, infinite or NaN; with near_zero the profile is
+    # shifted to within about that much below zero at the first angle, so
+    # reads there fall in the negative clamp band or just past it
+    if near_zero is not None:
+        try:
+            at_first = ExpressionKernel(node).scalar(thetas[0])
+        except EvalError:
+            at_first = math.nan
+        if math.isfinite(at_first):
+            node = Sub(node, Num(at_first + near_zero))
+    u = ClosedFormModulus(node, (-4.0, 4.0))
+    assert_reader_is_the_slow_path(u, [*thetas, *edge_angles(u)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=st.floats(1.0, 4.0), rel_amp=st.floats(0.01, 0.15), k=st.integers(1, 6),
+       phase=st.floats(0.0, 2 * math.pi), near_zero=st.sampled_from([None, 0.0, 1e-13, 1e-9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_reader_is_the_slow_path(c0, rel_amp, k, phase, near_zero, seed):
+    # the forward model of a sine-family depth as an 801-sample spline, read
+    # at every knot, on either side of some, at random angles and at the
+    # edges; with near_zero the data are shifted so that their smallest
+    # value sits about that much below zero, in the clamp band or past it
+    domain = (0.2, 2.9)
+    rho = DepthFunction.from_text(f"{c0!r} + {c0 * rel_amp!r}*sin({k}*theta + {phase!r})",
+                                  domain)
+    grid = np.linspace(*domain, 801)
+    u = from_depth(DepthFunction.from_samples(grid, [rho.value(float(t)) for t in grid]))
+    if near_zero is not None:
+        u = SampledModulus(u.thetas, u.values - (u.values.min() + near_zero))
+    rng = np.random.default_rng(seed)
+    knots = u.thetas.tolist()
+    some = rng.choice(u.thetas, 20)
+    thetas = [*knots, *np.nextafter(some, -np.inf).tolist(), *np.nextafter(some, np.inf).tolist(),
+              *rng.uniform(*domain, 50).tolist(), *edge_angles(u)]
+    assert_reader_is_the_slow_path(u, thetas)
+
+
+def test_a_sampled_profile_without_a_spline_reads_by_the_slow_path():
+    # a NaN sample leaves no spline, so there is no fast reader to hand out
+    t = np.linspace(0.2, 2.9, 801)
+    v = 2.0 + np.sin(t)
+    v[400] = np.nan
+    u = SampledModulus(t, v)
+    assert u.value == u._checked_value
+    assert_reader_is_the_slow_path(u, [0.5, t[400], *edge_angles(u)])
+    with pytest.raises(InvalidModulus, match="non-finite values"):
+        u.value(0.5)
