@@ -10,13 +10,13 @@ convergence cones.
 """
 
 from .criticals import (
-    CriticalKind, CriticalPoint, CriticalSet, find_critical_points,
-    maximal_depth, upper_bound_check,
+    CriticalKind, CriticalPoint, CriticalSet, Phase, find_critical_points,
+    maximal_depth, phase_of, upper_bound_check,
 )
 from .errors import (
     ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError, EvalError,
     InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
-    NotRegular, OrderUnavailable, OutsideCone, ParseError, StepFailure,
+    NotRegular, OrderUnavailable, OutsideCone, ParseError,
 )
 from .expressions import differentiate, parse_expression, to_callable, to_text
 from .ivp import (
@@ -38,8 +38,8 @@ from .solutions import (
     solve_bvp_between_criticals, stitch,
 )
 from .taylor import (
-    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, SafeRegionResult,
-    TaylorBranch, beta_sign_class, check_safe_region, eval_series,
+    BranchStatus, CriticalIC, SafeRegionKind, SafeRegionResult,
+    TaylorBranch, check_safe_region, eval_series,
     expand_branch, recursion_residuals, second_derivative_roots,
 )
 

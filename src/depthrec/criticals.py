@@ -4,14 +4,14 @@ The pointwise square root of the squared-speed profile upper-bounds every
 admissible depth solution, and the places where its derivative vanishes are
 exactly the points where solutions can touch it, merge, or split.  This
 module locates those points (isolated roots of U', flat runs where U'
-vanishes identically, and boundary roots) and classifies each as a
-minimum, maximum or inflection of the bound.
+vanishes identically, and boundary roots) and gives each its phase class.
 
-A point's kind comes from U'' read through the profile's compiled kernel,
-as the touch-root search reads it, so the scan builds no jet.  The order-2
-jet a :class:`CriticalPoint` carries, :attr:`CriticalPoint.u_jet`, is built
-from its profile on first read and kept.  Roots of U' closer than
-:func:`merge_distance` are one point.
+A point's phase class (:func:`phase_of`) comes from U'' read through the
+profile's compiled kernel, as the touch-root search reads it, and kept as
+:attr:`CriticalPoint.u2`; its kind names the phase (a saddle is a minimum,
+a saddle-node an inflection, a node or a focus a maximum).  The scan builds
+no jet: :attr:`CriticalPoint.u_jet` is built on first read and kept.
+Roots of U' closer than :func:`merge_distance` are one point.
 
 This scan is the solver's one way to find a critical point: each public
 solver call's table of critical ICs (:func:`~depthrec.taylor.critical_ic`)
@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from .errors import DepthRecError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
-__all__ = ["CriticalKind", "CriticalPoint", "CriticalSet", "maximal_depth",
+__all__ = ["CriticalKind", "Phase", "phase_of", "CriticalPoint", "CriticalSet", "maximal_depth",
            "find_critical_points", "upper_bound_check", "UpperBoundReport", "SCAN_CELLS",
            "merge_distance"]
 
@@ -48,9 +48,50 @@ class CriticalKind(Enum):
     INFLECTION = "inflection"
 
 
+class Phase(Enum):
+    """The linear phase class of a critical point: the equilibrium of the
+    phase-plane field with eigenvalues ``lambda^2 + lambda = U''/(2U)``, and
+    curvature roots ``beta = rho0*lambda`` (Perko, *Differential Equations
+    and Dynamical Systems*, ch. 1-2)."""
+
+    SADDLE = "saddle"                    # U'' > 0, roots of both signs
+    SADDLE_NODE = "saddle_node"          # U'' = 0, roots -rho0 and 0
+    NODE = "node"                        # two distinct negative roots
+    DEGENERATE_NODE = "degenerate_node"  # the double root -rho0/2
+    FOCUS = "focus"                      # complex roots: no solution touches it
+
+    @property
+    def kind(self) -> CriticalKind:
+        """The extremum of the bound this phase names."""
+        return (CriticalKind.MINIMUM if self is Phase.SADDLE else CriticalKind.INFLECTION
+                if self is Phase.SADDLE_NODE else CriticalKind.MAXIMUM)
+
+
+def phase_of(rho0: float, u2: float, scale: float | None = None) -> Phase:
+    """The phase class of a critical point of depth ``rho0`` where U'' is ``u2``.
+
+    The discriminant ``rho0^2 + 2*u2`` decides first: below
+    ``-1e-12*(1 + rho0^2 + |u2|)`` a focus, within that of zero a degenerate
+    node.  Otherwise U'' against ``1e-9*scale`` does: above it a saddle,
+    within it a saddle-node, below it a node.  ``scale`` is the profile's
+    (:attr:`ModulusModel.scale`), by default ``1 + rho0^2``.
+    """
+    disc = rho0 * rho0 + 2.0 * u2
+    tol_disc = 1e-12 * (1.0 + rho0 * rho0 + abs(u2))
+    if disc < -tol_disc:
+        return Phase.FOCUS
+    if disc <= tol_disc:
+        return Phase.DEGENERATE_NODE
+    tol_u2 = 1e-9 * (1.0 + rho0 * rho0 if scale is None else scale)
+    if u2 > tol_u2:
+        return Phase.SADDLE
+    return Phase.SADDLE_NODE if u2 >= -tol_u2 else Phase.NODE
+
+
 @dataclass(frozen=True)
 class CriticalPoint:
-    """One critical point of the depth bound of ``profile``."""
+    """One critical point of the depth bound of ``profile``; the scan's
+    ``kind`` names :attr:`phase`, one built by hand keeps the kind given."""
 
     theta: float
     depth: float
@@ -62,6 +103,16 @@ class CriticalPoint:
     def u_jet(self) -> Jet:
         """The profile's order-2 jet at the point, built on first read."""
         return self.profile.jet(self.theta, 2)
+
+    @cached_property
+    def u2(self) -> float:
+        """U'' at the point: the scan's read, or else read on first use."""
+        return self.profile.second_derivative(self.theta)
+
+    @property
+    def phase(self) -> Phase:
+        """The point's phase class (:func:`phase_of`), from :attr:`u2`."""
+        return phase_of(self.depth, self.u2, self.profile.scale)
 
 
 @dataclass
@@ -99,25 +150,6 @@ def merge_distance(u: ModulusModel) -> float:
     return max(10 * _TOL_ROOT, 1e-10 * (hi - lo))
 
 
-def _classify(u: ModulusModel, theta: float, u2: float) -> CriticalKind:
-    """The kind of the critical point at ``theta``, where U'' is ``u2``."""
-    tol_class = 1e-9 * u.scale
-    if u2 > tol_class:
-        return CriticalKind.MINIMUM
-    if u2 < -tol_class:
-        return CriticalKind.MAXIMUM
-    # curvature at roundoff level: look at the derivative's sign on both sides
-    lo, hi = u.domain
-    h = (hi - lo) * 1e-3
-    left = u.derivative(max(lo, theta - h))
-    right = u.derivative(min(hi, theta + h))
-    if left > 0 >= right:
-        return CriticalKind.MAXIMUM
-    if left < 0 <= right:
-        return CriticalKind.MINIMUM
-    return CriticalKind.INFLECTION
-
-
 def _scan(dvals: np.ndarray, tol_flat: float, touch_screen: float):
     """Classify the cells of a U' scan on a grid.
 
@@ -149,9 +181,10 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
     U' sits at roundoff level throughout mark dense (autonomous) stretches.
     Double roots of U' (no sign change) are caught by polishing the zeros
     of U'' and accepting them when U' is small there.  Domain endpoints
-    with vanishing U' are admitted and flagged ``boundary``.  Each point is
-    classified by the sign of U'' (:meth:`ModulusModel.second_derivative`);
-    no jet is built.
+    with vanishing U' are admitted and flagged ``boundary``.  Each point's
+    kind names its phase class (:func:`phase_of`), from U''
+    (:meth:`ModulusModel.second_derivative`), which it keeps as
+    :attr:`CriticalPoint.u2`; no jet is built.
     """
     lo, hi = u.domain
     scale_d = 1.0 + u.scale / max(hi - lo, 1e-6)
@@ -228,9 +261,11 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
         if uval <= 1e-14 * u.scale:
             rejected.append((th, "profile vanishes here; no positive depth exists"))
             continue
-        kind = _classify(u, th, second(th))
+        depth, u2 = math.sqrt(uval), second(th)
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
-        points.append(CriticalPoint(th, math.sqrt(uval), kind, u, is_boundary))
+        point = CriticalPoint(th, depth, phase_of(depth, u2, u.scale).kind, u, is_boundary)
+        vars(point)["u2"] = u2  # the cached property's value: U'' is read once
+        points.append(point)
 
     return CriticalSet(points=points, dense=bool(dense_intervals),
                        dense_intervals=dense_intervals, rejected=rejected)

@@ -49,10 +49,6 @@ class NotRegular(DepthRecError):
     """An initial condition does not satisfy the strict regularity margin."""
 
 
-class StepFailure(DepthRecError):
-    """Adaptive integration could not advance an accepted step."""
-
-
 class NoContinuation(DepthRecError):
     """No admissible branch continues a trajectory past a contact point."""
 
@@ -74,7 +70,8 @@ class NoCriticalPoints(DepthRecError):
 
 
 class NotConeApex(DepthRecError):
-    """The requested apex is not maximum-type, so no bounding pair exists."""
+    """The requested apex is a saddle or a focus, or carries fewer than two
+    branches, so no bounding pair exists."""
 
 
 class OutsideCone(DepthRecError):

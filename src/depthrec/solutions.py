@@ -5,8 +5,8 @@ stitches them into C1 solutions spanning the domain.  It enumerates the
 finite tree of continuations from an initial condition, builds the unique
 trajectory between consecutive critical points, assembles the
 depth-maximal solution by chaining those trajectories, and constructs the
-bounding pair around maximum-type critical points together with the
-squeezed non-analytic solutions inside it.
+bounding pair around a cone apex (any critical point but a saddle or a
+focus) together with the squeezed non-analytic solutions inside it.
 
 A link between two critical points has one rule: launch the
 largest-curvature branch leaving the minimum-type end toward the other
@@ -32,7 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .criticals import SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, find_critical_points
+from .criticals import (
+    SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, Phase, find_critical_points, phase_of,
+)
 from .errors import (
     DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular,
     OutsideCone,
@@ -515,33 +517,29 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                opts: IntegrationOptions | None = None,
                side: int | None = None,
                critical_set: CriticalSet | None = None) -> ConvergenceCone:
-    """Bounding solution pair around a maximum-type critical point.
+    """Bounding solution pair around a cone apex.
 
-    Requires both curvature roots nonpositive (otherwise the minimum-type
-    uniqueness applies and there is no cone): each root's branch is grown
-    outward on ``side`` and the pointwise-larger one becomes the upper
-    bound.  ``critical_set``, or else the profile's scan, run when the call
-    first needs a point, is the call's critical set.
+    An apex whose phase class (an IC's by :func:`~depthrec.criticals.phase_of`
+    on its jet) is a saddle or a focus raises :class:`NotConeApex` before any
+    IC or branch is built.  Each curvature root's branch is grown outward on
+    ``side``, the pointwise-larger one the upper bound.  ``critical_set``, or
+    else the profile's scan, run when first needed, is the call's critical set.
     """
     if critical_set is not None:
         use_critical_points(u, critical_set.points)
-    if isinstance(apex, CriticalIC):
-        ic, theta_c, depth = apex, apex.theta0, apex.rho0
-    else:
-        ic = critical_ic(u, apex.theta)
-        theta_c, depth = apex.theta, apex.depth
-    lo, hi = u.domain
+    by_hand = isinstance(apex, CriticalIC)
+    theta_c, depth = (apex.theta0, apex.rho0) if by_hand else (apex.theta, apex.depth)
+    phase = phase_of(depth, apex.u_jet[2], u.scale) if by_hand else apex.phase
+    if phase in (Phase.SADDLE, Phase.FOCUS):
+        why = ("one solution touches it on each side" if phase is Phase.SADDLE
+               else "no solution touches it")
+        raise NotConeApex(f"the critical point at theta={theta_c} is a {phase.value}: {why}, "
+                          "so it is no cone apex")
+    ic = apex if by_hand else critical_ic(u, theta_c)
     if side is None:
-        side = -1 if abs(theta_c - hi) < 1e-9 else +1
+        side = -1 if abs(theta_c - u.domain[1]) < 1e-9 else +1
 
     candidates = continuation_candidates(ic, side)
-    # a positive root is never degenerate, so the filtered set still shows it
-    betas = [b.beta for _s, b in candidates]
-    if max(betas, default=0.0) > 1e-9 * (1.0 + ic.rho0):
-        raise NotConeApex(
-            f"curvature roots ({', '.join(f'{b:.4g}' for b in betas)}) are not both "
-            "nonpositive; this is a minimum-type point with a unique touching solution")
-
     if len(candidates) < 2:
         raise NotConeApex("the apex does not carry two distinct branches")
     # smaller curvature root first: the larger one grows the upper bound

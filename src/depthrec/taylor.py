@@ -10,8 +10,10 @@ quadratic in the curvature beta = 2*a2 = rho''
 
     2*(beta^2 + rho0*beta) = U'',
 
-whose two roots seed (at most) two analytic branches.  The linear steps
-share the pivot
+whose two roots seed (at most) two analytic branches.  Its discriminant
+``rho0^2 + 2*U''`` gives the point's phase class
+(:func:`~depthrec.criticals.phase_of`): a focus has no branch, and a
+degenerate node one.  The linear steps share the pivot
 
     alpha_n = 2*(rho0 + n*beta),
 
@@ -19,32 +21,24 @@ which vanishes exactly when beta = -rho0/n for an integer n >= 3; those are
 the degenerate cases where the recursion stalls and a one-parameter family
 of series appears.
 
-Critical points come from one place, the critical scan
-(:func:`~depthrec.criticals.find_critical_points`), and every critical IC
-is built by :func:`critical_ic`; its branch set is the IC's own,
-:attr:`CriticalIC.branches`.  The integrator and the global assembly use
-these and nothing else for that.
-
-A critical IC carries at most two analytic branches, fixed by its jet, so
-an IC's series order is its jet's: :data:`DEFAULT_ORDER`, or the profile's
-exact capability if that is lower (a sampled profile's jet stops at 2).
-Its branch set is built once, on first use, and kept on the IC.  Within
-one public solver call (each function decorated with
-:func:`one_critical_table`) there is one table of ICs, and it is that
-call's critical set: the points the caller passed
-(:func:`use_critical_points`), or else the profile's scan, run once, when
-the call first needs a point.  A scan that raises leaves the call with no
-points, and so with no series handoff.  A handoff, and a contact snap off
-a flat stretch, ends on the set's nearest angle
-(:func:`critical_angle_near`), and an angle within the scan's root-merge
-distance (:func:`~depthrec.criticals.merge_distance`) of a point gets
-that point's IC, at its angle: pieces that start at a point (series legs)
-and pieces that end there (snaps, and the ends of two-point links) meet at
-one angle and share one jet and one branch set.  Any other angle (a
-transversal contact, an angle given by hand) gets an IC built there.
-Calls nested in another share its table; it is dropped when the outermost
-call returns, so nothing is kept from one call to the next.  Outside any
-such call :func:`critical_ic` builds afresh each time.
+Every critical IC is built by :func:`critical_ic`, its jet at
+:data:`DEFAULT_ORDER` or the profile's exact capability if that is lower
+(a sampled profile's jet stops at 2), and its branch set,
+:attr:`CriticalIC.branches`, is built once, on first use; the integrator
+and the global assembly use nothing else at a critical point.  Within one
+public solver call (:func:`one_critical_table`) there is one table of ICs,
+and it is that call's critical set: the points the caller passed
+(:func:`use_critical_points`), or else the profile's critical scan
+(:func:`~depthrec.criticals.find_critical_points`), run once, when first
+needed; a scan that raises leaves no points, and so no series handoff.  A
+handoff, and a contact snap off a flat stretch, ends on the set's nearest
+angle (:func:`critical_angle_near`), and an angle within
+:func:`~depthrec.criticals.merge_distance` of a point gets that point's
+IC, at its angle: pieces that start at a point and pieces that end there
+meet at one angle and share one jet and one branch set.  Any other angle
+gets an IC built there.  Calls nested in another share its table, which
+is dropped when the outermost call returns; outside any call
+:func:`critical_ic` builds afresh each time.
 
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
@@ -66,14 +60,14 @@ from enum import Enum
 
 import numpy as np
 
-from .criticals import CriticalPoint, find_critical_points, merge_distance
+from .criticals import CriticalPoint, Phase, find_critical_points, merge_distance, phase_of
 from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError
 from .modulus import Jet, ModulusModel
 from .series import factorials
 
 __all__ = [
-    "CriticalIC", "TaylorBranch", "BranchStatus", "BetaSignClass", "SafeRegionKind",
-    "SafeRegionResult", "second_derivative_roots", "beta_sign_class", "expand_branch",
+    "CriticalIC", "TaylorBranch", "BranchStatus", "SafeRegionKind",
+    "SafeRegionResult", "second_derivative_roots", "expand_branch",
     "check_safe_region", "eval_series", "recursion_residuals",
     "critical_ic", "critical_angle_near", "use_critical_points", "one_critical_table",
 ]
@@ -116,7 +110,7 @@ class CriticalIC:
         Built on first use and kept; a complex discriminant raises
         :class:`ComplexDiscriminant` on every use."""
         b1, b2 = second_derivative_roots(self.rho0, self.u_jet[2])
-        betas = (b1,) if abs(b2 - b1) <= 1e-12 * (1.0 + self.rho0) else (b1, b2)
+        betas = (b1,) if b1 == b2 else (b1, b2)
         return tuple(expand_branch(self, b) for b in betas)
 
 
@@ -154,47 +148,18 @@ class TaylorBranch:
 def second_derivative_roots(rho0: float, u2: float) -> tuple[float, float]:
     """Both roots of the curvature quadratic, smaller first.
 
-    The discriminant ``rho0^2 + 2*u2`` is clamped to zero when within
-    tolerance (double root); genuinely negative discriminants raise
-    :class:`ComplexDiscriminant`.
+    :func:`~depthrec.criticals.phase_of` decides them: a focus raises
+    :class:`ComplexDiscriminant`, and at a degenerate node the
+    discriminant ``rho0^2 + 2*u2`` is clamped to zero (a double root).
     """
     if rho0 <= 0.0:
         raise DomainError("depth must be positive")
-    tol = 1e-12 * (1.0 + rho0 * rho0 + abs(u2))
     disc = rho0 * rho0 + 2.0 * u2
-    if disc < -tol:
-        raise ComplexDiscriminant(
-            f"discriminant {disc} < 0: curvature {u2} below -depth^2/2")
-    root = math.sqrt(max(disc, 0.0))
-    b1 = (-rho0 - root) / 2.0
-    b2 = (-rho0 + root) / 2.0
-    return b1, b2
-
-
-class BetaSignClass(Enum):
-    """Sign pattern of the curvature-root pair, smaller root first."""
-
-    MIXED = "negative_and_positive"
-    NEGATIVE_AND_ZERO = "negative_and_zero"
-    BOTH_NEGATIVE = "both_negative"
-    DOUBLE_NEGATIVE = "double_root_negative"
-
-
-def beta_sign_class(rho0: float, u2: float) -> BetaSignClass:
-    """Classify the root pair by sign, computed from the roots themselves.
-
-    The smaller root is always strictly negative (it is at most -rho0/2),
-    so the class is decided by the larger one.
-    """
-    b1, b2 = second_derivative_roots(rho0, u2)
-    tol = 1e-12 * (1.0 + rho0)
-    if abs(b2 - b1) <= tol:
-        return BetaSignClass.DOUBLE_NEGATIVE
-    if b2 > tol:
-        return BetaSignClass.MIXED
-    if abs(b2) <= tol:
-        return BetaSignClass.NEGATIVE_AND_ZERO
-    return BetaSignClass.BOTH_NEGATIVE
+    phase = phase_of(rho0, u2)
+    if phase is Phase.FOCUS:
+        raise ComplexDiscriminant(f"discriminant {disc} < 0: curvature {u2} below -depth^2/2")
+    root = 0.0 if phase is Phase.DEGENERATE_NODE else math.sqrt(disc)
+    return (-rho0 - root) / 2.0, (-rho0 + root) / 2.0
 
 
 def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:

@@ -426,6 +426,16 @@ def test_cone_scans_the_profile_once(tmp_path, monkeypatch, extra):
     assert len(scans) == 1
 
 
+def test_cone_at_a_focus_exits_1_naming_it(tmp_path, capsys):
+    # the only critical point of 2 - (theta - 1)^2 is a maximum with
+    # depth^2 + 2U'' = 2 - 4 < 0: a focus, which no solution touches
+    out = tmp_path / "cone.json"
+    assert main(["cone", "--u", "2 - (theta - 1)^2", "--domain", "0.5", "1.5",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "is a focus: no solution touches it" in capsys.readouterr().err
+
+
 def test_branch_on_sampled_profile_at_default_order(tmp_path):
     # a spline jet stops at order 2, so the branches stop there too
     ucsv = _sampled_profile(tmp_path)

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from depthrec.criticals import (
-    CriticalKind, _classify, _scan, find_critical_points, maximal_depth, upper_bound_check,
+    CriticalKind, CriticalPoint, Phase, _scan, find_critical_points, maximal_depth, phase_of, upper_bound_check,
 )
-from depthrec.errors import DomainError, EvalError, InvalidModulus
+from depthrec.errors import ComplexDiscriminant, DomainError, EvalError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
-from depthrec.taylor import second_derivative_roots
+from depthrec.taylor import CriticalIC, second_derivative_roots
 
 
 PARABOLA = "pi^2/16 - pi^2/128*theta^2"
@@ -95,6 +95,15 @@ def test_touch_root_inflection():
     assert cp.kind is CriticalKind.INFLECTION
 
 
+@pytest.mark.parametrize("text", ["2 + (theta - 1.01)^4", "2 - (theta - 1.01)^4"])
+def test_degenerate_extremum_is_an_inflection(text):
+    # U'' vanishes to roundoff where U' changes sign: the phase is decided
+    # by U'' alone, so the extremum is a saddle-node, named an inflection
+    cp, = find_critical_points(ClosedFormModulus(text, (0.0, 2.0))).points
+    assert cp.theta == pytest.approx(1.01, abs=1e-7)
+    assert (cp.phase, cp.kind) == (Phase.SADDLE_NODE, CriticalKind.INFLECTION)
+
+
 def test_each_critical_point_costs_one_jet():
     # the scan classifies every point from U'' without jets; a point builds
     # its order-2 jet on first read, bit for bit the jet the scan used to
@@ -129,7 +138,13 @@ def test_kind_from_the_second_derivative_kernel_is_the_jets(c0, rel_amp, k, phas
     that the Taylor-mode jet keeps (for U = 3.75/(pi/theta) it reads 0.0031
     at theta = 1e-13 where U'' = 0).  On forward-model sine profiles, the
     benchmark's family, both read U'' alike to roundoff, and so every
-    point's kind is the one ``u.jet(theta, 2)[2]`` gives.
+    point's phase, and the kind that names it, is the one the solver's own
+    IC gives: ``phase_of`` on the jet of ``CriticalIC.from_modulus``.  That
+    jet is of order 20 on a closed form, whose U'' can differ in the last
+    bit from the order-2 jet's (the FOUND line in CHANGES.md on the scan's
+    order-2 jet against the IC's order-20 jet); the phases still agree.  A
+    point is a focus exactly when its IC has no branch, and every minimum
+    is a saddle.
     """
     domain = (0.2, 2.9)
     rho = DepthFunction.from_text(f"{c0!r} + {c0 * rel_amp!r}*sin({k}*theta + {phase!r})",
@@ -140,8 +155,57 @@ def test_kind_from_the_second_derivative_kernel_is_the_jets(c0, rel_amp, k, phas
     u = from_depth(rho)
     for p in find_critical_points(u).points:
         u2 = u.jet(p.theta, 2)[2]
-        assert p.kind is _classify(u, p.theta, u2)
         assert u.second_derivative(p.theta) == pytest.approx(u2, rel=1e-12, abs=1e-12 * u.scale)
+        ic = CriticalIC.from_modulus(u, p.theta)
+        assert p.phase is phase_of(ic.rho0, ic.u_jet[2], u.scale)
+        assert p.kind is p.phase.kind
+        try:
+            ic.branches
+            focus = False
+        except ComplexDiscriminant:
+            focus = True
+        assert (p.phase is Phase.FOCUS) == focus
+        assert p.kind is not CriticalKind.MINIMUM or p.phase is Phase.SADDLE
+
+
+def test_phase_of_classes():
+    # the roots' signs of each class: mixed, a zero, both negative, one
+    # double root, complex
+    cases = [(1.0, 1.0, Phase.SADDLE, lambda b1, b2: b1 < 0.0 < b2),
+             (1.0, 0.0, Phase.SADDLE_NODE, lambda b1, b2: b1 < 0.0 == b2),
+             (math.pi / 4, -math.pi ** 2 / 64, Phase.NODE,   # the parabola fixture's maximum
+              lambda b1, b2: b1 < b2 < 0.0),
+             (1.0, -0.5, Phase.DEGENERATE_NODE, lambda b1, b2: b1 == b2 < 0.0),  # disc exactly 0
+             (1.0, -1.0, Phase.FOCUS, None)]
+    for rho0, u2, phase, signs in cases:
+        assert phase_of(rho0, u2) is phase
+        if signs is None:
+            with pytest.raises(ComplexDiscriminant):
+                second_derivative_roots(rho0, u2)
+        else:
+            assert signs(*second_derivative_roots(rho0, u2))
+
+
+def test_scan_keeps_its_second_derivative_read():
+    # the scan's U'' read is the point's u2, and the phase reads no more;
+    # a point built by hand reads U'' on first use, once
+    reads = []
+
+    class CountingSecond(ClosedFormModulus):
+        def second_derivative(self, theta):
+            reads.append(theta)
+            return super().second_derivative(theta)
+
+    u = CountingSecond("2 + 0.1*sin(3*theta)", (0.2, 2.9))
+    points = find_critical_points(u).points
+    scanned = len(reads)
+    assert [p.phase for p in points] == [Phase.NODE, Phase.SADDLE, Phase.NODE]
+    assert [p.u2 for p in points] == [ClosedFormModulus.second_derivative(u, p.theta)
+                                      for p in points]
+    assert len(reads) == scanned
+    by_hand = CriticalPoint(points[1].theta, points[1].depth, CriticalKind.MINIMUM, u)
+    assert (by_hand.phase, by_hand.phase, by_hand.u2) == (Phase.SADDLE, Phase.SADDLE, points[1].u2)
+    assert reads[scanned:] == [points[1].theta]
 
 
 @pytest.mark.parametrize("error", [EvalError("no U'' here", 1.0), ValueError("U'' bug")])

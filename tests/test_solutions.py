@@ -419,8 +419,10 @@ def test_parabola_cone_bounds_are_both_branches():
 def test_line_minimum_is_not_cone_apex():
     u = ClosedFormModulus("25/cos(theta)^4", (-1.0, 1.0))
     cs = find_critical_points(u)
-    with pytest.raises(NotConeApex):
+    with pytest.raises(NotConeApex, match="is a saddle: one solution touches it on each side"):
         build_cone(u, cs.points[0])
+    with pytest.raises(NotConeApex, match="is a saddle"):   # an IC by hand, classified alike
+        build_cone(u, CriticalIC.from_modulus(u, cs.points[0].theta))
 
 
 def test_unit_cone_shifted_sample():

@@ -14,7 +14,7 @@ from depthrec.parametrization import DepthFunction
 from depthrec.series import factorials
 import depthrec.taylor as taylor_mod
 from depthrec.taylor import (
-    BetaSignClass, BranchStatus, CriticalIC, SafeRegionKind, beta_sign_class, check_safe_region,
+    BranchStatus, CriticalIC, SafeRegionKind, check_safe_region,
     eval_series, expand_branch, recursion_residuals, second_derivative_roots,
 )
 
@@ -76,13 +76,6 @@ def test_root_property(rho0, u2_scale):
     u2 = u2_scale * rho0 * rho0
     for beta in second_derivative_roots(rho0, u2):
         assert abs(2.0 * (beta * beta + rho0 * beta) - u2) < 1e-12 * (1 + rho0 ** 2 + abs(u2))
-
-
-def test_beta_sign_classes():
-    assert beta_sign_class(1.0, 1.0) is BetaSignClass.MIXED
-    assert beta_sign_class(1.0, 0.0) is BetaSignClass.NEGATIVE_AND_ZERO
-    assert beta_sign_class(PAR_RHO0, PAR_U2) is BetaSignClass.BOTH_NEGATIVE
-    assert beta_sign_class(1.0, -0.5) is BetaSignClass.DOUBLE_NEGATIVE
 
 
 # -- recursion ------------------------------------------------------------------
