@@ -10,7 +10,12 @@ maximal, cone, plot.  All angles are radians.  Exit codes:
   written.  An I/O error prints one ``depthrec: ...`` line on stderr.
 
 Outputs are written atomically and are byte-deterministic for identical
-inputs.
+inputs.  The node tables of a report (``theta``, ``rho``, ``drho``) hold a
+regular solve's accepted steps, with series-leg and handoff nodes between
+them, each with its slope: read the depth between two nodes as the cubic
+Hermite on their depths and slopes, as ``SolutionPiece.interp`` does;
+linear interpolation between the nodes of a regular solve can be off by
+1e-4 and more.
 
 The argument parser is built once per process, on the first ``main`` call;
 each call parses into a fresh namespace, so no value carries over from one

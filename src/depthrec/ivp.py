@@ -31,18 +31,18 @@ domain end is the solve's end instead, and the last step lands on it
 (Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
 U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
-dict lookup and store at every stage.  Most emitted nodes are not step
-ends but interior nodes that keep linear interpolation within
-``_INTERP_TOL``; they feed nothing back into the stepping, and how many a
-step needs depends only on its two end nodes, so the loop only steps: each
-accepted step appends its end node and nothing else.  Subdivision is
-decided after the loop, from the node arrays, and one pass fills in every
-interior node, with U read for all of them in one
-:meth:`~depthrec.modulus.ModulusModel.value_grid` call (dense output after
-the fact; Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6).  A
-near-contact series handoff, and a contact snap off a flat stretch, end on
-a point of the critical set of the public solver call they run in, and
-take its IC, which holds its branches, from the call's table
+dict lookup and store at every stage.  A solve's nodes are its accepted
+steps: each accepted step emits its end node, with the depth and the slope
+the pair computed there, and nothing else; an event moves the last step's
+node onto the event angle.  Between two nodes the solution is the cubic
+Hermite on their depths and slopes (:meth:`SolutionPiece.interp`), the
+step's own dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
+II.6).  On the benchmark's ``roundtrip`` inputs (seed 1, ``rtol=1e-12,
+atol=1e-14``) it lies within 2.84e-9 of the true depth, and the nodes
+themselves within 7.0e-10; linear interpolation between the nodes is off
+by up to 8.4e-5.  A near-contact series handoff, and a contact snap off a
+flat stretch, end on a point of the critical set of the public solver call
+they run in, and take its IC, which holds its branches, from the call's table
 (:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
 its own is such a call, and scans the profile once, when it first needs a
 point).  The table keeps one IC per critical point, so one approach, and
@@ -52,10 +52,11 @@ per-step overhead exceeds the steps they save.  On the benchmark's
 ``roundtrip`` inputs (seed 101, its tolerances ``rtol=1e-12, atol=1e-14``,
 2-vCPU x86-64 VM, scipy 1.17) a bare ``DOP853.step()`` loop on the same
 field, without events or node output, took 15 steps and 216 field
-evaluations per solve, and 2.5 to 4.3 ms per forward-backward pair against
-0.9 to 1.6 ms for the two full solves here, which read U 349 times per
-solve; timed alternately, the bare loop took 2.3 to 4.4 times as long
-(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.5).
+evaluations per solve, and 2.7 to 5.7 ms per forward-backward pair (10th to
+90th percentile) against 0.6 to 1.4 ms for the two full solves here, which
+read U 349 times and emit 70 nodes per solve; timed alternately, the bare
+loop took 3.3 to 5.3 times as long (Hairer, Norsett & Wanner, *Solving ODEs
+I*, sec. II.5).
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class IntegrationOptions:
 
 
 _H_MAX = 0.02              # the longest step
-_INTERP_TOL = 1e-6         # linear-interpolation error target between nodes
+_INTERP_TOL = 1e-6         # series-leg and handoff-snap spacing: linear-interpolation error
 _TOL_CONTACT = 1e-10       # contact with the bound, scaled by (1 + U) pointwise
 _TOL_FLOOR = 1e-12         # depth floor
 _SERIES_RADIUS = 0.05      # local-series handoff distance at critical points
@@ -156,6 +157,12 @@ class SolutionPiece:
     describes the far end in the direction of integration (the smallest
     angle for backward pieces).  ``dense_contact`` marks bound-following
     pieces on autonomous stretches, which carry sign +1 by convention.
+
+    The piece's curve is :meth:`interp`, the cubic Hermite on the nodes'
+    depths and slopes; a regular solve's nodes are its accepted steps
+    (:func:`solve_regular`), too sparse for linear interpolation.  On the
+    benchmark's ``roundtrip`` solves (``rtol=1e-12``) it is within 2.84e-9
+    of the true depth.
     """
 
     sign: BranchSign
@@ -181,7 +188,7 @@ class SolutionPiece:
         return float(self.thetas[-1])
 
     def interp(self, theta):
-        """Piecewise-cubic interpolation of depth (Hermite on the nodes)."""
+        """The piece's depth: the cubic Hermite on the nodes' depths and slopes."""
         if self._spline is None:
             if len(self.thetas) >= 2:
                 self._spline = CubicHermiteSpline(self.thetas, self.rhos, self.drhos)
@@ -231,16 +238,11 @@ _TSIT5_BTILDE = (-0.00178001105222577714, -0.0008164344596567469, 0.007880878010
 _TSIT5_BHAT = tuple(b - d for b, d in zip(_TSIT5_B + (0.0,), _TSIT5_BTILDE))
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t, power=pow):
-    """Cubic Hermite interpolant over one accepted step.
-
-    Runs on floats, or elementwise on arrays with ``power=np.float_power``:
-    that squares through libm ``pow`` as ``x ** 2`` does on floats, where
-    numpy's own ``**`` multiplies and may round differently.
-    """
+def _hermite(t0, y0, f0, t1, y1, f1, t):
+    """Cubic Hermite interpolant over one accepted step, on floats."""
     h = t1 - t0
     s = (t - t0) / h
-    q = power(1 - s, 2)
+    q = (1 - s) ** 2
     h00 = (1 + 2 * s) * q
     h10 = s * q
     h01 = s * s * (3 - 2 * s)
@@ -259,9 +261,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     means depth grows along the integration direction.  Stops at the first
     of: domain end, contact with the depth bound (``U - rho^2`` down at
     the scaled contact tolerance), depth reaching the floor, or a step
-    failure.  Emitted nodes are dense enough that linear interpolation
-    between them stays within ``_INTERP_TOL``; the interior nodes of
-    the steps are added after the loop (:func:`_fill_nodes`).
+    failure.  The nodes are the accepted steps' ends, each with the
+    pair's depth and slope, then an event's node and a contact snap's or a
+    series handoff's nodes; the piece's curve between them is
+    :meth:`SolutionPiece.interp`, the cubic Hermite on those depths and
+    slopes.
 
     With ``stop_theta``, the solve ends there, with a ``DOMAIN_END`` on
     the angle, unless an event comes first; one at or past the domain end
@@ -310,7 +314,6 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     ts = [t]
     ys = [y]
     fs = [f_t]
-    snap_nodes = None  # the nodes after the last step, which get no interior nodes
     termination: Termination | None = None
 
     h = min(h_max, max(1e-6 * span, abs(t_end - t) * 0.01))
@@ -430,7 +433,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             handoff_theta_tried = t_new
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
 
-        # the step's end node; _fill_nodes adds the nodes inside the step
+        # the step's end node, the only node an accepted step emits
         if t1 != t:
             ts.append(t1)
             ys.append(y1)
@@ -445,13 +448,17 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                 if snap is not None:
                     theta_c, rho_c = snap
                     if ode_sign * (rho_c - ys[-1]) >= -1e-13 and tdir * (theta_c - tau) >= 0.0:
-                        snap_nodes = [theta_c], [rho_c], [0.0]
+                        ts.append(theta_c)
+                        ys.append(rho_c)
+                        fs.append(0.0)
                         tau = theta_c
             termination = Termination(kind, tau)
             break
         if snap is not None:
             snap_ts, snap_ys, snap_fs, theta_c = snap
-            snap_nodes = snap_ts, snap_ys, snap_fs
+            ts.extend(snap_ts)
+            ys.extend(snap_ys)
+            fs.extend(snap_fs)
             termination = Termination(TerminationKind.CONTACT, theta_c)
             break
 
@@ -467,15 +474,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         else:
             h *= 5.0
 
-    stepped = len(ts)
-    if snap_nodes is not None:
-        snap_ts, snap_ys, snap_fs = snap_nodes
-        ts.extend(snap_ts)
-        ys.extend(snap_ys)
-        fs.extend(snap_fs)
-    thetas, rhos, drhos = _fill_nodes(u, ts, ys, fs, stepped, ode_sign)
     if direction == "backward":
-        thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
+        ts.reverse()
+        ys.reverse()
+        fs.reverse()
+    thetas, rhos, drhos = np.array(ts), np.array(ys), np.array(fs)
     return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
                          termination=termination, direction=direction)
 
@@ -607,58 +610,6 @@ def _step_event(uvalue, ode_sign: int, tdir: float, tol_floor: float, tol_contac
     u_tau = read.get(tau)
     g = (uvalue(tau) if u_tau is None else u_tau) - y_tau * y_tau
     return kind, tau, y_tau, ode_sign * math.sqrt(0.0 if g < 0.0 else g)
-
-
-def _fill_nodes(u: ModulusModel, ts, ys, fs, stepped: int,
-                ode_sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The node arrays, with the interior nodes of every accepted step.
-
-    Nodes ``i`` and ``i + 1`` below ``stepped`` are the two ends of one
-    step; the nodes from ``stepped`` on (a contact snap, a series handoff)
-    get none.  Subdivision is decided here, after the loop, from the node
-    arrays alone: a step of width ``w`` whose slope changes by ``df`` is cut
-    into ``n_sub = min(64, ceil(w / sqrt(8*_INTERP_TOL / max(df/w, 1e-9))))``
-    parts, so that linear interpolation between nodes stays within
-    ``_INTERP_TOL`` (h^2*curvature/8), the counts of all steps in one numpy
-    pass of the same IEEE operations as the scalar formula.  Node ``j`` of
-    a step sits at ``t0 + (t1 - t0)*j/n_sub``; its depth is the step's cubic
-    Hermite interpolant (:func:`_hermite`) and its slope the field there,
-    with U read for all interior nodes of the solve in one
-    :meth:`~ModulusModel.value_grid` call.  The values are bit for bit those
-    of interpolating and evaluating node by node.  Interior nodes feed
-    nothing back into the stepping, so a profile that fails at one raises
-    here, after the loop, with the error of the first node that fails.
-    """
-    thetas, rhos, drhos = np.array(ts), np.array(ys), np.array(fs)
-    t0, t1 = thetas[:stepped - 1], thetas[1:stepped]
-    width = np.abs(t1 - t0)
-    curvature = np.abs(drhos[1:stepped] - drhos[:stepped - 1]) / width
-    n_sub = np.ceil(width / np.sqrt(8.0 * _INTERP_TOL / np.maximum(curvature, 1e-9)))
-    split = np.flatnonzero(n_sub > 1.0)
-    if not split.size:
-        return thetas, rhos, drhos
-    n_sub = np.minimum(n_sub[split], 64.0)
-    inner = n_sub.astype(np.intp) - 1
-    # one column per interior node, steps in order: its step starts at node
-    # ``i``, and it is node ``j`` of the step's ``n``
-    i, n = np.repeat(split, inner), np.repeat(n_sub, inner)
-    k = np.arange(i.size)
-    j = k - np.repeat(np.cumsum(inner) - inner, inner) + 1
-    start, end = t0[i], t1[i]
-    tau = start + (end - start) * j / n
-    y_tau = _hermite(start, rhos[i], drhos[i], end, rhos[i + 1], drhos[i + 1], tau,
-                     np.float_power)
-    g = u.value_grid(tau) - y_tau * y_tau
-    f_tau = ode_sign * np.sqrt(np.where(g < 0.0, 0.0, g))
-    # an interior node lands after the ``i + 1`` nodes up to its step's
-    # start and the ``k`` interior nodes before it
-    at = i + 1 + k
-    nodes = np.empty((3, len(ts) + k.size))
-    is_end = np.ones(nodes.shape[1], dtype=bool)
-    is_end[at] = False
-    nodes[:, is_end] = (thetas, rhos, drhos)
-    nodes[:, at] = (tau, y_tau, f_tau)
-    return nodes[0], nodes[1], nodes[2]
 
 
 def residual(piece: SolutionPiece, u: ModulusModel) -> float:

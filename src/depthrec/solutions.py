@@ -357,14 +357,16 @@ def _flat_between(u: ModulusModel, left: CriticalPoint, right: CriticalPoint) ->
 
 
 def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoint, CriticalPoint, int]:
-    """Choose the endpoint carrying local uniqueness (minimum first)."""
-    if left.kind is CriticalKind.MINIMUM:
+    """Choose the endpoint carrying local uniqueness (minimum first), by
+    the kind each point's phase class names, not a kind given by hand."""
+    left_kind, right_kind = left.phase.kind, right.phase.kind
+    if left_kind is CriticalKind.MINIMUM:
         return left, right, +1
-    if right.kind is CriticalKind.MINIMUM:
+    if right_kind is CriticalKind.MINIMUM:
         return right, left, -1
-    if left.kind is CriticalKind.INFLECTION:
+    if left_kind is CriticalKind.INFLECTION:
         return left, right, +1
-    if right.kind is CriticalKind.INFLECTION:
+    if right_kind is CriticalKind.INFLECTION:
         return right, left, -1
     raise NoSolution("neither endpoint is minimum-type; the chain is ambiguous here")
 

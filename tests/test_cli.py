@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import depthrec.criticals as criticals_mod
-from depthrec.cli import _build_parser, _load_config, main
+from depthrec.cli import _build_parser, _load_config, _solution_curve, main
 from depthrec.modulus import ClosedFormModulus
 from depthrec.reports import read_solution_csv, read_u_csv
+from depthrec.solutions import maximal_solution
 
 
 FIXTURES = {
@@ -335,6 +337,40 @@ def test_plot_svg_structure(tmp_path):
     assert text.startswith("<svg")
     assert 'viewBox="0 0 800 600"' in text
     assert "<path" in text and "<circle" in text
+
+
+def test_plotted_maximal_path_stays_on_the_solution_curve(tmp_path):
+    # the plot joins the solution's nodes, one per accepted step, by
+    # straight segments; on this cli-workload depth (seed 1, the worst of
+    # its maximal plots) they stay within 0.04 px of ``sol.interp`` in the
+    # plot's screen coordinates, so the path needs no extra points
+    u_path, svg_path = str(tmp_path / "u.csv"), str(tmp_path / "plot.svg")
+    rho = "2.092082290985381 + 0.12270159297949003*sin(2*theta + 4.984331806702966)"
+    assert main(["forward", "--rho", rho, "--domain", "0.2", "2.9", "--samples", "801",
+                 "--out", u_path]) == 0
+    assert main(["plot", "--u-csv", u_path, "--out", svg_path]) == 0
+    u = read_u_csv(u_path)
+    sol = maximal_solution(u, critical_set=criticals_mod.find_critical_points(u))
+    curve = _solution_curve(sol, "#2ca02c")
+    [path] = re.findall(r'<path d="M ([^"]*)" fill="none" stroke="#2ca02c"',
+                        open(svg_path).read())
+    screen = np.array([point.split(",") for point in path.split(" L ")], dtype=float)
+    assert len(screen) == len(sol.thetas)
+    # render_svg's map: sx = a + s*x, sy = b - s*y, fitted to the path's points
+    n = len(screen)
+    design = np.zeros((2 * n, 3))
+    design[:n, 0], design[n:, 1] = 1.0, 1.0
+    design[:n, 2], design[n:, 2] = curve.xs, -curve.ys
+    (a, b, s), *_ = np.linalg.lstsq(design, screen.T.ravel(), rcond=None)
+    worst = 0.0
+    for i in np.flatnonzero(np.diff(sol.thetas) > 0):
+        theta = sol.thetas[i] + (sol.thetas[i + 1] - sol.thetas[i]) * np.linspace(0, 1, 17)[1:-1]
+        r = sol.interp(theta)
+        on_curve = np.stack([a + s * r * np.cos(theta), b - s * r * np.sin(theta)], axis=1)
+        p0, d = screen[i], screen[i + 1] - screen[i]
+        t = np.clip((on_curve - p0) @ d / (d @ d), 0.0, 1.0)
+        worst = max(worst, np.max(np.hypot(*(on_curve - p0 - t[:, None] * d).T)))
+    assert worst <= 0.1
 
 
 @pytest.mark.parametrize("max_switches,most_pieces", [("0", 1), ("1", 2)])

@@ -1,10 +1,11 @@
 """Known defects: named profiles on which the solver is still wrong.
 
-Each test asserts what a correct ``maximal_solution`` gives on one profile:
+Most tests assert what a correct ``maximal_solution`` gives on one profile:
 a solution that spans the domain and is C1, every piece on the equation
 (``ivp.residual`` at most 1e-6), and, where the profile comes from a depth
 by the forward model, nowhere more than 1e-6 under that depth on 200
-angles.  Each is marked ``xfail(strict=True)`` with the ROADMAP item that
+angles; one asserts that the branch tree enumerated from a point of a
+depth contains that depth.  Each is marked ``xfail(strict=True)`` with the ROADMAP item that
 covers it, so a fix shows as an XPASS, which fails the suite until the
 marker goes.  Only a typed ``DepthRecError`` or a failed assertion counts
 as the known failure; any other exception is a new bug and fails the test.
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 from depthrec.errors import DepthRecError
-from depthrec.ivp import residual
+from depthrec.ivp import RegularIC, residual
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
-from depthrec.solutions import maximal_solution
+from depthrec.solutions import enumerate_branches, maximal_solution
 
 DOMAIN = (0.2, 2.9)
 _TOL = 1e-6
@@ -60,3 +61,19 @@ def test_maximal_solution_is_correct(text, depth):
         grid = np.linspace(*DOMAIN, 200)
         truth = np.array([rho.value(float(t)) for t in grid])
         assert np.all(sol.interp(grid) >= truth - _TOL)
+
+
+# seed-101 maximal op 19: the tree from (1.55, rho(1.55)) has 3 members, the
+# closest to rho 0.1267 off it
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DepthRecError), reason="ROADMAP item 8")
+def test_enumerated_tree_contains_the_depth():
+    text = "2.915200447581891 + 0.1489906841571387*sin(2*theta + 3.8751060583688535)"
+    rho = DepthFunction.from_text(text, DOMAIN)
+    u = from_depth(rho)
+    sols = enumerate_branches(u, RegularIC(1.55, rho.value(1.55)), max_switches=3)
+    grid = np.linspace(*DOMAIN, 200)
+    truth = np.array([rho.value(float(t)) for t in grid])
+    spanning = [sol for sol in sols if abs(sol.theta_start - DOMAIN[0]) <= 1e-9
+                and abs(sol.theta_end - DOMAIN[1]) <= 1e-9]
+    assert min((np.max(np.abs(sol.interp(grid) - truth)) for sol in spanning),
+               default=np.inf) <= _TOL
