@@ -23,12 +23,17 @@ is computed where it first occurs and kept in a local.  The scalar kernel
 runs on ``math``: it evaluates one angle and performs the floating-point
 operations of a node-by-node walk in the same order, leaving out only the
 repeats, so its values are bit-identical to that walk's and it fails at the
-walk's first failing operation.  The array kernel evaluates a whole array
-of angles with the same operations on numpy, each bound to a function that
-rounds as the scalar one does, so its values are bit-identical to the
-scalar kernel's too.  Profiles of one shape (a sine family, say) differ
-only in their constants, so they share one source text, generated once,
-and each source is compiled once per process.
+walk's first failing operation.  In that walk a square ``b^2`` is the
+product ``b*b``, correctly rounded, with the bits and the overflow (to an
+infinity, not an error) of the ``Mul`` spelling; other integer powers are
+Python's ``b ** n``, which calls libm ``pow``.  Every closed-form U of the
+forward model is a sum of two squares, so this is the common power, and a
+product is both cheaper and exact where ``pow`` may be off by one ulp.  The
+array kernel evaluates a whole array of angles with the same operations on
+numpy, each bound to a function that rounds as the scalar one does, so its
+values are bit-identical to the scalar kernel's too.  Profiles of one shape
+(a sine family, say) differ only in their constants, so they share one
+source text, generated once, and each source is compiled once per process.
 """
 
 from __future__ import annotations
@@ -249,7 +254,9 @@ class _Parser:
             exp_tok = self.peek()
             exponent = self.factor()
             value = _fold_constant(exponent)
-            if value is None or abs(value - round(value)) > 1e-12:
+            # an infinite exponent (a folded square or product overflowing)
+            # has no integer to round to
+            if value is None or not math.isfinite(value) or abs(value - round(value)) > 1e-12:
                 raise ParseError("exponent must be an integer constant",
                                  exp_tok.offset, {"integer"})
             return Pow(base, int(round(value)))
@@ -311,7 +318,9 @@ def _fold_constant(node: Expression) -> float | None:
         return a / b if b != 0 else None
     if isinstance(node, Pow):
         a = _fold_constant(node.base)
-        return None if a is None else a ** node.exponent
+        if a is None:
+            return None
+        return a * a if node.exponent == 2 else a ** node.exponent
     return None
 
 
@@ -503,9 +512,13 @@ def _angle_by_angle(fn):
 
 
 # The array kernel's functions, each rounding as its ``math`` counterpart.
-# Python's ``x ** n`` calls libm ``pow``, and so does ``np.float_power``;
-# numpy's ``x ** 2`` squares instead, which differed from ``pow`` in 846 of
-# 1M random squares.  ``np.sin``, ``np.cos`` and ``np.sqrt`` matched
+# A square is a product in both kernels (``np.multiply`` on arrays), so it
+# needs no entry here; ``_pow`` serves the other exponents only.  Python's
+# ``x ** n`` calls libm ``pow``, and so does ``np.float_power``; numpy's own
+# ``x ** n`` does not, and ``pow``'s ``x ** 2`` differed from the correctly
+# rounded ``x * x`` in 846 of 1M random squares.  ``np.float_power`` of 2049
+# angles takes about 42 us against 2 us for ``np.multiply``.  ``np.sin``,
+# ``np.cos`` and ``np.sqrt`` matched
 # ``math`` on 1M random angles each (numpy 2.4.6, x86-64 with AVX-512);
 # ``np.tan``, ``np.exp`` and ``np.log`` differed in 5229, 46030 and 260 of
 # them, so those three run ``math`` angle by angle.
@@ -609,7 +622,9 @@ def _shape_source(shape: tuple, checked: bool) -> str:
     a left operand whose right sibling went into a local goes into one
     before it, which keeps that order.  The exponents are literals, the
     constants are the globals ``c0, c1, ...`` and the six functions are
-    looked up as globals too.
+    looked up as globals too.  A square is written as a product,
+    ``((qK := <base>) * qK)`` (``(x * x)`` when the base is a name), so its
+    base is computed once; every other power is ``<base> ** n``.
 
     The ``checked`` variant returns the value only at an angle
     ``_lo <= th <= _hi`` where it is finite and nonnegative
@@ -619,7 +634,7 @@ def _shape_source(shape: tuple, checked: bool) -> str:
     shared = {token for token in shape if type(token) is int}
     temps: list[tuple[str, str]] = []   # (local, source), in evaluation order
     position = iter(shape)
-    counts = [0, 0]                     # constants and subtrees so far
+    counts = [0, 0, 0]                  # constants, subtrees and squares so far
 
     def emit() -> tuple[str, int]:
         """Source text of the next subtree and its parenthesis depth."""
@@ -638,6 +653,16 @@ def _shape_source(shape: tuple, checked: bool) -> str:
             if token == "neg":
                 arg, depth = emit()
                 text = f"-{arg}"
+            elif token == ("**", 2):
+                # a square is its base times itself, the base computed once
+                base, depth = emit()
+                if not base.isidentifier():
+                    counts[2] += 1
+                    name = f"q{counts[2] - 1}"
+                    base, depth = f"({name} := {base})", depth + 1
+                    text = f"{base} * {name}"
+                else:
+                    text = f"{base} * {base}"
             elif type(token) is tuple:
                 base, depth = emit()
                 text = f"{base} ** {token[1]}"
@@ -709,9 +734,10 @@ class _PowerAsCall(ast.NodeTransformer):
 def _compiled(source: str, array: bool):
     """The code object of one kernel source, compiled once per process.
 
-    The ``array`` variant computes each power as ``_pow(b, n)``: bound to
-    ``np.float_power``, which rounds as Python's ``b ** n`` does.  The
-    scalar one keeps the operator, which costs no call.
+    The ``array`` variant computes each power but a square (a product in
+    the source) as ``_pow(b, n)``: bound to ``np.float_power``, which rounds
+    as Python's ``b ** n`` does.  The scalar one keeps the operator, which
+    costs no call.
     """
     if not array:
         return compile(source, "<depthrec expression>", "exec")
@@ -724,10 +750,14 @@ class ExpressionKernel:
 
     ``scalar`` evaluates at one float angle on ``math`` and is bit-identical
     to evaluating the tree node by node, though it computes each repeated
-    subexpression once.  :meth:`grid` evaluates a whole array of angles on
-    numpy and is bit-identical to a loop of ``scalar``.  Both raise
-    :class:`EvalError` carrying the offending angle for a math-domain
-    failure (sqrt/log of a negative, division by zero, overflow), the one
+    subexpression once.  A square ``b^2`` is the correctly rounded product
+    ``b*b`` there, with its bits, and its overflow to an infinity rather
+    than an error.  :meth:`grid` evaluates a whole array of angles on numpy
+    and is bit-identical to a loop of ``scalar``; a square runs as
+    ``np.multiply``, and ``np.float_power`` serves the other exponents
+    only.  Both raise :class:`EvalError` carrying the offending angle for a
+    math-domain failure (sqrt/log of a negative, division by zero, a
+    ``math`` function or a power other than a square overflowing), the one
     the node-by-node walk meets first.  :meth:`checked` is ``scalar`` with a
     range test on the angle and a finite-and-nonnegative test on the value
     written into its source, handing every other angle to a given slow
@@ -775,6 +805,8 @@ class ExpressionKernel:
     def grid(self, thetas: np.ndarray) -> np.ndarray:
         """Values at every angle of a 1-d float array, equal to ``scalar``'s.
 
+        A square is ``np.multiply`` of its base with itself, any other power
+        ``np.float_power``, each rounding as the scalar kernel's operation.
         Where numpy meets a failure the angles are evaluated one by one with
         ``scalar``, so errors and their angles are exactly those of a scalar
         loop.  A failure is an error among the constant terms or in a
@@ -796,9 +828,11 @@ class ExpressionKernel:
 def to_callable(node: Expression):
     """Compile the AST into a float->float callable.
 
-    Math-domain failures (sqrt/log of a negative, division by zero,
-    overflow) are reported as :class:`EvalError` carrying the offending
-    argument.
+    Math-domain failures (sqrt/log of a negative, division by zero, a
+    ``math`` function or a power other than a square overflowing) are
+    reported as :class:`EvalError` carrying the offending argument.  A
+    square is the product ``b*b``, correctly rounded; one that overflows
+    gives an infinity, as ``b*b`` does.
     """
     return ExpressionKernel(node).scalar
 

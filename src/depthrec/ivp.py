@@ -20,15 +20,23 @@ the business of :func:`continue_through_critical`.
 Every regular solve and series tail runs through one stepping loop, so
 :func:`solve_regular` writes the pair out in straight-line code: the
 tableau (``_TSIT5_*``, its only copy) is unpacked into locals once per
-solve, each stage is ``y + h*(a0*k0 + a1*k1 + ...)`` with the terms in
-tableau order, and U is read at every stage angle through ``u.value``,
-bound once per solve: the profile's own checked reader, one call per read
+solve, and U is read at every stage angle through ``u.value``, bound once
+per solve: the profile's own checked reader, one call per read
 (:mod:`depthrec.modulus`), the IC's read serving the regularity check too.
-The last stage sits at the step end, so its U serves the error estimate,
-the event tests and the next step's start; an accepted step without an
-event calls no Python function but that reader.  A ``stop_theta`` before the
-domain end is the solve's end instead, and the last step lands on it
-(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4).
+The stages carry the slope's size |k| = sqrt(max(U - rho^2, 0)) and the
+step carries the branch's sign: each stage is ``y + hs*(a0*|k0| + a1*|k1|
++ ...)`` with the terms in tableau order and ``hs = sign*h``, bit for bit
+``y + h*(a0*k0 + ...)`` on the signed slopes, since a product with -1 is
+exact and rounding to nearest is symmetric in sign.  Only the node's slope
+takes the sign.  The last stage sits at the step end, so its U serves the
+error estimate, the event tests and the next step's start.  The common
+step, above the depth floor and with ``U - rho^2`` above the handoff margin
+(and so above the smaller contact margin), appends its node and moves on;
+the floor, contact and handoff tests run only on the others.  An accepted
+step without an event calls no Python function but that reader.  A
+``stop_theta`` before the domain end is the solve's end instead, and the
+last step lands on it (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
+II.4).
 U is not memoized by angle: on the benchmark's inputs fewer than 2 in
 10 000 stage reads repeat an angle of the same solve, and a memo costs a
 dict lookup and store at every stage.  A solve's nodes are its accepted
@@ -51,12 +59,12 @@ scipy's ``OdeSolver`` steppers are not used: on this 1-d field their
 per-step overhead exceeds the steps they save.  On the benchmark's
 ``roundtrip`` inputs (seed 101, its tolerances ``rtol=1e-12, atol=1e-14``,
 2-vCPU x86-64 VM, scipy 1.17) a bare ``DOP853.step()`` loop on the same
-field, without events or node output, took 15 steps and 216 field
-evaluations per solve, and 2.7 to 5.7 ms per forward-backward pair (10th to
-90th percentile) against 0.6 to 1.4 ms for the two full solves here, which
-read U 349 times and emit 70 nodes per solve; timed alternately, the bare
-loop took 3.3 to 5.3 times as long (Hairer, Norsett & Wanner, *Solving ODEs
-I*, sec. II.5).
+field, reading U through the same reader, without events or node output,
+took 15 steps and 216 field evaluations per solve, and 2.1 to 4.0 ms per
+forward-backward pair (10th to 90th percentile) against 0.5 to 1.0 ms for
+the two full solves here, which read U 349 times and emit 70 nodes per
+solve; timed alternately, the bare loop took 3.4 to 5.2 times as long
+(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.5).
 """
 
 from __future__ import annotations
@@ -142,7 +150,8 @@ _SERIES_RADIUS = 0.05      # local-series handoff distance at critical points
 _MAX_STEPS = 500_000       # step budget of one solve
 _TOL_REG_FACTOR = 10.0     # regularity margin in units of the contact tolerance
 _TOL_BOUND_FOLLOW = 1e-9   # bound-following admissibility, scaled by the profile
-_HANDOFF_FACTOR = 1e-4     # switch to the local series when U - rho^2 dips below this (scaled)
+_HANDOFF_FACTOR = 1e-4     # switch to the local series when U - rho^2 dips below this (scaled);
+                           # above _TOL_CONTACT, so a step clear of it has no contact event
 _HANDOFF_MATCH_TOL = 1e-6  # trajectory-to-branch distance accepted as "on branch"
 
 
@@ -188,7 +197,12 @@ class SolutionPiece:
         return float(self.thetas[-1])
 
     def interp(self, theta):
-        """The piece's depth: the cubic Hermite on the nodes' depths and slopes."""
+        """The piece's depth: the cubic Hermite on the nodes' depths and slopes.
+
+        Outside ``[theta_start, theta_end]`` it extrapolates the end cubics
+        without a warning or a NaN, and the values there can be far off any
+        solution, so a caller checks the span first.
+        """
         if self._spline is None:
             if len(self.thetas) >= 2:
                 self._spline = CubicHermiteSpline(self.thetas, self.rhos, self.drhos)
@@ -310,7 +324,9 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     u_t = uvalue(t)
     # U - rho^2 at the IC: never below the regularity margin
     g = _regular_margin(ic, u_t)
-    f_t = ode_sign * sqrt(g)
+    # the slope's size and the slope: the stages carry sizes, the nodes slopes
+    k_t = sqrt(g)
+    f_t = ode_sign * k_t
     ts = [t]
     ys = [y]
     fs = [f_t]
@@ -354,34 +370,39 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                     termination = Termination(TerminationKind.STEP_FAILURE, t, detail)
                 break
         ht = tdir * h
+        # the step carries the branch's sign, the stages the slopes' sizes:
+        # hs*(a*|k| + ...) is bit for bit ht*(a*k + ...) on the signed
+        # slopes k = ode_sign*|k| (a product with -1 is exact, and rounding
+        # to nearest is symmetric in sign)
+        hs = ode_sign * ht
 
         # the stages, each row summed left to right as the tableau lists it,
         # U read straight at every stage angle; ``0.0 if g < 0.0 else g`` is
         # max(g, 0.0) without the call
-        k0 = f_t
+        k0 = k_t
         try:
-            yi = y + ht * (a10 * k0)
+            yi = y + hs * (a10 * k0)
             g = uvalue(t + c1 * ht) - yi * yi
-            k1 = ode_sign * sqrt(0.0 if g < 0.0 else g)
+            k1 = sqrt(0.0 if g < 0.0 else g)
 
-            yi = y + ht * (a20 * k0 + a21 * k1)
+            yi = y + hs * (a20 * k0 + a21 * k1)
             g = uvalue(t + c2 * ht) - yi * yi
-            k2 = ode_sign * sqrt(0.0 if g < 0.0 else g)
+            k2 = sqrt(0.0 if g < 0.0 else g)
 
-            yi = y + ht * (a30 * k0 + a31 * k1 + a32 * k2)
+            yi = y + hs * (a30 * k0 + a31 * k1 + a32 * k2)
             g = uvalue(t + c3 * ht) - yi * yi
-            k3 = ode_sign * sqrt(0.0 if g < 0.0 else g)
+            k3 = sqrt(0.0 if g < 0.0 else g)
 
-            yi = y + ht * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3)
+            yi = y + hs * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3)
             g = uvalue(t + c4 * ht) - yi * yi
-            k4 = ode_sign * sqrt(0.0 if g < 0.0 else g)
+            k4 = sqrt(0.0 if g < 0.0 else g)
 
             # c5 = 1: the last stage sits at the step end, so its U serves
             # k6, the event tests and the next step
-            yi = y + ht * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+            yi = y + hs * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
             u_new = uvalue(t + c5 * ht)
             g = u_new - yi * yi
-            k5 = ode_sign * sqrt(0.0 if g < 0.0 else g)
+            k5 = sqrt(0.0 if g < 0.0 else g)
         except DepthRecError as exc:  # profile evaluation failed mid-stage
             stage_error = exc
             h *= 0.5
@@ -390,11 +411,14 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                 termination = Termination(TerminationKind.STEP_FAILURE, t, str(exc))
             continue
 
-        y5 = y + ht * (b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3 + b4 * k4 + b5 * k5)
+        y5 = y + hs * (b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3 + b4 * k4 + b5 * k5)
         t_new = t + ht
         g_new = u_new - y5 * y5
-        k6 = ode_sign * sqrt(0.0 if g_new < 0.0 else g_new)
-        y4 = y + ht * (e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
+        # the FSAL stage: its size serves y4 and the next step's stages, its
+        # slope the node
+        k6 = sqrt(0.0 if g_new < 0.0 else g_new)
+        f6 = ode_sign * k6
+        y4 = y + hs * (e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
 
         # scale = atol + rtol*max(|y|, |y5|), err = |y5 - y4|/scale
         a5 = y5 if y5 >= 0.0 else -y5
@@ -416,53 +440,63 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         rejects = 0
         stage_error = None
 
-        # the node that ends this step: the step end, unless an event cuts
-        # the step short
-        t1, y1, f1 = t_new, y5, k6
-        kind: TerminationKind | None = None
-        snap = None
-        if y5 <= tol_floor or g_new <= tol_contact * (1.0 + u_new):
-            kind, t1, y1, f1 = _step_event(uvalue, ode_sign, tdir, tol_floor, tol_contact,
-                                            t, y, f_t, u_t, t_new, y5, k6, u_new)
-        # near-contact series handoff: a trajectory riding tangentially into
-        # the bound is exponentially ill-conditioned for stepping, so once
-        # the margin is small we try to identify the analytic branch it sits
-        # on and finish the approach with the local series
-        elif (g_new <= handoff_factor * (1.0 + u_new)
-                and g_new < u_t - y * y and handoff_theta_tried != t_new):
-            handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
+        one_u = 1.0 + u_new
+        if y5 > tol_floor and g_new > handoff_factor * one_u:
+            # the common step: above the floor and clear of the handoff
+            # margin, hence of the smaller contact margin too, so no event
+            # and no handoff; its end is its node
+            ts.append(t_new)
+            ys.append(y5)
+            fs.append(f6)
+        else:
+            # the node that ends this step: the step end, unless an event
+            # cuts the step short
+            t1, y1, f1 = t_new, y5, f6
+            kind: TerminationKind | None = None
+            snap = None
+            if y5 <= tol_floor or g_new <= tol_contact * one_u:
+                kind, t1, y1, f1 = _step_event(uvalue, ode_sign, tdir, tol_floor, tol_contact,
+                                                t, y, f_t, u_t, t_new, y5, f6, u_new)
+            # near-contact series handoff: a trajectory riding tangentially
+            # into the bound is exponentially ill-conditioned for stepping,
+            # so once the margin is small we try to identify the analytic
+            # branch it sits on and finish the approach with the local series
+            elif (g_new <= handoff_factor * one_u
+                    and g_new < u_t - y * y and handoff_theta_tried != t_new):
+                handoff_theta_tried = t_new
+                snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
 
-        # the step's end node, the only node an accepted step emits
-        if t1 != t:
-            ts.append(t1)
-            ys.append(y1)
-            fs.append(f1)
+            # the step's end node, the only node an accepted step emits
+            if t1 != t:
+                ts.append(t1)
+                ys.append(y1)
+                fs.append(f1)
 
-        if kind is not None:
-            tau = t1
-            if kind is TerminationKind.CONTACT:
-                # land the final node exactly on the bound at the critical
-                # point (tangential contacts); transversal ones keep tau
-                snap = _contact_node(u, tau, fs[-1], tdir, lo, hi)
-                if snap is not None:
-                    theta_c, rho_c = snap
-                    if ode_sign * (rho_c - ys[-1]) >= -1e-13 and tdir * (theta_c - tau) >= 0.0:
-                        ts.append(theta_c)
-                        ys.append(rho_c)
-                        fs.append(0.0)
-                        tau = theta_c
-            termination = Termination(kind, tau)
-            break
-        if snap is not None:
-            snap_ts, snap_ys, snap_fs, theta_c = snap
-            ts.extend(snap_ts)
-            ys.extend(snap_ys)
-            fs.extend(snap_fs)
-            termination = Termination(TerminationKind.CONTACT, theta_c)
-            break
+            if kind is not None:
+                tau = t1
+                if kind is TerminationKind.CONTACT:
+                    # land the final node exactly on the bound at the critical
+                    # point (tangential contacts); transversal ones keep tau
+                    snap = _contact_node(u, tau, fs[-1], tdir, lo, hi)
+                    if snap is not None:
+                        theta_c, rho_c = snap
+                        if (ode_sign * (rho_c - ys[-1]) >= -1e-13
+                                and tdir * (theta_c - tau) >= 0.0):
+                            ts.append(theta_c)
+                            ys.append(rho_c)
+                            fs.append(0.0)
+                            tau = theta_c
+                termination = Termination(kind, tau)
+                break
+            if snap is not None:
+                snap_ts, snap_ys, snap_fs, theta_c = snap
+                ts.extend(snap_ts)
+                ys.extend(snap_ys)
+                fs.extend(snap_fs)
+                termination = Termination(TerminationKind.CONTACT, theta_c)
+                break
 
-        t, y, f_t, u_t = t_new, y5, k6, u_new
+        t, y, k_t, f_t, u_t = t_new, y5, k6, f6, u_new
         if -end_tol <= t - t_end <= end_tol:
             termination = Termination(TerminationKind.DOMAIN_END, t)
             break

@@ -111,6 +111,11 @@ class PiecewiseSolution:
         return np.concatenate(parts)
 
     def interp(self, theta):
+        """The solution's depth: each piece's :meth:`SolutionPiece.interp`.
+
+        Outside ``[theta_start, theta_end]`` the end pieces extrapolate their
+        cubics without a warning or a NaN, so a caller checks the span first.
+        """
         theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
         bounds = [p.theta_end for p in self.pieces[:-1]]
         idx = np.searchsorted(bounds, theta_arr, side="right")

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depthrec.errors import EvalError, ParseError
 from depthrec.expressions import (
@@ -90,6 +90,10 @@ def test_non_integer_exponent_rejected():
         parse_expression("theta^0.5")
     with pytest.raises(ParseError):
         parse_expression("2^theta")
+    # exponents that fold to an infinity or a NaN: a ParseError, not an OverflowError
+    for text in ("theta^(1e200^2)", "theta^(1e200*1e200)", "theta^(1e200^2 - 1e200^2)"):
+        with pytest.raises(ParseError, match="exponent must be an integer constant"):
+            parse_expression(text)
 
 
 def test_empty_input_rejected():
@@ -252,6 +256,11 @@ def _build(node):
         return lambda th: a(th) / b(th)
     if isinstance(node, Pow):
         a, n = _build(node.base), node.exponent
+        if n == 2:   # a square is the base times itself
+            def square(th):
+                b = a(th)
+                return b * b
+            return square
         return lambda th: a(th) ** n
     if isinstance(node, Call):
         fn, a = _MATH_FUNCS[node.func], _build(node.arg)
@@ -337,7 +346,7 @@ def test_kernel_keeps_evaluation_order_around_locals():
     ("1/theta", 0.0),
     ("3 + 1/(theta - 1)", 1.0),
     ("exp(theta)", 1000.0),
-    ("exp(theta)^2", 400.0),
+    ("exp(theta)^3", 400.0),
 ])
 def test_kernel_eval_error_carries_theta(text, theta):
     node = parse_expression(text)
@@ -345,6 +354,30 @@ def test_kernel_eval_error_carries_theta(text, theta):
         to_callable(node)(theta)
     assert ei.value.theta == theta
     assert outcome(to_callable(node), theta) == outcome(tree_callable(node), theta)
+
+
+def checked_outcome(kernel, theta):
+    """``checked`` on [-4, 4], with a slow path that names the angle it got."""
+    read = kernel.checked(-4.0, 4.0, lambda th: ("slow", th))
+    value = read(theta)
+    return value if isinstance(value, tuple) else struct.pack("<d", value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.lists(angles, min_size=1, max_size=6))
+# exp(400)^2 overflows: inf, as exp(400)*exp(400), where pow raised
+@example(parse_expression("exp(theta)"), [400.0, 1.0])
+@example(Mul(Num(1e200), Var("theta")), [0.5, -0.5, 0.0])
+@example(Call("sqrt", Var("theta")), [-1.0, 4.0])   # the base fails
+def test_square_is_the_product(node, thetas):
+    """The kernels of ``b^2`` are those of ``b*b``, bit for bit, in every
+    variant: the same values, an overflow to inf where ``b*b`` gives it, and
+    the same first error where ``b`` fails."""
+    square, product = ExpressionKernel(Pow(node, 2)), ExpressionKernel(Mul(node, node))
+    for th in thetas:
+        assert outcome(square.scalar, th) == outcome(product.scalar, th)
+        assert checked_outcome(square, th) == checked_outcome(product, th)
+    assert grid_outcome(square, thetas) == grid_outcome(product, thetas)
 
 
 def test_grid_matches_scalar_to_roundoff():
@@ -443,7 +476,7 @@ def test_numpy_operations_round_as_scalar_ones(node, thetas):
 
 
 @pytest.mark.parametrize("text,numpy_op", [
-    ("theta^2", lambda x: x ** 2),   # numpy's x**2 multiplies, Python's calls pow
+    ("theta^3", lambda x: x ** 3),   # numpy's x**3 is not libm pow; Python's is
     ("tan(theta)", np.tan),
     ("exp(theta)", np.exp),
     ("log(theta + 11)", lambda x: np.log(x + 11)),

@@ -4,21 +4,27 @@ Most tests assert what a correct ``maximal_solution`` gives on one profile:
 a solution that spans the domain and is C1, every piece on the equation
 (``ivp.residual`` at most 1e-6), and, where the profile comes from a depth
 by the forward model, nowhere more than 1e-6 under that depth on 200
-angles; one asserts that the branch tree enumerated from a point of a
-depth contains that depth.  Each is marked ``xfail(strict=True)`` with the ROADMAP item that
-covers it, so a fix shows as an XPASS, which fails the suite until the
-marker goes.  Only a typed ``DepthRecError`` or a failed assertion counts
-as the known failure; any other exception is a new bug and fails the test.
+angles.  One asserts that the branch tree enumerated from a point of a
+depth contains that depth, one that a convergence cone's bounds stay under
+the depth bound sqrt(U), and one that a solve ends its contact on the
+critical point it touches.  Each of the 9 is marked ``xfail(strict=True)``
+with the ROADMAP item that covers it, so a fix shows as an XPASS, which
+fails the suite until the marker goes.  Only a typed ``DepthRecError`` or a
+failed assertion counts as the known failure; any other exception is a new
+bug and fails the test.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from depthrec.criticals import find_critical_points
 from depthrec.errors import DepthRecError
-from depthrec.ivp import RegularIC, residual
+from depthrec.ivp import RegularIC, TerminationKind, residual, solve_regular
 from depthrec.modulus import ClosedFormModulus, from_depth
 from depthrec.parametrization import DepthFunction
-from depthrec.solutions import enumerate_branches, maximal_solution
+from depthrec.solutions import build_cone, enumerate_branches, maximal_solution
 
 DOMAIN = (0.2, 2.9)
 _TOL = 1e-6
@@ -77,3 +83,27 @@ def test_enumerated_tree_contains_the_depth():
                 and abs(sol.theta_end - DOMAIN[1]) <= 1e-9]
     assert min((np.max(np.abs(sol.interp(grid) - truth)) for sol in spanning),
                default=np.inf) <= _TOL
+
+
+# the scan's node at 0.35384...: the upper bound's order-20 series leg reads
+# 5.66e7 at 0.40384, where sqrt(U) is 1.4418
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DepthRecError), reason="ROADMAP item 3")
+def test_cone_bounds_stay_under_the_depth_bound():
+    text = "1.347405770094168 + 0.09435951229817716*sin(4*theta + 6.127417592889937)"
+    u = from_depth(DepthFunction.from_text(text, DOMAIN))
+    points = find_critical_points(u)
+    apex = next(p for p in points.points if p.theta == 0.35384037909277055)
+    cone = build_cone(u, apex, side=+1, critical_set=points)
+    for bound in (cone.upper, cone.lower):
+        assert np.all(bound.rhos <= np.sqrt(u.value_grid(bound.thetas)) + _TOL)
+
+
+# rho = cos(theta - pi/3) solves U = 1 and touches the bound at pi/3; the
+# contact ends 8.42e-7 short of it, and with stop_theta 8.32e-7 past it
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DepthRecError), reason="ROADMAP item 12")
+def test_contact_ends_on_the_critical_angle():
+    u = ClosedFormModulus("1", (0.0, 3.0))
+    ends = [solve_regular(u, RegularIC(0.0, 0.5), +1, stop_theta=stop).termination
+            for stop in (None, 1.2)]
+    assert all(end.kind is TerminationKind.CONTACT for end in ends)
+    assert all(abs(end.theta - math.pi / 3) <= 1e-12 for end in ends)

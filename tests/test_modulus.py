@@ -142,6 +142,43 @@ def test_jet_order_zero_equals_eval():
         assert u.jet(th, 0)[0] == u.value(th)
 
 
+def _forward_model_depths(seed: int, n: int) -> list[str]:
+    """``n`` sine depths ``c + a*sin(k*theta + phi)`` (k in 2..4, a/c in
+    [0.05, 0.12]) and ``n`` two-harmonic depths ``c + a1*cos(theta) +
+    b1*sin(theta) + a2*cos(2*theta) + b2*sin(2*theta)``, as the benchmark
+    draws them."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(n):
+        c = rng.uniform(1.0, 3.0)
+        a, k = rng.uniform(0.05, 0.12) * c, int(rng.integers(2, 5))
+        phi = rng.uniform(0.0, 2 * math.pi)
+        texts.append(f"{c!r} + {a!r}*sin({k}*theta + {phi!r})")
+        c = rng.uniform(1.0, 4.0)
+        a1, b1 = (rng.uniform(-0.2, 0.2, 2) * c).tolist()
+        a2, b2 = (rng.uniform(-0.1, 0.1, 2) * c).tolist()
+        texts.append(f"{c!r} + {a1!r}*cos(theta) + {b1!r}*sin(theta) "
+                     f"+ {a2!r}*cos(2*theta) + {b2!r}*sin(2*theta)")
+    return texts
+
+
+def test_jet_constant_term_is_the_u_read():
+    """A U read equals its jet's constant term, bit for bit, on the forward
+    model of the benchmark's two closed-form depth families.
+
+    Both square rho and rho' as a product: the kernel computes ``b^2`` as
+    ``b*b``, and the jet convolves the series with itself, whose constant
+    term is the same product.  ``tan``, and powers other than 2, are out of
+    scope: the kernel calls ``math.tan`` and libm ``pow`` for those, the
+    jet runs its own recurrences, and the two may differ in the last bit.
+    """
+    domain = (0.2, 2.9)
+    thetas = np.random.default_rng(17).uniform(*domain, 200).tolist()
+    for text in _forward_model_depths(5, 30):
+        u = from_depth(DepthFunction.from_text(text, domain))
+        assert [u.jet(th, 2)[0] for th in thetas] == [u.value(th) for th in thetas], text
+
+
 def test_jet_matches_finite_differences():
     u = ClosedFormModulus("2 + sin(2*theta) + cos(theta)^2", (0.0, 3.0))
     h = 1e-4
