@@ -13,7 +13,8 @@ Variables are ``theta`` or ``t``; functions are sin, cos, tan, sqrt, exp,
 log.  Parsing, printing and re-parsing is a fixed point.  Expressions can
 be differentiated symbolically (the result stays inside the grammar),
 evaluated with :class:`~depthrec.series.PowerSeries` arguments for
-high-order derivatives, or compiled into kernels for plain evaluation.
+Taylor coefficients of any order, or compiled into kernels for plain
+evaluation.
 
 An :class:`ExpressionKernel` generates Python source from the AST, one
 parenthesized operation per distinct subexpression, with the constants as
@@ -51,7 +52,7 @@ from .series import PowerSeries
 __all__ = [
     "Expression", "Num", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "parse_expression", "to_text", "differentiate", "ExpressionKernel", "to_callable",
-    "series_coefficients", "derivatives_at", "FUNCTIONS", "VARIABLES",
+    "series_coefficients", "FUNCTIONS", "VARIABLES",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sqrt", "exp", "log")
@@ -894,23 +895,15 @@ def _eval_series(node: Expression, var: PowerSeries, memo: dict, sincos: dict):
     return value
 
 
-def _expand(node: Expression, center: float, order: int) -> PowerSeries:
-    """The expression's Taylor series about ``center`` up to ``order``."""
+def series_coefficients(node: Expression, center: float, order: int) -> np.ndarray:
+    """Taylor coefficients ``[f, f', f''/2, ..., f^(order)/order!]`` of the
+    expression about ``center``: a profile's jet (:meth:`ModulusModel.jet
+    <depthrec.modulus.ModulusModel.jet>`)."""
     var = PowerSeries.variable(center, order)
     try:
         result = _eval_series(node, var, {}, {})
     except _MATH_ERRORS as exc:
         raise EvalError(f"cannot expand expression: {exc}", center) from exc
     if isinstance(result, PowerSeries):
-        return result
-    return PowerSeries.constant(result, order)
-
-
-def series_coefficients(node: Expression, center: float, order: int) -> np.ndarray:
-    """Taylor coefficients of the expression about ``center`` up to ``order``."""
-    return _expand(node, center, order).c.copy()
-
-
-def derivatives_at(node: Expression, center: float, order: int) -> np.ndarray:
-    """Derivative values ``[f, f', ..., f^(order)]`` at ``center``."""
-    return _expand(node, center, order).derivatives()
+        return result.c.copy()
+    return PowerSeries.constant(result, order).c

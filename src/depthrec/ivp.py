@@ -70,7 +70,7 @@ solve; timed alternately, the bare loop took 3.4 to 5.2 times as long
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -87,7 +87,7 @@ __all__ = [
     "BranchSign", "RegularIC", "TerminationKind", "Termination", "SolutionPiece",
     "IntegrationOptions", "derivative_pair", "solve_regular", "residual",
     "continue_through_critical", "branch_to_piece", "bound_following_piece",
-    "leaving_branch",
+    "leaving_branches",
 ]
 
 BranchSign = int  # +1 or -1
@@ -166,6 +166,10 @@ class SolutionPiece:
     describes the far end in the direction of integration (the smallest
     angle for backward pieces).  ``dense_contact`` marks bound-following
     pieces on autonomous stretches, which carry sign +1 by convention.
+    ``start_branch`` and ``end_branch`` are the analytic branches the piece
+    was built on at ``theta_start`` and ``theta_end``: the branch a
+    :func:`branch_to_piece` launch leg follows, and the one a series handoff
+    snaps onto; None at an end built otherwise.
 
     The piece's curve is :meth:`interp`, the cubic Hermite on the nodes'
     depths and slopes; a regular solve's nodes are its accepted steps
@@ -181,7 +185,9 @@ class SolutionPiece:
     termination: Termination
     direction: str  # "forward" | "backward"
     dense_contact: bool = False
-    _spline: object = field(default=None, repr=False, compare=False)
+    start_branch: TaylorBranch | None = field(default=None, repr=False, compare=False)
+    end_branch: TaylorBranch | None = field(default=None, repr=False, compare=False)
+    _spline: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ode_sign(self) -> int:
@@ -199,16 +205,17 @@ class SolutionPiece:
     def interp(self, theta):
         """The piece's depth: the cubic Hermite on the nodes' depths and slopes.
 
-        Outside ``[theta_start, theta_end]`` it extrapolates the end cubics
-        without a warning or a NaN, and the values there can be far off any
-        solution, so a caller checks the span first.
+        NaN outside ``[theta_start, theta_end]``: the end cubics are not
+        extrapolated, as they can be far off any solution there.
         """
         if self._spline is None:
             if len(self.thetas) >= 2:
-                self._spline = CubicHermiteSpline(self.thetas, self.rhos, self.drhos)
+                self._spline = CubicHermiteSpline(self.thetas, self.rhos, self.drhos,
+                                                  extrapolate=False)
             else:
-                rho0 = float(self.rhos[0])
-                self._spline = lambda th: np.full_like(np.asarray(th, dtype=float), rho0)
+                theta0, rho0 = float(self.thetas[0]), float(self.rhos[0])
+                self._spline = lambda th: np.where(np.asarray(th, dtype=float) == theta0,
+                                                   rho0, math.nan)
         return self._spline(theta)
 
 
@@ -337,6 +344,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
     handoff_theta_tried = math.nan
+    handoff_branch = None  # the branch a series handoff ends the solve on
 
     if abs(t_end - t) < 1e-15 * max(1.0, span):
         termination = Termination(TerminationKind.DOMAIN_END, t)
@@ -489,7 +497,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                 termination = Termination(kind, tau)
                 break
             if snap is not None:
-                snap_ts, snap_ys, snap_fs, theta_c = snap
+                snap_ts, snap_ys, snap_fs, theta_c, handoff_branch = snap
                 ts.extend(snap_ts)
                 ys.extend(snap_ys)
                 fs.extend(snap_fs)
@@ -508,13 +516,16 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         else:
             h *= 5.0
 
+    ends = (None, handoff_branch)  # the branches at the first and last node walked
     if direction == "backward":
         ts.reverse()
         ys.reverse()
         fs.reverse()
+        ends = ends[::-1]
     thetas, rhos, drhos = np.array(ts), np.array(ys), np.array(fs)
     return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                         termination=termination, direction=direction)
+                         termination=termination, direction=direction,
+                         start_branch=ends[0], end_branch=ends[1])
 
 
 def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
@@ -552,11 +563,11 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     which must lie strictly ahead, expands both branches there, and if the
     current state sits on one of them (within ``_HANDOFF_MATCH_TOL``, and
     unambiguously so), returns replacement nodes from ``t`` to the exact
-    contact, which ends on the point's angle.  Returns None when no
-    unambiguous branch match exists (flat curvature, autonomous stretches,
-    cone-interior trajectories, genuine pass-unders).  Every attempt on one
-    approach finds the same point, so the call's table builds one IC and
-    one branch set for them.
+    contact, which ends on the point's angle, and the branch matched.
+    Returns None when no unambiguous branch match exists (flat curvature,
+    autonomous stretches, cone-interior trajectories, genuine pass-unders).
+    Every attempt on one approach finds the same point, so the call's table
+    builds one IC and one branch set for them.
     """
     theta_c = critical_angle_near(u, t, 2 * _SERIES_RADIUS)
     if theta_c is None or tdir * (theta_c - t) <= 0.0:
@@ -586,7 +597,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     # the last node is the contact itself: on the bound, with zero slope
     snap_ys.append(ic.rho0)
     snap_fs.append(0.0)
-    return snap_ts, snap_ys, snap_fs, theta_c
+    return snap_ts, snap_ys, snap_fs, theta_c, branch
 
 
 def _bisect_event(pred, t_ok: float, t_hit: float) -> float:
@@ -684,13 +695,16 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     angle, where ``room`` is the distance to ``stop_theta`` or, without it,
     to the domain end on ``side``; integration continues from the leg's end.
     ``side`` +1 extends toward larger angles.  A constant branch turns into
-    a bound-following piece instead.
+    a bound-following piece instead.  The piece carries ``branch`` at the
+    critical angle, and the tail's handoff branch, if any, at its far end.
     """
     theta_c = branch.ic.theta0
     lo, hi = u.domain
     limit = (hi if side > 0 else lo) if stop_theta is None else stop_theta
+    start_branch, end_branch = (branch, None) if side > 0 else (None, branch)
     if branch.status is BranchStatus.CONSTANT_CIRCLE:
-        return bound_following_piece(u, theta_c, side, stop_theta=limit)
+        return replace(bound_following_piece(u, theta_c, side, stop_theta=limit),
+                       start_branch=start_branch, end_branch=end_branch)
 
     half_ode_sign = _half_branch_sign(branch, side)
     if half_ode_sign == 0:
@@ -729,14 +743,17 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
             thetas = np.concatenate((ts, tail.thetas[1:]))
             rhos = np.concatenate((ys, tail.rhos[1:]))
             drhos = np.concatenate((fs, tail.drhos[1:]))
+            end_branch = tail.end_branch
         else:
             thetas = np.concatenate((tail.thetas[:-1], ts))
             rhos = np.concatenate((tail.rhos[:-1], ys))
             drhos = np.concatenate((tail.drhos[:-1], fs))
+            start_branch = tail.start_branch
         termination = tail.termination
 
     return SolutionPiece(sign=walk_sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                         termination=termination, direction=direction)
+                         termination=termination, direction=direction,
+                         start_branch=start_branch, end_branch=end_branch)
 
 
 def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
@@ -795,24 +812,24 @@ def continuation_candidates(ic: CriticalIC, side: int) -> list[tuple[int, Taylor
             if b.status is not BranchStatus.DEGENERATE]
 
 
-def leaving_branch(ic: CriticalIC, side: int,
-                   walk_sign: BranchSign | None = None) -> TaylorBranch:
-    """The branch that leaves a critical IC on ``side``: the one with the
-    largest curvature root among :func:`continuation_candidates`, with walk
-    sign ``walk_sign`` when one is given.
+def leaving_branches(ic: CriticalIC, side: int,
+                     walk_sign: BranchSign | None = None) -> list[TaylorBranch]:
+    """The branches that leave a critical IC on ``side``: those of
+    :func:`continuation_candidates` with walk sign ``walk_sign`` when one is
+    given, largest curvature root first.
 
     Near the contact each branch sits at depth + beta/2 * offset^2, and
     same-family trajectories cannot cross, so the larger root dominates
     pointwise.  Raises :class:`NoContinuation` when no branch qualifies.
     """
-    branches = [b for s, b in continuation_candidates(ic, side)
-                if walk_sign is None or s == walk_sign]
+    branches = sorted((b for s, b in continuation_candidates(ic, side)
+                       if walk_sign is None or s == walk_sign), key=lambda b: -b.beta)
     if not branches:
         signed = "" if walk_sign is None else f" with walk sign {walk_sign:+d}"
         raise NoContinuation(
             f"no branch{signed} leaves the critical point at theta={ic.theta0} "
             f"on side {side:+d}")
-    return max(branches, key=lambda b: b.beta)
+    return branches
 
 
 @one_critical_table
@@ -822,8 +839,8 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
     """Continue a contact-terminated trajectory past the critical point.
 
     The continuation starts exactly on the bound with zero slope, where
-    the piece ended, on the :func:`leaving_branch` with walk sign
-    ``choice``.  Raises :class:`NoContinuation` when no branch has it, or
+    the piece ended, on the first of :func:`leaving_branches` with walk
+    sign ``choice``.  Raises :class:`NoContinuation` when no branch has it, or
     when the piece ended at a contact that is not a critical point.
     """
     if piece.termination.kind is not TerminationKind.CONTACT:
@@ -835,4 +852,4 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
     except DomainError as exc:
         raise NoContinuation(
             f"the contact at theta={theta} is not a critical point: {exc}") from exc
-    return branch_to_piece(u, leaving_branch(ic, side, choice), side, opts)
+    return branch_to_piece(u, leaving_branches(ic, side, choice)[0], side, opts)

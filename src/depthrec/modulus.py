@@ -2,12 +2,14 @@
 
 The reconstruction problem takes as data the squared norm U of the curve's
 velocity.  A :class:`ClosedFormModulus` wraps an expression AST and serves
-derivatives of any order through truncated power-series arithmetic; a
+jets of any order through truncated power-series arithmetic; a
 :class:`SampledModulus` wraps a grid with a cubic spline and serves at most
-two exact derivative orders.  Values within roundoff of zero are clamped to
-zero; anything more negative raises :class:`InvalidModulus`, and so does a
-value that is not finite (NaN, or an infinity from silent float overflow),
-naming the angle: no layer above steps or reports on such a value.
+two exact derivative orders.  A jet (:class:`Jet`) holds Taylor
+coefficients ``U^(k)/k!``, as a branch does.  Values within roundoff of
+zero are clamped to zero; anything more negative raises
+:class:`InvalidModulus`, and so does a value that is not finite (NaN, or an
+infinity from silent float overflow), naming the angle: no layer above
+steps or reports on such a value.
 
 Every layer above reads U and U' many times, and the critical scan reads
 U' and U'', so both representations evaluate them without per-call
@@ -59,7 +61,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DepthRecError, DomainError, EvalError, InvalidModulus, OrderUnavailable
 from .expressions import (
-    Add, Expression, ExpressionKernel, Pow, differentiate, derivatives_at, parse_expression,
+    Add, Expression, ExpressionKernel, Pow, differentiate, parse_expression, series_coefficients,
 )
 from .parametrization import DepthFunction
 
@@ -75,7 +77,8 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivative values ``[U, U', ..., U^(order)]`` at a fixed center."""
+    """Taylor coefficients ``[U, U', U''/2, ..., U^(order)/order!]`` at a
+    fixed center, the convention of :class:`~depthrec.series.PowerSeries`."""
 
     center: float
     coeffs: np.ndarray
@@ -156,7 +159,7 @@ class ModulusModel:
 
     def second_derivative(self, theta: float) -> float:
         """U''(theta), validated finite like :meth:`value`.  Equals
-        ``jet(theta, 2)[2]`` up to roundoff (exactly, for sampled
+        ``2*jet(theta, 2)[2]`` up to roundoff (exactly, for sampled
         profiles)."""
         self._check_domain(theta)
         d2 = self._raw_second_derivative(theta)
@@ -172,45 +175,36 @@ class ModulusModel:
         angles inside the domain whose raw values are finite and
         nonnegative; anything else is left to the loop itself.
         """
-        thetas = np.asarray(thetas, dtype=float)
-        if self._inside(thetas):
-            try:
-                # a scalar evaluation prints no warning on overflow either
-                with np.errstate(all="ignore"):
-                    values = self._raw_value_grid(thetas)
-            except DepthRecError:
-                values = None
-            # finite and nonnegative: the minimum is no NaN and at least 0
-            if values is not None and values.min() >= 0.0 and values.max() < math.inf:
-                return values
-        read = self.value
-        return np.array([read(th) for th in thetas.tolist()])
+        return self._grid(thetas, self._raw_value_grid, self.value, 0.0)
 
     def derivative_grid(self, thetas) -> np.ndarray:
         """U' at every angle of a 1-d float array, as a loop of :meth:`derivative`.
 
         Bit for bit the loop's values, and the loop's first error where it
-        would raise one.
+        would raise one.  The array path covers angles inside the domain
+        whose raw values are finite.
         """
+        return self._grid(thetas, self._raw_derivative_grid, self.derivative, np.finfo(float).min)
+
+    def _grid(self, thetas, raw, read, least: float) -> np.ndarray:
+        """``raw(thetas)`` where every angle lies in the domain and every value
+        is finite and at least ``least`` (a NaN is not); else a loop of ``read``."""
         thetas = np.asarray(thetas, dtype=float)
-        if self._inside(thetas):
+        lo, hi = self.domain
+        if thetas.size and lo - 1e-12 <= thetas.min() and thetas.max() <= hi + 1e-12:
             try:
+                # a scalar evaluation prints no warning on overflow either
                 with np.errstate(all="ignore"):
-                    values = self._raw_derivative_grid(thetas)
+                    values = raw(thetas)
             except DepthRecError:
                 values = None
-            # finite: neither extreme is NaN or infinite
-            if values is not None and -_INF < values.min() and values.max() < _INF:
+            if values is not None and values.min() >= least and values.max() < _INF:
                 return values
-        return np.array([self.derivative(th) for th in thetas.tolist()])
-
-    def _inside(self, thetas: np.ndarray) -> bool:
-        """Whether a non-empty array of angles lies in the domain (NaN does not)."""
-        lo, hi = self.domain
-        return bool(thetas.size) and lo - 1e-12 <= thetas.min() and thetas.max() <= hi + 1e-12
+        return np.array([read(th) for th in thetas.tolist()])
 
     def jet(self, theta: float, order: int) -> Jet:
-        """Derivative values up to ``order``; exact for closed forms."""
+        """Taylor coefficients ``U^(k)/k!`` for k up to ``order``; exact for
+        closed forms."""
         self._check_domain(theta)
         if order < 0:
             raise DomainError("jet order must be nonnegative")
@@ -306,7 +300,7 @@ class ClosedFormModulus(ModulusModel):
         return self._du.grid(thetas)
 
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
-        return derivatives_at(self.expr, theta, order)
+        return series_coefficients(self.expr, theta, order)
 
 
 def _largest_magnitude(kernel: ExpressionKernel, thetas: np.ndarray) -> float:
@@ -421,7 +415,8 @@ class SampledModulus(ModulusModel):
         return self._require_spline()(thetas, 1)
 
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
-        return np.array([self._spline_at(theta, k) for k in range(order + 1)])
+        # [U, U', U''/2]: the halving is exact
+        return np.array([self._spline_at(theta, k) / math.factorial(k) for k in range(order + 1)])
 
 
 def _spline_reader(knots: list, last_knot: int, pieces: array, lo: float, hi: float, slow):

@@ -6,7 +6,9 @@ comes from a direct writer whose bytes equal those of
 ``json.dumps(report, sort_keys=True, indent=2)`` (``NaN``/``Infinity``
 included); ``json.dumps`` cannot use its C encoder with an indent, and its
 pure-Python one costs about twice as much.  Writes go through a temp file
-plus rename so readers never see partial output.
+plus rename so readers never see partial output.  Jets and branches hold
+Taylor coefficients ``f^(k)/k!``; the writers alone multiply by ``k!``, so
+a report's ``u_jet`` and ``derivatives`` are derivative values.
 
 Float formatting is most of the JSON writer's time.  Within one report
 each list whose items are all exactly ``float`` is formatted once per
@@ -208,7 +210,7 @@ def criticals_payload(cs: CriticalSet) -> dict:
             "depth": p.depth,
             "kind": p.kind.value,
             "boundary": p.boundary,
-            "u_jet": _floats(p.u_jet.coeffs),
+            "u_jet": _floats(p.u_jet.coeffs * factorials(p.u_jet.order)),
         } for p in cs.points],
     }
 

@@ -5,9 +5,11 @@ A :class:`PowerSeries` stores the coefficients ``c[0..order]`` of
     f(h) = c[0] + c[1]*h + c[2]*h**2 + ... + c[order]*h**order,
 
 the Taylor expansion of some function about a fixed center, truncated at a
-finite order.  Arithmetic on series propagates coefficients exactly (up to
-roundoff), so evaluating a closed-form expression with a series argument
-yields the expression's derivatives to arbitrary order without the
+finite order: ``c[k] = f^(k)(center)/k!``, the convention of every jet and
+branch above; only the report writers multiply by ``k!``
+(:func:`factorials`).  Arithmetic on series propagates coefficients exactly
+(up to roundoff), so evaluating a closed-form expression with a series
+argument yields its Taylor coefficients to arbitrary order without the
 conditioning problems of repeated numeric differencing.
 
 The elementary-function rules are the standard convolutional recurrences:
@@ -26,9 +28,9 @@ sin/cos pair) are left-to-right sums: they read the coefficients into a
 Python list once, build the result in a list and wrap it once, which gives
 the same bits as the same sums on numpy scalars at a fraction of the cost.
 Results are never modified in place, so one series can serve several
-expressions; :func:`depthrec.expressions.derivatives_at` relies on that to
-evaluate each shared node of a tree once and to take ``sin`` and ``cos`` of
-one argument from one :meth:`PowerSeries.sincos` call.
+expressions; :func:`depthrec.expressions.series_coefficients` relies on that
+to evaluate each shared node of a tree once and to take ``sin`` and ``cos``
+of one argument from one :meth:`PowerSeries.sincos` call.
 """
 
 from __future__ import annotations
@@ -248,10 +250,6 @@ class PowerSeries:
         for ck in self.c[::-1]:
             acc = acc * h + ck
         return acc
-
-    def derivatives(self) -> np.ndarray:
-        """Derivative values ``f^(k)(center) = k! * c[k]``."""
-        return self.c * factorials(self.order)
 
 
 @lru_cache(maxsize=64)

@@ -13,7 +13,9 @@ largest-curvature branch leaving the minimum-type end toward the other
 (there the analytic solution touching the bound is unique, so it is the
 only candidate), integrate it up to the far point's angle, and either snap
 its end onto the far point, when it lands within ``_TOL_BVP`` of it, or
-raise :class:`NoSolution`.
+raise :class:`NoSolution`.  An outer interval, between the outermost
+critical point and the domain end, takes the first branch leaving the point,
+largest curvature root first, whose piece reaches the domain end.
 
 Each public function here is one call of
 :func:`~depthrec.taylor.one_critical_table`: every critical point it meets
@@ -27,7 +29,7 @@ snapped onto a point and a piece leaving it meet at the point's angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -42,7 +44,7 @@ from .errors import (
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
     bound_following_piece, branch_to_piece, continuation_candidates,
-    continue_through_critical, leaving_branch, solve_regular,
+    continue_through_critical, leaving_branches, solve_regular,
 )
 from .modulus import ModulusModel
 from .taylor import (
@@ -50,7 +52,6 @@ from .taylor import (
 )
 
 _TOL_BVP = 1e-8          # largest depth miss of a link at the far critical point
-_SLOPE_TOL = 1e-6        # a junction whose one-sided slopes are both below is critical
 _ABUT_TOL = 1e-6         # largest angle gap between consecutive pieces
 _C1_TOL = 1e-8           # largest depth or slope jump of a C1 junction
 
@@ -111,11 +112,8 @@ class PiecewiseSolution:
         return np.concatenate(parts)
 
     def interp(self, theta):
-        """The solution's depth: each piece's :meth:`SolutionPiece.interp`.
-
-        Outside ``[theta_start, theta_end]`` the end pieces extrapolate their
-        cubics without a warning or a NaN, so a caller checks the span first.
-        """
+        """The solution's depth: each piece's :meth:`SolutionPiece.interp`,
+        so NaN outside ``[theta_start, theta_end]``."""
         theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
         bounds = [p.theta_end for p in self.pieces[:-1]]
         idx = np.searchsorted(bounds, theta_arr, side="right")
@@ -136,15 +134,6 @@ def _end_state(piece: SolutionPiece, at_start: bool) -> tuple[float, float, floa
     return float(piece.thetas[i]), float(piece.rhos[i]), float(piece.drhos[i])
 
 
-def _end_curvature(piece: SolutionPiece, at_start: bool) -> float:
-    """One-sided second-derivative estimate from the outermost nodes."""
-    ends = slice(0, 3) if at_start else slice(-3, None)
-    th, dr = piece.thetas[ends], piece.drhos[ends]
-    if len(th) < 3 or th[2] == th[0]:
-        return 0.0
-    return float((dr[2] - dr[0]) / (th[2] - th[0]))
-
-
 def _merge_adjacent(a: SolutionPiece, b: SolutionPiece) -> SolutionPiece:
     """Join two halves of one trajectory meeting at a shared node."""
     thetas = np.concatenate([a.thetas, b.thetas[1:]])
@@ -152,17 +141,18 @@ def _merge_adjacent(a: SolutionPiece, b: SolutionPiece) -> SolutionPiece:
     drhos = np.concatenate([a.drhos, b.drhos[1:]])
     return SolutionPiece(sign=b.ode_sign, thetas=thetas, rhos=rhos, drhos=drhos,
                          termination=b.termination, direction="forward",
-                         dense_contact=a.dense_contact and b.dense_contact)
+                         dense_contact=a.dense_contact and b.dense_contact,
+                         start_branch=a.start_branch, end_branch=b.end_branch)
 
 
 def stitch(pieces: list[SolutionPiece]) -> PiecewiseSolution:
     """Order pieces by angle and classify the junctions between them.
 
-    Interior junctions where both one-sided slopes vanish are critical
-    junctions.  The two curvature roots there sum to ``-rho0``, so
-    ``-rho0/2`` separates them: the junction is labelled a critical pass
-    when both one-sided curvature estimates lie on the same side of it (the
-    chain continues the same analytic germ), and a branch switch otherwise.
+    An interior junction is a critical pass when the pieces on both sides
+    carry the same analytic branch there (:attr:`SolutionPiece.end_branch`
+    of the left, :attr:`SolutionPiece.start_branch` of the right: the same
+    curvature root of one IC, at its angle, where both slopes vanish), and a
+    branch switch otherwise, an end built from no series included.
     """
     parts = sorted((p for p in pieces if len(p.thetas) >= 2),
                    key=lambda p: p.theta_start)
@@ -176,13 +166,8 @@ def stitch(pieces: list[SolutionPiece]) -> PiecewiseSolution:
             raise NoSolution(f"pieces do not abut: gap [{tl}, {tr}]")
         d_rho = abs(rl - rr)
         d_slope = abs(dl - dr)
-        if max(abs(dl), abs(dr)) <= _SLOPE_TOL:
-            split = -0.5 * rl  # between the two curvature roots
-            same_germ = ((_end_curvature(left, at_start=False) > split)
-                         == (_end_curvature(right, at_start=True) > split))
-            kind = JunctionKind.CRITICAL_PASS if same_germ else JunctionKind.BRANCH_SWITCH
-        else:
-            kind = JunctionKind.BRANCH_SWITCH
+        same = left.end_branch is not None and left.end_branch is right.start_branch
+        kind = JunctionKind.CRITICAL_PASS if same else JunctionKind.BRANCH_SWITCH
         junctions.append(Junction(0.5 * (tl + tr), kind, d_rho, d_slope))
     junctions.append(Junction(parts[-1].theta_end, JunctionKind.END))
     sol = PiecewiseSolution(parts, junctions)
@@ -349,16 +334,12 @@ def _flat_between(u: ModulusModel, left: CriticalPoint, right: CriticalPoint) ->
     """Whether U stays within ``1e-9*scale`` of ``left.depth**2`` at 17
     probes from ``left`` to ``right``.
 
-    Decided as a scan probe by probe would decide it, which stops at the
-    first probe off the bound: a failure of U at a later probe is not
-    raised.
+    The probes are read one by one, and the first one off the bound decides:
+    a failure of U at a later probe is not raised.
     """
-    probes = np.linspace(left.theta, right.theta, 17)
-    tol = 1e-9 * u.scale
-    try:
-        return bool(np.all(np.abs(u.value_grid(probes) - left.depth ** 2) <= tol))
-    except DepthRecError:
-        return all(abs(u.value(th) - left.depth ** 2) <= tol for th in probes.tolist())
+    read, bound, tol = u.value, left.depth ** 2, 1e-9 * u.scale
+    return all(abs(read(th) - bound) <= tol
+               for th in np.linspace(left.theta, right.theta, 17).tolist())
 
 
 def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoint, CriticalPoint, int]:
@@ -405,7 +386,7 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     ic = critical_ic(u, launch.theta)
     # depth grows along the walk toward a deeper target
     walk_sign = 1 if target.depth >= launch.depth else -1
-    branch = _leaving_branch(ic, side, walk_sign)
+    branch = _leaving_branches(ic, side, walk_sign)[0]
     piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
     theta_end, rho_end, _ = _end_state(piece, at_start=(side < 0))
     if abs(theta_end - target.theta) > 5e-3:  # stalled or contacted far from the target
@@ -419,27 +400,23 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     return _snap_end(piece, target, side)
 
 
-def _leaving_branch(ic: CriticalIC, side: int, walk_sign: int | None = None) -> TaylorBranch:
-    """:func:`~depthrec.ivp.leaving_branch`, raising :class:`NoSolution`
+def _leaving_branches(ic: CriticalIC, side: int,
+                      walk_sign: int | None = None) -> list[TaylorBranch]:
+    """:func:`~depthrec.ivp.leaving_branches`, raising :class:`NoSolution`
     where no branch leaves."""
     try:
-        return leaving_branch(ic, side, walk_sign)
+        return leaving_branches(ic, side, walk_sign)
     except NoContinuation as exc:
         raise NoSolution(str(exc)) from exc
 
 
 def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> SolutionPiece:
-    thetas = piece.thetas.copy()
-    rhos = piece.rhos.copy()
-    drhos = piece.drhos.copy()
+    """``piece`` with its end on ``side`` on ``target``: on the bound, with zero slope."""
     i = -1 if side > 0 else 0
-    thetas[i] = target.theta
-    rhos[i] = target.depth
-    drhos[i] = 0.0
+    thetas, rhos, drhos = piece.thetas.copy(), piece.rhos.copy(), piece.drhos.copy()
+    thetas[i], rhos[i], drhos[i] = target.theta, target.depth, 0.0
     term = Termination(TerminationKind.CONTACT, target.theta, "snapped to critical point")
-    return SolutionPiece(sign=piece.sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                         termination=term, direction=piece.direction,
-                         dense_contact=piece.dense_contact)
+    return replace(piece, thetas=thetas, rhos=rhos, drhos=drhos, termination=term)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +431,12 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
 
     Chains the two-point trajectories (:func:`solve_bvp_between_criticals`)
     between every pair of consecutive critical points, and extends the
-    chain over the outer intervals by the largest-curvature analytic branch
-    leaving the outermost critical points.  Raises :class:`NoSolution`
-    where a link fails: its trajectory misses the far critical point, no
-    branch leaves toward it, or neither end is minimum-type.  Not every
+    chain over each outer interval by the first analytic branch leaving the
+    outermost critical point, largest curvature root first, whose piece
+    reaches the domain end.  Raises :class:`NoSolution` where a link fails
+    (its trajectory misses the far critical point, no branch leaves toward
+    it, or neither end is minimum-type) and where no branch leaving an
+    outermost point reaches the domain end.  Not every
     critical point is one the maximal solution touches, so that error does
     not prove the profile has no solution.  ``critical_set``, or else the
     profile's scan, is the call's critical set: each point's IC is built
@@ -487,13 +466,25 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     for a, b in zip(pts, pts[1:]):
         pieces.append(solve_bvp_between_criticals(u, a, b, opts))
 
-    # the outer intervals: the branch leaving the outermost critical points
+    # the outer intervals: a branch leaving the outermost critical points
     for point, side, room in ((pts[0], -1, pts[0].theta - lo), (pts[-1], +1, hi - pts[-1].theta)):
         if room > 1e-9:
-            ic = critical_ic(u, point.theta)
-            pieces.append(branch_to_piece(u, _leaving_branch(ic, side), side, opts))
+            pieces.append(_outer_piece(u, critical_ic(u, point.theta), side, opts))
 
     return stitch(pieces)
+
+
+def _outer_piece(u: ModulusModel, ic: CriticalIC, side: int,
+                 opts: IntegrationOptions | None) -> SolutionPiece:
+    """The piece of the first branch leaving ``ic`` on ``side``, largest
+    curvature root first, that reaches the domain end; :class:`NoSolution`
+    when none does."""
+    for branch in _leaving_branches(ic, side):
+        piece = branch_to_piece(u, branch, side, opts)
+        if piece.termination.kind is TerminationKind.DOMAIN_END:
+            return piece
+    raise NoSolution(f"no branch leaving the critical point at theta={ic.theta0} "
+                     f"reaches the domain end on side {side:+d}")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +527,7 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
         use_critical_points(u, critical_set.points)
     by_hand = isinstance(apex, CriticalIC)
     theta_c, depth = (apex.theta0, apex.rho0) if by_hand else (apex.theta, apex.depth)
-    phase = phase_of(depth, apex.u_jet[2], u.scale) if by_hand else apex.phase
+    phase = phase_of(depth, 2.0 * apex.u_jet[2], u.scale) if by_hand else apex.phase
     if phase in (Phase.SADDLE, Phase.FOCUS):
         why = ("one solution touches it on each side" if phase is Phase.SADDLE
                else "no solution touches it")

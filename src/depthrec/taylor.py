@@ -42,8 +42,8 @@ is dropped when the outermost call returns; outside any call
 
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
-stores ``c``; the profile jet holds derivative values and is divided by the
-factorials once, when a branch is expanded.  The recursion and the series
+stores ``c`` and the profile jet stores ``U^(k)/k!``, so the recursion reads
+the jet as it is; U'' is ``2*u_jet[2]``.  The recursion and the series
 evaluation run on lists of Python floats, without numpy's cost for each
 scalar read.  :func:`eval_series` takes one angle or a list of them: a
 series leg, or the nodes of a handoff, is one call that reads the
@@ -63,7 +63,6 @@ import numpy as np
 from .criticals import CriticalPoint, Phase, find_critical_points, merge_distance, phase_of
 from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError
 from .modulus import Jet, ModulusModel
-from .series import factorials
 
 __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "SafeRegionKind",
@@ -109,7 +108,7 @@ class CriticalIC:
 
         Built on first use and kept; a complex discriminant raises
         :class:`ComplexDiscriminant` on every use."""
-        b1, b2 = second_derivative_roots(self.rho0, self.u_jet[2])
+        b1, b2 = second_derivative_roots(self.rho0, 2.0 * self.u_jet[2])
         betas = (b1,) if b1 == b2 else (b1, b2)
         return tuple(expand_branch(self, b) for b in betas)
 
@@ -172,14 +171,14 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
         2*(rho0 + n*beta)*a_n = u_n - sum_{j=2}^{n-2} (j+1)*(n-j+1)*a_{j+1}*a_{n-j+1}
                                     - sum_{j=1}^{n-1} a_j*a_{n-j},
 
-    with ``u_n = U^(n)/n!``.  A vanishing pivot stops the recursion and
-    marks the branch degenerate with the stalled coefficient reported as
-    the free parameter.
+    with ``u_n = U^(n)/n!``, the jet's own coefficient.  A vanishing pivot
+    stops the recursion and marks the branch degenerate with the stalled
+    coefficient reported as the free parameter.
     """
     order = ic.u_jet.order
     rho0 = ic.rho0
     tol_deg = 1e-9 * (1.0 + rho0)
-    u = (ic.u_jet.coeffs / factorials(order)).tolist()
+    u = ic.u_jet.coeffs.tolist()
 
     a = [rho0, 0.0, 0.5 * beta]
     slope = [0.0, beta]  # slope[k] = (k+1)*a[k+1], the coefficients of rho'
@@ -282,7 +281,7 @@ def recursion_residuals(branch: TaylorBranch) -> np.ndarray:
     a = branch.coeffs
     n = branch.order
     slope = a[1:] * np.arange(1, n + 1)
-    u = branch.ic.u_jet.coeffs[:n] / factorials(n - 1)
+    u = branch.ic.u_jet.coeffs[:n]
     defects = np.abs(np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n] - u)[1:]
     slope, a = np.abs(slope), np.abs(a)
     return defects / (1.0 + (np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n])[1:])

@@ -56,7 +56,7 @@ def test_criterion_1_cosine_constant_fixture():
     with criterion(1, "constant-profile fixture: jets and shifted solutions",
                    budget_s=1.0):
         ic = CriticalIC(0.0, 1.0, UNIT.jet(0.0, 12))  # its branches stop at order 12
-        b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
+        b1, b2 = second_derivative_roots(ic.rho0, 2.0 * ic.u_jet[2])
         assert (b1, b2) == (-1.0, 0.0)
         falling = expand_branch(ic, b1)
         constant = expand_branch(ic, b2)
@@ -265,10 +265,9 @@ def test_criterion_6_taylor_recursion_oracle():
             assert res.kind is SafeRegionKind.DEGENERATE_AT
             assert res.index == i
             # a constructed jet with this curvature stalls exactly there
-            u2 = 2.0 * (beta * beta + rho0 * beta)
             jet = np.zeros(15)
             jet[0] = rho0 * rho0
-            jet[2] = u2
+            jet[2] = beta * beta + rho0 * beta  # U''/2, from 2 (beta^2 + rho0 beta) = U''
             ic = CriticalIC(0.0, rho0, Jet(0.0, jet))
             degenerate = expand_branch(ic, beta)
             assert degenerate.status is BranchStatus.DEGENERATE
@@ -276,10 +275,9 @@ def test_criterion_6_taylor_recursion_oracle():
 
         for beta in (-5.0, -2.0, -rho0 / 2.9, 0.0, 0.7, 3.0):
             assert check_safe_region(rho0, beta).kind is SafeRegionKind.SAFE
-            u2 = 2.0 * (beta * beta + rho0 * beta)
             jet = np.zeros(15)
             jet[0] = rho0 * rho0
-            jet[2] = u2
+            jet[2] = beta * beta + rho0 * beta
             ic = CriticalIC(0.0, rho0, Jet(0.0, jet))
             grown = expand_branch(ic, beta)
             assert grown.status is not BranchStatus.DEGENERATE

@@ -67,7 +67,7 @@ def test_line_profile_interior_minimum():
     assert cp.kind is CriticalKind.MINIMUM
     assert not cp.boundary
     assert cp.depth == pytest.approx(5.0, rel=1e-12)
-    assert cp.u_jet[2] == pytest.approx(100.0, rel=1e-9)
+    assert cp.u_jet[2] == pytest.approx(50.0, rel=1e-9)  # U''/2
 
 
 def test_three_extremum_profile():
@@ -154,10 +154,10 @@ def test_kind_from_the_second_derivative_kernel_is_the_jets(c0, rel_amp, k, phas
         rho = DepthFunction.from_samples(grid, [rho.value(float(t)) for t in grid])
     u = from_depth(rho)
     for p in find_critical_points(u).points:
-        u2 = u.jet(p.theta, 2)[2]
+        u2 = 2.0 * u.jet(p.theta, 2)[2]
         assert u.second_derivative(p.theta) == pytest.approx(u2, rel=1e-12, abs=1e-12 * u.scale)
         ic = CriticalIC.from_modulus(u, p.theta)
-        assert p.phase is phase_of(ic.rho0, ic.u_jet[2], u.scale)
+        assert p.phase is phase_of(ic.rho0, 2.0 * ic.u_jet[2], u.scale)
         assert p.kind is p.phase.kind
         try:
             ic.branches
@@ -438,7 +438,7 @@ def test_every_extremum_of_a_forward_model_depth_is_a_critical_point(depth):
         point = min(points, key=lambda p: abs(p.theta - theta_e))
         assert abs(point.theta - theta_e) < 1e-9
         assert point.u_jet.order >= 2
-        u2 = point.u_jet[2]
+        u2 = 2.0 * point.u_jet[2]
         roots = second_derivative_roots(point.depth, u2)   # raises if complex
         # a root carries the discriminant's rounding, amplified where the
         # two roots nearly meet (the clamp to a double root included)

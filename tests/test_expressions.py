@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from depthrec.errors import EvalError, ParseError
 from depthrec.expressions import (
     FUNCTIONS, Add, Call, Div, Expression, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
-    derivatives_at, differentiate, parse_expression, to_callable, to_text,
+    differentiate, parse_expression, series_coefficients, to_callable, to_text,
 )
 from depthrec.expressions import _shape_source
 from depthrec.modulus import from_depth
@@ -177,23 +177,24 @@ def test_differentiate_stays_in_grammar():
     ("1/(1 + theta^2)", 0.2, 9),
 ])
 def test_derivatives_at_against_sympy(text, center, order):
+    # the Taylor coefficients are the derivatives at the center over k!
     ast = parse_expression(text)
-    got = derivatives_at(ast, center, order)
+    got = series_coefficients(ast, center, order)
     expr = sympy_of(text)
     for k in range(order + 1):
-        want = float(sp.diff(expr, THETA, k).subs(THETA, center))
+        want = float((sp.diff(expr, THETA, k) / sp.factorial(k)).subs(THETA, center))
         assert got[k] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_line_fixture_jet_values():
-    # U = 25/cos^4: U(0)=25, U'(0)=0, U''(0)=100
-    got = derivatives_at(parse_expression("25/cos(theta)^4"), 0.0, 2)
-    np.testing.assert_allclose(got, [25.0, 0.0, 100.0], atol=1e-12)
+    # U = 25/cos^4: U(0)=25, U'(0)=0, U''(0)/2=50
+    got = series_coefficients(parse_expression("25/cos(theta)^4"), 0.0, 2)
+    np.testing.assert_allclose(got, [25.0, 0.0, 50.0], atol=1e-12)
 
 
 def test_parabola_jet_values():
-    got = derivatives_at(parse_expression("pi^2/16 - pi^2/128*theta^2"), 0.0, 2)
-    np.testing.assert_allclose(got, [math.pi ** 2 / 16, 0.0, -math.pi ** 2 / 64],
+    got = series_coefficients(parse_expression("pi^2/16 - pi^2/128*theta^2"), 0.0, 2)
+    np.testing.assert_allclose(got, [math.pi ** 2 / 16, 0.0, -math.pi ** 2 / 128],
                                atol=1e-14)
 
 
@@ -687,20 +688,18 @@ def walk_series(node, var):
     raise TypeError(f"unknown node {node!r}")
 
 
-def oracle_derivatives(node, center, order):
-    """``derivatives_at`` as it was: the unshared walk, factorials per call."""
+def oracle_coefficients(node, center, order):
+    """``series_coefficients`` as an unshared walk of the tree."""
     var = ArraySeries.variable(center, order)
     try:
         result = walk_series(node, var)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EvalError(f"cannot expand expression: {exc}", center) from exc
     if isinstance(result, ArraySeries):
-        coeffs = result.c.copy()
-    else:
-        coeffs = np.zeros(order + 1)
-        coeffs[0] = result
-    fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-    return coeffs * fact
+        return result.c.copy()
+    coeffs = np.zeros(order + 1)
+    coeffs[0] = result
+    return coeffs
 
 
 def jet_outcome(fn, node, center, order):
@@ -722,8 +721,8 @@ def squared_speed(node):
 @given(expressions, angles, st.integers(0, 22))
 def test_jet_bit_identical_to_unshared_walk(node, center, order):
     for tree in (node, squared_speed(node)):
-        assert jet_outcome(derivatives_at, tree, center, order) == \
-            jet_outcome(oracle_derivatives, tree, center, order)
+        assert jet_outcome(series_coefficients, tree, center, order) == \
+            jet_outcome(oracle_coefficients, tree, center, order)
 
 
 SINE_U = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.2, 2.9)))
@@ -732,8 +731,8 @@ SINE_U = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.
 @pytest.mark.parametrize("order", [0, 1, 2, 21, 22])
 def test_sine_jet_bit_identical_to_unshared_walk(order):
     for center in (0.2, 1.1, 2.9):
-        want = jet_outcome(oracle_derivatives, SINE_U.expr, center, order)
-        assert jet_outcome(derivatives_at, SINE_U.expr, center, order) == want
+        want = jet_outcome(oracle_coefficients, SINE_U.expr, center, order)
+        assert jet_outcome(series_coefficients, SINE_U.expr, center, order) == want
         assert coefficient_bits(SINE_U.jet(center, order).coeffs) == want
 
 
@@ -749,8 +748,8 @@ def test_tan_sqrt_log_division_jet_bit_identical(text):
     node = parse_expression(text)
     for center in (-1.5, -0.4, 0.0, 0.3, 1.0, 2.5):
         for order in range(23):
-            want = jet_outcome(oracle_derivatives, node, center, order)
-            assert jet_outcome(derivatives_at, node, center, order) == want
+            want = jet_outcome(oracle_coefficients, node, center, order)
+            assert jet_outcome(series_coefficients, node, center, order) == want
 
 
 def test_sin_and_cos_of_one_argument_share_one_recurrence(monkeypatch):
@@ -763,5 +762,5 @@ def test_sin_and_cos_of_one_argument_share_one_recurrence(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(PowerSeries, "sincos", counting)
-    derivatives_at(SINE_U.expr, 1.1, 21)
+    series_coefficients(SINE_U.expr, 1.1, 21)
     assert len(calls) == 1

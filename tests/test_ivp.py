@@ -94,6 +94,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
     stage_error = None  # the last failed stage evaluation since the last accepted step
     steps = 0
     handoff_theta_tried = math.nan
+    handoff_branch = None
 
     if abs(t_end - t) < 1e-15 * max(1.0, span):
         termination = Termination(TerminationKind.DOMAIN_END, t)
@@ -210,7 +211,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
             handoff_theta_tried = t_new
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
             if snap is not None:
-                snap_ts, snap_ys, snap_fs, theta_c = snap
+                snap_ts, snap_ys, snap_fs, theta_c, handoff_branch = snap
                 oracle_emit_nodes(ts, ys, fs, t, t_new, y5, k6)
                 ts.extend(snap_ts)
                 ys.extend(snap_ys)
@@ -228,10 +229,13 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
     thetas = np.array(ts)
     rhos = np.array(ys)
     drhos = np.array(fs)
+    ends = (None, handoff_branch)  # the handoff's branch ends the walk
     if direction == "backward":
         thetas, rhos, drhos = thetas[::-1].copy(), rhos[::-1].copy(), drhos[::-1].copy()
+        ends = ends[::-1]
     return SolutionPiece(sign=sign, thetas=thetas, rhos=rhos, drhos=drhos,
-                         termination=termination, direction=direction)
+                         termination=termination, direction=direction,
+                         start_branch=ends[0], end_branch=ends[1])
 
 
 def max_error(piece, truth):
@@ -354,6 +358,22 @@ def test_interp_is_the_curve_between_step_nodes():
             truth = np.array([rho.value(float(t)) for t in grid])
             assert np.max(np.abs(piece.interp(grid) - truth)) <= 3e-9
             assert np.max(np.abs(np.interp(grid, piece.thetas, piece.rhos) - truth)) > 1e-7
+
+
+def test_interp_is_nan_outside_the_span():
+    # the end cubics are not extrapolated: off the span there is no value
+    piece = solve_regular(UNIT, RegularIC(0.2, 0.5), +1, "forward")
+    lo, hi = piece.theta_start, piece.theta_end
+    inside = [lo, 0.5 * (lo + hi), hi]
+    got = piece.interp(np.array([lo - 1e-3, *inside, hi + 1e-3]))
+    assert np.isnan(got[[0, -1]]).all()
+    np.testing.assert_array_equal(got[1:-1], piece.interp(np.array(inside)))
+    assert np.isfinite(got[1:-1]).all()
+    assert math.isnan(piece.interp(lo - 0.1))
+    one = SolutionPiece(+1, np.array([0.3]), np.array([0.7]), np.array([0.0]),
+                        Termination(TerminationKind.DOMAIN_END, 0.3), "forward")
+    assert one.interp(0.3) == 0.7
+    assert np.isnan(one.interp(np.array([0.2, 0.4]))).all()
 
 
 # -- residuals --------------------------------------------------------------------
@@ -569,14 +589,17 @@ def counting_reads(u):
 
 
 def _solve_outcome(solver, *args):
-    """A solve's piece (None if it raised), and its output bytes and
-    termination or the error it raised."""
+    """A solve's piece (None if it raised), and its output bytes, termination
+    and end branches (each IC angle and curvature root) or the error it
+    raised."""
     try:
         piece = solver(*args)
     except DepthRecError as exc:
         return None, (type(exc), str(exc))
+    ends = [None if b is None else (b.ic.theta0, b.beta)
+            for b in (piece.start_branch, piece.end_branch)]
     return piece, (piece.sign, piece.direction, piece.termination, piece.thetas.tobytes(),
-                   piece.rhos.tobytes(), piece.drhos.tobytes())
+                   piece.rhos.tobytes(), piece.drhos.tobytes(), ends)
 
 
 def assert_matches_oracle(u, ic, sign, direction, opts=None):

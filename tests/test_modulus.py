@@ -116,7 +116,7 @@ def test_jet_names_the_angle_of_a_non_finite_coefficient():
         u.jet(1.0, 2)
     with pytest.raises(InvalidModulus, match=r"^profile is not finite at theta=2\.0: inf$"):
         u.jet(2.0, 2)
-    assert u.jet(0.5, 2).coeffs.tolist() == pytest.approx([2.25, 1.0, 2.0], rel=1e-12)
+    assert u.jet(0.5, 2).coeffs.tolist() == pytest.approx([2.25, 1.0, 1.0], rel=1e-12)
 
 
 def test_jet_constant():
@@ -127,13 +127,13 @@ def test_jet_constant():
 def test_jet_parabola():
     u = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
     j = u.jet(0.0, 2)
-    np.testing.assert_allclose(j.coeffs, [math.pi ** 2 / 16, 0.0, -math.pi ** 2 / 64],
+    np.testing.assert_allclose(j.coeffs, [math.pi ** 2 / 16, 0.0, -math.pi ** 2 / 128],
                                atol=1e-15)
 
 
 def test_jet_line_profile():
     u = ClosedFormModulus("25/cos(theta)^4", (-1.0, 1.0))
-    np.testing.assert_allclose(u.jet(0.0, 2).coeffs, [25.0, 0.0, 100.0], atol=1e-12)
+    np.testing.assert_allclose(u.jet(0.0, 2).coeffs, [25.0, 0.0, 50.0], atol=1e-12)
 
 
 def test_jet_order_zero_equals_eval():
@@ -189,8 +189,8 @@ def test_jet_matches_finite_differences():
         d3 = (u.value(th + 2 * h) - 2 * u.value(th + h)
               + 2 * u.value(th - h) - u.value(th - 2 * h)) / (2 * h ** 3)
         assert d1 == pytest.approx(j[1], rel=1e-6, abs=1e-6)
-        assert d2 == pytest.approx(j[2], rel=1e-6, abs=1e-5)
-        assert d3 == pytest.approx(j[3], rel=1e-4, abs=1e-3)
+        assert d2 == pytest.approx(2 * j[2], rel=1e-6, abs=1e-5)
+        assert d3 == pytest.approx(6 * j[3], rel=1e-4, abs=1e-3)
 
 
 def test_sampled_jet_order_limit():
@@ -304,7 +304,7 @@ def test_sampled_kernel_equals_scipy_spline(seed, n):
             continue
         want[0] = max(want[0], 0.0)
         assert u.value(th) == want[0]
-        assert u.jet(th, 2).coeffs.tolist() == want
+        assert u.jet(th, 2).coeffs.tolist() == [want[0], want[1], want[2] / 2]
     np.testing.assert_array_equal(u.derivative_grid(t), [float(spline(th, 1)) for th in t])
 
 
@@ -417,7 +417,7 @@ def test_sampled_second_derivative_is_the_jet_entry(seed, n):
             jet = u.jet(th, 2)
         except InvalidModulus:
             continue
-        assert got.hex() == jet[2].hex()
+        assert got.hex() == (2.0 * jet[2]).hex()
 
 
 def test_second_derivative_checks_the_domain_like_derivative():
@@ -501,7 +501,7 @@ def test_closed_form_second_derivative_against_jet(node, thetas):
             continue
         try:
             with np.errstate(all="ignore"):
-                want = u.jet(th, 2)[2]
+                want = 2.0 * u.jet(th, 2)[2]
         except (EvalError, DomainError, InvalidModulus):
             continue  # the jet needs U itself, finite and nonnegative
         try:

@@ -17,7 +17,7 @@ from depthrec.errors import (
     DepthRecError, InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
     OutsideCone,
 )
-from depthrec.ivp import RegularIC, residual
+from depthrec.ivp import RegularIC, branch_to_piece, residual
 from depthrec.modulus import ClosedFormModulus, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.reports import read_u_csv
@@ -226,7 +226,7 @@ def test_bvp_steep_maximum_has_no_touching_solution():
     u = ClosedFormModulus("1 + (sin(2*theta))^2/10", (0.0, math.pi))
     cs = find_critical_points(u)
     a, b = cs.points[0], cs.points[1]
-    assert b.depth ** 2 + 2 * b.u_jet[2] < 0
+    assert b.depth ** 2 + 4 * b.u_jet[2] < 0  # U'' is 2*u_jet[2]
     with pytest.raises(NoSolution):
         solve_bvp_between_criticals(u, a, b)
 
@@ -540,6 +540,52 @@ def test_junction_label_follows_the_nearer_curvature_root():
     inner = [(j.theta, j.kind) for j in sol.junctions[1:-1]]
     assert [kind for _, kind in inner] == [JunctionKind.BRANCH_SWITCH, JunctionKind.CRITICAL_PASS]
     assert [theta for theta, _ in inner] == pytest.approx([0.874604, 1.921802], abs=1e-6)
+
+
+def test_junction_label_is_the_branch_both_halves_carry():
+    # a node (U'' < 0): both curvature roots give a branch falling away on
+    # each side; two halves of one root pass the point, halves of the two
+    # roots switch there, though both junctions are C1
+    u = ClosedFormModulus("2 - 0.3*(theta - 1)^2", (0.5, 1.5))
+    ic = CriticalIC.from_modulus(u, 1.0)
+    small, large = ic.branches
+    for left, right, kind in [(small, small, JunctionKind.CRITICAL_PASS),
+                              (large, large, JunctionKind.CRITICAL_PASS),
+                              (small, large, JunctionKind.BRANCH_SWITCH),
+                              (large, small, JunctionKind.BRANCH_SWITCH)]:
+        halves = [branch_to_piece(u, left, -1), branch_to_piece(u, right, +1)]
+        assert halves[0].end_branch is left and halves[1].start_branch is right
+        sol = stitch(halves)
+        assert [j.kind for j in sol.junctions[1:-1]] == [kind]
+        assert sol.junctions[1].theta == 1.0
+        assert sol.c1
+
+
+def test_piecewise_interp_is_nan_outside_the_span():
+    sol = maximal_solution(THREE_BUMP)
+    lo, hi = sol.theta_start, sol.theta_end
+    got = sol.interp(np.array([lo - 1e-3, lo, 0.5 * (lo + hi), hi, hi + 1e-3]))
+    assert np.isnan(got[[0, -1]]).all()
+    assert np.isfinite(got[1:-1]).all()
+    assert math.isnan(sol.interp(hi + 0.5))
+
+
+def test_outer_interval_takes_a_branch_that_reaches_the_domain_end():
+    # the largest curvature root's branch leaving the last critical point
+    # dies at a contact short of the domain end; the next one reaches it
+    u = from_depth(DepthFunction.from_text(
+        "2.948613116721093 + 0.2157802784677236*sin(3*theta + 4.637938325652213)",
+        (0.2, 2.9)))
+    sol = maximal_solution(u)
+    assert (sol.theta_start, sol.theta_end) == pytest.approx((0.2, 2.9), abs=1e-12)
+    assert sol.c1
+    # no branch leaving this profile's last point, a node, reaches the end
+    u = from_depth(DepthFunction.from_text(
+        "1.637484765683818 + 0.1717069084492933*sin(3*theta + 2.2954711009189537)",
+        (0.2, 2.9)))
+    with pytest.raises(NoSolution, match=r"^no branch leaving the critical point at "
+                                         r"theta=1\.85283\d* reaches the domain end on side \+1$"):
+        maximal_solution(u)
 
 
 # -- one table of critical ICs per call, one branch set per IC -----------------------

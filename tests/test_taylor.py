@@ -197,7 +197,7 @@ def test_eval_series_parabola_residual():
 
 def oracle_expand_branch(ic, beta, order):
     """``(derivs, status, free_index, consistency_residual)``, the residual in
-    derivative units."""
+    derivative units; U^(n) is the jet's coefficient times n!."""
     tol_deg = 1e-9 * (1.0 + ic.rho0)
     work = np.zeros(order + 2)
     work[0] = ic.rho0
@@ -209,7 +209,7 @@ def oracle_expand_branch(ic, beta, order):
             c = math.comb(n, k)
             x += c * work[k + 1] * work[n - k + 1]
             y += c * work[k] * work[n - k]
-        rhs = ic.u_jet[n] - (x + y)
+        rhs = ic.u_jet[n] * math.factorial(n) - (x + y)
         if abs(alpha) < tol_deg:
             return work[:n].copy(), BranchStatus.DEGENERATE, n, abs(rhs)
         work[n] = rhs / alpha
@@ -285,8 +285,9 @@ def critical_seeds(draw):
     point -rho0/n, or any value."""
     ic, order = draw(critical_ics())
     rho0 = ic.rho0
-    roots = ([] if rho0 * rho0 + 2.0 * ic.u_jet[2] < 0.0
-             else list(second_derivative_roots(rho0, ic.u_jet[2])))
+    u2 = 2.0 * ic.u_jet[2]
+    roots = ([] if rho0 * rho0 + 2.0 * u2 < 0.0
+             else list(second_derivative_roots(rho0, u2)))
     beta = draw(st.one_of(
         st.sampled_from(roots) if roots else st.nothing(),
         st.integers(3, 24).map(lambda n: -rho0 / n),
@@ -308,8 +309,9 @@ def test_recursion_residuals_vanish_on_root_seeded_branches(seed, which):
     # every h^n coefficient of rho'^2 + rho^2 - U below the order is
     # roundoff, relative to the products that cancel in it
     ic, order = seed
-    assume(ic.rho0 * ic.rho0 + 2.0 * ic.u_jet[2] >= 0.0)
-    beta = second_derivative_roots(ic.rho0, ic.u_jet[2])[which]
+    u2 = 2.0 * ic.u_jet[2]
+    assume(ic.rho0 * ic.rho0 + 2.0 * u2 >= 0.0)
+    beta = second_derivative_roots(ic.rho0, u2)[which]
     branch = expand_branch(cut_to_order(ic, order), beta)
     assume(branch.status is not BranchStatus.DEGENERATE)
     assert recursion_residuals(branch).max() < 1e-12
@@ -331,7 +333,7 @@ def test_sine_profile_branches_match_derivative_oracle():
     assert points
     for point in points:
         ic = CriticalIC.from_modulus(u, point.theta)
-        b1, b2 = second_derivative_roots(ic.rho0, ic.u_jet[2])
+        b1, b2 = second_derivative_roots(ic.rho0, 2.0 * ic.u_jet[2])
         for beta in (b1, b2):
             branch = assert_matches_oracles(ic, beta, 20, offsets=(-0.3, -0.02, 0.01, 0.2, 1.5))
             assert branch.status is BranchStatus.COMPLETE
