@@ -876,7 +876,10 @@ def _eval_series(node: Expression, var: PowerSeries, memo: dict, sincos: dict):
         value = (_eval_series(node.left, var, memo, sincos)
                  / _eval_series(node.right, var, memo, sincos))
     elif kind is Pow:
-        value = _eval_series(node.base, var, memo, sincos) ** node.exponent
+        base = _eval_series(node.base, var, memo, sincos)
+        # a square is the product, as in the kernels: on a float, ``**``
+        # would call libm ``pow``; on a series it makes the same product
+        value = base * base if node.exponent == 2 else base ** node.exponent
     elif kind is Call:
         arg = _eval_series(node.arg, var, memo, sincos)
         if not isinstance(arg, PowerSeries):

@@ -48,9 +48,17 @@ step's own dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
 II.6).  On the benchmark's ``roundtrip`` inputs (seed 1, ``rtol=1e-12,
 atol=1e-14``) it lies within 2.84e-9 of the true depth, and the nodes
 themselves within 7.0e-10; linear interpolation between the nodes is off
-by up to 8.4e-5.  A near-contact series handoff, and a contact snap off a
-flat stretch, end on a point of the critical set of the public solver call
-they run in, and take its IC, which holds its branches, from the call's table
+by up to 8.4e-5.  A series leg (:func:`branch_to_piece`) and a handoff snap
+(:func:`_series_handoff`) carry only the nodes that this Hermite needs: one
+spacing rule, from the branch's own coefficients, keeps it within
+``_HERMITE_TOL*(1 + rho0)`` of the series (:func:`_series_angles`).  On the
+benchmark's seed-1 ``maximal`` inputs the largest gap, at the quarter
+points of every interval, is 4.0e-9, 0.99 of that tolerance; the 33 of 975
+stretches on near-resonant branches, whose coefficients grow too fast for
+the bound, keep the linear-interpolation spacing's nodes.  A near-contact
+series handoff, and a contact snap off a flat stretch, end on a point of
+the critical set of the public solver call they run in, and take its IC,
+which holds its branches, from the call's table
 (:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
 its own is such a call, and scans the profile once, when it first needs a
 point).  The table keeps one IC per critical point, so one approach, and
@@ -143,7 +151,12 @@ class IntegrationOptions:
 
 
 _H_MAX = 0.02              # the longest step
-_INTERP_TOL = 1e-6         # series-leg and handoff-snap spacing: linear-interpolation error
+# series-leg and handoff-snap spacing (_series_angles): the cubic Hermite on
+# the nodes within _HERMITE_TOL*(1 + rho0) of the series (at most 4.0e-9,
+# 0.99 of it, on the benchmark's seed-1 maximal stretches), on no more nodes
+# than the spacing at which linear interpolation is within _INTERP_TOL gives
+_INTERP_TOL = 1e-6
+_HERMITE_TOL = 1e-9
 _TOL_CONTACT = 1e-10       # contact with the bound, scaled by (1 + U) pointwise
 _TOL_FLOOR = 1e-12         # depth floor
 _SERIES_RADIUS = 0.05      # local-series handoff distance at critical points
@@ -560,10 +573,13 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
 
     Takes the call's critical point nearest ``t`` within
     ``2*_SERIES_RADIUS`` (:func:`~depthrec.taylor.critical_angle_near`),
-    which must lie strictly ahead, expands both branches there, and if the
-    current state sits on one of them (within ``_HANDOFF_MATCH_TOL``, and
-    unambiguously so), returns replacement nodes from ``t`` to the exact
-    contact, which ends on the point's angle, and the branch matched.
+    which must lie strictly ahead, reads the series of the complete branches
+    there whose half runs with the approach, and if the current state sits
+    on one of them (within ``_HANDOFF_MATCH_TOL``, and unambiguously so),
+    returns replacement nodes from ``t`` to the exact contact, which ends on
+    the point's angle, and the branch matched.  The nodes are spaced by
+    :func:`_series_angles`, as a series leg's are; the last is the contact,
+    on the bound with zero slope.
     Returns None when no unambiguous branch match exists (flat curvature,
     autonomous stretches, cone-interior trajectories, genuine pass-unders).
     Every attempt on one approach finds the same point, so the call's table
@@ -591,13 +607,47 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     if len(candidates) > 1 and dist > 0.25 * candidates[1][0]:
         return None  # too close to call between branches
 
-    n_nodes = max(6, int(math.ceil(abs(theta_c - t) / math.sqrt(8.0 * _INTERP_TOL))))
-    snap_ts = np.linspace(t, theta_c, n_nodes + 1)[1:].tolist()
+    snap_ts = _series_angles(branch, t, theta_c - t, theta_c, 6)[1:]
     snap_ys, snap_fs = eval_series(branch, snap_ts[:-1])
     # the last node is the contact itself: on the bound, with zero slope
     snap_ys.append(ic.rho0)
     snap_fs.append(0.0)
     return snap_ts, snap_ys, snap_fs, theta_c, branch
+
+
+def _series_angles(branch: TaylorBranch, start: float, delta: float, stop: float,
+                   least: int) -> list[float]:
+    """The node angles of a series stretch from ``start`` to ``stop``, one of
+    them the branch's center, ``delta = stop - start`` as the caller spells
+    it: ``start + i*(delta/n)`` and then ``stop``, the bits of
+    ``np.linspace``.
+
+    The n intervals are as few as keep the cubic Hermite on the nodes'
+    depths and slopes within ``tol = _HERMITE_TOL*(1 + rho0)`` of the
+    series.  On the stretch ``|rho^(4)|`` is at most ``M4 = sum_{k>=4}
+    k(k-1)(k-2)(k-3)*|a_k|*L^(k-4)``, L = ``|delta|``, and the Hermite on an
+    interval of width h is off by at most ``M4*h^4/384``, so the nodes lie
+    ``h = min(_H_MAX, (384*tol/M4)^(1/4))`` apart (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, sec. II.6; Jorba & Zou, *Experimental Mathematics* 14,
+    2005).  n is never more than the linear-interpolation spacing's count,
+    ``max(least, ceil(L/sqrt(8*_INTERP_TOL)))``, so a near-resonant leg,
+    whose coefficients grow too fast for the bound, keeps that spacing's
+    nodes.
+    """
+    length = abs(delta)
+    most = max(least, math.ceil(length / math.sqrt(8.0 * _INTERP_TOL)))
+    a = branch.coeffs.tolist()
+    m4 = 0.0
+    for k in range(len(a) - 1, 3, -1):
+        m4 = m4 * length + k * (k - 1) * (k - 2) * (k - 3) * abs(a[k])
+    tol = _HERMITE_TOL * (1.0 + branch.ic.rho0)
+    h = _H_MAX if m4 == 0.0 else min((384.0 * tol / m4) ** 0.25, _H_MAX)
+    # an infinite or NaN bound leaves h 0 or NaN: the most nodes
+    n = min(most, math.ceil(length / h)) if h > 0.0 else most
+    step = delta / n
+    angles = [start + i * step for i in range(n)]
+    angles.append(stop)
+    return angles
 
 
 def _bisect_event(pred, t_ok: float, t_hit: float) -> float:
@@ -675,10 +725,15 @@ def _half_branch_sign(branch: TaylorBranch, side: int) -> int:
     """Monotonicity sign of a branch half (side=+1 ahead, -1 behind).
 
     The slope near the center is dominated by the first nonzero Taylor
-    coefficient of order >= 2; a constant branch returns 0.
+    coefficient of order >= 2; a constant branch returns 0.  The first is
+    ``a2 = beta/2``, read without expanding the branch; the others are read
+    only when ``a2`` is under the tolerance.
     """
     tol = 1e-12 * (1.0 + branch.ic.rho0)
-    for k in range(2, branch.order + 1):
+    a2 = 0.5 * branch.beta
+    if abs(a2) > tol and branch.ic.u_jet.order >= 2:
+        return int((1.0 if a2 > 0 else -1.0) * side)
+    for k in range(3, branch.order + 1):
         ak = branch.coeffs[k]
         if abs(ak) > tol:
             s = 1.0 if ak > 0 else -1.0
@@ -694,6 +749,8 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     The series leg runs ``min(_SERIES_RADIUS, room)`` from the critical
     angle, where ``room`` is the distance to ``stop_theta`` or, without it,
     to the domain end on ``side``; integration continues from the leg's end.
+    The leg's nodes are as few as keep the cubic Hermite on them within
+    ``_HERMITE_TOL*(1 + rho0)`` of the series (:func:`_series_angles`).
     ``side`` +1 extends toward larger angles.  A constant branch turns into
     a bound-following piece instead.  The piece carries ``branch`` at the
     critical angle, and the tail's handoff branch, if any, at its far end.
@@ -716,8 +773,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     if r <= 0.0:
         raise NoContinuation("no room to continue on this side of the contact")
 
-    n_series = max(8, int(math.ceil(r / math.sqrt(8.0 * _INTERP_TOL))))
-    ts = (theta_c + np.linspace(0.0, side * r, n_series + 1)).tolist()
+    ts = _series_angles(branch, theta_c, side * r, theta_c + side * r, 8)
     ys, fs = eval_series(branch, ts)
 
     theta_h, rho_h = ts[-1], ys[-1]

@@ -451,7 +451,7 @@ def from_depth(rho: DepthFunction) -> ModulusModel:
     and yields a spline-backed profile with ``max_order`` 2.
     """
     if rho.closed_form:
-        expr = Add(Pow(differentiate(rho.expr), 2), Pow(rho.expr, 2))
+        expr = Add(Pow(rho.derivative_expr, 2), Pow(rho.expr, 2))
         return ClosedFormModulus(expr, rho.domain)
     dr = rho.grid_derivatives()
     u = dr * dr + rho.values * rho.values

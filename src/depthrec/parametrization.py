@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DepthRecError, DomainError
 from .expressions import (
     Call, Div, Expression, ExpressionKernel, Mul, Var, differentiate, parse_expression,
 )
@@ -71,9 +71,16 @@ class DepthFunction:
         if self.expr is not None:
             object.__setattr__(self, "_kernel", ExpressionKernel(self.expr))
             object.__setattr__(self, "_deriv_kernel", ExpressionKernel(differentiate(self.expr)))
-            for th in np.linspace(lo, hi, 257):
-                if self._kernel.scalar(float(th)) <= 0.0:
-                    raise DomainError(f"depth is not positive at {float(th)}")
+            thetas = np.linspace(lo, hi, 257)
+            try:
+                positive = bool(np.all(self._kernel.grid(thetas) > 0.0))
+            except DepthRecError:
+                positive = False
+            if not positive:
+                # the first angle that fails, as a scalar loop meets it
+                for th in thetas.tolist():
+                    if self._kernel.scalar(th) <= 0.0:
+                        raise DomainError(f"depth is not positive at {th}")
         else:
             g = np.asarray(self.grid, dtype=float)
             v = np.asarray(self.values, dtype=float)
@@ -99,6 +106,11 @@ class DepthFunction:
     @property
     def closed_form(self) -> bool:
         return self.expr is not None
+
+    @property
+    def derivative_expr(self) -> Expression:
+        """rho' of a closed-form depth: the tree its derivative kernel runs."""
+        return self._deriv_kernel.node
 
     def _check_domain(self, t: float) -> None:
         lo, hi = self.domain

@@ -25,7 +25,12 @@ Every critical IC is built by :func:`critical_ic`, its jet at
 :data:`DEFAULT_ORDER` or the profile's exact capability if that is lower
 (a sampled profile's jet stops at 2), and its branch set,
 :attr:`CriticalIC.branches`, is built once, on first use; the integrator
-and the global assembly use nothing else at a critical point.  Within one
+and the global assembly use nothing else at a critical point.  A branch of
+that set runs the recursion the first time its coefficients are read, and
+only then: a link that reads one branch of a point expands that one.  Its
+status and the sign of each half come from its curvature root alone, as
+the recursion would decide them, except for a root so small that the
+branch may be the constant circle.  Within one
 public solver call (:func:`one_critical_table`) there is one table of ICs,
 and it is that call's critical set: the points the caller passed
 (:func:`use_critical_points`), or else the profile's critical scan
@@ -55,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -73,6 +78,8 @@ __all__ = [
 
 DEFAULT_ORDER = 20
 _SAFE_REGION_I_MAX = 10_000  # the degenerate lattice index scanned up to
+_TOL_DEGENERATE = 1e-9       # a vanishing recursion pivot, scaled by (1 + rho0)
+_TOL_CONSTANT = 1e-14        # a vanishing branch coefficient, scaled by (1 + rho0)
 
 
 @dataclass(frozen=True)
@@ -104,13 +111,15 @@ class CriticalIC:
     @functools.cached_property
     def branches(self) -> tuple[TaylorBranch, ...]:
         """All analytic branches through this IC (two, or one at a double
-        root), smaller curvature root first, expanded to the jet's order.
+        root), smaller curvature root first, each expanded to the jet's
+        order on first read of its coefficients (:class:`TaylorBranch`).
 
-        Built on first use and kept; a complex discriminant raises
-        :class:`ComplexDiscriminant` on every use."""
+        Built on first use and kept, so every read returns the same branch
+        objects; a complex discriminant raises :class:`ComplexDiscriminant`
+        on every use."""
         b1, b2 = second_derivative_roots(self.rho0, 2.0 * self.u_jet[2])
         betas = (b1,) if b1 == b2 else (b1, b2)
-        return tuple(expand_branch(self, b) for b in betas)
+        return tuple(TaylorBranch(self, b) for b in betas)
 
 
 class BranchStatus(Enum):
@@ -119,10 +128,22 @@ class BranchStatus(Enum):
     CONSTANT_CIRCLE = "constant_circle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorBranch:
     """One analytic branch: the Taylor coefficients of a solution at a
-    critical IC, ``coeffs[k] = rho^(k)(theta0)/k!``.
+    critical IC, ``coeffs[k] = rho^(k)(theta0)/k!``, from the curvature
+    root ``beta``.
+
+    The coefficients come from :func:`expand_branch`, run the first time
+    ``coeffs``, ``order``, ``free_index`` or ``consistency_residual`` is
+    read, and once; a branch that :func:`expand_branch` returns holds them
+    from the start.  ``status`` is settled from ``beta`` where ``beta``
+    decides it, without the recursion: the branch is degenerate when a
+    pivot ``2*(rho0 + n*beta)``, n = 3 .. the jet's order, falls under the
+    recursion's tolerance (the recursion's own test), and otherwise
+    complete when ``|beta/2|`` exceeds the constant tolerance.  Only a
+    branch with a tiny ``beta`` runs the recursion to decide whether it is
+    the constant circle.
 
     ``free_index`` and ``consistency_residual`` are set only for degenerate
     branches: the recursion pivot vanished when solving for coefficient
@@ -134,10 +155,37 @@ class TaylorBranch:
 
     ic: CriticalIC
     beta: float
-    coeffs: np.ndarray
-    status: BranchStatus
-    free_index: int | None = None
-    consistency_residual: float | None = None
+    # (coeffs, status, free_index, consistency_residual) from the recursion
+    _expansion: tuple | None = field(default=None, repr=False)
+
+    def _expanded(self) -> tuple:
+        if self._expansion is None:
+            object.__setattr__(self, "_expansion", expand_branch(self.ic, self.beta)._expansion)
+        return self._expansion
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._expanded()[0]
+
+    @functools.cached_property
+    def status(self) -> BranchStatus:
+        if self._expansion is None:
+            rho0, beta, order = self.ic.rho0, self.beta, self.ic.u_jet.order
+            tol_deg = _TOL_DEGENERATE * (1.0 + rho0)
+            for n in range(3, order + 1):
+                if abs(2.0 * (rho0 + n * beta)) < tol_deg:
+                    return BranchStatus.DEGENERATE
+            if order >= 2 and abs(0.5 * beta) > _TOL_CONSTANT * (1.0 + rho0):
+                return BranchStatus.COMPLETE
+        return self._expanded()[1]
+
+    @property
+    def free_index(self) -> int | None:
+        return self._expanded()[2]
+
+    @property
+    def consistency_residual(self) -> float | None:
+        return self._expanded()[3]
 
     @property
     def order(self) -> int:
@@ -173,11 +221,13 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
 
     with ``u_n = U^(n)/n!``, the jet's own coefficient.  A vanishing pivot
     stops the recursion and marks the branch degenerate with the stalled
-    coefficient reported as the free parameter.
+    coefficient reported as the free parameter.  The branch returned holds
+    its coefficients; a branch of :attr:`CriticalIC.branches` calls this on
+    the first read of its own.
     """
     order = ic.u_jet.order
     rho0 = ic.rho0
-    tol_deg = 1e-9 * (1.0 + rho0)
+    tol_deg = _TOL_DEGENERATE * (1.0 + rho0)
     u = ic.u_jet.coeffs.tolist()
 
     a = [rho0, 0.0, 0.5 * beta]
@@ -190,18 +240,15 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
         for p, q in zip(a[1:n], a[n - 1 : 0 : -1]):
             rhs -= p * q
         if abs(alpha) < tol_deg:
-            return TaylorBranch(
-                ic=ic, beta=beta, coeffs=np.array(a),
-                status=BranchStatus.DEGENERATE, free_index=n,
-                consistency_residual=abs(rhs))
+            return TaylorBranch(ic, beta, (np.array(a), BranchStatus.DEGENERATE, n, abs(rhs)))
         a.append(rhs / alpha)
         slope.append(n * a[n])
 
     coeffs = a[: order + 1]
-    tol_const = 1e-14 * (1.0 + rho0)
+    tol_const = _TOL_CONSTANT * (1.0 + rho0)
     constant = all(abs(v) <= tol_const for v in coeffs[1:])
-    return TaylorBranch(ic=ic, beta=beta, coeffs=np.array(coeffs),
-                        status=BranchStatus.CONSTANT_CIRCLE if constant else BranchStatus.COMPLETE)
+    status = BranchStatus.CONSTANT_CIRCLE if constant else BranchStatus.COMPLETE
+    return TaylorBranch(ic, beta, (np.array(coeffs), status, None, None))
 
 
 class SafeRegionKind(Enum):

@@ -661,7 +661,8 @@ def test_constants_equal_in_value_but_not_in_bits_or_type_are_not_shared(node, t
 def walk_series(node, var):
     """The series tree walk as it was before it shared nodes: every
     occurrence of a subtree evaluated again, and ``sin``, ``cos`` and ``tan``
-    each running their own recurrence."""
+    each running their own recurrence.  A square is the product of its base
+    with itself, on a float as on a series, as the kernels compute it."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Pi):
@@ -679,7 +680,8 @@ def walk_series(node, var):
     if isinstance(node, Div):
         return walk_series(node.left, var) / walk_series(node.right, var)
     if isinstance(node, Pow):
-        return walk_series(node.base, var) ** node.exponent
+        base = walk_series(node.base, var)
+        return base * base if node.exponent == 2 else base ** node.exponent
     if isinstance(node, Call):
         arg = walk_series(node.arg, var)
         if isinstance(arg, ArraySeries):

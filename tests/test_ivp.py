@@ -34,8 +34,11 @@ from depthrec.ivp import (
 )
 from depthrec.modulus import ClosedFormModulus, ModulusModel, from_depth
 from depthrec.parametrization import DepthFunction
+from depthrec.solutions import maximal_solution
 from depthrec.taylor import CriticalIC, expand_branch
 import depthrec.taylor as taylor_mod
+from test_acceptance import _random_depth_fixture
+from test_known_defects import MAXIMAL_PROFILES
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 LINE = ClosedFormModulus("25/cos(theta)^4", (-1.2, 1.2))
@@ -552,6 +555,63 @@ def test_series_leg_runs_the_fixed_handoff_distance(monkeypatch):
         taylor_mod.eval_series(branch, 1.0 - 2 * radius)
 
 
+def maximal_stretches(u):
+    """Every series leg and handoff snap that ``maximal_solution(u)`` lays
+    out, whether or not it raises, as (branch, node angles, the
+    linear-interpolation spacing's count)."""
+    stretches = []
+    angles = ivp_mod._series_angles
+
+    def spy(branch, start, delta, stop, least):
+        ts = angles(branch, start, delta, stop, least)
+        most = max(least, math.ceil(abs(delta) / math.sqrt(8.0 * ivp_mod._INTERP_TOL)))
+        stretches.append((branch, ts, most))
+        return ts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ivp_mod, "_series_angles", spy)
+        try:
+            maximal_solution(u)
+        except DepthRecError:
+            pass  # its legs and snaps are laid out all the same
+    return stretches
+
+
+def assert_hermite_on_series(stretches):
+    """On every interval of every stretch the cubic Hermite on the series'
+    depths and slopes at its nodes is within the spacing's tolerance of the
+    series at the quarter points, unless the stretch kept the
+    linear-interpolation spacing's count (a near-resonant branch)."""
+    for branch, ts, most in stretches:
+        assert (ts[0] == branch.ic.theta0) != (ts[-1] == branch.ic.theta0)
+        ys, fs = taylor_mod.eval_series(branch, ts)
+        tol = ivp_mod._HERMITE_TOL * (1.0 + branch.ic.rho0)
+        quarters = [(i, t0 + q * (t1 - t0)) for i, (t0, t1) in enumerate(zip(ts, ts[1:]))
+                    for q in (0.25, 0.5, 0.75)]
+        series, _ = taylor_mod.eval_series(branch, [t for _i, t in quarters])
+        gap = max(abs(_hermite(ts[i], ys[i], fs[i], ts[i + 1], ys[i + 1], fs[i + 1], t) - s)
+                  for (i, t), s in zip(quarters, series))
+        assert gap <= 1.0001 * tol or len(ts) - 1 == most, (branch.ic.theta0, branch.beta, gap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_series_legs_and_snaps_keep_the_hermite_on_the_series(seed):
+    _text, rho = _random_depth_fixture(np.random.default_rng(seed))
+    assert_hermite_on_series(maximal_stretches(from_depth(rho)))
+
+
+@pytest.mark.parametrize("text,depth", [p.values for p in MAXIMAL_PROFILES],
+                         ids=[p.id for p in MAXIMAL_PROFILES])
+def test_named_profiles_keep_the_hermite_on_the_series(text, depth):
+    domain = (0.2, 2.9)
+    u = from_depth(DepthFunction.from_text(text, domain)) if depth else \
+        ClosedFormModulus(text, domain)
+    stretches = maximal_stretches(u)
+    assert stretches
+    assert_hermite_on_series(stretches)
+
+
 def test_roundtrip_smooth_depth():
     rho_true = DepthFunction.from_text("2 + sin(theta)/4", (0.2, 1.2))
     u = from_depth(rho_true)
@@ -824,22 +884,38 @@ def test_stop_theta_at_every_node_position(at):
 
 
 @pytest.mark.parametrize("ic,sign,direction,u,event", [
-    (RegularIC(0.0, 0.5), +1, "forward", UNIT, -2),                   # contact, snapped node
-    (RegularIC(0.0, 0.5), -1, "forward", UNIT, -1),                   # floor contact
-    (RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward", LINE, -2),  # series handoff
+    (RegularIC(0.0, 0.5), +1, "forward", UNIT, -2),                       # contact, snapped node
+    (RegularIC(0.0, 0.5), -1, "forward", UNIT, -1),                       # floor contact
+    (RegularIC(0.3, 5.0 / math.cos(0.3)), -1, "backward", LINE, "handoff"),  # series handoff
 ])
-def test_stop_theta_inside_the_event_step(ic, sign, direction, u, event):
+def test_stop_theta_inside_the_event_step(ic, sign, direction, u, event, monkeypatch):
     # the stop angle lies just before the full solve's event node (``event``
-    # counts from the far end): the solve ends on it short of a contact or
-    # the floor, while a series handoff that starts before it still ends on
-    # its critical angle, here 2.4e-3 past the stop
+    # counts from the far end), or, for a series handoff, halfway from the
+    # angle the handoff starts at to its critical angle: the solve ends on it
+    # short of a contact or the floor, while a series handoff that starts
+    # before it still ends on its critical angle, here 4.8e-3 past the stop
+    starts = []
+    handoff = ivp_mod._series_handoff
+
+    def spy(u, t, *args):
+        snap = handoff(u, t, *args)
+        if snap is not None:
+            starts.append(t)
+        return snap
+
+    monkeypatch.setattr(ivp_mod, "_series_handoff", spy)
     full = solve_regular(u, ic, sign, direction)
-    nodes = full.thetas if direction == "forward" else full.thetas[::-1]
-    stop = float(0.5 * (nodes[event - 1] + nodes[event]))
+    if event == "handoff":
+        (start,) = starts
+        stop = 0.5 * (start + full.termination.theta)
+    else:
+        nodes = full.thetas if direction == "forward" else full.thetas[::-1]
+        stop = float(0.5 * (nodes[event - 1] + nodes[event]))
     piece = solve_regular(u, ic, sign, direction, stop_theta=stop)
     assert np.all(np.diff(piece.thetas) > 0)
-    if u is LINE:
+    if event == "handoff":
         assert piece.termination == full.termination
+        assert abs(piece.termination.theta - stop) > 1e-3
     else:
         assert piece.termination == Termination(TerminationKind.DOMAIN_END, stop)
 

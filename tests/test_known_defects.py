@@ -35,7 +35,8 @@ def _known(item: int, text: str, depth: bool):
         strict=True, raises=(AssertionError, DepthRecError), reason=f"ROADMAP item {item}"))
 
 
-@pytest.mark.parametrize("text,depth", [
+# (text, depth): a depth profile if ``depth``, else a U profile
+MAXIMAL_PROFILES = [
     # maximal_solution chains the foci: NoSolution, misses of 2.907e-02 and 9.939e-03
     _known(1, "2 + 0.3*sin(5*theta)", depth=False),
     _known(1, "2 + 0.2*cos(4*theta) + 0.1*sin(7*theta)", depth=False),
@@ -51,7 +52,10 @@ def _known(item: int, text: str, depth: bool):
            depth=True),
     _known(3, "2.238411841439109 + 0.20558355906673398*sin(3*theta + 6.102208186782091)",
            depth=True),
-])
+]
+
+
+@pytest.mark.parametrize("text,depth", MAXIMAL_PROFILES)
 def test_maximal_solution_is_correct(text, depth):
     if depth:
         rho = DepthFunction.from_text(text, DOMAIN)

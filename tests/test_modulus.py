@@ -164,19 +164,26 @@ def _forward_model_depths(seed: int, n: int) -> list[str]:
 
 def test_jet_constant_term_is_the_u_read():
     """A U read equals its jet's constant term, bit for bit, on the forward
-    model of the benchmark's two closed-form depth families.
+    model of the benchmark's two closed-form depth families, and on a
+    profile that squares a constant subtree.
 
     Both square rho and rho' as a product: the kernel computes ``b^2`` as
     ``b*b``, and the jet convolves the series with itself, whose constant
-    term is the same product.  ``tan``, and powers other than 2, are out of
-    scope: the kernel calls ``math.tan`` and libm ``pow`` for those, the
-    jet runs its own recurrences, and the two may differ in the last bit.
+    term is the same product; a square of a constant is that product in
+    the jet too (libm ``pow`` gives 2.0587416822708664 for the profile
+    below at theta = 1, the product 2.058741682270867).  ``tan``, and
+    powers other than 2, are out of scope: the kernel calls ``math.tan``
+    and libm ``pow`` for those, the jet runs its own recurrences, and the
+    two may differ in the last bit.
     """
     domain = (0.2, 2.9)
     thetas = np.random.default_rng(17).uniform(*domain, 200).tolist()
     for text in _forward_model_depths(5, 30):
         u = from_depth(DepthFunction.from_text(text, domain))
         assert [u.jet(th, 2)[0] for th in thetas] == [u.value(th) for th in thetas], text
+    u = ClosedFormModulus("1 + (1.0289517395246808*1)^2 + 0*theta", domain)
+    for th in [1.0, *thetas]:
+        assert u.jet(th, 2)[0] == u.value(th), th
 
 
 def test_jet_matches_finite_differences():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from depthrec.errors import DomainError
+from depthrec.errors import DomainError, EvalError
 from depthrec.modulus import from_depth
 from depthrec.parametrization import (
     CartesianKind, CartesianParametrization, DepthFunction,
@@ -159,6 +159,21 @@ def test_depth_function_validation():
         DepthFunction.from_samples([0.1, 0.2], [1.0, -1.0])
     with pytest.raises(DomainError):
         DepthFunction.from_samples([0.2, 0.1], [1.0, 1.0])
+
+
+def test_positivity_error_is_the_first_failing_angle():
+    # non-positive from 0.5 on and failing to evaluate past 1.2: the check
+    # names the first of the 257 angles that fails, as an angle-by-angle loop
+    # meets it, not the evaluation error further on
+    with pytest.raises(DomainError, match=r"^depth is not positive at 0\.5046875$"):
+        DepthFunction.from_text("0.5 - theta + 0*sqrt(1.2 - theta)", (0.1, 1.5))
+    with pytest.raises(EvalError, match=r"math domain error \(theta=1\.2046875\)$"):
+        DepthFunction.from_text("sqrt(1.2 - theta)", (0.1, 1.5))
+
+
+def test_forward_model_reuses_the_depth_derivative_tree():
+    rho = DepthFunction.from_text("2 + 0.1*sin(3*theta)", (0.2, 2.9))
+    assert from_depth(rho).expr.left.base is rho.derivative_expr
 
 
 def test_sampled_slopes_computed_once():

@@ -649,6 +649,19 @@ def test_each_jet_and_branch_set_is_built_once_per_call(builds, text):
     assert any(branches for _jets, branches in seen)
 
 
+def test_saddle_to_node_link_expands_one_branch_at_its_launch_point(builds):
+    # the link launches the saddle's branch that leaves toward the node; its
+    # other branch is never read, and so never expanded
+    _jets, branches = builds
+    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", (0.2, 2.9))
+    node, saddle, _ = find_critical_points(u).points
+    assert (node.phase, saddle.phase) == (Phase.NODE, Phase.SADDLE)
+    piece = solve_bvp_between_criticals(u, node, saddle)
+    assert piece.termination.theta == node.theta
+    assert [beta for theta, beta, _order in branches if theta == saddle.theta] == \
+        [max(CriticalIC.from_modulus(u, saddle.theta).branches, key=lambda b: b.beta).beta]
+
+
 def test_critical_junctions_lie_on_the_scanned_angles():
     # a solution passes or switches branch at a critical point exactly on
     # an angle of the profile's scan: the contact snaps and handoffs that

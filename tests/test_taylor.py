@@ -13,8 +13,9 @@ from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.series import factorials
 import depthrec.taylor as taylor_mod
+from depthrec.ivp import _half_branch_sign
 from depthrec.taylor import (
-    BranchStatus, CriticalIC, SafeRegionKind, check_safe_region,
+    BranchStatus, CriticalIC, SafeRegionKind, TaylorBranch, check_safe_region,
     eval_series, expand_branch, recursion_residuals, second_derivative_roots,
 )
 
@@ -441,8 +442,25 @@ def test_branch_set_is_built_once_per_ic(monkeypatch):
     monkeypatch.setattr(taylor_mod, "expand_branch", counting_expand)
     ic = constant_ic(1.0)
     assert ic.branches is ic.branches
-    assert [b.beta for b in ic.branches] == expanded == [-1.0, 0.0]
+    falling, flat = ic.branches
+    assert [b.beta for b in ic.branches] == [-1.0, 0.0]
+    # building the set and settling a large root's status and half-signs
+    # run no recursion
+    assert falling.status is BranchStatus.COMPLETE
+    assert [_half_branch_sign(falling, side) for side in (-1, 1)] == [1, -1]
+    assert expanded == []
+    # a root too small to tell the constant circle runs it to decide
+    assert flat.status is BranchStatus.CONSTANT_CIRCLE
+    assert expanded == [0.0]
+    # each branch runs it on its first coefficient read, and only then, with
+    # the bits of a branch expanded at once
+    assert falling.order == 14
+    assert expanded == [0.0, -1.0]
+    for b in ic.branches:
+        assert (b.free_index, b.consistency_residual) == (None, None)
+        assert b.coeffs.tobytes() == expand(ic, b.beta).coeffs.tobytes()
     assert [b.order for b in ic.branches] == [14, 14]
+    assert expanded == [0.0, -1.0]
     # a complex discriminant raises on every ask, and expands nothing
     jet = np.zeros(15)
     jet[0], jet[2] = 1.0, -1.0
@@ -450,7 +468,58 @@ def test_branch_set_is_built_once_per_ic(monkeypatch):
     for _ in range(2):
         with pytest.raises(ComplexDiscriminant):
             complex_ic.branches
-    assert expanded == [-1.0, 0.0]
+    assert expanded == [0.0, -1.0]
+
+
+@st.composite
+def branch_roots(draw):
+    """A critical IC with a jet of random order and coefficients, and a
+    curvature root: any; on a pivot lattice point -rho0/n, or one ulp off
+    it; one whose pivot 2*(rho0 + n*beta) sits at the recursion's tolerance,
+    or one ulp off that; or tiny."""
+    rho0 = draw(st.floats(0.1, 10.0))
+    order = draw(st.integers(2, 20))
+    tail = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-15, -3e-16, 0.7, -2.5]),
+                         min_size=order - 1, max_size=order - 1))
+    ic = CriticalIC(0.0, rho0, Jet(0.0, np.array([rho0 * rho0, 0.0, *tail])))
+    kind = draw(st.sampled_from(["any", "lattice", "edge", "tiny"]))
+    if kind == "any":
+        beta = draw(st.floats(-2.0 * rho0, 2.0 * rho0))
+    elif kind in ("lattice", "edge"):
+        off = 0.0 if kind == "lattice" else draw(st.sampled_from([-0.5, 0.5])) * 1e-9 * (1 + rho0)
+        beta = (off - rho0) / draw(st.integers(3, 20))
+        beta = draw(st.sampled_from([beta, math.nextafter(beta, -math.inf),
+                                     math.nextafter(beta, math.inf)]))
+    else:
+        beta = draw(st.floats(-1e-14, 1e-14))
+    return ic, beta
+
+
+def oracle_half_sign(branch, side):
+    """The sign of a branch half from its first coefficient of order >= 2
+    above the tolerance, read from the full recursion."""
+    tol = 1e-12 * (1.0 + branch.ic.rho0)
+    for k in range(2, branch.order + 1):
+        if abs(branch.coeffs[k]) > tol:
+            return int(math.copysign(1.0, branch.coeffs[k])) * side ** (k - 1)
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_roots())
+def test_status_and_half_sign_from_the_root_are_the_recursions(seed):
+    ic, beta = seed
+    full = expand_branch(ic, beta)
+    branch = TaylorBranch(ic, beta)
+    assert branch.status is full.status
+    # only a tiny root needs the recursion to settle the status
+    tiny = abs(0.5 * beta) <= 1e-14 * (1.0 + ic.rho0)
+    assert (branch._expansion is None) == (not tiny or full.status is BranchStatus.DEGENERATE)
+    for side in (-1, 1):
+        assert _half_branch_sign(TaylorBranch(ic, beta), side) == oracle_half_sign(full, side)
+    assert (branch.free_index, branch.consistency_residual) == \
+        (full.free_index, full.consistency_residual)
+    assert branch.coeffs.tobytes() == full.coeffs.tobytes()
 
 
 def test_one_critical_ic_per_point_per_call(monkeypatch):
