@@ -19,7 +19,9 @@ linear interpolation between the nodes of a regular solve can be off by
 
 The argument parser is built once per process, on the first ``main`` call;
 each call parses into a fresh namespace, so no value carries over from one
-call to the next.
+call to the next.  Likewise a ``--u-csv`` profile is built once per file
+text: calls that read the same text share one read-only profile
+(``reports.read_u_csv``), and a file rewritten in between is parsed again.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments) seeds
 defaults; explicit command-line flags win over config values.  Flags are

@@ -333,15 +333,22 @@ _PREFACTORS = [[float(math.perm(kp, dx)) for kp in range(4)] for dx in range(3)]
 
 
 class SampledModulus(ModulusModel):
-    """Profile sampled on a strictly increasing grid, cubic-spline smoothed."""
+    """Profile sampled on a strictly increasing grid, cubic-spline smoothed.
+
+    The profile keeps read-only copies of the samples it is given.
+    """
 
     def __init__(self, thetas, values):
-        t = np.asarray(thetas, dtype=float)
-        v = np.asarray(values, dtype=float)
+        # a caller's later write can neither make ``values`` disagree with the
+        # spline nor change a profile that readers share (``read_u_csv``)
+        t = np.array(thetas, dtype=float)
+        v = np.array(values, dtype=float)
         if t.ndim != 1 or t.size < 4 or v.shape != t.shape:
             raise DomainError("sampled profile needs matching 1-d arrays with >= 4 points")
         if not np.all(np.diff(t) > 0):
             raise DomainError("sample grid must be strictly increasing")
+        t.flags.writeable = False
+        v.flags.writeable = False
         self.thetas = t
         self.values = v
         self.domain = (float(t[0]), float(t[-1]))

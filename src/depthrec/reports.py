@@ -19,6 +19,12 @@ several solutions.  The memo is keyed by the list's IEEE bytes, which tell
 ``True`` pack to the bytes of ``1.0`` but are written ``1`` and ``true``.
 It lives for one ``report_json_text`` call, so concurrent writers share
 nothing.  ``u.csv`` is formatted by one ``%`` over all its cells.
+
+``read_u_csv`` builds a profile once per CSV text.  It reads the file on
+every call, so an edited file is never served stale, and keeps one entry,
+keyed by the decoded text: a read of the text it last parsed returns that
+same ``SampledModulus``, whose arrays are read-only, so no caller can change
+it for the next.  A read that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +80,11 @@ def u_csv_text(u: ModulusModel, samples: int = 501) -> str:
     return "theta,u\n" + ("%.17g,%.17g\n" * samples) % tuple(cells)
 
 
+# the last (decoded text, profile) pair read_u_csv built; replaced as one
+# tuple, so no thread reads one file's text with another's profile
+_last_u_csv: tuple[str, SampledModulus] | None = None
+
+
 def read_u_csv(path: str) -> SampledModulus:
     """Profile samples from a ``theta,u`` CSV file.
 
@@ -85,9 +96,24 @@ def read_u_csv(path: str) -> SampledModulus:
     other file goes through ``csv.reader`` row by row.  The file is read as
     UTF-8, a leading byte-order mark (a spreadsheet's "CSV UTF-8" export)
     dropped.
+
+    The file is read on every call; the profile is built once per text.  One
+    entry is kept, keyed by the decoded text: a call whose text equals the
+    last text parsed returns that same read-only profile, and a miss
+    replaces the entry.  A read that raises keeps nothing.
     """
+    global _last_u_csv
     with open(path, newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
+    last = _last_u_csv
+    if last is not None and last[0] == text:
+        return last[1]
+    u = _parse_u_csv(text, path)
+    _last_u_csv = (text, u)
+    return u
+
+
+def _parse_u_csv(text: str, path: str) -> SampledModulus:
     header = text.split(",", 1)[0].strip().lower() == "theta"
     # loadtxt warns on a file without data rows; leave those to the row loop
     if (text.partition("\n")[2] if header else text).strip():
@@ -98,12 +124,11 @@ def read_u_csv(path: str) -> SampledModulus:
         except ValueError:
             pass
         else:
-            thetas, values = table.T.copy()
-            return SampledModulus(thetas, values)
+            return SampledModulus(table[:, 0], table[:, 1])
     return SampledModulus(*_u_csv_rows(text, path))
 
 
-def _u_csv_rows(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _u_csv_rows(text: str, path: str) -> tuple[list[float], list[float]]:
     thetas: list[float] = []
     values: list[float] = []
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -114,7 +139,7 @@ def _u_csv_rows(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
             raise DomainError(f"bad profile row {row!r} in {path}")
         thetas.append(_csv_float(row[0], path, reader.line_num))
         values.append(_csv_float(row[1], path, reader.line_num))
-    return np.array(thetas), np.array(values)
+    return thetas, values
 
 
 def _csv_float(cell: str, path: str, line: int) -> float:

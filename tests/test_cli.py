@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import depthrec.criticals as criticals_mod
+import depthrec.reports as reports_mod
 from depthrec.cli import _build_parser, _load_config, _solution_curve, main
-from depthrec.modulus import ClosedFormModulus
+from depthrec.modulus import ClosedFormModulus, SampledModulus
 from depthrec.reports import read_solution_csv, read_u_csv
 from depthrec.solutions import maximal_solution
 
@@ -431,6 +432,58 @@ def _sampled_profile(tmp_path) -> str:
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+
+
+_SESSION_RHO = "2.092082290985381 + 0.12270159297949003*sin(2*theta + 4.984331806702966)"
+
+
+def _cli_session(directory, rho, before_each):
+    """``forward`` on ``rho``, then ``critical``, ``maximal``, ``cone`` and
+    ``plot`` on its u.csv, each after ``before_each()``: the outputs' bytes."""
+    directory.mkdir()
+    u_csv = str(directory / "u.csv")
+    argvs = [["forward", "--rho", rho, "--domain", "0.2", "2.9", "--samples", "801",
+              "--out", u_csv]]
+    argvs += [[command, "--u-csv", u_csv, "--out", str(directory / name)]
+              for command, name in [("critical", "critical.json"), ("maximal", "maximal.json"),
+                                    ("cone", "cone.json"), ("plot", "plot.svg")]]
+    for argv in argvs:
+        before_each()
+        assert main(argv) == 0
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_session_builds_one_profile_per_csv_text(tmp_path, monkeypatch):
+    # the four reads of one u.csv share the profile the first builds, with
+    # the outputs of a session that builds one per read
+    init, built = SampledModulus.__init__, []
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def forget():
+        monkeypatch.setattr(reports_mod, "_last_u_csv", None)
+
+    monkeypatch.setattr(SampledModulus, "__init__", counting)
+    forget()
+    shared = _cli_session(tmp_path / "shared", _SESSION_RHO, lambda: None)
+    assert len(built) == 1
+    assert _cli_session(tmp_path / "fresh", _SESSION_RHO, forget) == shared
+    assert len(built) == 5
+    # a forward run rewrites u.csv: the next read builds the new profile
+    u_csv, other = str(tmp_path / "shared" / "u.csv"), tmp_path / "other.json"
+    assert main(["forward", "--rho", "2.1 + 0.17*sin(3*theta + 1.3)", "--domain", "0.2", "2.9",
+                 "--samples", "801", "--out", u_csv]) == 0
+    assert main(["critical", "--u-csv", u_csv, "--out", str(other)]) == 0
+    assert len(built) == 6
+    # the depth's extrema, where 3*theta + 1.3 = pi/2 + k*pi
+    thetas = [point["theta"] for point in json.loads(other.read_text())["criticals"]["points"]]
+    want = [(math.pi / 2 + k * math.pi - 1.3) / 3 for k in (1, 2)]
+    np.testing.assert_allclose(thetas, want, atol=1e-4)
+    forget()
+    assert run_to_file(tmp_path, "fresh_other.json", ["critical", "--u-csv", u_csv]) == \
+        other.read_bytes()
 
 
 def test_cone_sample_does_not_carry_over(tmp_path):

@@ -37,9 +37,12 @@ def _known(item: int, text: str, depth: bool):
 
 # (text, depth): a depth profile if ``depth``, else a U profile
 MAXIMAL_PROFILES = [
-    # maximal_solution chains the foci: NoSolution, misses of 2.907e-02 and 9.939e-03
+    # maximal_solution chains the foci: NoSolution, a miss of 2.907e-02
     _known(1, "2 + 0.3*sin(5*theta)", depth=False),
-    _known(1, "2 + 0.2*cos(4*theta) + 0.1*sin(7*theta)", depth=False),
+    # NoSolution, a miss of 9.939e-03; a C1 solution spans: the smaller root
+    # (beta = -1.897) of the saddle at pi/2, on both sides, which the chain
+    # never tries
+    _known(5, "2 + 0.2*cos(4*theta) + 0.1*sin(7*theta)", depth=False),
     # saddle, node, saddle, node, saddle: the link to the node misses by 9.422e-03
     _known(5, "1.2864173454115528 + 0.09474500340893698*sin(4*theta + 1.648978723103232)",
            depth=True),

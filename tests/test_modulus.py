@@ -287,6 +287,24 @@ def test_validate_reports_eval_errors_as_nonfinite():
     assert rep.negative_thetas == []
 
 
+def test_sampled_profile_owns_read_only_samples():
+    # the profile viewed the caller's arrays: a later write moved ``values``,
+    # and validate_modulus with it, but not the spline built from them
+    t = np.linspace(0.0, 2.0, 21)
+    v = 2.0 + np.sin(3.0 * t)
+    u = SampledModulus(t, v)
+    thetas, values, at_one = t.tobytes(), v.tobytes(), u.value(1.0)
+    t[:] = np.linspace(5.0, 7.0, 21)
+    v[:] = -5.0
+    assert u.thetas.tobytes() == thetas
+    assert u.values.tobytes() == values
+    assert u.value(1.0) == at_one
+    assert validate_modulus(u).clean
+    for samples in (u.values, u.thetas):
+        with pytest.raises(ValueError):
+            samples[0] = 1.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 40))
 @example(160257, 29)

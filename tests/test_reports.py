@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import depthrec.cli as cli
+import depthrec.reports as reports_mod
 from depthrec.cli import main
 from depthrec.errors import DepthRecError, DomainError
 from depthrec.ivp import RegularIC, solve_regular
@@ -299,6 +300,95 @@ def _csv_files(draw):
 @given(_csv_files())
 def test_read_u_csv_matches_oracle(tmp_path_factory, text):
     _assert_reads_like_oracle(_write(tmp_path_factory.mktemp("csv"), text))
+
+
+# -- one profile per CSV text -----------------------------------------------------
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(reports_mod, "_last_u_csv", None)
+
+
+def test_read_u_csv_repeated_read_is_the_same_profile(tmp_path, fresh_memo):
+    path = _write(tmp_path, NAMED_FILES["header"])
+    u = read_u_csv(path)
+    assert read_u_csv(path) is u
+
+
+def test_read_u_csv_rewritten_file_is_parsed_again(tmp_path, fresh_memo):
+    path = _write(tmp_path, NAMED_FILES["header"])
+    first = read_u_csv(path)
+    # same length, so neither the size nor the path tells the texts apart
+    _write(tmp_path, NAMED_FILES["header"].replace("2.75", "2.85"))
+    second = read_u_csv(path)
+    assert second is not first
+    assert second.values[1] == 2.85
+    assert read_u_csv(path) is second
+    _assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("name", ["header", "crlf"])
+def test_read_u_csv_byte_order_mark_twin_shares_the_profile(name, tmp_path, fresh_memo):
+    plain = read_u_csv(_write(tmp_path, NAMED_FILES[name]))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(NAMED_FILES[name].encode("utf-8-sig"))
+    assert read_u_csv(str(path)) is plain
+
+
+@pytest.mark.parametrize("name,message", [
+    ("bad_number", "bad number 'abc' in {path}, line 3"),
+    ("short_row", "bad profile row ['0.2'] in {path}"),
+], ids=["bad_number", "short_row"])
+def test_read_u_csv_failure_is_raised_on_every_read(name, message, tmp_path, fresh_memo):
+    path = _write(tmp_path, NAMED_FILES[name])
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^" + re.escape(message.format(path=path)) + "$"):
+            read_u_csv(path)
+    assert reports_mod._last_u_csv is None
+
+
+def test_read_u_csv_good_read_after_a_failed_one_hits(tmp_path, fresh_memo):
+    good = _write(tmp_path, NAMED_FILES["header"])
+    u = read_u_csv(good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(NAMED_FILES["bad_number"])
+    with pytest.raises(DomainError, match=re.escape(str(bad))):
+        read_u_csv(str(bad))
+    assert read_u_csv(good) is u
+
+
+def test_read_u_csv_in_threads_reads_each_files_profile(tmp_path, fresh_memo):
+    # six threads read two files in turn, so each read may find the entry
+    # another thread has just replaced; every read is its own file's profile
+    texts = [NAMED_FILES["header"], NAMED_FILES["header"].replace("2.75", "2.85")]
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"u{i}.csv"
+        path.write_text(text)
+        paths.append(str(path))
+    barrier = threading.Barrier(6, timeout=60)
+    results = [[] for _ in range(6)]
+
+    def read(i):
+        barrier.wait()
+        for j in range(40):
+            k = (i + j) % 2
+            results[i].append((k, float(read_u_csv(paths[k]).values[1])))
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for runs in results:
+        assert len(runs) == 40
+        assert all(value == (2.75, 2.85)[k] for k, value in runs)
 
 
 # -- node tables against the node-by-node loops ---------------------------------
