@@ -38,9 +38,8 @@ from .solutions import (
     solve_bvp_between_criticals, stitch,
 )
 from .taylor import (
-    BranchStatus, CriticalIC, SafeRegionKind, SafeRegionResult,
-    TaylorBranch, check_safe_region, eval_series,
-    expand_branch, recursion_residuals, second_derivative_roots,
+    BranchStatus, CriticalIC, TaylorBranch, eval_series, expand_branch,
+    recursion_residuals, resonance, second_derivative_roots,
 )
 
 __version__ = "0.1.0"

@@ -84,6 +84,7 @@ from enum import Enum
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
+from .criticals import maximal_depth
 from .errors import DepthRecError, DomainError, NoContinuation, NotRegular
 from .modulus import ModulusModel
 from .taylor import (
@@ -554,7 +555,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
     try:
         if abs(u.derivative(tau)) <= 1e-9 * (1.0 + u.scale):
             # flat profile: rho = sqrt(U) cos(offset), slope determines offset
-            bound = math.sqrt(max(u.value(tau), 0.0))
+            bound = maximal_depth(u, tau)
             if bound <= 0.0:
                 return None
             offset = math.asin(min(1.0, abs(f_tau) / bound))
@@ -563,7 +564,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
             theta_c = critical_angle_near(u, tau, min(1e-3 * (hi - lo), 1e-2))
             if theta_c is None:
                 return None
-        return theta_c, math.sqrt(max(u.value(theta_c), 0.0))
+        return theta_c, maximal_depth(u, theta_c)
     except DepthRecError:  # U or its jet failed near the contact: keep tau
         return None
 
@@ -597,7 +598,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     side_app = int(-tdir)  # the side of the point the approach comes from
     candidates = sorted(((abs(eval_series(b, t)[0] - y), b) for b in branches
                          if b.status is BranchStatus.COMPLETE
-                         and _half_branch_sign(b, side_app) == ode_sign),
+                         and b.half_sign(side_app) == ode_sign),
                         key=lambda c: c[0])
     if not candidates:
         return None
@@ -721,26 +722,6 @@ def residual(piece: SolutionPiece, u: ModulusModel) -> float:
 # Continuation through critical contacts
 # ---------------------------------------------------------------------------
 
-def _half_branch_sign(branch: TaylorBranch, side: int) -> int:
-    """Monotonicity sign of a branch half (side=+1 ahead, -1 behind).
-
-    The slope near the center is dominated by the first nonzero Taylor
-    coefficient of order >= 2; a constant branch returns 0.  The first is
-    ``a2 = beta/2``, read without expanding the branch; the others are read
-    only when ``a2`` is under the tolerance.
-    """
-    tol = 1e-12 * (1.0 + branch.ic.rho0)
-    a2 = 0.5 * branch.beta
-    if abs(a2) > tol and branch.ic.u_jet.order >= 2:
-        return int((1.0 if a2 > 0 else -1.0) * side)
-    for k in range(3, branch.order + 1):
-        ak = branch.coeffs[k]
-        if abs(ak) > tol:
-            s = 1.0 if ak > 0 else -1.0
-            return int(s * (side ** (k - 1)))
-    return 0
-
-
 def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
                     opts: IntegrationOptions | None = None,
                     stop_theta: float | None = None) -> SolutionPiece:
@@ -763,7 +744,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
         return replace(bound_following_piece(u, theta_c, side, stop_theta=limit),
                        start_branch=start_branch, end_branch=end_branch)
 
-    half_ode_sign = _half_branch_sign(branch, side)
+    half_ode_sign = branch.half_sign(side)
     if half_ode_sign == 0:
         raise NoContinuation("branch has no monotone half here")
     direction = "forward" if side > 0 else "backward"
@@ -822,7 +803,7 @@ def bound_following_piece(u: ModulusModel, theta_c: float, side: int,
     """
     lo, hi = u.domain
     limit = (hi if side > 0 else lo) if stop_theta is None else stop_theta
-    rho0 = math.sqrt(u.value(theta_c))
+    rho0 = maximal_depth(u, theta_c)
     tol = _TOL_BOUND_FOLLOW * u.scale
 
     def flat(th: float) -> bool:
@@ -863,7 +844,7 @@ def continuation_candidates(ic: CriticalIC, side: int) -> list[tuple[int, Taylor
     ``side``, a constant branch the bound-following continuation with the
     conventional +1 sign.
     """
-    return [(+1 if b.status is BranchStatus.CONSTANT_CIRCLE else _half_branch_sign(b, side) * side, b)
+    return [(+1 if b.status is BranchStatus.CONSTANT_CIRCLE else b.half_sign(side) * side, b)
             for b in ic.branches
             if b.status is not BranchStatus.DEGENERATE]
 

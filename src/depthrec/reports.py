@@ -89,13 +89,14 @@ def read_u_csv(path: str) -> SampledModulus:
     """Profile samples from a ``theta,u`` CSV file.
 
     Rows that are blank or whose first cell reads ``theta`` are skipped;
-    columns after the second are ignored.  A short row or a cell that is not
-    a number raises ``DomainError``.  A regular file (one header line at
-    most, no other irregular row) is parsed by ``np.loadtxt`` in one pass,
-    with the same cells and the same float conversion as ``float``; any
-    other file goes through ``csv.reader`` row by row.  The file is read as
-    UTF-8, a leading byte-order mark (a spreadsheet's "CSV UTF-8" export)
-    dropped.
+    columns after the second are ignored.  A short row, a cell that is not
+    a number, or samples that :class:`SampledModulus` rejects (too few, out
+    of order, no finite spline) raise ``DomainError`` naming the path.  A
+    regular file (one header line at most, no other irregular row) is
+    parsed by ``np.loadtxt`` in one pass, with the same cells and the same
+    float conversion as ``float``; any other file goes through
+    ``csv.reader`` row by row.  The file is read as UTF-8, a leading
+    byte-order mark (a spreadsheet's "CSV UTF-8" export) dropped.
 
     The file is read on every call; the profile is built once per text.  One
     entry is kept, keyed by the decoded text: a call whose text equals the
@@ -114,6 +115,14 @@ def read_u_csv(path: str) -> SampledModulus:
 
 
 def _parse_u_csv(text: str, path: str) -> SampledModulus:
+    thetas, values = _u_csv_columns(text, path)
+    try:
+        return SampledModulus(thetas, values)
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {path}") from None
+
+
+def _u_csv_columns(text: str, path: str) -> tuple:
     header = text.split(",", 1)[0].strip().lower() == "theta"
     # loadtxt warns on a file without data rows; leave those to the row loop
     if (text.partition("\n")[2] if header else text).strip():
@@ -124,8 +133,8 @@ def _parse_u_csv(text: str, path: str) -> SampledModulus:
         except ValueError:
             pass
         else:
-            return SampledModulus(table[:, 0], table[:, 1])
-    return SampledModulus(*_u_csv_rows(text, path))
+            return table[:, 0], table[:, 1]
+    return _u_csv_rows(text, path)
 
 
 def _u_csv_rows(text: str, path: str) -> tuple[list[float], list[float]]:

@@ -28,14 +28,14 @@ snapped onto a point and a piece leaving it meet at the point's angle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .criticals import (
-    SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, Phase, find_critical_points, phase_of,
+    SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, Phase, find_critical_points,
+    maximal_depth, phase_of,
 )
 from .errors import (
     DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular,
@@ -269,7 +269,7 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
         out: list[PiecewiseSolution] = []
         for _ in range(fan_size):
             th = float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
-            bound = math.sqrt(max(u.value(th), 0.0))
+            bound = maximal_depth(u, th)
             rho = float(rng.uniform(0.3, 0.9)) * bound
             try:
                 out.extend(enumerate_branches(u, RegularIC(th, rho),
@@ -529,7 +529,8 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
     theta_c, depth = (apex.theta0, apex.rho0) if by_hand else (apex.theta, apex.depth)
     phase = phase_of(depth, 2.0 * apex.u_jet[2], u.scale) if by_hand else apex.phase
     if phase in (Phase.SADDLE, Phase.FOCUS):
-        why = ("one solution touches it on each side" if phase is Phase.SADDLE
+        why = ("two solutions touch it from each side, one per curvature root, and no "
+               "family of solutions enters it" if phase is Phase.SADDLE
                else "no solution touches it")
         raise NotConeApex(f"the critical point at theta={theta_c} is a {phase.value}: {why}, "
                           "so it is no cone apex")

@@ -17,9 +17,10 @@ degenerate node one.  The linear steps share the pivot
 
     alpha_n = 2*(rho0 + n*beta),
 
-which vanishes exactly when beta = -rho0/n for an integer n >= 3; those are
-the degenerate cases where the recursion stalls and a one-parameter family
-of series appears.
+which vanishes exactly when beta = -rho0/n for an integer n >= 3, the
+resonant lattice, where the recursion stalls and a one-parameter family of
+series appears.  :func:`resonance` is the one rule for it: the recursion
+stalls, and a branch is degenerate, at the first order it names.
 
 Every critical IC is built by :func:`critical_ic`, its jet at
 :data:`DEFAULT_ORDER` or the profile's exact capability if that is lower
@@ -28,9 +29,9 @@ Every critical IC is built by :func:`critical_ic`, its jet at
 and the global assembly use nothing else at a critical point.  A branch of
 that set runs the recursion the first time its coefficients are read, and
 only then: a link that reads one branch of a point expands that one.  Its
-status and the sign of each half come from its curvature root alone, as
-the recursion would decide them, except for a root so small that the
-branch may be the constant circle.  Within one
+status and the sign of each half (:meth:`TaylorBranch.half_sign`) come
+from its curvature root alone, as the recursion would decide them, except
+for a root so small that the branch may be the constant circle.  Within one
 public solver call (:func:`one_critical_table`) there is one table of ICs,
 and it is that call's critical set: the points the caller passed
 (:func:`use_critical_points`), or else the profile's critical scan
@@ -70,16 +71,15 @@ from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, Domain
 from .modulus import Jet, ModulusModel
 
 __all__ = [
-    "CriticalIC", "TaylorBranch", "BranchStatus", "SafeRegionKind",
-    "SafeRegionResult", "second_derivative_roots", "expand_branch",
-    "check_safe_region", "eval_series", "recursion_residuals",
+    "CriticalIC", "TaylorBranch", "BranchStatus", "second_derivative_roots",
+    "resonance", "expand_branch", "eval_series", "recursion_residuals",
     "critical_ic", "critical_angle_near", "use_critical_points", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
-_SAFE_REGION_I_MAX = 10_000  # the degenerate lattice index scanned up to
-_TOL_DEGENERATE = 1e-9       # a vanishing recursion pivot, scaled by (1 + rho0)
-_TOL_CONSTANT = 1e-14        # a vanishing branch coefficient, scaled by (1 + rho0)
+_TOL_DEGENERATE = 1e-9  # a vanishing recursion pivot, scaled by (1 + rho0)
+_TOL_CONSTANT = 1e-14   # a vanishing branch coefficient, scaled by (1 + rho0)
+_TOL_HALF_SIGN = 1e-12  # a coefficient too small to set a half's sign, scaled by (1 + rho0)
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,12 @@ class TaylorBranch:
     ``coeffs``, ``order``, ``free_index`` or ``consistency_residual`` is
     read, and once; a branch that :func:`expand_branch` returns holds them
     from the start.  ``status`` is settled from ``beta`` where ``beta``
-    decides it, without the recursion: the branch is degenerate when a
-    pivot ``2*(rho0 + n*beta)``, n = 3 .. the jet's order, falls under the
-    recursion's tolerance (the recursion's own test), and otherwise
-    complete when ``|beta/2|`` exceeds the constant tolerance.  Only a
-    branch with a tiny ``beta`` runs the recursion to decide whether it is
-    the constant circle.
+    decides it, without the recursion: the branch is degenerate when
+    :func:`resonance`, the rule the recursion stalls by, finds a vanishing
+    pivot up to the jet's order, and otherwise complete when ``|beta/2|``
+    exceeds the constant tolerance.  Only a branch with a tiny ``beta`` runs
+    the recursion to decide whether it is the constant circle; so does
+    :meth:`half_sign`, for a half's sign.
 
     ``free_index`` and ``consistency_residual`` are set only for degenerate
     branches: the recursion pivot vanished when solving for coefficient
@@ -171,13 +171,30 @@ class TaylorBranch:
     def status(self) -> BranchStatus:
         if self._expansion is None:
             rho0, beta, order = self.ic.rho0, self.beta, self.ic.u_jet.order
-            tol_deg = _TOL_DEGENERATE * (1.0 + rho0)
-            for n in range(3, order + 1):
-                if abs(2.0 * (rho0 + n * beta)) < tol_deg:
-                    return BranchStatus.DEGENERATE
+            if resonance(rho0, beta, order)[1] is not None:
+                return BranchStatus.DEGENERATE
             if order >= 2 and abs(0.5 * beta) > _TOL_CONSTANT * (1.0 + rho0):
                 return BranchStatus.COMPLETE
         return self._expanded()[1]
+
+    def half_sign(self, side: int) -> int:
+        """Monotonicity sign of a branch half (side=+1 ahead, -1 behind).
+
+        The slope near the center is dominated by the first nonzero Taylor
+        coefficient of order >= 2; a constant branch returns 0.  The first is
+        ``a2 = beta/2``, read without expanding the branch; the others are
+        read only when ``a2`` is under the tolerance.
+        """
+        tol = _TOL_HALF_SIGN * (1.0 + self.ic.rho0)
+        a2 = 0.5 * self.beta
+        if abs(a2) > tol and self.ic.u_jet.order >= 2:
+            return int((1.0 if a2 > 0 else -1.0) * side)
+        for k in range(3, self.order + 1):
+            ak = self.coeffs[k]
+            if abs(ak) > tol:
+                s = 1.0 if ak > 0 else -1.0
+                return int(s * (side ** (k - 1)))
+        return 0
 
     @property
     def free_index(self) -> int | None:
@@ -209,6 +226,30 @@ def second_derivative_roots(rho0: float, u2: float) -> tuple[float, float]:
     return (-rho0 - root) / 2.0, (-rho0 + root) / 2.0
 
 
+def resonance(rho0: float, beta: float, order: int) -> tuple[float, int | None]:
+    """How far the curvature root ``beta`` sits from the resonant lattice
+    ``beta = -rho0/n``, n = 3 .. ``order``, and where its recursion stalls.
+
+    Returns ``(distance, n)``: ``distance`` is the least ``|rho0 + n*beta|
+    / (1 + rho0)`` over those n (infinite when ``order < 3``), and ``n`` the
+    first order whose pivot ``2*(rho0 + n*beta)`` falls under
+    ``_TOL_DEGENERATE*(1 + rho0)``, or None.  That ``n`` is the recursion's
+    stall (:func:`expand_branch`) and a branch's degeneracy
+    (:attr:`TaylorBranch.status`); no other code tests a pivot.
+    """
+    tol = _TOL_DEGENERATE * (1.0 + rho0)
+    least, stall = math.inf, None
+    for n in range(3, order + 1):
+        gap = abs(rho0 + n * beta)
+        # the first pivot under the tolerance is under every earlier one, so
+        # it is a new least; 2*gap is the pivot's magnitude exactly
+        if gap < least:
+            least = gap
+            if stall is None and 2.0 * gap < tol:
+                stall = n
+    return least / (1.0 + rho0), stall
+
+
 def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
     """Run the coefficient recursion from one curvature root, to the order
     of the IC's jet.
@@ -219,29 +260,29 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
         2*(rho0 + n*beta)*a_n = u_n - sum_{j=2}^{n-2} (j+1)*(n-j+1)*a_{j+1}*a_{n-j+1}
                                     - sum_{j=1}^{n-1} a_j*a_{n-j},
 
-    with ``u_n = U^(n)/n!``, the jet's own coefficient.  A vanishing pivot
-    stops the recursion and marks the branch degenerate with the stalled
-    coefficient reported as the free parameter.  The branch returned holds
-    its coefficients; a branch of :attr:`CriticalIC.branches` calls this on
-    the first read of its own.
+    with ``u_n = U^(n)/n!``, the jet's own coefficient.  At the order where
+    :func:`resonance` finds the pivot vanishing the recursion stops and
+    marks the branch degenerate, with the stalled coefficient reported as
+    the free parameter.  The branch returned holds its coefficients; a
+    branch of :attr:`CriticalIC.branches` calls this on the first read of
+    its own.
     """
     order = ic.u_jet.order
     rho0 = ic.rho0
-    tol_deg = _TOL_DEGENERATE * (1.0 + rho0)
+    stall = resonance(rho0, beta, order)[1]
     u = ic.u_jet.coeffs.tolist()
 
     a = [rho0, 0.0, 0.5 * beta]
     slope = [0.0, beta]  # slope[k] = (k+1)*a[k+1], the coefficients of rho'
     for n in range(3, order + 1):
-        alpha = 2.0 * (rho0 + n * beta)
         rhs = u[n]
         for p, q in zip(slope[2 : n - 1], slope[n - 2 : 1 : -1]):
             rhs -= p * q
         for p, q in zip(a[1:n], a[n - 1 : 0 : -1]):
             rhs -= p * q
-        if abs(alpha) < tol_deg:
+        if n == stall:
             return TaylorBranch(ic, beta, (np.array(a), BranchStatus.DEGENERATE, n, abs(rhs)))
-        a.append(rhs / alpha)
+        a.append(rhs / (2.0 * (rho0 + n * beta)))
         slope.append(n * a[n])
 
     coeffs = a[: order + 1]
@@ -249,41 +290,6 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
     constant = all(abs(v) <= tol_const for v in coeffs[1:])
     status = BranchStatus.CONSTANT_CIRCLE if constant else BranchStatus.COMPLETE
     return TaylorBranch(ic, beta, (np.array(coeffs), status, None, None))
-
-
-class SafeRegionKind(Enum):
-    SAFE = "safe"
-    DEGENERATE_AT = "degenerate_at"
-    POTENTIALLY_DEGENERATE = "potentially_degenerate"
-
-
-@dataclass(frozen=True)
-class SafeRegionResult:
-    kind: SafeRegionKind
-    index: int | None = None
-
-
-def check_safe_region(rho0: float, beta: float) -> SafeRegionResult:
-    """Decide whether the recursion pivot can ever vanish for this seed.
-
-    Curvatures outside [-rho0/3, 0) are safe for every iteration.  Inside,
-    the pivot vanishes exactly on the lattice ``beta = -rho0/(i+1)`` for
-    integer i >= 2; the lattice is scanned up to ``_SAFE_REGION_I_MAX``.
-    Everything else inside the window is only potentially degenerate:
-    floating point cannot certify that the ratio beta/rho0 avoids all
-    rationals.
-    """
-    if rho0 <= 0.0:
-        raise DomainError("depth must be positive")
-    tol = 1e-9 * (1.0 + rho0)
-    inside_window = -rho0 / 3.0 - tol <= beta < 0.0
-    if not inside_window:
-        return SafeRegionResult(SafeRegionKind.SAFE)
-    i_near = int(round(-rho0 / beta)) - 1
-    for i in (i_near - 1, i_near, i_near + 1):
-        if 2 <= i <= _SAFE_REGION_I_MAX and abs(beta + rho0 / (i + 1)) <= tol:
-            return SafeRegionResult(SafeRegionKind.DEGENERATE_AT, i)
-    return SafeRegionResult(SafeRegionKind.POTENTIALLY_DEGENERATE)
 
 
 def eval_series(branch: TaylorBranch, theta: float | list[float]):

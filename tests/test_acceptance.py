@@ -25,8 +25,8 @@ from depthrec.solutions import (
     sample_cone_solution,
 )
 from depthrec.taylor import (
-    BranchStatus, CriticalIC, SafeRegionKind, check_safe_region,
-    eval_series, expand_branch, recursion_residuals, second_derivative_roots,
+    BranchStatus, CriticalIC, eval_series, expand_branch, recursion_residuals, resonance,
+    second_derivative_roots,
 )
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
@@ -259,11 +259,9 @@ def test_criterion_6_taylor_recursion_oracle():
             assert defects.max() < 1e-9, f"identity defect {defects.max():.2e}"
 
         rho0 = 2.0
-        for i in range(2, 11):
-            beta = -rho0 / (i + 1)
-            res = check_safe_region(rho0, beta)
-            assert res.kind is SafeRegionKind.DEGENERATE_AT
-            assert res.index == i
+        for n in range(3, 12):
+            beta = -rho0 / n
+            assert resonance(rho0, beta, 14)[1] == n
             # a constructed jet with this curvature stalls exactly there
             jet = np.zeros(15)
             jet[0] = rho0 * rho0
@@ -271,10 +269,10 @@ def test_criterion_6_taylor_recursion_oracle():
             ic = CriticalIC(0.0, rho0, Jet(0.0, jet))
             degenerate = expand_branch(ic, beta)
             assert degenerate.status is BranchStatus.DEGENERATE
-            assert degenerate.free_index == i + 1
+            assert degenerate.free_index == n
 
         for beta in (-5.0, -2.0, -rho0 / 2.9, 0.0, 0.7, 3.0):
-            assert check_safe_region(rho0, beta).kind is SafeRegionKind.SAFE
+            assert resonance(rho0, beta, 14)[1] is None
             jet = np.zeros(15)
             jet[0] = rho0 * rho0
             jet[2] = beta * beta + rho0 * beta

@@ -597,6 +597,17 @@ def test_malformed_number_in_u_csv_exits_1(tmp_path, capsys):
     assert err == f"depthrec: bad number 'abc' in {ucsv}, line 3\n"
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("0.2,1.0\n0.1,1.0\n0.35,1.0\n0.5,1.0\n", "sample grid must be strictly increasing"),
+    ("0.1,1.0\n0.2,1.0\n", "sampled profile needs matching 1-d arrays with >= 4 points"),
+], ids=["not_increasing", "two_rows"])
+def test_rejected_u_csv_samples_exit_1_naming_the_file(rows, message, tmp_path, capsys):
+    ucsv = tmp_path / "bad_grid.csv"
+    ucsv.write_text("theta,u\n" + rows)
+    assert main(["critical", "--u-csv", str(ucsv)]) == 1
+    assert capsys.readouterr().err == f"depthrec: {message} in {ucsv}\n"
+
+
 def test_u_csv_with_a_byte_order_mark_is_read(tmp_path):
     # exit 1 with "bad number '\ufefftheta' ... line 1" before
     ucsv = _sampled_profile(tmp_path)

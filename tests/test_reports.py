@@ -197,10 +197,10 @@ def _assert_reads_like_oracle(path: str) -> None:
         return
     try:
         want = SampledModulus(thetas, values)
-    except DomainError as exc:
+    except DomainError as exc:  # samples the profile rejects: named with the path
         with pytest.raises(DomainError) as got:
             read_u_csv(path)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"{exc} in {path}"
         return
     u = read_u_csv(path)
     assert u.thetas.tobytes() == want.thetas.tobytes()
@@ -338,7 +338,9 @@ def test_read_u_csv_byte_order_mark_twin_shares_the_profile(name, tmp_path, fres
 @pytest.mark.parametrize("name,message", [
     ("bad_number", "bad number 'abc' in {path}, line 3"),
     ("short_row", "bad profile row ['0.2'] in {path}"),
-], ids=["bad_number", "short_row"])
+    ("not_increasing", "sample grid must be strictly increasing in {path}"),
+    ("too_few_rows", "sampled profile needs matching 1-d arrays with >= 4 points in {path}"),
+], ids=["bad_number", "short_row", "not_increasing", "too_few_rows"])
 def test_read_u_csv_failure_is_raised_on_every_read(name, message, tmp_path, fresh_memo):
     path = _write(tmp_path, NAMED_FILES[name])
     for _ in range(2):

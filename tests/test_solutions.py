@@ -440,7 +440,9 @@ def test_parabola_cone_bounds_are_both_branches():
 def test_line_minimum_is_not_cone_apex():
     u = ClosedFormModulus("25/cos(theta)^4", (-1.0, 1.0))
     cs = find_critical_points(u)
-    with pytest.raises(NotConeApex, match="is a saddle: one solution touches it on each side"):
+    with pytest.raises(NotConeApex, match="is a saddle: two solutions touch it from each side, "
+                                          "one per curvature root, and no family of solutions "
+                                          "enters it, so it is no cone apex"):
         build_cone(u, cs.points[0])
     with pytest.raises(NotConeApex, match="is a saddle"):   # an IC by hand, classified alike
         build_cone(u, CriticalIC.from_modulus(u, cs.points[0].theta))

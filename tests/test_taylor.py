@@ -13,10 +13,9 @@ from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.series import factorials
 import depthrec.taylor as taylor_mod
-from depthrec.ivp import _half_branch_sign
 from depthrec.taylor import (
-    BranchStatus, CriticalIC, SafeRegionKind, TaylorBranch, check_safe_region,
-    eval_series, expand_branch, recursion_residuals, second_derivative_roots,
+    BranchStatus, CriticalIC, TaylorBranch, eval_series, expand_branch, recursion_residuals,
+    resonance, second_derivative_roots,
 )
 
 
@@ -129,36 +128,59 @@ def test_parabola_branches_via_modulus():
 
 
 def test_alpha_never_returns_to_zero():
-    # the pivot is affine in the iteration index, so it vanishes at most once
+    # the pivot is affine in the iteration index, so it vanishes at most
+    # once; resonance names that index, and its distance is the least pivot
+    # halved, relative to 1 + rho0
     rng = np.random.default_rng(5)
-    for _ in range(50):
+    for k in range(100):
         rho0 = rng.uniform(0.2, 5.0)
-        beta = rng.uniform(-2.0, 2.0)
+        beta = rng.uniform(-2.0, 2.0) if k % 2 else -rho0 / rng.integers(3, 200)
         tol = 1e-9 * (1 + rho0)
-        small = [n for n in range(3, 200) if abs(2 * (rho0 + n * beta)) < tol]
+        pivots = [abs(2 * (rho0 + n * beta)) for n in range(3, 200)]
+        small = [n for n, pivot in enumerate(pivots, 3) if pivot < tol]
         assert len(small) <= 1
+        assert len(small) == 1 or k % 2
+        assert resonance(rho0, beta, 199) == \
+            (min(pivots) / 2 / (1 + rho0), small[0] if small else None)
 
 
-# -- safe region ----------------------------------------------------------------
+# -- resonance --------------------------------------------------------------------
 
-def test_safe_region_examples():
-    assert check_safe_region(1.0, -1.0).kind is SafeRegionKind.SAFE
-    assert check_safe_region(1.0, 0.0).kind is SafeRegionKind.SAFE
-    res = check_safe_region(1.0, -0.25)
-    assert res.kind is SafeRegionKind.DEGENERATE_AT
-    assert res.index == 3
-
-
-def test_safe_region_lattice_sweep():
-    for i in range(2, 11):
-        res = check_safe_region(2.0, -2.0 / (i + 1))
-        assert res.kind is SafeRegionKind.DEGENERATE_AT
-        assert res.index == i
+def test_resonance_examples():
+    # outside [-rho0/3, 0) no pivot can vanish; inside, the lattice point
+    # -rho0/n stalls at n, and only while n is within the jet's order
+    assert resonance(1.0, -1.0, 20) == (1.0, None)   # |1 - 3| / 2
+    assert resonance(1.0, 0.0, 20) == (0.5, None)
+    assert resonance(1.0, 0.3, 2) == (math.inf, None)  # no linear step
+    assert resonance(1.0, -0.25, 20) == (0.0, 4)
+    assert resonance(1.0, -0.25, 3)[1] is None
 
 
-def test_safe_region_off_lattice():
-    res = check_safe_region(1.0, -0.22)  # inside the window, not on the lattice
-    assert res.kind is SafeRegionKind.POTENTIALLY_DEGENERATE
+def test_resonance_lattice_sweep():
+    for n in range(3, 21):
+        distance, index = resonance(2.0, -2.0 / n, 20)
+        assert index == n
+        assert distance < 1e-15
+        assert expand_branch(constant_ic(2.0, order=20), -2.0 / n).free_index == n
+
+
+def test_resonance_off_lattice():
+    # inside the window, not on the lattice: nearest at n = 5, |1 - 5*0.22|
+    distance, index = resonance(1.0, -0.22, 20)
+    assert index is None
+    assert distance == pytest.approx(0.05, rel=1e-12)
+
+
+def test_resonance_is_the_recursions_pivot_test():
+    # 1e-9 off the lattice point -rho0/5 the pivot is 2*(1 + 5*beta) = 1e-8,
+    # over the tolerance 2e-9: the branch is complete, 2.5e-9 from resonance
+    beta = -0.2 + 1e-9
+    distance, index = resonance(1.0, beta, 20)
+    assert index is None
+    assert distance == pytest.approx(2.5e-9, rel=1e-6)
+    ic = constant_ic(1.0, order=20)
+    assert TaylorBranch(ic, beta).status is BranchStatus.COMPLETE
+    assert expand_branch(ic, beta).status is BranchStatus.COMPLETE
 
 
 # -- series evaluation ------------------------------------------------------------
@@ -447,7 +469,7 @@ def test_branch_set_is_built_once_per_ic(monkeypatch):
     # building the set and settling a large root's status and half-signs
     # run no recursion
     assert falling.status is BranchStatus.COMPLETE
-    assert [_half_branch_sign(falling, side) for side in (-1, 1)] == [1, -1]
+    assert [falling.half_sign(side) for side in (-1, 1)] == [1, -1]
     assert expanded == []
     # a root too small to tell the constant circle runs it to decide
     assert flat.status is BranchStatus.CONSTANT_CIRCLE
@@ -515,8 +537,12 @@ def test_status_and_half_sign_from_the_root_are_the_recursions(seed):
     # only a tiny root needs the recursion to settle the status
     tiny = abs(0.5 * beta) <= 1e-14 * (1.0 + ic.rho0)
     assert (branch._expansion is None) == (not tiny or full.status is BranchStatus.DEGENERATE)
+    # the stall is the first pivot under the recursion's tolerance
+    pivots = [abs(2.0 * (ic.rho0 + n * beta)) for n in range(3, ic.u_jet.order + 1)]
+    first = next((n for n, pivot in enumerate(pivots, 3) if pivot < 1e-9 * (1.0 + ic.rho0)), None)
+    assert resonance(ic.rho0, beta, ic.u_jet.order)[1] == full.free_index == first
     for side in (-1, 1):
-        assert _half_branch_sign(TaylorBranch(ic, beta), side) == oracle_half_sign(full, side)
+        assert TaylorBranch(ic, beta).half_sign(side) == oracle_half_sign(full, side)
     assert (branch.free_index, branch.consistency_residual) == \
         (full.free_index, full.consistency_residual)
     assert branch.coeffs.tobytes() == full.coeffs.tobytes()
