@@ -13,9 +13,11 @@ largest-curvature branch leaving the minimum-type end toward the other
 (there the analytic solution touching the bound is unique, so it is the
 only candidate), integrate it up to the far point's angle, and either snap
 its end onto the far point, when it lands within ``_TOL_BVP`` of it, or
-raise :class:`NoSolution`.  An outer interval, between the outermost
-critical point and the domain end, takes the first branch leaving the point,
-largest curvature root first, whose piece reaches the domain end.
+raise :class:`NoSolution`.  Across a flat stretch that branch is the launch
+point's constant circle, so the link is the bound itself.  An outer
+interval, between the outermost critical point and the domain end, takes
+the first branch leaving the point, largest curvature root first, whose
+piece reaches the domain end.
 
 Each public function here is one call of
 :func:`~depthrec.taylor.one_critical_table`: every critical point it meets
@@ -232,16 +234,21 @@ def _branch_paths(u: ModulusModel, candidates: list[tuple[int, TaylorBranch]], s
     return paths
 
 
-def _seed_paths(u: ModulusModel, ic: RegularIC, ode_sign: int, direction: str,
+def _seed_paths(u: ModulusModel, ic: RegularIC | CriticalIC, ode_sign: int, side: int,
                 max_switches: int, opts: IntegrationOptions
                 ) -> list[tuple[list[SolutionPiece], int]]:
-    side = +1 if direction == "forward" else -1
-    walk_sign = ode_sign * side
+    """The paths on ``side`` of an IC, each with the switches it used: a
+    regular IC's seed piece of ``ode_sign``, or the piece of each branch
+    leaving a critical IC, extended through the contacts it meets."""
     lo, hi = u.domain
     room = (hi - ic.theta0) if side > 0 else (ic.theta0 - lo)
     if room <= 1e-12:
         return [([], 0)]
-    piece = solve_regular(u, ic, walk_sign, direction, opts)
+    if isinstance(ic, CriticalIC):
+        candidates = continuation_candidates(ic, side)
+        return _branch_paths(u, candidates, side, max_switches, opts) or [([], 0)]
+    direction = "forward" if side > 0 else "backward"
+    piece = solve_regular(u, ic, ode_sign * side, direction, opts)
     return _extend(u, piece, side, max_switches, opts)
 
 
@@ -252,11 +259,14 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
                        fan_size: int = 6, seed: int = 0) -> list[PiecewiseSolution]:
     """The finite tree of C1 solutions through an initial condition.
 
-    A regular IC seeds one rising and one falling trajectory; each is
-    extended through both domain directions, taking every admissible
-    continuation at every contact, up to ``max_switches`` switches per
-    solution.  Paths that exhaust their budget at a contact are kept
-    truncated (their last piece still ends in a contact termination).
+    A regular IC seeds one rising and one falling trajectory, a critical IC
+    the pieces of its branches leaving it on each side, smaller curvature
+    root first (none for a focus, whose roots are complex:
+    :class:`~depthrec.errors.ComplexDiscriminant`).  Each seed is extended
+    away from the IC, taking every admissible continuation at every contact,
+    up to ``max_switches`` switches per solution, and a solution joins one
+    path of each side.  Paths that exhaust their budget at a contact are
+    kept truncated (their last piece still ends in a contact termination).
 
     With no IC, a deterministic fan of regular ICs is sampled for
     illustration, each enumerated up to ``max_switches``; the full solution
@@ -278,69 +288,27 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
                 continue
         return out
 
-    if isinstance(ic, CriticalIC):
-        return _enumerate_from_critical(u, ic, max_switches, opts)
-
+    regular = isinstance(ic, RegularIC)
     solutions: list[PiecewiseSolution] = []
-    for ode_sign in (+1, -1):
-        lefts = _seed_paths(u, ic, ode_sign, "backward", max_switches, opts)
-        rights = _seed_paths(u, ic, ode_sign, "forward", max_switches, opts)
-        # every path of one side starts with that side's seed piece, so the
-        # solutions of this sign share one seam through the IC
+    for ode_sign in (+1, -1) if regular else (+1,):
+        lefts = _seed_paths(u, ic, ode_sign, -1, max_switches, opts)
+        rights = _seed_paths(u, ic, ode_sign, +1, max_switches, opts)
+        # every path of one side of a regular IC starts with that side's seed
+        # piece, so the solutions of this sign share one seam through the IC
         (lfirst, _), (rfirst, _) = lefts[0], rights[0]
-        seam = _merge_adjacent(lfirst[0], rfirst[0]) if lfirst and rfirst else None
+        seam = _merge_adjacent(lfirst[0], rfirst[0]) if regular and lfirst and rfirst else None
         for lpieces, lused in lefts:
             for rpieces, rused in rights:
-                if lused + rused > max_switches:
+                if lused + rused > max_switches or not (lpieces or rpieces):
                     continue
-                solutions.append(_assemble_two_sided(lpieces, rpieces, seam))
-    return solutions
-
-
-def _assemble_two_sided(left_path: list[SolutionPiece], right_path: list[SolutionPiece],
-                        seam: SolutionPiece | None) -> PiecewiseSolution:
-    """Stitch a backward extension path and a forward one at the seed IC;
-    ``seam`` is their two seed pieces merged into one."""
-    if left_path and right_path:
-        return stitch(left_path[:0:-1] + [seam] + right_path[1:])
-    return stitch(left_path[::-1] + right_path)
-
-
-def _enumerate_from_critical(u: ModulusModel, ic: CriticalIC, max_switches: int,
-                             opts: IntegrationOptions) -> list[PiecewiseSolution]:
-    lo, hi = u.domain
-    solutions: list[PiecewiseSolution] = []
-
-    def side_paths(side: int) -> list[tuple[list[SolutionPiece], int]]:
-        edge = lo if side < 0 else hi
-        if abs(ic.theta0 - edge) <= 1e-12:
-            return [([], 0)]
-        candidates = continuation_candidates(ic, side)
-        return _branch_paths(u, candidates, side, max_switches, opts) or [([], 0)]
-
-    for lpieces, lused in side_paths(-1):
-        for rpieces, rused in side_paths(+1):
-            if lused + rused > max_switches or not (lpieces or rpieces):
-                continue
-            solutions.append(stitch(list(reversed(lpieces)) + list(rpieces)))
+                solutions.append(stitch(lpieces[::-1] + rpieces if seam is None
+                                        else lpieces[:0:-1] + [seam] + rpieces[1:]))
     return solutions
 
 
 # ---------------------------------------------------------------------------
 # Two-point problem between consecutive critical points
 # ---------------------------------------------------------------------------
-
-def _flat_between(u: ModulusModel, left: CriticalPoint, right: CriticalPoint) -> bool:
-    """Whether U stays within ``1e-9*scale`` of ``left.depth**2`` at 17
-    probes from ``left`` to ``right``.
-
-    The probes are read one by one, and the first one off the bound decides:
-    a failure of U at a later probe is not raised.
-    """
-    read, bound, tol = u.value, left.depth ** 2, 1e-9 * u.scale
-    return all(abs(read(th) - bound) <= tol
-               for th in np.linspace(left.theta, right.theta, 17).tolist())
-
 
 def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoint, CriticalPoint, int]:
     """Choose the endpoint carrying local uniqueness (minimum first), by
@@ -369,19 +337,16 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     then snapped exactly; otherwise :class:`NoSolution` names the miss or,
     for a trajectory ending short of the far point, its termination and
     angle.  There is nothing to tune: the launch branch is the link, hit or
-    miss.  The two points join the call's critical set: the launch IC sits
-    at the point's angle and comes from the call's table, so a caller
-    chaining intervals shares it; a handoff onto the far point ends on that
-    point's angle too.
+    miss.  On a flat stretch it is the launch point's constant circle (the
+    largest curvature root, walk sign +1), which follows the bound to the
+    far point (:func:`~depthrec.ivp.bound_following_piece`).  The two
+    points join the call's critical set: the launch IC sits at the point's
+    angle and comes from the call's table, so a caller chaining intervals
+    shares it; a handoff onto the far point ends on that point's angle too.
     """
     if not left.theta < right.theta:
         raise NoSolution("empty interval between the critical points")
     use_critical_points(u, (left, right))
-
-    # autonomous stretch: the bound itself joins the endpoints
-    if _flat_between(u, left, right):
-        return bound_following_piece(u, left.theta, +1, stop_theta=right.theta)
-
     launch, target, side = _pick_launch(left, right)
     ic = critical_ic(u, launch.theta)
     # depth grows along the walk toward a deeper target

@@ -14,10 +14,12 @@ import depthrec.ivp as ivp_mod
 import depthrec.solutions as solutions_mod
 import depthrec.taylor as taylor_mod
 from depthrec.errors import (
-    DepthRecError, InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
-    OutsideCone,
+    ComplexDiscriminant, DepthRecError, InvalidModulus, NoContinuation, NoCriticalPoints,
+    NoSolution, NotConeApex, OutsideCone,
 )
-from depthrec.ivp import RegularIC, branch_to_piece, residual
+from depthrec.ivp import (
+    RegularIC, Termination, TerminationKind, bound_following_piece, branch_to_piece, residual,
+)
 from depthrec.modulus import ClosedFormModulus, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.reports import read_u_csv
@@ -25,7 +27,7 @@ from depthrec.solutions import (
     JunctionKind, build_cone, c1_check, enumerate_branches, maximal_solution,
     sample_cone_solution, solve_bvp_between_criticals, stitch,
 )
-from depthrec.taylor import CriticalIC
+from depthrec.taylor import BranchStatus, CriticalIC
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 PARABOLA = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
@@ -141,47 +143,58 @@ def test_enumeration_continues_only_from_points_the_trajectory_reached():
     assert all(np.max(np.diff(sol.thetas)) <= h_max + 1e-12 for sol in sols)
 
 
+# solutions through each scan point of a profile on (0, pi), per point; None
+# for a focus, where no branch is real
+CRITICAL_WALKS = [
+    ("2 + 0.3*sin(3*theta)", [None, 4, None]),
+    ("1 + (sin(2*theta))^2/50", [3, 4, 9, 4, 3]),
+]
+
+
+@pytest.mark.parametrize("text,counts", CRITICAL_WALKS)
+def test_enumerate_from_a_critical_ic(text, counts):
+    # each solution leaves the IC on one of its branches per side and passes
+    # through the IC's node on the bound with zero slope
+    u = ClosedFormModulus(text, (0.0, math.pi))
+    pts = find_critical_points(u).points
+    assert len(pts) == len(counts)
+    for p, count in zip(pts, counts):
+        ic = CriticalIC.from_modulus(u, p.theta)
+        if count is None:
+            assert p.phase is Phase.FOCUS
+            with pytest.raises(ComplexDiscriminant):
+                enumerate_branches(u, ic)
+            continue
+        sols = enumerate_branches(u, ic)
+        assert len(sols) == count
+        for sol in sols:
+            assert sol.c1
+            [i] = np.flatnonzero(sol.thetas == ic.theta0)
+            assert (sol.rhos[i], sol.drhos[i]) == (ic.rho0, 0.0)
+
+
 # -- two-point problems -----------------------------------------------------------
 
 def test_bvp_dense_constant():
+    # on a flat stretch the launch point's constant-circle branch is the
+    # link: the bound itself, snapped onto the far point like any link
     from depthrec.criticals import CriticalPoint
-    a = CriticalPoint(0.2, 1.0, CriticalKind.MINIMUM, UNIT)
-    b = CriticalPoint(1.2, 1.0, CriticalKind.MINIMUM, UNIT)
-    piece = solve_bvp_between_criticals(UNIT, a, b)
-    assert piece.dense_contact
-    np.testing.assert_allclose(piece.rhos, 1.0, atol=1e-12)
-
-
-def _flat_oracle(u, left, right):
-    """The autonomous-stretch test as it was, a scan probe by probe, but on
-    float angles: it passed numpy floats, so an error's text read
-    ``theta=np.float64(1.1)`` where it now reads ``theta=1.1``."""
-    return all(abs(u.value(th) - left.depth ** 2) <= 1e-9 * u.scale
-               for th in np.linspace(left.theta, right.theta, 17).tolist())
-
-
-def _flat_outcome(fn, u, left, right):
-    try:
-        return fn(u, left, right)
-    except DepthRecError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("text,domain,thetas", [
-    ("1", (0.0, 1.5), (0.2, 1.2)),                          # flat
-    ("1 + 1e-12*theta", (0.0, 1.5), (0.2, 1.2)),            # flat within the tolerance
-    ("2 + sin(theta)", (0.0, 2.0), (0.2, 1.2)),             # off the bound at the second probe
-    ("2 + sqrt(1 - theta)", (0.0, 2.0), (0.2, 1.8)),        # off the bound before U fails
-    ("2 + sqrt(1 - theta)^2 - (1 - theta)", (0.0, 2.0), (0.2, 1.8)),  # flat until U fails
-])
-def test_flat_stretch_test_matches_probe_loop(text, domain, thetas):
-    from depthrec.criticals import CriticalPoint
-    u = ClosedFormModulus(text, domain)
-    # only the left depth and the two angles enter the test
-    left, right = (CriticalPoint(th, math.sqrt(u.value(thetas[0])), CriticalKind.MINIMUM, u)
-                   for th in thetas)
-    assert _flat_outcome(solutions_mod._flat_between, u, left, right) == \
-        _flat_outcome(_flat_oracle, u, left, right)
+    flat_within_tolerance = ClosedFormModulus("1 + 1e-12*theta", (0.0, 1.5))
+    for u in (UNIT, flat_within_tolerance):
+        depth = math.sqrt(u.value(0.2))
+        a = CriticalPoint(0.2, depth, CriticalKind.MINIMUM, u)
+        b = CriticalPoint(1.2, depth, CriticalKind.MINIMUM, u)
+        piece = solve_bvp_between_criticals(u, a, b)
+        bound = bound_following_piece(u, 0.2, +1, stop_theta=1.2)
+        assert piece.dense_contact
+        assert piece.start_branch.status is BranchStatus.CONSTANT_CIRCLE
+        assert piece.termination == Termination(TerminationKind.CONTACT, 1.2,
+                                                "snapped to critical point")
+        np.testing.assert_array_equal(piece.thetas, bound.thetas)
+        np.testing.assert_array_equal(piece.rhos[:-1], bound.rhos[:-1])
+        np.testing.assert_array_equal(piece.drhos[:-1], bound.drhos[:-1])
+        assert (piece.rhos[-1], piece.drhos[-1]) == (depth, 0.0)
+        np.testing.assert_allclose(piece.rhos, 1.0, atol=1e-12)
 
 
 def test_bvp_trig_profile_mismatch():
@@ -405,6 +418,22 @@ def test_maximal_pieces_abut_exactly_at_critical_points():
     assert len(sol.pieces) >= 3
     for left, right in zip(sol.pieces, sol.pieces[1:]):
         assert left.theta_end == right.theta_start
+
+
+def test_maximal_through_a_touch_root():
+    # U' = (theta - 1.0001)^2 (4 theta - 7.0001) touches zero at 1.0001
+    # without a sign change: the scan accepts it by polishing the zero of
+    # U'' between the grid's neighbours of the smallest |U'|
+    u = ClosedFormModulus("3 + (theta - 1.0001)^3*(theta - 2)", (0.5, 2.5))
+    pts = find_critical_points(u).points
+    assert [p.phase for p in pts] == [Phase.SADDLE_NODE, Phase.SADDLE]
+    assert pts[0].theta == pytest.approx(1.0001, abs=1e-9)
+    assert pts[1].theta == pytest.approx(1.750025, abs=1e-9)
+    sol = maximal_solution(u)
+    assert (sol.theta_start, sol.theta_end) == (0.5, 2.5)
+    assert sol.c1
+    passes = [j.theta for j in sol.junctions if j.kind is JunctionKind.CRITICAL_PASS]
+    assert passes == [p.theta for p in pts]
 
 
 def test_maximal_upper_bound_everywhere():

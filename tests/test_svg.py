@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from depthrec.svg import HEIGHT, MARGIN, WIDTH, SvgCurve, SvgMarker, render_svg
 
 
-def _render_svg_oracle(curves, markers=None, title=""):
+def _render_svg_oracle(curves, markers=None):
     """The renderer that mapped every curve point through to_screen in Python."""
     markers = markers or []
     all_x = np.concatenate([np.asarray(c.xs, dtype=float) for c in curves]
@@ -33,20 +33,16 @@ def _render_svg_oracle(curves, markers=None, title=""):
         f'width="{WIDTH}" height="{HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="16">{title}</text>')
     for curve in curves:
         pts = [to_screen(float(x), float(y)) for x, y in zip(curve.xs, curve.ys)]
         if len(pts) < 2:
             continue
         d = "M " + " L ".join(f"{fmt(px)},{fmt(py)}" for px, py in pts)
-        dash = ' stroke-dasharray="6 4"' if curve.dashed else ""
         parts.append(f'<path d="{d}" fill="none" stroke="{curve.color}" '
-                     f'stroke-width="{curve.width}"{dash}/>')
+                     f'stroke-width="{curve.width}"/>')
     for marker in markers:
         sx, sy = to_screen(marker.x, marker.y)
-        parts.append(f'<circle cx="{fmt(sx)}" cy="{fmt(sy)}" r="{marker.radius}" '
+        parts.append(f'<circle cx="{fmt(sx)}" cy="{fmt(sy)}" r="4.0" '
                      f'fill="none" stroke="{marker.color}" stroke-width="1.5"/>')
     legend_y = 44.0
     for curve in curves:
@@ -71,7 +67,7 @@ def test_render_svg_equals_per_point_renderer(seed, lengths, n_markers, ragged):
         scale = 10.0 ** rng.integers(-8, 8)
         xs = rng.normal(size=n) * scale
         ys = rng.normal(size=n + (i % 2 if ragged else 0)) * scale  # zip stops early
-        curves.append(SvgCurve(xs, ys, dashed=bool(i % 2), label=f"c{i}" if i else ""))
+        curves.append(SvgCurve(xs, ys, label=f"c{i}" if i else ""))
     markers = [SvgMarker(float(x), float(y)) for x, y in rng.normal(size=(n_markers, 2))]
     assert render_svg(curves, markers) == _render_svg_oracle(curves, markers)
 
@@ -80,4 +76,4 @@ def test_render_svg_flat_curve_equals_per_point_renderer():
     # a constant curve widens its degenerate bounding box by one unit each way
     curves = [SvgCurve(np.full(5, 2.0), np.linspace(0.0, 1.0, 5)),
               SvgCurve([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])]
-    assert render_svg(curves, title="flat") == _render_svg_oracle(curves, title="flat")
+    assert render_svg(curves) == _render_svg_oracle(curves)
