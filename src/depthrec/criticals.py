@@ -10,15 +10,16 @@ A point's phase class (:func:`phase_of`) comes from U'' read through the
 profile's compiled kernel, as the touch-root search reads it, and kept as
 :attr:`CriticalPoint.u2`; its kind names the phase (a saddle is a minimum,
 a saddle-node an inflection, a node or a focus a maximum).  The scan builds
-no jet: :attr:`CriticalPoint.u_jet` is built on first read and kept.
+no jet: :attr:`CriticalPoint.u_jet` is built on first read and kept, and so
+is the point's critical IC, :attr:`CriticalPoint.ic`.
 Roots of U' closer than :func:`merge_distance` are one point.
 
-This scan is the solver's one way to find a critical point: each public
-solver call's table of critical ICs (:func:`~depthrec.taylor.critical_ic`)
-holds the critical set its caller passed, or else this scan of the
-profile, run once, and merges angles by the same distance.  A series
-handoff, and a contact snap off a flat stretch, ends on one of its angles.
-A scan that raises leaves its call with no points, and so no handoff.
+This scan is the solver's one way to find a critical point.  Every public
+solver call takes the critical set as an argument; a call given none uses
+:class:`ProfileScan`, this scan run on its first lookup, once.  A series
+handoff, and a contact snap off a flat stretch, ends on the angle of the
+set's point nearest it (:meth:`CriticalSet.near`) and takes that point's
+IC.  A scan that raises leaves its call with no points, and so no handoff.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,9 +36,12 @@ from scipy.optimize import brentq
 from .errors import DepthRecError, InvalidModulus
 from .modulus import Jet, ModulusModel
 
-__all__ = ["CriticalKind", "Phase", "phase_of", "CriticalPoint", "CriticalSet", "maximal_depth",
-           "find_critical_points", "upper_bound_check", "UpperBoundReport", "SCAN_CELLS",
-           "merge_distance"]
+if TYPE_CHECKING:
+    from .taylor import CriticalIC
+
+__all__ = ["CriticalKind", "Phase", "phase_of", "CriticalPoint", "CriticalSet", "ProfileScan",
+           "maximal_depth", "find_critical_points", "upper_bound_check", "UpperBoundReport",
+           "SCAN_CELLS", "merge_distance"]
 
 SCAN_CELLS = 2048  # cells of the U' scan
 _TOL_ROOT = 1e-12  # bracketed roots of U' and U'' are polished to this angle
@@ -114,6 +119,29 @@ class CriticalPoint:
         """The point's phase class (:func:`phase_of`), from :attr:`u2`."""
         return phase_of(self.depth, self.u2, self.profile.scale)
 
+    @property
+    def ic(self) -> CriticalIC:
+        """The critical IC at the point's angle, built on first read and kept,
+        with its jet and branch set.  A build that raised a
+        :class:`DepthRecError` raises it again on every read, building once."""
+        ic = self._ic
+        if isinstance(ic, DepthRecError):
+            raise ic.with_traceback(None)
+        return ic
+
+    @cached_property
+    def _ic(self) -> CriticalIC | DepthRecError:
+        from .taylor import CriticalIC  # taylor imports this module
+        try:
+            if self.profile.max_order == 2:
+                # a sampled profile's order-2 IC is built on the kept jet:
+                # from_modulus would make the same u.jet(theta, 2) call
+                jet = self.u_jet
+                return CriticalIC(self.theta, math.sqrt(max(jet[0], 0.0)), jet)
+            return CriticalIC.from_modulus(self.profile, self.theta)
+        except DepthRecError as exc:
+            return exc
+
 
 @dataclass
 class CriticalSet:
@@ -137,6 +165,40 @@ class CriticalSet:
 
     def __len__(self):
         return len(self.points)
+
+    def near(self, theta: float, reach: float) -> CriticalPoint | None:
+        """The point nearest ``theta`` within ``reach``, or None."""
+        found = None
+        for point in self.points:
+            gap = abs(point.theta - theta)
+            if gap <= reach:
+                reach, found = gap, point
+        return found
+
+    def on_dense(self, theta: float) -> bool:
+        """Whether ``theta`` lies on a dense stretch, to 1e-12."""
+        return any(a - 1e-12 <= theta <= b + 1e-12 for a, b in self.dense_intervals)
+
+
+class ProfileScan(CriticalSet):
+    """The critical set of a solver call given none: ``u``'s scan
+    (:func:`find_critical_points`), run on the first read, once.  A scan that
+    raises a :class:`DepthRecError` leaves no points; other errors propagate."""
+
+    def __init__(self, u: ModulusModel):
+        self.profile = u
+
+    @cached_property
+    def _found(self) -> CriticalSet:
+        try:
+            return find_critical_points(self.profile)
+        except DepthRecError:  # the scan cannot read the profile: no points
+            return CriticalSet([])
+
+    points = property(lambda self: self._found.points)
+    dense = property(lambda self: self._found.dense)
+    dense_intervals = property(lambda self: self._found.dense_intervals)
+    rejected = property(lambda self: self._found.rejected)
 
 
 def maximal_depth(u: ModulusModel, theta: float) -> float:
@@ -201,9 +263,8 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
     dense_intervals = [(float(thetas[start]), float(thetas[end]))
                        for start, end in runs if end - start >= 3]
     short_runs = [(start, end) for start, end in runs if end - start < 3]
-
-    def in_dense(th: float) -> bool:
-        return any(a - 1e-12 <= th <= b + 1e-12 for a, b in dense_intervals)
+    found = CriticalSet([], bool(dense_intervals), dense_intervals)
+    in_dense = found.on_dense
 
     roots: list[float] = []
 
@@ -254,21 +315,17 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
             continue
         merged.append(r)
 
-    points: list[CriticalPoint] = []
-    rejected: list[tuple[float, str]] = []
     for th in sorted(set(merged) | set(boundary)):
         uval = u.value(th)
         if uval <= 1e-14 * u.scale:
-            rejected.append((th, "profile vanishes here; no positive depth exists"))
+            found.rejected.append((th, "profile vanishes here; no positive depth exists"))
             continue
         depth, u2 = math.sqrt(uval), second(th)
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
         point = CriticalPoint(th, depth, phase_of(depth, u2, u.scale).kind, u, is_boundary)
         vars(point)["u2"] = u2  # the cached property's value: U'' is read once
-        points.append(point)
-
-    return CriticalSet(points=points, dense=bool(dense_intervals),
-                       dense_intervals=dense_intervals, rejected=rejected)
+        found.points.append(point)
+    return found
 
 
 @dataclass

@@ -57,12 +57,12 @@ points of every interval, is 4.0e-9, 0.99 of that tolerance; the 33 of 975
 stretches on near-resonant branches, whose coefficients grow too fast for
 the bound, keep the linear-interpolation spacing's nodes.  A near-contact
 series handoff, and a contact snap off a flat stretch, end on a point of
-the critical set of the public solver call they run in, and take its IC,
-which holds its branches, from the call's table
-(:func:`~depthrec.taylor.one_critical_table`; a ``solve_regular`` called on
-its own is such a call, and scans the profile once, when it first needs a
-point).  The table keeps one IC per critical point, so one approach, and
-every solve of one call, builds one jet and one branch set per point.
+the critical set the solve is given (``critical_set``; a solve given none
+scans the profile once, when it first needs a point,
+:class:`~depthrec.criticals.ProfileScan`), and a handoff takes the point's
+own IC, which holds its branches
+(:attr:`~depthrec.criticals.CriticalPoint.ic`), so one approach, and every
+solve given one set, builds one jet and one branch set per point.
 scipy's ``OdeSolver`` steppers are not used: on this 1-d field their
 per-step overhead exceeds the steps they save.  On the benchmark's
 ``roundtrip`` inputs (seed 101, its tolerances ``rtol=1e-12, atol=1e-14``,
@@ -84,13 +84,10 @@ from enum import Enum
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .criticals import maximal_depth
+from .criticals import CriticalSet, ProfileScan, maximal_depth, merge_distance
 from .errors import DepthRecError, DomainError, NoContinuation, NotRegular
 from .modulus import ModulusModel
-from .taylor import (
-    BranchStatus, CriticalIC, TaylorBranch, critical_angle_near, critical_ic, eval_series,
-    one_critical_table,
-)
+from .taylor import BranchStatus, CriticalIC, TaylorBranch, eval_series
 
 __all__ = [
     "BranchSign", "RegularIC", "TerminationKind", "Termination", "SolutionPiece",
@@ -285,11 +282,11 @@ def _hermite(t0, y0, f0, t1, y1, f1, t):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-@one_critical_table
 def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                   direction: str = "forward",
                   opts: IntegrationOptions | None = None,
-                  stop_theta: float | None = None) -> SolutionPiece:
+                  stop_theta: float | None = None,
+                  critical_set: CriticalSet | None = None) -> SolutionPiece:
     """Integrate one explicit branch until the domain end or an event.
 
     ``sign`` follows the walk convention of :class:`SolutionPiece`: +1
@@ -306,10 +303,12 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     the angle, unless an event comes first; one at or past the domain end
     changes nothing.  A series handoff that starts before ``stop_theta``
     still ends on its critical point's angle, and so does a contact
-    snap.  Raises
+    snap: a point of ``critical_set``, or else of the profile's scan, run
+    when first needed (:class:`~depthrec.criticals.ProfileScan`).  Raises
     ``ValueError`` when ``stop_theta`` lies behind the IC.
     """
     opts = opts or IntegrationOptions()
+    critical_set = ProfileScan(u) if critical_set is None else critical_set
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if direction not in ("forward", "backward"):
@@ -486,7 +485,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             elif (g_new <= handoff_factor * one_u
                     and g_new < u_t - y * y and handoff_theta_tried != t_new):
                 handoff_theta_tried = t_new
-                snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
+                snap = _series_handoff(u, t_new, y5, ode_sign, tdir, critical_set)
 
             # the step's end node, the only node an accepted step emits
             if t1 != t:
@@ -499,7 +498,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                 if kind is TerminationKind.CONTACT:
                     # land the final node exactly on the bound at the critical
                     # point (tangential contacts); transversal ones keep tau
-                    snap = _contact_node(u, tau, fs[-1], tdir, lo, hi)
+                    snap = _contact_node(u, tau, fs[-1], tdir, lo, hi, critical_set)
                     if snap is not None:
                         theta_c, rho_c = snap
                         if (ode_sign * (rho_c - ys[-1]) >= -1e-13
@@ -543,11 +542,11 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
 
 
 def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
-                  lo: float, hi: float) -> tuple[float, float] | None:
+                  lo: float, hi: float, critical_set: CriticalSet) -> tuple[float, float] | None:
     """Exact bound node for a tangential contact detected at ``tau``.
 
-    Lands on the call's critical point nearest ``tau`` within
-    ``min(1e-3*span, 1e-2)`` (:func:`~depthrec.taylor.critical_angle_near`);
+    Lands on the point of ``critical_set`` nearest ``tau`` within
+    ``min(1e-3*span, 1e-2)`` (:meth:`~depthrec.criticals.CriticalSet.near`);
     on autonomous stretches extrapolates the touch point from the residual
     slope of the local cosine-type trajectory.  Returns None for
     transversal contacts, which have no critical point to land on.
@@ -561,19 +560,21 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
             offset = math.asin(min(1.0, abs(f_tau) / bound))
             theta_c = min(max(tau + tdir * offset, lo), hi)
         else:
-            theta_c = critical_angle_near(u, tau, min(1e-3 * (hi - lo), 1e-2))
-            if theta_c is None:
+            point = critical_set.near(tau, min(1e-3 * (hi - lo), 1e-2))
+            if point is None:
                 return None
+            theta_c = point.theta
         return theta_c, maximal_depth(u, theta_c)
     except DepthRecError:  # U or its jet failed near the contact: keep tau
         return None
 
 
-def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: float):
+def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: float,
+                    critical_set: CriticalSet):
     """Finish a tangential approach with the local analytic series.
 
-    Takes the call's critical point nearest ``t`` within
-    ``2*_SERIES_RADIUS`` (:func:`~depthrec.taylor.critical_angle_near`),
+    Takes the point of ``critical_set`` nearest ``t`` within
+    ``2*_SERIES_RADIUS`` (:meth:`~depthrec.criticals.CriticalSet.near`),
     which must lie strictly ahead, reads the series of the complete branches
     there whose half runs with the approach, and if the current state sits
     on one of them (within ``_HANDOFF_MATCH_TOL``, and unambiguously so),
@@ -583,14 +584,15 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     on the bound with zero slope.
     Returns None when no unambiguous branch match exists (flat curvature,
     autonomous stretches, cone-interior trajectories, genuine pass-unders).
-    Every attempt on one approach finds the same point, so the call's table
-    builds one IC and one branch set for them.
+    Every attempt on one approach finds the same point, which builds its IC
+    and branch set once (:attr:`~depthrec.criticals.CriticalPoint.ic`).
     """
-    theta_c = critical_angle_near(u, t, 2 * _SERIES_RADIUS)
-    if theta_c is None or tdir * (theta_c - t) <= 0.0:
+    point = critical_set.near(t, 2 * _SERIES_RADIUS)
+    if point is None or tdir * (point.theta - t) <= 0.0:
         return None  # no critical point ahead in the direction of travel
+    theta_c = point.theta
     try:
-        ic = critical_ic(u, theta_c)
+        ic = point.ic
         branches = ic.branches
     except DepthRecError:  # no usable critical IC here: leave it to the events
         return None
@@ -724,7 +726,8 @@ def residual(piece: SolutionPiece, u: ModulusModel) -> float:
 
 def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
                     opts: IntegrationOptions | None = None,
-                    stop_theta: float | None = None) -> SolutionPiece:
+                    stop_theta: float | None = None,
+                    critical_set: CriticalSet | None = None) -> SolutionPiece:
     """Materialize one half of an analytic branch as a solution piece.
 
     The series leg runs ``min(_SERIES_RADIUS, room)`` from the critical
@@ -734,7 +737,8 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     ``_HERMITE_TOL*(1 + rho0)`` of the series (:func:`_series_angles`).
     ``side`` +1 extends toward larger angles.  A constant branch turns into
     a bound-following piece instead.  The piece carries ``branch`` at the
-    critical angle, and the tail's handoff branch, if any, at its far end.
+    critical angle, and the tail's handoff onto ``critical_set``, if any, at
+    its far end.
     """
     theta_c = branch.ic.theta0
     lo, hi = u.domain
@@ -765,7 +769,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     else:
         try:
             tail = solve_regular(u, RegularIC(theta_h, rho_h), walk_sign, direction, opts,
-                                 stop_theta)
+                                 stop_theta, critical_set)
         except NotRegular:
             # the series leg still hugs the bound at the handoff point
             termination = Termination(TerminationKind.CONTACT, theta_h)
@@ -869,24 +873,29 @@ def leaving_branches(ic: CriticalIC, side: int,
     return branches
 
 
-@one_critical_table
 def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
                               choice: BranchSign,
-                              opts: IntegrationOptions | None = None) -> SolutionPiece:
+                              opts: IntegrationOptions | None = None,
+                              critical_set: CriticalSet | None = None) -> SolutionPiece:
     """Continue a contact-terminated trajectory past the critical point.
 
     The continuation starts exactly on the bound with zero slope, where
     the piece ended, on the first of :func:`leaving_branches` with walk
-    sign ``choice``.  Raises :class:`NoContinuation` when no branch has it, or
-    when the piece ended at a contact that is not a critical point.
+    sign ``choice``, from the IC of the point of ``critical_set`` (or else
+    the profile's scan) there, or else one built there.  Raises
+    :class:`NoContinuation` when no branch has that sign, or when the piece
+    ended at a contact that is not a critical point.
     """
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
+    critical_set = ProfileScan(u) if critical_set is None else critical_set
     side = +1 if piece.direction == "forward" else -1
     theta = piece.termination.theta
+    point = critical_set.near(theta, merge_distance(u))
     try:
-        ic = critical_ic(u, theta)
+        ic = CriticalIC.from_modulus(u, theta) if point is None else point.ic
     except DomainError as exc:
         raise NoContinuation(
             f"the contact at theta={theta} is not a critical point: {exc}") from exc
-    return branch_to_piece(u, leaving_branches(ic, side, choice)[0], side, opts)
+    return branch_to_piece(u, leaving_branches(ic, side, choice)[0], side, opts,
+                           critical_set=critical_set)

@@ -19,13 +19,12 @@ interval, between the outermost critical point and the domain end, takes
 the first branch leaving the point, largest curvature root first, whose
 piece reaches the domain end.
 
-Each public function here is one call of
-:func:`~depthrec.taylor.one_critical_table`: every critical point it meets
-gets one IC and one branch set, shared by all its pieces, continuations
-and handoffs until it returns.  A function given critical points makes
-them the call's critical set (:func:`~depthrec.taylor.use_critical_points`);
-the others scan the profile once, when they first need a point.  A piece
-snapped onto a point and a piece leaving it meet at the point's angle.
+Each public function here takes the critical set (``critical_set``) and
+hands it down to every solve, continuation and handoff it makes; one given
+none scans the profile when it first needs a point
+(:class:`~depthrec.criticals.ProfileScan`), a link its two points.  Each
+point owns its IC and branch set (:attr:`~depthrec.criticals.CriticalPoint.ic`):
+a piece snapped onto a point and a piece leaving it meet at its angle.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .criticals import (
-    SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, Phase, find_critical_points,
-    maximal_depth, phase_of,
+    SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, Phase, ProfileScan,
+    find_critical_points, maximal_depth, merge_distance, phase_of,
 )
 from .errors import (
     DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular,
@@ -49,9 +48,7 @@ from .ivp import (
     continue_through_critical, leaving_branches, solve_regular,
 )
 from .modulus import ModulusModel
-from .taylor import (
-    CriticalIC, TaylorBranch, critical_ic, one_critical_table, use_critical_points,
-)
+from .taylor import CriticalIC, TaylorBranch
 
 _TOL_BVP = 1e-8          # largest depth miss of a link at the far critical point
 _ABUT_TOL = 1e-6         # largest angle gap between consecutive pieces
@@ -202,8 +199,11 @@ def c1_check(sol: PiecewiseSolution) -> C1Report:
 # ---------------------------------------------------------------------------
 
 def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
-            opts: IntegrationOptions) -> list[tuple[list[SolutionPiece], int]]:
-    """All continuation paths from a piece, annotated with switches used."""
+            opts: IntegrationOptions, critical_set: CriticalSet
+            ) -> list[tuple[list[SolutionPiece], int]]:
+    """All continuation paths from a piece, annotated with switches used; a
+    contact off ``critical_set`` and every dense stretch is a fold, where no
+    C1 continuation leaves, and ends the path without building an IC."""
     if piece.termination.kind is not TerminationKind.CONTACT or budget <= 0:
         return [([piece], 0)]
     theta_c = piece.termination.theta
@@ -211,31 +211,36 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     room = (hi - theta_c) if side > 0 else (theta_c - lo)
     if room <= 1e-12:
         return [([piece], 0)]
+    point = critical_set.near(theta_c, merge_distance(u))
+    if point is None and not critical_set.on_dense(theta_c):
+        return [([piece], 0)]
     try:
-        ic = critical_ic(u, theta_c)
+        ic = CriticalIC.from_modulus(u, theta_c) if point is None else point.ic
         candidates = continuation_candidates(ic, side)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
     paths = [([piece] + rest, used + 1)
-             for rest, used in _branch_paths(u, candidates, side, budget - 1, opts)]
+             for rest, used in _branch_paths(u, candidates, side, budget - 1, opts,
+                                             critical_set)]
     return paths or [([piece], 0)]
 
 
 def _branch_paths(u: ModulusModel, candidates: list[tuple[int, TaylorBranch]], side: int,
-                  budget: int, opts: IntegrationOptions) -> list[tuple[list[SolutionPiece], int]]:
+                  budget: int, opts: IntegrationOptions, critical_set: CriticalSet
+                  ) -> list[tuple[list[SolutionPiece], int]]:
     """The continuation paths of every candidate branch's piece on ``side``."""
     paths: list[tuple[list[SolutionPiece], int]] = []
     for _walk_sign, branch in candidates:
         try:
-            piece = branch_to_piece(u, branch, side, opts)
+            piece = branch_to_piece(u, branch, side, opts, critical_set=critical_set)
         except (NoContinuation, NotRegular):
             continue
-        paths.extend(_extend(u, piece, side, budget, opts))
+        paths.extend(_extend(u, piece, side, budget, opts, critical_set))
     return paths
 
 
 def _seed_paths(u: ModulusModel, ic: RegularIC | CriticalIC, ode_sign: int, side: int,
-                max_switches: int, opts: IntegrationOptions
+                max_switches: int, opts: IntegrationOptions, critical_set: CriticalSet
                 ) -> list[tuple[list[SolutionPiece], int]]:
     """The paths on ``side`` of an IC, each with the switches it used: a
     regular IC's seed piece of ``ode_sign``, or the piece of each branch
@@ -246,17 +251,17 @@ def _seed_paths(u: ModulusModel, ic: RegularIC | CriticalIC, ode_sign: int, side
         return [([], 0)]
     if isinstance(ic, CriticalIC):
         candidates = continuation_candidates(ic, side)
-        return _branch_paths(u, candidates, side, max_switches, opts) or [([], 0)]
+        return _branch_paths(u, candidates, side, max_switches, opts, critical_set) or [([], 0)]
     direction = "forward" if side > 0 else "backward"
-    piece = solve_regular(u, ic, ode_sign * side, direction, opts)
-    return _extend(u, piece, side, max_switches, opts)
+    piece = solve_regular(u, ic, ode_sign * side, direction, opts, critical_set=critical_set)
+    return _extend(u, piece, side, max_switches, opts, critical_set)
 
 
-@one_critical_table
 def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None,
                        max_switches: int = 2,
                        opts: IntegrationOptions | None = None,
-                       fan_size: int = 6, seed: int = 0) -> list[PiecewiseSolution]:
+                       fan_size: int = 6, seed: int = 0,
+                       critical_set: CriticalSet | None = None) -> list[PiecewiseSolution]:
     """The finite tree of C1 solutions through an initial condition.
 
     A regular IC seeds one rising and one falling trajectory, a critical IC
@@ -270,9 +275,11 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
 
     With no IC, a deterministic fan of regular ICs is sampled for
     illustration, each enumerated up to ``max_switches``; the full solution
-    set is dense and not enumerable.
+    set is dense and not enumerable.  Contacts continue through the points
+    of ``critical_set``, or else of the profile's scan (:func:`_extend`).
     """
     opts = opts or IntegrationOptions()
+    critical_set = ProfileScan(u) if critical_set is None else critical_set
     if ic is None:
         rng = np.random.default_rng(seed)
         lo, hi = u.domain
@@ -282,8 +289,8 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
             bound = maximal_depth(u, th)
             rho = float(rng.uniform(0.3, 0.9)) * bound
             try:
-                out.extend(enumerate_branches(u, RegularIC(th, rho),
-                                              max_switches=max_switches, opts=opts))
+                out.extend(enumerate_branches(u, RegularIC(th, rho), max_switches=max_switches,
+                                              opts=opts, critical_set=critical_set))
             except (NotRegular, NoSolution):
                 continue
         return out
@@ -291,8 +298,8 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
     regular = isinstance(ic, RegularIC)
     solutions: list[PiecewiseSolution] = []
     for ode_sign in (+1, -1) if regular else (+1,):
-        lefts = _seed_paths(u, ic, ode_sign, -1, max_switches, opts)
-        rights = _seed_paths(u, ic, ode_sign, +1, max_switches, opts)
+        lefts = _seed_paths(u, ic, ode_sign, -1, max_switches, opts, critical_set)
+        rights = _seed_paths(u, ic, ode_sign, +1, max_switches, opts, critical_set)
         # every path of one side of a regular IC starts with that side's seed
         # piece, so the solutions of this sign share one seam through the IC
         (lfirst, _), (rfirst, _) = lefts[0], rights[0]
@@ -325,10 +332,10 @@ def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoi
     raise NoSolution("neither endpoint is minimum-type; the chain is ambiguous here")
 
 
-@one_critical_table
 def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
                                 right: CriticalPoint,
-                                opts: IntegrationOptions | None = None) -> SolutionPiece:
+                                opts: IntegrationOptions | None = None,
+                                critical_set: CriticalSet | None = None) -> SolutionPiece:
     """The unique trajectory joining two consecutive critical points.
 
     Launched as the largest-curvature analytic branch leaving the
@@ -339,20 +346,20 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
     angle.  There is nothing to tune: the launch branch is the link, hit or
     miss.  On a flat stretch it is the launch point's constant circle (the
     largest curvature root, walk sign +1), which follows the bound to the
-    far point (:func:`~depthrec.ivp.bound_following_piece`).  The two
-    points join the call's critical set: the launch IC sits at the point's
-    angle and comes from the call's table, so a caller chaining intervals
-    shares it; a handoff onto the far point ends on that point's angle too.
+    far point (:func:`~depthrec.ivp.bound_following_piece`).  The launch
+    IC is the launch point's own, so a caller chaining intervals shares it.
+    The handoffs of the link's tail end on points of ``critical_set``, by
+    default the two points: one onto the far point ends on its angle.
     """
     if not left.theta < right.theta:
         raise NoSolution("empty interval between the critical points")
-    use_critical_points(u, (left, right))
+    critical_set = CriticalSet([left, right]) if critical_set is None else critical_set
     launch, target, side = _pick_launch(left, right)
-    ic = critical_ic(u, launch.theta)
     # depth grows along the walk toward a deeper target
     walk_sign = 1 if target.depth >= launch.depth else -1
-    branch = _leaving_branches(ic, side, walk_sign)[0]
-    piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta)
+    branch = _leaving_branches(launch.ic, side, walk_sign)[0]
+    piece = branch_to_piece(u, branch, side, opts, stop_theta=target.theta,
+                            critical_set=critical_set)
     theta_end, rho_end, _ = _end_state(piece, at_start=(side < 0))
     if abs(theta_end - target.theta) > 5e-3:  # stalled or contacted far from the target
         end = piece.termination
@@ -388,7 +395,6 @@ def _snap_end(piece: SolutionPiece, target: CriticalPoint, side: int) -> Solutio
 # The depth-maximal solution
 # ---------------------------------------------------------------------------
 
-@one_critical_table
 def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
                      critical_set: CriticalSet | None = None) -> PiecewiseSolution:
     """The solution dominating all others pointwise, as this construction
@@ -404,17 +410,16 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     outermost point reaches the domain end.  Not every
     critical point is one the maximal solution touches, so that error does
     not prove the profile has no solution.  ``critical_set``, or else the
-    profile's scan, is the call's critical set: each point's IC is built
-    once, at the point's angle, and shared by every piece leaving that
-    point; a piece ending at a point ends on that angle too, so the pieces
-    abut exactly.  On a fully autonomous profile the bound itself solves the
+    profile's scan, is the call's critical set: each point's IC is its own,
+    at the point's angle, and shared by every piece leaving that point; a
+    piece ending at a point ends on that angle too, so the pieces abut
+    exactly.  On a fully autonomous profile the bound itself solves the
     equation and is returned directly.  A profile with no critical point
     is first read on the scan grid, so one that is negative or undefined
     somewhere raises that error, naming the angle, rather than
     :class:`NoCriticalPoints`.
     """
     cs = critical_set if critical_set is not None else find_critical_points(u)
-    use_critical_points(u, cs.points)
     lo, hi = u.domain
 
     if not cs.points:
@@ -429,23 +434,23 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     pieces: list[SolutionPiece] = []
     pts = cs.points
     for a, b in zip(pts, pts[1:]):
-        pieces.append(solve_bvp_between_criticals(u, a, b, opts))
+        pieces.append(solve_bvp_between_criticals(u, a, b, opts, critical_set=cs))
 
     # the outer intervals: a branch leaving the outermost critical points
     for point, side, room in ((pts[0], -1, pts[0].theta - lo), (pts[-1], +1, hi - pts[-1].theta)):
         if room > 1e-9:
-            pieces.append(_outer_piece(u, critical_ic(u, point.theta), side, opts))
+            pieces.append(_outer_piece(u, point.ic, side, opts, cs))
 
     return stitch(pieces)
 
 
 def _outer_piece(u: ModulusModel, ic: CriticalIC, side: int,
-                 opts: IntegrationOptions | None) -> SolutionPiece:
+                 opts: IntegrationOptions | None, critical_set: CriticalSet) -> SolutionPiece:
     """The piece of the first branch leaving ``ic`` on ``side``, largest
     curvature root first, that reaches the domain end; :class:`NoSolution`
     when none does."""
     for branch in _leaving_branches(ic, side):
-        piece = branch_to_piece(u, branch, side, opts)
+        piece = branch_to_piece(u, branch, side, opts, critical_set=critical_set)
         if piece.termination.kind is TerminationKind.DOMAIN_END:
             return piece
     raise NoSolution(f"no branch leaving the critical point at theta={ic.theta0} "
@@ -475,7 +480,6 @@ class ConvergenceCone:
                 < float(self.upper.interp(theta)) - margin)
 
 
-@one_critical_table
 def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                opts: IntegrationOptions | None = None,
                side: int | None = None,
@@ -484,12 +488,12 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
 
     An apex whose phase class (an IC's by :func:`~depthrec.criticals.phase_of`
     on its jet) is a saddle or a focus raises :class:`NotConeApex` before any
-    IC or branch is built.  Each curvature root's branch is grown outward on
-    ``side``, the pointwise-larger one the upper bound.  ``critical_set``, or
-    else the profile's scan, run when first needed, is the call's critical set.
+    IC or branch is built.  Each curvature root's branch of its IC (a point's
+    own, :attr:`~depthrec.criticals.CriticalPoint.ic`) is grown outward on
+    ``side``, the pointwise-larger one the upper bound.  The branches' tails
+    hand off onto ``critical_set``, or else the profile's scan.
     """
-    if critical_set is not None:
-        use_critical_points(u, critical_set.points)
+    critical_set = ProfileScan(u) if critical_set is None else critical_set
     by_hand = isinstance(apex, CriticalIC)
     theta_c, depth = (apex.theta0, apex.rho0) if by_hand else (apex.theta, apex.depth)
     phase = phase_of(depth, 2.0 * apex.u_jet[2], u.scale) if by_hand else apex.phase
@@ -499,7 +503,7 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                else "no solution touches it")
         raise NotConeApex(f"the critical point at theta={theta_c} is a {phase.value}: {why}, "
                           "so it is no cone apex")
-    ic = apex if by_hand else critical_ic(u, theta_c)
+    ic = apex if by_hand else apex.ic
     if side is None:
         side = -1 if abs(theta_c - u.domain[1]) < 1e-9 else +1
 
@@ -507,7 +511,8 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
     if len(candidates) < 2:
         raise NotConeApex("the apex does not carry two distinct branches")
     # smaller curvature root first: the larger one grows the upper bound
-    lower, upper = (stitch([branch_to_piece(u, b, side, opts)]) for _s, b in candidates)
+    lower, upper = (stitch([branch_to_piece(u, b, side, opts, critical_set=critical_set)])
+                    for _s, b in candidates)
     end = upper.theta_end if side > 0 else upper.theta_start
     other_end = lower.theta_end if side > 0 else lower.theta_start
     reach = min(end, other_end) if side > 0 else max(end, other_end)
@@ -516,7 +521,6 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
                            side=side)
 
 
-@one_critical_table
 def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
                          opts: IntegrationOptions | None = None,
                          critical_set: CriticalSet | None = None) -> PiecewiseSolution:
@@ -528,8 +532,7 @@ def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
     from it the trajectory keeps falling to the domain end or the floor.
     ``critical_set`` is the call's critical set as in :func:`build_cone`.
     """
-    if critical_set is not None:
-        use_critical_points(u, critical_set.points)
+    critical_set = ProfileScan(u) if critical_set is None else critical_set
     opts = opts or IntegrationOptions()
     margin = 1e-9 * (1.0 + cone.apex_depth)
     if not cone.contains(ic.theta0, ic.rho0, margin=margin):
@@ -538,8 +541,8 @@ def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
     toward_apex = "backward" if cone.side > 0 else "forward"
     away = "forward" if cone.side > 0 else "backward"
     walk_toward = +1  # depth grows walking toward the apex
-    inward = solve_regular(u, ic, walk_toward, toward_apex, opts)
-    outward = solve_regular(u, ic, -1, away, opts)
+    inward = solve_regular(u, ic, walk_toward, toward_apex, opts, critical_set=critical_set)
+    outward = solve_regular(u, ic, -1, away, opts, critical_set=critical_set)
     # the two runs are halves of one falling trajectory through the IC
     if cone.side > 0:
         pieces = [_merge_adjacent(inward, outward)]
@@ -553,7 +556,8 @@ def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
         if room <= 1e-9:
             break
         try:
-            tip = continue_through_critical(tip, u, choice=+1, opts=opts)
+            tip = continue_through_critical(tip, u, choice=+1, opts=opts,
+                                            critical_set=critical_set)
         except NoContinuation:
             break
         pieces.append(tip)

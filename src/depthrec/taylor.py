@@ -22,29 +22,21 @@ resonant lattice, where the recursion stalls and a one-parameter family of
 series appears.  :func:`resonance` is the one rule for it: the recursion
 stalls, and a branch is degenerate, at the first order it names.
 
-Every critical IC is built by :func:`critical_ic`, its jet at
-:data:`DEFAULT_ORDER` or the profile's exact capability if that is lower
-(a sampled profile's jet stops at 2), and its branch set,
-:attr:`CriticalIC.branches`, is built once, on first use; the integrator
-and the global assembly use nothing else at a critical point.  A branch of
-that set runs the recursion the first time its coefficients are read, and
-only then: a link that reads one branch of a point expands that one.  Its
-status and the sign of each half (:meth:`TaylorBranch.half_sign`) come
-from its curvature root alone, as the recursion would decide them, except
-for a root so small that the branch may be the constant circle.  Within one
-public solver call (:func:`one_critical_table`) there is one table of ICs,
-and it is that call's critical set: the points the caller passed
-(:func:`use_critical_points`), or else the profile's critical scan
-(:func:`~depthrec.criticals.find_critical_points`), run once, when first
-needed; a scan that raises leaves no points, and so no series handoff.  A
-handoff, and a contact snap off a flat stretch, ends on the set's nearest
-angle (:func:`critical_angle_near`), and an angle within
-:func:`~depthrec.criticals.merge_distance` of a point gets that point's
-IC, at its angle: pieces that start at a point and pieces that end there
-meet at one angle and share one jet and one branch set.  Any other angle
-gets an IC built there.  Calls nested in another share its table, which
-is dropped when the outermost call returns; outside any call
-:func:`critical_ic` builds afresh each time.
+A critical IC is built at :data:`DEFAULT_ORDER`, or the profile's exact
+capability if that is lower (a sampled profile's jet stops at 2), and its
+branch set, :attr:`CriticalIC.branches`, is built once, on first use; the
+integrator and the global assembly use nothing else at a critical point.
+A branch of that set runs the recursion the first time its coefficients
+are read, and only then: a link that reads one branch of a point expands
+that one.  Its status and the sign of each half
+(:meth:`TaylorBranch.half_sign`) come from its curvature root alone, as
+the recursion would decide them, except for a root so small that the
+branch may be the constant circle; the IC settles each root's stall
+(:meth:`CriticalIC.stall`) once, for the status and the recursion both.
+The solver takes the IC of a point of the critical set from the point
+(:attr:`~depthrec.criticals.CriticalPoint.ic`): pieces that start at a
+point and pieces that end there meet at one angle and share one jet and
+one branch set.
 
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
@@ -60,20 +52,18 @@ from __future__ import annotations
 
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .criticals import CriticalPoint, Phase, find_critical_points, merge_distance, phase_of
-from .errors import ComplexDiscriminant, DegenerateFamily, DepthRecError, DomainError
+from .criticals import Phase, phase_of
+from .errors import ComplexDiscriminant, DegenerateFamily, DomainError
 from .modulus import Jet, ModulusModel
 
 __all__ = [
     "CriticalIC", "TaylorBranch", "BranchStatus", "second_derivative_roots",
     "resonance", "expand_branch", "eval_series", "recursion_residuals",
-    "critical_ic", "critical_angle_near", "use_critical_points", "one_critical_table",
 ]
 
 DEFAULT_ORDER = 20
@@ -89,6 +79,8 @@ class CriticalIC:
     theta0: float
     rho0: float
     u_jet: Jet
+    # each curvature root's recursion stall, settled once by stall()
+    _stalls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rho0 <= 0.0:
@@ -120,6 +112,14 @@ class CriticalIC:
         b1, b2 = second_derivative_roots(self.rho0, 2.0 * self.u_jet[2])
         betas = (b1,) if b1 == b2 else (b1, b2)
         return tuple(TaylorBranch(self, b) for b in betas)
+
+    def stall(self, beta: float) -> int | None:
+        """The order at which the recursion from curvature root ``beta``
+        stalls, or None: :func:`resonance` at this IC's depth and order,
+        run once per root, for a branch's status and its recursion both."""
+        if beta not in self._stalls:
+            self._stalls[beta] = resonance(self.rho0, beta, self.u_jet.order)[1]
+        return self._stalls[beta]
 
 
 class BranchStatus(Enum):
@@ -170,10 +170,10 @@ class TaylorBranch:
     @functools.cached_property
     def status(self) -> BranchStatus:
         if self._expansion is None:
-            rho0, beta, order = self.ic.rho0, self.beta, self.ic.u_jet.order
-            if resonance(rho0, beta, order)[1] is not None:
+            rho0, beta = self.ic.rho0, self.beta
+            if self.ic.stall(beta) is not None:
                 return BranchStatus.DEGENERATE
-            if order >= 2 and abs(0.5 * beta) > _TOL_CONSTANT * (1.0 + rho0):
+            if self.ic.u_jet.order >= 2 and abs(0.5 * beta) > _TOL_CONSTANT * (1.0 + rho0):
                 return BranchStatus.COMPLETE
         return self._expanded()[1]
 
@@ -269,7 +269,7 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
     """
     order = ic.u_jet.order
     rho0 = ic.rho0
-    stall = resonance(rho0, beta, order)[1]
+    stall = ic.stall(beta)
     u = ic.u_jet.coeffs.tolist()
 
     a = [rho0, 0.0, 0.5 * beta]
@@ -338,114 +338,3 @@ def recursion_residuals(branch: TaylorBranch) -> np.ndarray:
     defects = np.abs(np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n] - u)[1:]
     slope, a = np.abs(slope), np.abs(a)
     return defects / (1.0 + (np.convolve(slope, slope)[:n] + np.convolve(a, a)[:n])[1:])
-
-
-# one public solver call's critical ICs, by profile: [angle, point, ic]
-# entries, point the CriticalPoint of the call's critical set at that angle
-# (None for an IC asked for off the set), ic the IC, the error its build
-# raised, or None before it is built
-_UNUSED: dict = {}  # marks a call that has not needed its table yet; never written
-_call_table: ContextVar[dict | None] = ContextVar("depthrec_call_table", default=None)
-
-
-def one_critical_table(fn):
-    """Decorate a public solver call: one table of critical ICs serves it
-    and every call nested in it, and is dropped when it returns.  The table
-    is made on first use, so a call that meets no critical point makes
-    none."""
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        if _call_table.get() is not None:  # nested: the outer call's table
-            return fn(*args, **kwargs)
-        token = _call_table.set(_UNUSED)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _call_table.reset(token)
-
-    return call
-
-
-def _points(u: ModulusModel, scan: bool = True) -> list[list] | None:
-    """The running call's critical ICs of ``u``; None outside a call.  A
-    call given no critical set of ``u`` scans it now, once (``scan``)."""
-    table = _call_table.get()
-    if table is None:
-        return None
-    if table is _UNUSED:
-        table = {}
-        _call_table.set(table)
-    entries = table.get(u)
-    if entries is None:
-        try:
-            scanned = find_critical_points(u).points if scan else []
-        except DepthRecError:  # the scan cannot read the profile: no points
-            scanned = []
-        entries = table[u] = [[p.theta, p, None] for p in scanned]
-    return entries
-
-
-def _nearest(entries, theta: float, reach: float, off_set: bool = True) -> list | None:
-    """The entry nearest ``theta`` within ``reach``, or None; entries off
-    the critical set only with ``off_set``."""
-    found = None
-    for entry in entries:
-        gap = abs(entry[0] - theta)
-        if gap <= reach and (off_set or entry[1] is not None):
-            reach, found = gap, entry
-    return found
-
-
-def use_critical_points(u: ModulusModel, points) -> None:
-    """Make ``points``, critical points of ``u``, the running public solver
-    call's critical set, so that the call does not scan ``u``; a call that
-    already has a set gains the points it lacks."""
-    entries = _points(u, scan=False)
-    if entries is None:
-        return
-    for p in points:
-        if _nearest(entries, p.theta, merge_distance(u)) is None:
-            entries.append([p.theta, p, None])
-
-
-def critical_angle_near(u: ModulusModel, theta: float, window: float) -> float | None:
-    """The angle of the running call's critical point nearest ``theta``
-    within ``window``; None when there is none, or outside a call."""
-    entries = _points(u)
-    found = None if entries is None else _nearest(entries, theta, window, off_set=False)
-    return None if found is None else found[0]
-
-
-def critical_ic(u: ModulusModel, theta0: float) -> CriticalIC:
-    """:meth:`CriticalIC.from_modulus`, built once per critical point in the
-    running public solver call: an angle within :func:`merge_distance` of a
-    point of the call's critical set gets that point's IC, built at the
-    point's angle; any other angle gets an IC built there, once.  A point's
-    order-2 IC (a sampled profile's) is built on the point's own jet,
-    :attr:`~depthrec.criticals.CriticalPoint.u_jet`.  A build that raised a
-    :class:`DepthRecError` raises it again on every later ask."""
-    entries = _points(u)
-    if entries is None:
-        return CriticalIC.from_modulus(u, theta0)
-    entry = _nearest(entries, theta0, merge_distance(u))
-    if entry is None:
-        entry = [theta0, None, None]
-        entries.append(entry)
-    if entry[2] is None:
-        try:
-            entry[2] = _build(u, entry[0], entry[1])
-        except DepthRecError as exc:
-            entry[2] = exc
-    if isinstance(entry[2], DepthRecError):
-        raise entry[2].with_traceback(None)
-    return entry[2]
-
-
-def _build(u: ModulusModel, theta: float, point: CriticalPoint | None) -> CriticalIC:
-    if point is not None and u.max_order == 2:
-        # the same u.jet(theta, 2) call, so the same bits; a closed form's
-        # order-2 jet is not the head of its order-20 one in the last bit
-        jet = point.u_jet
-        return CriticalIC(theta, math.sqrt(max(jet[0], 0.0)), jet)
-    return CriticalIC.from_modulus(u, theta)

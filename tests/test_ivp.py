@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import depthrec.ivp as ivp_mod
+from depthrec.criticals import CriticalSet, ProfileScan
 from depthrec.errors import (
     DepthRecError, DomainError, EvalError, InvalidModulus, NoContinuation, NotRegular,
 )
@@ -54,18 +55,19 @@ def oracle_emit_nodes(ts, ys, fs, t0, t1, y1, f1) -> None:
     fs.append(f1)
 
 
-@taylor_mod.one_critical_table
-def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
+def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_set=None):
     """The stepper as it was before its stages were written out: a generic
     loop over the tableau, one node emitted per accepted step.
     U is read once at the IC, for the regularity check and the first
     slope, at every stage angle, at every event bisection midpoint, and at
     an event angle that no bisection read; the U of
     a step's last stage (``c = 1``) serves the step's end, and the step's
-    start reuses the previous step's end.  It is one public solver call,
-    as ``solve_regular`` is: its handoff attempts share one table of
-    critical ICs, one IC per critical point."""
+    start reuses the previous step's end.  It takes the critical set as
+    ``solve_regular`` does: given none, its handoffs and contact snaps look
+    up the profile's scan, run when first needed, so its handoff attempts
+    share one IC per critical point."""
     opts = opts or IntegrationOptions()
+    critical_set = ProfileScan(u) if critical_set is None else critical_set
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if direction not in ("forward", "backward"):
@@ -194,7 +196,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
             if kind is TerminationKind.CONTACT:
                 # land the final node exactly on the bound at the critical
                 # point (tangential contacts); transversal ones keep tau
-                snap = _contact_node(u, tau, fs[-1], tdir, lo, hi)
+                snap = _contact_node(u, tau, fs[-1], tdir, lo, hi, critical_set)
                 if snap is not None:
                     theta_c, rho_c = snap
                     if ode_sign * (rho_c - ys[-1]) >= -1e-13 and tdir * (theta_c - tau) >= 0.0:
@@ -212,7 +214,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None):
         if (g_new <= _HANDOFF_FACTOR * (1.0 + abs(u_new))
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
-            snap = _series_handoff(u, t_new, y5, ode_sign, tdir)
+            snap = _series_handoff(u, t_new, y5, ode_sign, tdir, critical_set)
             if snap is not None:
                 snap_ts, snap_ys, snap_fs, theta_c, handoff_branch = snap
                 oracle_emit_nodes(ts, ys, fs, t, t_new, y5, k6)
@@ -736,6 +738,30 @@ def test_oracle_series_handoff(monkeypatch):
     assert True in taken
     assert piece.termination.kind is TerminationKind.CONTACT
     assert piece.termination.theta == piece.thetas[0]
+
+
+def test_a_solve_hands_off_only_onto_its_critical_set(monkeypatch):
+    # the scanned set has the point this approach hands off onto; the empty
+    # set has none, so the same solve makes no handoff, bit for bit as the
+    # oracle given that set
+    taken = []
+
+    def spy(*args):
+        snap = _series_handoff(*args)
+        taken.append(snap is not None)
+        return snap
+
+    monkeypatch.setattr(ivp_mod, "_series_handoff", spy)
+    ic = RegularIC(0.3, 5.0 / math.cos(0.3))
+    scanned = solve_regular(LINE, ic, -1, "backward")
+    assert True in taken and scanned.start_branch is not None
+    taken.clear()
+    bare, got = _solve_outcome(solve_regular, LINE, ic, -1, "backward", None, None,
+                               CriticalSet([]))
+    assert taken and True not in taken
+    assert bare.start_branch is None and bare.thetas[0] != scanned.thetas[0]
+    assert got == _solve_outcome(generic_solve_regular, LINE, ic, -1, "backward", None,
+                                 CriticalSet([]))[1]
 
 
 def test_handoff_builds_each_critical_ic_once_per_solve(monkeypatch):

@@ -28,6 +28,7 @@ from depthrec.solutions import (
     sample_cone_solution, solve_bvp_between_criticals, stitch,
 )
 from depthrec.taylor import BranchStatus, CriticalIC
+from test_ivp import BUMP, BUMP_IC
 
 UNIT = ClosedFormModulus("1", (0.0, math.pi / 2))
 PARABOLA = ClosedFormModulus("pi^2/16 - pi^2/128*theta^2", (0.0, 2.0))
@@ -56,6 +57,34 @@ def test_enumerate_unit_profile_counts():
     for sol in sols:
         assert sol.c1
         assert residual_of(sol, UNIT) < 1e-8 * 2
+
+
+def test_enumeration_ends_a_path_at_a_fold_without_building_an_ic(monkeypatch):
+    # the backward seed meets the bound transversally at 2.12263 and a later
+    # piece at 2.89199, off the critical set: folds, where no C1
+    # continuation leaves, so the paths end there and no IC is built
+    built = []
+    from_modulus = CriticalIC.from_modulus.__func__
+
+    def counting_build(cls, u, theta0):
+        built.append(theta0)
+        return from_modulus(cls, u, theta0)
+
+    monkeypatch.setattr(CriticalIC, "from_modulus", classmethod(counting_build))
+    scanned = {p.theta for p in find_critical_points(BUMP)}
+    sols = enumerate_branches(BUMP, BUMP_IC, max_switches=2)
+    assert built and set(built) <= scanned
+    ends = [(s.theta_start, s.theta_end, s.pieces[0].termination.kind,
+             s.pieces[-1].termination.kind) for s in sols]
+    assert ends == [
+        (pytest.approx(0.72222, abs=1e-5), 2.9, TerminationKind.FLOOR_CONTACT,
+         TerminationKind.DOMAIN_END),
+        (pytest.approx(0.72222, abs=1e-5), pytest.approx(2.89199, abs=1e-5),
+         TerminationKind.FLOOR_CONTACT, TerminationKind.CONTACT),
+        (pytest.approx(2.12263, abs=1e-5), 2.9, TerminationKind.DOMAIN_END,
+         TerminationKind.DOMAIN_END),
+    ]
+    assert all(sol.c1 for sol in sols)
 
 
 def residual_of(sol, u):
@@ -297,8 +326,8 @@ def test_links_end_on_the_target_with_increasing_nodes(monkeypatch):
     past = []
     to_piece = solutions_mod.branch_to_piece
 
-    def spy(u, branch, side, opts=None, stop_theta=None):
-        piece = to_piece(u, branch, side, opts, stop_theta)
+    def spy(u, branch, side, opts=None, stop_theta=None, critical_set=None):
+        piece = to_piece(u, branch, side, opts, stop_theta, critical_set)
         end = piece.theta_end if side > 0 else piece.theta_start
         past.append(side * (end - stop_theta))
         return piece
@@ -619,7 +648,7 @@ def test_outer_interval_takes_a_branch_that_reaches_the_domain_end():
         maximal_solution(u)
 
 
-# -- one table of critical ICs per call, one branch set per IC -----------------------
+# -- one IC per critical point, one branch set per IC ---------------------------------
 
 @pytest.fixture
 def builds(monkeypatch):
@@ -642,15 +671,16 @@ def builds(monkeypatch):
 
 
 def _calls(u):
-    """One call of each public solver that reaches critical points, on ``u``."""
-    cs = find_critical_points(u)
-    apex = next(p for p in cs.points if p.kind is CriticalKind.MAXIMUM)
+    """One call of each public solver that reaches critical points, on
+    ``u``, given a critical set."""
     lo, hi = u.domain
     th = 0.5 * (lo + hi)
     return [
-        lambda: maximal_solution(u, critical_set=cs),
-        lambda: enumerate_branches(u, RegularIC(th, 0.99 * math.sqrt(u.value(th)))),
-        lambda: build_cone(u, apex),
+        lambda cs: maximal_solution(u, critical_set=cs),
+        lambda cs: enumerate_branches(u, RegularIC(th, 0.99 * math.sqrt(u.value(th))),
+                                      critical_set=cs),
+        lambda cs: build_cone(u, next(p for p in cs.points if p.kind is CriticalKind.MAXIMUM),
+                              critical_set=cs),
     ]
 
 
@@ -661,23 +691,27 @@ def _calls(u):
     "(0.19648*4*cos(4*theta + 5.2046))^2 + (2.3807 + 0.19648*sin(4*theta + 5.2046))^2",
 ])
 def test_each_jet_and_branch_set_is_built_once_per_call(builds, text):
+    # each point of a set builds its jet and branches once: a second call on
+    # the same set builds nothing, and a fresh scan's set builds it all again
     jets, branches = builds
     u = ClosedFormModulus(text, (0.2, 2.9))
-    seen = []
+    expanded = []
     for call in _calls(u):
-        for _ in range(2):
+        seen = []
+        for cs in (find_critical_points(u),) * 2 + (find_critical_points(u),):
             jets.clear()
             branches.clear()
             try:
-                call()
+                call(cs)
             except DepthRecError:
                 pass  # the call still built what it built
             assert len(jets) == len(set(jets))
             assert len(branches) == len(set(branches))
             seen.append((jets[:], branches[:]))
-        # the second call builds all of it again: nothing outlived the first
-        assert seen[-1] == seen[-2]
-    assert any(branches for _jets, branches in seen)
+        first, second, fresh = seen
+        assert second == ([], []) and fresh == first
+        expanded += first[1]
+    assert expanded
 
 
 def test_saddle_to_node_link_expands_one_branch_at_its_launch_point(builds):
@@ -756,8 +790,9 @@ def test_bvp_miss_solves_each_start_once(monkeypatch):
 
 
 def test_threads_running_solver_calls_keep_their_own_tables():
-    # each thread's calls open their own table: concurrent calls on several
-    # profiles give the bytes of the same calls run one after another
+    # each thread's calls scan and hold their own critical sets: concurrent
+    # calls on several profiles give the bytes of the same calls run one
+    # after another
     texts = ["2 + 0.1*sin(3*theta)", "2 + 0.1*sin(3*theta + 0.4)", "2.5 + 0.2*sin(2*theta + 1)"]
     profiles = [ClosedFormModulus(t, (0.2, 2.9)) for t in texts]
 

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthrec.criticals import find_critical_points, merge_distance
-from depthrec.errors import ComplexDiscriminant, DegenerateFamily, InvalidModulus
+import depthrec.criticals as criticals_mod
+from depthrec.criticals import (
+    CriticalKind, CriticalPoint, CriticalSet, ProfileScan, find_critical_points, merge_distance,
+)
+from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DomainError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
 from depthrec.parametrization import DepthFunction
 from depthrec.series import factorials
@@ -548,49 +551,82 @@ def test_status_and_half_sign_from_the_root_are_the_recursions(seed):
     assert branch.coeffs.tobytes() == full.coeffs.tobytes()
 
 
-def test_one_critical_ic_per_point_per_call(monkeypatch):
-    # a call's critical set is the points it is given, or else the scan, run
-    # once; an angle within the scan's root-merge distance of a point gets
-    # that point's IC, at the point's angle, and any other angle an IC built
-    # there, once; nothing outlives the call, and outside a call every ask
-    # builds afresh
+def test_each_branch_decides_its_resonance_once(monkeypatch):
+    # a branch's status and its recursion read one stall, settled by one
+    # resonance call per curvature root; a direct expansion makes its own
+    calls = []
+    rule = taylor_mod.resonance
+
+    def counting(rho0, beta, order):
+        calls.append(beta)
+        return rule(rho0, beta, order)
+
+    monkeypatch.setattr(taylor_mod, "resonance", counting)
+    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
+    points = find_critical_points(u).points
+    assert len(points) == 3
+    for point in points:
+        calls.clear()
+        branches = point.ic.branches
+        for branch in branches:
+            assert branch.status is BranchStatus.COMPLETE
+            assert branch.order == 20
+            branch.half_sign(-1)
+        assert sorted(calls) == sorted(b.beta for b in branches)
+    calls.clear()
+    ic = constant_ic(2.0, order=22)
+    assert expand_branch(ic, -0.5).status is BranchStatus.DEGENERATE
+    assert expand_branch(cut_to_order(ic, 3), -0.5).status is BranchStatus.COMPLETE
+    assert calls == [-0.5, -0.5]
+
+
+def test_one_critical_ic_per_point(monkeypatch):
+    # a point's IC is built on first read, at the point's angle, and kept:
+    # an angle within the scan's root-merge distance of a point looks up
+    # that point, and so its IC; a fresh scan's points build their own
     u = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
     reach = merge_distance(u)
     assert reach == 1e-10 * (SINE_DOMAIN[1] - SINE_DOMAIN[0])
-    point = min(find_critical_points(u), key=lambda p: abs(p.theta - math.pi / 6))
+    built = []
+    from_modulus = CriticalIC.from_modulus.__func__
+
+    def counting_build(cls, u, theta0):
+        built.append(theta0)
+        return from_modulus(cls, u, theta0)
+
+    monkeypatch.setattr(CriticalIC, "from_modulus", classmethod(counting_build))
+    cs = find_critical_points(u)
+    point = min(cs, key=lambda p: abs(p.theta - math.pi / 6))
+    assert built == []
+    assert cs.near(point.theta + 0.5 * reach, reach) is point
+    ic = point.ic
+    assert ic.theta0 == point.theta
+    assert cs.near(point.theta - 0.9 * reach, reach).ic is ic
+    assert point.ic is ic
+    assert built == [point.theta]
+    # an angle past the merge distance is off the set
+    assert cs.near(point.theta + 1.5 * reach, reach) is None
+    assert cs.near(point.theta + 1.5 * reach, 2 * reach) is point
+    again = find_critical_points(u).near(point.theta, reach)
+    assert again is not point and again.ic is not ic
+    assert again.ic.u_jet.coeffs.tobytes() == ic.u_jet.coeffs.tobytes()
+    assert built == [point.theta, point.theta]
+
+
+def test_a_call_given_no_set_scans_once_on_its_first_lookup(monkeypatch):
     scans = []
-    scan = taylor_mod.find_critical_points
+    scan = criticals_mod.find_critical_points
 
     def counting_scan(v):
         scans.append(v)
         return scan(v)
 
-    monkeypatch.setattr(taylor_mod, "find_critical_points", counting_scan)
-
-    @taylor_mod.one_critical_table
-    def call(given):
-        if given:
-            taylor_mod.use_critical_points(u, [point])
-        ic = taylor_mod.critical_ic(u, point.theta + 0.5 * reach)
-        assert ic.theta0 == point.theta
-        assert taylor_mod.critical_ic(u, point.theta - 0.9 * reach) is ic
-        # given again: the point keeps its IC
-        taylor_mod.use_critical_points(u, [point])
-        assert taylor_mod.critical_ic(u, point.theta + 0.1 * reach) is ic
-        far = taylor_mod.critical_ic(u, point.theta + 1.5 * reach)
-        assert far is not ic and far.theta0 == point.theta + 1.5 * reach
-        assert taylor_mod.critical_ic(u, far.theta0 + 0.5 * reach) is far
-        # an angle off the set is no critical point to look up
-        assert taylor_mod.critical_angle_near(u, far.theta0, reach) is None
-        assert taylor_mod.critical_angle_near(u, far.theta0, 2 * reach) == point.theta
-        return ic
-
-    first = call(given=True)
+    monkeypatch.setattr(criticals_mod, "find_critical_points", counting_scan)
+    found = ProfileScan(TILT)
     assert scans == []
-    assert call(given=True) is not first
-    assert call(given=False).theta0 == point.theta
-    assert scans == [u]
-    assert taylor_mod.critical_ic(u, point.theta) is not taylor_mod.critical_ic(u, point.theta)
+    assert found.near(0.7, 0.1) is found.near(0.75, 0.1) is found.points[0]
+    assert (found.dense, found.dense_intervals, found.rejected) == (False, [], [])
+    assert scans == [TILT]
 
 
 def test_a_spline_ic_is_built_on_its_points_jet():
@@ -601,16 +637,32 @@ def test_a_spline_ic_is_built_on_its_points_jet():
     closed = ClosedFormModulus("2 + 0.1*sin(3*theta)", SINE_DOMAIN)
     for u, order in ((sampled, 2), (closed, 20)):
         point = find_critical_points(u).points[0]
-
-        @taylor_mod.one_critical_table
-        def call():
-            taylor_mod.use_critical_points(u, [point])
-            return taylor_mod.critical_ic(u, point.theta)
-
-        ic = call()
+        ic = point.ic
+        assert ic.theta0 == point.theta
         assert ic.u_jet.order == order
         assert (ic.u_jet is point.u_jet) == (order == 2)
         assert ic.u_jet.coeffs.tobytes() == u.jet(point.theta, order).coeffs.tobytes()
+
+
+def test_a_failed_ic_build_raises_again_without_a_second_jet(monkeypatch):
+    # a point by hand where U' does not vanish: its IC build raises, and
+    # every later read raises the same error without building a jet again
+    jets = []
+    jet = ClosedFormModulus.jet
+
+    def counting_jet(self, theta, order):
+        jets.append((theta, order))
+        return jet(self, theta, order)
+
+    monkeypatch.setattr(ClosedFormModulus, "jet", counting_jet)
+    point = CriticalPoint(0.5, math.sqrt(TILT.value(0.5)), CriticalKind.MAXIMUM, TILT)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="does not vanish here") as err:
+            point.ic
+        errors.append(err.value)
+    assert errors[0] is errors[1]
+    assert jets == [(0.5, 20)]
 
 
 # -- critical-point lookup -----------------------------------------------------
@@ -620,8 +672,10 @@ TILT = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
 
 
 def near(u, theta, window):
-    """:func:`~depthrec.taylor.critical_angle_near` in a call of its own."""
-    return taylor_mod.one_critical_table(taylor_mod.critical_angle_near)(u, theta, window)
+    """The angle of the point of ``u``'s scan nearest ``theta`` within
+    ``window``, as a solver call given no critical set looks it up."""
+    point = ProfileScan(u).near(theta, window)
+    return None if point is None else point.theta
 
 
 def test_lookup_lands_on_the_scanned_root():
@@ -637,14 +691,13 @@ def test_lookup_finds_no_point_on_a_flat_profile():
 def test_lookup_rejects_a_point_outside_its_window():
     assert near(TILT, 0.5, 0.1) is None
     assert near(TILT, 0.5, 0.5) == pytest.approx(math.pi / 4, abs=1e-12)
-    # outside a public solver call there is no critical set
-    assert taylor_mod.critical_angle_near(TILT, 0.7, 0.1) is None
+    # an empty critical set has no point anywhere
+    assert CriticalSet([]).near(0.7, 0.1) is None
 
 
 def test_a_scan_that_raises_a_profile_error_leaves_its_call_no_points():
     # a typed profile error in the scan leaves the call with no critical
-    # set: no lookup finds a point, and an IC is built at the angle asked;
-    # any other error propagates
+    # set: no lookup finds a point; any other error propagates
     def raising(error):
         def read(thetas):
             raise error
@@ -653,8 +706,7 @@ def test_a_scan_that_raises_a_profile_error_leaves_its_call_no_points():
     u = ClosedFormModulus("2 + 0.3*sin(2*theta)", (0.0, 1.5))
     u.derivative_grid = raising(InvalidModulus("profile is negative"))
     assert near(u, 0.7, 0.1) is None
-    build = taylor_mod.one_critical_table(taylor_mod.critical_ic)
-    assert build(u, math.pi / 4).theta0 == math.pi / 4
+    assert ProfileScan(u).points == []
     u.derivative_grid = raising(RuntimeError("derivative_grid bug"))
     with pytest.raises(RuntimeError, match="derivative_grid bug"):
         near(u, 0.7, 0.1)
