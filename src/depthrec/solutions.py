@@ -401,13 +401,14 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
     finds it.
 
     Chains the two-point trajectories (:func:`solve_bvp_between_criticals`)
-    between every pair of consecutive critical points, and extends the
-    chain over each outer interval by the first analytic branch leaving the
-    outermost critical point, largest curvature root first, whose piece
-    reaches the domain end.  Raises :class:`NoSolution` where a link fails
-    (its trajectory misses the far critical point, no branch leaves toward
-    it, or neither end is minimum-type) and where no branch leaving an
-    outermost point reaches the domain end.  Not every
+    between every pair of consecutive critical points that are not foci (no
+    solution touches a focus), and extends the chain over each outer
+    interval by the first analytic branch leaving the outermost such point,
+    largest curvature root first, whose piece reaches the domain end.
+    Raises :class:`NoSolution` when every critical point is a focus, where a
+    link fails (its trajectory misses the far critical point, no branch
+    leaves toward it, or neither end is minimum-type) and where no branch
+    leaving an outermost point reaches the domain end.  Not every
     critical point is one the maximal solution touches, so that error does
     not prove the profile has no solution.  ``critical_set``, or else the
     profile's scan, is the call's critical set: each point's IC is its own,
@@ -431,8 +432,12 @@ def maximal_solution(u: ModulusModel, opts: IntegrationOptions | None = None,
         raise NoCriticalPoints(
             "the profile has no critical points; the depth supremum is not attained")
 
+    # no solution touches a focus, so the chain skips them
+    pts = [p for p in cs.points if p.phase is not Phase.FOCUS]
+    if not pts:
+        foci = ", ".join(f"theta={p.theta}" for p in cs.points)
+        raise NoSolution(f"every critical point is a focus, which no solution touches: {foci}")
     pieces: list[SolutionPiece] = []
-    pts = cs.points
     for a, b in zip(pts, pts[1:]):
         pieces.append(solve_bvp_between_criticals(u, a, b, opts, critical_set=cs))
 

@@ -356,7 +356,12 @@ def test_links_name_the_point_no_branch_leaves(monkeypatch):
     with pytest.raises(NoSolution, match=r"no branch with walk sign [+-]1 leaves the critical "
                                          r"point at theta=\S+ on side [+-]1"):
         solve_bvp_between_criticals(THREE_BUMP, pts[0], pts[1])
-    with pytest.raises(NoSolution, match="no branch leaves the critical point"):
+    with pytest.raises(NoSolution, match=r"no branch leaves the critical point at theta=1\.0 "):
+        maximal_solution(ClosedFormModulus("1 + (theta - 1)^2", (0.5, 1.5)))
+    # a profile whose only critical point is a focus raises before any branch
+    # is chosen: no solution touches a focus
+    with pytest.raises(NoSolution, match=r"every critical point is a focus, which no solution "
+                                         r"touches: theta=1\.0$"):
         maximal_solution(ClosedFormModulus("2 - (theta - 1)^2", (0.5, 1.5)))
 
 
@@ -771,8 +776,10 @@ def test_maximal_builds_one_critical_ic_per_point(monkeypatch):
 
 
 def test_bvp_miss_solves_each_start_once(monkeypatch):
-    # the launch branch misses the far critical point: the chain raises
-    # with the miss, and no regular start is solved twice
+    # the launch branch from a saddle misses the focus beside it: the link
+    # raises with the miss; the chain skips the foci, and its link between
+    # the two saddles ends short of the far one.  No regular start is solved
+    # twice
     u = ClosedFormModulus("2 + 0.3*sin(5*theta)", (0.2, 2.9))
     starts = []
     solve = ivp_mod.solve_regular
@@ -783,9 +790,17 @@ def test_bvp_miss_solves_each_start_once(monkeypatch):
 
     monkeypatch.setattr(ivp_mod, "solve_regular", counting_solve)
     monkeypatch.setattr(solutions_mod, "solve_regular", counting_solve)
+    saddle, focus = find_critical_points(u).points[1:3]
+    assert (saddle.phase, focus.phase) == (Phase.SADDLE, Phase.FOCUS)
+    with pytest.raises(NoSolution) as err:
+        solve_bvp_between_criticals(u, saddle, focus)
+    assert str(err.value) == "trajectory misses the far critical point by 2.907e-02"
+    assert len(starts) == len(set(starts)) >= 1
+    starts.clear()
     with pytest.raises(NoSolution) as err:
         maximal_solution(u)
-    assert str(err.value) == "trajectory misses the far critical point by 2.907e-02"
+    assert str(err.value) == ("trajectory ends (contact) at theta=1.6646571814225544, short of "
+                              "the far critical point at theta=2.1991148575128547")
     assert len(starts) == len(set(starts)) >= 1
 
 
