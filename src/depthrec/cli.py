@@ -30,7 +30,9 @@ flag is a usage error rather than a flag the config scan cannot see.
 
 ``--rtol`` and ``--atol`` (config keys ``rtol`` and ``atol``), the
 stepper's local error tolerances, are the only tolerance flags; every
-other tolerance is a constant of the solver.  A tolerance that is not
+other tolerance is a constant of the solver.  ``--atol`` is measured in the
+profile's depth unit, ``sqrt(max|U|)`` (``IntegrationOptions``), so a
+profile given in other units of length is solved alike.  A tolerance that is not
 finite, is negative, or is zero with the other one is a domain error.
 ``branch`` reports the series at the critical IC's own order, its jet's:
 20 on a closed form, 2 on a sampled profile.  Count flags are checked by
@@ -102,8 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--u", help="squared-speed profile expression in theta")
     common.add_argument("--u-csv", dest="u_csv", help="sampled profile CSV (theta,u)")
     common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--rtol", type=float, default=None)
-    common.add_argument("--atol", type=float, default=None)
+    common.add_argument("--rtol", type=float, default=None,
+                        help="relative local error tolerance of the stepper")
+    common.add_argument("--atol", type=float, default=None,
+                        help="absolute local error tolerance, in units of sqrt(max|U|)")
 
     parser = argparse.ArgumentParser(
         prog="depthrec",

@@ -20,6 +20,10 @@ solver call takes the critical set as an argument; a call given none uses
 handoff, and a contact snap off a flat stretch, ends on the angle of the
 set's point nearest it (:meth:`CriticalSet.near`) and takes that point's
 IC.  A scan that raises leaves its call with no points, and so no handoff.
+
+Tolerances follow the solver's one unit (:attr:`ModulusModel.scale`): the
+scan measures U' in S = max|U|, and code that holds a point but no profile
+(:func:`phase_of`) measures in the point's depth, U'' in ``rho0^2``.
 """
 
 from __future__ import annotations
@@ -72,22 +76,23 @@ class Phase(Enum):
                 if self is Phase.SADDLE_NODE else CriticalKind.MAXIMUM)
 
 
-def phase_of(rho0: float, u2: float, scale: float | None = None) -> Phase:
+def phase_of(rho0: float, u2: float) -> Phase:
     """The phase class of a critical point of depth ``rho0`` where U'' is ``u2``.
 
     The discriminant ``rho0^2 + 2*u2`` decides first: below
-    ``-1e-12*(1 + rho0^2 + |u2|)`` a focus, within that of zero a degenerate
-    node.  Otherwise U'' against ``1e-9*scale`` does: above it a saddle,
-    within it a saddle-node, below it a node.  ``scale`` is the profile's
-    (:attr:`ModulusModel.scale`), by default ``1 + rho0^2``.
+    ``-1e-12*(rho0^2 + |u2|)`` a focus, within that of zero a degenerate
+    node.  Otherwise U'' against ``1e-9*rho0^2`` does: above it a saddle,
+    within it a saddle-node, below it a node.  Both are relative to the
+    point's own ``U = rho0^2``, so the class does not depend on the unit of
+    length.
     """
     disc = rho0 * rho0 + 2.0 * u2
-    tol_disc = 1e-12 * (1.0 + rho0 * rho0 + abs(u2))
+    tol_disc = 1e-12 * (rho0 * rho0 + abs(u2))
     if disc < -tol_disc:
         return Phase.FOCUS
     if disc <= tol_disc:
         return Phase.DEGENERATE_NODE
-    tol_u2 = 1e-9 * (1.0 + rho0 * rho0 if scale is None else scale)
+    tol_u2 = 1e-9 * rho0 * rho0
     if u2 > tol_u2:
         return Phase.SADDLE
     return Phase.SADDLE_NODE if u2 >= -tol_u2 else Phase.NODE
@@ -117,7 +122,7 @@ class CriticalPoint:
     @property
     def phase(self) -> Phase:
         """The point's phase class (:func:`phase_of`), from :attr:`u2`."""
-        return phase_of(self.depth, self.u2, self.profile.scale)
+        return phase_of(self.depth, self.u2)
 
     @property
     def ic(self) -> CriticalIC:
@@ -240,23 +245,25 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
 
     A sign-change scan of U' over :data:`SCAN_CELLS` cells brackets the
     isolated roots, polished to ``|theta - root| < _TOL_ROOT``.  Runs where
-    U' sits at roundoff level throughout mark dense (autonomous) stretches.
-    Double roots of U' (no sign change) are caught by polishing the zeros
-    of U'' and accepting them when U' is small there.  Domain endpoints
-    with vanishing U' are admitted and flagged ``boundary``.  Each point's
+    U' sits at roundoff level throughout (``|U'| <= 1e-11*S``, S the
+    profile's :attr:`~ModulusModel.scale`) mark dense (autonomous)
+    stretches.  Double roots of U' (no sign change) are caught by polishing
+    the zeros of U'' and accepting them when ``|U'| <= 1e-8*S`` there.
+    Domain endpoints with ``|U'|`` that small are admitted and flagged
+    ``boundary``.  Each point's
     kind names its phase class (:func:`phase_of`), from U''
     (:meth:`ModulusModel.second_derivative`), which it keeps as
     :attr:`CriticalPoint.u2`; no jet is built.
     """
     lo, hi = u.domain
-    scale_d = 1.0 + u.scale / max(hi - lo, 1e-6)
-    tol_flat = 1e-11 * scale_d
-    tol_accept = 1e-8 * scale_d
+    scale = u.scale  # U' is measured in max|U| per radian
+    tol_flat = 1e-11 * scale
+    tol_accept = 1e-8 * scale
     tol, grid = _TOL_ROOT, SCAN_CELLS
 
     thetas = np.linspace(lo, hi, grid + 1)
     dvals = u.derivative_grid(thetas)
-    flat, runs, sign_changes, touches = _scan(dvals, tol_flat, 1e-5 * scale_d)
+    flat, runs, sign_changes, touches = _scan(dvals, tol_flat, 1e-5 * scale)
 
     # flat runs: long ones are dense stretches, short ones are root candidates
     # (an exact zero of U' landing on a grid point shows up as a 1-point run)
@@ -317,12 +324,12 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
 
     for th in sorted(set(merged) | set(boundary)):
         uval = u.value(th)
-        if uval <= 1e-14 * u.scale:
+        if uval <= 1e-14 * scale:
             found.rejected.append((th, "profile vanishes here; no positive depth exists"))
             continue
         depth, u2 = math.sqrt(uval), second(th)
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
-        point = CriticalPoint(th, depth, phase_of(depth, u2, u.scale).kind, u, is_boundary)
+        point = CriticalPoint(th, depth, phase_of(depth, u2).kind, u, is_boundary)
         vars(point)["u2"] = u2  # the cached property's value: U'' is read once
         found.points.append(point)
     return found
@@ -339,8 +346,8 @@ class UpperBoundReport:
 
 def upper_bound_check(solution, u: ModulusModel) -> UpperBoundReport:
     """Verify ``rho <= sqrt(U) + tol`` at every node of a solution, where
-    ``tol`` is 1e-8 times one plus the largest bound read at every
-    ``len(thetas) // 64``-th node.
+    ``tol`` is 1e-8 times the largest bound read at every
+    ``len(thetas) // 64``-th node: a depth, measured in a depth.
 
     Accepts anything exposing ``thetas``/``rhos`` arrays (single pieces and
     stitched solutions both do).  Near-equality nodes are reported as
@@ -350,7 +357,7 @@ def upper_bound_check(solution, u: ModulusModel) -> UpperBoundReport:
     rhos = np.asarray(solution.rhos, dtype=float)
     # U is clamped: never below 0
     bound_max = max(np.sqrt(u.value_grid(thetas[:: max(1, len(thetas) // 64)])).tolist())
-    tol = 1e-8 * (1.0 + bound_max)
+    tol = 1e-8 * bound_max
     invalid = np.zeros(thetas.shape, dtype=bool)
     try:
         uvals = u.value_grid(thetas)

@@ -32,7 +32,14 @@ takes the sign.  The last stage sits at the step end, so its U serves the
 error estimate, the event tests and the next step's start.  The common
 step, above the depth floor and with ``U - rho^2`` above the handoff margin
 (and so above the smaller contact margin), appends its node and moves on;
-the floor, contact and handoff tests run only on the others.  An accepted
+the floor, contact and handoff tests run only on the others.  Every
+tolerance here is a constant times the profile's unit
+(:attr:`~depthrec.modulus.ModulusModel.scale`, S = max|U|): ``U - rho^2``
+margins in S, depths and slopes (``atol``, the floor, a branch match) in
+``sqrt(S)``, angles in radians; the margins are worked out once per solve.
+A series stretch, which holds an IC and not the profile, measures in the
+IC's depth ``rho0``.  So a curve measured in other units (``rho -> c*rho``,
+``U -> c^2*U``) is solved by the same steps, every depth times c.  An accepted
 step without an event calls no Python function but that reader.  A
 ``stop_theta`` before the domain end is the solve's end instead, and the
 last step lands on it (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
@@ -51,9 +58,9 @@ themselves within 7.0e-10; linear interpolation between the nodes is off
 by up to 8.4e-5.  A series leg (:func:`branch_to_piece`) and a handoff snap
 (:func:`_series_handoff`) carry only the nodes that this Hermite needs: one
 spacing rule, from the branch's own coefficients, keeps it within
-``_HERMITE_TOL*(1 + rho0)`` of the series (:func:`_series_angles`).  On the
+``_HERMITE_TOL*rho0`` of the series (:func:`_series_angles`).  On the
 benchmark's seed-1 ``maximal`` inputs the largest gap, at the quarter
-points of every interval, is 4.0e-9, 0.99 of that tolerance; the 33 of 975
+points of every interval, is 2.9e-9, 0.99 of that tolerance; the 36 of 1306
 stretches on near-resonant branches, whose coefficients grow too fast for
 the bound, keep the linear-interpolation spacing's nodes.  A near-contact
 series handoff, and a contact snap off a flat stretch, end on a point of
@@ -130,6 +137,11 @@ class IntegrationOptions:
     """The stepper's local error tolerances, relative and absolute; every
     other tolerance of the solver is a module constant.
 
+    ``atol`` is measured in the profile's depth unit: a solve on ``u``
+    accepts a step whose error is under ``atol*sqrt(u.scale) + rtol*|rho|``
+    (:attr:`~depthrec.modulus.ModulusModel.scale`), so both tolerances mean
+    the same at every unit of length.
+
     Each must be finite and nonnegative, and not both zero: the step
     controller divides by their weighted sum, and a NaN or negative
     tolerance would accept every step.  Anything else raises
@@ -148,22 +160,24 @@ class IntegrationOptions:
             raise DomainError("rtol and atol must not both be 0")
 
 
-_H_MAX = 0.02              # the longest step
+# Units (ModulusModel.scale, S = max|U|): U and U - rho^2 in S, depths in
+# sqrt(S), angles in radians; a series stretch's depths in its IC's rho0
+_H_MAX = 0.02              # the longest step, radians
 # series-leg and handoff-snap spacing (_series_angles): the cubic Hermite on
-# the nodes within _HERMITE_TOL*(1 + rho0) of the series (at most 4.0e-9,
-# 0.99 of it, on the benchmark's seed-1 maximal stretches), on no more nodes
-# than the spacing at which linear interpolation is within _INTERP_TOL gives
+# the nodes within _HERMITE_TOL*rho0 of the series, on no more nodes than the
+# spacing at which linear interpolation is within _INTERP_TOL (radians^2)
+# gives
 _INTERP_TOL = 1e-6
 _HERMITE_TOL = 1e-9
-_TOL_CONTACT = 1e-10       # contact with the bound, scaled by (1 + U) pointwise
-_TOL_FLOOR = 1e-12         # depth floor
-_SERIES_RADIUS = 0.05      # local-series handoff distance at critical points
+_TOL_CONTACT = 1e-10       # contact with the bound: U - rho^2 under this, in S
+_TOL_FLOOR = 1e-12         # depth floor, in sqrt(S)
+_SERIES_RADIUS = 0.05      # local-series handoff distance at critical points, radians
 _MAX_STEPS = 500_000       # step budget of one solve
 _TOL_REG_FACTOR = 10.0     # regularity margin in units of the contact tolerance
-_TOL_BOUND_FOLLOW = 1e-9   # bound-following admissibility, scaled by the profile
-_HANDOFF_FACTOR = 1e-4     # switch to the local series when U - rho^2 dips below this (scaled);
+_TOL_BOUND_FOLLOW = 1e-9   # bound-following admissibility: |U - rho0^2|, in S
+_HANDOFF_FACTOR = 1e-4     # switch to the local series when U - rho^2 dips below this, in S;
                            # above _TOL_CONTACT, so a step clear of it has no contact event
-_HANDOFF_MATCH_TOL = 1e-6  # trajectory-to-branch distance accepted as "on branch"
+_HANDOFF_MATCH_TOL = 1e-6  # trajectory-to-branch distance accepted as "on branch", in sqrt(S)
 
 
 @dataclass
@@ -232,15 +246,16 @@ class SolutionPiece:
 
 def derivative_pair(u: ModulusModel, ic: RegularIC) -> tuple[float, float]:
     """The two admissible slopes (+alpha, -alpha) at a regular IC."""
-    alpha = math.sqrt(_regular_margin(ic, u.value(ic.theta0)))
+    alpha = math.sqrt(_regular_margin(ic, u.value(ic.theta0), u.scale))
     return alpha, -alpha
 
 
-def _regular_margin(ic: RegularIC, uval: float) -> float:
-    """``U - rho^2`` at the IC, given ``uval = U(theta0)``; raises
-    :class:`NotRegular` unless it clears the regularity margin."""
+def _regular_margin(ic: RegularIC, uval: float, scale: float) -> float:
+    """``U - rho^2`` at the IC, given ``uval = U(theta0)`` and the profile's
+    ``scale``; raises :class:`NotRegular` unless it clears the regularity
+    margin, ``_TOL_REG_FACTOR*_TOL_CONTACT*scale``."""
     margin = uval - ic.rho0 * ic.rho0
-    tol_reg = _TOL_REG_FACTOR * _TOL_CONTACT * (1.0 + uval)
+    tol_reg = _TOL_REG_FACTOR * _TOL_CONTACT * scale
     if margin <= tol_reg:
         raise NotRegular(
             f"IC ({ic.theta0}, {ic.rho0}) is not regular: U - rho^2 = {margin} <= {tol_reg}")
@@ -292,7 +307,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     ``sign`` follows the walk convention of :class:`SolutionPiece`: +1
     means depth grows along the integration direction.  Stops at the first
     of: domain end, contact with the depth bound (``U - rho^2`` down at
-    the scaled contact tolerance), depth reaching the floor, or a step
+    ``_TOL_CONTACT*u.scale``), depth reaching the floor, or a step
     failure.  The nodes are the accepted steps' ends, each with the
     pair's depth and slope, then an event's node and a contact snap's or a
     series handoff's nodes; the piece's curve between them is
@@ -326,8 +341,13 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     ode_sign = sign if direction == "forward" else -sign
     sqrt = math.sqrt
     uvalue = u.value
-    atol, rtol, h_max, tol_contact = opts.atol, opts.rtol, _H_MAX, _TOL_CONTACT
-    tol_floor, handoff_factor, max_steps = _TOL_FLOOR, _HANDOFF_FACTOR, _MAX_STEPS
+    # the solve's tolerances in the profile's units: U margins in S, depths
+    # in sqrt(S)
+    scale = u.scale
+    root_scale = sqrt(scale)
+    atol, rtol, h_max, max_steps = opts.atol * root_scale, opts.rtol, _H_MAX, _MAX_STEPS
+    tol_contact, tol_handoff = _TOL_CONTACT * scale, _HANDOFF_FACTOR * scale
+    tol_floor = _TOL_FLOOR * root_scale
     end_tol = 1e-15 * max(1.0, abs(t_end))
     # every angle of the loop lies between the IC and t_end, up to a last
     # step that rounds past t_end, so the step floor 1e-15*max(1, |t|)
@@ -343,7 +363,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
     t, y = ic.theta0, ic.rho0
     u_t = uvalue(t)
     # U - rho^2 at the IC: never below the regularity margin
-    g = _regular_margin(ic, u_t)
+    g = _regular_margin(ic, u_t, scale)
     # the slope's size and the slope: the stages carry sizes, the nodes slopes
     k_t = sqrt(g)
     f_t = ode_sign * k_t
@@ -441,16 +461,16 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         f6 = ode_sign * k6
         y4 = y + hs * (e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
 
-        # scale = atol + rtol*max(|y|, |y5|), err = |y5 - y4|/scale
+        # weight = atol + rtol*max(|y|, |y5|), err = |y5 - y4|/weight
         a5 = y5 if y5 >= 0.0 else -y5
-        scale = atol + rtol * (a5 if a5 > y else y)
+        weight = atol + rtol * (a5 if a5 > y else y)
         err = y5 - y4
-        err = (err if err >= 0.0 else -err) / scale
+        err = (err if err >= 0.0 else -err) / weight
         if err > 1.0:
             rejects += 1
             if rejects > 60:
                 # persistent rejection happens only hard against the bound
-                if u_t - y * y <= 10.0 * (tol_contact * (1.0 + u_t)):
+                if u_t - y * y <= 10.0 * tol_contact:
                     termination = Termination(TerminationKind.CONTACT, t)
                 else:
                     termination = Termination(TerminationKind.STEP_FAILURE, t,
@@ -461,8 +481,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
         rejects = 0
         stage_error = None
 
-        one_u = 1.0 + u_new
-        if y5 > tol_floor and g_new > handoff_factor * one_u:
+        if y5 > tol_floor and g_new > tol_handoff:
             # the common step: above the floor and clear of the handoff
             # margin, hence of the smaller contact margin too, so no event
             # and no handoff; its end is its node
@@ -475,15 +494,15 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
             t1, y1, f1 = t_new, y5, f6
             kind: TerminationKind | None = None
             snap = None
-            if y5 <= tol_floor or g_new <= tol_contact * one_u:
+            if y5 <= tol_floor or g_new <= tol_contact:
                 kind, t1, y1, f1 = _step_event(uvalue, ode_sign, tdir, tol_floor, tol_contact,
                                                 t, y, f_t, u_t, t_new, y5, f6, u_new)
-            # near-contact series handoff: a trajectory riding tangentially
-            # into the bound is exponentially ill-conditioned for stepping,
-            # so once the margin is small we try to identify the analytic
-            # branch it sits on and finish the approach with the local series
-            elif (g_new <= handoff_factor * one_u
-                    and g_new < u_t - y * y and handoff_theta_tried != t_new):
+            # near-contact series handoff (the step ends inside the handoff
+            # margin): a trajectory riding tangentially into the bound is
+            # exponentially ill-conditioned for stepping, so once the margin
+            # is small we try to identify the analytic branch it sits on and
+            # finish the approach with the local series
+            elif g_new < u_t - y * y and handoff_theta_tried != t_new:
                 handoff_theta_tried = t_new
                 snap = _series_handoff(u, t_new, y5, ode_sign, tdir, critical_set)
 
@@ -501,7 +520,7 @@ def solve_regular(u: ModulusModel, ic: RegularIC, sign: BranchSign,
                     snap = _contact_node(u, tau, fs[-1], tdir, lo, hi, critical_set)
                     if snap is not None:
                         theta_c, rho_c = snap
-                        if (ode_sign * (rho_c - ys[-1]) >= -1e-13
+                        if (ode_sign * (rho_c - ys[-1]) >= -1e-13 * root_scale
                                 and tdir * (theta_c - tau) >= 0.0):
                             ts.append(theta_c)
                             ys.append(rho_c)
@@ -552,7 +571,7 @@ def _contact_node(u: ModulusModel, tau: float, f_tau: float, tdir: float,
     transversal contacts, which have no critical point to land on.
     """
     try:
-        if abs(u.derivative(tau)) <= 1e-9 * (1.0 + u.scale):
+        if abs(u.derivative(tau)) <= 1e-9 * u.scale:
             # flat profile: rho = sqrt(U) cos(offset), slope determines offset
             bound = maximal_depth(u, tau)
             if bound <= 0.0:
@@ -577,7 +596,8 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     ``2*_SERIES_RADIUS`` (:meth:`~depthrec.criticals.CriticalSet.near`),
     which must lie strictly ahead, reads the series of the complete branches
     there whose half runs with the approach, and if the current state sits
-    on one of them (within ``_HANDOFF_MATCH_TOL``, and unambiguously so),
+    on one of them (within ``_HANDOFF_MATCH_TOL*sqrt(u.scale)``, and
+    unambiguously so),
     returns replacement nodes from ``t`` to the exact contact, which ends on
     the point's angle, and the branch matched.  The nodes are spaced by
     :func:`_series_angles`, as a series leg's are; the last is the contact,
@@ -605,7 +625,7 @@ def _series_handoff(u: ModulusModel, t: float, y: float, ode_sign: int, tdir: fl
     if not candidates:
         return None
     dist, branch = candidates[0]
-    if dist > _HANDOFF_MATCH_TOL * (1.0 + ic.rho0):
+    if dist > _HANDOFF_MATCH_TOL * math.sqrt(u.scale):
         return None
     if len(candidates) > 1 and dist > 0.25 * candidates[1][0]:
         return None  # too close to call between branches
@@ -626,7 +646,7 @@ def _series_angles(branch: TaylorBranch, start: float, delta: float, stop: float
     ``np.linspace``.
 
     The n intervals are as few as keep the cubic Hermite on the nodes'
-    depths and slopes within ``tol = _HERMITE_TOL*(1 + rho0)`` of the
+    depths and slopes within ``tol = _HERMITE_TOL*rho0`` of the
     series.  On the stretch ``|rho^(4)|`` is at most ``M4 = sum_{k>=4}
     k(k-1)(k-2)(k-3)*|a_k|*L^(k-4)``, L = ``|delta|``, and the Hermite on an
     interval of width h is off by at most ``M4*h^4/384``, so the nodes lie
@@ -643,7 +663,7 @@ def _series_angles(branch: TaylorBranch, start: float, delta: float, stop: float
     m4 = 0.0
     for k in range(len(a) - 1, 3, -1):
         m4 = m4 * length + k * (k - 1) * (k - 2) * (k - 3) * abs(a[k])
-    tol = _HERMITE_TOL * (1.0 + branch.ic.rho0)
+    tol = _HERMITE_TOL * branch.ic.rho0
     h = _H_MAX if m4 == 0.0 else min((384.0 * tol / m4) ** 0.25, _H_MAX)
     # an infinite or NaN bound leaves h 0 or NaN: the most nodes
     n = min(most, math.ceil(length / h)) if h > 0.0 else most
@@ -678,7 +698,7 @@ def _step_event(uvalue, ode_sign: int, tdir: float, tol_floor: float, tol_contac
 
     Floor contact is where the step's cubic Hermite interpolant falls to
     ``tol_floor``; contact with the bound is where ``U - rho^2`` falls to
-    the scaled contact tolerance.  Each is bisected only when the step's
+    ``tol_contact``, the solve's, in the profile's units.  Each is bisected only when the step's
     end is past it.  U is read once per bisection midpoint and taken from
     ``u_t`` and ``u_new`` at the step's own ends, as is U at the event
     angle when a bisection already read it.  Returns the event's kind and
@@ -694,13 +714,13 @@ def _step_event(uvalue, ode_sign: int, tdir: float, tol_floor: float, tol_contac
         if u_tt is None:
             u_tt = read[tt] = uvalue(tt)
         y_tt = rho_at(tt)
-        return u_tt - y_tt * y_tt - tol_contact * (1.0 + abs(u_tt))
+        return u_tt - y_tt * y_tt - tol_contact
 
     kind = None
     if y5 <= tol_floor:
         tau = _bisect_event(lambda tt: rho_at(tt) - tol_floor, t, t_new)
         kind = TerminationKind.FLOOR_CONTACT
-    if u_new - y5 * y5 <= tol_contact * (1.0 + abs(u_new)):
+    if u_new - y5 * y5 <= tol_contact:
         tau_c = _bisect_event(contact_margin, t, t_new)
         if kind is None or tdir * (tau - tau_c) > 0:
             tau, kind = tau_c, TerminationKind.CONTACT
@@ -734,7 +754,7 @@ def branch_to_piece(u: ModulusModel, branch: TaylorBranch, side: int,
     angle, where ``room`` is the distance to ``stop_theta`` or, without it,
     to the domain end on ``side``; integration continues from the leg's end.
     The leg's nodes are as few as keep the cubic Hermite on them within
-    ``_HERMITE_TOL*(1 + rho0)`` of the series (:func:`_series_angles`).
+    ``_HERMITE_TOL*rho0`` of the series (:func:`_series_angles`).
     ``side`` +1 extends toward larger angles.  A constant branch turns into
     a bound-following piece instead.  The piece carries ``branch`` at the
     critical angle, and the tail's handoff onto ``critical_set``, if any, at
@@ -882,9 +902,11 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
     The continuation starts exactly on the bound with zero slope, where
     the piece ended, on the first of :func:`leaving_branches` with walk
     sign ``choice``, from the IC of the point of ``critical_set`` (or else
-    the profile's scan) there, or else one built there.  Raises
-    :class:`NoContinuation` when no branch has that sign, or when the piece
-    ended at a contact that is not a critical point.
+    the profile's scan) there, or else, on a dense stretch, one built
+    there.  Raises :class:`NoContinuation` when no branch has that sign, or
+    when the piece ended at a contact off the set and off every dense
+    stretch: a fold, which is no critical point, decided without building
+    an IC.
     """
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
@@ -892,6 +914,10 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
     side = +1 if piece.direction == "forward" else -1
     theta = piece.termination.theta
     point = critical_set.near(theta, merge_distance(u))
+    if point is None and not critical_set.on_dense(theta):
+        # off the set and off every dense stretch: a fold, where no C1
+        # continuation leaves, decided without building an IC
+        raise NoContinuation(f"the contact at theta={theta} is not a critical point")
     try:
         ic = CriticalIC.from_modulus(u, theta) if point is None else point.ic
     except DomainError as exc:

@@ -68,7 +68,8 @@ from .parametrization import DepthFunction
 __all__ = ["Jet", "ModulusModel", "ClosedFormModulus", "SampledModulus",
            "from_depth", "validate_modulus", "ModulusReport", "NEGATIVE_CLAMP"]
 
-# values in [-NEGATIVE_CLAMP*scale, 0) count as roundoff and clamp to 0
+# values in [-NEGATIVE_CLAMP*S, 0), S = ModulusModel.scale = max|U|, count as
+# roundoff and clamp to 0
 NEGATIVE_CLAMP = 1e-12
 _VALIDATE_SAMPLES = 1024
 
@@ -225,6 +226,18 @@ class ModulusModel:
 
     @property
     def scale(self) -> float:
+        """S, the largest |U| over the domain (on a 129-angle grid for a
+        closed form, over the samples for a sampled profile), or 1.0 when no
+        value there is finite and nonzero.
+
+        S is the solver's one unit: ``rho -> c*rho`` takes ``U -> c^2*U``
+        and S to ``c^2*S``, so a tolerance measured in it decides the same
+        way at every unit of length.  U and its angle derivatives are
+        measured in S, depths and slopes (the stepper's ``atol`` included)
+        in ``sqrt(S)``, and angles absolutely, in radians.  Code that holds
+        no profile measures in the depth it holds, which scales the same
+        way: ``rho0`` at a critical IC, the largest depth of a solution.
+        """
         raise NotImplementedError
 
     @property
@@ -267,7 +280,7 @@ class ClosedFormModulus(ModulusModel):
         self.max_order = None
         self._u = ExpressionKernel(expr)
         self._du = ExpressionKernel(differentiate(expr))
-        self._scale = 1.0 + _largest_magnitude(self._u, np.linspace(lo, hi, 129))
+        self._scale = _largest_magnitude(self._u, np.linspace(lo, hi, 129)) or 1.0
 
     @property
     def scale(self) -> float:
@@ -354,7 +367,7 @@ class SampledModulus(ModulusModel):
         self.domain = (float(t[0]), float(t[-1]))
         self.max_order = 2
         finite = v[np.isfinite(v)]
-        self._scale = 1.0 + (float(np.max(np.abs(finite))) if finite.size else 0.0)
+        self._scale = (float(np.max(np.abs(finite))) if finite.size else 0.0) or 1.0
         # the spline exists only for finite data; validation still works without it
         self._spline = None
         if finite.size == v.size:

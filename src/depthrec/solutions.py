@@ -12,7 +12,8 @@ A link between two critical points has one rule: launch the
 largest-curvature branch leaving the minimum-type end toward the other
 (there the analytic solution touching the bound is unique, so it is the
 only candidate), integrate it up to the far point's angle, and either snap
-its end onto the far point, when it lands within ``_TOL_BVP`` of it, or
+its end onto the far point, when it lands within ``_TOL_BVP*sqrt(S)`` of it
+(S the profile's :attr:`~depthrec.modulus.ModulusModel.scale`), or
 raise :class:`NoSolution`.  Across a flat stretch that branch is the launch
 point's constant circle, so the link is the bound itself.  An outer
 interval, between the outermost critical point and the domain end, takes
@@ -29,6 +30,7 @@ a piece snapped onto a point and a piece leaving it meet at its angle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -50,9 +52,9 @@ from .ivp import (
 from .modulus import ModulusModel
 from .taylor import CriticalIC, TaylorBranch
 
-_TOL_BVP = 1e-8          # largest depth miss of a link at the far critical point
-_ABUT_TOL = 1e-6         # largest angle gap between consecutive pieces
-_C1_TOL = 1e-8           # largest depth or slope jump of a C1 junction
+_TOL_BVP = 1e-8          # largest depth miss of a link at the far critical point, in sqrt(S)
+_ABUT_TOL = 1e-6         # largest angle gap between consecutive pieces, radians
+_C1_TOL = 1e-8           # largest depth or slope jump of a C1 junction, in the largest depth
 
 __all__ = [
     "JunctionKind", "Junction", "PiecewiseSolution", "ConvergenceCone",
@@ -181,14 +183,19 @@ class C1Report:
 
 
 def c1_check(sol: PiecewiseSolution) -> C1Report:
-    """Per-junction value and slope gaps; updates the solution's c1 flag."""
+    """Per-junction value and slope gaps; updates the solution's c1 flag.
+
+    A junction is C1 when both gaps are within ``_C1_TOL`` times the
+    solution's largest depth: it holds no profile, so it measures in the
+    depth it holds, which scales as the profile's unit does."""
     deltas = []
     ok = True
+    tol = _C1_TOL * max(float(np.fmax.reduce(p.rhos, initial=0.0)) for p in sol.pieces)
     for j in sol.junctions:
         if j.kind in (JunctionKind.START, JunctionKind.END):
             continue
         deltas.append((j.theta, j.delta_rho, j.delta_drho))
-        if j.delta_rho > _C1_TOL or j.delta_drho > _C1_TOL:
+        if j.delta_rho > tol or j.delta_drho > tol:
             ok = False
     sol.c1 = ok
     return C1Report(deltas, ok)
@@ -340,7 +347,8 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
 
     Launched as the largest-curvature analytic branch leaving the
     minimum-type endpoint toward the other and integrated up to the other's
-    angle.  The far end must land on the bound within ``_TOL_BVP``, and is
+    angle.  The far end must land on the bound within
+    ``_TOL_BVP*sqrt(u.scale)``, and is
     then snapped exactly; otherwise :class:`NoSolution` names the miss or,
     for a trajectory ending short of the far point, its termination and
     angle.  There is nothing to tune: the launch branch is the link, hit or
@@ -367,7 +375,7 @@ def solve_bvp_between_criticals(u: ModulusModel, left: CriticalPoint,
             f"trajectory ends ({end.kind.value}) at theta={end.theta}, short of the far "
             f"critical point at theta={target.theta}")
     mismatch = abs(rho_end - target.depth)
-    if mismatch > _TOL_BVP:
+    if mismatch > _TOL_BVP * math.sqrt(u.scale):
         raise NoSolution(f"trajectory misses the far critical point by {mismatch:.3e}")
     return _snap_end(piece, target, side)
 
@@ -501,7 +509,7 @@ def build_cone(u: ModulusModel, apex: CriticalPoint | CriticalIC,
     critical_set = ProfileScan(u) if critical_set is None else critical_set
     by_hand = isinstance(apex, CriticalIC)
     theta_c, depth = (apex.theta0, apex.rho0) if by_hand else (apex.theta, apex.depth)
-    phase = phase_of(depth, 2.0 * apex.u_jet[2], u.scale) if by_hand else apex.phase
+    phase = phase_of(depth, 2.0 * apex.u_jet[2]) if by_hand else apex.phase
     if phase in (Phase.SADDLE, Phase.FOCUS):
         why = ("two solutions touch it from each side, one per curvature root, and no "
                "family of solutions enters it" if phase is Phase.SADDLE
@@ -539,7 +547,7 @@ def sample_cone_solution(cone: ConvergenceCone, u: ModulusModel, ic: RegularIC,
     """
     critical_set = ProfileScan(u) if critical_set is None else critical_set
     opts = opts or IntegrationOptions()
-    margin = 1e-9 * (1.0 + cone.apex_depth)
+    margin = 1e-9 * cone.apex_depth
     if not cone.contains(ic.theta0, ic.rho0, margin=margin):
         raise OutsideCone(
             f"({ic.theta0}, {ic.rho0}) is not strictly inside the cone")

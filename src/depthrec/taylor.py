@@ -38,6 +38,12 @@ The solver takes the IC of a point of the critical set from the point
 point and pieces that end there meet at one angle and share one jet and
 one branch set.
 
+Tolerances here hold an IC and no profile, so they measure in the IC's
+depth (the solver's unit rule, :attr:`~depthrec.modulus.ModulusModel.scale`):
+a coefficient ``a_k`` and a pivot in ``rho0``, U and U' in ``rho0^2``.  A
+curve measured in other units (``rho -> c*rho``) has every coefficient
+times c and decides each test the same way.
+
 Coefficient convention: a branch stores its Taylor coefficients
 ``coeffs[k] = rho^(k)(theta0)/k!``, as :class:`~depthrec.series.PowerSeries`
 stores ``c`` and the profile jet stores ``U^(k)/k!``, so the recursion reads
@@ -67,14 +73,15 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 20
-_TOL_DEGENERATE = 1e-9  # a vanishing recursion pivot, scaled by (1 + rho0)
-_TOL_CONSTANT = 1e-14   # a vanishing branch coefficient, scaled by (1 + rho0)
-_TOL_HALF_SIGN = 1e-12  # a coefficient too small to set a half's sign, scaled by (1 + rho0)
+_TOL_DEGENERATE = 1e-9  # a vanishing recursion pivot, in rho0
+_TOL_CONSTANT = 1e-14   # a vanishing branch coefficient, in rho0
+_TOL_HALF_SIGN = 1e-12  # a coefficient too small to set a half's sign, in rho0
 
 
 @dataclass(frozen=True)
 class CriticalIC:
-    """Initial condition sitting on the depth bound with zero slope."""
+    """Initial condition sitting on the depth bound with zero slope: U and
+    U' must be within ``1e-8*rho0^2`` of ``rho0^2`` and 0."""
 
     theta0: float
     rho0: float
@@ -85,7 +92,7 @@ class CriticalIC:
     def __post_init__(self):
         if self.rho0 <= 0.0:
             raise DomainError("critical depth must be positive")
-        tol = 1e-8 * (1.0 + self.rho0 ** 2)
+        tol = 1e-8 * self.rho0 ** 2
         if abs(self.u_jet[0] - self.rho0 ** 2) > tol:
             raise DomainError(
                 f"not on the bound: U={self.u_jet[0]} vs rho0^2={self.rho0 ** 2}")
@@ -173,7 +180,7 @@ class TaylorBranch:
             rho0, beta = self.ic.rho0, self.beta
             if self.ic.stall(beta) is not None:
                 return BranchStatus.DEGENERATE
-            if self.ic.u_jet.order >= 2 and abs(0.5 * beta) > _TOL_CONSTANT * (1.0 + rho0):
+            if self.ic.u_jet.order >= 2 and abs(0.5 * beta) > _TOL_CONSTANT * rho0:
                 return BranchStatus.COMPLETE
         return self._expanded()[1]
 
@@ -185,7 +192,7 @@ class TaylorBranch:
         ``a2 = beta/2``, read without expanding the branch; the others are
         read only when ``a2`` is under the tolerance.
         """
-        tol = _TOL_HALF_SIGN * (1.0 + self.ic.rho0)
+        tol = _TOL_HALF_SIGN * self.ic.rho0
         a2 = 0.5 * self.beta
         if abs(a2) > tol and self.ic.u_jet.order >= 2:
             return int((1.0 if a2 > 0 else -1.0) * side)
@@ -231,13 +238,13 @@ def resonance(rho0: float, beta: float, order: int) -> tuple[float, int | None]:
     ``beta = -rho0/n``, n = 3 .. ``order``, and where its recursion stalls.
 
     Returns ``(distance, n)``: ``distance`` is the least ``|rho0 + n*beta|
-    / (1 + rho0)`` over those n (infinite when ``order < 3``), and ``n`` the
+    / rho0`` over those n (infinite when ``order < 3``), and ``n`` the
     first order whose pivot ``2*(rho0 + n*beta)`` falls under
-    ``_TOL_DEGENERATE*(1 + rho0)``, or None.  That ``n`` is the recursion's
+    ``_TOL_DEGENERATE*rho0``, or None.  That ``n`` is the recursion's
     stall (:func:`expand_branch`) and a branch's degeneracy
     (:attr:`TaylorBranch.status`); no other code tests a pivot.
     """
-    tol = _TOL_DEGENERATE * (1.0 + rho0)
+    tol = _TOL_DEGENERATE * rho0
     least, stall = math.inf, None
     for n in range(3, order + 1):
         gap = abs(rho0 + n * beta)
@@ -247,7 +254,7 @@ def resonance(rho0: float, beta: float, order: int) -> tuple[float, int | None]:
             least = gap
             if stall is None and 2.0 * gap < tol:
                 stall = n
-    return least / (1.0 + rho0), stall
+    return least / rho0, stall
 
 
 def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
@@ -286,7 +293,7 @@ def expand_branch(ic: CriticalIC, beta: float) -> TaylorBranch:
         slope.append(n * a[n])
 
     coeffs = a[: order + 1]
-    tol_const = _TOL_CONSTANT * (1.0 + rho0)
+    tol_const = _TOL_CONSTANT * rho0
     constant = all(abs(v) <= tol_const for v in coeffs[1:])
     status = BranchStatus.CONSTANT_CIRCLE if constant else BranchStatus.COMPLETE
     return TaylorBranch(ic, beta, (np.array(coeffs), status, None, None))

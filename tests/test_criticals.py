@@ -157,7 +157,7 @@ def test_kind_from_the_second_derivative_kernel_is_the_jets(c0, rel_amp, k, phas
         u2 = 2.0 * u.jet(p.theta, 2)[2]
         assert u.second_derivative(p.theta) == pytest.approx(u2, rel=1e-12, abs=1e-12 * u.scale)
         ic = CriticalIC.from_modulus(u, p.theta)
-        assert p.phase is phase_of(ic.rho0, 2.0 * ic.u_jet[2], u.scale)
+        assert p.phase is phase_of(ic.rho0, 2.0 * ic.u_jet[2])
         assert p.kind is p.phase.kind
         try:
             ic.branches
@@ -325,7 +325,7 @@ def upper_bound_check_oracle(solution, u, tol=None):
     if tol is None:
         bound_max = max(math.sqrt(max(u.value(float(t)), 0.0))
                         for t in thetas[:: max(1, len(thetas) // 64)])
-        tol = 1e-8 * (1.0 + bound_max)
+        tol = 1e-8 * bound_max
     violations, contacts = [], []
     for th, r in zip(thetas, rhos):
         try:
@@ -442,7 +442,7 @@ def test_every_extremum_of_a_forward_model_depth_is_a_critical_point(depth):
         roots = second_derivative_roots(point.depth, u2)   # raises if complex
         # a root carries the discriminant's rounding, amplified where the
         # two roots nearly meet (the clamp to a double root included)
-        slack = 1e-12 * (1.0 + point.depth ** 2 + abs(u2))
+        slack = 1e-12 * (point.depth ** 2 + abs(u2))
         disc = point.depth ** 2 + 2.0 * u2
         tol = 1e-10 + slack / math.sqrt(max(disc, slack))
         assert min(abs(r - d2(theta_e)) for r in roots) < tol

@@ -65,7 +65,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_
     start reuses the previous step's end.  It takes the critical set as
     ``solve_regular`` does: given none, its handoffs and contact snaps look
     up the profile's scan, run when first needed, so its handoff attempts
-    share one IC per critical point."""
+    share one IC per critical point.  Its tolerances are in the profile's
+    units (``u.scale``, S): U margins in S, depths in sqrt(S)."""
     opts = opts or IntegrationOptions()
     critical_set = ProfileScan(u) if critical_set is None else critical_set
     if sign not in (+1, -1):
@@ -82,12 +83,12 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_
     def field(u_t, y):
         return ode_sign * math.sqrt(max(u_t - y * y, 0.0))
 
-    def contact_tol(u_t):
-        return ivp_mod._TOL_CONTACT * (1.0 + abs(u_t))
+    contact_tol = ivp_mod._TOL_CONTACT * u.scale
+    floor_tol = ivp_mod._TOL_FLOOR * math.sqrt(u.scale)
 
     t, y = ic.theta0, ic.rho0
     u_t = u.value(t)
-    _regular_margin(ic, u_t)
+    _regular_margin(ic, u_t, u.scale)
     ts = [t]
     ys = [y]
     fs = [field(u_t, y)]
@@ -148,13 +149,13 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_
         k6 = field(u_new, y5)
         y4 = y + ht * sum(b * kk for b, kk in zip(_TSIT5_BHAT, k + [k6]))
 
-        scale = opts.atol + opts.rtol * max(abs(y), abs(y5))
-        err = abs(y5 - y4) / scale
+        weight = opts.atol * math.sqrt(u.scale) + opts.rtol * max(abs(y), abs(y5))
+        err = abs(y5 - y4) / weight
         if err > 1.0:
             rejects += 1
             if rejects > 60:
                 # persistent rejection happens only hard against the bound
-                if u_t - y * y <= 10.0 * contact_tol(u_t):
+                if u_t - y * y <= 10.0 * contact_tol:
                     termination = Termination(TerminationKind.CONTACT, t)
                 else:
                     termination = Termination(TerminationKind.STEP_FAILURE, t,
@@ -175,15 +176,15 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_
             return known[tt]
 
         event = None
-        if y5 <= ivp_mod._TOL_FLOOR:
-            tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - ivp_mod._TOL_FLOOR,
+        if y5 <= floor_tol:
+            tau = _bisect_event(lambda tt: _hermite(t, y, f_t, t_new, y5, k6, tt) - floor_tol,
                                 t, t_new)
             event = (tau, TerminationKind.FLOOR_CONTACT)
         g_new = u_new - y5 * y5
-        if g_new <= contact_tol(u_new):
+        if g_new <= contact_tol:
             def contact_margin(tt):
                 y_tt = _hermite(t, y, f_t, t_new, y5, k6, tt)
-                return uval(tt) - y_tt * y_tt - contact_tol(uval(tt))
+                return uval(tt) - y_tt * y_tt - contact_tol
 
             tau = _bisect_event(contact_margin, t, t_new)
             if event is None or tdir * (event[0] - tau) > 0:
@@ -199,7 +200,8 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_
                 snap = _contact_node(u, tau, fs[-1], tdir, lo, hi, critical_set)
                 if snap is not None:
                     theta_c, rho_c = snap
-                    if ode_sign * (rho_c - ys[-1]) >= -1e-13 and tdir * (theta_c - tau) >= 0.0:
+                    if (ode_sign * (rho_c - ys[-1]) >= -1e-13 * math.sqrt(u.scale)
+                            and tdir * (theta_c - tau) >= 0.0):
                         ts.append(theta_c)
                         ys.append(rho_c)
                         fs.append(0.0)
@@ -211,7 +213,7 @@ def generic_solve_regular(u, ic, sign, direction="forward", opts=None, critical_
         # the bound is exponentially ill-conditioned for stepping, so once
         # the margin is small we try to identify the analytic branch it sits
         # on and finish the approach with the local series
-        if (g_new <= _HANDOFF_FACTOR * (1.0 + abs(u_new))
+        if (g_new <= _HANDOFF_FACTOR * u.scale
                 and g_new < u_t - y * y and handoff_theta_tried != t_new):
             handoff_theta_tried = t_new
             snap = _series_handoff(u, t_new, y5, ode_sign, tdir, critical_set)
@@ -587,7 +589,7 @@ def assert_hermite_on_series(stretches):
     for branch, ts, most in stretches:
         assert (ts[0] == branch.ic.theta0) != (ts[-1] == branch.ic.theta0)
         ys, fs = taylor_mod.eval_series(branch, ts)
-        tol = ivp_mod._HERMITE_TOL * (1.0 + branch.ic.rho0)
+        tol = ivp_mod._HERMITE_TOL * branch.ic.rho0
         quarters = [(i, t0 + q * (t1 - t0)) for i, (t0, t1) in enumerate(zip(ts, ts[1:]))
                     for q in (0.25, 0.5, 0.75)]
         series, _ = taylor_mod.eval_series(branch, [t for _i, t in quarters])
@@ -976,13 +978,25 @@ def test_transversal_contact_is_not_snapped_onto_a_distant_critical_point():
     assert np.max(np.diff(piece.thetas)) <= ivp_mod._H_MAX + 1e-12
 
 
-def test_no_continuation_through_a_transversal_contact():
+def test_no_continuation_through_a_transversal_contact(monkeypatch):
     # U' = 2.39 where the trajectory meets the bound: no critical point, so
-    # no analytic branch leaves it, and the error names the angle
+    # no analytic branch leaves it, and the error names the angle.  The
+    # contact is off the critical set and off every dense stretch, a fold
+    # decided from the set, so no jet is built there
     piece = solve_regular(BUMP, BUMP_IC, +1, "backward")
     theta = piece.termination.theta
-    with pytest.raises(NoContinuation, match=f"contact at theta={theta} is not a critical point"):
+    jets = []
+    jet = ModulusModel.jet
+
+    def counting_jet(u, theta0, order):
+        jets.append(theta0)
+        return jet(u, theta0, order)
+
+    monkeypatch.setattr(ModulusModel, "jet", counting_jet)
+    with pytest.raises(NoContinuation,
+                       match=f"^the contact at theta={theta} is not a critical point$"):
         continue_through_critical(piece, BUMP, choice=+1)
+    assert jets == []
 
 
 # -- the tableau ------------------------------------------------------------------------

@@ -64,7 +64,9 @@ def test_eval_negative_raises():
 
 
 def test_eval_tiny_negative_clamps():
-    u = ClosedFormModulus("0 - 1/1000000000000000", (0.0, 1.0))  # -1e-15
+    # -1e-15 at 0.5, within the clamp window 1e-12*max|U| = 2.5e-13
+    u = ClosedFormModulus("(theta - 0.5)^2 - 1/1000000000000000", (0.0, 1.0))
+    assert u.scale == pytest.approx(0.25)
     assert u.value(0.5) == 0.0
 
 
@@ -280,7 +282,7 @@ def test_validate_nan_sample():
 
 def test_validate_reports_eval_errors_as_nonfinite():
     u = ClosedFormModulus("sqrt(theta - 1)", (0.0, 2.0))
-    assert u.scale > 1.0
+    assert u.scale == 1.0  # sqrt(2 - 1), at the domain end
     rep = validate_modulus(u)
     grid = np.linspace(0.0, 2.0, 1024)
     assert rep.nonfinite_thetas == [float(th) for th in grid if th < 1.0]
@@ -390,7 +392,8 @@ def test_value_errors_keep_their_text():
 
 def scale_by_angle_loop(u):
     """The scale of a closed form as the angle loop it replaced sampled it:
-    one plus the largest finite |U| at 129 angles, skipping failures."""
+    the largest finite |U| at 129 angles, skipping failures, or 1.0 when
+    none is finite and nonzero."""
     lo, hi = u.domain
     sample = []
     for t in np.linspace(lo, hi, 129):
@@ -400,7 +403,7 @@ def scale_by_angle_loop(u):
             continue
         if math.isfinite(v):
             sample.append(abs(v))
-    return 1.0 + (max(sample) if sample else 0.0)
+    return (max(sample) if sample else 0.0) or 1.0
 
 
 @settings(max_examples=300, deadline=None)

@@ -133,18 +133,18 @@ def test_parabola_branches_via_modulus():
 def test_alpha_never_returns_to_zero():
     # the pivot is affine in the iteration index, so it vanishes at most
     # once; resonance names that index, and its distance is the least pivot
-    # halved, relative to 1 + rho0
+    # halved, relative to rho0
     rng = np.random.default_rng(5)
     for k in range(100):
         rho0 = rng.uniform(0.2, 5.0)
         beta = rng.uniform(-2.0, 2.0) if k % 2 else -rho0 / rng.integers(3, 200)
-        tol = 1e-9 * (1 + rho0)
+        tol = 1e-9 * rho0
         pivots = [abs(2 * (rho0 + n * beta)) for n in range(3, 200)]
         small = [n for n, pivot in enumerate(pivots, 3) if pivot < tol]
         assert len(small) <= 1
         assert len(small) == 1 or k % 2
         assert resonance(rho0, beta, 199) == \
-            (min(pivots) / 2 / (1 + rho0), small[0] if small else None)
+            (min(pivots) / 2 / rho0, small[0] if small else None)
 
 
 # -- resonance --------------------------------------------------------------------
@@ -152,8 +152,8 @@ def test_alpha_never_returns_to_zero():
 def test_resonance_examples():
     # outside [-rho0/3, 0) no pivot can vanish; inside, the lattice point
     # -rho0/n stalls at n, and only while n is within the jet's order
-    assert resonance(1.0, -1.0, 20) == (1.0, None)   # |1 - 3| / 2
-    assert resonance(1.0, 0.0, 20) == (0.5, None)
+    assert resonance(1.0, -1.0, 20) == (2.0, None)   # |1 - 3| / 1
+    assert resonance(1.0, 0.0, 20) == (1.0, None)
     assert resonance(1.0, 0.3, 2) == (math.inf, None)  # no linear step
     assert resonance(1.0, -0.25, 20) == (0.0, 4)
     assert resonance(1.0, -0.25, 3)[1] is None
@@ -171,16 +171,16 @@ def test_resonance_off_lattice():
     # inside the window, not on the lattice: nearest at n = 5, |1 - 5*0.22|
     distance, index = resonance(1.0, -0.22, 20)
     assert index is None
-    assert distance == pytest.approx(0.05, rel=1e-12)
+    assert distance == pytest.approx(0.1, rel=1e-12)
 
 
 def test_resonance_is_the_recursions_pivot_test():
     # 1e-9 off the lattice point -rho0/5 the pivot is 2*(1 + 5*beta) = 1e-8,
-    # over the tolerance 2e-9: the branch is complete, 2.5e-9 from resonance
+    # over the tolerance 1e-9: the branch is complete, 5e-9 from resonance
     beta = -0.2 + 1e-9
     distance, index = resonance(1.0, beta, 20)
     assert index is None
-    assert distance == pytest.approx(2.5e-9, rel=1e-6)
+    assert distance == pytest.approx(5e-9, rel=1e-6)
     ic = constant_ic(1.0, order=20)
     assert TaylorBranch(ic, beta).status is BranchStatus.COMPLETE
     assert expand_branch(ic, beta).status is BranchStatus.COMPLETE
@@ -224,7 +224,7 @@ def test_eval_series_parabola_residual():
 def oracle_expand_branch(ic, beta, order):
     """``(derivs, status, free_index, consistency_residual)``, the residual in
     derivative units; U^(n) is the jet's coefficient times n!."""
-    tol_deg = 1e-9 * (1.0 + ic.rho0)
+    tol_deg = 1e-9 * ic.rho0
     work = np.zeros(order + 2)
     work[0] = ic.rho0
     work[2] = beta
@@ -241,7 +241,7 @@ def oracle_expand_branch(ic, beta, order):
         work[n] = rhs / alpha
     derivs = work[: order + 1].copy()
     # the constant-circle threshold applies to the coefficients derivs[k]/k!
-    if np.all(np.abs(derivs[1:] / factorials(order)[1:]) <= 1e-14 * (1.0 + ic.rho0)):
+    if np.all(np.abs(derivs[1:] / factorials(order)[1:]) <= 1e-14 * ic.rho0):
         return derivs, BranchStatus.CONSTANT_CIRCLE, None, None
     return derivs, BranchStatus.COMPLETE, None, None
 
@@ -511,7 +511,7 @@ def branch_roots(draw):
     if kind == "any":
         beta = draw(st.floats(-2.0 * rho0, 2.0 * rho0))
     elif kind in ("lattice", "edge"):
-        off = 0.0 if kind == "lattice" else draw(st.sampled_from([-0.5, 0.5])) * 1e-9 * (1 + rho0)
+        off = 0.0 if kind == "lattice" else draw(st.sampled_from([-0.5, 0.5])) * 1e-9 * rho0
         beta = (off - rho0) / draw(st.integers(3, 20))
         beta = draw(st.sampled_from([beta, math.nextafter(beta, -math.inf),
                                      math.nextafter(beta, math.inf)]))
@@ -523,7 +523,7 @@ def branch_roots(draw):
 def oracle_half_sign(branch, side):
     """The sign of a branch half from its first coefficient of order >= 2
     above the tolerance, read from the full recursion."""
-    tol = 1e-12 * (1.0 + branch.ic.rho0)
+    tol = 1e-12 * branch.ic.rho0
     for k in range(2, branch.order + 1):
         if abs(branch.coeffs[k]) > tol:
             return int(math.copysign(1.0, branch.coeffs[k])) * side ** (k - 1)
@@ -538,11 +538,11 @@ def test_status_and_half_sign_from_the_root_are_the_recursions(seed):
     branch = TaylorBranch(ic, beta)
     assert branch.status is full.status
     # only a tiny root needs the recursion to settle the status
-    tiny = abs(0.5 * beta) <= 1e-14 * (1.0 + ic.rho0)
+    tiny = abs(0.5 * beta) <= 1e-14 * ic.rho0
     assert (branch._expansion is None) == (not tiny or full.status is BranchStatus.DEGENERATE)
     # the stall is the first pivot under the recursion's tolerance
     pivots = [abs(2.0 * (ic.rho0 + n * beta)) for n in range(3, ic.u_jet.order + 1)]
-    first = next((n for n, pivot in enumerate(pivots, 3) if pivot < 1e-9 * (1.0 + ic.rho0)), None)
+    first = next((n for n, pivot in enumerate(pivots, 3) if pivot < 1e-9 * ic.rho0), None)
     assert resonance(ic.rho0, beta, ic.u_jet.order)[1] == full.free_index == first
     for side in (-1, 1):
         assert TaylorBranch(ic, beta).half_sign(side) == oracle_half_sign(full, side)
