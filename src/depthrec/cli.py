@@ -32,8 +32,9 @@ flag is a usage error rather than a flag the config scan cannot see.
 stepper's local error tolerances, are the only tolerance flags; every
 other tolerance is a constant of the solver.  ``--atol`` is measured in the
 profile's depth unit, ``sqrt(max|U|)`` (``IntegrationOptions``), so a
-profile given in other units of length is solved alike.  A tolerance that is not
-finite, is negative, or is zero with the other one is a domain error.
+profile given in other units of length is solved alike.  A tolerance that
+is not finite, is negative, or is zero with the other one is a domain
+error.
 ``branch`` reports the series at the critical IC's own order, its jet's:
 20 on a closed form, 2 on a sampled profile.  Count flags are checked by
 their subcommand, whether they come from the command line or a config

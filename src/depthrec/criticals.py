@@ -347,7 +347,7 @@ class UpperBoundReport:
 def upper_bound_check(solution, u: ModulusModel) -> UpperBoundReport:
     """Verify ``rho <= sqrt(U) + tol`` at every node of a solution, where
     ``tol`` is 1e-8 times the largest bound read at every
-    ``len(thetas) // 64``-th node: a depth, measured in a depth.
+    ``len(thetas) // 64``-th node, so it scales with the depths it compares.
 
     Accepts anything exposing ``thetas``/``rhos`` arrays (single pieces and
     stitched solutions both do).  Near-equality nodes are reported as

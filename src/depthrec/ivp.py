@@ -38,9 +38,10 @@ tolerance here is a constant times the profile's unit
 margins in S, depths and slopes (``atol``, the floor, a branch match) in
 ``sqrt(S)``, angles in radians; the margins are worked out once per solve.
 A series stretch, which holds an IC and not the profile, measures in the
-IC's depth ``rho0``.  So a curve measured in other units (``rho -> c*rho``,
-``U -> c^2*U``) is solved by the same steps, every depth times c.  An accepted
-step without an event calls no Python function but that reader.  A
+IC's depth ``rho0``.  So a curve measured in other units
+(``rho -> c*rho``, ``U -> c^2*U``) is solved by the same steps, every depth
+times c.  An accepted step without an event calls no Python function but
+that reader.  A
 ``stop_theta`` before the domain end is the solve's end instead, and the
 last step lands on it (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
 II.4).
@@ -164,9 +165,9 @@ class IntegrationOptions:
 # sqrt(S), angles in radians; a series stretch's depths in its IC's rho0
 _H_MAX = 0.02              # the longest step, radians
 # series-leg and handoff-snap spacing (_series_angles): the cubic Hermite on
-# the nodes within _HERMITE_TOL*rho0 of the series, on no more nodes than the
-# spacing at which linear interpolation is within _INTERP_TOL (radians^2)
-# gives
+# the nodes within _HERMITE_TOL*rho0 of the series (at most 2.9e-9, 0.99 of
+# it, on the benchmark's seed-1 maximal stretches), on no more nodes than the
+# spacing at which linear interpolation is within _INTERP_TOL gives
 _INTERP_TOL = 1e-6
 _HERMITE_TOL = 1e-9
 _TOL_CONTACT = 1e-10       # contact with the bound: U - rho^2 under this, in S
@@ -698,11 +699,11 @@ def _step_event(uvalue, ode_sign: int, tdir: float, tol_floor: float, tol_contac
 
     Floor contact is where the step's cubic Hermite interpolant falls to
     ``tol_floor``; contact with the bound is where ``U - rho^2`` falls to
-    ``tol_contact``, the solve's, in the profile's units.  Each is bisected only when the step's
-    end is past it.  U is read once per bisection midpoint and taken from
-    ``u_t`` and ``u_new`` at the step's own ends, as is U at the event
-    angle when a bisection already read it.  Returns the event's kind and
-    the node ``(tau, rho, drho)``.
+    ``tol_contact``, the solve's, in the profile's units.  Each is bisected
+    only when the step's end is past it.  U is read once per bisection
+    midpoint and taken from ``u_t`` and ``u_new`` at the step's own ends, as
+    is U at the event angle when a bisection already read it.  Returns the
+    event's kind and the node ``(tau, rho, drho)``.
     """
     def rho_at(tt: float) -> float:
         return _hermite(t, y, f_t, t_new, y5, k6, tt)
