@@ -18,7 +18,7 @@ from .errors import (
     InvalidModulus, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex,
     NotRegular, OrderUnavailable, OutsideCone, ParseError,
 )
-from .expressions import differentiate, parse_expression, to_callable, to_text
+from .expressions import differentiate, parse_expression, to_text
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
     continue_through_critical, derivative_pair, residual, solve_regular,

@@ -5,9 +5,9 @@ maximal, cone, plot.  All angles are radians.  Exit codes:
 
 - 0 success;
 - 1 domain or solver error, a malformed ``--u-csv`` file included;
-- 2 usage error, or an I/O error: a ``--config`` or ``--u-csv`` file that
-  cannot be read, an ``--out`` or ``--csv-dir`` path that cannot be
-  written.  An I/O error prints one ``depthrec: ...`` line on stderr.
+- 2 usage error, or an I/O error: a ``--u-csv`` file that cannot be read,
+  an ``--out`` or ``--csv-dir`` path that cannot be written.  An I/O error
+  prints one ``depthrec: ...`` line on stderr.
 
 Outputs are written atomically and are byte-deterministic for identical
 inputs.  The node tables of a report (``theta``, ``rho``, ``drho``) hold a
@@ -23,23 +23,20 @@ call to the next.  Likewise a ``--u-csv`` profile is built once per file
 text: calls that read the same text share one read-only profile
 (``reports.read_u_csv``), and a file rewritten in between is parsed again.
 
-A config file (``--config``, ``key = value`` lines, ``#`` comments) seeds
-defaults; explicit command-line flags win over config values.  Flags are
-spelled out in full: argparse's prefix matching is off, so an abbreviated
-flag is a usage error rather than a flag the config scan cannot see.
+Flags are spelled out in full: argparse's prefix matching is off, so an
+abbreviated flag is a usage error, and a flag added later never changes
+what an existing command line means.
 
-``--rtol`` and ``--atol`` (config keys ``rtol`` and ``atol``), the
-stepper's local error tolerances, are the only tolerance flags; every
-other tolerance is a constant of the solver.  ``--atol`` is measured in the
-profile's depth unit, ``sqrt(max|U|)`` (``IntegrationOptions``), so a
-profile given in other units of length is solved alike.  A tolerance that
-is not finite, is negative, or is zero with the other one is a domain
-error.
+``--rtol`` and ``--atol``, the stepper's local error tolerances, are the
+only tolerance flags; every other tolerance is a constant of the solver.
+``--atol`` is measured in the profile's depth unit, ``sqrt(max|U|)``
+(``IntegrationOptions``), so a profile given in other units of length is
+solved alike.  A tolerance that is not finite, is negative, or is zero
+with the other one is a domain error.
 ``branch`` reports the series at the critical IC's own order, its jet's:
 20 on a closed form, 2 on a sampled profile.  Count flags are checked by
-their subcommand, whether they come from the command line or a config
-file: ``--samples`` below 4 (a sampled profile needs 4 points) and
-``--max-switches`` below 0 are usage errors, and so, for ``enumerate``
+their subcommand: ``--samples`` below 4 (a sampled profile needs 4 points)
+and ``--max-switches`` below 0 are usage errors, and so, for ``enumerate``
 without ``--ic``, are ``--fan-size`` below 1 and ``--seed`` below 0.
 """
 
@@ -57,7 +54,7 @@ from .criticals import CriticalKind, find_critical_points
 from .errors import DepthRecError
 from .ivp import IntegrationOptions, RegularIC, solve_regular
 from .modulus import ClosedFormModulus, ModulusModel, from_depth, validate_modulus
-from .parametrization import DepthFunction
+from .parametrization import DepthFunction, is_angular_domain
 from .reports import (
     atomic_write_text, branch_payload, cone_payload, criticals_payload,
     empty_report, report_json_text, solution_csv_text, solution_payload,
@@ -70,37 +67,9 @@ from .solutions import (
 from .svg import SvgCurve, SvgMarker, render_svg
 from .taylor import CriticalIC
 
-CONFIG_KEYS = {
-    "domain_lo": float, "domain_hi": float, "u": str, "u_csv": str, "rho": str,
-    "rtol": float, "atol": float,
-    "max_switches": int, "samples": int, "seed": int, "fan_size": int,
-}
-
-
-def _load_config(path: str) -> dict:
-    values: dict[str, object] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"config {path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in CONFIG_KEYS:
-                raise SystemExit(f"config {path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = CONFIG_KEYS[key](val.strip())
-            except ValueError as exc:
-                raise SystemExit(f"config {path}:{lineno}: {exc}") from None
-    return values
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
     common.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"))
     common.add_argument("--u", help="squared-speed profile expression in theta")
     common.add_argument("--u-csv", dest="u_csv", help="sampled profile CSV (theta,u)")
@@ -166,24 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    config = _load_config(args.config)
-    supplied = set()
-    for token in argv:
-        if token.startswith("--"):
-            supplied.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    if "domain_lo" in config and "domain_hi" in config and "domain" not in supplied:
-        args.domain = [config["domain_lo"], config["domain_hi"]]
-    for key, value in config.items():
-        if key in ("domain_lo", "domain_hi"):
-            continue
-        if hasattr(args, key) and key not in supplied:
-            setattr(args, key, value)
-    return args
-
-
 def _integration_options(args: argparse.Namespace) -> IntegrationOptions:
     return IntegrationOptions(**{key: getattr(args, key) for key in ("rtol", "atol")
                                  if getattr(args, key) is not None})
@@ -191,7 +142,7 @@ def _integration_options(args: argparse.Namespace) -> IntegrationOptions:
 
 def _require_domain(args) -> tuple[float, float]:
     if args.domain is None:
-        raise SystemExit("--domain LO HI is required (or domain_lo/hi in --config)")
+        raise SystemExit("--domain LO HI is required")
     lo, hi = args.domain
     if not lo < hi:
         raise SystemExit(f"empty domain [{lo}, {hi}]")
@@ -214,8 +165,8 @@ def _emit(args, text: str) -> None:
 
 
 def _at_least(args, key: str, least: int) -> int:
-    """``args.<key>``, a count that a flag or a config key set; a usage
-    error naming the flag below ``least``."""
+    """``args.<key>``, a count a flag set; a usage error naming the flag
+    below ``least``."""
     value = getattr(args, key)
     if value < least:
         raise SystemExit(f"--{key.replace('_', '-')} must be at least {least}, got {value}")
@@ -233,8 +184,7 @@ def _cmd_forward(args) -> int:
     if not args.rho:
         raise SystemExit("forward requires --rho EXPR")
     lo, hi = _require_domain(args)
-    angular = 0.0 <= lo and hi <= math.pi + 1e-12
-    rho = DepthFunction.from_text(args.rho, (lo, hi), angular=angular)
+    rho = DepthFunction.from_text(args.rho, (lo, hi), angular=is_angular_domain(lo, hi))
     u = from_depth(rho)
     _emit(args, u_csv_text(u, samples=samples))
     return 0
@@ -388,19 +338,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        args = _apply_config(args, argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):  # a --config error; argparse prints its own
-            sys.stderr.write(exc.code + "\n")
-            return 2
-        return 2 if exc.code not in (0, None) else 0
-    except OSError as exc:  # an unreadable --config file
-        sys.stderr.write(f"depthrec: {exc}\n")
-        return 2
-    try:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -51,7 +51,7 @@ from .series import PowerSeries
 
 __all__ = [
     "Expression", "Num", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "parse_expression", "to_text", "differentiate", "ExpressionKernel", "to_callable",
+    "parse_expression", "to_text", "differentiate", "ExpressionKernel",
     "series_coefficients", "FUNCTIONS", "VARIABLES",
 ]
 
@@ -824,18 +824,6 @@ class ExpressionKernel:
         if values is not None and np.isfinite(values).all():
             return values if np.ndim(values) else np.full(thetas.shape, values)
         return np.array([self.scalar(th) for th in thetas.tolist()])
-
-
-def to_callable(node: Expression):
-    """Compile the AST into a float->float callable.
-
-    Math-domain failures (sqrt/log of a negative, division by zero, a
-    ``math`` function or a power other than a square overflowing) are
-    reported as :class:`EvalError` carrying the offending argument.  A
-    square is the product ``b*b``, correctly rounded; one that overflows
-    gives an infinity, as ``b*b`` does.
-    """
-    return ExpressionKernel(node).scalar
 
 
 def _eval_series(node: Expression, var: PowerSeries, memo: dict, sincos: dict):

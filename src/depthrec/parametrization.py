@@ -26,13 +26,20 @@ from .expressions import (
 
 __all__ = [
     "PlanarPoint", "DepthFunction", "CartesianKind", "CartesianParametrization",
-    "polar_to_cartesian", "image_line_to_angle", "convert_to_polar", "velocity",
+    "is_angular_domain", "polar_to_cartesian", "image_line_to_angle", "convert_to_polar",
+    "velocity",
 ]
 
 
 class PlanarPoint(NamedTuple):
     x: float
     y: float
+
+
+def is_angular_domain(lo: float, hi: float) -> bool:
+    """Whether [lo, hi] lies inside the viewing angles [0, pi], with 1e-12
+    of slack past pi for a rounded pi."""
+    return 0.0 <= lo and hi <= math.pi + 1e-12
 
 
 class CartesianKind(Enum):
@@ -48,7 +55,8 @@ class DepthFunction:
 
     Either closed-form (``expr`` is an AST over the expression grammar) or
     sampled (strictly increasing ``grid`` with positive ``values``).  When
-    ``angular`` is true the domain must sit inside [0, pi].
+    ``angular`` is true the domain must sit inside [0, pi]
+    (:func:`is_angular_domain`).
     """
 
     domain: tuple[float, float]
@@ -64,7 +72,7 @@ class DepthFunction:
         lo, hi = self.domain
         if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError(f"empty or non-finite domain [{lo}, {hi}]")
-        if self.angular and not (0.0 <= lo and hi <= math.pi + 1e-15):
+        if self.angular and not is_angular_domain(lo, hi):
             raise DomainError(f"angular domain [{lo}, {hi}] must lie inside [0, pi]")
         if (self.expr is None) == (self.grid is None):
             raise DomainError("exactly one of expr or grid must be given")

@@ -158,15 +158,13 @@ def _csv_float(cell: str, path: str, line: int) -> float:
         raise DomainError(f"bad number {cell!r} in {path}, line {line}") from None
 
 
-def solution_csv_text(sol, u: ModulusModel | None = None) -> str:
-    """Node table theta,rho,drho,x,y,residual for a piece or a solution."""
+def solution_csv_text(sol, u: ModulusModel) -> str:
+    """Node table theta,rho,drho,x,y,residual for a piece or a solution;
+    the residual is ``|drho^2 + rho^2 - U|`` at each node."""
     thetas = np.asarray(sol.thetas, dtype=float)
     rhos = np.asarray(sol.rhos, dtype=float)
     drhos = np.asarray(sol.drhos, dtype=float)
-    if u is None:
-        residuals = np.zeros_like(thetas)
-    else:
-        residuals = np.abs(drhos * drhos + rhos * rhos - u.value_grid(thetas))
+    residuals = np.abs(drhos * drhos + rhos * rhos - u.value_grid(thetas))
     lines = ["theta,rho,drho,x,y,residual"]
     for th, r, dr, res in zip(thetas, rhos, drhos, residuals):
         x = r * math.cos(th)

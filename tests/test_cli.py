@@ -1,4 +1,4 @@
-"""Command-line surface: determinism, round trips, exit codes, config."""
+"""Command-line surface: determinism, round trips, exit codes, flags."""
 
 import json
 import math
@@ -12,7 +12,7 @@ import pytest
 
 import depthrec.criticals as criticals_mod
 import depthrec.reports as reports_mod
-from depthrec.cli import _build_parser, _load_config, _solution_curve, main
+from depthrec.cli import _build_parser, _solution_curve, main
 from depthrec.modulus import ClosedFormModulus, SampledModulus
 from depthrec.reports import read_solution_csv, read_u_csv
 from depthrec.solutions import maximal_solution
@@ -185,54 +185,6 @@ def test_maximal_rejects_a_non_finite_profile(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_file_and_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# fixture configuration\n"
-        "domain_lo = 0\n"
-        "domain_hi = 1.5\n"
-        "u = 1\n"
-        "max_switches = 1\n")
-    out1 = tmp_path / "a.json"
-    code = main(["enumerate", "--config", str(cfg), "--ic", "0", "0.5",
-                 "--out", str(out1)])
-    assert code == 0
-    report = json.loads(out1.read_text())
-    assert len(report["solutions"]) == 3  # max_switches=1 from config
-
-    # explicit flag beats the config value
-    out2 = tmp_path / "b.json"
-    code = main(["enumerate", "--config", str(cfg), "--ic", "0", "0.5",
-                 "--max-switches", "0", "--out", str(out2)])
-    assert code == 0
-    report2 = json.loads(out2.read_text())
-    assert len(report2["solutions"]) == 2  # no switching allowed
-
-
-def test_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nope = 1\n")
-    assert main(["maximal", "--config", str(cfg), "--u", "1",
-                 "--domain", "0", "1"]) == 2
-
-
-def test_config_rejects_tol_bvp(tmp_path, capsys):
-    # rtol and atol are the only tolerances a caller sets; the solver's
-    # other tolerances are constants, so their keys must not be accepted
-    # silently
-    for key, value in (("tol_bvp", "1e-9"), ("tol_contact", "1e-9"), ("tol_floor", "1e-9"),
-                       ("series_radius", "0.1"), ("taylor_order", "12")):
-        cfg = tmp_path / f"{key}.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        with pytest.raises(SystemExit, match=f"unknown key '{key}'"):
-            _load_config(str(cfg))
-        capsys.readouterr()
-        assert main(["maximal", "--config", str(cfg), "--u", "1",
-                     "--domain", "0", "1"]) == 2
-        err = capsys.readouterr().err
-        assert f"config {cfg}:1: unknown key '{key}'" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["maximal", "--series-radius", "0.1"],
     ["maximal", "--taylor-order", "12"],
@@ -240,10 +192,11 @@ def test_config_rejects_tol_bvp(tmp_path, capsys):
     ["maximal", "--tol-floor", "1e-9"],
     ["critical", "--grid", "512"],
     ["branch", "--theta0", "0", "--order", "8"],
+    ["maximal", "--config", "run.cfg"],   # a flag is the one way to set a value
 ])
 def test_removed_tuning_flags_exit_2(argv, capsys):
     assert main(argv + ["--u", "1", "--domain", "0", "1"]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 SOLVE_ARGV = ["solve", "--u", "2+0.1*sin(theta)", "--domain", "0.2", "2.9",
@@ -263,13 +216,6 @@ def test_unusable_tolerances_exit_1(tmp_path, capsys, tolerances, field):
     err = capsys.readouterr().err
     assert err.startswith(f"depthrec: {field} must") and err.count("\n") == 1
     assert not out.exists()
-    # the same values from a config file
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("".join(f"{flag[2:]} = {value}\n"
-                           for flag, value in zip(tolerances[::2], tolerances[1::2])))
-    assert main(SOLVE_ARGV + ["--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"depthrec: {field} must") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,flag,least", [
@@ -294,11 +240,6 @@ def test_counts_below_their_least_exit_2(tmp_path, capsys, argv, flag, least):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"{flag} must be at least {least}, got {value}\n"
     assert not out.exists()
-    # the same value from a config file is checked as well
-    cfg = tmp_path / "count.cfg"
-    cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
-    assert main(argv[:-2] + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"{flag} must be at least {least}, got {value}\n"
 
 
 def test_counts_at_their_least_run(tmp_path):
@@ -316,17 +257,37 @@ def test_counts_at_their_least_run(tmp_path):
 
 
 def test_flag_prefix_is_a_usage_error_not_a_config_override(tmp_path, capsys):
-    # a prefix of --max-switches would be missed by the scan for explicit
-    # flags, so the config value would win over it: prefixes are refused
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_switches = 0\n")
-    argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5",
-            "--config", str(cfg)]
+    # prefixes are refused, so a flag added later never changes what an
+    # existing command line means; the spelled-out flag runs, and its bytes
+    # are those of a fresh process
+    argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5"]
     assert main(argv + ["--max-sw", "2"]) == 2
     assert "unrecognized arguments: --max-sw" in capsys.readouterr().err
-    out = tmp_path / "full.json"
-    assert main(argv + ["--max-switches", "2", "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["solutions"]) == 3
+    fresh = tmp_path / "fresh.json"
+    subprocess.run([sys.executable, "-m", "depthrec.cli", *argv, "--max-switches", "2",
+                    "--out", str(fresh)],
+                   check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    out = run_to_file(tmp_path, "full.json", argv + ["--max-switches", "2"])
+    assert out == fresh.read_bytes()
+    assert len(json.loads(out)["solutions"]) == 3
+
+
+def test_help_exits_0_and_an_unknown_flag_exits_2(capsys):
+    assert main(["--help"]) == 0
+    assert main(["maximal", "--help"]) == 0
+    assert "usage: depthrec" in capsys.readouterr().out
+    assert main(["maximal", "--u", "1", "--domain", "0", "1", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_forward_accepts_a_domain_end_at_a_rounded_pi(tmp_path):
+    # the subcommand took 3.14159265358980 for an angular end and the depth
+    # refused it as past pi, while 3.1416, farther past pi, ran
+    ucsv = tmp_path / "u.csv"
+    assert main(["forward", "--rho", "2", "--domain", "0.1", "3.14159265358980",
+                 "--samples", "5", "--out", str(ucsv)]) == 0
+    assert main(["validate", "--u-csv", str(ucsv), "--out", str(tmp_path / "v.json")]) == 0
+    np.testing.assert_array_equal(read_u_csv(str(ucsv)).values, 4.0)
 
 
 def test_plot_svg_structure(tmp_path):
@@ -553,12 +514,12 @@ def test_usage_error_then_valid_call_matches_fresh_process(tmp_path, capsys):
 
 
 def test_config_values_do_not_leak_into_next_call(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_switches = 0\nfan_size = 2\nrtol = 1e-6\n")
+    # the values one call's flags set are not the next call's defaults
     argv = ["enumerate", "--u", "1", "--domain", "0", "1.5", "--ic", "0", "0.5"]
     plain = run_to_file(tmp_path, "plain.json", argv)
-    configured = run_to_file(tmp_path, "configured.json", argv + ["--config", str(cfg)])
-    assert configured != plain
+    flagged = run_to_file(tmp_path, "flagged.json", argv + ["--max-switches", "0",
+                                                             "--rtol", "1e-6"])
+    assert flagged != plain
     assert run_to_file(tmp_path, "again.json", argv) == plain
 
 
@@ -567,15 +528,6 @@ def test_config_values_do_not_leak_into_next_call(tmp_path):
 def test_missing_u_csv_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     assert main(["critical", "--u-csv", str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("depthrec: ") and err.count("\n") == 1
-    assert str(missing) in err
-
-
-def test_missing_config_exits_2(tmp_path, capsys):
-    missing = tmp_path / "absent.cfg"
-    assert main(["maximal", "--config", str(missing), "--u", "1",
-                 "--domain", "0", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("depthrec: ") and err.count("\n") == 1
     assert str(missing) in err

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from depthrec.errors import EvalError, ParseError
 from depthrec.expressions import (
     FUNCTIONS, Add, Call, Div, Expression, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
-    differentiate, parse_expression, series_coefficients, to_callable, to_text,
+    differentiate, parse_expression, series_coefficients, to_text,
 )
 from depthrec.expressions import _shape_source
 from depthrec.modulus import from_depth
@@ -37,36 +37,36 @@ def test_parse_literal():
 
 def test_parse_parabola_fixture():
     ast = parse_expression("pi^2/16 - pi^2/128*theta^2")
-    f = to_callable(ast)
+    f = ExpressionKernel(ast).scalar
     assert f(0.0) == pytest.approx(math.pi ** 2 / 16, rel=1e-15)
     assert f(1.0) == pytest.approx(math.pi ** 2 / 16 - math.pi ** 2 / 128, rel=1e-15)
 
 
 def test_parse_line_fixture():
     ast = parse_expression("25/cos(theta)^4")
-    f = to_callable(ast)
+    f = ExpressionKernel(ast).scalar
     assert f(0.0) == pytest.approx(25.0)
     assert f(0.3) == pytest.approx(25.0 / math.cos(0.3) ** 4, rel=1e-15)
 
 
 def test_precedence_pow_over_unary_minus():
     # ^ binds tighter than unary minus: -2^2 == -(2^2)
-    assert to_callable(parse_expression("-2^2"))(0.0) == -4.0
+    assert ExpressionKernel(parse_expression("-2^2")).scalar(0.0) == -4.0
 
 
 def test_pow_right_assoc_via_integer_folding():
     # 2^3 with folded constant exponents only; nested exponent must fold
-    assert to_callable(parse_expression("2^3"))(0.0) == 8.0
-    assert to_callable(parse_expression("2^-2"))(0.0) == 0.25
+    assert ExpressionKernel(parse_expression("2^3")).scalar(0.0) == 8.0
+    assert ExpressionKernel(parse_expression("2^-2")).scalar(0.0) == 0.25
 
 
 def test_mul_div_left_assoc():
-    assert to_callable(parse_expression("8/4/2"))(0.0) == 1.0
-    assert to_callable(parse_expression("8-4-2"))(0.0) == 2.0
+    assert ExpressionKernel(parse_expression("8/4/2")).scalar(0.0) == 1.0
+    assert ExpressionKernel(parse_expression("8-4-2")).scalar(0.0) == 2.0
 
 
 def test_variable_t_accepted():
-    f = to_callable(parse_expression("t^2 + 1"))
+    f = ExpressionKernel(parse_expression("t^2 + 1")).scalar
     assert f(3.0) == 10.0
 
 
@@ -134,7 +134,7 @@ def test_printed_semantics_match():
              "sin(2*theta) - cos(theta)^2/(theta + 3)"]
     for text in texts:
         ast = parse_expression(text)
-        f, g = to_callable(ast), to_callable(parse_expression(to_text(ast)))
+        f, g = ExpressionKernel(ast).scalar, ExpressionKernel(parse_expression(to_text(ast))).scalar
         for _ in range(20):
             th = rng.uniform(0.05, 1.3)
             assert f(th) == pytest.approx(g(th), rel=1e-15)
@@ -153,7 +153,7 @@ def test_printed_semantics_match():
 ])
 def test_differentiate_against_sympy(text):
     ast = parse_expression(text)
-    d = to_callable(differentiate(ast))
+    d = ExpressionKernel(differentiate(ast)).scalar
     oracle = sp.lambdify(THETA, sp.diff(sympy_of(text), THETA), "math")
     for th in np.linspace(0.1, 1.2, 13):
         assert d(float(th)) == pytest.approx(oracle(float(th)), rel=1e-12, abs=1e-12)
@@ -201,12 +201,12 @@ def test_parabola_jet_values():
 # -- evaluation errors --------------------------------------------------------
 
 def test_eval_error_carries_theta():
-    f = to_callable(parse_expression("sqrt(theta)"))
+    f = ExpressionKernel(parse_expression("sqrt(theta)")).scalar
     with pytest.raises(EvalError) as ei:
         f(-1.0)
     assert ei.value.theta == -1.0
 
-    g = to_callable(parse_expression("1/theta"))
+    g = ExpressionKernel(parse_expression("1/theta")).scalar
     with pytest.raises(EvalError):
         g(0.0)
 
@@ -313,7 +313,7 @@ angles = st.one_of(st.floats(-4.0, 4.0, allow_nan=False), st.sampled_from([0.0, 
 @settings(max_examples=400, deadline=None)
 @given(expressions, st.lists(angles, min_size=1, max_size=6))
 def test_kernel_bit_identical_to_tree(node, thetas):
-    kernel, oracle = to_callable(node), tree_callable(node)
+    kernel, oracle = ExpressionKernel(node).scalar, tree_callable(node)
     for th in thetas:
         assert outcome(kernel, th) == outcome(oracle, th)
 
@@ -326,7 +326,7 @@ def _chain(depth, node=Var("theta")):
 
 def test_kernel_bit_identical_on_deep_tree():
     node = _chain(180)    # deeper than one parenthesized line allows
-    kernel, oracle = to_callable(node), tree_callable(node)
+    kernel, oracle = ExpressionKernel(node).scalar, tree_callable(node)
     for th in np.linspace(-3.0, 3.0, 41):
         assert outcome(kernel, float(th)) == outcome(oracle, float(th))
 
@@ -336,7 +336,7 @@ def test_kernel_keeps_evaluation_order_around_locals():
     # the right one is deep enough to go into locals evaluated before the sum
     failing = Div(Num(1.0), Sub(Var("theta"), Var("theta")))
     node = Add(Call("log", Neg(Var("theta"))), _chain(120, failing))
-    kernel, oracle = to_callable(node), tree_callable(node)
+    kernel, oracle = ExpressionKernel(node).scalar, tree_callable(node)
     assert outcome(kernel, 2.0) == outcome(oracle, 2.0)
     assert "math domain error" in outcome(kernel, 2.0)[0]
 
@@ -352,9 +352,9 @@ def test_kernel_keeps_evaluation_order_around_locals():
 def test_kernel_eval_error_carries_theta(text, theta):
     node = parse_expression(text)
     with pytest.raises(EvalError) as ei:
-        to_callable(node)(theta)
+        ExpressionKernel(node).scalar(theta)
     assert ei.value.theta == theta
-    assert outcome(to_callable(node), theta) == outcome(tree_callable(node), theta)
+    assert outcome(ExpressionKernel(node).scalar, theta) == outcome(tree_callable(node), theta)
 
 
 def checked_outcome(kernel, theta):

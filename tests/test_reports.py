@@ -403,7 +403,7 @@ def _u_csv_text_oracle(u, samples=501):
     return "\n".join(lines) + "\n"
 
 
-def _solution_csv_text_oracle(sol, u=None):
+def _solution_csv_text_oracle(sol, u):
     thetas = np.asarray(sol.thetas, dtype=float)
     rhos = np.asarray(sol.rhos, dtype=float)
     drhos = np.asarray(sol.drhos, dtype=float)
@@ -411,7 +411,7 @@ def _solution_csv_text_oracle(sol, u=None):
     for th, r, dr in zip(thetas, rhos, drhos):
         x = r * math.cos(th)
         y = r * math.sin(th)
-        res = abs(dr * dr + r * r - u.value(float(th))) if u is not None else 0.0
+        res = abs(dr * dr + r * r - u.value(float(th)))
         lines.append(",".join(format_float(v) for v in (th, r, dr, x, y, res)))
     return "\n".join(lines) + "\n"
 
@@ -449,7 +449,7 @@ def test_solution_csv_text_matches_node_loop(u):
                                        drhos=np.zeros(33))):
         assert _text_or_error(solution_csv_text, sol, u) == \
             _text_or_error(_solution_csv_text_oracle, sol, u)
-    assert solution_csv_text(piece) == _solution_csv_text_oracle(piece)
+    assert solution_csv_text(piece, _PROFILES[0]) == _solution_csv_text_oracle(piece, _PROFILES[0])
 
 
 # -- solution.csv reader --------------------------------------------------------
