@@ -25,10 +25,18 @@ text: calls that read the same text share one read-only profile
 
 Flags are spelled out in full: argparse's prefix matching is off, so an
 abbreviated flag is a usage error, and a flag added later never changes
-what an existing command line means.
+what an existing command line means.  A subcommand takes only the flags it
+reads; any other is a usage error.  ``forward`` writes the U of a depth
+over an angular ``--domain`` inside [0, pi], the profile every other
+subcommand reads: a domain outside it is a domain error.  The others read
+a profile from ``--u`` with ``--domain`` or from ``--u-csv``, whose file
+holds its own domain, so ``--u-csv`` with ``--u`` or ``--domain`` is a
+usage error.
 
 ``--rtol`` and ``--atol``, the stepper's local error tolerances, are the
-only tolerance flags; every other tolerance is a constant of the solver.
+only tolerance flags, taken by the subcommands that integrate (``solve``,
+``enumerate``, ``maximal``, ``cone``, ``plot``); every other tolerance is a
+constant of the solver.
 ``--atol`` is measured in the profile's depth unit, ``sqrt(max|U|)``
 (``IntegrationOptions``), so a profile given in other units of length is
 solved alike.  A tolerance that is not finite, is negative, or is zero
@@ -54,7 +62,7 @@ from .criticals import CriticalKind, find_critical_points
 from .errors import DepthRecError
 from .ivp import IntegrationOptions, RegularIC, solve_regular
 from .modulus import ClosedFormModulus, ModulusModel, from_depth, validate_modulus
-from .parametrization import DepthFunction, is_angular_domain
+from .parametrization import DepthFunction
 from .reports import (
     atomic_write_text, branch_payload, cone_payload, criticals_payload,
     empty_report, report_json_text, solution_csv_text, solution_payload,
@@ -69,14 +77,19 @@ from .taylor import CriticalIC
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"))
-    common.add_argument("--u", help="squared-speed profile expression in theta")
-    common.add_argument("--u-csv", dest="u_csv", help="sampled profile CSV (theta,u)")
-    common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--rtol", type=float, default=None,
+    # each subcommand takes only the flags it reads: forward the base, the
+    # others a profile too, and those that integrate the stepper tolerances
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"))
+    base.add_argument("--out", help="output path (stdout when omitted)")
+    profile = argparse.ArgumentParser(add_help=False, parents=[base])
+    profile.add_argument("--u", help="squared-speed profile expression in theta")
+    profile.add_argument("--u-csv", dest="u_csv",
+                         help="sampled profile CSV (theta,u), which holds its own domain")
+    solver = argparse.ArgumentParser(add_help=False, parents=[profile])
+    solver.add_argument("--rtol", type=float, default=None,
                         help="relative local error tolerance of the stepper")
-    common.add_argument("--atol", type=float, default=None,
+    solver.add_argument("--atol", type=float, default=None,
                         help="absolute local error tolerance, in units of sqrt(max|U|)")
 
     parser = argparse.ArgumentParser(
@@ -85,18 +98,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "speed profile.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("forward", parents=[base], allow_abbrev=False,
                        help="squared speed of a known depth profile")
     p.add_argument("--rho", help="depth expression in theta")
     p.add_argument("--samples", type=int, default=501)
 
-    sub.add_parser("validate", parents=[common], allow_abbrev=False,
+    sub.add_parser("validate", parents=[profile], allow_abbrev=False,
                    help="admissibility scan of a profile")
 
-    sub.add_parser("critical", parents=[common], allow_abbrev=False,
+    sub.add_parser("critical", parents=[profile], allow_abbrev=False,
                    help="locate and classify critical points")
 
-    p = sub.add_parser("solve", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("solve", parents=[solver], allow_abbrev=False,
                        help="integrate one branch from a regular IC")
     p.add_argument("--ic", nargs=2, type=float, metavar=("THETA", "RHO"),
                    required=True)
@@ -104,11 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["forward", "backward"],
                    default="forward")
 
-    p = sub.add_parser("branch", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("branch", parents=[profile], allow_abbrev=False,
                        help="analytic branch jets at a critical IC")
     p.add_argument("--theta0", type=float, required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("enumerate", parents=[solver], allow_abbrev=False,
                        help="tree of global solutions through an IC")
     p.add_argument("--ic", nargs=2, type=float, metavar=("THETA", "RHO"))
     p.add_argument("--max-switches", dest="max_switches", type=int, default=2)
@@ -117,10 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-dir", dest="csv_dir",
                    help="write one node CSV per solution into this directory")
 
-    sub.add_parser("maximal", parents=[common], allow_abbrev=False,
+    sub.add_parser("maximal", parents=[solver], allow_abbrev=False,
                    help="the depth-maximal solution")
 
-    p = sub.add_parser("cone", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("cone", parents=[solver], allow_abbrev=False,
                        help="bounding solution pair at a maximum-type point")
     p.add_argument("--apex", type=float, default=None,
                    help="apex angle (defaults to the first maximum-type critical)")
@@ -128,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar=("THETA", "RHO"),
                    help="also integrate the squeezed solution through this IC")
 
-    p = sub.add_parser("plot", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("plot", parents=[solver], allow_abbrev=False,
                        help="SVG overlay of the curve family in the plane")
     p.add_argument("--ic", nargs=2, type=float, metavar=("THETA", "RHO"))
     p.add_argument("--max-switches", dest="max_switches", type=int, default=1)
@@ -150,10 +163,13 @@ def _require_domain(args) -> tuple[float, float]:
 
 
 def _load_profile(args) -> ModulusModel:
-    if getattr(args, "u", None):
-        return ClosedFormModulus(args.u, _require_domain(args))
-    if getattr(args, "u_csv", None):
+    if args.u_csv:
+        if args.u is not None or args.domain is not None:
+            raise SystemExit("--u-csv takes neither --u nor --domain: "
+                             "the file holds the profile and its domain")
         return read_u_csv(args.u_csv)
+    if args.u:
+        return ClosedFormModulus(args.u, _require_domain(args))
     raise SystemExit("one of --u EXPR or --u-csv PATH is required")
 
 
@@ -183,9 +199,8 @@ def _cmd_forward(args) -> int:
     samples = _at_least(args, "samples", 4)
     if not args.rho:
         raise SystemExit("forward requires --rho EXPR")
-    lo, hi = _require_domain(args)
-    rho = DepthFunction.from_text(args.rho, (lo, hi), angular=is_angular_domain(lo, hi))
-    u = from_depth(rho)
+    # the depth's domain must be angular, as every reader of the u.csv takes it
+    u = from_depth(DepthFunction.from_text(args.rho, _require_domain(args)))
     _emit(args, u_csv_text(u, samples=samples))
     return 0
 

@@ -100,12 +100,10 @@ def phase_of(rho0: float, u2: float) -> Phase:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """One critical point of the depth bound of ``profile``; the scan's
-    ``kind`` names :attr:`phase`, one built by hand keeps the kind given."""
+    """One critical point of the depth bound of ``profile``."""
 
     theta: float
     depth: float
-    kind: CriticalKind
     profile: ModulusModel = field(repr=False, compare=False)
     boundary: bool = False
 
@@ -123,6 +121,11 @@ class CriticalPoint:
     def phase(self) -> Phase:
         """The point's phase class (:func:`phase_of`), from :attr:`u2`."""
         return phase_of(self.depth, self.u2)
+
+    @property
+    def kind(self) -> CriticalKind:
+        """The extremum of the bound the point's phase names."""
+        return self.phase.kind
 
     @property
     def ic(self) -> CriticalIC:
@@ -329,7 +332,7 @@ def find_critical_points(u: ModulusModel) -> CriticalSet:
             continue
         depth, u2 = math.sqrt(uval), second(th)
         is_boundary = th in boundary or th <= lo + 10 * tol or th >= hi - 10 * tol
-        point = CriticalPoint(th, depth, phase_of(depth, u2).kind, u, is_boundary)
+        point = CriticalPoint(th, depth, u, is_boundary)
         vars(point)["u2"] = u2  # the cached property's value: U'' is read once
         found.points.append(point)
     return found

@@ -11,10 +11,11 @@ right-associative; ``*``/``/`` and ``+``/``-`` are left-associative)::
 
 Variables are ``theta`` or ``t``; functions are sin, cos, tan, sqrt, exp,
 log.  Parsing, printing and re-parsing is a fixed point.  Expressions can
-be differentiated symbolically (the result stays inside the grammar),
-evaluated with :class:`~depthrec.series.PowerSeries` arguments for
-Taylor coefficients of any order, or compiled into kernels for plain
-evaluation.
+be differentiated symbolically (the result stays inside the grammar) and
+compiled into kernels, an expression's one evaluator: one generated source
+serves a float angle, an array of angles and a
+:class:`~depthrec.series.PowerSeries` argument, whose result holds the
+Taylor coefficients to any order.
 
 An :class:`ExpressionKernel` generates Python source from the AST, one
 parenthesized operation per distinct subexpression, with the constants as
@@ -32,7 +33,11 @@ forward model is a sum of two squares, so this is the common power, and a
 product is both cheaper and exact where ``pow`` may be off by one ulp.  The
 array kernel evaluates a whole array of angles with the same operations on
 numpy, each bound to a function that rounds as the scalar one does, so its
-values are bit-identical to the scalar kernel's too.  Profiles of one shape
+values are bit-identical to the scalar kernel's too.  The series kernel runs
+the scalar kernel's code with each function bound to one dispatch, ``math``
+on a float and the :class:`~depthrec.series.PowerSeries` method of the same
+name on a series, so a subtree without the variable stays a float, as in a
+node-by-node walk on series.  Profiles of one shape
 (a sine family, say) differ only in their constants, so they share one
 source text, generated once, and each source is compiled once per process.
 """
@@ -52,7 +57,7 @@ from .series import PowerSeries
 __all__ = [
     "Expression", "Num", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "parse_expression", "to_text", "differentiate", "ExpressionKernel",
-    "series_coefficients", "FUNCTIONS", "VARIABLES",
+    "FUNCTIONS", "VARIABLES",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sqrt", "exp", "log")
@@ -528,6 +533,15 @@ _ARRAY_FUNCS = {
     "sqrt": np.sqrt, "exp": _angle_by_angle(math.exp), "log": _angle_by_angle(math.log),
     "_pow": np.float_power,
 }
+
+
+def _on_float_or_series(name: str):
+    """``math``'s ``name`` on a float, the :class:`PowerSeries` method on a series."""
+    fn, method = _MATH_FUNCS[name], getattr(PowerSeries, name)
+    return lambda x: method(x) if isinstance(x, PowerSeries) else fn(x)
+
+
+_SERIES_FUNCS = {name: _on_float_or_series(name) for name in FUNCTIONS}
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # what math-domain failures raise in Python float arithmetic and ``math``
 _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -720,6 +734,10 @@ def _fail(exc: Exception, theta) -> EvalError:
     return EvalError(f"cannot evaluate expression: {exc}", theta)
 
 
+def _fail_expand(exc: Exception, var: PowerSeries) -> EvalError:
+    return EvalError(f"cannot expand expression: {exc}", var[0])
+
+
 class _PowerAsCall(ast.NodeTransformer):
     """Rewrites every ``b ** n`` as ``_pow(b, n)``."""
 
@@ -747,7 +765,8 @@ def _compiled(source: str, array: bool):
 
 
 class ExpressionKernel:
-    """Generated kernels of one expression, built on first use.
+    """Generated kernels of one expression, built on first use: its one
+    evaluator, which serves floats, arrays and power series from one source.
 
     ``scalar`` evaluates at one float angle on ``math`` and is bit-identical
     to evaluating the tree node by node, though it computes each repeated
@@ -762,7 +781,9 @@ class ExpressionKernel:
     the node-by-node walk meets first.  :meth:`checked` is ``scalar`` with a
     range test on the angle and a finite-and-nonnegative test on the value
     written into its source, handing every other angle to a given slow
-    path: a closed-form profile's U reader.  Compiling costs as much as a
+    path: a closed-form profile's U reader.  :meth:`jet` runs ``scalar``'s
+    code on a power series for the Taylor coefficients, each repeated
+    subexpression expanded once.  Compiling costs as much as a
     few hundred evaluations, so nothing is built until a kernel is first
     used.  Building one walks the tree once for its shape and constants;
     kernels of one shape (trees that differ only in their constants, with
@@ -777,10 +798,10 @@ class ExpressionKernel:
     def _tree_shape(self) -> tuple[tuple, list]:
         return _shape(self.node)
 
-    def _bind(self, funcs: dict, array: bool, checked: bool = False, **names):
+    def _bind(self, funcs: dict, array: bool, checked: bool = False, fail=_fail, **names):
         shape, consts = self._tree_shape
         namespace = {f"c{i}": value for i, value in enumerate(consts)}
-        namespace.update(funcs, **names, _MATH_ERRORS=_MATH_ERRORS, _fail=_fail)
+        namespace.update(funcs, **names, _MATH_ERRORS=_MATH_ERRORS, _fail=fail)
         exec(_compiled(_shape_source(shape, checked), array), namespace)
         return namespace["kernel"]
 
@@ -803,6 +824,19 @@ class ExpressionKernel:
     def _array(self):
         return self._bind(_ARRAY_FUNCS, array=True)
 
+    @cached_property
+    def _series(self):
+        return self._bind(_SERIES_FUNCS, array=False, fail=_fail_expand)
+
+    def jet(self, center: float, order: int) -> np.ndarray:
+        """Taylor coefficients ``[f, f', f''/2, ..., f^(order)/order!]`` about
+        ``center``, constant ones for a tree without the variable; a failure
+        raises :class:`EvalError` carrying ``center``."""
+        value = self._series(PowerSeries.variable(center, order))
+        if isinstance(value, PowerSeries):
+            return value.c     # a series this call built, held by nothing else
+        return PowerSeries.constant(value, order).c
+
     def grid(self, thetas: np.ndarray) -> np.ndarray:
         """Values at every angle of a 1-d float array, equal to ``scalar``'s.
 
@@ -824,77 +858,3 @@ class ExpressionKernel:
         if values is not None and np.isfinite(values).all():
             return values if np.ndim(values) else np.full(thetas.shape, values)
         return np.array([self.scalar(th) for th in thetas.tolist()])
-
-
-def _eval_series(node: Expression, var: PowerSeries, memo: dict, sincos: dict):
-    """Value of ``node`` on the series ``var``, each shared node evaluated once.
-
-    ``memo`` maps ``id(node)`` to the value of every compound node evaluated
-    so far and ``sincos`` maps ``id(arg)`` to the pair of series computed for
-    ``sin``, ``cos`` or ``tan`` of ``arg``.  A derivative built by
-    :func:`differentiate` reuses its operand's subtrees (``sin(u)`` becomes
-    ``cos(u)*u'`` with the same node ``u``), so a profile ``U = rho'^2 +
-    rho^2`` shares most of its nodes between the two squares.  The walk
-    meets the nodes in the same order as without the memos and computes the
-    same values, so it fails with the same error at the same node.
-    """
-    kind = type(node)
-    if kind is Num:
-        return node.value
-    if kind is Var:
-        return var
-    if kind is Pi:
-        return math.pi
-    key = id(node)
-    value = memo.get(key)
-    if value is not None:
-        return value
-    if kind is Neg:
-        value = -_eval_series(node.arg, var, memo, sincos)
-    elif kind is Add:
-        value = (_eval_series(node.left, var, memo, sincos)
-                 + _eval_series(node.right, var, memo, sincos))
-    elif kind is Sub:
-        value = (_eval_series(node.left, var, memo, sincos)
-                 - _eval_series(node.right, var, memo, sincos))
-    elif kind is Mul:
-        value = (_eval_series(node.left, var, memo, sincos)
-                 * _eval_series(node.right, var, memo, sincos))
-    elif kind is Div:
-        value = (_eval_series(node.left, var, memo, sincos)
-                 / _eval_series(node.right, var, memo, sincos))
-    elif kind is Pow:
-        base = _eval_series(node.base, var, memo, sincos)
-        # a square is the product, as in the kernels: on a float, ``**``
-        # would call libm ``pow``; on a series it makes the same product
-        value = base * base if node.exponent == 2 else base ** node.exponent
-    elif kind is Call:
-        arg = _eval_series(node.arg, var, memo, sincos)
-        if not isinstance(arg, PowerSeries):
-            value = _MATH_FUNCS[node.func](arg)
-        elif node.func in ("sin", "cos", "tan"):
-            pair = sincos.get(id(node.arg))
-            if pair is None:
-                pair = sincos[id(node.arg)] = arg.sincos()
-            s, c = pair
-            value = s if node.func == "sin" else c if node.func == "cos" else s / c
-        else:
-            value = getattr(arg, node.func)()
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    memo[key] = value
-    return value
-
-
-def series_coefficients(node: Expression, center: float, order: int) -> np.ndarray:
-    """Taylor coefficients ``[f, f', f''/2, ..., f^(order)/order!]`` of the
-    expression about ``center``: a profile's jet (:meth:`ModulusModel.jet
-    <depthrec.modulus.ModulusModel.jet>`)."""
-    var = PowerSeries.variable(center, order)
-    try:
-        result = _eval_series(node, var, {}, {})
-    except _MATH_ERRORS as exc:
-        raise EvalError(f"cannot expand expression: {exc}", center) from exc
-    if isinstance(result, PowerSeries):
-        return result.c.copy()
-    return PowerSeries.constant(result, order).c

@@ -894,6 +894,21 @@ def leaving_branches(ic: CriticalIC, side: int,
     return branches
 
 
+def contact_ic(u: ModulusModel, theta: float, critical_set: CriticalSet) -> CriticalIC | None:
+    """The critical IC a contact at ``theta`` continues from: that of the
+    point of ``critical_set`` there, or else, on a dense stretch, one built
+    there.  None at a contact off the set and off every dense stretch: a
+    fold, where no C1 continuation leaves, decided without building an IC.
+    A build or a point's IC that fails raises its :class:`DepthRecError`.
+    """
+    point = critical_set.near(theta, merge_distance(u))
+    if point is not None:
+        return point.ic
+    if critical_set.on_dense(theta):
+        return CriticalIC.from_modulus(u, theta)
+    return None
+
+
 def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
                               choice: BranchSign,
                               opts: IntegrationOptions | None = None,
@@ -902,27 +917,21 @@ def continue_through_critical(piece: SolutionPiece, u: ModulusModel,
 
     The continuation starts exactly on the bound with zero slope, where
     the piece ended, on the first of :func:`leaving_branches` with walk
-    sign ``choice``, from the IC of the point of ``critical_set`` (or else
-    the profile's scan) there, or else, on a dense stretch, one built
-    there.  Raises :class:`NoContinuation` when no branch has that sign, or
-    when the piece ended at a contact off the set and off every dense
-    stretch: a fold, which is no critical point, decided without building
-    an IC.
+    sign ``choice``, from the contact's IC (:func:`contact_ic`) on
+    ``critical_set``, or else on the profile's scan.  Raises
+    :class:`NoContinuation` when no branch has that sign, or at a fold.
     """
     if piece.termination.kind is not TerminationKind.CONTACT:
         raise NoContinuation("piece did not terminate at a contact")
     critical_set = ProfileScan(u) if critical_set is None else critical_set
     side = +1 if piece.direction == "forward" else -1
     theta = piece.termination.theta
-    point = critical_set.near(theta, merge_distance(u))
-    if point is None and not critical_set.on_dense(theta):
-        # off the set and off every dense stretch: a fold, where no C1
-        # continuation leaves, decided without building an IC
-        raise NoContinuation(f"the contact at theta={theta} is not a critical point")
     try:
-        ic = CriticalIC.from_modulus(u, theta) if point is None else point.ic
+        ic = contact_ic(u, theta, critical_set)
     except DomainError as exc:
         raise NoContinuation(
             f"the contact at theta={theta} is not a critical point: {exc}") from exc
+    if ic is None:
+        raise NoContinuation(f"the contact at theta={theta} is not a critical point")
     return branch_to_piece(u, leaving_branches(ic, side, choice)[0], side, opts,
                            critical_set=critical_set)

@@ -15,7 +15,7 @@ Every layer above reads U and U' many times, and the critical scan reads
 U' and U'', so both representations evaluate them without per-call
 overhead.  A closed form evaluates U, U' and U'' with generated kernels
 (:class:`~depthrec.expressions.ExpressionKernel`), each compiled on first
-use; U'' is also differentiated only when first asked for, so building a
+use, and U's kernel serves the jets too; U'' is also differentiated only when first asked for, so building a
 profile costs no second symbolic differentiation.  A sampled profile
 evaluates its spline with a scalar kernel on the spline's breakpoints and
 coefficients: ``bisect`` over the inner knots finds the piece (half-open
@@ -60,9 +60,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DepthRecError, DomainError, EvalError, InvalidModulus, OrderUnavailable
-from .expressions import (
-    Add, Expression, ExpressionKernel, Pow, differentiate, parse_expression, series_coefficients,
-)
+from .expressions import Add, Expression, ExpressionKernel, Pow, differentiate, parse_expression
 from .parametrization import DepthFunction
 
 __all__ = ["Jet", "ModulusModel", "ClosedFormModulus", "SampledModulus",
@@ -313,7 +311,7 @@ class ClosedFormModulus(ModulusModel):
         return self._du.grid(thetas)
 
     def _raw_jet(self, theta: float, order: int) -> np.ndarray:
-        return series_coefficients(self.expr, theta, order)
+        return self._u.jet(theta, order)
 
 
 def _largest_magnitude(kernel: ExpressionKernel, thetas: np.ndarray) -> float:

@@ -28,9 +28,8 @@ sin/cos pair) are left-to-right sums: they read the coefficients into a
 Python list once, build the result in a list and wrap it once, which gives
 the same bits as the same sums on numpy scalars at a fraction of the cost.
 Results are never modified in place, so one series can serve several
-expressions; :func:`depthrec.expressions.series_coefficients` relies on that
-to evaluate each shared node of a tree once and to take ``sin`` and ``cos``
-of one argument from one :meth:`PowerSeries.sincos` call.
+expressions, and a series keeps the pair its :meth:`PowerSeries.sincos`
+computed: ``sin``, ``cos`` and ``tan`` of one series share one recurrence.
 """
 
 from __future__ import annotations
@@ -55,13 +54,14 @@ class PowerSeries:
     series.  The order of a binary result is the smaller operand order.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_sincos")
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
         self.c = c
+        self._sincos = None
 
     @classmethod
     def constant(cls, value: float, order: int) -> "PowerSeries":
@@ -199,7 +199,8 @@ class PowerSeries:
         return PowerSeries(g)
 
     def sincos(self) -> tuple["PowerSeries", "PowerSeries"]:
-        """``(sin(self), cos(self))``, from one coupled recurrence.
+        """``(sin(self), cos(self))``, from one coupled recurrence, run on
+        the first call and kept.
 
         A linear argument, every coefficient past order 1 a zero of either
         sign (``k*theta + phi``), adds zeros to each sum after its first
@@ -209,6 +210,8 @@ class PowerSeries:
         zero times it is NaN, in this sum and every later one), the full
         sum is taken.
         """
+        if self._sincos is not None:
+            return self._sincos
         f = self.c.tolist()
         df = [j * fj for j, fj in enumerate(f)]
         s = [math.sin(f[0])]
@@ -230,7 +233,8 @@ class PowerSeries:
                 ca += dfj * sk
             s.append(sa / k)
             c.append(-ca / k)
-        return PowerSeries(s), PowerSeries(c)
+        self._sincos = PowerSeries(s), PowerSeries(c)
+        return self._sincos
 
     def sin(self) -> "PowerSeries":
         return self.sincos()[0]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .criticals import (
     SCAN_CELLS, CriticalKind, CriticalPoint, CriticalSet, Phase, ProfileScan,
-    find_critical_points, maximal_depth, merge_distance, phase_of,
+    find_critical_points, maximal_depth, phase_of,
 )
 from .errors import (
     DepthRecError, NoContinuation, NoCriticalPoints, NoSolution, NotConeApex, NotRegular,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .ivp import (
     IntegrationOptions, RegularIC, SolutionPiece, Termination, TerminationKind,
-    bound_following_piece, branch_to_piece, continuation_candidates,
+    bound_following_piece, branch_to_piece, contact_ic, continuation_candidates,
     continue_through_critical, leaving_branches, solve_regular,
 )
 from .modulus import ModulusModel
@@ -218,11 +218,10 @@ def _extend(u: ModulusModel, piece: SolutionPiece, side: int, budget: int,
     room = (hi - theta_c) if side > 0 else (theta_c - lo)
     if room <= 1e-12:
         return [([piece], 0)]
-    point = critical_set.near(theta_c, merge_distance(u))
-    if point is None and not critical_set.on_dense(theta_c):
-        return [([piece], 0)]
     try:
-        ic = CriticalIC.from_modulus(u, theta_c) if point is None else point.ic
+        ic = contact_ic(u, theta_c, critical_set)
+        if ic is None:  # a fold: the path ends
+            return [([piece], 0)]
         candidates = continuation_candidates(ic, side)
     except DepthRecError:  # no analytic continuation here: the path ends
         return [([piece], 0)]
@@ -326,8 +325,8 @@ def enumerate_branches(u: ModulusModel, ic: RegularIC | CriticalIC | None = None
 
 def _pick_launch(left: CriticalPoint, right: CriticalPoint) -> tuple[CriticalPoint, CriticalPoint, int]:
     """Choose the endpoint carrying local uniqueness (minimum first), by
-    the kind each point's phase class names, not a kind given by hand."""
-    left_kind, right_kind = left.phase.kind, right.phase.kind
+    the kind each point's phase class names."""
+    left_kind, right_kind = left.kind, right.kind
     if left_kind is CriticalKind.MINIMUM:
         return left, right, +1
     if right_kind is CriticalKind.MINIMUM:

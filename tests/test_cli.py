@@ -199,6 +199,44 @@ def test_removed_tuning_flags_exit_2(argv, capsys):
     assert capsys.readouterr().err.endswith(f"unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["forward", "--rho", "2", "--domain", "0.2", "1.2", "--u", "1"],
+    ["forward", "--rho", "2", "--domain", "0.2", "1.2", "--u", "junk("],
+    ["forward", "--rho", "2", "--domain", "0.2", "1.2", "--u-csv", "u.csv"],
+    ["forward", "--rho", "2", "--domain", "0.2", "1.2", "--rtol", "1e-6"],
+    ["forward", "--rho", "2", "--domain", "0.2", "1.2", "--atol", "1e-6"],
+    ["validate", "--u", "1", "--domain", "0", "1", "--rtol", "1e-6"],
+    ["validate", "--u", "1", "--domain", "0", "1", "--atol", "1e-6"],
+    ["critical", "--u", "1", "--domain", "0", "1", "--rtol", "1e-6"],
+    ["critical", "--u", "1", "--domain", "0", "1", "--atol", "1e-6"],
+    ["branch", "--u", "1", "--domain", "0", "1", "--theta0", "0.5", "--rtol", "1e-6"],
+    ["branch", "--u", "1", "--domain", "0", "1", "--theta0", "0.5", "--atol", "1e-6"],
+])
+def test_a_flag_the_subcommand_never_reads_exits_2(tmp_path, capsys, argv):
+    # each ran and exited 0, the flag ignored, even an expression that
+    # does not parse
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {' '.join(argv[-2:])}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--u", "1", "--domain", "0.2", "1.2"], ["--domain", "0.2", "1.2"], ["--u", "1"],
+])
+@pytest.mark.parametrize("command", ["validate", "critical", "maximal"])
+def test_u_csv_with_u_or_domain_exits_2(tmp_path, capsys, command, extra):
+    # --u won over --u-csv, and --domain beside --u-csv was ignored
+    ucsv = tmp_path / "u.csv"
+    assert main(["forward", "--rho", "2 + sin(theta)/4", "--domain", "0.2", "1.2",
+                 "--samples", "9", "--out", str(ucsv)]) == 0
+    out = tmp_path / "out.json"
+    assert main([command, "--u-csv", str(ucsv), *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("--u-csv takes neither --u nor --domain: "
+                                       "the file holds the profile and its domain\n")
+    assert not out.exists()
+
+
 SOLVE_ARGV = ["solve", "--u", "2+0.1*sin(theta)", "--domain", "0.2", "2.9",
               "--ic", "1", "1", "--sign", "+"]
 
@@ -288,6 +326,17 @@ def test_forward_accepts_a_domain_end_at_a_rounded_pi(tmp_path):
                  "--samples", "5", "--out", str(ucsv)]) == 0
     assert main(["validate", "--u-csv", str(ucsv), "--out", str(tmp_path / "v.json")]) == 0
     np.testing.assert_array_equal(read_u_csv(str(ucsv)).values, 4.0)
+
+
+@pytest.mark.parametrize("domain", [["-1", "4"], ["0.1", "3.1416"]])
+def test_forward_refuses_a_domain_outside_the_viewing_angles(tmp_path, capsys, domain):
+    # each wrote a u.csv, which every other subcommand reads as a polar profile
+    ucsv = tmp_path / "u.csv"
+    assert main(["forward", "--rho", "2", "--domain", *domain, "--samples", "5",
+                 "--out", str(ucsv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("depthrec: angular domain [") and err.count("\n") == 1
+    assert not ucsv.exists()
 
 
 def test_plot_svg_structure(tmp_path):

@@ -203,7 +203,7 @@ def test_scan_keeps_its_second_derivative_read():
     assert [p.u2 for p in points] == [ClosedFormModulus.second_derivative(u, p.theta)
                                       for p in points]
     assert len(reads) == scanned
-    by_hand = CriticalPoint(points[1].theta, points[1].depth, CriticalKind.MINIMUM, u)
+    by_hand = CriticalPoint(points[1].theta, points[1].depth, u)
     assert (by_hand.phase, by_hand.phase, by_hand.u2) == (Phase.SADDLE, Phase.SADDLE, points[1].u2)
     assert reads[scanned:] == [points[1].theta]
 

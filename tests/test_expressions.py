@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from depthrec.errors import EvalError, ParseError
 from depthrec.expressions import (
     FUNCTIONS, Add, Call, Div, Expression, ExpressionKernel, Mul, Neg, Num, Pi, Pow, Sub, Var,
-    differentiate, parse_expression, series_coefficients, to_text,
+    differentiate, parse_expression, to_text,
 )
 from depthrec.expressions import _shape_source
 from depthrec.modulus import from_depth
@@ -179,7 +179,7 @@ def test_differentiate_stays_in_grammar():
 def test_derivatives_at_against_sympy(text, center, order):
     # the Taylor coefficients are the derivatives at the center over k!
     ast = parse_expression(text)
-    got = series_coefficients(ast, center, order)
+    got = ExpressionKernel(ast).jet(center, order)
     expr = sympy_of(text)
     for k in range(order + 1):
         want = float((sp.diff(expr, THETA, k) / sp.factorial(k)).subs(THETA, center))
@@ -188,12 +188,12 @@ def test_derivatives_at_against_sympy(text, center, order):
 
 def test_line_fixture_jet_values():
     # U = 25/cos^4: U(0)=25, U'(0)=0, U''(0)/2=50
-    got = series_coefficients(parse_expression("25/cos(theta)^4"), 0.0, 2)
+    got = ExpressionKernel(parse_expression("25/cos(theta)^4")).jet(0.0, 2)
     np.testing.assert_allclose(got, [25.0, 0.0, 50.0], atol=1e-12)
 
 
 def test_parabola_jet_values():
-    got = series_coefficients(parse_expression("pi^2/16 - pi^2/128*theta^2"), 0.0, 2)
+    got = ExpressionKernel(parse_expression("pi^2/16 - pi^2/128*theta^2")).jet(0.0, 2)
     np.testing.assert_allclose(got, [math.pi ** 2 / 16, 0.0, -math.pi ** 2 / 128],
                                atol=1e-14)
 
@@ -691,7 +691,7 @@ def walk_series(node, var):
 
 
 def oracle_coefficients(node, center, order):
-    """``series_coefficients`` as an unshared walk of the tree."""
+    """:meth:`ExpressionKernel.jet` as an unshared walk of the tree."""
     var = ArraySeries.variable(center, order)
     try:
         result = walk_series(node, var)
@@ -702,6 +702,11 @@ def oracle_coefficients(node, center, order):
     coeffs = np.zeros(order + 1)
     coeffs[0] = result
     return coeffs
+
+
+def kernel_jet(node, center, order):
+    """``ExpressionKernel(node).jet``, called as ``oracle_coefficients`` is."""
+    return ExpressionKernel(node).jet(center, order)
 
 
 def jet_outcome(fn, node, center, order):
@@ -723,7 +728,7 @@ def squared_speed(node):
 @given(expressions, angles, st.integers(0, 22))
 def test_jet_bit_identical_to_unshared_walk(node, center, order):
     for tree in (node, squared_speed(node)):
-        assert jet_outcome(series_coefficients, tree, center, order) == \
+        assert jet_outcome(kernel_jet, tree, center, order) == \
             jet_outcome(oracle_coefficients, tree, center, order)
 
 
@@ -734,7 +739,7 @@ SINE_U = from_depth(DepthFunction.from_text("2.1 + 0.17*sin(3*theta + 1.3)", (0.
 def test_sine_jet_bit_identical_to_unshared_walk(order):
     for center in (0.2, 1.1, 2.9):
         want = jet_outcome(oracle_coefficients, SINE_U.expr, center, order)
-        assert jet_outcome(series_coefficients, SINE_U.expr, center, order) == want
+        assert jet_outcome(kernel_jet, SINE_U.expr, center, order) == want
         assert coefficient_bits(SINE_U.jet(center, order).coeffs) == want
 
 
@@ -751,18 +756,21 @@ def test_tan_sqrt_log_division_jet_bit_identical(text):
     for center in (-1.5, -0.4, 0.0, 0.3, 1.0, 2.5):
         for order in range(23):
             want = jet_outcome(oracle_coefficients, node, center, order)
-            assert jet_outcome(series_coefficients, node, center, order) == want
+            assert jet_outcome(kernel_jet, node, center, order) == want
 
 
 def test_sin_and_cos_of_one_argument_share_one_recurrence(monkeypatch):
-    # U of a sine depth holds sin(u) in rho and cos(u) in rho' on the same node u
-    calls = []
+    # U of a sine depth holds sin(u) in rho and cos(u) in rho' on the same
+    # subtree u; a recurrence run builds a new pair, a kept pair is the same
+    # object again, so the pairs returned count the recurrences
+    pairs = []
     original = PowerSeries.sincos
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def recording(self):
+        pairs.append(original(self))
+        return pairs[-1]
 
-    monkeypatch.setattr(PowerSeries, "sincos", counting)
-    series_coefficients(SINE_U.expr, 1.1, 21)
-    assert len(calls) == 1
+    monkeypatch.setattr(PowerSeries, "sincos", recording)
+    ExpressionKernel(SINE_U.expr).jet(1.1, 21)
+    assert len(pairs) >= 2
+    assert len({id(pair) for pair in pairs}) == 1

@@ -1065,6 +1065,24 @@ def test_profile_overflowing_part_way_ends_in_step_failure():
     assert np.isfinite(piece.rhos).all() and np.isfinite(piece.drhos).all()
 
 
+@pytest.mark.parametrize("text,detail", [
+    # U cannot be read past theta = 1: the stages there fail, the steps
+    # shrink under the minimum step, and the last failed read's error text
+    # is the detail
+    ("4 + sqrt(1 - theta)",
+     "cannot evaluate expression: math domain error (theta=1.0000000000000002)"),
+    # U grows without bound toward theta = 1, every read succeeding: the
+    # error test shrinks the steps under the minimum step
+    ("4 + 1/(1 - theta)^2", "step size underflow"),
+])
+def test_steps_shrinking_short_of_the_domain_end_end_in_step_failure(text, detail):
+    u = ClosedFormModulus(text, (0.0, 2.0))
+    piece = assert_matches_oracle(u, RegularIC(0.5, 1.0), +1, "forward")
+    assert piece.termination == Termination(TerminationKind.STEP_FAILURE, piece.theta_end,
+                                            detail)
+    assert 1.0 - 1e-9 < piece.theta_end <= 1.0
+
+
 def test_event_path_does_not_swallow_foreign_errors():
     # only the typed profile errors mean "no snap here"; anything else is a bug
     class BrokenJet(ClosedFormModulus):

@@ -211,8 +211,8 @@ def test_bvp_dense_constant():
     flat_within_tolerance = ClosedFormModulus("1 + 1e-12*theta", (0.0, 1.5))
     for u in (UNIT, flat_within_tolerance):
         depth = math.sqrt(u.value(0.2))
-        a = CriticalPoint(0.2, depth, CriticalKind.MINIMUM, u)
-        b = CriticalPoint(1.2, depth, CriticalKind.MINIMUM, u)
+        a = CriticalPoint(0.2, depth, u)
+        b = CriticalPoint(1.2, depth, u)
         piece = solve_bvp_between_criticals(u, a, b)
         bound = bound_following_piece(u, 0.2, +1, stop_theta=1.2)
         assert piece.dense_contact
@@ -238,27 +238,6 @@ def test_bvp_trig_profile_mismatch():
     assert piece.rhos[0] == pytest.approx(a.depth, abs=1e-8)
     assert piece.rhos[-1] == pytest.approx(b.depth, abs=1e-8)
     assert abs(piece.drhos[0]) < 1e-8 and abs(piece.drhos[-1]) < 1e-8
-
-
-def test_bvp_launch_follows_the_phase_not_a_hand_given_kind():
-    # a node at pi/6 handed in as a minimum and a saddle at pi/2 handed in
-    # as a maximum: the link still launches from the saddle, as it does
-    # between the scan's points, where launching from the node misses the
-    # saddle by 3.379e-01
-    u = ClosedFormModulus("2 + 0.1*sin(3*theta)", (0.2, 2.9))
-    node, saddle = find_critical_points(u).points[:2]
-    assert node.theta == pytest.approx(math.pi / 6) and node.phase is Phase.NODE
-    assert saddle.theta == pytest.approx(math.pi / 2) and saddle.phase is Phase.SADDLE
-    from depthrec.criticals import CriticalPoint
-    by_hand = (CriticalPoint(node.theta, node.depth, CriticalKind.MINIMUM, u),
-               CriticalPoint(saddle.theta, saddle.depth, CriticalKind.MAXIMUM, u))
-
-    def link(left, right):
-        piece = solve_bvp_between_criticals(u, left, right)
-        return (piece.sign, piece.direction, piece.termination, piece.thetas.tobytes(),
-                piece.rhos.tobytes(), piece.drhos.tobytes())
-
-    assert link(*by_hand) == link(node, saddle)
 
 
 def test_bvp_steep_maximum_has_no_touching_solution():

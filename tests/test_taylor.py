@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import depthrec.criticals as criticals_mod
 from depthrec.criticals import (
-    CriticalKind, CriticalPoint, CriticalSet, ProfileScan, find_critical_points, merge_distance,
+    CriticalPoint, CriticalSet, ProfileScan, find_critical_points, merge_distance,
 )
 from depthrec.errors import ComplexDiscriminant, DegenerateFamily, DomainError, InvalidModulus
 from depthrec.modulus import ClosedFormModulus, Jet, SampledModulus, from_depth
@@ -655,7 +655,7 @@ def test_a_failed_ic_build_raises_again_without_a_second_jet(monkeypatch):
         return jet(self, theta, order)
 
     monkeypatch.setattr(ClosedFormModulus, "jet", counting_jet)
-    point = CriticalPoint(0.5, math.sqrt(TILT.value(0.5)), CriticalKind.MAXIMUM, TILT)
+    point = CriticalPoint(0.5, math.sqrt(TILT.value(0.5)), TILT)
     errors = []
     for _ in range(2):
         with pytest.raises(DomainError, match="does not vanish here") as err:
