@@ -22,6 +22,11 @@ each call parses into a fresh namespace, so no value carries over from one
 call to the next.  Likewise a ``--u-csv`` profile is built once per file
 text: calls that read the same text share one read-only profile
 (``reports.read_u_csv``), and a file rewritten in between is parsed again.
+The subcommands that read one profile share its critical set too, and so
+each point's critical IC and branches: the profile is scanned once, on the
+first lookup, and a scan that fails is kept, so that ``critical``,
+``maximal`` and ``cone`` each exit with its error.  A ``--u`` profile is
+built anew on each call, and so scanned on each.
 
 Flags are spelled out in full: argparse's prefix matching is off, so an
 abbreviated flag is a usage error, and a flag added later never changes
@@ -58,7 +63,7 @@ import sys
 
 import numpy as np
 
-from .criticals import CriticalKind, find_critical_points
+from .criticals import CriticalKind, ProfileScan
 from .errors import DepthRecError
 from .ivp import IntegrationOptions, RegularIC, solve_regular
 from .modulus import ClosedFormModulus, ModulusModel, from_depth, validate_modulus
@@ -173,6 +178,24 @@ def _load_profile(args) -> ModulusModel:
     raise SystemExit("one of --u EXPR or --u-csv PATH is required")
 
 
+# the last (profile, critical set) pair _critical_set handed out; replaced
+# as one tuple, as reports.read_u_csv's (text, profile) pair is
+_last_scan: tuple[ModulusModel, ProfileScan] | None = None
+
+
+def _critical_set(u: ModulusModel) -> ProfileScan:
+    """``u``'s critical set, scanned on its first lookup: the one the last
+    call got if it read this same profile object, else a new one, which
+    replaces it."""
+    global _last_scan
+    last = _last_scan
+    if last is not None and last[0] is u:
+        return last[1]
+    scan = ProfileScan(u)
+    _last_scan = (u, scan)
+    return scan
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         atomic_write_text(args.out, text)
@@ -218,7 +241,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_critical(args) -> int:
     u = _load_profile(args)
-    cs = find_critical_points(u)
+    cs = _critical_set(u).found()
     report = empty_report()
     report["criticals"] = criticals_payload(cs)
     _emit(args, report_json_text(report))
@@ -252,7 +275,7 @@ def _cmd_enumerate(args) -> int:
     opts = _integration_options(args)
     ic = RegularIC(args.ic[0], args.ic[1]) if args.ic else None
     sols = enumerate_branches(u, ic, max_switches=max_switches, opts=opts,
-                              fan_size=fan_size, seed=seed)
+                              fan_size=fan_size, seed=seed, critical_set=_critical_set(u))
     report = empty_report()
     report["solutions"] = [solution_payload(s) for s in sols]
     if args.csv_dir:
@@ -267,7 +290,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_maximal(args) -> int:
     u = _load_profile(args)
     opts = _integration_options(args)
-    cs = find_critical_points(u)
+    cs = _critical_set(u).found()
     sol = maximal_solution(u, opts, critical_set=cs)
     report = empty_report()
     report["criticals"] = criticals_payload(cs)
@@ -279,7 +302,7 @@ def _cmd_maximal(args) -> int:
 def _cmd_cone(args) -> int:
     u = _load_profile(args)
     opts = _integration_options(args)
-    cs = find_critical_points(u)
+    cs = _critical_set(u).found()
     report = empty_report()
     report["criticals"] = criticals_payload(cs)
     maxima = [p for p in cs.points if p.kind is CriticalKind.MAXIMUM]
@@ -318,7 +341,7 @@ def _cmd_plot(args) -> int:
     bound = np.sqrt(u.value_grid(grid))
     curves = [SvgCurve(bound * np.cos(grid), bound * np.sin(grid),
                        color="#d62728", width=2.5, label="depth bound")]
-    cs = find_critical_points(u)
+    cs = _critical_set(u).found()
     markers = [SvgMarker(p.depth * math.cos(p.theta), p.depth * math.sin(p.theta))
                for p in cs.points]
     try:
@@ -328,7 +351,7 @@ def _cmd_plot(args) -> int:
         pass
     if args.ic:
         sols = enumerate_branches(u, RegularIC(args.ic[0], args.ic[1]),
-                                  max_switches=max_switches, opts=opts)
+                                  max_switches=max_switches, opts=opts, critical_set=cs)
         for i, s in enumerate(sols):
             label = "solutions through IC" if i == 0 else ""
             curves.append(_solution_curve(s, "#4878cf", label))

@@ -20,6 +20,9 @@ solver call takes the critical set as an argument; a call given none uses
 handoff, and a contact snap off a flat stretch, ends on the angle of the
 set's point nearest it (:meth:`CriticalSet.near`) and takes that point's
 IC.  A scan that raises leaves its call with no points, and so no handoff.
+The scan itself keeps nothing: the command line's subcommands that read
+one profile object (one ``--u-csv`` text) share one :class:`ProfileScan`
+of it, and so its points and their ICs (``depthrec.cli``).
 
 Tolerances follow the solver's one unit (:attr:`ModulusModel.scale`): the
 scan measures U' in S = max|U|, and code that holds a point but no profile
@@ -191,17 +194,31 @@ class CriticalSet:
 class ProfileScan(CriticalSet):
     """The critical set of a solver call given none: ``u``'s scan
     (:func:`find_critical_points`), run on the first read, once.  A scan that
-    raises a :class:`DepthRecError` leaves no points; other errors propagate."""
+    raises a :class:`DepthRecError` is kept and leaves no points to a
+    lookup; :meth:`found` raises it again.  Other errors propagate."""
 
     def __init__(self, u: ModulusModel):
         self.profile = u
 
     @cached_property
-    def _found(self) -> CriticalSet:
+    def _scan(self) -> CriticalSet | DepthRecError:
         try:
             return find_critical_points(self.profile)
-        except DepthRecError:  # the scan cannot read the profile: no points
-            return CriticalSet([])
+        except DepthRecError as exc:
+            return exc
+
+    def found(self) -> CriticalSet:
+        """The scan's set; a scan that raised raises again, scanning once."""
+        scan = self._scan
+        if isinstance(scan, DepthRecError):
+            raise scan.with_traceback(None)
+        return scan
+
+    @property
+    def _found(self) -> CriticalSet:
+        scan = self._scan
+        # the scan cannot read the profile: no points
+        return CriticalSet([]) if isinstance(scan, DepthRecError) else scan
 
     points = property(lambda self: self._found.points)
     dense = property(lambda self: self._found.dense)

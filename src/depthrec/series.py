@@ -30,6 +30,15 @@ the same bits as the same sums on numpy scalars at a fraction of the cost.
 Results are never modified in place, so one series can serve several
 expressions, and a series keeps the pair its :meth:`PowerSeries.sincos`
 computed: ``sin``, ``cos`` and ``tan`` of one series share one recurrence.
+
+Each order-0 coefficient is the value the same operation gives on floats,
+so an expression's series at a point starts with the expression's value
+there, bit for bit: every rule computes it with the float operation
+(``math.sin``, ``a0*b0``, ``a0/b0``, and so on).  ``tan`` divides sin's
+series by cos's, and an integer power other than 1 and 2 multiplies, so
+their recurrences alone would differ from ``math.tan`` and libm ``pow``
+in the last bit: each takes the float operation's value as its order-0
+coefficient, and keeps the recurrence's higher ones.
 """
 
 from __future__ import annotations
@@ -154,8 +163,11 @@ class PowerSeries:
                 result = base if result is None else result * base
             e >>= 1
             if not e:
-                return result
+                break
             base = base * base
+        if exponent == 1 or exponent == 2:   # b itself, and a square is b*b
+            return result
+        return result._with_value(float(self.c[0]) ** exponent)
 
     # -- elementary functions ------------------------------------------------
 
@@ -244,7 +256,13 @@ class PowerSeries:
 
     def tan(self) -> "PowerSeries":
         s, c = self.sincos()
-        return s / c
+        return (s / c)._with_value(math.tan(self.c[0]))
+
+    def _with_value(self, value: float) -> "PowerSeries":
+        """A copy with ``value`` as the order-0 coefficient."""
+        c = self.c.copy()
+        c[0] = value
+        return PowerSeries(c)
 
     # -- evaluation -----------------------------------------------------------
 

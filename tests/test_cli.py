@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import depthrec.cli as cli_mod
 import depthrec.criticals as criticals_mod
 import depthrec.reports as reports_mod
 from depthrec.cli import _build_parser, _solution_curve, main
@@ -433,11 +434,27 @@ def test_validate_sampled_csv(tmp_path):
 
 # -- one parser per process ------------------------------------------------------
 
-def _sampled_profile(tmp_path) -> str:
+def _sampled_profile(tmp_path, samples: int = 201) -> str:
     path = str(tmp_path / "u.csv")
     assert main(["forward", "--rho", "2 + 0.15*sin(2*theta + 0.5)",
-                 "--domain", "0.2", "2.9", "--samples", "201", "--out", path]) == 0
+                 "--domain", "0.2", "2.9", "--samples", str(samples), "--out", path]) == 0
     return path
+
+
+def _count_scans(monkeypatch) -> list:
+    """The profiles of the critical scans run from here on, appended as each
+    scan starts."""
+    scan, scans = criticals_mod.find_critical_points, []
+
+    def counting(u):
+        scans.append(u)
+        return scan(u)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("depthrec") and \
+                getattr(module, "find_critical_points", None) is scan:
+            monkeypatch.setattr(module, "find_critical_points", counting)
+    return scans
 
 
 def test_parser_is_built_once():
@@ -506,22 +523,88 @@ def test_cone_sample_does_not_carry_over(tmp_path):
     assert json.loads(second.read_text())["solutions"] == []
 
 
-@pytest.mark.parametrize("extra", [[], ["--sample", "1.0", "2.0"],
-                                   ["--apex", "0.5353981729511362"]])
-def test_cone_scans_the_profile_once(tmp_path, monkeypatch, extra):
+# each case writes a sample count of its own, so no earlier call kept its
+# profile text, and with it the profile's scan
+@pytest.mark.parametrize("extra, samples", [([], 211), (["--sample", "1.0", "2.0"], 212),
+                                            (["--apex", "0.5353981729511362"], 213)],
+                         ids=["extra0", "extra1", "extra2"])
+def test_cone_scans_the_profile_once(tmp_path, monkeypatch, extra, samples):
     # the subcommand's scan is the critical set of its cone and its samples
-    ucsv = _sampled_profile(tmp_path)
-    scan, scans = criticals_mod.find_critical_points, []
-
-    def counting(*args, **kwargs):
-        scans.append(args)
-        return scan(*args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("depthrec") and \
-                getattr(module, "find_critical_points", None) is scan:
-            monkeypatch.setattr(module, "find_critical_points", counting)
+    ucsv = _sampled_profile(tmp_path, samples)
+    scans = _count_scans(monkeypatch)
     assert main(["cone", "--u-csv", ucsv, *extra, "--out", str(tmp_path / "c.json")]) == 0
+    assert len(scans) == 1
+
+
+def _session_argvs(u_csv: str) -> list[list[str]]:
+    """The subcommands of a session on ``u_csv`` that read its critical set."""
+    return [["critical", "--u-csv", u_csv], ["maximal", "--u-csv", u_csv],
+            ["enumerate", "--u-csv", u_csv, "--ic", "1.2", "2.0", "--max-switches", "1"],
+            ["cone", "--u-csv", u_csv], ["plot", "--u-csv", u_csv]]
+
+
+def test_session_scans_its_profile_once(tmp_path, monkeypatch):
+    # every subcommand reading one u.csv text shares the scan of its profile
+    u_csv = str(tmp_path / "u.csv")
+    scans = _count_scans(monkeypatch)
+    assert main(["forward", "--rho", _SESSION_RHO, "--domain", "0.2", "2.9",
+                 "--samples", "301", "--out", u_csv]) == 0
+    for argv in _session_argvs(u_csv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(scans) == 1
+    # another depth written over the file: the next subcommand scans its profile
+    assert main(["forward", "--rho", "2.1 + 0.17*sin(3*theta + 1.3)", "--domain", "0.2", "2.9",
+                 "--samples", "301", "--out", u_csv]) == 0
+    assert main(["critical", "--u-csv", u_csv, "--out", str(tmp_path / "out")]) == 0
+    assert len(scans) == 2 and scans[1] is not scans[0]
+    assert scans[1] is read_u_csv(u_csv)
+
+
+def _forget_profiles(monkeypatch):
+    """Drops the kept profile, and so the kept scan: the next call on a text
+    is its first."""
+    monkeypatch.setattr(reports_mod, "_last_u_csv", None)
+    monkeypatch.setattr(cli_mod, "_last_scan", None)
+
+
+def _outputs(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_scan_changes_no_output(tmp_path, monkeypatch, capsys):
+    # each subcommand of a session prints what it prints as the first call
+    # on the text: its exit code and its stdout bytes
+    u_csv = str(tmp_path / "u.csv")
+    assert main(["forward", "--rho", _SESSION_RHO, "--domain", "0.2", "2.9",
+                 "--samples", "301", "--out", u_csv]) == 0
+    _forget_profiles(monkeypatch)
+    shared = [_outputs(capsys, argv) for argv in _session_argvs(u_csv)]
+    assert [code for code, _, _ in shared] == [0] * 5
+    for argv, outputs in zip(_session_argvs(u_csv), shared):
+        _forget_profiles(monkeypatch)
+        assert _outputs(capsys, argv) == outputs
+
+
+def test_a_failed_scan_is_kept_with_its_error(tmp_path, monkeypatch, capsys):
+    # U = (theta - 1.5)^2 - 0.1 is negative at its minimum, a critical point:
+    # the scan that finds it fails, and the subcommands that report the
+    # points exit 1 naming it, each time; enumerate's lookups see no points
+    u_csv = tmp_path / "u.csv"
+    thetas = np.linspace(0.2, 2.9, 101).tolist()
+    u_csv.write_text("theta,u\n" + "".join(f"{t!r},{(t - 1.5) ** 2 - 0.1!r}\n" for t in thetas))
+    scans = _count_scans(monkeypatch)
+    negative = "depthrec: profile is negative at theta=1.5: -0.1\n"
+    # plot reads the bound on its grid before it looks a point up
+    grid = "depthrec: profile is negative at theta=1.1880626223091975: -0.0026950723993856085\n"
+    for argv, want_code, want_err in [(["critical"], 1, negative), (["maximal"], 1, negative),
+                                      (["enumerate", "--ic", "2.5", "0.5"], 0, ""),
+                                      (["cone"], 1, negative), (["plot"], 1, grid),
+                                      (["critical"], 1, negative)]:
+        code, out, err = _outputs(capsys, [*argv, "--u-csv", str(u_csv)])
+        assert (code, err) == (want_code, want_err)
+        assert bool(out) == (code == 0)
     assert len(scans) == 1
 
 

@@ -173,10 +173,8 @@ def test_jet_constant_term_is_the_u_read():
     ``b*b``, and the jet convolves the series with itself, whose constant
     term is the same product; a square of a constant is that product in
     the jet too (libm ``pow`` gives 2.0587416822708664 for the profile
-    below at theta = 1, the product 2.058741682270867).  ``tan``, and
-    powers other than 2, are out of scope: the kernel calls ``math.tan``
-    and libm ``pow`` for those, the jet runs its own recurrences, and the
-    two may differ in the last bit.
+    below at theta = 1, the product 2.058741682270867).  ``tan`` and the
+    other powers are the next test's.
     """
     domain = (0.2, 2.9)
     thetas = np.random.default_rng(17).uniform(*domain, 200).tolist()
@@ -186,6 +184,26 @@ def test_jet_constant_term_is_the_u_read():
     u = ClosedFormModulus("1 + (1.0289517395246808*1)^2 + 0*theta", domain)
     for th in [1.0, *thetas]:
         assert u.jet(th, 2)[0] == u.value(th), th
+
+
+@settings(max_examples=150, deadline=None)
+@example(theta=1.4110690720530157, amp=0.1, k=1, phi=0.0, n=-2, order=2)
+@example(theta=0.20323914568443735, amp=0.3, k=3, phi=0.0, n=-2, order=2)
+@example(theta=0.7990991097440276, amp=0.3, k=1, phi=0.0, n=3, order=2)
+@given(theta=st.floats(0.2, 2.9), amp=st.floats(0.01, 0.3), k=st.integers(1, 3),
+       phi=st.floats(0.0, 3.0), n=st.sampled_from([-3, -2, -1, 3, 4, 5]),
+       order=st.sampled_from([0, 1, 2, 20]))
+def test_jet_constant_term_is_the_u_read_through_tan_and_powers(theta, amp, k, phi, n, order):
+    # the kernel reads tan with math.tan and b^n (n not 2) with libm pow;
+    # the jet's tan and powers take their constant term the same way, where
+    # their recurrences alone differed in the last bit at about 2-4% of
+    # angles (the examples)
+    texts = [f"2 + {amp!r}*tan(theta/2)",
+             f"2 + {amp!r}*(1.1 + 0.2*sin({k}*theta + {phi!r}))^({n})",
+             f"2 + {amp!r}*sin(theta)^{abs(n)}"]
+    for text in texts:
+        u = ClosedFormModulus(text, (0.2, 2.9))
+        assert u.jet(theta, order)[0] == u.value(theta), text
 
 
 def test_jet_matches_finite_differences():

